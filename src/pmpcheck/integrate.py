@@ -23,7 +23,7 @@ every verdict carries the numbers it was based on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,18 +35,14 @@ __all__ = [
     "IntegralResult",
     "LadderRecord",
     "DecayRecord",
-    "TruncationRecord",
     "NormResult",
     "HolderRecord",
-    "FundamentalMatrix",
     "default_grid",
     "improper_integral",
     "improper_verdict",
     "decays_to_zero",
-    "tail_truncation",
     "solve_ode",
     "solve_state",
-    "fundamental_matrix",
     "weighted_norm",
     "w1_norm",
     "holder_pairing_check",
@@ -269,19 +265,15 @@ def improper_verdict(
 
     if "diverged" in (head_status, tail_status):
         verdict = "diverged"
-    elif head_status in ("converged",) and tail_status == "converged":
+    elif head_status == "converged" and tail_status == "converged":
         verdict = "converged"
-    elif head_status == "unresolved" and tail_status == "converged":
-        verdict = "inconclusive"
     else:
         verdict = "inconclusive"
 
-    value = float(decade_partials[-1])
-    if tail_estimate is not None and np.isfinite(value):
-        value += 0.0  # partials already cover [0, t_max]; bound reported separately
+    # the partials cover [0, t_max]; a tail bound is reported separately
     return LadderRecord(
         verdict,
-        value,
+        float(decade_partials[-1]),
         np.asarray(decades),
         decade_partials,
         increments,
@@ -341,70 +333,6 @@ def decays_to_zero(
     if s3 > tol * (1.0 + s1):
         return DecayRecord(False, ends, tuple(sups), tol, (argmax_t[2], s3), f"final window sup {s3:.3g} above tol*(1+first)")
     return DecayRecord(True, ends, tuple(sups), tol, None, "decays across windows")
-
-
-@dataclass(frozen=True)
-class TruncationRecord:
-    """Horizon T (integer) with tail mass below tol, and how it was found."""
-
-    horizon: float
-    tail_at_horizon: float
-    analytic: bool
-    note: str = ""
-
-
-def tail_truncation(
-    tail_bound: Callable[[float], float] | None = None,
-    f: Callable[[np.ndarray], np.ndarray] | None = None,
-    tol: float = 1e-8,
-    t_cap: float = 1.0e5,
-) -> TruncationRecord:
-    """Smallest integer horizon whose tail mass is below ``tol``.
-
-    Prefers the declared analytic tail bound (walked along the integer
-    ladder 1, 2, 3, ...).  Without one, a numeric tail estimate from the
-    decade ladder is used, provided it stabilizes; otherwise
-    :class:`MissingTailBound` is raised.  ``tol = inf`` returns the first
-    decade.
-    """
-    if not np.isfinite(tol):
-        return TruncationRecord(1.0, float("nan"), tail_bound is not None, "tolerance infinite")
-    if tail_bound is not None:
-        T = 1.0
-        while T <= t_cap:
-            b = float(tail_bound(T))
-            if b <= tol:
-                return TruncationRecord(T, b, True)
-            T += 1.0
-        raise MissingTailBound(
-            f"declared tail bound stays above tol={tol:g} up to t={t_cap:g}"
-        )
-    if f is None:
-        raise MissingTailBound("no tail bound declared and no integrand given")
-    ladder = improper_verdict(f, pole_exp=None, t_max=min(t_cap, 1e4), tol=tol)
-    if ladder.verdict != "converged":
-        raise MissingTailBound(
-            "no tail bound declared and the numeric tail estimate does not stabilize"
-        )
-    total = ladder.value
-    res = improper_integral(f, grid=default_grid(min(t_cap, 1e4), cells=4096))
-    tails = total - res.partials
-    ok = np.nonzero(tails <= tol)[0]
-    if ok.size == 0:
-        raise MissingTailBound("numeric tail never drops below tol on the grid")
-    t_hi = max(1.0, float(np.ceil(res.grid[ok[0]])))
-    # re-grid with every integer up to t_hi as a knot, then walk the ladder
-    head = default_grid(1.0, cells=1, refine_zero=True)
-    fine = np.arange(1.0, t_hi + 1.0, 0.25)[1:]
-    grid2 = np.concatenate((head, fine))
-    res2 = improper_integral(f, grid=grid2)
-    tails2 = total - res2.partials
-    for T in range(1, int(t_hi) + 1):
-        k = int(np.searchsorted(grid2, float(T)))
-        if tails2[k] <= tol:
-            return TruncationRecord(float(T), float(max(tails2[k], 0.0)), False,
-                                    "numeric tail estimate")
-    return TruncationRecord(t_hi, float(max(tails[ok[0]], 0.0)), False, "numeric tail estimate")
 
 
 # --- Dormand-Prince 5(4) -----------------------------------------------------
@@ -568,44 +496,7 @@ def solve_state(prob, u, x0=None, grid=None, t_max: float = 50.0, cells: int = 1
             rhs = lambda t, xv: prob.phi_value(t, xv, u_fn(t))
         y, _ = _integrate_cell(rhs, grid[k], grid[k + 1], y, rtol, atol, fixed_steps, blowup)
         x[k + 1] = y
-    interp = "callable" if u_fn is not None else "step"
-    return CandidateProcess(grid=grid, x=x, u=u_samples, u_interp=interp,
-                            u_callable=u_fn)
-
-
-@dataclass(frozen=True)
-class FundamentalMatrix:
-    """Grid-sampled fundamental system of ``z' = -phi_x(t)^T z``, Z(0)=I.
-
-    ``cond`` tracks 2-norm condition numbers; entries above 1e12 mark the
-    matrix ill-conditioned there (inverses are still returned, flagged).
-    """
-
-    grid: np.ndarray
-    Z: np.ndarray  # (N, n, n)
-    cond: np.ndarray
-    ill_conditioned: bool
-
-    def inverse(self, k: int) -> np.ndarray:
-        return np.linalg.solve(self.Z[k], np.eye(self.Z.shape[1]))
-
-
-def fundamental_matrix(prob, cand, grid: np.ndarray | None = None,
-                       rtol: float = 1e-11, atol: float = 1e-13) -> FundamentalMatrix:
-    """Solve the adjoint-homogeneous matrix ODE along a candidate process."""
-    if grid is None:
-        grid = cand.grid
-    grid = np.asarray(grid, dtype=float)
-    n = prob.n
-
-    def rhs(t, zflat):
-        A = prob.phi_jac_x(t, cand.state(t), cand.control(t))
-        return (-A.T @ zflat.reshape(n, n)).ravel()
-
-    flat = solve_ode(rhs, grid, np.eye(n).ravel(), rtol=rtol, atol=atol)
-    Z = flat.reshape(grid.size, n, n)
-    cond = np.array([np.linalg.cond(Zk) for Zk in Z])
-    return FundamentalMatrix(grid, Z, cond, bool(np.any(cond > 1e12)))
+    return CandidateProcess(grid=grid, x=x, u=u_samples, u_callable=u_fn)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ verdicts state exactly what was established, nothing more.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -35,6 +36,8 @@ import numpy as np
 
 from .expressions import DomainError
 from .integrate import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     BlowUp,
     InvalidGrid,
     decays_to_zero,
@@ -75,7 +78,6 @@ __all__ = [
     "verify_certificate",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
 _TINY = 1e-300
 
 
@@ -470,12 +472,6 @@ class ConditionRecord:
         return self.verdict == "pass"
 
 
-def _eval_along(prob, cand, ts):
-    x = cand.state(ts)
-    u = cand.control(ts)
-    return x, u
-
-
 def _hermite_nodes(grid, a, da, b, db):
     """Cubic reconstruction of p at the 7 Gauss nodes of every cell.
 
@@ -514,7 +510,7 @@ def _adjoint_cell_integrals(prob, cand, adj, p_start=None):
     limits, and a cell starting at an atom must open at the right limit.
     """
     grid, p, lam = adj.grid, adj.p, adj.lambda0
-    x, u = _eval_along(prob, cand, grid)
+    x, u = cand.state(grid), cand.control(grid)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d_end = -pontryagin_H_x(prob, grid, x, u, p, lam)
         if p_start is None:
@@ -523,7 +519,7 @@ def _adjoint_cell_integrals(prob, cand, adj, p_start=None):
             d_start = -pontryagin_H_x(prob, grid, x, u, p_start, lam)
     tq, ph = _hermite_nodes(grid, p_start[:-1], d_start[:-1], p[1:], d_end[1:])
     flat_t = tq.ravel()
-    xq, uq = _eval_along(prob, cand, flat_t)
+    xq, uq = cand.state(flat_t), cand.control(flat_t)
     flat_p = ph.reshape(-1, adj.n)
     hx = pontryagin_H_x(prob, flat_t, xq, uq, flat_p, lam)
     hx = hx.reshape(tq.shape + (adj.n,))
@@ -844,7 +840,7 @@ def check_maximum_condition(prob: ControlProblem, cand: CandidateProcess,
     if sampler not in ("auto", "grid"):
         raise ValueError(f"unknown sampler {sampler!r}")
     grid = adj.grid
-    xs, us = _eval_along(prob, cand, grid)
+    xs, us = cand.state(grid), cand.control(grid)
     ps, lam = adj.p, adj.lambda0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w = np.asarray(prob.omega(grid), dtype=float)
@@ -894,7 +890,7 @@ def check_weak_inequality(prob: ControlProblem, cand: CandidateProcess,
             premise="control set must be convex", premise_ok=False,
             notes=("the control box was declared non-convex",))
     grid = adj.grid
-    xs, us = _eval_along(prob, cand, grid)
+    xs, us = cand.state(grid), cand.control(grid)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w = np.asarray(prob.omega(grid), dtype=float)
     finite = np.isfinite(w)
@@ -1330,10 +1326,12 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
                          "multipliers may be degenerate")
 
     adjoints: dict[str, AdjointSolution] = {}
+    rep_failure = None
     if lambda0 == 1.0:
         try:
             adjoints["representation"] = adjoint_representation(prob, cand)
         except (IllConditioned, DivergentTail) as e:
+            rep_failure = e
             notes.append(f"representation route unavailable: {e}")
     else:
         notes.append("representation route skipped: it encodes the normal "
@@ -1342,10 +1340,15 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
         adjoints["backward-ode"] = adjoint_backward(prob, cand, lambda0=lambda0,
                                                     t_end=t_backward)
     except BlowUp as e:
+        if not adjoints:
+            # no adjoint at all: surface the backward blow-up with its own
+            # numbers and say why the representation route is missing too
+            e.args = (f"no adjoint route succeeded; backward route: {e}; "
+                      + (f"representation route: {rep_failure}" if rep_failure
+                         else "representation route skipped for lambda0 != 1"),)
+            raise e from rep_failure
         notes.append(f"backward route blew up at t={e.t:.6g}; the "
                      "representation formula is the reliable route here")
-    if not adjoints:
-        raise BlowUp(0.0, float("inf"), 0.0)
 
     route_agreement = None
     if len(adjoints) == 2:
@@ -1360,13 +1363,7 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
 
     primary = adjoints.get("representation") or adjoints["backward-ode"]
     if measures:
-        primary = AdjointSolution(
-            grid=primary.grid, p=primary.p, lambda0=primary.lambda0,
-            route=primary.route, measures=measures,
-            p_callable=primary.p_callable,
-            terminal_error=primary.terminal_error,
-            tail_error=primary.tail_error,
-            ill_conditioned=primary.ill_conditioned, notes=primary.notes)
+        primary = dataclasses.replace(primary, measures=measures)
 
     conditions: list[ConditionRecord] = []
     conditions.append(check_adjoint_residual(prob, cand, primary, tol=tol_adjoint))
@@ -1403,12 +1400,7 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
     if route_agreement is not None:
         extra = (f"route agreement sup|backward - representation| / sup|p| = "
                  f"{route_agreement:.3g} on the first half horizon")
-        normality = ConditionRecord(
-            name=normality.name, verdict=normality.verdict,
-            residual=normality.residual, tolerance=normality.tolerance,
-            premise=normality.premise, premise_ok=normality.premise_ok,
-            witnesses=normality.witnesses, notes=normality.notes + (extra,),
-            series_grid=normality.series_grid, series=normality.series)
+        normality = dataclasses.replace(normality, notes=normality.notes + (extra,))
     conditions.append(normality)
 
     sufficiency = None

@@ -353,7 +353,6 @@ class CandidateProcess:
     grid: np.ndarray
     x: np.ndarray
     u: np.ndarray
-    u_interp: str = "step"
     u_callable: Callable | None = None
     closed_x: Callable | None = None
     closed_u: Callable | None = None
@@ -424,8 +423,8 @@ def candidate_from_functions(grid, x_fn: Callable, u_fn: Callable,
     grid = np.asarray(grid, dtype=float)
     x = np.asarray(x_fn(grid), dtype=float)
     u = np.asarray(u_fn(grid), dtype=float)
-    return CandidateProcess(grid=grid, x=x, u=u, u_interp="callable",
-                            closed_x=x_fn, closed_u=u_fn, label=label)
+    return CandidateProcess(grid=grid, x=x, u=u, closed_x=x_fn, closed_u=u_fn,
+                            label=label)
 
 
 def dynamics_residual(prob: ControlProblem, cand: CandidateProcess) -> np.ndarray:
@@ -1176,8 +1175,10 @@ def parse_problem(source: str) -> ControlProblem:
     Maximization is normalized away here by negating the integrand.
     """
     entries: dict[str, dict[str, tuple[str, int]]] = {s: {} for s in _SECTIONS}
+    headers: dict[str, int] = {}
     section = None
-    for lineno, raw in enumerate(source.splitlines(), start=1):
+    lines = source.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
@@ -1188,6 +1189,7 @@ def parse_problem(source: str) -> ControlProblem:
             if name not in _SECTIONS:
                 raise ProblemSyntaxError(f"unknown section [{name}]", lineno)
             section = name
+            headers.setdefault(name, lineno)
             continue
         if section is None:
             raise ProblemSyntaxError("content before any [section] header", lineno)
@@ -1201,7 +1203,8 @@ def parse_problem(source: str) -> ControlProblem:
 
     def need(section: str, key: str) -> tuple[str, int]:
         if key not in entries[section]:
-            raise ProblemSyntaxError(f"missing key {key!r} in [{section}]", 0)
+            raise ProblemSyntaxError(f"missing key {key!r} in [{section}]",
+                                     headers[section])
         return entries[section][key]
 
     def grab(section: str, key: str, default=None):
@@ -1209,7 +1212,8 @@ def parse_problem(source: str) -> ControlProblem:
 
     for sec in ("problem", "dynamics", "objective", "space"):
         if not entries[sec]:
-            raise ProblemSyntaxError(f"missing required section [{sec}]", 0)
+            raise ProblemSyntaxError(f"missing required section [{sec}]",
+                                     max(1, len(lines)))
 
     text, line = need("problem", "n")
     try:
@@ -1302,13 +1306,16 @@ def parse_problem(source: str) -> ControlProblem:
         try:
             U = ControlBox(lo, hi, olo, ohi, convex=convex)
         except ValueError as err:
-            raise ProblemSyntaxError(str(err), 0) from None
+            raise ProblemSyntaxError(str(err), headers["controls"]) from None
     else:
         U = ControlBox.unbounded(m)
 
     g = []
     if entries["constraints"]:
-        for idx, key in enumerate(sorted(entries["constraints"]), start=1):
+        # shorter keys first, so g2 precedes g10: this is index order for
+        # every well-formed key, and any other key still fails the match
+        ordered = sorted(entries["constraints"], key=lambda k: (len(k), k))
+        for idx, key in enumerate(ordered, start=1):
             if key != f"g{idx}":
                 raise ProblemSyntaxError(
                     f"constraints must be named g1..gl consecutively, found {key!r}",
@@ -1316,16 +1323,6 @@ def parse_problem(source: str) -> ControlProblem:
                 )
             text, line = entries["constraints"][key]
             g.append(_parse_expr(text, line))
-
-    allowed = {"t"} | {f"x{i}" for i in range(1, n + 1)} | {f"u{i}" for i in range(1, m + 1)}
-    for e, where, ok in (
-        (f, "objective integrand", allowed),
-        *((p, "dynamics", allowed) for p in phi),
-        *((gj, "state constraints", allowed - {f"u{i}" for i in range(1, m + 1)}) for gj in g),
-    ):
-        extra = e.variables() - ok
-        if extra:
-            raise UnknownIdentifier(sorted(extra)[0], where)
 
     return ControlProblem(
         n=n, m=m, f=f, phi=tuple(phi), x0=x0, omega=omega, nu=nu, U=U,

@@ -544,7 +544,7 @@ def check_tube_scale(eta: WeightSpec, grid: np.ndarray | None = None) -> Propert
             notes.append("tube radius increases")
         else:
             verdicts["F6"] = "pass"
-    except Exception as exc:  # evaluation failure is a fail, not a crash
+    except (ValueError, ArithmeticError) as exc:  # evaluation failure is a fail, not a crash
         verdicts["F6"] = "fail"
         witnesses["F6"] = (0.0, float("nan"))
         notes.append(f"evaluation failed: {exc}")

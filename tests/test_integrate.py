@@ -4,15 +4,12 @@ import pytest
 from pmpcheck.integrate import (
     BlowUp,
     InvalidGrid,
-    MissingTailBound,
     decays_to_zero,
     default_grid,
-    fundamental_matrix,
     holder_pairing_check,
     improper_integral,
     improper_verdict,
     solve_ode,
-    tail_truncation,
     w1_norm,
     weighted_norm,
 )
@@ -145,37 +142,6 @@ class TestDecay:
         assert decays_to_zero(g).passed
 
 
-class TestTailTruncation:
-    def test_exponential_bound(self):
-        # e^(-2T)/2 <= 1e-8 first at T = 9
-        rec = tail_truncation(tail_bound=lambda T: np.exp(-2 * T) / 2, tol=1e-8)
-        assert rec.horizon == 9.0
-        assert rec.analytic
-
-    def test_weibull_half_bound(self):
-        # tail of t^(-1/2) e^(-sqrt(t)) beyond T is 2 e^(-sqrt(T));
-        # 2 e^(-sqrt(211)) = 9.79e-7 is the first integer below 1e-6
-        rec = tail_truncation(tail_bound=lambda T: 2.0 * np.exp(-np.sqrt(T)), tol=1e-6)
-        assert rec.horizon == 211.0
-
-    def test_infinite_tolerance_returns_first_decade(self):
-        rec = tail_truncation(tail_bound=lambda T: 1.0, tol=np.inf)
-        assert rec.horizon == 1.0
-
-    def test_numeric_estimate_matches_analytic(self):
-        rec = tail_truncation(f=lambda t: np.exp(-2 * t), tol=1e-8)
-        assert not rec.analytic
-        assert rec.horizon == 9.0
-
-    def test_missing_bound_on_fat_tail(self):
-        with pytest.raises(MissingTailBound):
-            tail_truncation(f=lambda t: (1.0 + t) ** -1.05, tol=1e-8)
-
-    def test_no_input_at_all(self):
-        with pytest.raises(MissingTailBound):
-            tail_truncation(tol=1e-8)
-
-
 class TestSolveOde:
     def test_linear_decay(self):
         grid = np.linspace(0.0, 5.0, 65)
@@ -210,52 +176,6 @@ class TestSolveOde:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(InvalidGrid):
             solve_ode(lambda t, y: y, np.array([0.0, 2.0, 1.0]), 1.0)
-
-
-class _StubProb:
-    """Minimal duck-typed problem: linear dynamics with constant Jacobian."""
-
-    def __init__(self, A):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
-        self.n = self.A.shape[0]
-
-    def phi_jac_x(self, t, x, u):
-        return self.A
-
-
-class _StubCand:
-    def __init__(self, n):
-        self.grid = np.linspace(0.0, 3.0, 97)
-        self._n = n
-
-    def state(self, t):
-        return np.zeros(self._n)
-
-    def control(self, t):
-        return np.zeros(1)
-
-
-class TestFundamentalMatrix:
-    def test_scalar_closed_form(self):
-        # z' = -2 z, Z(0)=1 -> Z(t) = e^{-2t}
-        prob = _StubProb([[2.0]])
-        cand = _StubCand(1)
-        fm = fundamental_matrix(prob, cand)
-        np.testing.assert_allclose(fm.Z[:, 0, 0], np.exp(-2 * fm.grid), rtol=1e-8)
-        assert not fm.ill_conditioned
-
-    def test_zero_dynamics_gives_identity(self):
-        prob = _StubProb([[0.0, 0.0], [0.0, 0.0]])
-        cand = _StubCand(2)
-        fm = fundamental_matrix(prob, cand)
-        np.testing.assert_allclose(fm.Z, np.broadcast_to(np.eye(2), fm.Z.shape), atol=1e-12)
-
-    def test_inverse_consistency(self):
-        prob = _StubProb([[0.0, 1.0], [-1.0, 0.0]])
-        cand = _StubCand(2)
-        fm = fundamental_matrix(prob, cand)
-        for k in range(0, fm.grid.size, 16):
-            np.testing.assert_allclose(fm.Z[k] @ fm.inverse(k), np.eye(2), atol=1e-8)
 
 
 class TestWeightedNorm:

@@ -269,6 +269,9 @@ class TestAdjointBackward:
         bwd = adjoint_backward(prob, cand, t_end=30.0)
         # closed form p(t) = 2 e^{-t}
         assert bwd.p[0, 0] == pytest.approx(2.0, rel=1e-5)
+        # the representation route reproduces it on the whole grid
+        rep = adjoint_representation(prob, cand)
+        assert np.max(np.abs(rep.p[:, 0] - 2.0 * np.exp(-rep.grid))) < 1e-9
 
     def test_rejects_terminal_time_off_grid(self, reg_setup):
         prob, cand, _ = reg_setup
@@ -319,6 +322,7 @@ class TestAdjointRepresentation:
             lambda t: np.full(np.shape(t), 0.25))
         rep = adjoint_representation(prob, cand)
         assert rep.sup_norm == 0.0
+        assert adjoint_backward(prob, cand).sup_norm == 0.0
 
     def test_two_state_mixed_stability(self):
         # Y = diag(e^t, e^{-t}): the condition number crosses 1e12 around
@@ -639,6 +643,9 @@ class TestWeakInequality:
         adj = adjoint_from_function(grid, lambda t: -np.ones(np.shape(t)))
         rec = check_weak_inequality(prob, cand, adj)
         assert not rec.passed
+        # full effort u* = 1 sits on the face that H_u points to
+        _, bang = undiscounted_pieces(grid)
+        assert check_weak_inequality(prob, bang, adj).residual == 0.0
 
     def test_nonconvex_box_is_not_applicable(self, grid):
         src = REGULATOR.format(a=4.5) + "\n[controls]\nu1 = [-9, 9]\nconvex = false\n"
@@ -730,6 +737,9 @@ class TestMichel:
         prob, cand, adj = investment_pieces(grid)
         rec = check_michel(prob, cand, adj)
         assert rec.passed
+        # <p, x*> = 2 e^{-t/2} and |p|^2/nu = 4 e^{-3t/2} both vanish
+        pairing, decay = check_transversality(prob, cand, adj)
+        assert pairing.passed and decay.passed
 
     def test_constraint_problem_uses_first_power(self, grid):
         prob = parse_problem(CONSTRAINED)
@@ -743,6 +753,8 @@ class TestMichel:
         adj = adjoint_from_function(grid, lambda t: -np.ones(np.shape(t)))
         rec = check_michel(prob, cand, adj, mode="weak")
         assert "nu*|u*|^2" in rec.premise
+        # w^2/nu = e^t grows, so the condition asserts nothing here
+        assert rec.verdict == "not-applicable"
 
 
 class TestNormality:
@@ -855,6 +867,39 @@ class TestCertificate:
         # they never produced must surface as an integral-form defect
         assert cert.condition("integral_adjoint_residual").verdict == "fail"
         assert cert.overall == "fail"
+
+    def test_both_routes_failing_names_both_causes(self):
+        # phi_x = 30: Z^{-1} overflows near t = 22 and the backward adjoint
+        # grows like e^{30 s} in reverse time
+        src = """
+[problem]
+n = 1
+m = 1
+x0 = 1.0
+
+[dynamics]
+phi1 = 30*x1 + u1
+
+[objective]
+f = x1^2 + u1^2
+omega = exp_decay 1.0
+
+[space]
+nu = exp_decay 1.0
+"""
+        prob = parse_problem(src)
+        g = default_grid(25.0, cells=64, refine_zero=False)
+        cand = candidate_from_functions(
+            g, lambda t: np.exp(-np.asarray(t)),
+            lambda t: -31.0 * np.exp(-np.asarray(t)))
+        with pytest.raises(BlowUp) as err:
+            verify_certificate(prob, cand, include_sufficiency=False)
+        assert err.value.bound == 1e12
+        assert err.value.norm > err.value.bound
+        assert err.value.t > 0.0
+        assert isinstance(err.value.__cause__, IllConditioned)
+        assert "backward route" in str(err.value)
+        assert "fundamental system overflows" in str(err.value)
 
     def test_mode_validation(self, reg_setup):
         prob, cand, _ = reg_setup

@@ -194,6 +194,38 @@ g1 = x1 - 2
         with pytest.raises(ProblemSyntaxError, match="consecutive"):
             parse_problem(src)
 
+    def test_ten_or_more_constraints_keep_their_index_order(self):
+        rows = "".join(f"g{j} = x1 - {j}\n" for j in range(1, 12))
+        prob = parse_problem(REGULATOR + "\n[constraints]\n" + rows)
+        assert prob.l == 11
+        np.testing.assert_allclose(prob.g_value(0.0, np.array([0.0])),
+                                   -np.arange(1.0, 12.0))
+
+    @pytest.mark.parametrize("rows,bad", [
+        ("".join(f"g{j} = x1\n" for j in (*range(1, 10), 11)), "g11"),
+        ("g1 = x1\ng01 = x1\n", "g01"),
+        ("g1 = x1\ngx = x1\n", "gx"),
+    ], ids=["gap-at-g10", "leading-zero", "not-numbered"])
+    def test_constraint_gaps_and_odd_keys_are_rejected(self, rows, bad):
+        with pytest.raises(ProblemSyntaxError, match=f"found '{bad}'"):
+            parse_problem(REGULATOR + "\n[constraints]\n" + rows)
+
+    @pytest.mark.parametrize("src,line", [
+        # a missing key is reported at its section header
+        (REGULATOR.replace("x0 = 2.0\n", ""), 2),
+        (REGULATOR.replace("omega = exp_decay 1.0\n", ""), 12),
+        # a missing section is reported at the last line of the file
+        (REGULATOR.replace("[space]\nnu = exp_decay 1.0\n", ""), 15),
+        ("", 1),
+        # an invalid control box is reported at the [controls] header
+        (REGULATOR + "\n[controls]\nu1 = [1, 1)\n", 19),
+    ], ids=["missing-x0", "missing-omega", "missing-section", "empty-file",
+            "empty-box"])
+    def test_structural_errors_carry_a_real_line(self, src, line):
+        with pytest.raises(ProblemSyntaxError) as err:
+            parse_problem(src)
+        assert err.value.line == line
+
     def test_unknown_weight_family(self):
         src = REGULATOR.replace("omega = exp_decay 1.0", "omega = gamma 1.0")
         with pytest.raises(ProblemSyntaxError, match="weight literal"):

@@ -297,3 +297,15 @@ class TestTubeScale:
     def test_negative_radius_fails_without_raising(self):
         rep = check_tube_scale(from_expression("1 - t", pole_exp=0.0))
         assert rep.verdicts["F6"] == "fail"
+
+    def test_domain_error_in_radius_fails_with_note(self):
+        rep = check_tube_scale(from_expression("sqrt(2 - t)", pole_exp=0.0))
+        assert rep.verdicts["F6"] == "fail"
+        assert any("evaluation failed" in n for n in rep.notes)
+
+    def test_broken_callable_propagates(self):
+        def broken(t):
+            raise TypeError("broken radius")
+
+        with pytest.raises(TypeError, match="broken radius"):
+            check_tube_scale(WeightSpec("broken", broken))
