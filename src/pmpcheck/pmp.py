@@ -9,17 +9,21 @@ adjoint must satisfy ``p' = -phi_x^T p + l0 * w * f_x`` almost everywhere,
 which is ``p' = -H_x``; the checks below never assume more smoothness than
 continuity of ``p`` between measure atoms.
 
-Two independent routes produce an adjoint:
+Two routes produce an adjoint, both from the same backward cell maps
+``p(t_k) = P_k p(t_{k+1}) + q_k`` of the adjoint equation:
 
-* :func:`adjoint_backward` integrates the adjoint equation backward from a
-  zero terminal condition, for any ``l0``;
+* :func:`adjoint_backward` runs the maps backward from a zero terminal
+  condition, for any ``l0``;
 * :func:`adjoint_representation` evaluates the normal-case formula
   ``p(t) = -Z(t) * integral_t^inf w(s) Z(s)^{-1} f_x(s) ds`` through the
-  fundamental system ``Z' = -phi_x^T Z``, ``Z(0) = I``.
+  fundamental system ``Z' = -phi_x^T Z``, ``Z(0) = I``, whose inverse is
+  the running product of the ``P_k``.
 
-Agreement of the two on the first half of the horizon is strong evidence
-that the terminal truncation is benign; :func:`verify_certificate` runs
-both and reports the deviation.
+Since the routes share their discretisation, their agreement on the first
+half of the horizon measures the terminal truncation and the conditioning
+of ``Z``, not the integration error; :func:`verify_certificate` runs both
+and reports the deviation.  The residual checks below measure the
+integration error independently of the maps.
 
 Each ``check_*`` function returns a :class:`ConditionRecord`.  A record
 whose premise fails is marked ``not-applicable``, never ``pass``: the
@@ -36,12 +40,13 @@ import numpy as np
 
 from .expressions import DomainError
 from .integrate import (
-    _GL_NODES,
-    _GL_WEIGHTS,
+    _GAUSS_B,
+    _GAUSS_C,
     BlowUp,
     InvalidGrid,
+    _linear_cell_maps,
     decays_to_zero,
-    solve_ode,
+    solve_ode,  # unused here, but perfbench/spans.py wraps pmp.solve_ode by name
     solve_state,
 )
 from .problem import (
@@ -244,13 +249,29 @@ def pontryagin_H_u(prob: ControlProblem, t, x, u, p, lambda0: float) -> np.ndarr
 
 
 # --------------------------------------------------------------------------
-# adjoint route 1: backward integration from a vanishing terminal condition
+# the adjoint routes, both built from one set of backward cell maps
+
+_BLOWUP = 1e12  # largest backward adjoint norm before BlowUp
+_Y_LIMIT = 1e290  # largest inverse fundamental system norm before IllConditioned
+_COND_LIMIT = 1e12  # condition number from which representation values are flagged
+
+
+def _adjoint_cell_maps(prob: ControlProblem, cand: CandidateProcess,
+                       grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell maps p(t_k) = P_k p(t_{k+1}) + q_k of p' = -phi_x^T p + w f_x."""
+
+    def coef(ts):
+        x, u = cand.state(ts), cand.control(ts)
+        A = prob.phi_jac_x(ts, x, u)
+        w = np.asarray(prob.omega(ts), dtype=float)
+        return -np.swapaxes(A, -1, -2), w[:, None] * prob.f_grad_x(ts, x, u)
+
+    return _linear_cell_maps(coef, grid[1:], grid[:-1])
 
 
 def adjoint_backward(prob: ControlProblem, cand: CandidateProcess,
-                     lambda0: float = 1.0, t_end: float | None = None,
-                     rtol: float = 1e-10, atol: float = 1e-12,
-                     blowup: float = 1e12) -> AdjointSolution:
+                     lambda0: float = 1.0,
+                     t_end: float | None = None) -> AdjointSolution:
     """Integrate p' = -phi_x^T p + l0*w*f_x backward from p(T) = 0.
 
     ``t_end`` defaults to 80% of the candidate horizon; the truncation
@@ -264,35 +285,21 @@ def adjoint_backward(prob: ControlProblem, cand: CandidateProcess,
     T = float(t_end) if t_end is not None else 0.8 * float(grid[-1])
     if not grid[0] < T <= grid[-1]:
         raise InvalidGrid(f"terminal time {T:g} outside the candidate grid")
-
-    def run(k_term: int) -> np.ndarray:
-        sub = grid[: k_term + 1]
-        t_term = sub[-1]
-        # integrate in the reversed variable s = t_term - t so the grid
-        # increases; ds flips the sign of the right-hand side
-        rsub = t_term - sub[::-1]
-        rsub[0] = 0.0
-
-        def rhs(s, pv):
-            t = t_term - s
-            A = prob.phi_jac_x(t, cand.state(t), cand.control(t))
-            fx = prob.f_grad_x(t, cand.state(t), cand.control(t))
-            w = float(prob.omega(t))
-            if not np.isfinite(w):
-                # integrable weight pole: the endpoint itself carries no
-                # mass, step control works with the interior values
-                w = 0.0
-            return A.T @ pv - lambda0 * w * fx
-
-        out = solve_ode(rhs, rsub, np.zeros(prob.n), rtol=rtol, atol=atol,
-                        blowup=blowup)
-        return out[::-1]
-
     k_main = int(np.searchsorted(grid, T, side="right")) - 1
     if k_main < 1:
         raise InvalidGrid(f"terminal time {T:g} leaves no room to integrate")
-    p_main = run(k_main)
+    P, q = _adjoint_cell_maps(prob, cand, grid[: k_main + 1])
 
+    def run(k_term: int) -> np.ndarray:
+        p = np.zeros((k_term + 1, prob.n))
+        for k in range(k_term - 1, -1, -1):
+            p[k] = P[k] @ p[k + 1] + lambda0 * q[k]
+            norm = float(np.max(np.abs(p[k])))
+            if not norm <= _BLOWUP:
+                raise BlowUp(grid[k], norm, _BLOWUP)
+        return p
+
+    p_main = run(k_main)
     k_short = int(np.searchsorted(grid, 0.8 * grid[k_main], side="right")) - 1
     terminal_error = None
     if k_short >= 1:
@@ -305,102 +312,37 @@ def adjoint_backward(prob: ControlProblem, cand: CandidateProcess,
                            route="backward-ode", terminal_error=terminal_error)
 
 
-# --------------------------------------------------------------------------
-# adjoint route 2: the normal-case representation formula
-
-
-def adjoint_representation(prob: ControlProblem, cand: CandidateProcess,
-                           rtol: float = 1e-11, atol: float = 1e-13,
-                           cond_limit: float = 1e12) -> AdjointSolution:
+def adjoint_representation(prob: ControlProblem,
+                           cand: CandidateProcess) -> AdjointSolution:
     """Evaluate p(t) = -Z(t) * integral_t^T w Z^{-1} f_x ds with a tail bound.
 
-    Both the inverse fundamental system Y = Z^{-1} (which satisfies
-    Y' = Y phi_x^T, Y(0) = I) and the running integral are advanced in one
-    augmented ODE.  The remaining mass at each knot is then assembled from
-    per-cell increments right to left, swapping knot differences of the
-    accumulator for direct Gauss cell integrals wherever the differences
-    sink below the accumulator's floating-point resolution: without that
-    swap the formula returns a spurious zero adjoint near the horizon on
-    problems whose fundamental system amplifies the lost digits back to
-    order one.  The mass beyond the grid horizon is estimated geometrically
-    from the last two octave windows; if those windows do not shrink the
-    formula has no usable limit and :class:`DivergentTail` is raised.
+    The backward cell maps ``p(t_k) = P_k p(t_{k+1}) + q_k`` of the adjoint
+    equation carry the whole formula: the inverse fundamental system
+    Y = Z^{-1} composes as ``Y_{k+1} = Y_k P_k``, and a cell's share of the
+    integral is ``-Y_k q_k``.  The shares are summed right to left into the
+    remaining mass, so no accumulated value ever has to be differenced.
+    The mass beyond the grid horizon is estimated geometrically from the
+    last two octave windows; if those windows do not shrink the formula
+    has no usable limit and :class:`DivergentTail` is raised.
     """
     grid = cand.grid
     n = prob.n
-
-    def rhs(t, y):
-        Y = y[: n * n].reshape(n, n)
-        x = cand.state(t)
-        u = cand.control(t)
-        A = prob.phi_jac_x(t, x, u)
-        w = float(prob.omega(t))
-        ydot = Y @ A.T
-        vdot = w * (Y @ prob.f_grad_x(t, x, u))
-        return np.concatenate((ydot.ravel(), vdot))
-
-    y0 = np.concatenate((np.eye(n).ravel(), np.zeros(n)))
-    start = 0
-    if not np.isfinite(float(prob.omega(grid[0]))):
-        # the weight has an integrable pole at 0: cover the first cell by
-        # interior-node quadrature with Y frozen at I (the cell is tiny,
-        # the freeze error is O(width)), then start the ODE at grid[1]
-        start = 1
-        lo, hi = grid[0], grid[1]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        tq = mid + half * _GL_NODES
-        wq = np.asarray(prob.omega(tq), dtype=float)
-        fxq = prob.f_grad_x(tq, cand.state(tq), cand.control(tq))
-        y0[n * n:] = half * np.einsum("q,qn,q->n", wq, fxq, _GL_WEIGHTS)
-
+    unusable = "the representation formula is numerically unusable here"
     try:
-        sol = solve_ode(rhs, grid[start:], y0, rtol=rtol, atol=atol, blowup=1e290)
+        P, q = _adjoint_cell_maps(prob, cand, grid)
     except BlowUp as e:
-        raise IllConditioned(
-            f"fundamental system overflows at t={e.t:.6g}; the representation "
-            "formula is numerically unusable here"
-        ) from e
-    if start == 1:
-        first = np.concatenate((np.eye(n).ravel(), np.zeros(n)))
-        sol = np.vstack((first, sol))
-    Y = sol[:, : n * n].reshape(grid.size, n, n)
-    v = sol[:, n * n:]
+        raise IllConditioned(f"{e}; {unusable}") from e
+    Y = np.empty((grid.size, n, n))
+    Y[0] = np.eye(n)
+    for k in range(grid.size - 1):
+        Y[k + 1] = Y[k] @ P[k]
+        if not np.max(np.abs(Y[k + 1])) <= _Y_LIMIT:
+            raise IllConditioned(
+                f"fundamental system overflows at t={grid[k + 1]:.6g}; {unusable}")
 
-    if not np.all(np.isfinite(Y)):
-        raise IllConditioned("fundamental system left the representable range")
-
-    # Remaining-integral accumulation.  Knot differences of v are accurate
-    # while the increments stay above the resolution of the accumulated
-    # value, but once v converges in floating point the differences degrade
-    # to pure roundoff even though the true remaining mass (and with it the
-    # adjoint, after the Z^{-1} amplification) is still perfectly well
-    # defined.  Cells whose difference has fallen below that resolution are
-    # therefore replaced by a direct Gauss integral of the same integrand
-    # on a cubic reconstruction of the fundamental system, which keeps full
-    # relative precision at any magnitude.
-    A = prob.phi_jac_x(grid, cand.state(grid), cand.control(grid))
-    dY = np.einsum("kij,klj->kil", Y, A).reshape(grid.size, n * n)
-    Yflat = Y.reshape(grid.size, n * n)
-    tq, yq = _hermite_nodes(grid, Yflat[:-1], dY[:-1], Yflat[1:], dY[1:])
-    flat_t = tq.ravel()
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        wq = np.asarray(prob.omega(flat_t), dtype=float)
-    fxq = prob.f_grad_x(flat_t, cand.state(flat_t), cand.control(flat_t))
-    yq = yq.reshape(-1, n, n)
-    integ = wq[:, None] * np.einsum("qij,qj->qi", yq, fxq)
-    integ = integ.reshape(grid.size - 1, 7, n)
-    half = 0.5 * np.diff(grid)[:, None]
-    gv = np.einsum("kqn,q->kn", integ, _GL_WEIGHTS) * half
-
-    dv = np.diff(v, axis=0)
-    v_scale = float(np.max(np.linalg.norm(v, axis=1))) if v.size else 0.0
-    # a knot difference carries absolute roundoff at eps * |v|, the cell
-    # integral carries ~1e-10 relative to its own size; the integral wins
-    # as soon as the cell mass drops below about 1e-6 of the accumulator
-    floor = 1e-6 * v_scale
-    saturated = np.linalg.norm(dv, axis=1) <= floor
-    hv = np.where(saturated[:, None], gv, dv)
-    rem = np.vstack((np.cumsum(hv[::-1], axis=0)[::-1], np.zeros((1, n))))
+    shares = -np.einsum("kij,kj->ki", Y[:-1], q)
+    rem = np.vstack((np.cumsum(shares[::-1], axis=0)[::-1], np.zeros((1, n))))
+    v_scale = float(np.max(np.linalg.norm(rem[0] - rem, axis=1)))
 
     # tail beyond the horizon: compare the mass gained over [T/4, T/2] with
     # the mass gained over [T/2, T]; geometric decay bounds the remainder
@@ -414,28 +356,33 @@ def adjoint_representation(prob: ControlProblem, cand: CandidateProcess,
     if d2 <= 1e-12 * (1.0 + v_scale):
         tail_mass = d2
     else:
-        q = d2 / max(d1, _TINY)
-        if q >= 0.9:
+        ratio = d2 / max(d1, _TINY)
+        if ratio >= 0.9:
             raise DivergentTail(
                 f"running integral still grows at the horizon: last octave "
-                f"gained {d2:.3g} after {d1:.3g} (ratio {q:.3g})"
+                f"gained {d2:.3g} after {d1:.3g} (ratio {ratio:.3g})"
             )
-        tail_mass = d2 * q / (1.0 - q)
+        tail_mass = d2 * ratio / (1.0 - ratio)
         notes.append(
             f"tail mass beyond t={T:g} estimated at {tail_mass:.3g}; the "
             "induced adjoint error starts at that size and scales with the "
             "fundamental system toward the horizon")
 
-    cond = np.array([np.linalg.cond(Yk) for Yk in Y])
-    ill = bool(np.any(cond > cond_limit))
+    cond = np.linalg.cond(Y)
+    ill = bool(np.any(cond > _COND_LIMIT))
     if ill:
-        k = int(np.argmax(cond > cond_limit))
+        k = int(np.argmax(cond > _COND_LIMIT))
         notes.append(
-            f"fundamental system condition number exceeds {cond_limit:.1g} "
+            f"fundamental system condition number exceeds {_COND_LIMIT:.1g} "
             f"from t={grid[k]:.6g}; adjoint values there are unreliable"
         )
 
-    p = -np.linalg.solve(Y, rem[..., None])[..., 0]
+    try:
+        p = -np.linalg.solve(Y, rem[..., None])[..., 0]
+    except np.linalg.LinAlgError as e:
+        k = int(np.argmax(cond >= 1.0 / np.finfo(float).eps))
+        raise IllConditioned(
+            f"fundamental system is singular at t={grid[k]:.6g}; {unusable}") from e
 
     return AdjointSolution(grid=grid, p=p, lambda0=1.0, route="representation",
                            tail_error=float(tail_mass), ill_conditioned=ill,
@@ -472,42 +419,16 @@ class ConditionRecord:
         return self.verdict == "pass"
 
 
-def _hermite_nodes(grid, a, da, b, db):
-    """Cubic reconstruction of p at the 7 Gauss nodes of every cell.
-
-    ``a``/``b`` are the values at the left/right cell ends and ``da``/``db``
-    the derivatives there (all shaped (cells, n)); derivative rows that are
-    not finite (weight poles) fall back to the cell secant, which turns the
-    cubic into plain linear interpolation there.
-    """
-    h = np.diff(grid)[:, None]
-    secant = (b - a) / h
-    d0 = np.where(np.isfinite(da), da, secant)
-    d1 = np.where(np.isfinite(db), db, secant)
-    tau = 0.5 * (_GL_NODES + 1.0)
-    t2, t3 = tau * tau, tau ** 3
-    h00 = 2 * t3 - 3 * t2 + 1
-    h10 = t3 - 2 * t2 + tau
-    h01 = -2 * t3 + 3 * t2
-    h11 = t3 - t2
-    # shapes: cells (N-1, n), nodes (7,) -> (N-1, 7, n)
-    ph = (h00[None, :, None] * a[:, None, :]
-          + h10[None, :, None] * (h[:, None, :] * d0[:, None, :])
-          + h01[None, :, None] * b[:, None, :]
-          + h11[None, :, None] * (h[:, None, :] * d1[:, None, :]))
-    lo, hi = grid[:-1], grid[1:]
-    tq = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _GL_NODES[None, :])
-    return tq, ph
-
-
 def _adjoint_cell_integrals(prob, cand, adj, p_start=None):
     """Per-cell integrals of the adjoint right-hand side -H_x.
 
-    The integrals use a 7-point Gauss rule on a cubic reconstruction of p
-    inside each cell, so smooth closed-form triples resolve to O(h^4) per
-    unit length.  ``p_start`` optionally replaces the values used at the
-    left ends of cells: with measure atoms the stored samples are left
-    limits, and a cell starting at an atom must open at the right limit.
+    The integrals use a 7-point Gauss rule on a cubic Hermite
+    reconstruction of p inside each cell, so smooth closed-form triples
+    resolve to O(h^4) per unit length.  End slopes that are not finite
+    (weight poles) fall back to the cell secant.  ``p_start`` optionally
+    replaces the values used at the left ends of cells: with measure atoms
+    the stored samples are left limits, and a cell starting at an atom
+    must open at the right limit.
     """
     grid, p, lam = adj.grid, adj.p, adj.lambda0
     x, u = cand.state(grid), cand.control(grid)
@@ -517,15 +438,31 @@ def _adjoint_cell_integrals(prob, cand, adj, p_start=None):
             p_start, d_start = p, d_end
         else:
             d_start = -pontryagin_H_x(prob, grid, x, u, p_start, lam)
-    tq, ph = _hermite_nodes(grid, p_start[:-1], d_start[:-1], p[1:], d_end[1:])
-    flat_t = tq.ravel()
+    a, b, h = p_start[:-1], p[1:], np.diff(grid)[:, None]
+    secant = (b - a) / h
+    d0 = np.where(np.isfinite(d_start[:-1]), d_start[:-1], secant)
+    d1 = np.where(np.isfinite(d_end[1:]), d_end[1:], secant)
+    tau = _GAUSS_C
+    # the cubic Hermite basis at the nodes, paired with (a, h d0, b, h d1)
+    basis = np.array([2 * tau**3 - 3 * tau**2 + 1, tau**3 - 2 * tau**2 + tau,
+                      3 * tau**2 - 2 * tau**3, tau**3 - tau**2])
+    ph = np.einsum("jq,jkn->kqn", basis, np.array((a, h * d0, b, h * d1)))
+    flat_t = (grid[:-1, None] + h * tau).ravel()
     xq, uq = cand.state(flat_t), cand.control(flat_t)
-    flat_p = ph.reshape(-1, adj.n)
-    hx = pontryagin_H_x(prob, flat_t, xq, uq, flat_p, lam)
-    hx = hx.reshape(tq.shape + (adj.n,))
-    half = 0.5 * np.diff(grid)[:, None]
-    cells = np.einsum("kqn,q->kn", -hx, _GL_WEIGHTS) * half
-    return d_end, cells
+    hx = pontryagin_H_x(prob, flat_t, xq, uq, ph.reshape(-1, adj.n), lam)
+    return -h * np.einsum("kqn,q->kn", hx.reshape(ph.shape), _GAUSS_B)
+
+
+def _residual_record(name, adj, defect, where, tol, notes) -> ConditionRecord:
+    """A residual record: ``defect`` per point of ``where``, over sup |p|."""
+    series = defect / max(adj.sup_norm, _TINY)
+    worst = int(np.argmax(series))
+    residual = float(series[worst])
+    return ConditionRecord(
+        name=name, verdict="pass" if residual <= tol else "fail",
+        residual=residual, tolerance=tol,
+        witnesses=((float(where[worst]), residual),), notes=tuple(notes),
+        series_grid=where, series=series)
 
 
 def check_adjoint_residual(prob: ControlProblem, cand: CandidateProcess,
@@ -537,29 +474,15 @@ def check_adjoint_residual(prob: ControlProblem, cand: CandidateProcess,
     number is scale-free.  An identically zero multiplier produces a zero
     residual; nontriviality is a separate invariant and only noted here.
     """
-    _, cells = _adjoint_cell_integrals(prob, cand, adj)
+    cells = _adjoint_cell_integrals(prob, cand, adj)
     grid, p = adj.grid, adj.p
-    h = np.diff(grid)
-    defect = np.linalg.norm(p[1:] - p[:-1] - cells, axis=1) / h
-    scale = max(adj.sup_norm, _TINY)
-    series = defect / scale
-    worst = int(np.argmax(series))
-    residual = float(series[worst])
+    defect = np.linalg.norm(p[1:] - p[:-1] - cells, axis=1) / np.diff(grid)
     notes = []
     if not adj.nontrivial:
         notes.append("multiplier is trivial (lambda0 = 0 and p = 0): the zero "
                      "residual is vacuous")
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    return ConditionRecord(
-        name="adjoint_residual",
-        verdict="pass" if residual <= tol else "fail",
-        residual=residual,
-        tolerance=tol,
-        witnesses=((float(mids[worst]), residual),),
-        notes=tuple(notes),
-        series_grid=mids,
-        series=series,
-    )
+    return _residual_record("adjoint_residual", adj, defect,
+                            0.5 * (grid[:-1] + grid[1:]), tol, notes)
 
 
 def check_integral_adjoint(prob: ControlProblem, cand: CandidateProcess,
@@ -602,32 +525,17 @@ def check_integral_adjoint(prob: ControlProblem, cand: CandidateProcess,
                 atom_sum[: k_a + 1] += mass * nu_g
                 jumps[k_a] += mass * nu_g
 
-    _, cells = _adjoint_cell_integrals(prob, cand, adj, p_start=p + jumps)
-    # p' = -H_x between atoms, so the H_x cell masses are the negated cells
-    hx_cells = -cells
-    # remaining integral from each knot to the terminal knot
-    tail_int = np.vstack((np.cumsum(hx_cells[::-1], axis=0)[::-1],
+    cells = _adjoint_cell_integrals(prob, cand, adj, p_start=p + jumps)
+    # p' = -H_x between atoms, so the H_x cell masses are the negated cells;
+    # sum them into the remaining integral from each knot to the terminal knot
+    tail_int = np.vstack((np.cumsum(-cells[::-1], axis=0)[::-1],
                           np.zeros((1, adj.n))))
-
     model = p[-1][None, :] + tail_int - atom_sum
-    defect = np.linalg.norm(p - model, axis=1)
-    scale = max(adj.sup_norm, _TINY)
-    series = defect / scale
-    worst = int(np.argmax(series))
-    residual = float(series[worst])
     if prob.l == 0:
         notes.append("no state constraints: this is the integrated form of "
                      "the adjoint equation")
-    return ConditionRecord(
-        name="integral_adjoint_residual",
-        verdict="pass" if residual <= tol else "fail",
-        residual=residual,
-        tolerance=tol,
-        witnesses=((float(grid[worst]), residual),),
-        notes=tuple(notes),
-        series_grid=grid,
-        series=series,
-    )
+    return _residual_record("integral_adjoint_residual", adj,
+                            np.linalg.norm(p - model, axis=1), grid, tol, notes)
 
 
 # --------------------------------------------------------------------------
@@ -784,12 +692,8 @@ def _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol, sampler="auto"):
                 method = "stationary"
 
     if method == "stationary":
-        env = {"t": ts}
-        for k in range(prob.n):
-            env[f"x{k + 1}"] = xs[:, k]
-        env["u1"] = us[:, 0]
-        fuu_vals = np.broadcast_to(
-            np.asarray(prob.f_u[0].diff("u1").ev(env), dtype=float), ts.shape)
+        env = prob._env(ts, xs, us)[0]
+        fuu_vals = np.broadcast_to(np.asarray(fuu.ev(env), dtype=float), ts.shape)
         h_uu = -lam * np.asarray(prob.omega(ts), dtype=float) * fuu_vals
         if np.all(h_uu < 0):
             h_u = pontryagin_H_u(prob, ts, xs, us, ps, lam)[:, 0]

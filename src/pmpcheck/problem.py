@@ -1211,7 +1211,7 @@ def parse_problem(source: str) -> ControlProblem:
         return entries[section].get(key, (default, 0))
 
     for sec in ("problem", "dynamics", "objective", "space"):
-        if not entries[sec]:
+        if sec not in headers:
             raise ProblemSyntaxError(f"missing required section [{sec}]",
                                      max(1, len(lines)))
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from pmpcheck.integrate import (
+    _linear_cell_maps,
     BlowUp,
     InvalidGrid,
     decays_to_zero,
@@ -176,6 +178,74 @@ class TestSolveOde:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(InvalidGrid):
             solve_ode(lambda t, y: y, np.array([0.0, 2.0, 1.0]), 1.0)
+
+
+def _rotating_system(scale):
+    """y' = A(t) y + b(t) with A(s) A(t) != A(t) A(s), and its coefficients."""
+
+    def A(t):
+        t = np.asarray(t, dtype=float)
+        rows = [[np.full_like(t, -0.5), np.sin(t)], [-np.cos(2 * t), -0.2 * t]]
+        return scale * np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+    def b(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.exp(-t), np.cos(3 * t)], axis=-1)
+
+    return A, b
+
+
+def _propagate(P, q, y0):
+    ys = [np.asarray(y0, dtype=float)]
+    for Pk, qk in zip(P, q):
+        ys.append(Pk @ ys[-1] + qk)
+    return np.array(ys)
+
+
+class TestLinearCellMaps:
+    """Gauss collocation cell maps against scipy's Radau at tight tolerances."""
+
+    @pytest.mark.parametrize("scale,cells", [(1.0, 40), (3.0, 2)],
+                             ids=["fine-grid", "bisected"])
+    def test_matches_radau(self, scale, cells):
+        A, b = _rotating_system(scale)
+        nodes = []
+
+        def coef(ts):
+            nodes.append(ts.size)
+            return A(ts), b(ts)
+
+        grid = np.linspace(0.0, 4.0, cells + 1)
+        P, q = _linear_cell_maps(coef, grid[:-1], grid[1:])
+        y0 = [1.0, -2.0]
+        ref = solve_ivp(lambda t, y: A(t) @ y + b(t), (0.0, 4.0), y0,
+                        method="Radau", rtol=1e-12, atol=1e-14, t_eval=grid)
+        assert np.max(np.abs(_propagate(P, q, y0) - ref.y.T)) < 1e-9
+        # one step and two half steps cost 21 nodes per cell; h |A| = 6
+        # forces bisection, which evaluates more
+        unsplit = 21 * cells
+        assert (sum(nodes) > unsplit) == (scale == 3.0)
+
+    def test_reversed_cells_give_the_inverse_map(self):
+        A, b = _rotating_system(1.0)
+        coef = lambda ts: (A(ts), b(ts))
+        grid = np.linspace(0.0, 4.0, 9)
+        P_fwd, _ = _linear_cell_maps(coef, grid[:-1], grid[1:])
+        P_rev, _ = _linear_cell_maps(coef, grid[1:], grid[:-1])
+        np.testing.assert_allclose(P_rev @ P_fwd, np.broadcast_to(np.eye(2), P_fwd.shape),
+                                   atol=1e-12)
+
+    def test_unforced_system_has_exactly_zero_offset(self):
+        A, _ = _rotating_system(1.0)
+        coef = lambda ts: (A(ts), np.zeros((ts.size, 2)))
+        grid = np.linspace(0.0, 4.0, 9)
+        _, q = _linear_cell_maps(coef, grid[:-1], grid[1:])
+        assert np.all(q == 0.0)
+
+    def test_unresolvable_cell_raises_blowup(self):
+        coef = lambda ts: (np.full((ts.size, 1, 1), np.nan), np.zeros((ts.size, 1)))
+        with pytest.raises(BlowUp, match="cell map defect"):
+            _linear_cell_maps(coef, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
 
 
 class TestWeightedNorm:

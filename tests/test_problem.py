@@ -226,6 +226,13 @@ g1 = x1 - 2
             parse_problem(src)
         assert err.value.line == line
 
+    def test_bare_required_header_names_the_missing_key(self):
+        src = REGULATOR.replace("nu = exp_decay 1.0\n", "")
+        with pytest.raises(ProblemSyntaxError,
+                           match=r"missing key 'nu' in \[space\]") as err:
+            parse_problem(src)
+        assert err.value.line == 16  # the [space] header
+
     def test_unknown_weight_family(self):
         src = REGULATOR.replace("omega = exp_decay 1.0", "omega = gamma 1.0")
         with pytest.raises(ProblemSyntaxError, match="weight literal"):
