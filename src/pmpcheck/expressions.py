@@ -3,9 +3,14 @@
 The grammar is small on purpose: variables (``t``, ``x1..xn``, ``u1..um``),
 the operators ``+ - * / ^`` with unary minus, the functions ``exp``, ``ln``,
 ``sqrt``, ``sin``, ``cos``, ``abs``, ``pow``, and numeric literals.  Every
-node knows how to evaluate itself over scalars or numpy arrays and how to
-produce its derivative with respect to a named variable, so Jacobians of
-vector fields never rely on finite differences.
+node knows how to produce its derivative with respect to a named variable,
+so Jacobians of vector fields never rely on finite differences.
+
+Evaluation runs generated code: each tree is compiled once into Python
+source with one statement per operator node, over scalars or numpy
+arrays.  ``ln``, ``sqrt``, ``/`` and ``^`` check their domain on the way
+and raise :class:`DomainError` with the offending point.  The problem
+module compiles whole vector fields and their Jacobians the same way.
 
 Differentiating ``abs`` introduces an internal ``sign`` node; it evaluates
 like ``numpy.sign`` and is printable, but the parser does not accept it in
@@ -14,9 +19,11 @@ input text.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from functools import cached_property
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -77,10 +84,30 @@ def _witness(env: Mapping[str, Value], bad: np.ndarray) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class Expression:
-    """Base node.  Subclasses implement ``ev``, ``diff`` and ``__str__``."""
+    """Base node.  Subclasses implement ``diff`` and ``__str__``."""
+
+    @cached_property
+    def _compiled(self) -> tuple[tuple[str, ...], Callable]:
+        names: list[str] = []
+        body, (result,) = _emit([self], names)
+        params = ", ".join(f"v_{name}" for name in names)
+        fn = _build([f"def ev({params}):", *(f"    {s}" for s in body),
+                     f"    return {result}"], "ev")
+        return tuple(names), fn
 
     def ev(self, env: Mapping[str, Value]) -> Value:
-        raise NotImplementedError
+        """Evaluate over the scalars or broadcastable arrays bound in ``env``."""
+        names, fn = self._compiled
+        for name in names:
+            if name not in env:
+                raise KeyError(
+                    f"expression references '{name}' which is not bound; "
+                    f"bound names: {sorted(env)}"
+                )
+        try:
+            return fn(*[env[name] for name in names])
+        except _OutOfDomain as err:
+            raise err.at(env) from None
 
     def diff(self, name: str) -> "Expression":
         raise NotImplementedError
@@ -96,9 +123,6 @@ class Expression:
 class Num(Expression):
     value: float
 
-    def ev(self, env):
-        return self.value
-
     def diff(self, name):
         return Num(0.0)
 
@@ -109,15 +133,6 @@ class Num(Expression):
 @dataclass(frozen=True)
 class Sym(Expression):
     name: str
-
-    def ev(self, env):
-        try:
-            return env[self.name]
-        except KeyError:
-            raise KeyError(
-                f"expression references '{self.name}' which is not bound; "
-                f"bound names: {sorted(env)}"
-            ) from None
 
     def diff(self, name):
         return Num(1.0 if name == self.name else 0.0)
@@ -218,9 +233,6 @@ class _Binary(Expression):
 class Add(_Binary):
     op, prec = "+", 1
 
-    def ev(self, env):
-        return self.left.ev(env) + self.right.ev(env)
-
     def diff(self, name):
         return add(self.left.diff(name), self.right.diff(name))
 
@@ -228,18 +240,12 @@ class Add(_Binary):
 class Sub(_Binary):
     op, prec = "-", 1
 
-    def ev(self, env):
-        return self.left.ev(env) - self.right.ev(env)
-
     def diff(self, name):
         return sub(self.left.diff(name), self.right.diff(name))
 
 
 class Mul(_Binary):
     op, prec = "*", 2
-
-    def ev(self, env):
-        return self.left.ev(env) * self.right.ev(env)
 
     def diff(self, name):
         return add(
@@ -250,14 +256,6 @@ class Mul(_Binary):
 
 class Div(_Binary):
     op, prec = "/", 2
-
-    def ev(self, env):
-        num = self.left.ev(env)
-        den = self.right.ev(env)
-        bad = np.asarray(den) == 0
-        if np.any(bad):
-            raise DomainError("division by zero", _witness(env, bad))
-        return num / den
 
     def diff(self, name):
         return div(
@@ -271,18 +269,6 @@ class Div(_Binary):
 
 class Pow(_Binary):
     op, prec = "^", 4
-
-    def ev(self, env):
-        base = self.left.ev(env)
-        expo = self.right.ev(env)
-        b = np.asarray(base, dtype=float)
-        e = np.asarray(expo, dtype=float)
-        bad = (b < 0) & (e != np.round(e))
-        bad |= (b == 0) & (e < 0)
-        if np.any(bad):
-            raise DomainError("power with negative base or 0^negative", _witness(env, bad))
-        out = np.power(b, e)
-        return float(out) if out.shape == () else out
 
     def diff(self, name):
         if isinstance(self.right, Num):
@@ -306,9 +292,6 @@ class Neg(Expression):
     arg: Expression
     prec = 3
 
-    def ev(self, env):
-        return -self.arg.ev(env)
-
     def diff(self, name):
         return neg(self.arg.diff(name))
 
@@ -330,35 +313,6 @@ class Call(Expression):
     fn: str
     args: tuple[Expression, ...]
     prec = 9
-
-    def ev(self, env):
-        vals = [np.asarray(a.ev(env), dtype=float) for a in self.args]
-        fn = self.fn
-        if fn == "exp":
-            out = np.exp(vals[0])
-        elif fn == "ln":
-            bad = ~(vals[0] > 0)
-            if np.any(bad):
-                raise DomainError("ln of non-positive argument", _witness(env, bad))
-            out = np.log(vals[0])
-        elif fn == "sqrt":
-            bad = vals[0] < 0
-            if np.any(bad):
-                raise DomainError("sqrt of negative argument", _witness(env, bad))
-            out = np.sqrt(vals[0])
-        elif fn == "sin":
-            out = np.sin(vals[0])
-        elif fn == "cos":
-            out = np.cos(vals[0])
-        elif fn == "abs":
-            out = np.abs(vals[0])
-        elif fn == "sign":
-            out = np.sign(vals[0])
-        elif fn == "pow":
-            return Pow(self.args[0], self.args[1]).ev(env)
-        else:  # pragma: no cover - constructor guards this
-            raise ExpressionSyntaxError(f"unknown function '{fn}'")
-        return float(out) if out.shape == () else out
 
     def diff(self, name):
         if self.fn == "pow":
@@ -389,6 +343,146 @@ class Call(Expression):
 
     def __str__(self):
         return f"{self.fn}({', '.join(str(a) for a in self.args)})"
+
+
+# --- evaluation by generated code -------------------------------------------
+#
+# An expression is evaluated by Python source generated from its tree: one
+# statement per operator node, in the order a recursive walk would visit
+# them.  The functions and the operators with a restricted domain run
+# through the helpers below; a helper that meets a point outside its domain
+# raises _OutOfDomain with the violation mask, and the generated caller,
+# which knows the variables, turns that into a DomainError with a witness.
+
+
+class _OutOfDomain(Exception):
+    """A helper left its function's domain at the points marked in ``bad``."""
+
+    def __init__(self, message: str, bad):
+        super().__init__(message)
+        self.message = message
+        self.bad = bad
+
+    def at(self, env: Mapping[str, Value]) -> DomainError:
+        return DomainError(self.message, _witness(env, self.bad))
+
+
+def _div(num, den):
+    bad = np.asarray(den) == 0
+    if bad.any():
+        raise _OutOfDomain("division by zero", bad)
+    return num / den
+
+
+def _pow(base, expo):
+    b = np.asarray(base, dtype=float)
+    e = np.asarray(expo, dtype=float)
+    bad = (b < 0) & (e != np.round(e))
+    bad |= (b == 0) & (e < 0)
+    if bad.any():
+        raise _OutOfDomain("power with negative base or 0^negative", bad)
+    out = np.power(b, e)
+    return float(out) if out.shape == () else out
+
+
+def _ufunc(fn, outside=None, message: str = ""):
+    """A unary function; ``outside(a)`` marks arguments off its domain."""
+
+    def call(a):
+        a = np.asarray(a, dtype=float)
+        if outside is not None:
+            bad = outside(a)
+            if bad.any():
+                raise _OutOfDomain(message, bad)
+        out = fn(a)
+        return float(out) if out.shape == () else out
+
+    return call
+
+
+_NAMESPACE = {
+    "_np": np,
+    "_OutOfDomain": _OutOfDomain,
+    "inf": float("inf"),
+    "nan": float("nan"),
+    "_div": _div,
+    "_pow": _pow,
+    "_exp": _ufunc(np.exp),
+    "_ln": _ufunc(np.log, lambda a: ~(a > 0), "ln of non-positive argument"),
+    "_sqrt": _ufunc(np.sqrt, lambda a: a < 0, "sqrt of negative argument"),
+    "_sin": _ufunc(np.sin),
+    "_cos": _ufunc(np.cos),
+    "_abs": _ufunc(np.abs),
+    "_sign": _ufunc(np.sign),
+}
+
+
+def _emit(exprs: Sequence[Expression], names: list[str],
+          stores: Sequence[str] | None = None) -> tuple[list[str], list[str]]:
+    """Statements evaluating ``exprs`` in turn, and one operand per expression.
+
+    Each operator node becomes one statement, in the order a walk of the
+    tree evaluates them.  A symbol ``s`` reads the local ``v_s`` and is
+    appended to ``names`` on first use, so binding the names in that order
+    meets an unbound one where the walk would.  A node's value is consumed
+    by its parent: the parent's result takes over the first consumed local
+    and the others are deleted, so no intermediate array outlives its
+    consumer.  With ``stores``, the statement ``stores[k].format(operand)``
+    follows the statements of expression k and consumes its value.
+    """
+    lines: list[str] = []
+    free: list[int] = []  # n of each deleted local _<n>, ready for reuse
+    fresh = itertools.count()
+
+    def release(texts: list[str]) -> None:
+        temps = [text for text in texts if text.startswith("_")]  # not v_* or literals
+        if temps:
+            lines.append(f"del {', '.join(temps)}")
+            free.extend(int(text[1:]) for text in temps)
+
+    def operand(e: Expression) -> str:
+        if isinstance(e, Num):
+            text = repr(e.value)
+            return f"({text})" if text.startswith("-") else text
+        if isinstance(e, Sym):
+            if e.name not in names:
+                names.append(e.name)
+            return f"v_{e.name}"
+        if isinstance(e, Neg):
+            template, args = "-{}", [e.arg]
+        elif isinstance(e, (Div, Pow)):
+            template, args = f"_{type(e).__name__.lower()}({{}}, {{}})", [e.left, e.right]
+        elif isinstance(e, _Binary):
+            template, args = f"{{}} {e.op} {{}}", [e.left, e.right]
+        elif isinstance(e, Call):
+            template, args = f"_{e.fn}({', '.join('{}' for _ in e.args)})", e.args
+        else:  # pragma: no cover - the parser builds no other node
+            raise TypeError(f"cannot evaluate {type(e).__name__}")
+        texts = [operand(a) for a in args]
+        temps = [text for text in texts if text.startswith("_")]
+        local = temps[0] if temps else f"_{free.pop() if free else next(fresh)}"
+        lines.append(f"{local} = {template.format(*texts)}")
+        release(temps[1:])
+        return local
+
+    results = []
+    for k, e in enumerate(exprs):
+        results.append(operand(e))
+        if stores is not None:
+            lines.append(stores[k].format(results[-1]))
+            release(results[-1:])
+    return lines, results
+
+
+def _build(lines: Sequence[str], name: str) -> Callable:
+    """Compile generated source and return the function it defines as ``name``.
+
+    The source sees numpy as ``_np``, ``_OutOfDomain``, and the helpers
+    that :func:`_emit` calls.
+    """
+    namespace = dict(_NAMESPACE)
+    exec(compile("\n".join(lines), f"<generated {name}>", "exec"), namespace)
+    return namespace[name]
 
 
 # --- tokenizer / parser ----------------------------------------------------

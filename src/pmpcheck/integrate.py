@@ -11,7 +11,8 @@ Everything downstream needs four capabilities, all provided here:
 
 * an explicit adaptive Dormand-Prince 5(4) one-step integrator that never
   steps across a grid knot (controls are allowed to jump there), plus a
-  fixed-substep mode used by convergence-order tests;
+  fixed-substep mode used by convergence-order tests; one tableau step
+  serves both, and state solves read the control once per step;
 
 * per-cell affine maps ``y(tb) = P y(ta) + q`` of linear systems
   ``y' = M(t) y + b(t)`` along a fixed candidate, by 7-stage Gauss
@@ -28,6 +29,7 @@ every verdict carries the numbers it was based on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -344,6 +346,9 @@ def decays_to_zero(
 
 # --- Dormand-Prince 5(4) -----------------------------------------------------
 #
+# Dormand & Prince, J. Comput. Appl. Math. 6 (1980); Hairer, Norsett and
+# Wanner, Solving Ordinary Differential Equations I, sec. II.5.
+#
 #   c  |  a
 #  ----+------------------------------------------------------------
 #  0   |
@@ -356,43 +361,46 @@ def decays_to_zero(
 #
 # The last stage row doubles as the 5th-order weights (FSAL).
 
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_DP_B5 = _DP_A[-1]
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 _DP_ERR = _DP_B5 - _DP_B4
+_DP_ROWS = tuple(_DP_A[i, :i] for i in range(7))  # stage i combines the first i slopes
 
 
-def _dp_step(rhs, t, y, h, k1):
-    """One Dormand-Prince step; returns (y5, error_vector, k_last)."""
-    k = [k1]
+def _dp_step(stages, t, y, h, k1):
+    """One Dormand-Prince step; returns (y5, error_vector, K).
+
+    ``stages(ts)`` is called once with the step's seven stage times and
+    returns ``slope(i, y_i)`` for stage i.  ``k1``, the slope at (t, y),
+    is evaluated as stage 0 when it is None.  ``K`` holds the seven
+    slopes; ``K[-1]`` is the slope at (t + h, y5) (FSAL).
+    """
+    slope = stages(t + _DP_C * h)
+    K = np.empty((7, y.size))
+    K[0] = slope(0, y) if k1 is None else k1
     for i in range(1, 7):
-        acc = np.zeros_like(y)
-        for a, kj in zip(_DP_A[i], k):
-            if a != 0.0:
-                acc = acc + a * kj
-        k.append(rhs(t + _DP_C[i] * h, y + h * acc))
-    y5 = y + h * sum(b * kj for b, kj in zip(_DP_B5, k) if b != 0.0)
-    err = h * sum(e * kj for e, kj in zip(_DP_ERR, k) if e != 0.0)
-    return y5, err, k[-1]
+        yi = y + h * (_DP_ROWS[i] @ K[:i])
+        K[i] = slope(i, yi)
+    return yi, h * (_DP_ERR @ K), K
 
 
-def _integrate_cell(rhs, ta, tb, y, rtol, atol, fixed_steps, blowup, k1=None):
-    """Advance y from ta to tb without stepping past tb."""
+def _integrate_cell(stages, ta, tb, y, rtol, atol, blowup, k1=None, fixed_steps=None):
+    """Advance y from ta to tb without stepping past tb; returns (y, k_last)."""
     if fixed_steps:
         h = (tb - ta) / fixed_steps
         t = ta
         for _ in range(fixed_steps):
-            k1 = rhs(t, y)
-            y, _, _ = _dp_step(rhs, t, y, h, k1)
+            y, _, _ = _dp_step(stages, t, y, h, None)
             t += h
             ynorm = float(np.max(np.abs(y)))
             if not np.isfinite(ynorm) or ynorm > blowup:
@@ -401,23 +409,22 @@ def _integrate_cell(rhs, ta, tb, y, rtol, atol, fixed_steps, blowup, k1=None):
 
     t = ta
     h = tb - ta
-    if k1 is None:
-        k1 = rhs(t, y)
     steps = 0
     while t < tb:
         h = min(h, tb - t)
         if h < (tb - ta) * 1e-14:
             raise BlowUp(t, float(np.max(np.abs(y))), blowup)
-        y_new, err_vec, k_last = _dp_step(rhs, t, y, h, k1)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if not np.isfinite(err):
+        y_new, err_vec, K = _dp_step(stages, t, y, h, k1)
+        k1 = K[0]  # a rejected step retries from the same slope
+        scaled = err_vec / (atol + rtol * np.maximum(abs(y), abs(y_new)))
+        err = math.sqrt(float(scaled @ scaled) / scaled.size)  # RMS norm
+        if not math.isfinite(err):
             raise BlowUp(t + h, float(np.max(np.abs(y_new))), blowup)
         if err <= 1.0:
             t += h
             y = y_new
-            k1 = k_last
-            ynorm = float(np.max(np.abs(y)))
+            k1 = K[-1]
+            ynorm = float(abs(y).max())
             if ynorm > blowup:
                 raise BlowUp(t, ynorm, blowup)
         factor = 0.9 * (err + 1e-300) ** -0.2
@@ -450,25 +457,54 @@ def solve_ode(
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     out = np.empty((grid.size, y.size))
     out[0] = y
+    stages = lambda ts: lambda i, yi: rhs(ts[i], yi)
     k1 = None
     for i in range(grid.size - 1):
-        y, k1 = _integrate_cell(
-            rhs, grid[i], grid[i + 1], y, rtol, atol, fixed_steps, blowup, k1
-        )
+        y, k1 = _integrate_cell(stages, grid[i], grid[i + 1], y, rtol, atol, blowup,
+                                k1, fixed_steps)
         out[i + 1] = y
     return out
 
 
+def _sample_at(grid: np.ndarray, samples: np.ndarray, t) -> np.ndarray:
+    """Piecewise-constant, left-continuous lookup: the right knot owns a cell."""
+    return samples[np.minimum(np.searchsorted(grid, t, side="left"), grid.size - 1)]
+
+
+def _state_stages(prob, control, ta, tb):
+    """Stage slopes of ``x' = phi(t, x, u)`` on one cell, one control call per step.
+
+    The control is read at the step's stage times clamped into the cell,
+    with the left knot moved to the next float above it, so a control
+    that jumps at a knot contributes its right limit: the cell's own value.
+    """
+    after_ta = np.nextafter(ta, tb)
+    phi = prob.phi_value
+
+    def stages(ts):
+        us = np.asarray(control(np.minimum(np.maximum(ts, after_ta), tb)), dtype=float)
+        us = us.reshape(ts.size, -1)
+        return lambda i, x: phi(ts[i], x, us[i])
+
+    return stages
+
+
 def solve_state(prob, u, x0=None, grid=None, t_max: float = 50.0, cells: int = 1024,
-                rtol: float = 1e-10, atol: float = 1e-12, blowup: float = 1e12,
-                fixed_steps: int | None = None):
+                rtol: float = 1e-10, atol: float = 1e-12, blowup: float = 1e12):
     """Integrate the state equation under a given control.
 
-    ``u`` is either a callable ``t -> control vector`` or an array of
-    samples on the grid knots; sampled controls are treated as constant on
-    each half-open cell (the sample at the right knot owns the cell), and
-    no integration step ever crosses a knot.  Returns a
-    :class:`~pmpcheck.problem.CandidateProcess`.
+    ``u`` is either a callable or an array of samples on the grid knots.
+    A callable takes an array of times and returns one control row per
+    time (a 1-d array when m = 1), as in
+    :func:`~pmpcheck.problem.candidate_from_functions`; it is called once
+    per DP45 step on that step's stage times.  Samples are treated as
+    constant on each half-open cell, the sample at the right knot owning
+    the cell, and are read through the same per-step lookup.  No step
+    crosses a knot, and at a cell's left knot the control is read as its
+    right limit, so a control that jumps at the knots, such as
+    ``CandidateProcess.control`` of a sampled candidate, is seen with the
+    cell's own value.  Returns a :class:`~pmpcheck.problem.CandidateProcess`;
+    a callable ``u`` becomes its ``closed_u``.
     """
     from .problem import CandidateProcess  # deferred: avoids an import cycle
 
@@ -480,30 +516,27 @@ def solve_state(prob, u, x0=None, grid=None, t_max: float = 50.0, cells: int = 1
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
     if callable(u):
-        u_fn = lambda t: np.atleast_1d(np.asarray(u(t), dtype=float))
-        u_samples = np.stack([u_fn(t) for t in grid])
+        control = u
+        u_samples = np.asarray(u(grid), dtype=float)
     else:
         u_samples = np.asarray(u, dtype=float)
-        if u_samples.ndim == 1:
-            u_samples = u_samples[:, None]
-        if u_samples.shape[0] != grid.size:
-            raise InvalidGrid(
-                f"control samples ({u_samples.shape[0]}) do not match grid ({grid.size})"
-            )
-        u_fn = None
+        control = lambda ts: _sample_at(grid, u_samples, ts)
+    if u_samples.ndim == 1:
+        u_samples = u_samples[:, None]
+    if u_samples.shape[0] != grid.size:
+        raise InvalidGrid(
+            f"control samples ({u_samples.shape[0]}) do not match grid ({grid.size})"
+        )
 
     x = np.empty((grid.size, x0.size))
     x[0] = x0
     y = x0.copy()
     for k in range(grid.size - 1):
-        if u_fn is None:
-            uk = u_samples[k + 1]
-            rhs = lambda t, xv, uk=uk: prob.phi_value(t, xv, uk)
-        else:
-            rhs = lambda t, xv: prob.phi_value(t, xv, u_fn(t))
-        y, _ = _integrate_cell(rhs, grid[k], grid[k + 1], y, rtol, atol, fixed_steps, blowup)
+        stages = _state_stages(prob, control, grid[k], grid[k + 1])
+        y, _ = _integrate_cell(stages, grid[k], grid[k + 1], y, rtol, atol, blowup)
         x[k + 1] = y
-    return CandidateProcess(grid=grid, x=x, u=u_samples, u_callable=u_fn)
+    return CandidateProcess(grid=grid, x=x, u=u_samples,
+                            closed_u=u if callable(u) else None)
 
 
 # --- Gauss collocation for linear systems -----------------------------------

@@ -223,7 +223,11 @@ def adjoint_from_function(grid, p_fn: Callable, lambda0: float = 1.0,
 
 def pontryagin_H(prob: ControlProblem, t, x, u, p, lambda0: float):
     """H(t,x,u,p,l0) = -l0*w(t)*f + <p, phi>, batched over leading axes."""
-    w = np.asarray(prob.omega(t), dtype=float)
+    return _hamiltonian(prob, np.asarray(prob.omega(t), dtype=float), t, x, u, p, lambda0)
+
+
+def _hamiltonian(prob: ControlProblem, w, t, x, u, p, lambda0: float):
+    """:func:`pontryagin_H` with the weight ``w = omega(t)`` already evaluated."""
     f = prob.f_value(t, x, u)
     phi = prob.phi_value(t, x, u)
     pv = np.asarray(p, dtype=float)
@@ -550,13 +554,17 @@ def _u_free(e, controls: set) -> bool:
     return not (e.variables() & controls)
 
 
-def _h_of_u(prob, ts, xs, ps, lam, base_u, i, col):
+# The control search below varies u at fixed times, so the weight w =
+# omega(ts) is evaluated once per search and handed down.
+
+
+def _h_of_u(prob, w, ts, xs, ps, lam, base_u, i, col):
     u = base_u.copy()
     u[:, i] = col
-    return pontryagin_H(prob, ts, xs, u, ps, lam)
+    return _hamiltonian(prob, w, ts, xs, u, ps, lam)
 
 
-def _golden_max(prob, ts, xs, ps, lam, base_u, i, a, b, iters: int = 60):
+def _golden_max(prob, w, ts, xs, ps, lam, base_u, i, a, b, iters: int = 60):
     """Vectorized golden-section maximization of H along one coordinate."""
     inv = (np.sqrt(5.0) - 1.0) / 2.0
     a = a.astype(float).copy()
@@ -565,13 +573,13 @@ def _golden_max(prob, ts, xs, ps, lam, base_u, i, a, b, iters: int = 60):
         span = b - a
         c = b - inv * span
         d = a + inv * span
-        hc = _h_of_u(prob, ts, xs, ps, lam, base_u, i, c)
-        hd = _h_of_u(prob, ts, xs, ps, lam, base_u, i, d)
+        hc = _h_of_u(prob, w, ts, xs, ps, lam, base_u, i, c)
+        hd = _h_of_u(prob, w, ts, xs, ps, lam, base_u, i, d)
         take = hc < hd
         a = np.where(take, c, a)
         b = np.where(take, b, d)
     mid = 0.5 * (a + b)
-    return mid, _h_of_u(prob, ts, xs, ps, lam, base_u, i, mid)
+    return mid, _h_of_u(prob, w, ts, xs, ps, lam, base_u, i, mid)
 
 
 def _coordinate_probes(box, i, u_col):
@@ -617,7 +625,7 @@ def _coordinate_probes(box, i, u_col):
     return blocks, down, up
 
 
-def _max_condition_sampler(prob, ts, xs, us, ps, lam, h_star, tol):
+def _max_condition_sampler(prob, w, ts, xs, us, ps, lam, h_star, tol):
     """Prescan plus golden refinement, one coordinate sweep at a time."""
     box = prob.U
     best_u = us.copy()
@@ -627,11 +635,11 @@ def _max_condition_sampler(prob, ts, xs, us, ps, lam, h_star, tol):
     for _ in range(sweeps):
         for i in range(prob.m):
             cols, open_down, open_up = _coordinate_probes(box, i, best_u[:, i])
-            hmat = np.stack([
-                _h_of_u(prob, ts, xs, ps, lam, best_u, i, c) for c in cols
-            ])
+            hmat = np.empty((len(cols), ts.size))  # filled row by row: no list of rows
+            for k, c in enumerate(cols):
+                hmat[k] = _h_of_u(prob, w, ts, xs, ps, lam, best_u, i, c)
             vmat = np.stack(cols)
-            hmat = np.where(np.isfinite(hmat), hmat, -np.inf)
+            hmat[~np.isfinite(hmat)] = -np.inf
             k_best = np.argmax(hmat, axis=0)
             idx = np.arange(ts.size)
             # escape toward an unbounded end: the best probe sits at the
@@ -656,7 +664,7 @@ def _max_condition_sampler(prob, ts, xs, us, ps, lam, h_star, tol):
             hi_idx = np.minimum(k_best + 1, len(cols) - 1)
             a = vmat[lo_idx, idx]
             b = vmat[hi_idx, idx]
-            u_ref, h_ref = _golden_max(prob, ts, xs, ps, lam, best_u, i, a, b)
+            u_ref, h_ref = _golden_max(prob, w, ts, xs, ps, lam, best_u, i, a, b)
             h_pre = hmat[k_best, idx]
             u_pre = vmat[k_best, idx]
             better = h_ref > h_pre
@@ -679,10 +687,11 @@ def _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol, sampler="auto"):
     values, and the method label.
     """
     method = "golden"
+    w = np.asarray(prob.omega(ts), dtype=float)
     controls = {f"u{i + 1}" for i in range(prob.m)}
     if sampler == "auto" and prob.m == 1:
         fu = prob.f_u[0]
-        fuu = fu.diff("u1")
+        fuu = prob.f_uu[0][0]  # one tree per problem, so it compiles once
         phi_u_exprs = [row[0] for row in prob.phi_u]
         phi_lin = all(_u_free(e, controls) for e in phi_u_exprs)
         if phi_lin and _u_free(fuu, controls):
@@ -692,15 +701,15 @@ def _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol, sampler="auto"):
                 method = "stationary"
 
     if method == "stationary":
-        env = prob._env(ts, xs, us)[0]
+        env = {"t": ts, "u1": us[:, 0], **{f"x{i + 1}": xs[:, i] for i in range(prob.n)}}
         fuu_vals = np.broadcast_to(np.asarray(fuu.ev(env), dtype=float), ts.shape)
-        h_uu = -lam * np.asarray(prob.omega(ts), dtype=float) * fuu_vals
+        h_uu = -lam * w * fuu_vals
         if np.all(h_uu < 0):
             h_u = pontryagin_H_u(prob, ts, xs, us, ps, lam)[:, 0]
             u_stat = us[:, 0] - h_u / h_uu
             lo, hi = prob.U.lo[0], prob.U.hi[0]
             u_stat = np.clip(u_stat, lo, hi)
-            h_at = _h_of_u(prob, ts, xs, ps, lam, us, 0, u_stat)
+            h_at = _h_of_u(prob, w, ts, xs, ps, lam, us, 0, u_stat)
             h_best = np.maximum(h_at, h_star)
             best_u = us.copy()
             best_u[:, 0] = np.where(h_at >= h_star, u_stat, us[:, 0])
@@ -719,13 +728,13 @@ def _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol, sampler="auto"):
             raise UnboundedAbove(float(ts[k]), 0, -1)
         target = np.where(h_u > 0, hi, lo)
         target = np.where(live, target, us[:, 0])
-        h_at = _h_of_u(prob, ts, xs, ps, lam, us, 0, target)
+        h_at = _h_of_u(prob, w, ts, xs, ps, lam, us, 0, target)
         h_best = np.maximum(h_at, h_star)
         best_u = us.copy()
         best_u[:, 0] = np.where(h_at >= h_star, target, us[:, 0])
     if method == "golden":
         best_u, h_best, _ = _max_condition_sampler(
-            prob, ts, xs, us, ps, lam, h_star, tol)
+            prob, w, ts, xs, us, ps, lam, h_star, tol)
     return best_u, h_best, method
 
 
@@ -1093,7 +1102,7 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess,
     ratios = np.zeros(sub.size)
     for zeta in starts:
         try:
-            pert = solve_state(prob, u=lambda t: cand.control(t), x0=zeta,
+            pert = solve_state(prob, u=cand.control, x0=zeta,
                                grid=sub, rtol=rtol, atol=atol, blowup=blowup)
         except BlowUp as e:
             return ConditionRecord(

@@ -17,12 +17,13 @@ declared radius function and also perturbs the control.  Verdict keys are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .expressions import DomainError, Expression, ExpressionSyntaxError, parse_expression
-from .integrate import _GL_NODES, _GL_WEIGHTS, InvalidGrid
+from .expressions import (DomainError, Expression, ExpressionSyntaxError, _build, _emit,
+                          parse_expression)
+from .integrate import _GL_NODES, _GL_WEIGHTS, InvalidGrid, _sample_at
 from .weights import (
     WeightSpec,
     check_distribution,
@@ -198,15 +199,48 @@ def _check_variables(exprs, allowed: set[str], context: str) -> None:
             raise UnknownIdentifier(sorted(extra)[0], context)
 
 
-def _stacked(exprs, env: Mapping[str, np.ndarray], base_shape) -> np.ndarray:
-    """Evaluate a sequence of expressions into one array of shape base+(k,)."""
-    cols = []
-    for e in exprs:
-        v = np.asarray(e.ev(env), dtype=float)
-        if v.shape != base_shape:
-            v = np.broadcast_to(v, base_shape)
-        cols.append(v)
-    return np.stack(cols, axis=-1)
+def _evaluator(exprs, shape: tuple, n: int, m: int) -> Callable:
+    """Generate one function ``(t, x[, u])`` evaluating ``exprs`` in turn.
+
+    ``exprs`` fill an array of shape ``t.shape + shape`` in C order, so
+    constant components broadcast over the times; with ``shape == ()`` the
+    single expression's value is returned, broadcast to ``t.shape``.  The
+    control argument exists only when ``m > 0``.  A domain failure raises
+    :class:`DomainError` whose witness reads ``t``, ``x1..xn`` and
+    ``u1..um`` at the first offending point.
+    """
+    names: list[str] = []
+    if shape == ():
+        body, results = _emit(exprs, names)
+    else:  # components that are exactly 0.0 keep the zeros they start with
+        kept = [(k, e) for k, e in enumerate(exprs) if str(e) != "0.0"]
+        stores = [f"out[..., {', '.join(map(str, np.unravel_index(k, shape)))}] = {{}}"
+                  for k, _ in kept]
+        body, _ = _emit([e for _, e in kept], names, stores)
+    columns = {"t": "t", **{f"x{i + 1}": f"x[..., {i}]" for i in range(n)},
+               **{f"u{i + 1}": f"u[..., {i}]" for i in range(m)}}
+    lines = [f"def evaluator(t, x{', u' if m else ''}):",
+             "    t = _np.asarray(t, dtype=float)",
+             "    x = _np.asarray(x, dtype=float)"]
+    if m:
+        lines.append("    u = _np.asarray(u, dtype=float)")
+    # [()] turns a 0-d column into a numpy scalar, whose arithmetic is cheap
+    lines += [f"    v_{name} = {columns[name]}[()]" for name in names]
+    if shape != ():
+        lines.append(f"    out = _np.zeros(t.shape + {shape!r})")
+    if body:
+        env = ", ".join(f"{name!r}: {column}" for name, column in columns.items())
+        lines += ["    try:", *(f"        {s}" for s in body),
+                  "    except _OutOfDomain as err:",
+                  f"        raise err.at({{{env}}}) from None"]
+    if shape == ():
+        lines += [f"    value = _np.asarray({results[0]}, dtype=float)",
+                  "    if value.shape == t.shape:",
+                  "        return value",
+                  "    return _np.broadcast_to(value, t.shape)"]
+    else:
+        lines.append("    return out")
+    return _build(lines, "evaluator")
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,9 +249,12 @@ class ControlProblem:
 
     ``f`` is the running cost without the weight factor; ``phi`` drives the
     state; ``g`` are pointwise state constraints (``g_j <= 0``).  All
-    first-order partials are derived symbolically here and exposed through
+    first-order partials, and the control Hessian ``f_uu`` of the
+    integrand, are derived symbolically here; the former are exposed through
     the ``*_grad_*`` / ``*_jac_*`` evaluators, which accept scalars or
-    arrays of times with matching state/control batches.
+    arrays of times with matching state/control batches.  Each evaluator
+    is one generated function that writes all its components into one
+    array (see :func:`_evaluator`).
 
     Maximization problems must be negated before construction; the parser
     does this and sets ``negated`` so reports can say so.
@@ -239,9 +276,11 @@ class ControlProblem:
     label: str = ""
     f_x: tuple = field(init=False, repr=False)
     f_u: tuple = field(init=False, repr=False)
+    f_uu: tuple = field(init=False, repr=False)
     phi_x: tuple = field(init=False, repr=False)
     phi_u: tuple = field(init=False, repr=False)
     g_x: tuple = field(init=False, repr=False)
+    _evaluators: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -273,6 +312,9 @@ class ControlProblem:
         object.__setattr__(self, "f_x", tuple(self.f.diff(s) for s in states))
         object.__setattr__(self, "f_u", tuple(self.f.diff(c) for c in controls))
         object.__setattr__(
+            self, "f_uu", tuple(tuple(fu.diff(c) for c in controls) for fu in self.f_u)
+        )
+        object.__setattr__(
             self, "phi_x", tuple(tuple(p.diff(s) for s in states) for p in phi)
         )
         object.__setattr__(
@@ -281,58 +323,46 @@ class ControlProblem:
         object.__setattr__(
             self, "g_x", tuple(tuple(gj.diff(s) for s in states) for gj in g)
         )
+        n, m, l = self.n, self.m, len(g)
+        flat = lambda rows: [e for row in rows for e in row]
+        object.__setattr__(self, "_evaluators", {
+            "f_value": _evaluator([self.f], (), n, m),
+            "f_grad_x": _evaluator(self.f_x, (n,), n, m),
+            "f_grad_u": _evaluator(self.f_u, (m,), n, m),
+            "phi_value": _evaluator(phi, (n,), n, m),
+            "phi_jac_x": _evaluator(flat(self.phi_x), (n, n), n, m),
+            "phi_jac_u": _evaluator(flat(self.phi_u), (n, m), n, m),
+            "g_value": _evaluator(g, (l,), n, 0),
+            "g_jac_x": _evaluator(flat(self.g_x), (l, n), n, 0),
+        })
 
     @property
     def l(self) -> int:
         return len(self.g)
 
-    def _env(self, t, x, u=None) -> tuple[dict, tuple]:
-        t_arr = np.asarray(t, dtype=float)
-        x_arr = np.asarray(x, dtype=float)
-        env = {"t": t_arr}
-        for i in range(self.n):
-            env[f"x{i + 1}"] = x_arr[..., i]
-        if u is not None:
-            u_arr = np.asarray(u, dtype=float)
-            for i in range(self.m):
-                env[f"u{i + 1}"] = u_arr[..., i]
-        return env, t_arr.shape
-
     def f_value(self, t, x, u):
-        env, shape = self._env(t, x, u)
-        v = np.asarray(self.f.ev(env), dtype=float)
-        return np.broadcast_to(v, shape) if v.shape != shape else v
+        return self._evaluators["f_value"](t, x, u)
 
     def f_grad_x(self, t, x, u) -> np.ndarray:
-        env, shape = self._env(t, x, u)
-        return _stacked(self.f_x, env, shape)
+        return self._evaluators["f_grad_x"](t, x, u)
 
     def f_grad_u(self, t, x, u) -> np.ndarray:
-        env, shape = self._env(t, x, u)
-        return _stacked(self.f_u, env, shape)
+        return self._evaluators["f_grad_u"](t, x, u)
 
     def phi_value(self, t, x, u) -> np.ndarray:
-        env, shape = self._env(t, x, u)
-        return _stacked(self.phi, env, shape)
+        return self._evaluators["phi_value"](t, x, u)
 
     def phi_jac_x(self, t, x, u) -> np.ndarray:
-        env, shape = self._env(t, x, u)
-        rows = [_stacked(row, env, shape) for row in self.phi_x]
-        return np.stack(rows, axis=-2)
+        return self._evaluators["phi_jac_x"](t, x, u)
 
     def phi_jac_u(self, t, x, u) -> np.ndarray:
-        env, shape = self._env(t, x, u)
-        rows = [_stacked(row, env, shape) for row in self.phi_u]
-        return np.stack(rows, axis=-2)
+        return self._evaluators["phi_jac_u"](t, x, u)
 
     def g_value(self, t, x) -> np.ndarray:
-        env, shape = self._env(t, x)
-        return _stacked(self.g, env, shape)
+        return self._evaluators["g_value"](t, x)
 
     def g_jac_x(self, t, x) -> np.ndarray:
-        env, shape = self._env(t, x)
-        rows = [_stacked(row, env, shape) for row in self.g_x]
-        return np.stack(rows, axis=-2)
+        return self._evaluators["g_jac_x"](t, x)
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +383,6 @@ class CandidateProcess:
     grid: np.ndarray
     x: np.ndarray
     u: np.ndarray
-    u_callable: Callable | None = None
     closed_x: Callable | None = None
     closed_u: Callable | None = None
     label: str = ""
@@ -403,14 +432,7 @@ class CandidateProcess:
         t_arr = np.asarray(t, dtype=float)
         if self.closed_u is not None:
             return self._shape_rows(self.closed_u(t_arr), t_arr, self.m)
-        if self.u_callable is not None:
-            if t_arr.ndim == 0:
-                return np.atleast_1d(np.asarray(self.u_callable(float(t_arr)), dtype=float))
-            rows = [np.atleast_1d(np.asarray(self.u_callable(float(tk)), dtype=float))
-                    for tk in t_arr.ravel()]
-            return np.stack(rows).reshape(t_arr.shape + (self.m,))
-        idx = np.clip(np.searchsorted(self.grid, t_arr, side="left"), 0, self.grid.size - 1)
-        return self.u[idx]
+        return _sample_at(self.grid, self.u, t_arr)
 
 
 def candidate_from_functions(grid, x_fn: Callable, u_fn: Callable,

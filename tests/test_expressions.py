@@ -69,6 +69,12 @@ class TestParsing:
         with pytest.raises(KeyError, match="x2"):
             parse_expression("x1 + x2").ev({"x1": 1.0})
 
+    def test_unbound_variable_message_names_the_first_one_met(self):
+        with pytest.raises(KeyError) as err:
+            parse_expression("ln(a) * (b + c)").ev({"c": 1.0, "t": 0.0})
+        assert err.value.args[0] == (
+            "expression references 'a' which is not bound; bound names: ['c', 't']")
+
 
 class TestEvaluation:
     def test_vectorized_over_arrays(self):
@@ -106,6 +112,16 @@ class TestEvaluation:
 
     def test_integer_power_of_negative_is_fine(self):
         assert parse_expression("x1 ^ 3").ev({"x1": -2.0}) == pytest.approx(-8.0)
+
+    def test_names_cannot_collide_with_generated_code(self):
+        e = parse_expression("lambda * _ln + inf - _0")
+        assert e.ev({"lambda": 2.0, "_ln": 3.0, "inf": 1.0, "_0": 4.0}) == 3.0
+
+    def test_the_first_failure_in_walk_order_is_reported(self):
+        e = parse_expression("sqrt(x1 - 1) + ln(t)")
+        with pytest.raises(DomainError, match="sqrt") as err:
+            e.ev({"t": np.array([-1.0, 2.0]), "x1": np.array([2.0, 0.5])})
+        assert err.value.point == {"t": 2.0, "x1": 0.5}
 
 
 class TestDerivatives:

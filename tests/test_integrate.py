@@ -3,6 +3,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from pmpcheck.integrate import (
+    _DP_A,
+    _DP_B4,
+    _DP_B5,
+    _DP_C,
+    _DP_ERR,
     _linear_cell_maps,
     BlowUp,
     InvalidGrid,
@@ -12,9 +17,11 @@ from pmpcheck.integrate import (
     improper_integral,
     improper_verdict,
     solve_ode,
+    solve_state,
     w1_norm,
     weighted_norm,
 )
+from pmpcheck.problem import CandidateProcess, parse_problem
 
 SQRT2 = np.sqrt(2.0)
 
@@ -178,6 +185,78 @@ class TestSolveOde:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(InvalidGrid):
             solve_ode(lambda t, y: y, np.array([0.0, 2.0, 1.0]), 1.0)
+
+
+def test_dormand_prince_tableau_is_consistent():
+    np.testing.assert_allclose(_DP_A.sum(axis=1), _DP_C, rtol=0, atol=1e-15)
+    assert np.all(np.triu(_DP_A) == 0.0)  # explicit
+    assert _DP_B5.sum() == pytest.approx(1.0, abs=1e-15)
+    assert _DP_B4.sum() == pytest.approx(1.0, abs=1e-15)
+    assert _DP_ERR.sum() == pytest.approx(0.0, abs=1e-15)
+    np.testing.assert_array_equal(_DP_B5, _DP_A[-1])  # first same as last
+
+
+# x' = -x + u under a control that flips sign at every knot
+_FLIPPING = """
+[problem]
+n = 1
+m = 1
+x0 = 1.0
+sense = min
+
+[dynamics]
+phi1 = -x1 + u1
+
+[objective]
+f = x1^2
+omega = exp_decay 1.0
+
+[space]
+nu = exp_decay 1.0
+"""
+
+
+class TestSolveState:
+    @pytest.fixture(scope="class")
+    def flipping(self):
+        prob = parse_problem(_FLIPPING)
+        grid = np.linspace(0.0, 8.0, 257)
+        u = np.where(np.arange(grid.size) % 2 == 0, 1.0, -1.0)
+        return prob, CandidateProcess(grid=grid, x=np.zeros(grid.size), u=u)
+
+    def test_callable_and_samples_agree_at_jumping_knots(self, flipping):
+        # CandidateProcess.control is left-continuous: at t_k it returns the
+        # previous cell's sample, but the cell's first stage needs its own
+        prob, cand = flipping
+        by_samples = solve_state(prob, cand.u, grid=cand.grid, rtol=1e-9)
+        by_callable = solve_state(prob, cand.control, grid=cand.grid, rtol=1e-9)
+        np.testing.assert_allclose(by_callable.x, by_samples.x, rtol=0, atol=1e-12)
+
+    def test_samples_path_matches_the_piecewise_closed_form(self, flipping):
+        prob, cand = flipping
+        x = solve_state(prob, cand.u, grid=cand.grid, rtol=1e-9).x[:, 0]
+        decay = np.exp(-np.diff(cand.grid))
+        exact = [1.0]
+        for d, uk in zip(decay, cand.u[1:, 0]):
+            exact.append(uk + (exact[-1] - uk) * d)
+        np.testing.assert_allclose(x, exact, rtol=0, atol=1e-8)
+
+    def test_control_is_called_once_per_step_inside_one_cell(self, flipping):
+        prob, cand = flipping
+        calls = []
+
+        def control(ts):
+            calls.append(np.array(ts, dtype=float))
+            return cand.control(ts)
+
+        out = solve_state(prob, control, grid=cand.grid, rtol=1e-9)
+        assert out.closed_u is control
+        np.testing.assert_array_equal(calls[0], cand.grid)  # the knot samples
+        for ts in calls[1:]:
+            assert ts.shape == (7,)
+            k = np.searchsorted(cand.grid, ts[0], side="right") - 1
+            assert cand.grid[k] < ts.min() and ts.max() <= cand.grid[k + 1]
+        assert len(calls) - 1 >= cand.grid.size - 1
 
 
 def _rotating_system(scale):

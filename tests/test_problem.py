@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import test_pmp
 from pmpcheck.expressions import DomainError
 from pmpcheck.integrate import InvalidGrid, solve_state
 from pmpcheck.problem import (
@@ -540,6 +541,89 @@ g1 = x1 * x2 - 5
             np.testing.assert_allclose(
                 batch[k], prob.phi_jac_x(ts[k], xs[k], us[k]), rtol=1e-14
             )
+
+
+def _hand_written(name):
+    """Each evaluator of a test_pmp problem as a numpy formula of (t, x1, u1)."""
+    one = lambda t, x, u: np.ones_like(x)
+    zero = lambda t, x, u: np.zeros_like(x)
+    if name == "EXTRACTION":  # sense = max, stored negated
+        return {
+            "f_value": lambda t, x, u: -(u / (u + 0.25) - u),
+            "f_grad_x": zero,
+            "f_grad_u": lambda t, x, u: -(0.25 / (u + 0.25) ** 2 - 1.0),
+            "phi_value": lambda t, x, u: x * (1.0 - np.log(x)) - u * x - 0.25 * x,
+            "phi_jac_x": lambda t, x, u: -np.log(x) - u - 0.25,
+            "phi_jac_u": lambda t, x, u: -x,
+        }
+    if name == "INVESTMENT":  # sense = max, stored negated
+        return {
+            "f_value": lambda t, x, u: -np.log((1.0 - u) * x),
+            "f_grad_x": lambda t, x, u: -1.0 / x,
+            "f_grad_u": lambda t, x, u: 1.0 / (1.0 - u),
+            "phi_value": lambda t, x, u: u * x,
+            "phi_jac_x": lambda t, x, u: u,
+            "phi_jac_u": lambda t, x, u: x,
+        }
+    formulas = {  # REGULATOR and CONSTRAINED
+        "f_value": lambda t, x, u: 0.5 * (x**2 + u**2),
+        "f_grad_x": lambda t, x, u: x,
+        "f_grad_u": lambda t, x, u: u,
+        "phi_value": lambda t, x, u: 2.0 * x + u,
+        "phi_jac_x": lambda t, x, u: 2.0 * one(t, x, u),
+        "phi_jac_u": one,
+    }
+    if name == "CONSTRAINED":
+        formulas.update(g_value=lambda t, x, u: x - 2.0, g_jac_x=one)
+    return formulas
+
+
+class TestGeneratedEvaluators:
+    """Each evaluator is one generated function of (t, x, u)."""
+
+    @pytest.mark.parametrize("name", ["REGULATOR", "INVESTMENT", "EXTRACTION", "CONSTRAINED"])
+    @pytest.mark.parametrize("batch", [None, 5], ids=["scalar", "batched"])
+    def test_every_evaluator_matches_a_numpy_formula(self, name, batch):
+        text = getattr(test_pmp, name)
+        prob = parse_problem(text.format(a=4.5) if name == "REGULATOR" else text)
+        rng = np.random.default_rng(3)
+        size = () if batch is None else (batch,)
+        t = rng.uniform(0.0, 5.0, size)
+        x = rng.uniform(0.2, 3.0, size + (1,))
+        u = rng.uniform(0.1, 0.9, size + (1,))
+        formulas = _hand_written(name)
+        for ev, formula in formulas.items():
+            want = formula(t, x[..., 0], u[..., 0])
+            args = (t, x) if ev.startswith("g_") else (t, x, u)
+            got = getattr(prob, ev)(*args)
+            trail = {"f_value": (), "phi_jac_x": (1, 1), "phi_jac_u": (1, 1),
+                     "g_jac_x": (1, 1)}.get(ev, (1,))
+            assert got.shape == size + trail, ev
+            np.testing.assert_allclose(got, np.reshape(want, size + trail),
+                                       rtol=1e-14, atol=0, err_msg=ev)
+        if "g_value" not in formulas:
+            assert prob.g_value(t, x).shape == size + (0,)
+            assert prob.g_jac_x(t, x).shape == size + (0, 1)
+
+    def test_constant_component_broadcasts_over_the_times(self):
+        prob = parse_problem(REGULATOR.replace("phi1 = u1", "phi1 = 1"))
+        ts = np.linspace(0.0, 1.0, 4)
+        out = prob.phi_value(ts, np.ones((4, 1)), np.zeros((4, 1)))
+        assert out.shape == (4, 1)
+        np.testing.assert_array_equal(out, 1.0)
+        jac = prob.phi_jac_u(ts, np.ones((4, 1)), np.zeros((4, 1)))
+        assert jac.shape == (4, 1, 1)
+        np.testing.assert_array_equal(jac, 0.0)
+
+    def test_domain_error_names_the_offending_row(self):
+        prob = parse_problem(REGULATOR.replace("phi1 = u1", "phi1 = ln(x1) + u1"))
+        ts = np.array([0.5, 1.5, 2.5])
+        xs = np.array([[1.0], [-0.25], [-2.0]])
+        us = np.array([[0.1], [0.2], [0.3]])
+        with pytest.raises(DomainError, match="ln of non-positive") as err:
+            prob.phi_value(ts, xs, us)
+        assert err.value.point == {"t": 1.5, "x1": -0.25, "u1": 0.2}
+        prob.phi_jac_x(ts, xs, us)  # 1/x1 is defined at every row
 
 
 class TestActiveSetAndSeparation:
