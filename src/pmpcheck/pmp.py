@@ -555,31 +555,50 @@ def _u_free(e, controls: set) -> bool:
 
 
 # The control search below varies u at fixed times, so the weight w =
-# omega(ts) is evaluated once per search and handed down.
+# omega(ts) is evaluated once per search and handed down.  Each search owns
+# one control array and writes the probed column into it in place.
 
 
-def _h_of_u(prob, w, ts, xs, ps, lam, base_u, i, col):
-    u = base_u.copy()
+def _h_of_u(prob, w, ts, xs, ps, lam, u, i, col):
+    """H with column ``i`` of the control array ``u`` overwritten by ``col``."""
     u[:, i] = col
     return _hamiltonian(prob, w, ts, xs, u, ps, lam)
 
 
-def _golden_max(prob, w, ts, xs, ps, lam, base_u, i, a, b, iters: int = 60):
-    """Vectorized golden-section maximization of H along one coordinate."""
-    inv = (np.sqrt(5.0) - 1.0) / 2.0
-    a = a.astype(float).copy()
-    b = b.astype(float).copy()
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(prob, w, ts, xs, ps, lam, u, i, a, b, iters: int = 60):
+    """Golden-section maximization of H along coordinate ``i``, per knot.
+
+    Each of the ``iters`` steps compares H at the interior points
+    c = b - r(b - a) and d = a + r(b - a), r = (sqrt5 - 1)/2, and keeps
+    [c, b] when H(c) < H(d), else [a, d] (so a tie keeps [a, d]).  The
+    interior point that survives is a golden point of the kept bracket,
+    so only the other one needs H (Kiefer 1953): the bracket is carried
+    with the survivor's side and its H value, both interior points are
+    recomputed from the bracket, and H is evaluated once per step at the
+    new one.  With the first interior point and the returned midpoint
+    that is ``iters + 2`` evaluations.  Column ``i`` of ``u`` is
+    overwritten.  Returns the final midpoints and H there.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    h_keep = _h_of_u(prob, w, ts, xs, ps, lam, u, i, b - _INV_PHI * (b - a))
+    left = np.ones(a.shape, dtype=bool)  # the survivor is c, not d
     for _ in range(iters):
-        span = b - a
-        c = b - inv * span
-        d = a + inv * span
-        hc = _h_of_u(prob, w, ts, xs, ps, lam, base_u, i, c)
-        hd = _h_of_u(prob, w, ts, xs, ps, lam, base_u, i, d)
-        take = hc < hd
-        a = np.where(take, c, a)
-        b = np.where(take, b, d)
+        step = _INV_PHI * (b - a)
+        c = b - step
+        d = a + step
+        h_new = _h_of_u(prob, w, ts, xs, ps, lam, u, i, np.where(left, d, c))
+        take = np.where(left, h_keep < h_new, h_new < h_keep)  # H(c) < H(d)
+        np.copyto(a, c, where=take)
+        np.copyto(b, d, where=~take)
+        # [c, b] keeps d as its new c, [a, d] keeps c as its new d
+        np.copyto(h_keep, h_new, where=left == take)
+        left = take
     mid = 0.5 * (a + b)
-    return mid, _h_of_u(prob, w, ts, xs, ps, lam, base_u, i, mid)
+    return mid, _h_of_u(prob, w, ts, xs, ps, lam, u, i, mid)
 
 
 def _coordinate_probes(box, i, u_col):
@@ -625,54 +644,81 @@ def _coordinate_probes(box, i, u_col):
     return blocks, down, up
 
 
+def _prescan(prob, w, ts, xs, ps, lam, u, i, h_floor):
+    """Best probe of coordinate ``i`` per knot and the bracket around it.
+
+    The best probe is tracked row by row (first one on ties, as argmax),
+    so no probe-by-knot H matrix is stored; only the two outermost rows
+    at each end are kept for the escape test, which an outermost probe
+    fails only when its H is above ``h_floor``.  Returns the neighbouring
+    probes ``a`` and ``b``, the best probe and its H value.
+    """
+    cols, open_down, open_up = _coordinate_probes(prob.U, i, u[:, i])
+    last = len(cols) - 1
+    h_pre = np.full(ts.size, -np.inf)
+    k_best = np.zeros(ts.size, dtype=np.intp)
+    rows = {}
+    for k, c in enumerate(cols):
+        h = _h_of_u(prob, w, ts, xs, ps, lam, u, i, c)
+        h[~np.isfinite(h)] = -np.inf
+        up = h > h_pre
+        k_best[up] = k
+        np.copyto(h_pre, h, where=up)
+        if k in (0, 1, last - 1, last):
+            rows[k] = h
+    # escape toward an unbounded end: the best probe sits at the
+    # outermost ring and H is still climbing there
+    for open_end, edge, inner, direction in ((open_down, 0, 1, -1),
+                                             (open_up, last, last - 1, +1)):
+        if open_end:
+            bad = ((k_best == edge) & (rows[edge] > rows[inner])
+                   & (rows[edge] > h_floor))
+            if np.any(bad):
+                k = int(np.argmax(bad))
+                raise UnboundedAbove(float(ts[k]), i, direction)
+    lo_idx = np.maximum(k_best - 1, 0)
+    hi_idx = np.minimum(k_best + 1, last)
+    a, b, u_pre = (np.empty(ts.size) for _ in range(3))
+    for k, c in enumerate(cols):
+        np.copyto(a, c, where=lo_idx == k)
+        np.copyto(b, c, where=hi_idx == k)
+        np.copyto(u_pre, c, where=k_best == k)
+    return a, b, u_pre, h_pre
+
+
+# Knots are searched independently, a block at a time: at 2^15 knots the
+# few arrays a search step makes stay in cache and are reused by the
+# allocator, where whole-grid arrays (420k knots in extraction's Arrow scan)
+# are returned to the system and faulted in again on every H evaluation.
+_BLOCK = 2 ** 15
+
+
 def _max_condition_sampler(prob, w, ts, xs, us, ps, lam, h_star, tol):
-    """Prescan plus golden refinement, one coordinate sweep at a time."""
-    box = prob.U
+    """Prescan plus golden refinement, one coordinate sweep at a time.
+
+    Each block of knots has one control array, a view into ``best_u``:
+    the probes and the golden steps write coordinate ``i`` into it, and
+    the sweep then sets that column to the best value found.
+    """
     best_u = us.copy()
     h_best = h_star.copy()
     sweeps = 1 if prob.m == 1 else 2
-    margin = tol * (1.0 + np.abs(h_star)) + 1e-12
-    for _ in range(sweeps):
-        for i in range(prob.m):
-            cols, open_down, open_up = _coordinate_probes(box, i, best_u[:, i])
-            hmat = np.empty((len(cols), ts.size))  # filled row by row: no list of rows
-            for k, c in enumerate(cols):
-                hmat[k] = _h_of_u(prob, w, ts, xs, ps, lam, best_u, i, c)
-            vmat = np.stack(cols)
-            hmat[~np.isfinite(hmat)] = -np.inf
-            k_best = np.argmax(hmat, axis=0)
-            idx = np.arange(ts.size)
-            # escape toward an unbounded end: the best probe sits at the
-            # outermost ring and H is still climbing there
-            if open_down:
-                at_edge = k_best == 0
-                climbing = hmat[0] > hmat[1]
-                worth = hmat[0] > h_star + margin
-                bad = at_edge & climbing & worth
-                if np.any(bad):
-                    k = int(np.argmax(bad))
-                    raise UnboundedAbove(float(ts[k]), i, -1)
-            if open_up:
-                at_edge = k_best == len(cols) - 1
-                climbing = hmat[-1] > hmat[-2]
-                worth = hmat[-1] > h_star + margin
-                bad = at_edge & climbing & worth
-                if np.any(bad):
-                    k = int(np.argmax(bad))
-                    raise UnboundedAbove(float(ts[k]), i, +1)
-            lo_idx = np.maximum(k_best - 1, 0)
-            hi_idx = np.minimum(k_best + 1, len(cols) - 1)
-            a = vmat[lo_idx, idx]
-            b = vmat[hi_idx, idx]
-            u_ref, h_ref = _golden_max(prob, w, ts, xs, ps, lam, best_u, i, a, b)
-            h_pre = hmat[k_best, idx]
-            u_pre = vmat[k_best, idx]
-            better = h_ref > h_pre
-            new_col = np.where(better, u_ref, u_pre)
-            new_h = np.where(better, h_ref, h_pre)
-            improve = new_h > h_best
-            best_u[:, i] = np.where(improve, new_col, best_u[:, i])
-            h_best = np.where(improve, new_h, h_best)
+    for lo in range(0, ts.size, _BLOCK):
+        k = slice(lo, lo + _BLOCK)
+        args = (prob, w[k], ts[k], xs[k], ps[k], lam)
+        u, h = best_u[k], h_best[k]
+        h_floor = h_star[k] + tol * np.abs(h_star[k])
+        for _ in range(sweeps):
+            for i in range(prob.m):
+                u_col = u[:, i].copy()
+                a, b, u_pre, h_pre = _prescan(*args, u, i, h_floor)
+                u_ref, h_ref = _golden_max(*args, u, i, a, b)
+                better = h_ref > h_pre
+                new_col = np.where(better, u_ref, u_pre)
+                new_h = np.where(better, h_ref, h_pre)
+                improve = new_h > h
+                u[:, i] = np.where(improve, new_col, u_col)
+                np.copyto(h, new_h, where=improve)
     return best_u, h_best, "golden"
 
 
@@ -709,10 +755,10 @@ def _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol, sampler="auto"):
             u_stat = us[:, 0] - h_u / h_uu
             lo, hi = prob.U.lo[0], prob.U.hi[0]
             u_stat = np.clip(u_stat, lo, hi)
-            h_at = _h_of_u(prob, w, ts, xs, ps, lam, us, 0, u_stat)
-            h_best = np.maximum(h_at, h_star)
             best_u = us.copy()
-            best_u[:, 0] = np.where(h_at >= h_star, u_stat, us[:, 0])
+            h_at = _h_of_u(prob, w, ts, xs, ps, lam, best_u, 0, u_stat)
+            h_best = np.maximum(h_at, h_star)
+            np.copyto(best_u[:, 0], us[:, 0], where=~(h_at >= h_star))
         else:
             method = "golden"
     if method == "vertex":
@@ -728,10 +774,10 @@ def _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol, sampler="auto"):
             raise UnboundedAbove(float(ts[k]), 0, -1)
         target = np.where(h_u > 0, hi, lo)
         target = np.where(live, target, us[:, 0])
-        h_at = _h_of_u(prob, w, ts, xs, ps, lam, us, 0, target)
-        h_best = np.maximum(h_at, h_star)
         best_u = us.copy()
-        best_u[:, 0] = np.where(h_at >= h_star, target, us[:, 0])
+        h_at = _h_of_u(prob, w, ts, xs, ps, lam, best_u, 0, target)
+        h_best = np.maximum(h_at, h_star)
+        np.copyto(best_u[:, 0], us[:, 0], where=~(h_at >= h_star))
     if method == "golden":
         best_u, h_best, _ = _max_condition_sampler(
             prob, w, ts, xs, us, ps, lam, h_star, tol)
@@ -746,9 +792,15 @@ def check_maximum_condition(prob: ControlProblem, cand: CandidateProcess,
     For a single control that enters H quadratically with strictly
     concave curvature, the interior stationary point is solved exactly
     (clamped to the box); a purely linear H is settled at the box faces.
-    Everything else goes through a dense prescan with golden-section
-    refinement per coordinate.  Knots where the weight is not finite (an
-    integrable pole at 0) carry no pointwise information and are skipped.
+    Everything else goes through a prescan of 26-35 probes per coordinate
+    and a 60-step golden-section refinement between the best probe's
+    neighbours, which costs one H evaluation per step; with two or more
+    controls the coordinates are swept twice.  A coordinate whose best
+    probe is the outermost one toward an unbounded face, with H still
+    climbing there and above H at the candidate by more than ``tol``
+    times its magnitude, raises :class:`UnboundedAbove`.  Knots where
+    the weight is not finite (an integrable pole at 0) carry no pointwise
+    information and are skipped.
     """
     if sampler not in ("auto", "grid"):
         raise ValueError(f"unknown sampler {sampler!r}")

@@ -1,9 +1,14 @@
 """Adjoint routes, the running-function conditions, and full certificates."""
 
+import re
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+from pmpcheck import pmp
 from pmpcheck.integrate import BlowUp, InvalidGrid, default_grid
 from pmpcheck.pmp import (
     AdjointSolution,
@@ -26,7 +31,8 @@ from pmpcheck.pmp import (
     pontryagin_H_x,
     verify_certificate,
 )
-from pmpcheck.problem import candidate_from_functions, parse_problem
+from pmpcheck.problem import CandidateProcess, candidate_from_functions, parse_problem
+from pmpcheck.sufficiency import hamiltonian_sup
 
 SQRT2 = np.sqrt(2.0)
 
@@ -155,6 +161,40 @@ CONSTRAINED = REGULATOR.format(a=4.5) + """
 [constraints]
 g1 = x1 - 2
 """
+
+# Two controls entering a separable concave Hamiltonian on the unit box:
+# H = -w((u1 - 0.3)^2 + (u2 - 2)^2 + x^2) + p(u1 + u2 - x) with w = e^{-t}
+# peaks at u1 = 0.3 + p/(2w) (interior while |p| < 0.6w) and on the face
+# u2 = 1, since 2 + p/(2w) > 1 there.
+TWO_CONTROLS = """
+[problem]
+n = 1
+m = 2
+x0 = 1.0
+sense = min
+
+[dynamics]
+phi1 = u1 + u2 - x1
+
+[objective]
+f = (u1 - 0.3)^2 + (u2 - 2)^2 + x1^2
+omega = exp_decay 1.0
+
+[space]
+nu = exp_decay 1.0
+
+[controls]
+u1 = [0, 1]
+u2 = [0, 1]
+"""
+
+
+def two_controls_sup(t, x, p):
+    """Closed-form maximizer and sup of H for TWO_CONTROLS."""
+    w = np.exp(-t)
+    u1 = 0.3 + p / (2.0 * w)
+    h = -w * ((u1 - 0.3) ** 2 + 1.0 + x ** 2) + p * (u1 + 1.0 - x)
+    return u1, h
 
 
 def regulator(a=4.5):
@@ -652,6 +692,109 @@ class TestMaximumCondition:
         np.testing.assert_allclose(rec.series, factor * base.series,
                                    atol=1e-11)
 
+    def test_two_controls_take_two_sweeps(self):
+        g = default_grid(20.0, cells=256, refine_zero=False)
+        prob = parse_problem(TWO_CONTROLS)
+        x_fn = lambda t: np.exp(-0.5 * np.asarray(t))
+        p_fn = lambda t: 0.4 * np.exp(-np.asarray(t)) * np.sin(np.asarray(t))
+        cand = candidate_from_functions(g, x_fn,
+                                        lambda t: np.full((np.size(t), 2), 0.5))
+        adj = adjoint_from_function(g, p_fn)
+        rec = check_maximum_condition(prob, cand, adj)
+        assert any("golden" in note for note in rec.notes)
+        x, p = x_fn(g), p_fn(g)
+        _, h_sup = two_controls_sup(g, x, p)
+        h_cand = pontryagin_H(prob, g, x[:, None], cand.u, p[:, None], 1.0)
+        np.testing.assert_allclose(rec.series + h_cand, h_sup, rtol=1e-12)
+        assert rec.verdict == "fail"  # (1/2, 1/2) is off the maximizer
+        np.testing.assert_allclose(
+            hamiltonian_sup(prob, g, x[:, None], p[:, None]), h_sup, rtol=1e-12)
+        # the maximizer itself has no gap, up to the golden resolution
+        u1, _ = two_controls_sup(g, x, p)
+        opt = CandidateProcess(grid=g, x=x[:, None],
+                               u=np.stack([u1, np.ones_like(g)], axis=-1))
+        assert check_maximum_condition(prob, opt, adj).residual < 1e-12
+
+
+class TestGoldenSection:
+    """The golden-section refinement behind every sampled control search."""
+
+    @staticmethod
+    def investment_points(k=64, seed=0):
+        # H = w ln((1 - u) x) + p u x peaks at u = 1 - w/(p x); drawing
+        # w/(p x) from [0.05, 2] puts the peak inside [-3, 0.999]
+        prob = parse_problem(INVESTMENT)
+        rng = np.random.default_rng(seed)
+        ts = rng.uniform(0.0, 10.0, k)
+        xs = rng.uniform(0.5, 3.0, (k, 1))
+        w = np.exp(-0.5 * ts)
+        ps = (w / (xs[:, 0] * rng.uniform(0.05, 2.0, k)))[:, None]
+        return prob, w, ts, xs, ps
+
+    @pytest.mark.parametrize("iters", [10, 60])
+    def test_one_hamiltonian_evaluation_per_step(self, monkeypatch, iters):
+        prob, w, ts, xs, ps = self.investment_points()
+        calls = []
+        original = pmp._hamiltonian
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pmp, "_hamiltonian", counted)
+        u = np.zeros((ts.size, 1))
+        pmp._golden_max(prob, w, ts, xs, ps, 1.0, u, 0, np.full(ts.size, -3.0),
+                        np.full(ts.size, 0.999), iters=iters)
+        # the first interior point, one per step, and the midpoint
+        assert len(calls) == iters + 2
+
+    def test_maximizer_matches_bounded_brent(self):
+        prob, w, ts, xs, ps = self.investment_points()
+        a, b = np.full(ts.size, -3.0), np.full(ts.size, 0.999)
+        u = np.zeros((ts.size, 1))
+        u_max, h_max = pmp._golden_max(prob, w, ts, xs, ps, 1.0, u, 0, a, b)
+        assert np.all((a <= u_max) & (u_max <= b))
+        for k in range(ts.size):
+            h = lambda v: float(pmp._hamiltonian(
+                prob, w[k], ts[k], xs[k], np.array([v]), ps[k], 1.0))
+            ref = minimize_scalar(lambda v: -h(v), bounds=(a[k], b[k]),
+                                  method="bounded", options={"xatol": 1e-12})
+            assert ref.success
+            assert u_max[k] == pytest.approx(ref.x, abs=1e-6)
+            assert h_max[k] >= -ref.fun - 1e-14 * (1.0 + abs(ref.fun))
+        # both sit on the closed-form peak
+        np.testing.assert_allclose(u_max, 1.0 - w / (ps[:, 0] * xs[:, 0]),
+                                   atol=1e-6)
+
+    def test_blocks_of_knots_change_no_value(self, monkeypatch):
+        prob, w, ts, xs, ps = self.investment_points(k=200, seed=1)
+        u_peak = 1.0 - w / (ps[:, 0] * xs[:, 0])
+        h_peak = pontryagin_H(prob, ts, xs, u_peak[:, None], ps, 1.0)
+        monkeypatch.setattr(pmp, "_BLOCK", 16)
+        blocked = hamiltonian_sup(prob, ts, xs, ps)
+        assert np.all(np.abs(blocked - h_peak) <= 1e-12 * (1.0 + np.abs(h_peak)))
+        monkeypatch.undo()
+        np.testing.assert_array_equal(hamiltonian_sup(prob, ts, xs, ps), blocked)
+
+    def test_search_holds_one_block_of_probes(self):
+        # extraction's [0, inf) box has 26 probe columns per knot.  A search
+        # holds them for one block of knots only, and no probe-by-knot H
+        # matrix or stacked copy of them: either of those, or columns for
+        # all 50,000 knots at once, would break the bound below
+        prob = parse_problem(EXTRACTION)
+        n = 50_000
+        t = np.linspace(0.1, 40.0, n)
+        x = np.exp(0.5 * (1.0 - np.exp(-t)))[:, None]
+        p = np.zeros((n, 1))
+        hamiltonian_sup(prob, t[:8], x[:8], p[:8])  # compile outside the trace
+        tracemalloc.start()
+        try:
+            hamiltonian_sup(prob, t, x, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 26 * n * 8
+
 
 class TestWeakInequality:
     def test_interior_optimum_passes(self, grid):
@@ -937,3 +1080,51 @@ nu = exp_decay 1.0
         prob, cand, _ = reg_setup
         with pytest.raises(ValueError, match="mode"):
             verify_certificate(prob, cand, mode="medium")
+
+
+def scaled_objective(src: str, c: float) -> str:
+    """The problem text with its running cost f replaced by c*f."""
+    return re.sub(r"^f = (.*)$", lambda m: f"f = {c!r}*({m.group(1)})", src,
+                  count=1, flags=re.M)
+
+
+def verdicts(cert):
+    return {"overall": cert.overall, "nontrivial": cert.nontrivial,
+            **{f"audit.{k}": v for k, v in cert.audit.verdicts.items()},
+            **{c.name: c.verdict for c in cert.conditions},
+            "arrow": cert.sufficiency.overall if cert.sufficiency else "aborted"}
+
+
+class TestObjectiveScaling:
+    """Scaling f by c > 0 scales H and p by c and changes no verdict."""
+
+    @staticmethod
+    def extraction_candidate(g):
+        return candidate_from_functions(
+            g, lambda t: np.exp(0.5 * (1.0 - np.exp(-np.asarray(t)))),
+            lambda t: np.full(np.shape(t), 0.25))
+
+    @pytest.mark.parametrize("c", [0.5, 4.0])
+    @pytest.mark.parametrize("name", ["investment", "extraction"])
+    def test_verdicts_hold_and_p_scales(self, grid, name, c):
+        if name == "investment":
+            src, g = INVESTMENT, grid
+            cand = investment_pieces(g)[1]
+        else:
+            src, g = EXTRACTION, default_grid(50.0, cells=1024)
+            cand = self.extraction_candidate(g)
+        base = verify_certificate(parse_problem(src), cand)
+        scaled = verify_certificate(parse_problem(scaled_objective(src, c)), cand)
+        assert verdicts(scaled) == verdicts(base)
+        if name == "investment":
+            # the routes end on p(50) = 0, where H = w ln((1 - u) x) grows
+            # without bound as u -> -inf; that escape must be seen at every
+            # scale, not only where w ln(2^16) clears an absolute floor
+            assert verdicts(base)["arrow"] == "aborted"
+            assert "toward -inf at t=50" in base.notes[-1]
+        else:
+            assert base.overall == "pass"
+        assert scaled.adjoints.keys() == base.adjoints.keys()
+        for route, adj in base.adjoints.items():
+            err = np.max(np.abs(scaled.adjoints[route].p - c * adj.p))
+            assert err <= 1e-9 * c * adj.sup_norm, route
