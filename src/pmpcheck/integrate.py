@@ -1,6 +1,6 @@
 """Quadrature and ODE machinery on the half line.
 
-Everything downstream needs four capabilities, all provided here:
+Everything downstream needs three capabilities, all provided here:
 
 * improper integrals over [0, inf) with an explicit truncation policy:
   cell-wise 7-point Gauss-Legendre sums over a grid that packs
@@ -10,17 +10,13 @@ Everything downstream needs four capabilities, all provided here:
   optional analytic tail bound that settles integrability outright;
 
 * an explicit adaptive Dormand-Prince 5(4) one-step integrator that never
-  steps across a grid knot (controls are allowed to jump there), plus a
-  fixed-substep mode used by convergence-order tests; one tableau step
-  serves both, and state solves read the control once per step;
+  steps across a grid knot (controls are allowed to jump there); state
+  solves read the control once per step;
 
 * per-cell affine maps ``y(tb) = P y(ta) + q`` of linear systems
   ``y' = M(t) y + b(t)`` along a fixed candidate, by 7-stage Gauss
   collocation with all cells solved in one batch and every map checked
-  against its two half-cell maps (unresolved cells are bisected);
-
-* weighted norms ``(int |x|^p nu dt)^(1/p)`` and the corresponding
-  Hoelder pairing check.
+  against its two half-cell maps (unresolved cells are bisected).
 
 Decisions at infinity are made by documented finite criteria (decade
 ladders, three-window decay tests), never by a symbolic limit engine, and
@@ -42,17 +38,12 @@ __all__ = [
     "IntegralResult",
     "LadderRecord",
     "DecayRecord",
-    "NormResult",
-    "HolderRecord",
     "default_grid",
     "improper_integral",
     "improper_verdict",
     "decays_to_zero",
     "solve_ode",
     "solve_state",
-    "weighted_norm",
-    "w1_norm",
-    "holder_pairing_check",
 ]
 
 
@@ -74,6 +65,11 @@ class MissingTailBound(ValueError):
     """No analytic tail bound and the numeric tail estimate does not stabilize."""
 
 
+# smallest knot above 0 of the zero-refined grids: cell boundaries double
+# from here, so an integrable pole at 0 is resolved down to this scale
+_T_MIN = 1e-12
+
+
 def _check_grid(grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -89,12 +85,11 @@ def default_grid(
     t_max: float,
     cells: int = 4096,
     refine_zero: bool = True,
-    t_min: float = 1e-12,
 ) -> np.ndarray:
     """Build the standard grid on [0, t_max].
 
     With ``refine_zero`` the grid starts with geometrically growing cells
-    from ``t_min`` up to 1 (cell boundaries double), then spends ``cells``
+    from ``_T_MIN`` up to 1 (cell boundaries double), then spends ``cells``
     uniform cells on the rest.  Quadrature rules with interior nodes can
     then integrate functions with an integrable pole at 0.  Without
     ``refine_zero`` the grid is plain uniform, which is what ODE solves
@@ -105,8 +100,8 @@ def default_grid(
     if not refine_zero:
         return np.linspace(0.0, t_max, cells + 1)
     knee = min(1.0, t_max / 2.0)
-    n_geo = int(np.ceil(np.log2(knee / t_min)))
-    geo = t_min * 2.0 ** np.arange(n_geo + 1)
+    n_geo = int(np.ceil(np.log2(knee / _T_MIN)))
+    geo = _T_MIN * 2.0 ** np.arange(n_geo + 1)
     geo[-1] = knee
     body = np.linspace(knee, t_max, cells + 1)[1:]
     return np.concatenate(([0.0], geo, body))
@@ -130,46 +125,28 @@ def _cellwise_gl7(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """A truncated integral with a refinement-based error estimate.
-
-    ``partials[k]`` is the integral from 0 to ``grid[k]``; ``value`` is the
-    last partial.  ``error`` sums the per-cell differences between the
-    one-level and two-level composite rules, so the reported value differs
-    from the once-refined one by at most ``error``.
-    """
+    """A truncated integral: ``partials[k]`` is the integral from 0 to
+    ``grid[k]`` and ``value`` is the last partial."""
 
     value: float
-    error: float
     partials: np.ndarray
     grid: np.ndarray
 
 
-def improper_integral(
-    f: Callable[[np.ndarray], np.ndarray],
-    grid: np.ndarray | None = None,
-    t_max: float | None = None,
-    cells: int = 4096,
-) -> IntegralResult:
-    """Integrate ``f`` over [0, grid[-1]] cell-by-cell with one refinement.
+def improper_integral(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> IntegralResult:
+    """Integrate ``f`` over [0, grid[-1]] by the 7-point rule on each half cell.
 
-    ``f`` must accept a 1-d array of times.  Pass either an explicit grid
-    or ``t_max`` (the default grid with zero-refinement is then used).
+    ``f`` must accept a 1-d array of times.
     """
-    if grid is None:
-        if t_max is None:
-            raise InvalidGrid("need a grid or t_max")
-        grid = default_grid(t_max, cells=cells)
     grid = _check_grid(grid)
     lo, hi = grid[:-1], grid[1:]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        coarse = _cellwise_gl7(f, lo, hi)
         mid = 0.5 * (lo + hi)
         left = _cellwise_gl7(f, lo, mid)
         right = _cellwise_gl7(f, mid, hi)
         fine = left + right
-        err = float(np.sum(np.abs(fine - coarse)))
     partials = np.concatenate(([0.0], np.cumsum(fine)))
-    return IntegralResult(float(partials[-1]), err, partials, grid)
+    return IntegralResult(float(partials[-1]), partials, grid)
 
 
 @dataclass(frozen=True)
@@ -194,13 +171,17 @@ class LadderRecord:
     notes: tuple[str, ...] = ()
 
 
+# the decade ladder: log-spaced cells up to _LADDER_T_MAX, and the
+# increment below which the last decade counts as settled
+_LADDER_T_MAX = 1.0e4
+_LADDER_CELLS = 256  # per decade
+_LADDER_TOL = 1e-8
+
+
 def improper_verdict(
     f: Callable[[np.ndarray], np.ndarray],
     pole_exp: float | None = 0.0,
     tail_bound: Callable[[float], float] | None = None,
-    t_max: float = 1.0e4,
-    tol: float = 1e-8,
-    per_decade_cells: int = 256,
 ) -> LadderRecord:
     """Decide whether ``int_0^inf f`` converges, with the evidence attached.
 
@@ -208,17 +189,16 @@ def improper_verdict(
     ``None`` means unknown.  ``tail_bound(T)``, when supplied, must bound
     the remaining mass beyond T and settles tail convergence by itself.
     """
-    # grid: geometric head below 1, then log-spaced decades up to t_max
-    t_min = 1e-12
-    n_geo = int(np.ceil(np.log2(1.0 / t_min)))
-    head = t_min * 2.0 ** np.arange(n_geo + 1)
+    # grid: geometric head below 1, then log-spaced decades up to the horizon
+    n_geo = int(np.ceil(np.log2(1.0 / _T_MIN)))
+    head = _T_MIN * 2.0 ** np.arange(n_geo + 1)
     head[-1] = 1.0
     pieces = [np.array([0.0]), head]
     decades = [1.0]
     t = 1.0
-    while t < t_max * (1 - 1e-12):
-        nxt = min(t * 10.0, t_max)
-        pieces.append(np.geomspace(t, nxt, per_decade_cells + 1)[1:])
+    while t < _LADDER_T_MAX * (1 - 1e-12):
+        nxt = min(t * 10.0, _LADDER_T_MAX)
+        pieces.append(np.geomspace(t, nxt, _LADDER_CELLS + 1)[1:])
         decades.append(nxt)
         t = nxt
     grid = np.concatenate(pieces)
@@ -261,9 +241,9 @@ def improper_verdict(
         notes.append("partial integrals overflow")
     else:
         d = np.abs(increments)
-        growing = d.size >= 2 and d[-1] > 1.01 * d[-2] and d[-1] > tol
+        growing = d.size >= 2 and d[-1] > 1.01 * d[-2] and d[-1] > _LADDER_TOL
         still_moving = d[-1] > 0.01 * (abs(decade_partials[-1]) + 1e-300)
-        settled = d[-1] <= tol * (1.0 + abs(decade_partials[-1]))
+        settled = d[-1] <= _LADDER_TOL * (1.0 + abs(decade_partials[-1]))
         if growing or (still_moving and d.size >= 2 and d[-1] >= 0.99 * d[-2]):
             tail_status = "diverged"
         elif settled:
@@ -279,7 +259,7 @@ def improper_verdict(
     else:
         verdict = "inconclusive"
 
-    # the partials cover [0, t_max]; a tail bound is reported separately
+    # the partials cover [0, _LADDER_T_MAX]; a tail bound is reported separately
     return LadderRecord(
         verdict,
         float(decade_partials[-1]),
@@ -298,8 +278,9 @@ class DecayRecord:
     """Three-window decay evidence for ``g(t) -> 0`` as t grows.
 
     ``sups`` are suprema of |g| over windows ending at t_max/100, t_max/10
-    and t_max.  The quantity qualifies when the sups are nonincreasing
-    (2% slack) and the final one is below tol*(1 + first).
+    and t_max, each sampled at ``_DECAY_SAMPLES`` points over its last
+    tenth.  The quantity qualifies when the sups are nonincreasing (slack
+    ``_DECAY_SLACK``) and the final one is below tol*(1 + first).
     """
 
     passed: bool
@@ -310,12 +291,14 @@ class DecayRecord:
     detail: str
 
 
+_DECAY_SAMPLES = 33
+_DECAY_SLACK = 0.02
+
+
 def decays_to_zero(
     g: Callable[[np.ndarray], np.ndarray],
     t_max: float = 50.0,
     tol: float = 1e-3,
-    samples: int = 33,
-    slack: float = 0.02,
 ) -> DecayRecord:
     """Finite decay criterion for a limit-zero claim at infinity."""
     ends = (t_max / 100.0, t_max / 10.0, t_max)
@@ -323,7 +306,7 @@ def decays_to_zero(
     argmax_t: list[float] = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for end in ends:
-            ts = np.linspace(0.9 * end, end, samples)
+            ts = np.linspace(0.9 * end, end, _DECAY_SAMPLES)
             vals = np.abs(np.asarray(g(ts), dtype=float))
             if vals.ndim > 1:
                 vals = np.linalg.norm(vals, axis=-1)
@@ -335,9 +318,9 @@ def decays_to_zero(
     if not all(np.isfinite(sups)):
         bad = next(i for i, s in enumerate(sups) if not np.isfinite(s))
         return DecayRecord(False, ends, tuple(sups), tol, (argmax_t[bad], sups[bad]), "non-finite samples")
-    if s2 > s1 * (1 + slack) + floor:
+    if s2 > s1 * (1 + _DECAY_SLACK) + floor:
         return DecayRecord(False, ends, tuple(sups), tol, (argmax_t[1], s2), "grows between first and second window")
-    if s3 > s2 * (1 + slack) + floor:
+    if s3 > s2 * (1 + _DECAY_SLACK) + floor:
         return DecayRecord(False, ends, tuple(sups), tol, (argmax_t[2], s3), "grows between second and third window")
     if s3 > tol * (1.0 + s1):
         return DecayRecord(False, ends, tuple(sups), tol, (argmax_t[2], s3), f"final window sup {s3:.3g} above tol*(1+first)")
@@ -394,19 +377,8 @@ def _dp_step(stages, t, y, h, k1):
     return yi, h * (_DP_ERR @ K), K
 
 
-def _integrate_cell(stages, ta, tb, y, rtol, atol, blowup, k1=None, fixed_steps=None):
+def _integrate_cell(stages, ta, tb, y, rtol, atol, blowup, k1=None):
     """Advance y from ta to tb without stepping past tb; returns (y, k_last)."""
-    if fixed_steps:
-        h = (tb - ta) / fixed_steps
-        t = ta
-        for _ in range(fixed_steps):
-            y, _, _ = _dp_step(stages, t, y, h, None)
-            t += h
-            ynorm = float(np.max(np.abs(y)))
-            if not np.isfinite(ynorm) or ynorm > blowup:
-                raise BlowUp(t, ynorm, blowup)
-        return y, None
-
     t = ta
     h = tb - ta
     steps = 0
@@ -441,15 +413,12 @@ def solve_ode(
     y0: Sequence[float] | float,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    fixed_steps: int | None = None,
     blowup: float = 1e12,
 ) -> np.ndarray:
     """Integrate ``y' = rhs(t, y)`` through every grid point.
 
     Integration restarts at each knot, so right-hand sides may jump there
-    (piecewise controls).  ``fixed_steps`` switches off step control and
-    takes exactly that many 5th-order steps per cell; convergence-order
-    tests rely on it.  Returns an array of shape ``(len(grid), n)``.
+    (piecewise controls).  Returns an array of shape ``(len(grid), n)``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
@@ -460,8 +429,7 @@ def solve_ode(
     stages = lambda ts: lambda i, yi: rhs(ts[i], yi)
     k1 = None
     for i in range(grid.size - 1):
-        y, k1 = _integrate_cell(stages, grid[i], grid[i + 1], y, rtol, atol, blowup,
-                                k1, fixed_steps)
+        y, k1 = _integrate_cell(stages, grid[i], grid[i + 1], y, rtol, atol, blowup, k1)
         out[i + 1] = y
     return out
 
@@ -619,89 +587,3 @@ def _linear_cell_maps(coef, ta, tb) -> tuple[np.ndarray, np.ndarray]:
             fine[bad] = maps[1::2] @ maps[0::2]
         maps = fine
     return maps[:, :-1, :-1], maps[:, :-1, -1]
-
-
-@dataclass(frozen=True)
-class NormResult:
-    value: float
-    error: float
-    grid_limited: bool = False
-
-
-def _as_rows(vals: np.ndarray, nt: int) -> np.ndarray:
-    """Normalize a vectorized function's output to shape (nt, n)."""
-    arr = np.asarray(vals, dtype=float)
-    if arr.ndim == 1:
-        return arr[:, None]
-    if arr.shape[0] != nt and arr.shape[-1] == nt:
-        return arr.T
-    return arr
-
-
-def weighted_norm(fn, weight, p: float, grid: np.ndarray) -> NormResult:
-    """The L_p norm of ``fn`` against the weight, by cell-wise quadrature.
-
-    For finite p this is ``(int |fn(t)|^p w(t) dt)^(1/p)`` with the
-    Euclidean norm inside; for p = inf it degrades to the weighted sup
-    over the grid points, which under-approximates the essential sup and
-    is therefore flagged ``grid_limited``.
-    """
-    grid = _check_grid(grid)
-    if p == np.inf:
-        vals = _as_rows(fn(grid), grid.size)
-        w = np.asarray(weight(grid), dtype=float)
-        samples = np.linalg.norm(vals, axis=1) * w
-        return NormResult(float(np.max(samples)), float("nan"), grid_limited=True)
-    if p < 1:
-        raise ValueError(f"norm exponent must be in [1, inf], got {p!r}")
-
-    def integrand(ts):
-        rows = _as_rows(fn(ts), ts.size)
-        return np.linalg.norm(rows, axis=1) ** p * np.asarray(weight(ts), dtype=float)
-
-    res = improper_integral(integrand, grid=grid)
-    value = res.value ** (1.0 / p) if res.value > 0 else 0.0
-    # first-order error propagation through the 1/p power
-    err = res.error / (p * max(value, 1e-300) ** (p - 1)) if value > 0 else res.error
-    return NormResult(float(value), float(err))
-
-
-def w1_norm(fn, dfn, weight, p: float, grid: np.ndarray) -> NormResult:
-    """Norm of a once-differentiable path: ``|x|_{L_p} + |x'|_{L_p}``."""
-    a = weighted_norm(fn, weight, p, grid)
-    b = weighted_norm(dfn, weight, p, grid)
-    err = (a.error + b.error) if np.isfinite(a.error) and np.isfinite(b.error) else float("nan")
-    return NormResult(a.value + b.value, err, a.grid_limited or b.grid_limited)
-
-
-@dataclass(frozen=True)
-class HolderRecord:
-    lhs: float
-    rhs: float
-    p: float
-    q: float
-    holds: bool
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0 else float("inf")
-
-
-def holder_pairing_check(x_fn, y_fn, weight, p: float, grid: np.ndarray) -> HolderRecord:
-    """Check the weighted pairing bound |<x,y>|_{L_1} <= |x|_{L_p} |y|_{L_q}."""
-    if not (1.0 < p < np.inf):
-        raise ValueError("pairing check needs 1 < p < inf")
-    q = p / (p - 1.0)
-    grid = _check_grid(grid)
-
-    def pair(ts):
-        xr = _as_rows(x_fn(ts), ts.size)
-        yr = _as_rows(y_fn(ts), ts.size)
-        return np.abs(np.sum(xr * yr, axis=1)) * np.asarray(weight(ts), dtype=float)
-
-    lhs_res = improper_integral(pair, grid=grid)
-    nx = weighted_norm(x_fn, weight, p, grid)
-    ny = weighted_norm(y_fn, weight, q, grid)
-    rhs = nx.value * ny.value
-    slack = 1e-10 * (1.0 + rhs) + lhs_res.error + rhs * 1e-12
-    return HolderRecord(lhs_res.value, rhs, p, q, lhs_res.value <= rhs + slack)

@@ -46,6 +46,7 @@ from .integrate import (
     InvalidGrid,
     _linear_cell_maps,
     decays_to_zero,
+    improper_verdict,
     solve_ode,  # unused here, but perfbench/spans.py wraps pmp.solve_ode by name
     solve_state,
 )
@@ -722,7 +723,7 @@ def _max_condition_sampler(prob, w, ts, xs, us, ps, lam, h_star, tol):
     return best_u, h_best, "golden"
 
 
-def _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol, sampler="auto"):
+def _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol):
     """Maximize H over the control box, one vectorized pass per knot.
 
     ``us`` is a feasible starting guess and ``h_star`` its H value.  A
@@ -735,7 +736,7 @@ def _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol, sampler="auto"):
     method = "golden"
     w = np.asarray(prob.omega(ts), dtype=float)
     controls = {f"u{i + 1}" for i in range(prob.m)}
-    if sampler == "auto" and prob.m == 1:
+    if prob.m == 1:
         fu = prob.f_u[0]
         fuu = prob.f_uu[0][0]  # one tree per problem, so it compiles once
         phi_u_exprs = [row[0] for row in prob.phi_u]
@@ -785,8 +786,7 @@ def _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol, sampler="auto"):
 
 
 def check_maximum_condition(prob: ControlProblem, cand: CandidateProcess,
-                            adj: AdjointSolution, tol: float = 1e-8,
-                            sampler: str = "auto") -> ConditionRecord:
+                            adj: AdjointSolution, tol: float = 1e-8) -> ConditionRecord:
     """Gap between sup_u H and H at the candidate control, per knot.
 
     For a single control that enters H quadratically with strictly
@@ -802,8 +802,6 @@ def check_maximum_condition(prob: ControlProblem, cand: CandidateProcess,
     the weight is not finite (an integrable pole at 0) carry no pointwise
     information and are skipped.
     """
-    if sampler not in ("auto", "grid"):
-        raise ValueError(f"unknown sampler {sampler!r}")
     grid = adj.grid
     xs, us = cand.state(grid), cand.control(grid)
     ps, lam = adj.p, adj.lambda0
@@ -817,8 +815,7 @@ def check_maximum_condition(prob: ControlProblem, cand: CandidateProcess,
     if ts.size == 0:
         raise InvalidGrid("no knots with finite weight to check")
     h_star = pontryagin_H(prob, ts, xs, us, ps, lam)
-    best_u, h_best, method = _sup_over_u(prob, ts, xs, us, ps, lam, h_star,
-                                         tol, sampler)
+    best_u, h_best, method = _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol)
 
     gaps = h_best - h_star
     rel = gaps / (1.0 + np.abs(h_star))
@@ -1194,8 +1191,6 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess,
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.exp(-2.0 * rate * ts) * np.asarray(prob.nu(ts), dtype=float)
         return np.where(np.isnan(out), np.inf, out)
-
-    from .integrate import improper_verdict  # local: avoids eager import cost
 
     tail = None
     if rate >= 0 and prob.nu.tail_bound is not None:

@@ -26,6 +26,7 @@ from .expressions import (DomainError, Expression, ExpressionSyntaxError, _build
 from .integrate import _GL_NODES, _GL_WEIGHTS, InvalidGrid, _sample_at
 from .weights import (
     WeightSpec,
+    _window_growth,
     check_distribution,
     check_tube_scale,
     check_weight_properties,
@@ -42,7 +43,6 @@ __all__ = [
     "AssumptionReport",
     "ActiveSet",
     "SlaterReport",
-    "GradientDiagnostic",
     "ProblemSyntaxError",
     "DimensionMismatch",
     "UnknownIdentifier",
@@ -52,7 +52,6 @@ __all__ = [
     "audit_assumptions",
     "active_indices",
     "slater_check",
-    "check_objective_gradient",
     "candidate_from_functions",
     "dynamics_residual",
 ]
@@ -531,17 +530,6 @@ class AssumptionReport:
         return all(v in self._OK for v in self.verdicts.values())
 
 
-def _window_growth(grid: np.ndarray, vals: np.ndarray, slack: float = 1.05):
-    """Fit max(vals) and flag growth persisting into the last decade."""
-    t_max = grid[-1]
-    cuts = (t_max / 100.0, t_max / 10.0)
-    w1 = float(np.max(vals[grid <= cuts[0]], initial=0.0))
-    w2 = float(np.max(vals[(grid > cuts[0]) & (grid <= cuts[1])], initial=0.0))
-    w3 = float(np.max(vals[grid > cuts[1]], initial=0.0))
-    growing = w3 > slack * max(w1, w2, 1e-300) and w3 > 1e-12
-    return max(w1, w2, w3), growing
-
-
 def _decade_partials(grid: np.ndarray, integrand: np.ndarray) -> tuple:
     cells = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(grid)
     partial = np.concatenate([[0.0], np.cumsum(cells)])
@@ -983,104 +971,6 @@ def slater_check(prob: ControlProblem, cand: CandidateProcess,
         else:
             verdicts[j] = "fail"
     return SlaterReport(verdicts, witnesses)
-
-
-# --------------------------------------------------------------------------
-# differentiability of the objective at the candidate
-
-
-@dataclass(frozen=True)
-class GradientDiagnostic:
-    """Partial integrals of the objective's directional derivative.
-
-    ``partials`` are the cumulative values at the horizon's percent,
-    tenth, and full mark; ``quotients`` holds (step, difference quotient,
-    relative gap) rows when the derivative integral is finite.
-    """
-
-    verdict: str
-    value: float
-    partials: tuple
-    growth: float
-    quotients: tuple
-    notes: tuple
-
-
-def check_objective_gradient(
-    prob: ControlProblem,
-    cand: CandidateProcess,
-    direction=None,
-    steps=(1e-2, 1e-3, 1e-4),
-) -> GradientDiagnostic:
-    """Evaluate the objective's derivative along a bounded state direction.
-
-    The default direction is the constant vector of ones.  The derivative
-    integral is declared divergent when its partial integrals still grow
-    by more than 1% over the final decade of the horizon; otherwise the
-    value is cross-checked against difference quotients of the truncated
-    objective.
-    """
-    grid = cand.grid
-    nt = grid.size
-    if direction is None:
-        xi = np.ones((nt, prob.n))
-    elif callable(direction):
-        xi = np.asarray(direction(grid), dtype=float)
-        if xi.ndim == 1:
-            xi = xi[:, None]
-    else:
-        xi = np.broadcast_to(np.asarray(direction, dtype=float), (nt, prob.n)).copy()
-    sup = float(np.max(np.abs(xi)))
-    if sup > 1.0 + 1e-9:
-        raise ValueError(f"direction must satisfy sup|xi| <= 1, got {sup:.6g}")
-
-    notes: list[str] = []
-    omega_vals = np.asarray(prob.omega(grid), dtype=float)
-    try:
-        fx = prob.f_grad_x(grid, cand.x, cand.u)
-    except DomainError as err:
-        return GradientDiagnostic(
-            verdict="undefined", value=float("nan"), partials=(np.nan,) * 3,
-            growth=float("nan"), quotients=(),
-            notes=(f"cost gradient undefined at the candidate: {err}",),
-        )
-    core = np.sum(fx * xi, axis=1)
-    integrand = omega_vals * core
-    p1, p2, p3 = _decade_partials(grid, integrand)
-    growth = (abs(p3) - abs(p2)) / max(abs(p3), 1e-300)
-    if growth > 0.01:
-        if _tail_settles(grid, np.abs(core), prob.omega.tail_bound,
-                         0.01 * max(abs(p3), 1e-300)):
-            notes.append("growth at the horizon settled by the declared tail bound")
-        else:
-            return GradientDiagnostic(
-                verdict="divergent", value=float(p3), partials=(p1, p2, p3),
-                growth=float(growth), quotients=(),
-                notes=tuple(notes) + (
-                    "partial integrals still growing by more than 1% per decade",
-                ),
-            )
-
-    # finite: compare against difference quotients of the truncated objective
-    def truncated_objective(states: np.ndarray) -> float:
-        fv = prob.f_value(grid, states, cand.u)
-        cells = 0.5 * (omega_vals[1:] * fv[1:] + omega_vals[:-1] * fv[:-1]) * np.diff(grid)
-        return float(np.sum(cells))
-
-    quotients = []
-    try:
-        j0 = truncated_objective(cand.x)
-        for lam in steps:
-            j_lam = truncated_objective(cand.x + lam * xi)
-            quot = (j_lam - j0) / lam
-            gap = abs(quot - p3) / (1.0 + abs(p3))
-            quotients.append((float(lam), float(quot), float(gap)))
-    except DomainError as err:
-        notes.append(f"difference quotient skipped, perturbed state left the domain: {err}")
-    return GradientDiagnostic(
-        verdict="finite", value=float(p3), partials=(p1, p2, p3),
-        growth=float(growth), quotients=tuple(quotients), notes=tuple(notes),
-    )
 
 
 # --------------------------------------------------------------------------

@@ -9,31 +9,25 @@ reports with witnesses, relying on :mod:`pmpcheck.integrate` for every
 question that involves t -> infinity.
 
 Built-in families carry analytic derivatives, tail bounds, pole exponents
-and log-values.  The log-value matters: products like ``omega^q * nu^(1-q)``
-in the dominance check must be combined in log space, otherwise plain
-floating-point underflow of one factor silently zeroes a genuinely
-divergent product.
+and log-values.  The log-value matters: ratios such as ``omega^2 / nu`` in
+the Michel condition and the weighted envelope of the normality check are
+combined in log space, otherwise plain floating-point underflow of one
+factor silently zeroes (or blows up) a quantity that is perfectly finite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .expressions import Call, Div, Mul, Neg, Num, Pow, Sym, parse_expression
-from .integrate import (
-    LadderRecord,
-    MissingTailBound,
-    decays_to_zero,
-    improper_verdict,
-)
+from .integrate import MissingTailBound, decays_to_zero, improper_verdict
 
 __all__ = [
     "WeightSpec",
     "PropertyReport",
-    "DominanceRecord",
     "NonPositiveWeight",
     "InvalidExponent",
     "exp_decay",
@@ -44,7 +38,6 @@ __all__ = [
     "check_weight_properties",
     "check_distribution",
     "check_tube_scale",
-    "check_dominance",
 ]
 
 
@@ -180,8 +173,7 @@ def _log_form(expr) -> Callable[[np.ndarray], np.ndarray]:
     like exp(-3t) contributes -3t even where its value has underflowed.
     Subtrees with additive or oscillatory structure fall back to taking
     the log of the evaluated value; those lose information once the
-    subtree itself underflows, which the dominance check detects and
-    reports rather than silently trusting.
+    subtree itself underflows, where they read -inf.
     """
     if isinstance(expr, Num):
         c = np.log(abs(expr.value)) if expr.value != 0 else -np.inf
@@ -305,12 +297,31 @@ def _continuity_probe(value, grid):
     return None
 
 
+def _window_growth(grid: np.ndarray, vals: np.ndarray):
+    """Fit max(vals) and flag growth persisting into the last decade.
+
+    The windows end at grid[-1]/100, grid[-1]/10 and grid[-1]; growth
+    means the last window's max exceeds both earlier ones by 5% and 1e-12.
+    """
+    t_max = grid[-1]
+    cuts = (t_max / 100.0, t_max / 10.0)
+    w1 = float(np.max(vals[grid <= cuts[0]], initial=0.0))
+    w2 = float(np.max(vals[(grid > cuts[0]) & (grid <= cuts[1])], initial=0.0))
+    w3 = float(np.max(vals[grid > cuts[1]], initial=0.0))
+    growing = w3 > 1.05 * max(w1, w2, 1e-300) and w3 > 1e-12
+    return max(w1, w2, w3), growing
+
+
+# polynomially decaying weights need a few decades beyond the sampling
+# grid to show that t * w(t) vanishes
+_E5_HORIZON = 1.0e4
+
+
 def check_weight_properties(
     nu: WeightSpec,
     grid: np.ndarray | None = None,
     mode: str = "strong",
     tol: float = 1e-3,
-    t_limit_e5: float = 1.0e4,
 ) -> PropertyReport:
     """Qualify a space weight: positivity/continuity, monotone decrease,
     integrability of the weight and its derivative, derivative bounded by
@@ -402,31 +413,20 @@ def check_weight_properties(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.abs(np.asarray(nu.derivative(grid), dtype=float)) / vals
     ratios = np.where(vals > 1e-290, ratios, np.nan)
-
-    def _window_max(mask):
-        w = ratios[mask]
-        w = w[np.isfinite(w)]
-        return float(np.max(w)) if w.size else 0.0
-
-    cuts = (t_max / 100.0, t_max / 10.0)
-    k1 = _window_max(grid <= cuts[0])
-    k2 = _window_max((grid > cuts[0]) & (grid <= cuts[1]))
-    k3 = _window_max(grid > cuts[1])
-    K_estimate = max(k1, k2, k3)
-    has_inf = np.any(np.isinf(ratios) & ~np.isnan(ratios))
-    if has_inf or (k3 > 1.05 * max(k1, k2) and k3 > 1e-12):
+    # the ratios are nonnegative, so zeroing the unusable ones leaves every
+    # window maximum as it is
+    K_estimate, growing = _window_growth(grid, np.where(np.isfinite(ratios), ratios, 0.0))
+    if np.any(np.isinf(ratios)) or growing:
         kk = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))
         verdicts[names[3]] = "fail"
         witnesses[names[3]] = (float(grid[kk]), float(ratios[kk]))
-        notes.append(f"{names[3]}: |w'|/w grows across decades ({k1:.3g}, {k2:.3g}, {k3:.3g})")
+        notes.append(f"{names[3]}: |w'|/w still grows in the last decade (max {K_estimate:.3g})")
     else:
         verdicts[names[3]] = "pass"
 
-    # strong mode only: t * w(t) vanishes at infinity.  The probe horizon
-    # is far beyond the sampling grid because polynomially decaying
-    # weights need a few extra decades to show their limit.
+    # strong mode only: t * w(t) vanishes at infinity
     if mode == "strong":
-        t_limit = max(t_max, t_limit_e5)
+        t_limit = max(t_max, _E5_HORIZON)
         rec = decays_to_zero(lambda t: t * np.asarray(nu(t), dtype=float), t_max=t_limit, tol=tol)
         if rec.passed:
             verdicts["E5"] = "pass"
@@ -549,87 +549,3 @@ def check_tube_scale(eta: WeightSpec, grid: np.ndarray | None = None) -> Propert
         witnesses["F6"] = (0.0, float("nan"))
         notes.append(f"evaluation failed: {exc}")
     return PropertyReport(eta.label, "weak", verdicts, witnesses, None, None, tuple(notes))
-
-
-@dataclass(frozen=True)
-class DominanceRecord:
-    """Outcome of the legacy dominance requirement between nu, omega and p.
-
-    The tested quantity is the integral of omega^q * nu^(1-q) with q the
-    conjugate exponent.  ``partials`` expose the decade ladder so a
-    divergence is visible in the report, and ``pole_exponent`` is the
-    combined analytic exponent at 0 when both factors declare one.
-    """
-
-    passed: bool
-    verdict: str
-    p: float
-    q: float
-    pole_exponent: float | None
-    decades: np.ndarray
-    partials: np.ndarray
-    value: float
-    notes: tuple[str, ...] = ()
-
-
-def check_dominance(nu: WeightSpec, omega: WeightSpec, p: float) -> DominanceRecord:
-    """Decide whether nu^(1-q) is integrable against omega^q (q conjugate to p)."""
-    if not (1.0 < p < np.inf):
-        raise InvalidExponent(f"dominance needs 1 < p < inf, got {p!r}")
-    q = p / (p - 1.0)
-
-    notes: list[str] = []
-    # points where float evaluation destroyed the combination (a factor
-    # underflowed before the exponents could cancel); they enter the
-    # ladder as zero and block any "converged" verdict afterwards
-    poisoned: list[float] = []
-
-    def _flag(ts, bad, out):
-        if np.any(bad):
-            poisoned.append(float(np.min(np.asarray(ts, dtype=float)[bad])))
-            out = np.where(bad, 0.0, out)
-        return out
-
-    if nu.log_value is not None and omega.log_value is not None:
-        def integrand(t):
-            lw = np.asarray(omega.log_value(t), dtype=float)
-            lv = np.asarray(nu.log_value(t), dtype=float)
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = np.exp(q * lw + (1.0 - q) * lv)
-            return _flag(t, ~np.isfinite(lw) | ~np.isfinite(lv), out)
-    else:
-        notes.append("combined in linear space (no log forms declared)")
-
-        def integrand(t):
-            w = np.asarray(omega(t), dtype=float)
-            v = np.asarray(nu(t), dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                out = np.abs(w) ** q * v ** (1.0 - q)
-            return _flag(t, ~np.isfinite(out) & ((np.abs(w) < 1e-290) | (v < 1e-290)), out)
-
-    if nu.pole_exp is None or omega.pole_exp is None:
-        combined = None
-    else:
-        combined = q * omega.pole_exp + (1.0 - q) * nu.pole_exp
-
-    ladder = improper_verdict(integrand, pole_exp=combined)
-    verdict = ladder.verdict
-    if poisoned and verdict == "converged":
-        # the zeroed region may hide late growth, so convergence cannot
-        # be certified; divergence seen on the clean region still stands
-        verdict = "inconclusive"
-        notes.append(
-            f"integrand unresolvable beyond t≈{min(poisoned):.4g} (weight underflow); "
-            "convergence not certified"
-        )
-    return DominanceRecord(
-        passed=verdict == "converged",
-        verdict=verdict,
-        p=p,
-        q=q,
-        pole_exponent=combined,
-        decades=ladder.decades,
-        partials=ladder.partials,
-        value=ladder.value,
-        notes=tuple(notes) + ladder.notes,
-    )

@@ -654,11 +654,21 @@ class TestMaximumCondition:
         assert rec.residual < 1e-12
         assert any("golden" in note for note in rec.notes)
 
-    def test_sampler_override_skips_the_stationary_shortcut(self, reg_setup):
+    def test_golden_sampler_alone_closes_the_regulator_gap(self, reg_setup):
+        # the stationary shortcut settles this problem in check_maximum_condition;
+        # the prescan-plus-golden path must reach the same maximum on its own
         prob, cand, adj = reg_setup
-        rec = check_maximum_condition(prob, cand, adj, sampler="grid")
-        assert rec.passed
-        assert any("golden" in note for note in rec.notes)
+        ts = adj.grid
+        xs, us, ps = cand.state(ts), cand.control(ts), adj.p
+        w = np.asarray(prob.omega(ts), dtype=float)
+        h_star = pontryagin_H(prob, ts, xs, us, ps, 1.0)
+        tol = 1e-8
+        _, h_best, method = pmp._max_condition_sampler(
+            prob, w, ts, xs, us, ps, 1.0, h_star, tol)
+        assert method == "golden"
+        gaps = h_best - h_star
+        assert np.all(gaps >= 0.0)
+        assert np.all(gaps <= tol * (1.0 + np.abs(h_star)))
 
     def test_weight_pole_knots_are_skipped(self):
         g = default_grid(50.0, cells=1024)

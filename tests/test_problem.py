@@ -18,7 +18,6 @@ from pmpcheck.problem import (
     active_indices,
     audit_assumptions,
     candidate_from_functions,
-    check_objective_gradient,
     dynamics_residual,
     parse_problem,
     slater_check,
@@ -393,6 +392,17 @@ class TestAudit:
         rep = audit_assumptions(prob, regulator_candidate(), gamma=0.5)
         assert rep.verdicts["A0"] == "fail"
 
+    def test_divergent_cost_gradient_fails_the_majorant(self):
+        # f_x = 1 against a flat distribution: int omega |f_x . xi| diverges
+        # for every direction with sup|xi| = 1, and the majorant sees it
+        # because the tube's first offset is the candidate itself
+        src = REGULATOR.replace("omega = exp_decay 1.0", "omega = expr(1) pole 0")
+        prob = parse_problem(src.replace("f = x1^2 + u1^2", "f = x1 + u1^2"))
+        rep = audit_assumptions(prob, regulator_candidate(), gamma=0.5)
+        assert rep.verdicts["A2"] == "fail"
+        assert any("A2: weighted majorant integral divergent" in n for n in rep.notes)
+        assert np.all(rep.L_values >= 1.0)
+
     def test_weak_mode_uses_its_own_verdict_keys(self):
         src = REGULATOR.replace("nu = exp_decay 1.0",
                                 "nu = exp_decay 1.0\neta = exp_decay 0.1")
@@ -671,60 +681,3 @@ class TestActiveSetAndSeparation:
         rep = slater_check(prob, cand, act)
         assert rep.verdicts == {1: "fail"}
         assert not rep.passed
-
-
-class TestObjectiveGradient:
-    def test_regulator_direction_derivative_is_finite_and_checked(self):
-        prob = parse_problem(REGULATOR)
-        diag = check_objective_gradient(prob, regulator_candidate(points=4001))
-        assert diag.verdict == "finite"
-        # d/dlambda of the cost along xi = 1: integral of 4 e^{-sqrt2 t} = 2 sqrt2
-        assert diag.value == pytest.approx(2.0 * np.sqrt(2.0), rel=5e-4)
-        assert diag.quotients
-        # difference quotients tighten as the step shrinks
-        gaps = [gap for _, _, gap in diag.quotients]
-        assert gaps[-1] < 1e-4
-        assert gaps == sorted(gaps, reverse=True)
-
-    def test_flat_distribution_diverges(self):
-        src = REGULATOR.replace("omega = exp_decay 1.0", "omega = expr(1) pole 0")
-        src = src.replace("f = x1^2 + u1^2", "f = x1 + u1^2")
-        prob = parse_problem(src)
-        diag = check_objective_gradient(prob, regulator_candidate())
-        assert diag.verdict == "divergent"
-        assert diag.partials[2] > diag.partials[1] > diag.partials[0]
-        assert not diag.quotients
-
-    def test_log_cost_with_slow_weight_diverges(self):
-        prob = parse_problem(DOMAIN_HOLE)
-        grid = np.linspace(0.0, 50.0, 1001)
-        cand = candidate_from_functions(grid, lambda t: np.exp(-t), lambda t: 0.0 * t)
-        diag = check_objective_gradient(prob, cand)
-        # f_x = 1/x grows like e^t against a polynomial weight
-        assert diag.verdict == "divergent"
-
-    def test_undefined_gradient_at_the_candidate(self):
-        src = REGULATOR.replace("f = x1^2 + u1^2", "f = sqrt(x1) + u1^2")
-        prob = parse_problem(src)
-        grid = np.linspace(0.0, 50.0, 1001)
-        cand = candidate_from_functions(grid, lambda t: 1.0 - t / 10.0,
-                                        lambda t: -0.1 + 0.0 * t)
-        diag = check_objective_gradient(prob, cand)
-        assert diag.verdict == "undefined"
-        assert np.isnan(diag.value)
-
-    def test_direction_bound_is_enforced(self):
-        prob = parse_problem(REGULATOR)
-        with pytest.raises(ValueError, match="sup"):
-            check_objective_gradient(prob, regulator_candidate(), direction=[2.0])
-
-    def test_callable_direction(self):
-        prob = parse_problem(REGULATOR)
-        diag = check_objective_gradient(
-            prob, regulator_candidate(points=4001),
-            direction=lambda t: np.exp(-t),
-        )
-        assert diag.verdict == "finite"
-        # integral of e^{-t} e^{-t} 4 e^{r t} dt with r = 1 - sqrt2
-        expected = 4.0 / (1.0 + np.sqrt(2.0))
-        assert diag.value == pytest.approx(expected, rel=5e-4)

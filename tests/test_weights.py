@@ -7,7 +7,6 @@ from pmpcheck.weights import (
     NonPositiveWeight,
     WeightSpec,
     check_distribution,
-    check_dominance,
     check_tube_scale,
     check_weight_properties,
     default_property_grid,
@@ -196,96 +195,37 @@ class TestDistribution:
             check_distribution(from_expression("(1 + t)^-1.05", pole_exp=0.0))
 
 
-class TestDominance:
-    def test_weibull_power_family_over_p(self):
-        # q(k-1) with k=1/2: p=2 hits the exponent -1 exactly (log-divergent
-        # at zero); every larger p clears it
-        nu, om = power(2.0), weibull(0.5)
-        rec = check_dominance(nu, om, 2.0)
-        assert not rec.passed
-        assert rec.pole_exponent == pytest.approx(-1.0)
-        for p in (2.5, 3.0, 4.0):
-            assert check_dominance(nu, om, p).passed
+class TestLogForm:
+    """``from_expression(...).log_value``, which Michel's weight ratio and
+    the normality envelope read instead of the value."""
 
-    def test_monotone_in_p(self):
-        nu, om = power(2.0), weibull(0.5)
-        seen_pass = False
-        for p in (2.0, 2.5, 3.0, 4.0):
-            ok = check_dominance(nu, om, p).passed
-            if seen_pass:
-                assert ok
-            seen_pass = seen_pass or ok
+    def test_exponential_is_exact_where_its_value_underflows(self):
+        w = from_expression("exp(-3*t)", pole_exp=0.0)
+        t = np.array([1.0e3])
+        assert w(t)[0] == 0.0
+        assert w.log_value(t)[0] == -3000.0
 
-    def test_exponential_pair_threshold(self):
-        om = exp_decay(2.0)
-        assert check_dominance(exp_decay(3.0), om, 2.0).passed
-        assert not check_dominance(exp_decay(4.0), om, 2.0).passed
-        assert not check_dominance(exp_decay(4.5), om, 2.0).passed
+    def test_products_quotients_and_powers_are_sums_of_logs(self):
+        t = np.array([0.5, 2.0, 50.0, 400.0])
+        cases = {
+            "2*exp(-t)": np.log(2.0) - t,
+            "exp(-t)/(1 + t)^2": -t - 2.0 * np.log1p(t),
+            "(exp(-t))^3 * t": -3.0 * t + np.log(t),
+            "sqrt(exp(-4*t)) / 5": -2.0 * t - np.log(5.0),
+        }
+        for text, expected in cases.items():
+            got = from_expression(text, pole_exp=0.0).log_value(t)
+            np.testing.assert_allclose(got, expected, rtol=1e-13, err_msg=text)
+            assert np.all(np.isfinite(got)), text
 
-    def test_divergence_is_visible_in_partials(self):
-        rec = check_dominance(exp_decay(4.5), exp_decay(2.0), 2.0)
-        assert not rec.passed
-        finite = rec.partials[np.isfinite(rec.partials)]
-        assert np.all(np.diff(finite) > 0)
-
-    def test_conjugate_exponent(self):
-        rec = check_dominance(exp_decay(3.0), exp_decay(2.0), 3.0)
-        assert rec.q == pytest.approx(1.5)
-
-    @pytest.mark.parametrize("p", [1.0, 0.5, -2.0, np.inf])
-    def test_invalid_exponent(self, p):
-        with pytest.raises(InvalidExponent):
-            check_dominance(exp_decay(1.0), exp_decay(1.0), p)
-
-    def test_log_space_combination_survives_underflow(self):
-        # e^{-2t} underflows near t=350 while the combined integrand e^{0.5t}
-        # explodes; the verdict must still be divergence
-        rec = check_dominance(exp_decay(4.5), exp_decay(2.0), 2.0)
-        assert rec.verdict == "diverged"
-        assert not any("linear space" in n for n in rec.notes)
-
-    def test_expression_weights_decompose_into_log_forms(self):
-        rec = check_dominance(
-            from_expression("exp(-3*t)", pole_exp=0.0),
-            from_expression("exp(-2*t)", pole_exp=0.0),
-            2.0,
-        )
-        assert rec.passed
-        assert not any("linear space" in n for n in rec.notes)
-        # combined integrand is e^{-t}; its full mass should be visible
-        assert rec.value == pytest.approx(1.0, rel=1e-6)
-
-    def test_bare_specs_fall_back_to_linear_space(self):
-        nu = WeightSpec("plain-quartic", lambda t: (1.0 + np.asarray(t, dtype=float)) ** -4.0)
-        om = WeightSpec("plain-cubic", lambda t: (1.0 + np.asarray(t, dtype=float)) ** -3.0)
-        rec = check_dominance(nu, om, 2.0)
-        # combined integrand (1+t)^-2 converges, but without log forms or a
-        # tail bound the ladder cannot settle it at the default tolerance
-        assert rec.verdict == "inconclusive"
-        assert any("linear space" in n for n in rec.notes)
-
-    def test_underflowed_fallback_is_never_certified(self):
-        nu = WeightSpec("opaque-exp", lambda t: np.exp(-np.asarray(t, dtype=float)))
-        om = WeightSpec("opaque-exp-too", lambda t: np.exp(-np.asarray(t, dtype=float)))
-        rec = check_dominance(nu, om, 2.0)
-        # true combined integrand is e^{-t}, but both factors underflow to
-        # exact zero near t=745 and 0^q * 0^(1-q) is unresolvable there
-        assert not rec.passed
-        assert rec.verdict == "inconclusive"
-        assert any("not certified" in n for n in rec.notes)
-
-    def test_additive_expressions_are_not_overclaimed(self):
-        # sums have no structural log form; once both values underflow the
-        # combination is zeroed and convergence must not be certified
-        rec = check_dominance(
-            from_expression("exp(-3*t) + exp(-4*t)", pole_exp=0.0),
-            from_expression("exp(-2*t) + exp(-3*t)", pole_exp=0.0),
-            2.0,
-        )
-        assert not rec.passed
-        assert rec.verdict == "inconclusive"
-        assert any("not certified" in n for n in rec.notes)
-
+    def test_sums_fall_back_to_the_log_of_the_value(self):
+        w = from_expression("exp(-3*t) + exp(-4*t)", pole_exp=0.0)
+        t = np.array([1.0, 10.0, 1.0e3])
+        got = w.log_value(t)
+        np.testing.assert_allclose(got[:2], np.log(np.exp(-3 * t[:2]) + np.exp(-4 * t[:2])),
+                                   rtol=1e-14)
+        # the sum underflows to 0 and no exact decomposition exists
+        assert got[2] == -np.inf
 
 class TestTubeScale:
     def test_decaying_radius_passes(self):
