@@ -154,6 +154,21 @@ class TestSolveOde:
         np.testing.assert_allclose(y[:, 0], np.cos(grid), atol=1e-8)
         np.testing.assert_allclose(y[:, 1], -np.sin(grid), atol=1e-8)
 
+    def test_fixed_step_order_at_least_four(self):
+        # y' = y cos t, y(0)=1, y = e^{sin t}; tolerances loose enough that
+        # every cell is one accepted DP45 step, so halving cells must cut the
+        # endpoint error by at least 2^4 (the scheme is 5th order)
+        exact = np.exp(np.sin(2.0))
+        errs = []
+        for cells in (16, 32):
+            calls = []
+            rhs = lambda t, y: calls.append(t) or y * np.cos(t)
+            grid = np.linspace(0.0, 2.0, cells + 1)
+            y = solve_ode(rhs, grid, 1.0, rtol=1.0, atol=1.0)
+            assert len(calls) <= 7 * cells  # one 7-stage step per cell
+            errs.append(abs(y[-1, 0] - exact))
+        assert errs[0] / errs[1] >= 2.0**4
+
     def test_blowup_reports_escape_time(self):
         grid = np.linspace(0.0, 2.0, 33)
         with pytest.raises(BlowUp) as err:
