@@ -126,11 +126,10 @@ def _cellwise_gl7(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.
 @dataclass(frozen=True)
 class IntegralResult:
     """A truncated integral: ``partials[k]`` is the integral from 0 to
-    ``grid[k]`` and ``value`` is the last partial."""
+    the ``k``-th grid knot and ``value`` is the last partial."""
 
     value: float
     partials: np.ndarray
-    grid: np.ndarray
 
 
 def improper_integral(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> IntegralResult:
@@ -146,7 +145,7 @@ def improper_integral(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -
         right = _cellwise_gl7(f, mid, hi)
         fine = left + right
     partials = np.concatenate(([0.0], np.cumsum(fine)))
-    return IntegralResult(float(partials[-1]), partials, grid)
+    return IntegralResult(float(partials[-1]), partials)
 
 
 @dataclass(frozen=True)
@@ -164,9 +163,6 @@ class LadderRecord:
     value: float
     decades: np.ndarray
     partials: np.ndarray
-    increments: np.ndarray
-    head_blocks: np.ndarray
-    head_exponent: float | None
     tail_estimate: float | None
     notes: tuple[str, ...] = ()
 
@@ -265,9 +261,6 @@ def improper_verdict(
         float(decade_partials[-1]),
         np.asarray(decades),
         decade_partials,
-        increments,
-        head_blocks,
-        pole_exp,
         tail_estimate,
         tuple(notes),
     )
@@ -284,7 +277,6 @@ class DecayRecord:
     """
 
     passed: bool
-    window_ends: tuple[float, float, float]
     sups: tuple[float, float, float]
     tol: float
     witness: tuple[float, float] | None
@@ -317,14 +309,14 @@ def decays_to_zero(
     floor = 1e-300
     if not all(np.isfinite(sups)):
         bad = next(i for i, s in enumerate(sups) if not np.isfinite(s))
-        return DecayRecord(False, ends, tuple(sups), tol, (argmax_t[bad], sups[bad]), "non-finite samples")
+        return DecayRecord(False, tuple(sups), tol, (argmax_t[bad], sups[bad]), "non-finite samples")
     if s2 > s1 * (1 + _DECAY_SLACK) + floor:
-        return DecayRecord(False, ends, tuple(sups), tol, (argmax_t[1], s2), "grows between first and second window")
+        return DecayRecord(False, tuple(sups), tol, (argmax_t[1], s2), "grows between first and second window")
     if s3 > s2 * (1 + _DECAY_SLACK) + floor:
-        return DecayRecord(False, ends, tuple(sups), tol, (argmax_t[2], s3), "grows between second and third window")
+        return DecayRecord(False, tuple(sups), tol, (argmax_t[2], s3), "grows between second and third window")
     if s3 > tol * (1.0 + s1):
-        return DecayRecord(False, ends, tuple(sups), tol, (argmax_t[2], s3), f"final window sup {s3:.3g} above tol*(1+first)")
-    return DecayRecord(True, ends, tuple(sups), tol, None, "decays across windows")
+        return DecayRecord(False, tuple(sups), tol, (argmax_t[2], s3), f"final window sup {s3:.3g} above tol*(1+first)")
+    return DecayRecord(True, tuple(sups), tol, None, "decays across windows")
 
 
 # --- Dormand-Prince 5(4) -----------------------------------------------------
@@ -457,7 +449,7 @@ def _state_stages(prob, control, ta, tb):
     return stages
 
 
-def solve_state(prob, u, x0=None, grid=None, t_max: float = 50.0, cells: int = 1024,
+def solve_state(prob, u, x0=None, grid=None, t_max: float = 50.0,
                 rtol: float = 1e-10, atol: float = 1e-12, blowup: float = 1e12):
     """Integrate the state equation under a given control.
 
@@ -471,13 +463,15 @@ def solve_state(prob, u, x0=None, grid=None, t_max: float = 50.0, cells: int = 1
     crosses a knot, and at a cell's left knot the control is read as its
     right limit, so a control that jumps at the knots, such as
     ``CandidateProcess.control`` of a sampled candidate, is seen with the
-    cell's own value.  Returns a :class:`~pmpcheck.problem.CandidateProcess`;
-    a callable ``u`` becomes its ``closed_u``.
+    cell's own value.  Without ``grid`` the knots are a uniform 1024-cell
+    grid on [0, t_max].  Returns a
+    :class:`~pmpcheck.problem.CandidateProcess`; a callable ``u`` becomes
+    its ``closed_u``.
     """
     from .problem import CandidateProcess  # deferred: avoids an import cycle
 
     if grid is None:
-        grid = default_grid(t_max, cells=cells, refine_zero=False)
+        grid = default_grid(t_max, cells=1024, refine_zero=False)
     grid = np.asarray(grid, dtype=float)
     if x0 is None:
         x0 = prob.x0

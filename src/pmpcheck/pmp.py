@@ -51,6 +51,7 @@ from .integrate import (
     solve_state,
 )
 from .problem import (
+    _ACTIVE_TOL,
     ActiveSet,
     CandidateProcess,
     ControlProblem,
@@ -491,15 +492,15 @@ def check_adjoint_residual(prob: ControlProblem, cand: CandidateProcess,
 
 
 def check_integral_adjoint(prob: ControlProblem, cand: CandidateProcess,
-                           adj: AdjointSolution, tol: float = 1e-6,
-                           activity_tol: float = 1e-8) -> ConditionRecord:
+                           adj: AdjointSolution, tol: float = 1e-6) -> ConditionRecord:
     """Residual of the integral form of the adjoint relation.
 
     At every knot the sample must equal the terminal sample plus the
     remaining integral of H_x minus the jump contributions of all measure
     atoms at or after that knot, each worth ``nu(t_a) g_jx(t_a) * mass``.
     Without constraints the check degenerates to the integrated adjoint
-    equation.  Atoms must sit on the active set of their constraint.
+    equation.  Atoms must sit on the active set of their constraint, the
+    same activity tolerance :func:`~pmpcheck.problem.active_indices` uses.
     """
     grid, p, lam = adj.grid, adj.p, adj.lambda0
     atom_sum = np.zeros_like(p)
@@ -515,7 +516,7 @@ def check_integral_adjoint(prob: ControlProblem, cand: CandidateProcess,
                     f"{prob.l} state constraints")
             for t_a, mass in atoms:
                 gval = float(prob.g_value(t_a, cand.state(t_a))[j - 1])
-                if abs(gval) > activity_tol:
+                if abs(gval) > _ACTIVE_TOL:
                     raise AtomOffActiveSet(j, t_a, gval)
                 if t_a >= T - 1e-12 * (1.0 + T):
                     continue  # folded into the terminal sample already
@@ -1117,17 +1118,21 @@ def check_michel(prob: ControlProblem, cand: CandidateProcess,
 # stability of the state flow: the normality probe
 
 
+_NORMALITY_WINDOW = 20.0  # the probe covers [0, min(T, this)]
+_NORMALITY_RTOL = 1e-9  # tolerances of the perturbed state solves
+_NORMALITY_ATOL = 1e-11
+
+
 def check_normality(prob: ControlProblem, cand: CandidateProcess,
-                    delta: float = 1e-3, t_window: float | None = None,
-                    blowup: float = 1e100, rtol: float = 1e-9,
-                    atol: float = 1e-11) -> ConditionRecord:
+                    delta: float = 1e-3, blowup: float = 1e100) -> ConditionRecord:
     """Probe the perturbed-start stability that forces a normal multiplier.
 
     The state equation is re-solved under the candidate control from
-    ``2n+1`` starts on a delta-ball around x0.  The worst deviation per
-    unit of initial offset is fitted against an exponential envelope
-    ``C * exp(-c t)`` (c of either sign), and the verdict asks whether
-    that envelope is square-integrable against the density.  Blow-up of
+    ``2n+1`` starts on a delta-ball around x0, over the grid's first 20
+    time units at most.  The worst deviation per unit of initial offset
+    is fitted against an exponential envelope ``C * exp(-c t)`` (c of
+    either sign), and the verdict asks whether that envelope is
+    square-integrable against the density.  Blow-up of
     any perturbed solution is an immediate fail: the flow is not stable
     enough to force normality.
     """
@@ -1139,8 +1144,7 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess,
             premise="delta > 0 perturbation probe", premise_ok=True,
             notes=("delta = 0: no perturbation probed, vacuous pass",))
     grid = cand.grid
-    T_s = min(float(grid[-1]), t_window) if t_window else min(float(grid[-1]), 20.0)
-    sub = grid[grid <= T_s * (1 + 1e-12)]
+    sub = grid[grid <= min(float(grid[-1]), _NORMALITY_WINDOW) * (1 + 1e-12)]
     if sub.size < 8:
         raise InvalidGrid("probe window leaves too few grid points")
     x_base = cand.state(sub)
@@ -1151,8 +1155,8 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess,
     ratios = np.zeros(sub.size)
     for zeta in starts:
         try:
-            pert = solve_state(prob, u=cand.control, x0=zeta,
-                               grid=sub, rtol=rtol, atol=atol, blowup=blowup)
+            pert = solve_state(prob, u=cand.control, x0=zeta, grid=sub,
+                               rtol=_NORMALITY_RTOL, atol=_NORMALITY_ATOL, blowup=blowup)
         except BlowUp as e:
             return ConditionRecord(
                 name="normality_representation", verdict="fail",

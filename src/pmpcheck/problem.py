@@ -6,7 +6,10 @@ symbolically at construction.  A :class:`CandidateProcess` is a sampled
 trajectory/control pair (with optional closed forms for oracle work).  The
 audits never solve anything: they sample a tube around the candidate and
 report, with witnesses, whether the regularity and growth conditions that
-the certificate machinery relies on are credible there.
+the certificate machinery relies on are credible there.  One helper lays
+the tube for the audit and the Arrow scan alike; the audit draws 32
+points per grid time from one low-discrepancy sequence and evaluates
+them, and 64 continuity probes of 8 points each, in batched calls.
 
 Two audit modes exist.  The uniform mode uses a constant tube radius and
 carries the constraint conditions; the scaled mode shrinks the tube with a
@@ -152,11 +155,12 @@ class ControlBox:
     def bounded(self) -> bool:
         return bool(np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)))
 
-    def contains(self, u, tol: float = 0.0) -> bool:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+    def contains(self, u, tol: float = 0.0):
+        """Whether each row of ``u`` lies in the box; closed faces get ``tol`` slack."""
+        u = np.asarray(u, dtype=float)
         above = np.where(self.open_lo, u > self.lo, u >= self.lo - tol)
         below = np.where(self.open_hi, u < self.hi, u <= self.hi + tol)
-        return bool(np.all(above & below))
+        return np.all(above & below, axis=-1)
 
     def project(self, u) -> np.ndarray:
         """Clip into the box, staying strictly inside open endpoints."""
@@ -472,27 +476,64 @@ def dynamics_residual(prob: ControlProblem, cand: CandidateProcess) -> np.ndarra
 # tube sampling
 
 
-def _quasi_uniform(dim: int, count: int, offset: int) -> np.ndarray:
-    """Deterministic low-discrepancy points in [0,1]^dim.
+_TUBE_SAMPLES = 32  # audit points per grid time; the first is the candidate itself
 
-    Additive recurrence driven by the generalized golden ratio; ``offset``
-    shifts the sequence so different grid times see different points while
-    staying reproducible.
+
+def _ball(dim: int, idx: np.ndarray) -> np.ndarray:
+    """Low-discrepancy points in the closed unit ball, one per sequence index.
+
+    An additive recurrence driven by the generalized golden ratio fills
+    the cube, which is pulled into the ball; a point depends on its index
+    alone, however the indices are batched.
     """
     x = 2.0
     for _ in range(64):
         x = (1.0 + x) ** (1.0 / (dim + 1))
     alpha = (1.0 / x) ** np.arange(1, dim + 1)
-    idx = np.arange(offset, offset + count, dtype=float)
-    return np.mod(0.5 + idx[:, None] * alpha[None, :], 1.0)
+    pts = 2.0 * np.mod(0.5 + np.asarray(idx, dtype=float)[:, None] * alpha, 1.0) - 1.0
+    return pts / np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True))
 
 
-def _ball_offsets(dim: int, count: int, offset: int) -> np.ndarray:
-    """Low-discrepancy offsets inside the unit ball (first row is zero)."""
-    pts = 2.0 * _quasi_uniform(dim, count - 1, offset) - 1.0
-    norms = np.linalg.norm(pts, axis=1, keepdims=True)
-    pts = pts / np.maximum(1.0, norms)
-    return np.concatenate([np.zeros((1, dim)), pts], axis=0)
+def _tube(prob: ControlProblem, cand: CandidateProcess, gamma: float, mode: str):
+    """Validate the tube arguments; return ``(weak, radii, resolvable, samples)``.
+
+    The radius is ``gamma`` (strong mode) or ``gamma * eta(t)`` (weak
+    mode); a grid time is resolvable while it stays above
+    ``64 eps max(1, |x(t)|)``.  ``samples(knots)`` gives the rows
+    ``(t, x, u)`` of the first ``knots`` grid times, ``_TUBE_SAMPLES``
+    per time: the candidate, then the ball points of sequence indices
+    ``k * _TUBE_SAMPLES + j`` (``j < _TUBE_SAMPLES - 1``) at grid index
+    ``k``, scaled by the radius.  The ball is in x alone in strong mode
+    and in (x, u) in weak mode, with the control projected into the box.
+    """
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    if mode not in ("strong", "weak"):
+        raise ValueError(f"mode must be strong or weak, got {mode!r}")
+    weak = mode == "weak"
+    if weak and prob.eta is None:
+        raise ValueError("weak mode needs the problem to declare a tube radius eta")
+    n, m = prob.n, prob.m
+    if weak:
+        radii = gamma * np.asarray(prob.eta(cand.grid), dtype=float)
+    else:
+        radii = np.full(cand.grid.size, float(gamma))
+    floor = 64.0 * np.finfo(float).eps * np.maximum(1.0, np.linalg.norm(cand.x, axis=1))
+    resolvable = ~(radii < floor)  # a NaN radius is eta's F6 failure, not a collapse
+
+    def samples(knots: int):
+        dim = n + m if weak else n
+        ball = _ball(dim, np.arange(knots * _TUBE_SAMPLES)).reshape(knots, _TUBE_SAMPLES, dim)
+        offsets = np.concatenate([np.zeros((knots, 1, dim)), ball[:, :-1]], axis=1)
+        scaled = radii[:knots, None, None] * offsets
+        x = (cand.x[:knots, None, :] + scaled[..., :n]).reshape(-1, n)
+        if weak:
+            u = prob.U.project((cand.u[:knots, None, :] + scaled[..., n:]).reshape(-1, m))
+        else:
+            u = np.repeat(cand.u[:knots], _TUBE_SAMPLES, axis=0)
+        return np.repeat(cand.grid[:knots], _TUBE_SAMPLES), x, u
+
+    return weak, radii, resolvable, samples
 
 
 # --------------------------------------------------------------------------
@@ -554,11 +595,16 @@ def _tail_settles(grid, core_vals, tail_bound, budget: float) -> bool:
     return w_sup * float(tail_bound(grid[-1])) <= budget
 
 
-def _majorant_verdict(grid, omega, L_vals, growth_tol: float = 0.01):
+_GROWTH_TOL = 0.01  # relative growth of the majorant integral over its last decade
+_ADMISSIBLE_TOL = 1e-8  # slack of x(0) = x0 and of closed control faces in A0/B0
+_ACTIVE_TOL = 1e-8  # |g_j| within this of zero counts as active
+
+
+def _majorant_verdict(grid, omega, L_vals):
     """Weighted-integral verdict for the sampled majorant.
 
     Divergence means the partial integral is still growing by more than
-    ``growth_tol`` relatively over the last decade, or the majorant hit
+    ``_GROWTH_TOL`` relatively over the last decade, or the majorant hit
     a point where the data left its domain (inf samples).  Growth at the
     horizon is forgiven when the distribution declares a tail bound and
     the majorant itself has stopped rising: the remaining mass is then
@@ -569,9 +615,9 @@ def _majorant_verdict(grid, omega, L_vals, growth_tol: float = 0.01):
         return "divergent", (np.inf, np.inf, np.inf), k
     omega_vals = np.abs(np.asarray(omega(grid), dtype=float))
     p1, p2, p3 = _decade_partials(grid, omega_vals * L_vals)
-    growing = (abs(p3) - abs(p2)) > growth_tol * max(abs(p3), 1e-300)
+    growing = (abs(p3) - abs(p2)) > _GROWTH_TOL * max(abs(p3), 1e-300)
     if growing and _tail_settles(grid, L_vals, omega.tail_bound,
-                                 growth_tol * max(abs(p3), 1e-300)):
+                                 _GROWTH_TOL * max(abs(p3), 1e-300)):
         growing = False
     if growing:
         return "divergent", (p1, p2, p3), int(np.argmax(L_vals))
@@ -605,16 +651,17 @@ def audit_assumptions(
     cand: CandidateProcess,
     gamma: float,
     mode: str = "strong",
-    samples: int = 32,
-    tol: float = 1e-8,
 ) -> AssumptionReport:
     """Probe the standing assumptions on a tube around the candidate.
 
     ``gamma`` scales the tube: a constant radius in strong mode, a radius
-    ``gamma * eta(t)`` (state and control alike) in weak mode.  Per grid
-    time, ``samples`` quasi-random tube points feed the empirical
-    majorant, the growth-constant fits, and the continuity probe.  The
-    audit is deterministic.
+    ``gamma * eta(t)`` (state and control alike) in weak mode.  Each grid
+    time owns 32 tube samples, the candidate and 31 quasi-random ball
+    points, which feed the empirical majorant, the growth-constant fits
+    and the constraint constants.  The continuity probe steps from the
+    candidate toward one quasi-random direction by 1/2, ..., 1/128 of
+    the radius, at up to 64 grid times spread evenly over the grid.
+    Every stage is one batched evaluation; the audit is deterministic.
 
     Raises
     ------
@@ -632,20 +679,9 @@ def audit_assumptions(
     strictly between sample points can escape notice.  Model domain
     edges with forms that raise rather than overflow.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
-    if mode not in ("strong", "weak"):
-        raise ValueError(f"mode must be strong or weak, got {mode!r}")
-    weak = mode == "weak"
-    if weak and prob.eta is None:
-        raise ValueError("weak mode needs the problem to declare a tube radius eta")
-    if samples < 2:
-        raise ValueError("need at least 2 tube samples per time")
-
-    grid = cand.grid
+    weak, radii, resolvable, tube_samples = _tube(prob, cand, gamma, mode)
+    grid, x_star, u_star = cand.grid, cand.x, cand.u
     nt = grid.size
-    x_star = cand.x
-    u_star = cand.u
     verdicts: dict[str, str] = {}
     witnesses: dict[str, tuple] = {}
     notes: list[str] = []
@@ -655,20 +691,13 @@ def audit_assumptions(
         "growth": "B2" if weak else "A2",
     }
 
-    # tube radii, and the collapse guard
-    if weak:
-        radii = gamma * np.asarray(prob.eta(grid), dtype=float)
-    else:
-        radii = np.full(nt, float(gamma))
-    floor = 64.0 * np.finfo(float).eps * np.maximum(1.0, np.linalg.norm(x_star, axis=1))
-    collapsed = radii < np.maximum(floor, 1e-300)
-    if np.any(collapsed):
+    if not np.all(resolvable):
         # a shrinking tube eventually drops below float resolution around
         # the candidate; beyond that point sampling is meaningless, so the
         # audit covers the resolvable prefix and says so.  A prefix shorter
         # than a quarter of the horizon cannot support the window fits,
         # and such a tube is treated as empty outright.
-        k = int(np.argmax(collapsed))
+        k = int(np.argmin(resolvable))
         if k < 16 or grid[k] < 0.25 * grid[-1]:
             raise EmptyTube(grid[k], radii[k])
         notes.append(
@@ -676,6 +705,7 @@ def audit_assumptions(
             f"assumptions audited on [{grid[0]:g}, {grid[k - 1]:.6g}]")
         grid, x_star, u_star = grid[:k], x_star[:k], u_star[:k]
         radii, nt = radii[:k], k
+    T, X, Uarr = tube_samples(nt)
 
     # ---- base verdict: weights qualify, candidate is basically admissible
     nu_report = check_weight_properties(prob.nu, mode=mode)
@@ -694,13 +724,13 @@ def audit_assumptions(
         reports["eta"] = eta_report
 
     x0_gap = float(np.linalg.norm(x_star[0] - prob.x0))
-    feasible_u = all(prob.U.contains(u_star[k], tol=tol) for k in range(nt))
-    if x0_gap > tol:
+    inside = prob.U.contains(u_star, tol=_ADMISSIBLE_TOL)
+    if x0_gap > _ADMISSIBLE_TOL:
         base_ok = False
         witnesses[names["base"]] = (float(grid[0]), tuple(x_star[0]), None)
         notes.append(f"{names['base']}: initial state misses x0 by {x0_gap:.3g}")
-    if not feasible_u:
-        bad = next(k for k in range(nt) if not prob.U.contains(u_star[k], tol=tol))
+    if not np.all(inside):
+        bad = int(np.argmin(inside))
         base_ok = False
         witnesses[names["base"]] = (float(grid[bad]), tuple(x_star[bad]), tuple(u_star[bad]))
         notes.append(f"{names['base']}: control leaves the admissible box at t={grid[bad]:.4g}")
@@ -714,21 +744,6 @@ def audit_assumptions(
                         witnesses[names["base"]] = (float(t_w), None, None)
     verdicts[names["base"]] = "pass" if (base_ok and pair_ok) else "fail"
 
-    # ---- tube sample points (first offset per time is the candidate itself)
-    dim = prob.n + prob.m if weak else prob.n
-    T = np.repeat(grid, samples)
-    X = np.empty((nt * samples, prob.n))
-    Uarr = np.empty((nt * samples, prob.m))
-    for k in range(nt):
-        offs = _ball_offsets(dim, samples, offset=k * samples)
-        rows = slice(k * samples, (k + 1) * samples)
-        X[rows] = x_star[k] + radii[k] * offs[:, : prob.n]
-        if weak:
-            u_pts = u_star[k] + radii[k] * offs[:, prob.n:]
-            Uarr[rows] = np.stack([prob.U.project(up) for up in u_pts])
-        else:
-            Uarr[rows] = u_star[k]
-
     # ---- majorant over the tube and its weighted integral
     def cost_norms(sl: slice) -> np.ndarray:
         fv = prob.f_value(T[sl], X[sl], Uarr[sl])
@@ -739,7 +754,7 @@ def audit_assumptions(
             total = total + np.sum(gu**2, axis=-1)
         return np.sqrt(total)
 
-    L_matrix, cost_witness = _eval_rows(cost_norms, nt, samples)
+    L_matrix, cost_witness = _eval_rows(cost_norms, nt, _TUBE_SAMPLES)
     L_values = np.max(L_matrix, axis=1)
     L_verdict, L_partials, bad_idx = _majorant_verdict(grid, prob.omega, L_values)
 
@@ -756,7 +771,7 @@ def audit_assumptions(
         ratio = np.linalg.norm(pv, axis=-1) / scale
         return np.maximum(ratio, np.sqrt(jac_sq))
 
-    C_matrix, growth_witness = _eval_rows(growth_norms, nt, samples)
+    C_matrix, growth_witness = _eval_rows(growth_norms, nt, _TUBE_SAMPLES)
     C_values = np.max(C_matrix, axis=1)
     if np.all(np.isfinite(C_values)):
         C0, c_growing = _window_growth(grid, C_values)
@@ -797,39 +812,43 @@ def audit_assumptions(
     # because a smooth integrand can put one sample near a cancellation root
     # (|s^2 - 2sx| vanishes at s = 2x): one ratio can then spike, but a
     # single quadratic root cannot hold two consecutive ratios above 0.9.
-    probe_idx = np.unique(np.linspace(0, nt - 1, min(64, nt)).astype(int))
-    jump_witness = None
-    for k in probe_idx:
-        direction = _ball_offsets(dim, 2, offset=7919 + k)[1]
-        direction = direction / max(np.linalg.norm(direction), 1e-12)
-        deltas = []
-        try:
-            base_x = x_star[k]
-            base_u = u_star[k]
-            f0 = prob.f_value(grid[k], base_x, base_u)
-            p0 = prob.phi_value(grid[k], base_x, base_u)
-            for frac in (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125):
-                step = frac * radii[k]
-                xx = base_x + step * direction[: prob.n]
-                uu = base_u + step * direction[prob.n:] if weak else base_u
-                if weak:
-                    uu = prob.U.project(uu)
-                df = abs(prob.f_value(grid[k], xx, uu) - f0)
-                dp = float(np.max(np.abs(prob.phi_value(grid[k], xx, uu) - p0)))
-                deltas.append(max(float(df), dp))
-        except DomainError:
-            continue  # domain holes are the majorant's business
-        scale = 1e-6 * (1.0 + abs(float(f0)))
-        if (deltas[-1] > scale
-                and deltas[-1] > 0.9 * deltas[-2]
-                and deltas[-2] > 0.9 * deltas[-3]):
-            jump_witness = (float(grid[k]), tuple(x_star[k]), tuple(u_star[k]))
-            break
-    if jump_witness is None:
-        verdicts[names["cont"]] = "no counterexample"
+    probe = np.unique(np.linspace(0, nt - 1, min(64, nt)).astype(int))
+    dirs = _ball(prob.n + prob.m if weak else prob.n, 7919 + probe)
+    # matmul takes each row's norm through the same dot product as
+    # np.linalg.norm of one vector; a sum of squares can differ in the last bit
+    dirs = dirs / np.maximum(np.sqrt(dirs[:, None, :] @ dirs[:, :, None])[:, 0], 1e-12)
+    # per probed time: the candidate, then 7 steps halving from half the radius
+    moves = (0.5 ** np.arange(1, 8) * radii[probe, None])[..., None] * dirs[:, None, :]
+    base_x, base_u = x_star[probe, None], u_star[probe, None]
+    Xp = np.concatenate([base_x, base_x + moves[..., :prob.n]], axis=1)
+    if weak:
+        Up = np.concatenate([base_u, prob.U.project(base_u + moves[..., prob.n:])], axis=1)
     else:
+        Up = np.broadcast_to(base_u, (probe.size, 8, prob.m))
+    Tp = np.repeat(grid[probe], 8)
+    Xp, Up = Xp.reshape(-1, prob.n), Up.reshape(-1, prob.m)
+
+    def deviations(sl: slice) -> np.ndarray:
+        # per probed time: f at the candidate, then max(|df|, max|dphi|) per
+        # step, passing over a NaN dphi; a time whose data left the domain
+        # reads inf throughout and so never counts as a jump (domain holes
+        # are the majorant's business)
+        fv = prob.f_value(Tp[sl], Xp[sl], Up[sl]).reshape(-1, 8)
+        pv = prob.phi_value(Tp[sl], Xp[sl], Up[sl]).reshape(-1, 8, prob.n)
+        df = np.abs(fv[:, 1:] - fv[:, :1])
+        dp = np.max(np.abs(pv[:, 1:] - pv[:, :1]), axis=-1)
+        return np.concatenate([fv[:, :1], np.where(dp > df, dp, df)], axis=1).ravel()
+
+    dev, _ = _eval_rows(deviations, probe.size, 8)
+    f0, d = dev[:, 0], dev[:, 1:]
+    jumps = ((d[:, -1] > 1e-6 * (1.0 + np.abs(f0)))
+             & (d[:, -1] > 0.9 * d[:, -2]) & (d[:, -2] > 0.9 * d[:, -3]))
+    if np.any(jumps):
+        k = probe[np.argmax(jumps)]
         verdicts[names["cont"]] = "fail"
-        witnesses[names["cont"]] = jump_witness
+        witnesses[names["cont"]] = (float(grid[k]), tuple(x_star[k]), tuple(u_star[k]))
+    else:
+        verdicts[names["cont"]] = "no counterexample"
     notes.append(f"{names['cont']}: measurability in t assumed (not checkable numerically)")
 
     # ---- constraint data (uniform mode only; the weak track carries none)
@@ -855,13 +874,13 @@ def audit_assumptions(
                     np.max(np.abs(gv) / scale[:, None], axis=-1),
                     np.max(np.linalg.norm(gj, axis=-1), axis=-1),
                 )
-                per_time = np.max(bound.reshape(nt, samples), axis=1)
+                per_time = np.max(bound.reshape(nt, _TUBE_SAMPLES), axis=1)
                 cg, g_growing = _window_growth(grid, per_time)
                 # difference quotients of the constraint gradients, damped
                 # by the space weight
                 nu_vals = np.asarray(prob.nu(grid), dtype=float)
-                gj3 = gj.reshape(nt, samples, prob.l, prob.n)
-                X3 = X.reshape(nt, samples, prob.n)
+                gj3 = gj.reshape(nt, _TUBE_SAMPLES, prob.l, prob.n)
+                X3 = X.reshape(nt, _TUBE_SAMPLES, prob.n)
                 dx = np.linalg.norm(X3[:, 1:] - X3[:, :-1], axis=-1)
                 dgj = np.linalg.norm(gj3[:, 1:] - gj3[:, :-1], axis=(-2, -1))
                 usable = dx > 1e-12 * radii[:, None]
@@ -911,16 +930,15 @@ class ActiveSet:
     tol: float
 
 
-def active_indices(prob: ControlProblem, cand: CandidateProcess,
-                   tol: float = 1e-8) -> ActiveSet:
+def active_indices(prob: ControlProblem, cand: CandidateProcess) -> ActiveSet:
     """Classify each constraint as active, slack, or violated on the grid.
 
     A constraint is active when its maximum over the grid sits within
-    ``tol`` of zero; beyond ``+tol`` the candidate is infeasible and that
-    is an error, not a verdict.
+    ``_ACTIVE_TOL`` of zero; beyond ``+_ACTIVE_TOL`` the candidate is
+    infeasible and that is an error, not a verdict.
     """
     if prob.l == 0:
-        return ActiveSet((), {}, {}, tol)
+        return ActiveSet((), {}, {}, _ACTIVE_TOL)
     gv = prob.g_value(cand.grid, cand.x)  # (N, l)
     active = []
     times: dict[int, np.ndarray] = {}
@@ -929,13 +947,13 @@ def active_indices(prob: ControlProblem, cand: CandidateProcess,
         col = gv[:, j]
         top = float(np.max(col))
         peak[j + 1] = top
-        if top > tol:
+        if top > _ACTIVE_TOL:
             k = int(np.argmax(col))
             raise InfeasibleState(j + 1, cand.grid[k], top)
-        if top >= -tol:
+        if top >= -_ACTIVE_TOL:
             active.append(j + 1)
-            times[j + 1] = cand.grid[np.abs(col) <= tol]
-    return ActiveSet(tuple(active), times, peak, tol)
+            times[j + 1] = cand.grid[np.abs(col) <= _ACTIVE_TOL]
+    return ActiveSet(tuple(active), times, peak, _ACTIVE_TOL)
 
 
 @dataclass(frozen=True)
@@ -951,7 +969,7 @@ class SlaterReport:
 
 
 def slater_check(prob: ControlProblem, cand: CandidateProcess,
-                 active: ActiveSet, tol: float = 1e-8) -> SlaterReport:
+                 active: ActiveSet) -> SlaterReport:
     """For each active constraint, find a time where it is strictly slack.
 
     An empty active set passes vacuously.  Failure means the constraint
@@ -965,7 +983,7 @@ def slater_check(prob: ControlProblem, cand: CandidateProcess,
     for j in active.I:
         col = gv[:, j - 1]
         k = int(np.argmin(col))
-        if col[k] < -tol:
+        if col[k] < -_ACTIVE_TOL:
             verdicts[j] = "pass"
             witnesses[j] = (float(cand.grid[k]), float(col[k]))
         else:

@@ -19,9 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pmp import AdjointSolution, _sup_over_u, pontryagin_H
-from .problem import CandidateProcess, ControlProblem, _ball_offsets
+from .problem import CandidateProcess, ControlProblem, _ball, _tube
 
 __all__ = ["ConcavityReport", "check_arrow", "hamiltonian_sup"]
+
+_SUP_TOL = 1e-10  # relative rise above the start's H an escaping search must show
+_PAIRS = 64  # midpoint pairs per scanned time
+_CONCAVITY_TOL = 1e-9  # accepted midpoint defect relative to 1 + |h|
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,7 @@ def _as_points(t, x, p, n: int):
 
 
 def hamiltonian_sup(prob: ControlProblem, t, x, p, lambda0: float = 1.0,
-                    tol: float = 1e-10, u_start=None):
+                    u_start=None):
     """sup over the control box of H(t, x, u, p, lambda0), vectorized.
 
     ``t`` may be a scalar or a 1-d array; ``x`` and ``p`` follow with one
@@ -103,38 +107,33 @@ def hamiltonian_sup(prob: ControlProblem, t, x, p, lambda0: float = 1.0,
             u0 = np.broadcast_to(u0, (ts.size, prob.m))
         u0 = np.ascontiguousarray(u0)
     h0 = pontryagin_H(prob, ts, xs, u0, ps, lambda0)
-    _, h_best, _ = _sup_over_u(prob, ts, xs, u0, ps, lambda0, h0, tol)
+    _, h_best, _ = _sup_over_u(prob, ts, xs, u0, ps, lambda0, h0, _SUP_TOL)
     return float(h_best[0]) if scalar else h_best
 
 
 def check_arrow(prob: ControlProblem, cand: CandidateProcess,
                 adj: AdjointSolution, gamma: float = 0.5,
-                mode: str = "strong", pairs: int = 64,
-                tol: float = 1e-9) -> ConcavityReport:
+                mode: str = "strong") -> ConcavityReport:
     """Scan the maximized Hamiltonian for concavity in x on the tube.
 
-    Each grid time gets ``pairs`` point pairs inside the closed ball of
+    Each resolvable grid time of the audit's tube (same radius and
+    resolution floor) gets 64 point pairs inside the closed ball of
     radius gamma (strong mode) or gamma * eta(t) (weak mode) around the
-    candidate state: half symmetric about the center so the scan always
-    crosses it, half low-discrepancy fill.  The midpoint inequality is
-    enforced up to ``tol * (1 + |h|)`` with ``|h|`` the largest sampled
-    magnitude at that time.  In one state dimension a 9-point stencil
-    across the tube diameter sharpens the same test.  The multiplier
-    must be normal; any positive lambda0 is rescaled onto lambda0 = 1,
-    which changes no verdict.
+    candidate state.  The same unit-ball pairs serve every time: 32
+    symmetric about the center, the axis diameters first and then
+    mirrored low-discrepancy points, so the scan always crosses the
+    center; then 32 independent pairs, the first of them the center
+    itself.  The midpoint inequality is enforced up to
+    ``1e-9 * (1 + |h|)`` with ``|h|`` the largest sampled magnitude at
+    that time.  In one state dimension a 9-point stencil across the tube
+    diameter sharpens the same test.  The multiplier must be normal; any
+    positive lambda0 is rescaled onto lambda0 = 1, which changes no
+    verdict.
 
     UnboundedAbove from the inner maximization propagates: a Hamiltonian
     unbounded in u anywhere on the tube has no maximized value to test.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
-    if mode not in ("strong", "weak"):
-        raise ValueError(f"mode must be strong or weak, got {mode!r}")
-    if pairs < 2:
-        raise ValueError("need at least 2 pairs per time slice")
-    if mode == "weak" and prob.eta is None:
-        raise ValueError("weak mode needs the problem to declare a tube radius eta")
-
+    _, radii, resolvable, _ = _tube(prob, cand, gamma, mode)
     n = prob.n
     empty = lambda *shape: np.zeros(shape)
     if adj.lambda0 <= 0:
@@ -143,7 +142,7 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
             radii=empty(0), centers=empty(0, n),
             pair_offsets=empty(0, 2, n), witness=None,
             premise="normal multiplier (lambda0 = 1)", premise_ok=False,
-            tolerance=tol,
+            tolerance=_CONCAVITY_TOL,
             notes=("concavity asserts optimality only for the normal case; "
                    f"got lambda0 = {adj.lambda0:g}",))
 
@@ -156,31 +155,24 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
                      "normal case; verdicts are scale-invariant")
 
     grid = cand.grid
-    if mode == "weak":
-        radii = gamma * np.asarray(prob.eta(grid), dtype=float)
-    else:
-        radii = np.full(grid.size, float(gamma))
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w = np.asarray(prob.omega(grid), dtype=float)
     usable = np.isfinite(w)
     n_pole = int(np.sum(~usable))
     if n_pole:
         notes.append(f"{n_pole} slice(s) skipped: weight pole")
-    floor = 64.0 * np.finfo(float).eps * np.maximum(
-        1.0, np.linalg.norm(cand.x, axis=1))
-    shrunk = radii < floor
-    if np.any(shrunk & usable):
-        notes.append(f"{int(np.sum(shrunk & usable))} slice(s) skipped: tube "
-                     "radius below machine resolution around the candidate")
-        usable &= ~shrunk
+    collapsed = usable & ~resolvable
+    if np.any(collapsed):
+        notes.append(f"{int(np.sum(collapsed))} slice(s) skipped: tube radius "
+                     "below machine resolution around the candidate")
+        usable &= resolvable
     if not np.any(usable):
         return ConcavityReport(
             grid=grid, worst=np.zeros(grid.size),
             slice_ok=np.zeros(grid.size, dtype=bool), radii=radii,
             centers=cand.x, pair_offsets=empty(0, 2, n), witness=None,
             premise="a resolvable tube with finite weight", premise_ok=False,
-            tolerance=tol, notes=tuple(notes))
+            tolerance=_CONCAVITY_TOL, notes=tuple(notes))
 
     ts = grid[usable]
     centers = cand.x[usable]
@@ -191,11 +183,12 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
 
     # symmetric half: axis diameters first (they include the boundary),
     # then mirrored low-discrepancy offsets; fill half: independent pairs
-    half = pairs // 2
-    sym = np.concatenate([np.eye(n), _ball_offsets(n, half, offset=1)[1:]])[:half]
-    left = np.concatenate([sym, _ball_offsets(n, pairs - half, offset=7919)])
-    right = np.concatenate([-sym, _ball_offsets(n, pairs - half, offset=15877)])
-    offsets = np.stack([left[:pairs], right[:pairs]], axis=1)  # (pairs, 2, n)
+    half = _PAIRS // 2
+    sym = np.concatenate([np.eye(n), _ball(n, np.arange(1, half))])[:half]
+    fill = lambda start: np.concatenate([np.zeros((1, n)),
+                                         _ball(n, np.arange(start, start + half - 1))])
+    offsets = np.stack([np.concatenate([sym, fill(7919)]),
+                        np.concatenate([-sym, fill(15877)])], axis=1)  # (pairs, 2, n)
 
     # stencil block: 9 collinear points across the first-axis diameter;
     # in one dimension that is the whole tube
@@ -209,7 +202,7 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
         offsets[:, 0], offsets[:, 1],
         0.5 * (offsets[:, 0] + offsets[:, 1]),
         stl,
-    ])  # (3*pairs + 9, n)
+    ])  # (3*_PAIRS + 9, n)
     per = blocks.shape[0]
     xs_flat = (centers[:, None, :] + rr[:, None, None] * blocks[None, :, :])
     xs_flat = xs_flat.reshape(nt * per, n)
@@ -219,16 +212,16 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
 
     h = hamiltonian_sup(prob, ts_flat, xs_flat, ps_flat, u_start=u0_flat)
     h = h.reshape(nt, per)
-    h1, h2 = h[:, :pairs], h[:, pairs:2 * pairs]
-    hm = h[:, 2 * pairs:3 * pairs]
-    hs = h[:, 3 * pairs:]
+    h1, h2 = h[:, :_PAIRS], h[:, _PAIRS:2 * _PAIRS]
+    hm = h[:, 2 * _PAIRS:3 * _PAIRS]
+    hs = h[:, 3 * _PAIRS:]
 
     defects = 0.5 * (h1 + h2) - hm                    # > 0 breaks concavity
     d2 = 0.5 * (hs[:, :-2] + hs[:, 2:]) - hs[:, 1:-1]  # same test, stencil triples
     all_defects = np.concatenate([defects, d2], axis=1)
     scale = 1.0 + np.max(np.abs(h), axis=1)
     worst_usable = np.max(all_defects, axis=1)
-    ok_usable = worst_usable <= tol * scale
+    ok_usable = worst_usable <= _CONCAVITY_TOL * scale
 
     worst = np.zeros(grid.size)
     slice_ok = np.ones(grid.size, dtype=bool)
@@ -239,11 +232,11 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     if not np.all(ok_usable):
         k = int(np.argmax(np.where(ok_usable, -np.inf, worst_usable)))
         j = int(np.argmax(all_defects[k]))
-        if j < pairs:
+        if j < _PAIRS:
             x1 = centers[k] + rr[k] * offsets[j, 0]
             x2 = centers[k] + rr[k] * offsets[j, 1]
         else:
-            i = j - pairs  # stencil triple (i, i+1, i+2)
+            i = j - _PAIRS  # stencil triple (i, i+1, i+2)
             x1 = centers[k] + rr[k] * stl[i]
             x2 = centers[k] + rr[k] * stl[i + 2]
         witness = (float(ts[k]), x1, x2, float(all_defects[k, j]))
@@ -252,4 +245,4 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
         grid=grid, worst=worst, slice_ok=slice_ok, radii=radii,
         centers=cand.x, pair_offsets=offsets, witness=witness,
         premise="normal multiplier (lambda0 = 1)", premise_ok=True,
-        tolerance=tol, notes=tuple(notes))
+        tolerance=_CONCAVITY_TOL, notes=tuple(notes))

@@ -239,9 +239,9 @@ def from_expression(
     )
 
 
-def default_property_grid(t_max: float = 50.0, points: int = 2048) -> np.ndarray:
-    """Log-uniform sampling grid from 0 to t_max used by the property checks."""
-    return np.concatenate(([0.0], np.geomspace(1e-6, t_max, points)))
+def default_property_grid(points: int = 2048) -> np.ndarray:
+    """Log-uniform sampling grid from 0 to 50 used by the property checks."""
+    return np.concatenate(([0.0], np.geomspace(1e-6, 50.0, points)))
 
 
 @dataclass(frozen=True)
@@ -313,15 +313,15 @@ def _window_growth(grid: np.ndarray, vals: np.ndarray):
 
 
 # polynomially decaying weights need a few decades beyond the sampling
-# grid to show that t * w(t) vanishes
+# grid to show that t * w(t) vanishes, down to _E5_TOL * (1 + first sup)
 _E5_HORIZON = 1.0e4
+_E5_TOL = 1e-3
 
 
 def check_weight_properties(
     nu: WeightSpec,
     grid: np.ndarray | None = None,
     mode: str = "strong",
-    tol: float = 1e-3,
 ) -> PropertyReport:
     """Qualify a space weight: positivity/continuity, monotone decrease,
     integrability of the weight and its derivative, derivative bounded by
@@ -427,7 +427,7 @@ def check_weight_properties(
     # strong mode only: t * w(t) vanishes at infinity
     if mode == "strong":
         t_limit = max(t_max, _E5_HORIZON)
-        rec = decays_to_zero(lambda t: t * np.asarray(nu(t), dtype=float), t_max=t_limit, tol=tol)
+        rec = decays_to_zero(lambda t: t * np.asarray(nu(t), dtype=float), t_max=t_limit, tol=_E5_TOL)
         if rec.passed:
             verdicts["E5"] = "pass"
         else:
@@ -446,12 +446,7 @@ def check_weight_properties(
     )
 
 
-def check_distribution(
-    omega: WeightSpec,
-    grid: np.ndarray | None = None,
-    mode: str = "strong",
-    tol: float = 1e-8,
-) -> PropertyReport:
+def check_distribution(omega: WeightSpec, mode: str = "strong") -> PropertyReport:
     """Qualify the objective's distribution density.
 
     Strong mode asks for integrable mass (checked on |omega|); weak mode
@@ -461,16 +456,13 @@ def check_distribution(
     """
     if mode not in ("strong", "weak"):
         raise ValueError(f"mode must be strong or weak, got {mode!r}")
-    if grid is None:
-        grid = default_property_grid()
-    grid = np.asarray(grid, dtype=float)
     name = "E6" if mode == "strong" else "F5"
 
     verdicts: dict[str, str] = {}
     witnesses: dict[str, tuple[float, float]] = {}
     notes: list[str] = []
 
-    sample = grid[grid > 0]
+    sample = default_property_grid()[1:]
     vals = np.asarray(omega(sample), dtype=float)
     neg = vals < 0
     negative_witness = None
@@ -515,11 +507,9 @@ def check_distribution(
     )
 
 
-def check_tube_scale(eta: WeightSpec, grid: np.ndarray | None = None) -> PropertyReport:
+def check_tube_scale(eta: WeightSpec) -> PropertyReport:
     """Qualify a weak-mode tube radius: positive, continuous, nonincreasing."""
-    if grid is None:
-        grid = default_property_grid()
-    grid = np.asarray(grid, dtype=float)
+    grid = default_property_grid()
     verdicts: dict[str, str] = {}
     witnesses: dict[str, tuple[float, float]] = {}
     notes: list[str] = []

@@ -65,6 +65,11 @@ class TestControlBox:
         assert box.contains([-1e-12], tol=1e-8)  # closed end gets slack
         assert not box.contains([1.0], tol=1e-8)  # open end never does
 
+    def test_containment_answers_per_row(self):
+        box = ControlBox([0.0, -np.inf], [1.0, 2.0], [False, True], [True, True])
+        rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 2.0], [0.5, -1e300]])
+        np.testing.assert_array_equal(box.contains(rows), [True, False, False, True])
+
     def test_projection_stays_strictly_inside_open_ends(self):
         box = ControlBox([0.0], [1.0], [False], [True])
         u = box.project([5.0])
@@ -458,8 +463,6 @@ u1 = [0, 1)
             audit_assumptions(prob, cand, gamma=0.0)
         with pytest.raises(ValueError, match="mode"):
             audit_assumptions(prob, cand, gamma=0.5, mode="both")
-        with pytest.raises(ValueError, match="samples"):
-            audit_assumptions(prob, cand, gamma=0.5, samples=1)
 
     def test_sign_jump_at_a_probed_point_fails_continuity(self):
         # sign() only exists as an internal node, so the jumpy integrand is
@@ -481,6 +484,46 @@ u1 = [0, 1)
         t_w, x_w, _ = rep.witnesses["A1"]
         assert t_w == 0.0
         assert x_w[0] == pytest.approx(2.0)
+
+    def test_probe_skips_knots_outside_the_domain_and_names_the_first_jump(self):
+        # ln(t - 10) leaves its domain up to t = 10, where the candidate sits
+        # on the jump surface x = 2 of sign(x - 2); it leaves the surface
+        # on (10, 20) and returns to it from t = 20 on.  The first probed
+        # time from 20 on is grid index 412 (t = 20.6)
+        from pmpcheck.expressions import Call, Num, Sym, add, sub
+        from pmpcheck.problem import ControlProblem
+        from pmpcheck.weights import exp_decay
+
+        x1, t = Sym("x1"), Sym("t")
+        f = add(Call("sign", (sub(x1, Num(2.0)),)), Call("ln", (sub(t, Num(10.0)),)))
+        prob = ControlProblem(n=1, m=1, f=f, phi=(Sym("u1"),), x0=np.array([2.0]),
+                              omega=exp_decay(1.0), nu=exp_decay(1.0))
+        bump = lambda t: 2.0 + np.clip(t - 10.0, 0, None) * np.clip(20.0 - t, 0, None)
+        cand = candidate_from_functions(np.linspace(0.0, 50.0, 1001), bump,
+                                        lambda t: 0.0 * t)
+        rep = audit_assumptions(prob, cand, gamma=0.5)
+        assert rep.verdicts["A1"] == "fail"
+        assert rep.witnesses["A1"] == (20.6, (2.0,), (0.0,))
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_evaluator_calls_do_not_grow_with_the_grid(self, mode, monkeypatch):
+        from pmpcheck.problem import ControlProblem
+
+        calls = []
+        for name in ("f_value", "f_grad_x", "f_grad_u", "phi_value",
+                     "phi_jac_x", "phi_jac_u", "g_value", "g_jac_x"):
+            original = getattr(ControlProblem, name)
+            monkeypatch.setattr(ControlProblem, name,
+                                lambda self, *a, _f=original, _n=name: calls.append(_n) or _f(self, *a))
+        prob = parse_problem(REGULATOR.replace("nu = exp_decay 1.0",
+                                               "nu = exp_decay 1.0\neta = exp_decay 0.1"))
+        counts = []
+        for cells in (257, 2049):
+            calls.clear()
+            audit_assumptions(prob, regulator_candidate(points=cells + 1), gamma=0.5, mode=mode)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert counts[0] <= 8  # cost, growth and probe: one call per evaluator
 
     def test_constraint_data_is_audited_in_the_uniform_mode(self):
         src = REGULATOR + "\n[constraints]\ng1 = x1 - 2\n"
@@ -681,3 +724,67 @@ class TestActiveSetAndSeparation:
         rep = slater_check(prob, cand, act)
         assert rep.verdicts == {1: "fail"}
         assert not rep.passed
+
+
+def _per_knot_ball_offsets(dim, count, offset):
+    """One grid time's tube offsets, built knot by knot as the reference the
+    batched tube must reproduce: row 0 is zero, then golden-ratio points
+    pulled into the ball."""
+    x = 2.0
+    for _ in range(64):
+        x = (1.0 + x) ** (1.0 / (dim + 1))
+    alpha = (1.0 / x) ** np.arange(1, dim + 1)
+    idx = np.arange(offset, offset + count - 1, dtype=float)
+    pts = 2.0 * np.mod(0.5 + idx[:, None] * alpha[None, :], 1.0) - 1.0
+    pts = pts / np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True))
+    return np.concatenate([np.zeros((1, dim)), pts], axis=0)
+
+
+def _per_knot_tube(prob, cand, radii, weak, samples=32):
+    nt = cand.grid.size
+    dim = prob.n + prob.m if weak else prob.n
+    X = np.empty((nt * samples, prob.n))
+    U = np.empty((nt * samples, prob.m))
+    for k in range(nt):
+        offs = _per_knot_ball_offsets(dim, samples, offset=k * samples)
+        rows = slice(k * samples, (k + 1) * samples)
+        X[rows] = cand.x[k] + radii[k] * offs[:, :prob.n]
+        if weak:
+            u_pts = cand.u[k] + radii[k] * offs[:, prob.n:]
+            U[rows] = np.stack([prob.U.project(up) for up in u_pts])
+        else:
+            U[rows] = cand.u[k]
+    return np.repeat(cand.grid, samples), X, U
+
+
+class TestTube:
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_samples_match_the_per_knot_construction_bitwise(self, mode, n, m):
+        from pmpcheck.problem import _tube
+
+        # u1 in (0, inf): an open finite face and an infinite one; u2 in [-1, 1)
+        bounds = ["(0, inf)", "[-1, 1)"][:m]
+        src = "\n".join([
+            "[problem]", f"n = {n}", f"m = {m}", "x0 = " + ", ".join(["1.0"] * n),
+            "[dynamics]", *(f"phi{i} = -x{i} + u1" for i in range(1, n + 1)),
+            "[objective]", "f = x1^2 + u1^2", "omega = exp_decay 1.0",
+            "[space]", "nu = exp_decay 1.0", "eta = exp_decay 0.1",
+            "[controls]", *(f"u{i} = {b}" for i, b in enumerate(bounds, start=1)),
+        ])
+        prob = parse_problem(src)
+        grid = np.linspace(0.0, 20.0, 301)
+        x = np.exp(-grid)[:, None] * np.arange(1.0, n + 1.0)
+        u = np.column_stack([0.01 + 0.0 * grid, 0.9 + 0.0 * grid][:m])
+        cand = CandidateProcess(grid=grid, x=x, u=u)
+        weak, radii, resolvable, samples = _tube(prob, cand, 0.5, mode)
+
+        expected_radii = (0.5 * np.asarray(prob.eta(grid)) if mode == "weak"
+                          else np.full(grid.size, 0.5))
+        np.testing.assert_array_equal(radii, expected_radii)
+        assert weak == (mode == "weak") and np.all(resolvable)
+        for got, want in zip(samples(grid.size), _per_knot_tube(prob, cand, radii, weak)):
+            np.testing.assert_array_equal(got, want)
+        if weak:  # the box is reached, so the projection mattered
+            assert np.min(samples(grid.size)[2][:, 0]) > 0.0

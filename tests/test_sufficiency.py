@@ -337,8 +337,6 @@ u1 = [0, inf)
         with pytest.raises(ValueError):
             check_arrow(prob, cand, adj, gamma=0.5, mode="medium")
         with pytest.raises(ValueError):
-            check_arrow(prob, cand, adj, gamma=0.5, pairs=1)
-        with pytest.raises(ValueError):
             check_arrow(prob, cand, adj, gamma=0.5, mode="weak")
 
 
