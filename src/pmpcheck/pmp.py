@@ -603,13 +603,82 @@ def _golden_max(prob, w, ts, xs, ps, lam, u, i, a, b, iters: int = 60):
     return mid, _h_of_u(prob, w, ts, xs, ps, lam, u, i, mid)
 
 
+def _slopes(prob, w, ts, xs, ps, lam, u, i):
+    """H_u and H_uu along coordinate ``i`` at the controls ``u``."""
+    s = prob.u_slopes(i, ts, xs, u)
+    return (-lam * w * s[:, 0, 0] + np.einsum("kn,kn->k", ps, s[:, 0, 1:]),
+            -lam * w * s[:, 1, 0] + np.einsum("kn,kn->k", ps, s[:, 1, 1:]))
+
+
+_NEWTON_STEP = 1e-12  # a Newton knot stops once its step is below this times 1 + |u|
+
+
+def _newton_max(prob, w, ts, xs, ps, lam, u, i, a, b, u_pre):
+    """Safeguarded Newton iteration on H_u inside [a, b], per knot.
+
+    Each knot starts at the best probe ``u_pre``, takes the Newton step
+    u - H_u/H_uu and bisects its bracket instead whenever H_uu >= 0 or
+    the step leaves the bracket (Press et al., *Numerical Recipes*
+    §9.4, rtsafe); the bracket shrinks by the sign of H_u.  A knot stops
+    on its own, once H_u == 0 or its step is below ``_NEWTON_STEP``
+    times 1 + |u|, and then no longer moves.  Where H_u does not fall
+    from >= 0 to <= 0 across the bracket, H_uu >= 0 at the last Newton
+    point, a value is not finite or golden's 60 steps do not settle the
+    knot, the knot goes to :func:`_golden_max` unchanged; a
+    :class:`DomainError` of the slope evaluator sends the whole block
+    there.  Column ``i`` of ``u`` is overwritten.  Returns the
+    maximizers and H there.
+    """
+    args = (prob, w, ts, xs, ps, lam)
+    lo, hi, x = a.copy(), b.copy(), u_pre.copy()
+    done = np.zeros(ts.size, dtype=bool)
+    curv = np.full(ts.size, np.nan)  # H_uu at each knot's last Newton point
+    try:
+        u[:, i] = lo
+        g_lo, _ = _slopes(*args, u, i)
+        u[:, i] = hi
+        g_hi, _ = _slopes(*args, u, i)
+        active = (g_lo >= 0) & (g_hi <= 0)  # False on NaN
+        for _ in range(60):
+            idx = np.flatnonzero(active)
+            if idx.size == 0:
+                break
+            uk = u[idx]
+            uk[:, i] = xk = x[idx]
+            g, c = _slopes(prob, w[idx], ts[idx], xs[idx], ps[idx], lam, uk, i)
+            curv[idx] = c
+            lk = np.where(g > 0, xk, lo[idx])
+            hk = np.where(g < 0, xk, hi[idx])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                new = xk - g / c
+            bisect = ~((c < 0) & (lk <= new) & (new <= hk))  # True on NaN
+            new = np.where(bisect, 0.5 * (lk + hk), new)
+            new[g == 0] = xk[g == 0]
+            stop = np.abs(new - xk) <= _NEWTON_STEP * (1.0 + np.abs(xk))
+            finite = np.isfinite(g) & np.isfinite(c)
+            lo[idx], hi[idx], x[idx] = lk, hk, new
+            done[idx] = stop & finite
+            active[idx] = ~stop & finite
+    except DomainError:
+        done[:] = False
+    ok = done & (curv < 0)
+    x = np.where(ok, x, u_pre)
+    h = _h_of_u(*args, u, i, x)
+    ok &= np.isfinite(h)
+    if not np.all(ok):
+        fb = np.flatnonzero(~ok)
+        x[fb], h[fb] = _golden_max(prob, w[fb], ts[fb], xs[fb], ps[fb], lam,
+                                   u[fb], i, a[fb], b[fb])
+    return x, h
+
+
 def _coordinate_probes(box, i, u_col):
     """Sorted per-knot probe columns spanning coordinate i of the box.
 
     Open finite faces are approached but never touched: integrands like
     log(1-u) are legal on the open set and must not be evaluated on its
     boundary.  The supremum is still resolved because the probes come
-    within 2^-10 of the face and golden refinement works inside them.
+    within 2^-10 of the face and the refinement works inside them.
     """
     lo, hi = box.lo[i], box.hi[i]
     nk = u_col.size
@@ -696,11 +765,14 @@ _BLOCK = 2 ** 15
 
 
 def _max_condition_sampler(prob, w, ts, xs, us, ps, lam, h_star, tol):
-    """Prescan plus golden refinement, one coordinate sweep at a time.
+    """Prescan plus safeguarded Newton, one coordinate sweep at a time.
 
-    Each block of knots has one control array, a view into ``best_u``:
-    the probes and the golden steps write coordinate ``i`` into it, and
-    the sweep then sets that column to the best value found.
+    Each coordinate's prescan brackets the best probe; Newton refines it
+    (:func:`_newton_max`), and golden section takes the knots where the
+    slice is not concave.  Each block of knots has one control array, a
+    view into ``best_u``: the probes and the refinement write coordinate
+    ``i`` into it, and the sweep then sets that column to the best value
+    found.
     """
     best_u = us.copy()
     h_best = h_star.copy()
@@ -714,7 +786,7 @@ def _max_condition_sampler(prob, w, ts, xs, us, ps, lam, h_star, tol):
             for i in range(prob.m):
                 u_col = u[:, i].copy()
                 a, b, u_pre, h_pre = _prescan(*args, u, i, h_floor)
-                u_ref, h_ref = _golden_max(*args, u, i, a, b)
+                u_ref, h_ref = _newton_max(*args, u, i, a, b, u_pre)
                 better = h_ref > h_pre
                 new_col = np.where(better, u_ref, u_pre)
                 new_h = np.where(better, h_ref, h_pre)
@@ -731,8 +803,9 @@ def _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol):
     single control entering H quadratically with strictly concave
     curvature is solved at the clamped stationary point; a purely linear
     H is settled at the box faces; everything else goes through the
-    prescan-plus-golden sampler.  Returns the improved controls, their H
-    values, and the method label.
+    sampler: prescan plus safeguarded Newton, golden section where not
+    concave.  Returns the improved controls, their H values, and the
+    method label (``"golden"`` for the sampler).
     """
     method = "golden"
     w = np.asarray(prob.omega(ts), dtype=float)
@@ -794,14 +867,17 @@ def check_maximum_condition(prob: ControlProblem, cand: CandidateProcess,
     concave curvature, the interior stationary point is solved exactly
     (clamped to the box); a purely linear H is settled at the box faces.
     Everything else goes through a prescan of 26-35 probes per coordinate
-    and a 60-step golden-section refinement between the best probe's
-    neighbours, which costs one H evaluation per step; with two or more
-    controls the coordinates are swept twice.  A coordinate whose best
-    probe is the outermost one toward an unbounded face, with H still
-    climbing there and above H at the candidate by more than ``tol``
-    times its magnitude, raises :class:`UnboundedAbove`.  Knots where
-    the weight is not finite (an integrable pole at 0) carry no pointwise
-    information and are skipped.
+    and a safeguarded Newton iteration on H_u between the best probe's
+    neighbours, with one H evaluation at its end; where that slice is not
+    concave (no sign change of H_u across the bracket, H_uu >= 0 at the
+    result, a non-finite value, or H_u undefined in the block), a 60-step
+    golden-section refinement takes over at one H evaluation per step.
+    With two or more controls the coordinates are swept twice.  A
+    coordinate whose best probe is the outermost one toward an unbounded
+    face, with H still climbing there and above H at the candidate by
+    more than ``tol`` times its magnitude, raises :class:`UnboundedAbove`.
+    Knots where the weight is not finite (an integrable pole at 0) carry
+    no pointwise information and are skipped.
     """
     grid = adj.grid
     xs, us = cand.state(grid), cand.control(grid)

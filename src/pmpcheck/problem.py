@@ -257,7 +257,10 @@ class ControlProblem:
     the ``*_grad_*`` / ``*_jac_*`` evaluators, which accept scalars or
     arrays of times with matching state/control batches.  Each evaluator
     is one generated function that writes all its components into one
-    array (see :func:`_evaluator`).
+    array (see :func:`_evaluator`).  The diagonal ``phi_uu`` of the
+    dynamics' control Hessians joins ``f_uu`` in :meth:`u_slopes`, which
+    gives the control search the slope and curvature of H along one
+    control coordinate.
 
     Maximization problems must be negated before construction; the parser
     does this and sets ``negated`` so reports can say so.
@@ -282,6 +285,7 @@ class ControlProblem:
     f_uu: tuple = field(init=False, repr=False)
     phi_x: tuple = field(init=False, repr=False)
     phi_u: tuple = field(init=False, repr=False)
+    phi_uu: tuple = field(init=False, repr=False)
     g_x: tuple = field(init=False, repr=False)
     _evaluators: dict = field(init=False, repr=False)
 
@@ -323,6 +327,11 @@ class ControlProblem:
         object.__setattr__(
             self, "phi_u", tuple(tuple(p.diff(c) for c in controls) for p in phi)
         )
+        object.__setattr__(  # diagonal only: phi_uu[k][i] = d^2 phi_k / du_i^2
+            self, "phi_uu",
+            tuple(tuple(row[i].diff(c) for i, c in enumerate(controls))
+                  for row in self.phi_u)
+        )
         object.__setattr__(
             self, "g_x", tuple(tuple(gj.diff(s) for s in states) for gj in g)
         )
@@ -337,6 +346,11 @@ class ControlProblem:
             "phi_jac_u": _evaluator(flat(self.phi_u), (n, m), n, m),
             "g_value": _evaluator(g, (l,), n, 0),
             "g_jac_x": _evaluator(flat(self.g_x), (l, n), n, 0),
+            "u_slopes": tuple(
+                _evaluator([self.f_u[i], *(row[i] for row in self.phi_u),
+                            self.f_uu[i][i], *(row[i] for row in self.phi_uu)],
+                           (2, 1 + n), n, m)
+                for i in range(m)),
         })
 
     @property
@@ -360,6 +374,14 @@ class ControlProblem:
 
     def phi_jac_u(self, t, x, u) -> np.ndarray:
         return self._evaluators["phi_jac_u"](t, x, u)
+
+    def u_slopes(self, i: int, t, x, u) -> np.ndarray:
+        """First and second derivatives in control ``i``, shape ``(..., 2, 1 + n)``.
+
+        Row 0 holds ``f_u[i]`` and ``phi_u[:, i]``, row 1 ``f_uu[i][i]`` and
+        the diagonal ``phi_uu[:, i]``.
+        """
+        return self._evaluators["u_slopes"][i](t, x, u)
 
     def g_value(self, t, x) -> np.ndarray:
         return self._evaluators["g_value"](t, x)

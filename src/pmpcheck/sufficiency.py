@@ -90,7 +90,8 @@ def hamiltonian_sup(prob: ControlProblem, t, x, p, lambda0: float = 1.0,
     row per time (a single row is broadcast).  The inner maximization
     uses the same machinery as the maximum-condition check, so a single
     quadratic control is solved analytically and everything else goes
-    through the prescan-plus-golden sampler.  ``u_start`` overrides the
+    through the prescan plus safeguarded Newton, with golden section
+    where a slice is not concave.  ``u_start`` overrides the
     default feasible starting point (the projection of 0 into the box).
 
     Raises UnboundedAbove when H climbs without bound toward an open
@@ -197,21 +198,26 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     stl[:, 0] = stencil
 
     # every hamiltonian_sup evaluation for the scan in one flat batch:
-    # per slice the pair endpoints, the midpoints, and the stencil
+    # per slice the pair endpoints, the midpoints, and the stencil.  Of
+    # these 201 offsets 164 are distinct (the symmetric midpoints, the
+    # (center, center) pair and the stencil middle are all the center, and
+    # the stencil ends are the first axis diameter), so each distinct one
+    # is searched once and its value scattered back
     blocks = np.concatenate([
         offsets[:, 0], offsets[:, 1],
         0.5 * (offsets[:, 0] + offsets[:, 1]),
         stl,
     ])  # (3*_PAIRS + 9, n)
-    per = blocks.shape[0]
-    xs_flat = (centers[:, None, :] + rr[:, None, None] * blocks[None, :, :])
+    distinct, slot = np.unique(blocks, axis=0, return_inverse=True)
+    per = distinct.shape[0]
+    xs_flat = (centers[:, None, :] + rr[:, None, None] * distinct[None, :, :])
     xs_flat = xs_flat.reshape(nt * per, n)
     ts_flat = np.repeat(ts, per)
     ps_flat = np.repeat(ps, per, axis=0)
     u0_flat = np.repeat(u_star, per, axis=0)
 
     h = hamiltonian_sup(prob, ts_flat, xs_flat, ps_flat, u_start=u0_flat)
-    h = h.reshape(nt, per)
+    h = h.reshape(nt, per)[:, slot.ravel()]
     h1, h2 = h[:, :_PAIRS], h[:, _PAIRS:2 * _PAIRS]
     hm = h[:, 2 * _PAIRS:3 * _PAIRS]
     hs = h[:, 3 * _PAIRS:]

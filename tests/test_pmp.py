@@ -806,6 +806,141 @@ class TestGoldenSection:
         assert peak < 1.5 * 26 * n * 8
 
 
+def golden_only(monkeypatch):
+    """Send every sampled search to golden section, the reference for Newton."""
+    def golden(prob, w, ts, xs, ps, lam, u, i, a, b, u_pre):
+        return pmp._golden_max(prob, w, ts, xs, ps, lam, u, i, a, b)
+
+    monkeypatch.setattr(pmp, "_newton_max", golden)
+
+
+# Minimize ((u - 1/2)^2 - 1e-4)^2: H = -w f has two peaks at u = 1/2 +- 1/100
+# and a local minimum at the probe u = 1/2, which still beats its probe
+# neighbours 1/2 +- 1/32
+TWO_PEAKS = """
+[problem]
+n = 1
+m = 1
+x0 = 1.0
+sense = min
+
+[dynamics]
+phi1 = u1 - x1
+
+[objective]
+f = ((u1 - 0.5)^2 - 0.0001)^2
+omega = exp_decay 1.0
+
+[space]
+nu = exp_decay 1.0
+
+[controls]
+u1 = [0, 1]
+"""
+
+# H = w (sqrt(u) - x u) + p (u - x) peaks at u = 1/(4 x^2) for p = 0, so
+# for large x the best probe is the face u = 0, where f_u is undefined
+SQRT_FACE = TWO_PEAKS.replace("((u1 - 0.5)^2 - 0.0001)^2", "x1*u1 - sqrt(u1)")
+
+
+class TestNewtonSearch:
+    """Safeguarded Newton refinement, with golden section where it fails."""
+
+    @staticmethod
+    def random_points(src, kind="", k=2000, seed=3):
+        prob = parse_problem(src)
+        rng = np.random.default_rng(seed)
+        ts = rng.uniform(0.1, 10.0, k)
+        xs = rng.uniform(0.5, 3.0, (k, 1))
+        w = np.asarray(prob.omega(ts), dtype=float)
+        if kind == "investment":  # p > 0 keeps the peak off the open face
+            ps = w * rng.uniform(0.5, 20.0, k) / xs[:, 0]
+        elif kind == "extraction":  # p x > -w keeps H bounded as u -> inf
+            ps = w * rng.uniform(-0.3, 1.0, k)
+        else:
+            ps = w * rng.uniform(-1.0, 1.0, k)
+        us = rng.uniform(0.0, 0.9, (k, prob.m))
+        return prob, ts, xs, ps[:, None], us
+
+    def test_maximizer_matches_bounded_brent_and_closed_form(self, monkeypatch):
+        prob, w, ts, xs, ps = TestGoldenSection.investment_points()
+        monkeypatch.setattr(pmp, "_golden_max", None)  # no fallback allowed
+        a, b = np.full(ts.size, -3.0), np.full(ts.size, 0.999)
+        u = np.zeros((ts.size, 1))
+        u_max, h_max = pmp._newton_max(prob, w, ts, xs, ps, 1.0, u, 0, a, b,
+                                       np.full(ts.size, -1.0))
+        assert np.all((a <= u_max) & (u_max <= b))
+        for k in range(ts.size):
+            h = lambda v: float(pmp._hamiltonian(
+                prob, w[k], ts[k], xs[k], np.array([v]), ps[k], 1.0))
+            ref = minimize_scalar(lambda v: -h(v), bounds=(a[k], b[k]),
+                                  method="bounded", options={"xatol": 1e-12})
+            assert ref.success
+            assert u_max[k] == pytest.approx(ref.x, abs=1e-6)
+            assert h_max[k] >= -ref.fun - 1e-14 * (1.0 + abs(ref.fun))
+        np.testing.assert_allclose(u_max, 1.0 - w / (ps[:, 0] * xs[:, 0]),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("c", [1.0, 0.5, 4.0])
+    @pytest.mark.parametrize("name", ["investment", "extraction", "two_controls"])
+    def test_sup_is_no_lower_than_golden(self, monkeypatch, name, c):
+        src = {"investment": INVESTMENT, "extraction": EXTRACTION,
+               "two_controls": TWO_CONTROLS}[name]
+        prob, ts, xs, ps, us = self.random_points(scaled_objective(src, c), name)
+        ps = c * ps
+        h_new = hamiltonian_sup(prob, ts, xs, ps, u_start=us)
+        golden_only(monkeypatch)
+        h_golden = hamiltonian_sup(prob, ts, xs, ps, u_start=us)
+        assert np.all(h_new >= h_golden - 1e-14 * (1.0 + np.abs(h_golden)))
+
+    @pytest.mark.parametrize("src", [TWO_PEAKS, SQRT_FACE])
+    def test_fallback_is_bitwise_golden(self, monkeypatch, src):
+        # TWO_PEAKS: Newton stops at once on H_u = 0 at the probe u = 1/2,
+        # where H_uu > 0.  SQRT_FACE: the slope evaluator raises DomainError
+        # at the face u = 0, so golden takes over the whole block
+        prob, ts, xs, ps, _ = self.random_points(src, k=200)
+        xs = np.where(np.arange(ts.size)[:, None] % 2, xs, 10.0 * xs)
+        ps = np.zeros_like(ps)
+        h_new = hamiltonian_sup(prob, ts, xs, ps)
+        golden_only(monkeypatch)
+        h_golden = hamiltonian_sup(prob, ts, xs, ps)
+        np.testing.assert_array_equal(h_new, h_golden)
+        w = np.asarray(prob.omega(ts), dtype=float)
+        if src == TWO_PEAKS:  # golden reaches a peak, where H = 0
+            assert np.all(np.abs(h_new) <= 1e-12 * w)
+        else:
+            np.testing.assert_allclose(h_new, w / (4.0 * xs[:, 0]), rtol=1e-9)
+
+    def test_work_per_block_is_the_prescan_and_one_value(self, monkeypatch):
+        # a silent return to golden section would add its 62 H values per
+        # block: 1 + 26 + 62 evaluations of H for one block of 2^15 knots
+        prob = parse_problem(EXTRACTION)
+        n = 50_000
+        t = np.linspace(0.1, 40.0, n)
+        x = np.exp(0.5 * (1.0 - np.exp(-t)))[:, None]
+        p = np.zeros((n, 1))
+        calls = {"H": 0, "slopes": 0}
+        h_orig, s_orig = pmp._hamiltonian, type(prob).u_slopes
+
+        def h_counted(*args):
+            calls["H"] += 1
+            return h_orig(*args)
+
+        def s_counted(*args):
+            calls["slopes"] += 1
+            return s_orig(*args)
+
+        monkeypatch.setattr(pmp, "_hamiltonian", h_counted)
+        monkeypatch.setattr(type(prob), "u_slopes", s_counted)
+        # start off the peak u = 1/4, so every knot takes Newton steps
+        h = hamiltonian_sup(prob, t, x, p, u_start=np.full((n, 1), 0.3))
+        np.testing.assert_allclose(h, 0.25 * prob.omega(t), rtol=1e-15)
+        blocks = -(-n // pmp._BLOCK)
+        assert calls["H"] <= (26 + 2) * blocks
+        # both bracket ends, then one call per Newton step (5 here)
+        assert calls["slopes"] <= 8 * blocks
+
+
 class TestWeakInequality:
     def test_interior_optimum_passes(self, grid):
         prob, cand, adj = investment_pieces(grid)
