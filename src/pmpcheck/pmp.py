@@ -548,14 +548,6 @@ def check_integral_adjoint(prob: ControlProblem, cand: CandidateProcess,
 # pointwise maximality of H over the control set
 
 
-def _expr_is_zero(e) -> bool:
-    return not e.variables() and float(np.asarray(e.ev({}), dtype=float)) == 0.0
-
-
-def _u_free(e, controls: set) -> bool:
-    return not (e.variables() & controls)
-
-
 # The control search below varies u at fixed times, so the weight w =
 # omega(ts) is evaluated once per search and handed down.  Each search owns
 # one control array and writes the probed column into it in place.
@@ -672,6 +664,9 @@ def _newton_max(prob, w, ts, xs, ps, lam, u, i, a, b, u_pre):
     return x, h
 
 
+_REACH = 16  # toward an unbounded face the probes go out to u +- 2^16 (1 + |u|)
+
+
 def _coordinate_probes(box, i, u_col):
     """Sorted per-knot probe columns spanning coordinate i of the box.
 
@@ -699,7 +694,7 @@ def _coordinate_probes(box, i, u_col):
     down = not np.isfinite(lo)
     up = not np.isfinite(hi)
     if down:
-        for j in range(16, -1, -1):
+        for j in range(_REACH, -1, -1):
             blocks.append(u_col - 2.0 ** j * step)
     else:
         start = u_col - f_lo * (u_col - lo)
@@ -707,7 +702,7 @@ def _coordinate_probes(box, i, u_col):
             blocks.append(start + frac * (u_col - start))
     blocks.append(u_col.copy())
     if up:
-        for j in range(17):
+        for j in range(_REACH + 1):
             blocks.append(u_col + 2.0 ** j * step)
     else:
         for frac in np.linspace(0.0, 1.0, 9)[1:]:
@@ -715,45 +710,48 @@ def _coordinate_probes(box, i, u_col):
     return blocks, down, up
 
 
+def _escape(ts, i, direction, bad):
+    """Raise :class:`UnboundedAbove` at the first knot flagged in ``bad``."""
+    if np.any(bad):
+        raise UnboundedAbove(float(ts[int(np.argmax(bad))]), i, direction)
+
+
 def _prescan(prob, w, ts, xs, ps, lam, u, i, h_floor):
     """Best probe of coordinate ``i`` per knot and the bracket around it.
 
     The best probe is tracked row by row (first one on ties, as argmax),
     so no probe-by-knot H matrix is stored; only the two outermost rows
-    at each end are kept for the escape test, which an outermost probe
-    fails only when its H is above ``h_floor``.  Returns the neighbouring
-    probes ``a`` and ``b``, the best probe and its H value.
+    at each end are kept for the escape test, which flags a best probe at
+    an unbounded end with H still climbing and above ``h_floor``.  The
+    bracket ends ``a`` and ``b`` are the nearest probes that differ from
+    the best one, as a control on a closed face collapses the probes on
+    that side onto the face.  Returns ``a``, ``b``, the best probe and H.
     """
     cols, open_down, open_up = _coordinate_probes(prob.U, i, u[:, i])
     last = len(cols) - 1
     h_pre = np.full(ts.size, -np.inf)
-    k_best = np.zeros(ts.size, dtype=np.intp)
+    u_pre = cols[0].copy()
     rows = {}
     for k, c in enumerate(cols):
         h = _h_of_u(prob, w, ts, xs, ps, lam, u, i, c)
         h[~np.isfinite(h)] = -np.inf
         up = h > h_pre
-        k_best[up] = k
         np.copyto(h_pre, h, where=up)
+        np.copyto(u_pre, c, where=up)
         if k in (0, 1, last - 1, last):
             rows[k] = h
-    # escape toward an unbounded end: the best probe sits at the
-    # outermost ring and H is still climbing there
     for open_end, edge, inner, direction in ((open_down, 0, 1, -1),
                                              (open_up, last, last - 1, +1)):
         if open_end:
-            bad = ((k_best == edge) & (rows[edge] > rows[inner])
-                   & (rows[edge] > h_floor))
-            if np.any(bad):
-                k = int(np.argmax(bad))
-                raise UnboundedAbove(float(ts[k]), i, direction)
-    lo_idx = np.maximum(k_best - 1, 0)
-    hi_idx = np.minimum(k_best + 1, last)
-    a, b, u_pre = (np.empty(ts.size) for _ in range(3))
-    for k, c in enumerate(cols):
-        np.copyto(a, c, where=lo_idx == k)
-        np.copyto(b, c, where=hi_idx == k)
-        np.copyto(u_pre, c, where=k_best == k)
+            _escape(ts, i, direction, (u_pre == cols[edge])
+                    & (rows[edge] > rows[inner]) & (rows[edge] > h_floor))
+    # the columns are sorted per knot, so the last probe written going up
+    # (down) is the nearest one below (above) the best
+    a, b = u_pre.copy(), u_pre.copy()
+    for c in cols:
+        np.copyto(a, c, where=c < u_pre)
+    for c in reversed(cols):
+        np.copyto(b, c, where=c > u_pre)
     return a, b, u_pre, h_pre
 
 
@@ -764,120 +762,95 @@ def _prescan(prob, w, ts, xs, ps, lam, u, i, h_floor):
 _BLOCK = 2 ** 15
 
 
-def _max_condition_sampler(prob, w, ts, xs, us, ps, lam, h_star, tol):
-    """Prescan plus safeguarded Newton, one coordinate sweep at a time.
+def _sampled_max(prob, w, ts, xs, ps, lam, u, i, h_floor):
+    """Prescan plus safeguarded Newton (golden section where not concave).
 
-    Each coordinate's prescan brackets the best probe; Newton refines it
-    (:func:`_newton_max`), and golden section takes the knots where the
-    slice is not concave.  Each block of knots has one control array, a
-    view into ``best_u``: the probes and the refinement write coordinate
-    ``i`` into it, and the sweep then sets that column to the best value
-    found.
+    Column ``i`` of ``u`` is overwritten.  Returns the better of the best
+    probe and the refined point per knot, and H there.
     """
+    a, b, u_pre, h_pre = _prescan(prob, w, ts, xs, ps, lam, u, i, h_floor)
+    u_ref, h_ref = _newton_max(prob, w, ts, xs, ps, lam, u, i, a, b, u_pre)
+    better = h_ref > h_pre
+    return np.where(better, u_ref, u_pre), np.where(better, h_ref, h_pre)
+
+
+def _quadratic_max(prob, w, ts, xs, ps, lam, u, i, h_floor):
+    """Exact maximizer along a coordinate where H is at most quadratic.
+
+    With the slope g and curvature c of H at the current control, a
+    concave slice (c < 0) peaks at u - g/c clipped to the box; otherwise
+    the face with the larger rise d (g + c d / 2) wins, and the control
+    stays where neither rises (a linear slice with g = +-0.0).  H is a
+    polynomial in u_i, so an open face is taken as is; an unbounded one
+    is replaced by the prescan's outermost probe and its escape test.
+    Column ``i`` of ``u`` is overwritten.  Returns the maximizers and H.
+    """
+    x = u[:, i].copy()
+    g, c = _slopes(prob, w, ts, xs, ps, lam, u, i)
+    reach = 2.0 ** _REACH * (1.0 + np.abs(x))
+    lo, hi = prob.U.lo[i], prob.U.hi[i]
+    faces = (x - reach if np.isinf(lo) else lo, x + reach if np.isinf(hi) else hi)
+    r_lo, r_hi = ((f - x) * (g + 0.5 * c * (f - x)) for f in faces)
+    target = np.where(r_hi > r_lo, faces[1], faces[0])
+    target = np.where(np.maximum(r_lo, r_hi) > 0, target, x)
+    concave = c < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        target = np.where(concave, np.clip(x - g / c, lo, hi), target)
+    h = _h_of_u(prob, w, ts, xs, ps, lam, u, i, target)
+    for bound, face, direction in ((lo, faces[0], -1), (hi, faces[1], +1)):
+        if np.isinf(bound):
+            _escape(ts, i, direction, ~concave & (target == face) & (h > h_floor))
+    return target, h
+
+
+def _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol):
+    """Maximize H over the control box, one coordinate search at a time.
+
+    ``us`` is a feasible starting guess and ``h_star`` its H value.  A
+    coordinate in ``prob.u_quadratic`` is solved by :func:`_quadratic_max`,
+    every other one by :func:`_sampled_max`; two or more controls are
+    swept twice.  Each block of knots has one control array, a view into
+    ``best_u``: a search writes coordinate ``i`` into it, and the sweep
+    then keeps the new column where H rises.  Returns the improved
+    controls and their H values.
+    """
+    w = np.asarray(prob.omega(ts), dtype=float)
     best_u = us.copy()
     h_best = h_star.copy()
-    sweeps = 1 if prob.m == 1 else 2
     for lo in range(0, ts.size, _BLOCK):
         k = slice(lo, lo + _BLOCK)
         args = (prob, w[k], ts[k], xs[k], ps[k], lam)
         u, h = best_u[k], h_best[k]
         h_floor = h_star[k] + tol * np.abs(h_star[k])
-        for _ in range(sweeps):
-            for i in range(prob.m):
+        for _ in range(min(prob.m, 2)):
+            for i, quadratic in enumerate(prob.u_quadratic):
                 u_col = u[:, i].copy()
-                a, b, u_pre, h_pre = _prescan(*args, u, i, h_floor)
-                u_ref, h_ref = _newton_max(*args, u, i, a, b, u_pre)
-                better = h_ref > h_pre
-                new_col = np.where(better, u_ref, u_pre)
-                new_h = np.where(better, h_ref, h_pre)
+                search = _quadratic_max if quadratic else _sampled_max
+                new_col, new_h = search(*args, u, i, h_floor)
                 improve = new_h > h
                 u[:, i] = np.where(improve, new_col, u_col)
                 np.copyto(h, new_h, where=improve)
-    return best_u, h_best, "golden"
-
-
-def _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol):
-    """Maximize H over the control box, one vectorized pass per knot.
-
-    ``us`` is a feasible starting guess and ``h_star`` its H value.  A
-    single control entering H quadratically with strictly concave
-    curvature is solved at the clamped stationary point; a purely linear
-    H is settled at the box faces; everything else goes through the
-    sampler: prescan plus safeguarded Newton, golden section where not
-    concave.  Returns the improved controls, their H values, and the
-    method label (``"golden"`` for the sampler).
-    """
-    method = "golden"
-    w = np.asarray(prob.omega(ts), dtype=float)
-    controls = {f"u{i + 1}" for i in range(prob.m)}
-    if prob.m == 1:
-        fu = prob.f_u[0]
-        fuu = prob.f_uu[0][0]  # one tree per problem, so it compiles once
-        phi_u_exprs = [row[0] for row in prob.phi_u]
-        phi_lin = all(_u_free(e, controls) for e in phi_u_exprs)
-        if phi_lin and _u_free(fuu, controls):
-            if _expr_is_zero(fuu) and _u_free(fu, controls):
-                method = "vertex"
-            elif lam > 0:
-                method = "stationary"
-
-    if method == "stationary":
-        env = {"t": ts, "u1": us[:, 0], **{f"x{i + 1}": xs[:, i] for i in range(prob.n)}}
-        fuu_vals = np.broadcast_to(np.asarray(fuu.ev(env), dtype=float), ts.shape)
-        h_uu = -lam * w * fuu_vals
-        if np.all(h_uu < 0):
-            h_u = pontryagin_H_u(prob, ts, xs, us, ps, lam)[:, 0]
-            u_stat = us[:, 0] - h_u / h_uu
-            lo, hi = prob.U.lo[0], prob.U.hi[0]
-            u_stat = np.clip(u_stat, lo, hi)
-            best_u = us.copy()
-            h_at = _h_of_u(prob, w, ts, xs, ps, lam, best_u, 0, u_stat)
-            h_best = np.maximum(h_at, h_star)
-            np.copyto(best_u[:, 0], us[:, 0], where=~(h_at >= h_star))
-        else:
-            method = "golden"
-    if method == "vertex":
-        h_u = pontryagin_H_u(prob, ts, xs, us, ps, lam)[:, 0]
-        lo, hi = prob.U.lo[0], prob.U.hi[0]
-        slope_scale = 1e-13 * (1.0 + np.abs(h_star))
-        live = np.abs(h_u) > slope_scale
-        if not np.isfinite(hi) and np.any(live & (h_u > 0)):
-            k = int(np.argmax(live & (h_u > 0)))
-            raise UnboundedAbove(float(ts[k]), 0, +1)
-        if not np.isfinite(lo) and np.any(live & (h_u < 0)):
-            k = int(np.argmax(live & (h_u < 0)))
-            raise UnboundedAbove(float(ts[k]), 0, -1)
-        target = np.where(h_u > 0, hi, lo)
-        target = np.where(live, target, us[:, 0])
-        best_u = us.copy()
-        h_at = _h_of_u(prob, w, ts, xs, ps, lam, best_u, 0, target)
-        h_best = np.maximum(h_at, h_star)
-        np.copyto(best_u[:, 0], us[:, 0], where=~(h_at >= h_star))
-    if method == "golden":
-        best_u, h_best, _ = _max_condition_sampler(
-            prob, w, ts, xs, us, ps, lam, h_star, tol)
-    return best_u, h_best, method
+    return best_u, h_best
 
 
 def check_maximum_condition(prob: ControlProblem, cand: CandidateProcess,
                             adj: AdjointSolution, tol: float = 1e-8) -> ConditionRecord:
     """Gap between sup_u H and H at the candidate control, per knot.
 
-    For a single control that enters H quadratically with strictly
-    concave curvature, the interior stationary point is solved exactly
-    (clamped to the box); a purely linear H is settled at the box faces.
-    Everything else goes through a prescan of 26-35 probes per coordinate
-    and a safeguarded Newton iteration on H_u between the best probe's
-    neighbours, with one H evaluation at its end; where that slice is not
-    concave (no sign change of H_u across the bracket, H_uu >= 0 at the
-    result, a non-finite value, or H_u undefined in the block), a 60-step
-    golden-section refinement takes over at one H evaluation per step.
-    With two or more controls the coordinates are swept twice.  A
-    coordinate whose best probe is the outermost one toward an unbounded
-    face, with H still climbing there and above H at the candidate by
-    more than ``tol`` times its magnitude, raises :class:`UnboundedAbove`.
-    Knots where the weight is not finite (an integrable pole at 0) carry
-    no pointwise information and are skipped.
+    Each control coordinate along which H is at most quadratic is solved
+    in closed form: the clipped stationary point of a concave slice, else
+    the better box face.  Every other one goes through a prescan of 26-35
+    probes and a safeguarded Newton iteration on H_u between the best
+    probe's nearest distinct neighbours; where that slice is not concave
+    (no sign change of H_u across the bracket, H_uu >= 0 at the result, a
+    non-finite value, or H_u undefined in the block), a 60-step golden
+    section takes over.  Two or more controls are swept twice; the notes
+    name each coordinate's search.  A slice that climbs toward an
+    unbounded face, with H at the outermost probe (u +- 2^16 (1 + |u|))
+    above H at the candidate by more than ``tol`` times its magnitude,
+    raises :class:`UnboundedAbove`.  Knots where the weight is not finite
+    (an integrable pole at 0) carry no pointwise information and are
+    skipped.
     """
     grid = adj.grid
     xs, us = cand.state(grid), cand.control(grid)
@@ -892,13 +865,15 @@ def check_maximum_condition(prob: ControlProblem, cand: CandidateProcess,
     if ts.size == 0:
         raise InvalidGrid("no knots with finite weight to check")
     h_star = pontryagin_H(prob, ts, xs, us, ps, lam)
-    best_u, h_best, method = _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol)
+    best_u, h_best = _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol)
 
     gaps = h_best - h_star
     rel = gaps / (1.0 + np.abs(h_star))
     worst = int(np.argmax(rel))
     residual = float(rel[worst])
-    notes.append(f"inner maximization: {method}")
+    notes.append("inner maximization: " + ", ".join(
+        f"u{i + 1} {'closed form' if q else 'sampled'}"
+        for i, q in enumerate(prob.u_quadratic)))
     return ConditionRecord(
         name="maximum_condition",
         verdict="pass" if residual <= tol else "fail",

@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .expressions import (DomainError, Expression, ExpressionSyntaxError, _build, _emit,
-                          parse_expression)
+from .expressions import (Call, DomainError, Expression, ExpressionSyntaxError, Neg,
+                          _Binary, _build, _emit, parse_expression)
 from .integrate import _GL_NODES, _GL_WEIGHTS, InvalidGrid, _sample_at
 from .weights import (
     WeightSpec,
@@ -202,6 +202,15 @@ def _check_variables(exprs, allowed: set[str], context: str) -> None:
             raise UnknownIdentifier(sorted(extra)[0], context)
 
 
+def _sign_depends(e: Expression, name: str) -> bool:
+    """Whether a ``sign`` node of ``e`` has an argument that depends on ``name``."""
+    if isinstance(e, Call) and e.fn == "sign" and name in e.variables():
+        return True
+    kids = (e.args if isinstance(e, Call) else (e.arg,) if isinstance(e, Neg)
+            else (e.left, e.right) if isinstance(e, _Binary) else ())
+    return any(_sign_depends(k, name) for k in kids)
+
+
 def _evaluator(exprs, shape: tuple, n: int, m: int) -> Callable:
     """Generate one function ``(t, x[, u])`` evaluating ``exprs`` in turn.
 
@@ -260,7 +269,10 @@ class ControlProblem:
     array (see :func:`_evaluator`).  The diagonal ``phi_uu`` of the
     dynamics' control Hessians joins ``f_uu`` in :meth:`u_slopes`, which
     gives the control search the slope and curvature of H along one
-    control coordinate.
+    control coordinate.  ``u_quadratic[i]`` holds when H is at most
+    quadratic in ``u_i``: ``f_uu[i][i]`` and ``phi_uu[:, i]`` are free of
+    ``u_i``, and so is every ``sign`` node (the derivative of ``abs``,
+    whose own derivative reads 0) in ``f_u[i]`` and ``phi_u[:, i]``.
 
     Maximization problems must be negated before construction; the parser
     does this and sets ``negated`` so reports can say so.
@@ -286,6 +298,7 @@ class ControlProblem:
     phi_x: tuple = field(init=False, repr=False)
     phi_u: tuple = field(init=False, repr=False)
     phi_uu: tuple = field(init=False, repr=False)
+    u_quadratic: tuple = field(init=False, repr=False)
     g_x: tuple = field(init=False, repr=False)
     _evaluators: dict = field(init=False, repr=False)
 
@@ -332,6 +345,10 @@ class ControlProblem:
             tuple(tuple(row[i].diff(c) for i, c in enumerate(controls))
                   for row in self.phi_u)
         )
+        object.__setattr__(self, "u_quadratic", tuple(
+            all(c not in e.variables() for e in (fuu[i], *(row[i] for row in self.phi_uu)))
+            and not any(_sign_depends(e, c) for e in (fu, *(row[i] for row in self.phi_u)))
+            for i, (c, fu, fuu) in enumerate(zip(controls, self.f_u, self.f_uu))))
         object.__setattr__(
             self, "g_x", tuple(tuple(gj.diff(s) for s in states) for gj in g)
         )

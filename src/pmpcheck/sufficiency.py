@@ -88,10 +88,10 @@ def hamiltonian_sup(prob: ControlProblem, t, x, p, lambda0: float = 1.0,
 
     ``t`` may be a scalar or a 1-d array; ``x`` and ``p`` follow with one
     row per time (a single row is broadcast).  The inner maximization
-    uses the same machinery as the maximum-condition check, so a single
-    quadratic control is solved analytically and everything else goes
-    through the prescan plus safeguarded Newton, with golden section
-    where a slice is not concave.  ``u_start`` overrides the
+    uses the same search as the maximum-condition check: a closed form
+    for each control coordinate along which H is at most quadratic, the
+    prescan plus safeguarded Newton for every other one, with golden
+    section where a slice is not concave.  ``u_start`` overrides the
     default feasible starting point (the projection of 0 into the box).
 
     Raises UnboundedAbove when H climbs without bound toward an open
@@ -108,7 +108,7 @@ def hamiltonian_sup(prob: ControlProblem, t, x, p, lambda0: float = 1.0,
             u0 = np.broadcast_to(u0, (ts.size, prob.m))
         u0 = np.ascontiguousarray(u0)
     h0 = pontryagin_H(prob, ts, xs, u0, ps, lambda0)
-    _, h_best, _ = _sup_over_u(prob, ts, xs, u0, ps, lambda0, h0, _SUP_TOL)
+    _, h_best = _sup_over_u(prob, ts, xs, u0, ps, lambda0, h0, _SUP_TOL)
     return float(h_best[0]) if scalar else h_best
 
 

@@ -192,7 +192,7 @@ u2 = [0, 1]
 def two_controls_sup(t, x, p):
     """Closed-form maximizer and sup of H for TWO_CONTROLS."""
     w = np.exp(-t)
-    u1 = 0.3 + p / (2.0 * w)
+    u1 = np.clip(0.3 + p / (2.0 * w), 0.0, 1.0)
     h = -w * ((u1 - 0.3) ** 2 + 1.0 + x ** 2) + p * (u1 + 1.0 - x)
     return u1, h
 
@@ -226,6 +226,16 @@ def undiscounted_pieces(grid):
         grid, lambda t: np.exp(-np.asarray(t)),
         lambda t: np.full(np.shape(t), 1.0))
     return prob, cand
+
+
+def interior_bang_pieces(grid):
+    """UNDISCOUNTED with the interior control u = 1/2 and p = -1."""
+    prob = parse_problem(UNDISCOUNTED)
+    cand = candidate_from_functions(
+        grid, lambda t: np.exp(-0.5 * np.asarray(t)),
+        lambda t: np.full(np.shape(t), 0.5))
+    adj = adjoint_from_function(grid, lambda t: -np.ones(np.shape(t)))
+    return prob, cand, adj
 
 
 @pytest.fixture(scope="module")
@@ -620,52 +630,46 @@ class TestIntegralAdjoint:
 
 
 class TestMaximumCondition:
-    def test_quadratic_uses_stationary_path(self, reg_setup):
+    def test_quadratic_control_uses_closed_form(self, reg_setup):
         prob, cand, adj = reg_setup
         rec = check_maximum_condition(prob, cand, adj)
         assert rec.passed
         assert rec.residual < 1e-12
-        assert any("stationary" in note for note in rec.notes)
+        assert "inner maximization: u1 closed form" in rec.notes
 
-    def test_bang_control_uses_vertex_path(self, grid):
+    def test_bang_control_uses_closed_form(self, grid):
         prob, cand = undiscounted_pieces(grid)
         adj = adjoint_from_function(grid, lambda t: -np.ones(np.shape(t)))
         rec = check_maximum_condition(prob, cand, adj)
         assert rec.passed
         assert rec.residual == 0.0
-        assert any("vertex" in note for note in rec.notes)
+        assert "inner maximization: u1 closed form" in rec.notes
 
     def test_interior_control_on_bang_problem_fails(self, grid):
-        prob, _ = undiscounted_pieces(grid)
-        cand = candidate_from_functions(
-            grid, lambda t: np.exp(-0.5 * np.asarray(t)),
-            lambda t: np.full(np.shape(t), 0.5))
-        adj = adjoint_from_function(grid, lambda t: -np.ones(np.shape(t)))
-        rec = check_maximum_condition(prob, cand, adj)
+        rec = check_maximum_condition(*interior_bang_pieces(grid))
         assert not rec.passed
         # H(t,x,u) = -x(1 + pu): at t=0 the gap to the u=1 vertex is
         # x(1 - 0.5)/(1 + |H*|) = 0.5/1.5
         assert rec.residual == pytest.approx(1.0 / 3.0, rel=1e-9)
 
-    def test_log_problem_uses_golden_sampler(self, grid):
+    def test_log_problem_uses_sampled_search(self, grid):
         prob, cand, adj = investment_pieces(grid)
         rec = check_maximum_condition(prob, cand, adj)
         assert rec.passed
         assert rec.residual < 1e-12
-        assert any("golden" in note for note in rec.notes)
+        assert "inner maximization: u1 sampled" in rec.notes
 
     def test_golden_sampler_alone_closes_the_regulator_gap(self, reg_setup):
-        # the stationary shortcut settles this problem in check_maximum_condition;
-        # the prescan-plus-golden path must reach the same maximum on its own
+        # the closed form settles this problem in check_maximum_condition;
+        # the sampled search must reach the same maximum on its own
         prob, cand, adj = reg_setup
         ts = adj.grid
         xs, us, ps = cand.state(ts), cand.control(ts), adj.p
         w = np.asarray(prob.omega(ts), dtype=float)
         h_star = pontryagin_H(prob, ts, xs, us, ps, 1.0)
         tol = 1e-8
-        _, h_best, method = pmp._max_condition_sampler(
-            prob, w, ts, xs, us, ps, 1.0, h_star, tol)
-        assert method == "golden"
+        _, h_best = pmp._sampled_max(prob, w, ts, xs, ps, 1.0, us.copy(), 0,
+                                     h_star + tol * np.abs(h_star))
         gaps = h_best - h_star
         assert np.all(gaps >= 0.0)
         assert np.all(gaps <= tol * (1.0 + np.abs(h_star)))
@@ -692,15 +696,46 @@ class TestMaximumCondition:
         assert err.value.coordinate == 0
         assert err.value.direction > 0
 
-    @pytest.mark.parametrize("factor", [0.5, 3.0, 7.0])
-    def test_gap_series_scales_with_the_multiplier(self, reg_setup, factor):
-        prob, cand, adj = reg_setup
+    @pytest.mark.parametrize("problem,factor", [
+        *(pytest.param("regulator", f, id=f"{f}") for f in (0.5, 3.0, 7.0)),
+        # H = -x(1 + pu) is linear in u, so a slope floor in absolute units
+        # would keep the control at 1/2 once the multiplier is small
+        *(pytest.param("bang", f, id=f"bang-{f:g}") for f in (1e-14, 0.5, 1e6)),
+    ])
+    def test_gap_series_scales_with_the_multiplier(self, reg_setup, grid,
+                                                   problem, factor):
+        prob, cand, adj = reg_setup if problem == "regulator" else interior_bang_pieces(grid)
         base = check_maximum_condition(prob, cand, adj)
         scaled = AdjointSolution(grid=adj.grid, p=factor * adj.p,
                                  lambda0=factor * adj.lambda0, route="user")
         rec = check_maximum_condition(prob, cand, scaled)
-        np.testing.assert_allclose(rec.series, factor * base.series,
-                                   atol=1e-11)
+        if problem == "regulator":  # gaps at roundoff
+            np.testing.assert_allclose(rec.series, factor * base.series,
+                                       atol=1e-11)
+        else:
+            assert np.all(base.series > 0)
+            np.testing.assert_allclose(rec.series, factor * base.series,
+                                       rtol=1e-12, atol=0.0)
+            assert rec.witnesses[0][2] == (1.0,)
+
+    def test_control_on_the_closed_face_still_sees_the_interior_peak(self):
+        # u = 0 on the face of [0, inf) used to collapse all probes below the
+        # control onto the face, so the bracket [0, 0] hid the peak at 1/4
+        g = default_grid(50.0, cells=256, refine_zero=False)
+        prob = parse_problem(EXTRACTION)
+        cand = candidate_from_functions(
+            g, lambda t: np.exp(0.5 * (1.0 - np.exp(-np.asarray(t)))),
+            lambda t: np.zeros(np.shape(t)))
+        adj = adjoint_from_function(g, lambda t: np.zeros(np.shape(t)))
+        rec = check_maximum_condition(prob, cand, adj)
+        # with p = 0, H = w (u/(u + 1/4) - u) rises from 0 to w/4 at u = 1/4
+        quarter = 0.25 * prob.omega(g[1:])
+        np.testing.assert_allclose(rec.series, quarter, rtol=1e-15)
+        assert rec.verdict == "fail"
+        assert rec.residual == pytest.approx(np.max(quarter), rel=1e-15)
+        assert rec.witnesses[0][2] == (pytest.approx(0.25, abs=1e-12),)
+        assert hamiltonian_sup(prob, 1.0, [1.0], [0.0]) == pytest.approx(
+            0.25 * prob.omega(1.0), rel=1e-15)
 
     def test_two_controls_take_two_sweeps(self):
         g = default_grid(20.0, cells=256, refine_zero=False)
@@ -711,15 +746,16 @@ class TestMaximumCondition:
                                         lambda t: np.full((np.size(t), 2), 0.5))
         adj = adjoint_from_function(g, p_fn)
         rec = check_maximum_condition(prob, cand, adj)
-        assert any("golden" in note for note in rec.notes)
+        assert "inner maximization: u1 closed form, u2 closed form" in rec.notes
         x, p = x_fn(g), p_fn(g)
         _, h_sup = two_controls_sup(g, x, p)
         h_cand = pontryagin_H(prob, g, x[:, None], cand.u, p[:, None], 1.0)
-        np.testing.assert_allclose(rec.series + h_cand, h_sup, rtol=1e-12)
+        bound = 1e-15 * (1.0 + np.abs(h_sup))
+        assert np.all(np.abs(rec.series + h_cand - h_sup) <= bound)
         assert rec.verdict == "fail"  # (1/2, 1/2) is off the maximizer
-        np.testing.assert_allclose(
-            hamiltonian_sup(prob, g, x[:, None], p[:, None]), h_sup, rtol=1e-12)
-        # the maximizer itself has no gap, up to the golden resolution
+        h = hamiltonian_sup(prob, g, x[:, None], p[:, None])
+        assert np.all(np.abs(h - h_sup) <= bound)
+        # the maximizer itself has no gap
         u1, _ = two_controls_sup(g, x, p)
         opt = CandidateProcess(grid=g, x=x[:, None],
                                u=np.stack([u1, np.ones_like(g)], axis=-1))
@@ -842,6 +878,81 @@ u1 = [0, 1]
 # for large x the best probe is the face u = 0, where f_u is undefined
 SQRT_FACE = TWO_PEAKS.replace("((u1 - 0.5)^2 - 0.0001)^2", "x1*u1 - sqrt(u1)")
 
+# H = -w |u - 0.3| + p (u - x) peaks at the kink u = 0.3 while |p| < w.
+# abs differentiates to sign and sign to 0, so H_uu = 0 although H is not
+# linear in u
+ABS_KINK = TWO_PEAKS.replace("((u1 - 0.5)^2 - 0.0001)^2", "abs(u1 - 0.3)")
+
+
+class TestControlClassification:
+    """Which control coordinates the search solves in closed form."""
+
+    @pytest.mark.parametrize("src,quadratic", [
+        pytest.param(REGULATOR.format(a=4.5), (True,), id="regulator"),
+        pytest.param(CONSTRAINED, (True,), id="constrained"),
+        pytest.param(REGULATOR.format(a=4.5).replace(  # as in test_sufficiency
+            "f = 0.5*(x1^2 + u1^2)", "f = 0.5*(u1^2 - x1^2)"), (True,), id="antiregulator"),
+        pytest.param(UNDISCOUNTED, (True,), id="undiscounted"),
+        pytest.param(DISCOUNTED_LOG, (True,), id="discounted_log"),
+        pytest.param(TWO_CONTROLS, (True, True), id="two_controls"),
+        pytest.param(INVESTMENT, (False,), id="investment"),
+        pytest.param(EXTRACTION, (False,), id="extraction"),
+        pytest.param(TWO_PEAKS, (False,), id="two_peaks"),
+        pytest.param(SQRT_FACE, (False,), id="sqrt_face"),
+        pytest.param(ABS_KINK, (False,), id="abs_kink"),
+    ])
+    def test_table(self, src, quadratic):
+        prob = parse_problem(src)
+        assert prob.u_quadratic == quadratic
+        # independent check: along a coordinate where H is at most quadratic
+        # the third difference vanishes up to roundoff, at any multiplier
+        rng = np.random.default_rng(7)
+        k, step = 400, 0.1
+        ts = rng.uniform(0.1, 10.0, k)
+        xs = rng.uniform(0.5, 3.0, (k, 1))
+        ps = rng.uniform(-2.0, 2.0, (k, 1))
+        us = rng.uniform(0.0, 0.6, (k, prob.m))
+        for i, q in enumerate(quadratic):
+            h = []
+            for j in range(4):
+                u = us.copy()
+                u[:, i] += j * step
+                h.append(pontryagin_H(prob, ts, xs, u, ps, 1.0))
+            third = np.abs(h[3] - 3.0 * h[2] + 3.0 * h[1] - h[0])
+            scale = 1.0 + np.max(np.abs(h), axis=0)
+            if q:
+                assert np.all(third <= 1e-10 * scale)
+            else:
+                assert np.any(third > 1e-6 * scale)
+
+    def test_convex_slice_takes_the_better_face(self):
+        # H = w (u - 0.2)^2 + p (u - x) is convex in u: the sup is on a face
+        src = TWO_PEAKS.replace("((u1 - 0.5)^2 - 0.0001)^2", "-(u1 - 0.2)^2")
+        prob = parse_problem(src.replace("u1 = [0, 1]", "u1 = [-1, 2]"))
+        assert prob.u_quadratic == (True,)
+        rng = np.random.default_rng(11)
+        ts = rng.uniform(0.1, 5.0, 200)
+        xs = rng.uniform(0.5, 3.0, (200, 1))
+        ps = rng.uniform(-8.0, 8.0, (200, 1))
+        faces = [pontryagin_H(prob, ts, xs, np.full((200, 1), v), ps, 1.0)
+                 for v in (-1.0, 2.0)]
+        want = np.maximum(*faces)
+        got = hamiltonian_sup(prob, ts, xs, ps, u_start=np.full((200, 1), 0.2))
+        assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + np.abs(want)))
+        # toward an unbounded face a convex slice climbs without bound
+        prob = parse_problem(src.replace("u1 = [0, 1]", "u1 = (-inf, 2]"))
+        with pytest.raises(UnboundedAbove) as err:
+            hamiltonian_sup(prob, 1.0, [1.0], [0.0])
+        assert err.value.direction < 0
+
+    @pytest.mark.parametrize("t,x,p", [(0.5, 1.0, 0.2), (1.0, 2.0, -0.1)])
+    def test_abs_kink_is_found(self, t, x, p):
+        # read as linear, the search would stop on a face, 0.24 and 0.08 low
+        prob = parse_problem(ABS_KINK)
+        kink = p * (0.3 - x)
+        got = hamiltonian_sup(prob, t, [x], [p])
+        assert abs(got - kink) <= 1e-14 * (1.0 + abs(kink))
+
 
 class TestNewtonSearch:
     """Safeguarded Newton refinement, with golden section where it fails."""
@@ -910,6 +1021,30 @@ class TestNewtonSearch:
             assert np.all(np.abs(h_new) <= 1e-12 * w)
         else:
             np.testing.assert_allclose(h_new, w / (4.0 * xs[:, 0]), rtol=1e-9)
+
+    def test_two_controls_are_exact_without_golden(self, monkeypatch):
+        # both coordinates are quadratic: one slope read and one H value per
+        # coordinate and sweep, although the maximizer often sits on a face
+        prob, ts, xs, ps, us = self.random_points(TWO_CONTROLS, k=20000, seed=3)
+        calls = {"H": 0, "golden": 0}
+        h_orig, g_orig = pmp._hamiltonian, pmp._golden_max
+
+        def h_counted(*args):
+            calls["H"] += 1
+            return h_orig(*args)
+
+        def g_counted(*args, **kwargs):
+            calls["golden"] += 1
+            return g_orig(*args, **kwargs)
+
+        monkeypatch.setattr(pmp, "_hamiltonian", h_counted)
+        monkeypatch.setattr(pmp, "_golden_max", g_counted)
+        h = hamiltonian_sup(prob, ts, xs, ps, u_start=us)
+        _, h_sup = two_controls_sup(ts, xs[:, 0], ps[:, 0])
+        assert np.all(np.abs(h - h_sup) <= 1e-15 * (1.0 + np.abs(h_sup)))
+        blocks = -(-ts.size // pmp._BLOCK)
+        assert calls["H"] <= (1 + 2 * 2) * blocks
+        assert calls["golden"] == 0
 
     def test_work_per_block_is_the_prescan_and_one_value(self, monkeypatch):
         # a silent return to golden section would add its 62 H values per
