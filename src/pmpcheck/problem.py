@@ -15,10 +15,14 @@ Two audit modes exist.  The uniform mode uses a constant tube radius and
 carries the constraint conditions; the scaled mode shrinks the tube with a
 declared radius function and also perturbs the control.  Verdict keys are
 ``A0``..``A3`` for the former and ``B0``..``B2`` for the latter.
+
+:func:`parse_problem` reads the problem-definition file, whose docstring
+is the grammar reference; a malformed file fails there, at its line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,6 +32,7 @@ from .expressions import (Call, DomainError, Expression, ExpressionSyntaxError, 
                           _Binary, _build, _emit, parse_expression)
 from .integrate import _GL_NODES, _GL_WEIGHTS, InvalidGrid, _sample_at
 from .weights import (
+    InvalidExponent,
     WeightSpec,
     _window_growth,
     check_distribution,
@@ -109,7 +114,7 @@ class EmptyTube(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ControlBox:
-    """A coordinate box of admissible controls; bounds may be infinite.
+    """A coordinate box of admissible controls; bounds may be infinite, not NaN.
 
     ``open_lo``/``open_hi`` mark strict endpoints, so half-open intervals
     like [0, 1) are expressible.  An empty box is rejected outright: the
@@ -129,6 +134,8 @@ class ControlBox:
         ohi = np.atleast_1d(np.asarray(self.open_hi, dtype=bool))
         if not (lo.shape == hi.shape == olo.shape == ohi.shape):
             raise DimensionMismatch("control bound arrays must share one shape")
+        if np.any(np.isnan(lo) | np.isnan(hi)):
+            raise ValueError("control bounds may be infinite but not NaN")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "open_lo", olo)
@@ -181,14 +188,6 @@ class ControlBox:
             )
             hi_eff[mask] = self.hi[mask] - margin
         return np.clip(u, lo_eff, hi_eff)
-
-    def corners(self) -> np.ndarray:
-        """All 2^m vertices; only defined for a fully bounded box."""
-        if not self.bounded:
-            raise ValueError("corners are defined only for bounded control boxes")
-        grids = np.meshgrid(*[(self.lo[i], self.hi[i]) for i in range(self.m)],
-                            indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -764,7 +763,7 @@ def audit_assumptions(
 
     x0_gap = float(np.linalg.norm(x_star[0] - prob.x0))
     inside = prob.U.contains(u_star, tol=_ADMISSIBLE_TOL)
-    if x0_gap > _ADMISSIBLE_TOL:
+    if not x0_gap <= _ADMISSIBLE_TOL:  # a NaN gap fails too
         base_ok = False
         witnesses[names["base"]] = (float(grid[0]), tuple(x_star[0]), None)
         notes.append(f"{names['base']}: initial state misses x0 by {x0_gap:.3g}")
@@ -1034,96 +1033,73 @@ def slater_check(prob: ControlProblem, cand: CandidateProcess,
 # the problem-definition file format
 
 
-_SECTIONS = ("problem", "dynamics", "objective", "space", "controls", "constraints")
+# The keys each section takes; ``<i>`` stands for a component index 1, 2, ...
+_KEYS = {
+    "problem": "n|m|x0|sense|p",
+    "dynamics": "phi<i>",
+    "objective": "f|omega",
+    "space": "nu|eta",
+    "controls": "u<i>|convex",
+    "constraints": "g<i>",
+}
+_FAMILIES = {"exp_decay": exp_decay, "power": power, "weibull": weibull}
+
+
+def _number(text: str, line: int, what: str, infinite: bool = False) -> float:
+    """Read one float; NaN never passes, and +-inf only where ``infinite``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ProblemSyntaxError(f"bad {what} {text.strip()!r}", line) from None
+    if np.isnan(value) or (np.isinf(value) and not infinite):
+        raise ProblemSyntaxError(f"{what} must be {'a number, not NaN' if infinite else 'finite'}"
+                                 f", got {text.strip()!r}", line)
+    return value
 
 
 def _parse_weight(text: str, line: int) -> WeightSpec:
     """Parse a weight literal: a named family or an expression with options."""
-    text = text.strip()
-    head = text.split(None, 1)
-    family = head[0]
-    if family in ("exp_decay", "power", "weibull"):
-        if len(head) != 2:
-            raise ProblemSyntaxError(f"{family} needs one parameter", line)
+    words = text.split()
+    if words and words[0] in _FAMILIES:
+        if len(words) != 2:
+            raise ProblemSyntaxError(f"{words[0]} needs one parameter", line)
         try:
-            value = float(head[1])
-        except ValueError:
-            raise ProblemSyntaxError(f"bad {family} parameter {head[1]!r}", line) from None
-        maker = {"exp_decay": exp_decay, "power": power, "weibull": weibull}[family]
-        try:
-            return maker(value)
-        except ValueError as err:
+            return _FAMILIES[words[0]](_number(words[1], line, f"{words[0]} parameter"))
+        except InvalidExponent as err:
             raise ProblemSyntaxError(str(err), line) from None
-    if family.startswith("expr(") or text.startswith("expr("):
-        body_start = text.index("(")
-        depth = 0
-        for i in range(body_start, len(text)):
-            if text[i] == "(":
-                depth += 1
-            elif text[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-        else:
-            raise ProblemSyntaxError("unbalanced parentheses in weight expression", line)
-        body = text[body_start + 1:i]
-        rest = text[i + 1:].split()
-        tail = None
-        pole = None
-        k = 0
-        while k < len(rest):
-            if rest[k] == "tail" and k + 1 < len(rest):
-                stop = k + 1
-                while stop < len(rest) and rest[stop] != "pole":
-                    stop += 1
-                try:
-                    tail_expr = parse_expression(" ".join(rest[k + 1:stop]))
-                except ExpressionSyntaxError as err:
-                    raise ProblemSyntaxError(f"bad tail bound: {err}", line) from None
-                extra = tail_expr.variables() - {"t"}
-                if extra:
-                    raise ProblemSyntaxError(
-                        f"tail bound may only use t, found {sorted(extra)[0]}", line
-                    )
-                tail = lambda T, e=tail_expr: float(e.ev({"t": float(T)}))
-                k = stop
-            elif rest[k] == "pole" and k + 1 < len(rest):
-                try:
-                    pole = float(rest[k + 1])
-                except ValueError:
-                    raise ProblemSyntaxError(
-                        f"bad pole exponent {rest[k + 1]!r}", line
-                    ) from None
-                k += 2
-            else:
-                raise ProblemSyntaxError(f"unexpected weight option {rest[k]!r}", line)
-        try:
-            return from_expression(body, tail_bound=tail, pole_exp=pole)
-        except (ExpressionSyntaxError, ValueError) as err:
-            raise ProblemSyntaxError(f"bad weight expression: {err}", line) from None
-    raise ProblemSyntaxError(
-        f"unknown weight literal {family!r} (expected exp_decay/power/weibull/expr(...))",
-        line,
-    )
+    # a weight body may only use t, so the words tail and pole cannot occur in it
+    head, *options = re.split(r"\b(tail|pole)\b", text)
+    head = head.rstrip()
+    if not (head.startswith("expr(") and head.endswith(")")):
+        raise ProblemSyntaxError(
+            f"unknown weight literal {text!r} (expected exp_decay a, power a, weibull k "
+            f"or expr(<t-expression>) [tail <T-expression>] [pole <number>])", line)
+    named = dict(zip(options[::2], options[1::2]))
+    if len(named) < len(options) // 2:
+        raise ProblemSyntaxError("a weight option is given twice", line)
+    tail = pole = None
+    if "tail" in named:
+        tail_expr = _parse_expr(named["tail"], line)
+        extra = tail_expr.variables() - {"t"}
+        if extra:
+            raise ProblemSyntaxError(f"tail bound may only use t, found {sorted(extra)[0]}", line)
+        tail = lambda T, e=tail_expr: float(e.ev({"t": float(T)}))
+    if "pole" in named:
+        pole = _number(named["pole"], line, "pole exponent")
+    try:
+        return from_expression(head[5:-1], tail_bound=tail, pole_exp=pole)
+    except (ExpressionSyntaxError, ValueError) as err:
+        raise ProblemSyntaxError(f"bad weight expression: {err}", line) from None
 
 
 def _parse_bounds(text: str, line: int) -> tuple[float, float, bool, bool]:
-    text = text.strip()
-    if len(text) < 2 or text[0] not in "([" or text[-1] not in ")]":
+    parts = text[1:-1].split(",")
+    if len(text) < 2 or text[0] not in "([" or text[-1] not in ")]" or len(parts) != 2:
         raise ProblemSyntaxError(
             f"control bounds must look like [lo, hi] or (lo, hi), got {text!r}", line
         )
-    open_lo = text[0] == "("
-    open_hi = text[-1] == ")"
-    parts = text[1:-1].split(",")
-    if len(parts) != 2:
-        raise ProblemSyntaxError("control bounds need exactly two endpoints", line)
-    try:
-        lo = float(parts[0])
-        hi = float(parts[1])
-    except ValueError:
-        raise ProblemSyntaxError(f"bad control bound in {text!r}", line) from None
-    return lo, hi, open_lo, open_hi
+    lo, hi = (_number(part, line, "control bound", infinite=True) for part in parts)
+    return lo, hi, text[0] == "(", text[-1] == ")"
 
 
 def _parse_expr(text: str, line: int) -> Expression:
@@ -1137,13 +1113,36 @@ def parse_problem(source: str) -> ControlProblem:
     """Build a ControlProblem from its definition text.
 
     The format is line-based: ``[section]`` headers followed by
-    ``key = value`` entries; ``#`` starts a comment.  Sections ``problem``
-    (n, m, x0, sense, p), ``dynamics`` (phi1..), ``objective`` (f, omega),
-    and ``space`` (nu, optional eta) are required; ``controls`` (per-
-    coordinate boxes, convex flag) and ``constraints`` (g1..) are not.
-    Maximization is normalized away here by negating the integrand.
+    ``key = value`` entries.  ``#`` starts a comment, and section names
+    and keys ignore case.  A key may appear once per section; a section
+    may be reopened.  The sections and their keys::
+
+        [problem]      n = <integer >= 1>        states
+                       m = <integer >= 1>        controls
+                       x0 = <n numbers>          separated by spaces or commas
+                       sense = min|max           default min
+                       p = <number>              space exponent, default 2
+        [dynamics]     phi1 .. phin = <expression in t, x1..xn, u1..um>
+        [objective]    f = <expression in t, x1..xn, u1..um>
+                       omega = <weight>          the density
+        [space]        nu = <weight>             the space weight
+                       eta = <weight>            optional tube radius
+        [controls]     ui = [lo, hi] | (lo, hi) | [lo, hi) | (lo, hi]
+                       convex = true|false       default true
+        [constraints]  g1 .. gl = <expression in t, x1..xn>, meaning g <= 0
+
+    A weight is one of ``exp_decay a`` (e^(-a t), a > 0), ``power a``
+    ((1+t)^(-a), a > 0), ``weibull k`` (t^(k-1) e^(-t^k), 0 < k <= 1), or
+    ``expr(<t-expression>) [tail <T-expression>] [pole <number>]``.  The
+    options may come in either order, each at most once: ``tail`` bounds
+    the mass beyond T (written in the variable t), and ``pole`` declares
+    the power of t at 0.  ``[problem]``, ``[dynamics]``, ``[objective]``
+    and ``[space]`` are required.  A control without a ``ui`` entry is
+    unbounded, and bounds may be ``inf`` or ``-inf``; every other number
+    outside an expression must be finite.  Maximization is normalized away
+    here by negating the integrand.
     """
-    entries: dict[str, dict[str, tuple[str, int]]] = {s: {} for s in _SECTIONS}
+    entries: dict[str, dict[str, tuple[str, int]]] = {s: {} for s in _KEYS}
     headers: dict[str, int] = {}
     section = None
     lines = source.splitlines()
@@ -1154,21 +1153,28 @@ def parse_problem(source: str) -> ControlProblem:
         if text.startswith("["):
             if not text.endswith("]"):
                 raise ProblemSyntaxError("unterminated section header", lineno)
-            name = text[1:-1].strip().lower()
-            if name not in _SECTIONS:
-                raise ProblemSyntaxError(f"unknown section [{name}]", lineno)
-            section = name
-            headers.setdefault(name, lineno)
+            section = text[1:-1].strip().lower()
+            if section not in _KEYS:
+                raise ProblemSyntaxError(f"unknown section [{section}]", lineno)
+            headers.setdefault(section, lineno)
             continue
         if section is None:
             raise ProblemSyntaxError("content before any [section] header", lineno)
-        if "=" not in text:
-            raise ProblemSyntaxError("expected key = value", lineno)
-        key, value = text.split("=", 1)
+        key, equals, value = text.partition("=")
         key = key.strip().lower()
+        if not equals:
+            raise ProblemSyntaxError("expected key = value", lineno)
+        if not re.fullmatch(_KEYS[section].replace("<i>", "[1-9][0-9]*"), key):
+            raise ProblemSyntaxError(
+                f"unknown key in [{section}]: expected {_KEYS[section]}, found {key!r}", lineno)
         if key in entries[section]:
             raise ProblemSyntaxError(f"duplicate key {key!r} in [{section}]", lineno)
         entries[section][key] = (value.strip(), lineno)
+
+    for sec in ("problem", "dynamics", "objective", "space"):
+        if sec not in headers:
+            raise ProblemSyntaxError(f"missing required section [{sec}]",
+                                     max(1, len(lines)))
 
     def need(section: str, key: str) -> tuple[str, int]:
         if key not in entries[section]:
@@ -1176,124 +1182,56 @@ def parse_problem(source: str) -> ControlProblem:
                                      headers[section])
         return entries[section][key]
 
-    def grab(section: str, key: str, default=None):
-        return entries[section].get(key, (default, 0))
+    def components(section: str, stem: str, count: int) -> tuple:
+        """The expressions ``stem1..stem<count>``, which are the section's keys."""
+        for key, (_, line) in entries[section].items():
+            if int(key[len(stem):]) > count:
+                raise ProblemSyntaxError(f"[{section}] needs {stem}1..{stem}{count} "
+                                         f"numbered consecutively, found {key!r}", line)
+        return tuple(_parse_expr(*need(section, f"{stem}{i}")) for i in range(1, count + 1))
 
-    for sec in ("problem", "dynamics", "objective", "space"):
-        if sec not in headers:
-            raise ProblemSyntaxError(f"missing required section [{sec}]",
-                                     max(1, len(lines)))
-
-    text, line = need("problem", "n")
-    try:
-        n = int(text)
-    except ValueError:
-        raise ProblemSyntaxError(f"n must be an integer, got {text!r}", line) from None
-    text, line = need("problem", "m")
-    try:
-        m = int(text)
-    except ValueError:
-        raise ProblemSyntaxError(f"m must be an integer, got {text!r}", line) from None
-    if n < 1 or m < 1:
-        raise ProblemSyntaxError("need n >= 1 and m >= 1", line)
-
+    dims = []
+    for key in ("n", "m"):
+        text, line = need("problem", key)
+        value = _number(text, line, key)
+        if value < 1 or not value.is_integer():
+            raise ProblemSyntaxError(f"{key} must be a positive integer, got {text!r}", line)
+        dims.append(int(value))
+    n, m = dims
     text, line = need("problem", "x0")
-    try:
-        x0 = np.array([float(v) for v in text.replace(",", " ").split()])
-    except ValueError:
-        raise ProblemSyntaxError(f"bad x0 entry in {text!r}", line) from None
+    x0 = np.array([_number(v, line, "x0 entry") for v in text.replace(",", " ").split()])
     if x0.size != n:
         raise DimensionMismatch(f"x0 has {x0.size} entries, n={n} (line {line})")
-
-    sense, line = grab("problem", "sense", "min")
-    sense = sense.lower()
-    if sense not in ("min", "max"):
+    sense, line = entries["problem"].get("sense", ("min", 0))
+    if sense.lower() not in ("min", "max"):
         raise ProblemSyntaxError(f"sense must be min or max, got {sense!r}", line)
-    p_text, line = grab("problem", "p", None)
-    if p_text is None:
-        p_text, line = grab("problem", "p_exp", "2")
-    try:
-        p_exp = float(p_text)
-    except ValueError:
-        raise ProblemSyntaxError(f"bad space exponent {p_text!r}", line) from None
+    p_exp = _number(*entries["problem"].get("p", ("2", 0)), "space exponent")
 
-    for key in entries["problem"]:
-        if key not in ("n", "m", "x0", "sense", "p", "p_exp"):
-            raise ProblemSyntaxError(f"unknown key {key!r} in [problem]",
-                                     entries["problem"][key][1])
+    phi = components("dynamics", "phi", n)
+    f = _parse_expr(*need("objective", "f"))
+    negated = sense.lower() == "max"
+    omega = _parse_weight(*need("objective", "omega"))
+    nu = _parse_weight(*need("space", "nu"))
+    eta = _parse_weight(*entries["space"]["eta"]) if "eta" in entries["space"] else None
 
-    phi = []
-    for i in range(1, n + 1):
-        text, line = need("dynamics", f"phi{i}")
-        phi.append(_parse_expr(text, line))
-    for key in entries["dynamics"]:
-        if key not in {f"phi{i}" for i in range(1, n + 1)}:
-            raise ProblemSyntaxError(f"unexpected dynamics component {key!r} (n={n})",
-                                     entries["dynamics"][key][1])
-
-    text, f_line = need("objective", "f")
-    f = _parse_expr(text, f_line)
-    negated = sense == "max"
-    if negated:
-        from .expressions import Neg
-
-        f = Neg(f)
-    text, line = need("objective", "omega")
-    omega = _parse_weight(text, line)
-    for key in entries["objective"]:
-        if key not in ("f", "omega"):
-            raise ProblemSyntaxError(f"unknown key {key!r} in [objective]",
-                                     entries["objective"][key][1])
-
-    text, line = need("space", "nu")
-    nu = _parse_weight(text, line)
-    eta = None
-    if "eta" in entries["space"]:
-        text, line = entries["space"]["eta"]
-        eta = _parse_weight(text, line)
-    for key in entries["space"]:
-        if key not in ("nu", "eta"):
-            raise ProblemSyntaxError(f"unknown key {key!r} in [space]",
-                                     entries["space"][key][1])
-
-    if entries["controls"]:
-        lo = np.full(m, -np.inf)
-        hi = np.full(m, np.inf)
-        olo = np.ones(m, dtype=bool)
-        ohi = np.ones(m, dtype=bool)
-        convex = True
-        for key, (value, line) in entries["controls"].items():
-            if key == "convex":
-                convex = value.lower() in ("true", "yes", "1")
-                continue
-            if not (key.startswith("u") and key[1:].isdigit()):
-                raise ProblemSyntaxError(f"unknown key {key!r} in [controls]", line)
+    lo, hi = np.full(m, -np.inf), np.full(m, np.inf)
+    olo, ohi = np.ones(m, dtype=bool), np.ones(m, dtype=bool)
+    convex, line = entries["controls"].get("convex", ("true", 0))
+    if convex.lower() not in ("true", "false"):
+        raise ProblemSyntaxError(f"convex must be true or false, got {convex!r}", line)
+    for key, (value, line) in entries["controls"].items():
+        if key != "convex":
             i = int(key[1:])
-            if not 1 <= i <= m:
+            if i > m:
                 raise ProblemSyntaxError(f"control index {key!r} out of range (m={m})", line)
             lo[i - 1], hi[i - 1], olo[i - 1], ohi[i - 1] = _parse_bounds(value, line)
-        try:
-            U = ControlBox(lo, hi, olo, ohi, convex=convex)
-        except ValueError as err:
-            raise ProblemSyntaxError(str(err), headers["controls"]) from None
-    else:
-        U = ControlBox.unbounded(m)
+    try:
+        U = ControlBox(lo, hi, olo, ohi, convex=convex.lower() == "true")
+    except ValueError as err:
+        raise ProblemSyntaxError(str(err), headers["controls"]) from None
 
-    g = []
-    if entries["constraints"]:
-        # shorter keys first, so g2 precedes g10: this is index order for
-        # every well-formed key, and any other key still fails the match
-        ordered = sorted(entries["constraints"], key=lambda k: (len(k), k))
-        for idx, key in enumerate(ordered, start=1):
-            if key != f"g{idx}":
-                raise ProblemSyntaxError(
-                    f"constraints must be named g1..gl consecutively, found {key!r}",
-                    entries["constraints"][key][1],
-                )
-            text, line = entries["constraints"][key]
-            g.append(_parse_expr(text, line))
-
+    g = components("constraints", "g", len(entries["constraints"]))
     return ControlProblem(
-        n=n, m=m, f=f, phi=tuple(phi), x0=x0, omega=omega, nu=nu, U=U,
-        p_exp=p_exp, g=tuple(g), eta=eta, sense="min", negated=negated,
+        n=n, m=m, f=Neg(f) if negated else f, phi=phi, x0=x0, omega=omega, nu=nu, U=U,
+        p_exp=p_exp, g=g, eta=eta, sense="min", negated=negated,
     )

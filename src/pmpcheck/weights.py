@@ -90,8 +90,8 @@ class WeightSpec:
 
 def exp_decay(a: float) -> WeightSpec:
     """The family e^(-a t), a > 0.  Tail mass beyond T is e^(-aT)/a."""
-    if a <= 0:
-        raise InvalidExponent(f"exp_decay needs a > 0, got {a!r}")
+    if not 0 < a < np.inf:
+        raise InvalidExponent(f"exp_decay needs 0 < a < inf, got {a!r}")
     return WeightSpec(
         label=f"exp_decay {a:g}",
         value=lambda t: np.exp(-a * t),
@@ -104,8 +104,8 @@ def exp_decay(a: float) -> WeightSpec:
 
 def power(a: float) -> WeightSpec:
     """The family (1+t)^(-a), a > 0.  Integrable exactly when a > 1."""
-    if a <= 0:
-        raise InvalidExponent(f"power needs a > 0, got {a!r}")
+    if not 0 < a < np.inf:
+        raise InvalidExponent(f"power needs 0 < a < inf, got {a!r}")
     tail = (lambda T: (1.0 + T) ** (1.0 - a) / (a - 1.0)) if a > 1 else None
     return WeightSpec(
         label=f"power {a:g}",

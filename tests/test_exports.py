@@ -1,6 +1,7 @@
 """Every name a module lists in ``__all__`` must exist in that module,
-every exported function must be reached from the package's own code, and
-every defaulted parameter of an exported function must be set somewhere."""
+every exported function and every public method or property of an
+exported class must be reached from the package's own code, and every
+defaulted parameter of an exported function must be set somewhere."""
 
 import ast
 import importlib
@@ -23,6 +24,13 @@ ENTRY_POINTS = {
     "adjoint_from_function": "wraps a user-supplied adjoint for the condition checks",
     "dynamics_residual": "deferred: becomes the A0/B0 process premise once its tolerance is fixed",
     "solve_ode": "perfbench/spans.py wraps pmp.solve_ode by name",
+}
+
+# Public methods of exported classes that no package code calls, each for a
+# stated reason.
+UNCALLED_METHODS = {
+    "CertificateReport.condition": "report accessor: one condition's record by name",
+    "ConcavityReport.pairs_at": "report accessor: the sampled pairs behind one slice's verdict",
 }
 
 # Defaulted parameters that no call site sets, each for a stated reason.
@@ -83,6 +91,27 @@ def test_every_exported_function_has_a_caller():
     assert not unreached, f"exported functions nothing in pmpcheck calls: {unreached}"
     called = sorted(set(ENTRY_POINTS) & loaded)
     assert not called, f"ENTRY_POINTS lists functions that now have a caller: {called}"
+
+
+def test_every_public_method_has_a_caller():
+    """Methods, class methods and properties count; dunder and private names do not."""
+    loaded = _loaded_names()
+    methods = set()
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for cls in (getattr(module, attr) for attr in module.__all__):
+            if not inspect.isclass(cls):
+                continue
+            for key, value in vars(cls).items():
+                if not key.startswith("_") and (inspect.isfunction(value) or isinstance(
+                        value, (classmethod, staticmethod, property))):
+                    methods.add(f"{cls.__name__}.{key}")
+    unreached = sorted(m for m in methods
+                       if m.split(".")[1] not in loaded and m not in UNCALLED_METHODS)
+    assert not unreached, f"public methods nothing in pmpcheck calls: {unreached}"
+    stale = sorted(m for m in UNCALLED_METHODS
+                   if m not in methods or m.split(".")[1] in loaded)
+    assert not stale, f"UNCALLED_METHODS lists methods that are gone or now called: {stale}"
 
 
 def test_every_defaulted_parameter_is_set():

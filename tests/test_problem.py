@@ -1,7 +1,12 @@
 """Problem parsing, candidate processes, and the assumption audits."""
 
+import dataclasses
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import test_pmp
 from pmpcheck.expressions import DomainError
@@ -77,17 +82,6 @@ class TestControlBox:
         assert u[0] < 1.0
         np.testing.assert_allclose(box.project([-3.0]), [0.0])
 
-    def test_corners_enumerate_the_bounded_box(self):
-        box = ControlBox([0.0, -1.0], [1.0, 2.0], [False, False], [False, False])
-        corners = box.corners()
-        assert corners.shape == (4, 2)
-        expected = {(0.0, -1.0), (0.0, 2.0), (1.0, -1.0), (1.0, 2.0)}
-        assert {tuple(c) for c in corners} == expected
-
-    def test_corners_refuse_an_unbounded_box(self):
-        with pytest.raises(ValueError, match="bounded"):
-            ControlBox.unbounded(1).corners()
-
     def test_empty_boxes_are_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ControlBox([1.0], [0.0], [False], [False])
@@ -95,6 +89,12 @@ class TestControlBox:
             ControlBox([2.0], [2.0], [False], [True])
         # a degenerate closed point is legitimate
         assert ControlBox([2.0], [2.0], [False], [False]).contains([2.0])
+
+    def test_nan_bounds_are_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ControlBox([np.nan], [1.0], [False], [False])
+        with pytest.raises(ValueError, match="NaN"):
+            ControlBox([0.0], [np.nan], [False], [True])
 
 
 class TestParse:
@@ -248,6 +248,163 @@ g1 = x1 - 2
         with pytest.raises(ProblemSyntaxError, match="weight expression"):
             parse_problem(src)
 
+    @pytest.mark.parametrize("old,bad,match", [
+        ("omega = exp_decay 1.0", "omega =", "weight literal"),
+        ("omega = exp_decay 1.0", "omega = exp_decay nan", "finite"),
+        ("x0 = 2.0", "x0 = nan", "finite"),
+        ("p = 2", "p = nan", "finite"),
+        ("p = 2", "p_exp = 3", "unknown key"),
+        (None, "convex = ture", "true or false"),
+        (None, "u1 = [nan, 1]", "NaN"),
+    ], ids=["empty-weight", "nan-family-parameter", "nan-x0", "nan-p", "p_exp-alias",
+            "misspelt-convex", "nan-bound"])
+    def test_malformed_values_are_rejected_at_their_line(self, old, bad, match):
+        src = REGULATOR.replace(old, bad) if old else REGULATOR + "[controls]\n" + bad + "\n"
+        with pytest.raises(ProblemSyntaxError, match=match) as err:
+            parse_problem(src)
+        assert err.value.line == src.splitlines().index(bad) + 1
+
+    def test_expression_weight_options_split_on_their_keywords(self):
+        src = REGULATOR.replace("omega = exp_decay 1.0",
+                                "omega = expr(exp(-(t))) pole 0 tail exp(-t)")
+        omega = parse_problem(src).omega
+        assert (omega.label, omega.pole_exp, omega.tail_bound(2.0)) == ("exp(-(t))", 0.0,
+                                                                       np.exp(-2.0))
+        for bad in ("expr(1) tail", "expr(1) pole 0 pole 1", "expr(1) x", "expr(1)) pole 0"):
+            with pytest.raises(ProblemSyntaxError):
+                parse_problem(REGULATOR.replace("omega = exp_decay 1.0", f"omega = {bad}"))
+
+
+
+# ---- fuzzing the file format: valid files that between them use every key
+
+FULL_FORMAT = """
+[problem]
+n = 2
+m = 2
+x0 = 1.0, -0.5
+sense = max
+p = 3
+
+[dynamics]
+phi1 = x2 + u1
+phi2 = -x1 + u2 * t
+
+[objective]
+f = ln(1 + x1^2) - u1^2 - abs(u2)
+omega = expr((1 + t)^-3) tail 0.5 * (1 + t)^-2 pole 0
+
+[space]
+nu = power 2.5
+eta = exp_decay 0.5
+
+[controls]
+u1 = (-1, 2]
+u2 = [0, inf)
+convex = false
+
+[constraints]
+g1 = x1 - 5
+g2 = x2^2 - 9 - t
+"""
+
+_FUZZ_BASES = [FULL_FORMAT, REGULATOR, test_pmp.INVESTMENT, test_pmp.UNDISCOUNTED,
+               test_pmp.CONSTRAINED, test_pmp.TWO_CONTROLS]
+
+
+def _blocks(source):
+    """The ``(section, [(key, value), ...])`` blocks of a well-formed file, in order."""
+    blocks = []
+    for raw in source.splitlines():
+        text = raw.strip()
+        if text.startswith("["):
+            blocks.append((text[1:-1], []))
+        elif text:
+            key, value = text.split("=", 1)
+            blocks[-1][1].append((key.strip(), value.strip()))
+    return blocks
+
+
+def _record(prob):
+    """Everything a reformatting must keep, in comparable form."""
+    box = prob.U
+    weights = [None if w is None else (w.label, w.pole_exp)
+               for w in (prob.omega, prob.nu, prob.eta)]
+    return (prob.n, prob.m, prob.negated, str(prob.f), [str(e) for e in prob.phi],
+            [str(e) for e in prob.g], prob.x0.tolist(), prob.p_exp, box.lo.tolist(),
+            box.hi.tolist(), box.open_lo.tolist(), box.open_hi.tolist(), box.convex, weights)
+
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+_COMMENT = st.text(alphabet=string.ascii_letters + string.digits + " =[]()#", max_size=12)
+
+
+@st.composite
+def _reformatted(draw):
+    """A base file and the same file with its sections and keys shuffled,
+    comments and blank lines added, and spacing and key case changed."""
+    base = draw(st.sampled_from(_FUZZ_BASES))
+    lines = []
+    for section, rows in draw(st.permutations(_blocks(base))):
+        name = draw(st.sampled_from([section, section.upper(), section.title()]))
+        lines.append(f"{draw(_SPACE)}[{draw(_SPACE)}{name}{draw(_SPACE)}]")
+        for key, value in draw(st.permutations(rows)):
+            lines += draw(st.lists(st.one_of(_SPACE, _COMMENT.map(lambda c: "#" + c)), max_size=2))
+            key = draw(st.sampled_from([key, key.upper(), key.capitalize()]))
+            comment = draw(st.one_of(st.just(""), _COMMENT.map(lambda c: " #" + c)))
+            lines.append(f"{draw(_SPACE)}{key}{draw(_SPACE)}={draw(_SPACE)}{value}{comment}")
+    return base, "\n".join(lines)
+
+
+@given(case=_reformatted())
+@settings(max_examples=150, deadline=None)
+def test_reformatting_keeps_the_problem(case):
+    base, text = case
+    assert _record(parse_problem(text)) == _record(parse_problem(base))
+
+
+# Replacement values, keys and lines that each probe one rule of the grammar.
+# Random text leaves out m, so no mutation can declare a huge control count.
+_VALUE_EDITS = ["", "nan", "inf", "-inf", "1e400", "-1", "0", "0.5", "1.5", "3", "x1", "x2",
+                "u2", "t", "ln(x1", "[0, 1]", "(0, inf)", "[nan, 1]", "[1, 0]", "(1, 1]",
+                "[0, 1", "true", "ture", "max", "exp_decay", "exp_decay nan", "power inf",
+                "weibull 2", "expr(t)", "expr(x1)", "expr(1) tail", "expr(1) pole nan",
+                "expr(1) pole 0 pole 1", "expr(exp(-t)) tail exp(-t) pole 0", "expr(1)) tail t"]
+_KEY_EDITS = ["", "n", "m", "x0", "p", "p_exp", "sense", "phi1", "phi3", "phi01", "f", "omega",
+              "nu", "eta", "u1", "u3", "convex", "g1", "g3", "g0", "bogus"]
+_LINE_EDITS = ["[problem]", "[controls]", "[constraints]", "[bogus]", "[space", "= 1", "key", "#"]
+_CHARS = "=[](),#.+-*/^ 0159eEtxupgnfia_\t"
+
+
+@st.composite
+def _mutated(draw):
+    """A base file with one line edited."""
+    lines = draw(st.sampled_from(_FUZZ_BASES)).splitlines()
+    k = draw(st.sampled_from([k for k, line in enumerate(lines) if line]))
+    line = lines[k]
+    key, _, value = line.partition("=")
+    at = draw(st.integers(0, len(line)))
+    lines[k] = draw(st.one_of(
+        st.sampled_from(_VALUE_EDITS).map(lambda v: f"{key}= {v}"),
+        st.sampled_from(_KEY_EDITS).map(lambda v: f"{v} ={value}"),
+        st.sampled_from(_CHARS).map(lambda c: line[:at] + c + line[at:]),
+        st.just(line[:at] + line[at + 1:]),
+        st.sampled_from(_LINE_EDITS),
+        st.text(alphabet=_CHARS, max_size=24),
+    ))
+    return "\n".join(lines)
+
+
+@given(text=_mutated())
+@settings(max_examples=1000, deadline=None)
+def test_a_mutated_line_parses_or_fails_with_a_real_line(text):
+    try:
+        parse_problem(text)
+    except ProblemSyntaxError as err:
+        assert 1 <= err.line <= len(text.splitlines())
+    except (DimensionMismatch, UnknownIdentifier):
+        pass
+
 
 class TestCandidate:
     def test_closed_forms_bypass_interpolation(self):
@@ -381,6 +538,12 @@ class TestAudit:
             lambda t: 3.0 * _RATE * np.exp(_RATE * t),
         )
         rep = audit_assumptions(prob, cand, gamma=0.5)
+        assert rep.verdicts["A0"] == "fail"
+        assert any("initial state" in note for note in rep.notes)
+
+    def test_nan_initial_state_fails_the_base_verdict(self):
+        prob = dataclasses.replace(parse_problem(REGULATOR), x0=[np.nan])
+        rep = audit_assumptions(prob, regulator_candidate(), gamma=0.5)
         assert rep.verdicts["A0"] == "fail"
         assert any("initial state" in note for note in rep.notes)
 

@@ -49,7 +49,7 @@ class TestFamilies:
         assert nu.tail_bound(9.0) == pytest.approx(0.1)
         assert power(1.0).tail_bound is None
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_family_exponent_validation(self, bad):
         with pytest.raises(InvalidExponent):
             exp_decay(bad)
