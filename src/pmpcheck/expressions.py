@@ -2,9 +2,10 @@
 
 The grammar is small on purpose: variables (``t``, ``x1..xn``, ``u1..um``),
 the operators ``+ - * / ^`` with unary minus, the functions ``exp``, ``ln``,
-``sqrt``, ``sin``, ``cos``, ``abs``, ``pow``, and numeric literals.  Every
-node knows how to produce its derivative with respect to a named variable,
-so Jacobians of vector fields never rely on finite differences.
+``sqrt``, ``sin``, ``cos``, ``abs``, ``pow``, and finite numeric literals;
+a literal, or a constant folded from literals, that overflows is a syntax
+error.  Every node knows how to produce its derivative with respect to a
+named variable, so Jacobians of vector fields never rely on finite differences.
 
 Evaluation runs generated code: each tree is compiled once into Python
 source with one statement per operator node, over scalars or numpy
@@ -508,6 +509,13 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
     return
 
 
+def _finite(node: Expression, col: int) -> Expression:
+    """``node``, unless it is a literal or folded constant that overflowed."""
+    if isinstance(node, Num) and not np.isfinite(node.value):
+        raise ExpressionSyntaxError("number overflows to infinity", col)
+    return node
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -538,17 +546,17 @@ class _Parser:
     def expr(self) -> Expression:
         node = self.term()
         while self.peek()[1] in ("+", "-"):
-            _, op, _ = self.next()
+            _, op, col = self.next()
             rhs = self.term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
+            node = _finite(add(node, rhs) if op == "+" else sub(node, rhs), col)
         return node
 
     def term(self) -> Expression:
         node = self.unary()
         while self.peek()[1] in ("*", "/"):
-            _, op, _ = self.next()
+            _, op, col = self.next()
             rhs = self.unary()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
+            node = _finite(mul(node, rhs) if op == "*" else div(node, rhs), col)
         return node
 
     def unary(self) -> Expression:
@@ -571,7 +579,7 @@ class _Parser:
     def atom(self) -> Expression:
         kind, text, col = self.next()
         if kind == "num":
-            return Num(float(text))
+            return _finite(Num(float(text)), col)
         if kind == "name":
             if self.peek()[1] == "(":
                 return self.call(text, col)

@@ -229,12 +229,12 @@ def improper_verdict(
 
     # --- behaviour at infinity ---
     tail_estimate = None
-    if tail_bound is not None:
-        tail_estimate = float(tail_bound(float(decades[-1])))
-        tail_status = "converged" if np.isfinite(tail_estimate) else "inconclusive"
-    elif not np.all(np.isfinite(decade_partials)):
+    if not np.all(np.isfinite(decade_partials)):
         tail_status = "diverged"
         notes.append("partial integrals overflow")
+    elif tail_bound is not None:
+        tail_estimate = float(tail_bound(float(decades[-1])))
+        tail_status = "converged" if np.isfinite(tail_estimate) else "inconclusive"
     else:
         d = np.abs(increments)
         growing = d.size >= 2 and d[-1] > 1.01 * d[-2] and d[-1] > _LADDER_TOL
@@ -278,7 +278,6 @@ class DecayRecord:
 
     passed: bool
     sups: tuple[float, float, float]
-    tol: float
     witness: tuple[float, float] | None
     detail: str
 
@@ -309,14 +308,14 @@ def decays_to_zero(
     floor = 1e-300
     if not all(np.isfinite(sups)):
         bad = next(i for i, s in enumerate(sups) if not np.isfinite(s))
-        return DecayRecord(False, tuple(sups), tol, (argmax_t[bad], sups[bad]), "non-finite samples")
+        return DecayRecord(False, tuple(sups), (argmax_t[bad], sups[bad]), "non-finite samples")
     if s2 > s1 * (1 + _DECAY_SLACK) + floor:
-        return DecayRecord(False, tuple(sups), tol, (argmax_t[1], s2), "grows between first and second window")
+        return DecayRecord(False, tuple(sups), (argmax_t[1], s2), "grows between first and second window")
     if s3 > s2 * (1 + _DECAY_SLACK) + floor:
-        return DecayRecord(False, tuple(sups), tol, (argmax_t[2], s3), "grows between second and third window")
+        return DecayRecord(False, tuple(sups), (argmax_t[2], s3), "grows between second and third window")
     if s3 > tol * (1.0 + s1):
-        return DecayRecord(False, tuple(sups), tol, (argmax_t[2], s3), f"final window sup {s3:.3g} above tol*(1+first)")
-    return DecayRecord(True, tuple(sups), tol, None, "decays across windows")
+        return DecayRecord(False, tuple(sups), (argmax_t[2], s3), f"final window sup {s3:.3g} above tol*(1+first)")
+    return DecayRecord(True, tuple(sups), None, "decays across windows")
 
 
 # --- Dormand-Prince 5(4) -----------------------------------------------------
@@ -449,7 +448,7 @@ def _state_stages(prob, control, ta, tb):
     return stages
 
 
-def solve_state(prob, u, x0=None, grid=None, t_max: float = 50.0,
+def solve_state(prob, u, x0=None, grid=None,
                 rtol: float = 1e-10, atol: float = 1e-12, blowup: float = 1e12):
     """Integrate the state equation under a given control.
 
@@ -464,14 +463,14 @@ def solve_state(prob, u, x0=None, grid=None, t_max: float = 50.0,
     right limit, so a control that jumps at the knots, such as
     ``CandidateProcess.control`` of a sampled candidate, is seen with the
     cell's own value.  Without ``grid`` the knots are a uniform 1024-cell
-    grid on [0, t_max].  Returns a
+    grid on [0, 50].  Returns a
     :class:`~pmpcheck.problem.CandidateProcess`; a callable ``u`` becomes
     its ``closed_u``.
     """
     from .problem import CandidateProcess  # deferred: avoids an import cycle
 
     if grid is None:
-        grid = default_grid(t_max, cells=1024, refine_zero=False)
+        grid = default_grid(50.0, cells=1024, refine_zero=False)
     grid = np.asarray(grid, dtype=float)
     if x0 is None:
         x0 = prob.x0

@@ -288,9 +288,7 @@ class ControlProblem:
     p_exp: float = 2.0
     g: tuple = ()
     eta: WeightSpec | None = None
-    sense: str = "min"
     negated: bool = False
-    label: str = ""
     f_x: tuple = field(init=False, repr=False)
     f_u: tuple = field(init=False, repr=False)
     f_uu: tuple = field(init=False, repr=False)
@@ -304,8 +302,6 @@ class ControlProblem:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise DimensionMismatch("need n >= 1 states and m >= 1 controls")
-        if self.sense != "min":
-            raise ValueError("problems are stored in min convention; negate f first")
         phi = tuple(self.phi)
         if len(phi) != self.n:
             raise DimensionMismatch(f"dynamics has {len(phi)} components, n={self.n}")
@@ -426,7 +422,6 @@ class CandidateProcess:
     u: np.ndarray
     closed_x: Callable | None = None
     closed_u: Callable | None = None
-    label: str = ""
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -476,8 +471,7 @@ class CandidateProcess:
         return _sample_at(self.grid, self.u, t_arr)
 
 
-def candidate_from_functions(grid, x_fn: Callable, u_fn: Callable,
-                             label: str = "") -> CandidateProcess:
+def candidate_from_functions(grid, x_fn: Callable, u_fn: Callable) -> CandidateProcess:
     """Sample closed-form state/control functions into a CandidateProcess.
 
     Both callables must accept numpy arrays of times; the closed forms are
@@ -486,8 +480,7 @@ def candidate_from_functions(grid, x_fn: Callable, u_fn: Callable,
     grid = np.asarray(grid, dtype=float)
     x = np.asarray(x_fn(grid), dtype=float)
     u = np.asarray(u_fn(grid), dtype=float)
-    return CandidateProcess(grid=grid, x=x, u=u, closed_x=x_fn, closed_u=u_fn,
-                            label=label)
+    return CandidateProcess(grid=grid, x=x, u=u, closed_x=x_fn, closed_u=u_fn)
 
 
 def dynamics_residual(prob: ControlProblem, cand: CandidateProcess) -> np.ndarray:
@@ -584,7 +577,8 @@ class AssumptionReport:
 
     Every ``fail`` verdict carries a witness ``(t, x, u)`` (``u`` is None
     when the control played no role).  ``L_values`` is the empirical
-    per-time majorant of the cost data over the tube, and ``L_partials``
+    per-time majorant of the cost data over the tube, one value per
+    audited knot ``cand.grid[:len(L_values)]``, and ``L_partials``
     the decade partials of its weighted integral, so a divergence is
     visible rather than asserted.
     """
@@ -595,7 +589,6 @@ class AssumptionReport:
     witnesses: dict
     C0: float
     K_estimate: float | None
-    L_grid: np.ndarray
     L_values: np.ndarray
     L_partials: tuple
     L_verdict: str
@@ -945,7 +938,6 @@ def audit_assumptions(
         witnesses=witnesses,
         C0=float(C0),
         K_estimate=nu_report.K_estimate,
-        L_grid=grid,
         L_values=L_values,
         L_partials=L_partials,
         L_verdict=L_verdict,
@@ -965,7 +957,6 @@ class ActiveSet:
     I: tuple
     times: dict
     peak: dict
-    tol: float
 
 
 def active_indices(prob: ControlProblem, cand: CandidateProcess) -> ActiveSet:
@@ -976,7 +967,7 @@ def active_indices(prob: ControlProblem, cand: CandidateProcess) -> ActiveSet:
     infeasible and that is an error, not a verdict.
     """
     if prob.l == 0:
-        return ActiveSet((), {}, {}, _ACTIVE_TOL)
+        return ActiveSet((), {}, {})
     gv = prob.g_value(cand.grid, cand.x)  # (N, l)
     active = []
     times: dict[int, np.ndarray] = {}
@@ -991,7 +982,7 @@ def active_indices(prob: ControlProblem, cand: CandidateProcess) -> ActiveSet:
         if top >= -_ACTIVE_TOL:
             active.append(j + 1)
             times[j + 1] = cand.grid[np.abs(col) <= _ACTIVE_TOL]
-    return ActiveSet(tuple(active), times, peak, _ACTIVE_TOL)
+    return ActiveSet(tuple(active), times, peak)
 
 
 @dataclass(frozen=True)
@@ -1233,5 +1224,5 @@ def parse_problem(source: str) -> ControlProblem:
     g = components("constraints", "g", len(entries["constraints"]))
     return ControlProblem(
         n=n, m=m, f=Neg(f) if negated else f, phi=phi, x0=x0, omega=omega, nu=nu, U=U,
-        p_exp=p_exp, g=g, eta=eta, sense="min", negated=negated,
+        p_exp=p_exp, g=g, eta=eta, negated=negated,
     )

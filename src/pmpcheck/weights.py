@@ -4,12 +4,14 @@ A weight enters in three roles: as the space weight defining the weighted
 Lebesgue and Sobolev norms, as the distribution density multiplying the
 objective integrand, and (weak mode) as the tube radius around the
 candidate control.  Each role has its own qualification list; the checks
-here sample a declared :class:`WeightSpec` on a grid and return verdict
-reports with witnesses, relying on :mod:`pmpcheck.integrate` for every
-question that involves t -> infinity.
+here sample a declared :class:`WeightSpec` on one fixed log-uniform grid
+of ``_PROPERTY_POINTS`` points and return verdict reports with witnesses,
+relying on :mod:`pmpcheck.integrate` for every question that involves
+t -> infinity.
 
-Built-in families carry analytic derivatives, tail bounds, pole exponents
-and log-values.  The log-value matters: ratios such as ``omega^2 / nu`` in
+Every weight, a built-in family or an expression in t, carries its
+analytic derivative and its log-value, and optionally a tail bound and a
+pole exponent.  The log-value matters: ratios such as ``omega^2 / nu`` in
 the Michel condition and the weighted envelope of the normality check are
 combined in log space, otherwise plain floating-point underflow of one
 factor silently zeroes (or blows up) a quantity that is perfectly finite.
@@ -34,7 +36,6 @@ __all__ = [
     "power",
     "weibull",
     "from_expression",
-    "default_property_grid",
     "check_weight_properties",
     "check_distribution",
     "check_tube_scale",
@@ -58,34 +59,22 @@ class InvalidExponent(ValueError):
 class WeightSpec:
     """A scalar function of t with the metadata the checks need.
 
-    ``tail_bound(T)`` must dominate the mass beyond T whenever declared,
-    and be nonincreasing in T.  ``pole_exp`` declares power behaviour at
-    t = 0 (``value ~ t^pole_exp``); ``None`` means unknown.  ``log_value``
-    returns log(value) without intermediate under/overflow when available.
-    When ``deriv`` is missing, :meth:`derivative` substitutes a central
-    difference with relative step ``fd_step`` (one-sided next to 0), and
-    reports record that step.
+    ``deriv`` is the analytic derivative and ``log_value`` returns
+    log(value) without intermediate under/overflow.  ``tail_bound(T)``
+    must dominate the mass beyond T whenever declared, and be
+    nonincreasing in T.  ``pole_exp`` declares power behaviour at t = 0
+    (``value ~ t^pole_exp``); ``None`` means unknown.
     """
 
     label: str
     value: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray] | None = None
+    deriv: Callable[[np.ndarray], np.ndarray]
+    log_value: Callable[[np.ndarray], np.ndarray]
     tail_bound: Callable[[float], float] | None = None
     pole_exp: float | None = 0.0
-    log_value: Callable[[np.ndarray], np.ndarray] | None = None
-    fd_step: float = 1e-6
 
     def __call__(self, t):
         return self.value(np.asarray(t, dtype=float))
-
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.deriv is not None:
-            return self.deriv(t)
-        h = self.fd_step * np.maximum(1.0, np.abs(t))
-        lo = np.maximum(t - h, 0.0)
-        hi = t + h
-        return (self.value(hi) - self.value(lo)) / (hi - lo)
 
 
 def exp_decay(a: float) -> WeightSpec:
@@ -215,11 +204,11 @@ def _log_form(expr) -> Callable[[np.ndarray], np.ndarray]:
 
 def from_expression(
     text: str,
-    label: str | None = None,
     tail_bound: Callable[[float], float] | None = None,
     pole_exp: float | None = None,
 ) -> WeightSpec:
-    """Wrap an expression in t as a WeightSpec; the derivative is symbolic.
+    """Wrap an expression in t as a WeightSpec labelled by its text; the
+    derivative is symbolic.
 
     ``pole_exp`` defaults to unknown (None): undeclared behaviour at 0 is
     a real limitation for user weights, and the checks degrade to
@@ -230,7 +219,7 @@ def from_expression(
     if extra:
         raise ValueError(f"weight expression may only use t, found {sorted(extra)}")
     return WeightSpec(
-        label=label or text,
+        label=text,
         value=_vectorize_in_t(expr),
         deriv=_vectorize_in_t(expr.diff("t")),
         tail_bound=tail_bound,
@@ -239,9 +228,12 @@ def from_expression(
     )
 
 
-def default_property_grid(points: int = 2048) -> np.ndarray:
-    """Log-uniform sampling grid from 0 to 50 used by the property checks."""
-    return np.concatenate(([0.0], np.geomspace(1e-6, 50.0, points)))
+_PROPERTY_POINTS = 2048  # log-uniform samples on [1e-6, 50], after t = 0
+
+
+def _property_grid() -> np.ndarray:
+    """The sampling grid of every property check."""
+    return np.concatenate(([0.0], np.geomspace(1e-6, 50.0, _PROPERTY_POINTS)))
 
 
 @dataclass(frozen=True)
@@ -254,12 +246,10 @@ class PropertyReport:
     passes, because downstream estimates reuse it.
     """
 
-    subject: str
     mode: str
     verdicts: dict[str, str]
     witnesses: dict[str, tuple[float, float]]
     K_estimate: float | None
-    fd_step_used: float | None
     notes: tuple[str, ...] = ()
 
     @property
@@ -318,11 +308,7 @@ _E5_HORIZON = 1.0e4
 _E5_TOL = 1e-3
 
 
-def check_weight_properties(
-    nu: WeightSpec,
-    grid: np.ndarray | None = None,
-    mode: str = "strong",
-) -> PropertyReport:
+def check_weight_properties(nu: WeightSpec, mode: str = "strong") -> PropertyReport:
     """Qualify a space weight: positivity/continuity, monotone decrease,
     integrability of the weight and its derivative, derivative bounded by
     a multiple of the weight, and (strong mode only) t*w(t) -> 0.
@@ -332,11 +318,7 @@ def check_weight_properties(
     """
     if mode not in ("strong", "weak"):
         raise ValueError(f"mode must be strong or weak, got {mode!r}")
-    if grid is None:
-        grid = default_property_grid()
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 8 or grid[0] != 0.0 or not np.all(np.diff(grid) > 0):
-        raise ValueError("property grid must be strictly increasing from 0")
+    grid = _property_grid()
 
     names = ("E1", "E2", "E3", "E4", "E5") if mode == "strong" else ("F1", "F2", "F3", "F4")
     vals = np.asarray(nu(grid), dtype=float)
@@ -393,7 +375,7 @@ def check_weight_properties(
         )
     else:
         dladder = improper_verdict(
-            lambda t: np.abs(nu.derivative(t)),
+            lambda t: np.abs(nu.deriv(t)),
             pole_exp=None if nu.pole_exp is None else (nu.pole_exp - 1.0 if nu.pole_exp != 0.0 else 0.0),
         )
         deriv_status = dladder.verdict
@@ -411,7 +393,7 @@ def check_weight_properties(
     # has underflowed (or gone subnormal, where the mantissa is mostly
     # quantization) carry no usable ratio and are skipped.
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.abs(np.asarray(nu.derivative(grid), dtype=float)) / vals
+        ratios = np.abs(np.asarray(nu.deriv(grid), dtype=float)) / vals
     ratios = np.where(vals > 1e-290, ratios, np.nan)
     # the ratios are nonnegative, so zeroing the unusable ones leaves every
     # window maximum as it is
@@ -436,12 +418,10 @@ def check_weight_properties(
             notes.append(f"E5: {rec.detail} (probe horizon {t_limit:g})")
 
     return PropertyReport(
-        subject=nu.label,
         mode=mode,
         verdicts=verdicts,
         witnesses=witnesses,
         K_estimate=K_estimate,
-        fd_step_used=None if nu.deriv is not None else nu.fd_step,
         notes=tuple(notes),
     )
 
@@ -462,7 +442,7 @@ def check_distribution(omega: WeightSpec, mode: str = "strong") -> PropertyRepor
     witnesses: dict[str, tuple[float, float]] = {}
     notes: list[str] = []
 
-    sample = default_property_grid()[1:]
+    sample = _property_grid()[1:]
     vals = np.asarray(omega(sample), dtype=float)
     neg = vals < 0
     negative_witness = None
@@ -497,19 +477,17 @@ def check_distribution(omega: WeightSpec, mode: str = "strong") -> PropertyRepor
             )
 
     return PropertyReport(
-        subject=omega.label,
         mode=mode,
         verdicts=verdicts,
         witnesses=witnesses,
         K_estimate=None,
-        fd_step_used=None,
         notes=tuple(notes),
     )
 
 
 def check_tube_scale(eta: WeightSpec) -> PropertyReport:
     """Qualify a weak-mode tube radius: positive, continuous, nonincreasing."""
-    grid = default_property_grid()
+    grid = _property_grid()
     verdicts: dict[str, str] = {}
     witnesses: dict[str, tuple[float, float]] = {}
     notes: list[str] = []
@@ -520,7 +498,7 @@ def check_tube_scale(eta: WeightSpec) -> PropertyReport:
             k = int(np.argmax(bad))
             verdicts["F6"] = "fail"
             witnesses["F6"] = (float(grid[k]), float(vals[k]))
-            return PropertyReport(eta.label, "weak", verdicts, witnesses, None, None, ())
+            return PropertyReport("weak", verdicts, witnesses, None, ())
         jump = _continuity_probe(eta, grid)
         rising = vals[1:] > vals[:-1] * (1 + 1e-10) + 1e-15
         if jump is not None:
@@ -538,4 +516,4 @@ def check_tube_scale(eta: WeightSpec) -> PropertyReport:
         verdicts["F6"] = "fail"
         witnesses["F6"] = (0.0, float("nan"))
         notes.append(f"evaluation failed: {exc}")
-    return PropertyReport(eta.label, "weak", verdicts, witnesses, None, None, tuple(notes))
+    return PropertyReport("weak", verdicts, witnesses, None, tuple(notes))

@@ -1,9 +1,12 @@
 """Every name a module lists in ``__all__`` must exist in that module,
 every exported function and every public method or property of an
-exported class must be reached from the package's own code, and every
-defaulted parameter of an exported function must be set somewhere."""
+exported class must be reached from the package's own code, every
+defaulted parameter of an exported function or class must be set by the
+package or the benchmark, and every field of an exported dataclass must
+be read somewhere."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -35,18 +38,30 @@ UNCALLED_METHODS = {
 
 # Defaulted parameters that no call site sets, each for a stated reason.
 _CONTRACT = "the certificate's public contract"
+_SOLVE_ODE = "kept with solve_ode until ROADMAP item 3 deletes it together with perfbench/spans.py"
 KEPT_DEFAULTS = {
+    ("verify_certificate", "mode"): _CONTRACT + ": the weak route",
+    ("verify_certificate", "lambda0"): _CONTRACT + ": the abnormal case",
+    ("verify_certificate", "measures"): _CONTRACT + ": constraint atoms of the multiplier",
+    ("verify_certificate", "include_sufficiency"): _CONTRACT + ": skip the Arrow scan",
     ("verify_certificate", "gamma"): _CONTRACT,
     ("verify_certificate", "audit"): _CONTRACT + ": reuse an audit already run",
     ("verify_certificate", "tol_adjoint"): _CONTRACT,
     ("verify_certificate", "tol_gap"): _CONTRACT,
     ("verify_certificate", "tol_decay"): _CONTRACT,
     ("verify_certificate", "t_backward"): _CONTRACT,
-    ("candidate_from_functions", "label"): "names the candidate in reports",
-    ("from_expression", "label"): "names the weight in reports",
+    ("adjoint_from_function", "lambda0"): "the abnormal case of a user-supplied adjoint",
     ("adjoint_from_function", "measures"): "constraint atoms of a user-supplied adjoint",
-    ("adjoint_from_function", "route"): "names the source of a user-supplied adjoint",
     ("hamiltonian_sup", "lambda0"): "the abnormal case of the maximized Hamiltonian",
+    ("solve_ode", "rtol"): _SOLVE_ODE,
+    ("solve_ode", "atol"): _SOLVE_ODE,
+    ("solve_ode", "blowup"): _SOLVE_ODE,
+}
+
+# Fields of exported dataclasses that no code reads, each for a stated reason.
+UNREAD_FIELDS = {
+    "AssumptionReport.gamma":
+        "the tube radius of an audit passed in through verify_certificate(audit=...)",
 }
 
 ROOT = Path(pmpcheck.__file__).resolve().parents[2]
@@ -75,18 +90,33 @@ def _loaded_names() -> set[str]:
     return loaded
 
 
-def _exported_functions() -> dict:
-    functions = {}
+def _exported(predicate) -> dict:
+    found = {}
     for name in MODULES:
         module = importlib.import_module(name)
-        functions.update((attr, getattr(module, attr)) for attr in module.__all__
-                         if inspect.isfunction(getattr(module, attr, None)))
-    return functions
+        found.update((attr, getattr(module, attr)) for attr in module.__all__
+                     if predicate(getattr(module, attr, None)))
+    return found
+
+
+def _parameters(obj) -> dict:
+    """Parameters of a function, or of a class's constructor; none for a
+    class whose constructor is a builtin's."""
+    try:
+        return dict(inspect.signature(obj).parameters)
+    except ValueError:
+        return {}
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in (ROOT / d).rglob("*.py"):
+            yield ast.parse(path.read_text(), filename=str(path))
 
 
 def test_every_exported_function_has_a_caller():
     loaded = _loaded_names()
-    unreached = sorted(name for name in _exported_functions()
+    unreached = sorted(name for name in _exported(inspect.isfunction)
                        if name not in loaded and name not in ENTRY_POINTS)
     assert not unreached, f"exported functions nothing in pmpcheck calls: {unreached}"
     called = sorted(set(ENTRY_POINTS) & loaded)
@@ -117,25 +147,27 @@ def test_every_public_method_has_a_caller():
 def test_every_defaulted_parameter_is_set():
     """A default that no caller overrides is a constant, not an option.
 
-    Call sites are read from the package, its tests and the benchmark; a
-    call by name sets the parameters it passes by position or keyword.
+    Exported functions and the constructors of exported classes count.
+    Call sites are read from the package and the benchmark only: a test
+    that sets a parameter does not make it an option.  A call by name sets
+    the parameters it passes by position or keyword.
     """
-    functions = _exported_functions()
+    functions = {name: _parameters(fn)
+                 for name, fn in _exported(lambda obj: inspect.isfunction(obj)
+                                           or inspect.isclass(obj)).items()}
     set_by_call = {name: set() for name in functions}
-    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
-                 *(ROOT / "perfbench").rglob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for tree in _trees("src", "perfbench"):
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             if name not in functions:
                 continue
-            params = list(inspect.signature(functions[name]).parameters)
-            set_by_call[name].update(params[:len(node.args)])
+            set_by_call[name].update(list(functions[name])[:len(node.args)])
             set_by_call[name].update(k.arg for k in node.keywords)
     unset, kept_but_set = [], []
-    for name, fn in functions.items():
-        for param, spec in inspect.signature(fn).parameters.items():
+    for name, params in functions.items():
+        for param, spec in params.items():
             if spec.default is inspect.Parameter.empty:
                 continue
             if (name, param) in KEPT_DEFAULTS:
@@ -145,6 +177,20 @@ def test_every_defaulted_parameter_is_set():
                 unset.append(f"{name}({param})")
     assert not unset, f"defaulted parameters no call site sets: {unset}"
     assert not kept_but_set, f"KEPT_DEFAULTS lists parameters that now have a setter: {kept_but_set}"
-    stale = sorted(key for key in KEPT_DEFAULTS if key[0] not in functions
-                   or key[1] not in inspect.signature(functions[key[0]]).parameters)
+    stale = sorted(key for key in KEPT_DEFAULTS if key[1] not in functions.get(key[0], {}))
     assert not stale, f"KEPT_DEFAULTS lists parameters that do not exist: {stale}"
+
+
+def test_every_dataclass_field_is_read():
+    """A record field that nothing reads is dead weight; tests count as readers."""
+    read = {node.attr for tree in _trees("src", "tests", "perfbench")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = {f"{cls.__name__}.{f.name}"
+              for cls in _exported(dataclasses.is_dataclass).values()
+              for f in dataclasses.fields(cls)}
+    unread = sorted(f for f in fields
+                    if f.split(".")[1] not in read and f not in UNREAD_FIELDS)
+    assert not unread, f"dataclass fields nothing reads: {unread}"
+    stale = sorted(f for f in UNREAD_FIELDS if f not in fields or f.split(".")[1] in read)
+    assert not stale, f"UNREAD_FIELDS lists fields that are gone or now read: {stale}"

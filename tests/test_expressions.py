@@ -60,6 +60,17 @@ class TestParsing:
             parse_expression(text)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("text,column", [
+        ("x1 + 1e400", 6),  # the literal itself
+        ("1e200*1e200*x1", 6),  # a folded product, at its operator
+        ("x1 - (1e308 + 1e308)", 13),
+        ("1e300 / 1e-300", 7),
+    ])
+    def test_numbers_that_overflow_are_rejected(self, text, column):
+        with pytest.raises(ExpressionSyntaxError, match="overflows") as err:
+            parse_expression(text)
+        assert err.value.column == column
+
     def test_error_column_points_at_offender(self):
         with pytest.raises(ExpressionSyntaxError) as err:
             parse_expression("x1 + bogus(t)")

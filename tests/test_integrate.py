@@ -105,6 +105,13 @@ class TestImproperVerdict:
         assert rec.decades[-1] == 1.0e4
         assert rec.tail_estimate == pytest.approx(1.0 / 10001.0)
 
+    def test_overflowing_partials_diverge_despite_a_tail_bound(self):
+        # a finite tail bound says nothing about the mass before the horizon
+        rec = improper_verdict(lambda t: np.where(t < 10, np.exp(800.0), np.exp(-t)),
+                               tail_bound=lambda T: np.exp(-T))
+        assert rec.verdict == "diverged"
+        assert not np.isfinite(rec.value)
+
 
 class TestDecay:
     def test_exponential_decay_passes(self):

@@ -256,8 +256,12 @@ g1 = x1 - 2
         ("p = 2", "p_exp = 3", "unknown key"),
         (None, "convex = ture", "true or false"),
         (None, "u1 = [nan, 1]", "NaN"),
+        ("f = x1^2 + u1^2", "f = 1e400 * x1 + u1^2", "overflows"),
+        ("f = x1^2 + u1^2", "f = 1e200 * 1e200 * x1 + u1^2", "overflows"),
+        ("omega = exp_decay 1.0", "omega = expr(1e400 * exp(-t))", "overflows"),
     ], ids=["empty-weight", "nan-family-parameter", "nan-x0", "nan-p", "p_exp-alias",
-            "misspelt-convex", "nan-bound"])
+            "misspelt-convex", "nan-bound", "overflowing-literal", "overflowing-constant",
+            "overflowing-weight-literal"])
     def test_malformed_values_are_rejected_at_their_line(self, old, bad, match):
         src = REGULATOR.replace(old, bad) if old else REGULATOR + "[controls]\n" + bad + "\n"
         with pytest.raises(ProblemSyntaxError, match=match) as err:
@@ -432,7 +436,7 @@ class TestCandidate:
 
     def test_solve_state_output_plugs_into_the_audit(self):
         prob = parse_problem(REGULATOR)
-        cand = solve_state(prob, lambda t: 2.0 * _RATE * np.exp(_RATE * t), t_max=50.0)
+        cand = solve_state(prob, lambda t: 2.0 * _RATE * np.exp(_RATE * t))
         assert isinstance(cand, CandidateProcess)
         # the integrated state should track the closed form
         np.testing.assert_allclose(
@@ -560,6 +564,15 @@ class TestAudit:
         rep = audit_assumptions(prob, regulator_candidate(), gamma=0.5)
         assert rep.verdicts["A0"] == "fail"
 
+    def test_failing_space_weight_property_is_named(self):
+        # nu = (1+t)^-1 is not integrable (E3) and t nu(t) -> 1, not 0 (E5)
+        prob = parse_problem(REGULATOR.replace("nu = exp_decay 1.0", "nu = power 1"))
+        rep = audit_assumptions(prob, regulator_candidate(), gamma=0.5)
+        assert rep.verdicts["A0"] == "fail"
+        nu_verdicts = rep.weight_reports["nu"].verdicts
+        assert nu_verdicts["E3"] == nu_verdicts["E5"] == "fail"
+        assert {"A0: nu property E3 is fail", "A0: nu property E5 is fail"} <= set(rep.notes)
+
     def test_divergent_cost_gradient_fails_the_majorant(self):
         # f_x = 1 against a flat distribution: int omega |f_x . xi| diverges
         # for every direction with sup|xi| = 1, and the majorant sees it
@@ -570,6 +583,10 @@ class TestAudit:
         assert rep.verdicts["A2"] == "fail"
         assert any("A2: weighted majorant integral divergent" in n for n in rep.notes)
         assert np.all(rep.L_values >= 1.0)
+        # omega = 1 and L >= 1, so the partials up to 0.5, 5 and 50 grow at
+        # least as fast as the horizon
+        p1, p2, p3 = rep.L_partials
+        assert p2 - p1 >= 4.4 and p3 - p2 >= 44.9
 
     def test_weak_mode_uses_its_own_verdict_keys(self):
         src = REGULATOR.replace("nu = exp_decay 1.0",

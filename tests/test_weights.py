@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pmpcheck import weights
 from pmpcheck.integrate import MissingTailBound
 from pmpcheck.weights import (
     InvalidExponent,
@@ -9,12 +10,17 @@ from pmpcheck.weights import (
     check_distribution,
     check_tube_scale,
     check_weight_properties,
-    default_property_grid,
     exp_decay,
     from_expression,
     power,
     weibull,
 )
+
+
+def _bare_weight(label, value):
+    """A hand-built weight whose derivative reads 0, as a step weight's does off its jumps."""
+    return WeightSpec(label, value, deriv=lambda t: np.zeros(np.shape(t)),
+                      log_value=lambda t: np.log(value(t)))
 
 
 class TestFamilies:
@@ -62,17 +68,10 @@ class TestFamilies:
         with pytest.raises(InvalidExponent):
             weibull(1.5)
 
-    def test_fd_substitute_close_to_analytic(self):
-        # finite differences must agree within 10*h*max|w''| (here |w''|<=1)
-        manual = WeightSpec("bare-exp", lambda t: np.exp(-np.asarray(t, dtype=float)))
-        ts = np.linspace(0.0, 10.0, 101)
-        fd = manual.derivative(ts)
-        np.testing.assert_allclose(fd, -np.exp(-ts), atol=10 * manual.fd_step)
-
     def test_expression_weight_has_symbolic_derivative(self):
         nu = from_expression("exp(-1.5*t)")
         ts = np.linspace(0.0, 5.0, 21)
-        np.testing.assert_allclose(nu.derivative(ts), -1.5 * np.exp(-1.5 * ts), rtol=1e-12)
+        np.testing.assert_allclose(nu.deriv(ts), -1.5 * np.exp(-1.5 * ts), rtol=1e-12)
 
     def test_expression_weight_rejects_state_variables(self):
         with pytest.raises(ValueError, match="x1"):
@@ -121,7 +120,7 @@ class TestWeightProperties:
             check_weight_properties(from_expression("1 - t"))
 
     def test_genuine_zero_is_a_hard_error(self):
-        dead = WeightSpec("drops-dead", lambda t: np.where(np.asarray(t) < 1.0, 1.0, 0.0))
+        dead = _bare_weight("drops-dead", lambda t: np.where(np.asarray(t) < 1.0, 1.0, 0.0))
         with pytest.raises(NonPositiveWeight) as err:
             check_weight_properties(dead)
         assert err.value.t == pytest.approx(1.0, abs=0.05)
@@ -132,7 +131,7 @@ class TestWeightProperties:
         assert any("underflow" in n for n in rep.notes)
 
     def test_jump_fails_continuity_with_witness(self):
-        jumpy = WeightSpec("half-step", lambda t: np.where(np.asarray(t) < 1.0, 1.0, 0.5))
+        jumpy = _bare_weight("half-step", lambda t: np.where(np.asarray(t) < 1.0, 1.0, 0.5))
         rep = check_weight_properties(jumpy)
         assert rep.verdicts["E1"] == "fail"
         t_w, _ = rep.witnesses["E1"]
@@ -149,21 +148,17 @@ class TestWeightProperties:
                 if verdict == "fail":
                     assert name in rep.witnesses
 
-    def test_verdicts_stable_under_grid_refinement(self):
-        for nu in (exp_decay(1.0), power(2.0), power(1.0)):
-            a = check_weight_properties(nu, grid=default_property_grid(points=2048))
-            b = check_weight_properties(nu, grid=default_property_grid(points=4096))
-            assert a.verdicts == b.verdicts
+    def test_verdicts_stable_under_grid_refinement(self, monkeypatch):
+        nus = (exp_decay(1.0), power(2.0), power(1.0))
+        monkeypatch.setattr(weights, "_PROPERTY_POINTS", 2048)
+        coarse = [check_weight_properties(nu).verdicts for nu in nus]
+        monkeypatch.setattr(weights, "_PROPERTY_POINTS", 4096)
+        assert [check_weight_properties(nu).verdicts for nu in nus] == coarse
 
     def test_deterministic(self):
         a = check_weight_properties(exp_decay(4.5))
         b = check_weight_properties(exp_decay(4.5))
         assert a.verdicts == b.verdicts and a.K_estimate == b.K_estimate
-
-    def test_fd_step_recorded_only_when_used(self):
-        manual = WeightSpec("bare-exp", lambda t: np.exp(-np.asarray(t, dtype=float)))
-        assert check_weight_properties(manual).fd_step_used == manual.fd_step
-        assert check_weight_properties(exp_decay(1.0)).fd_step_used is None
 
 
 class TestDistribution:
@@ -248,4 +243,4 @@ class TestTubeScale:
             raise TypeError("broken radius")
 
         with pytest.raises(TypeError, match="broken radius"):
-            check_tube_scale(WeightSpec("broken", broken))
+            check_tube_scale(_bare_weight("broken", broken))
