@@ -34,6 +34,7 @@ __all__ = [
     "Expression",
     "DomainError",
     "ExpressionSyntaxError",
+    "UnknownIdentifier",
     "parse_expression",
 ]
 
@@ -61,6 +62,22 @@ class DomainError(ValueError):
             at = ", ".join(f"{k}={v:.6g}" for k, v in sorted(self.point.items()))
             message = f"{message} at {at}"
         super().__init__(message)
+
+
+class UnknownIdentifier(ValueError):
+    """An expression refers to a variable its context does not declare."""
+
+    def __init__(self, name: str, context: str):
+        self.name = name
+        super().__init__(f"unknown identifier '{name}' in {context}")
+
+
+def _check_variables(exprs, allowed: set[str], context: str) -> None:
+    """Raise :class:`UnknownIdentifier` for the first name outside ``allowed``."""
+    for e in exprs:
+        extra = e.variables() - allowed
+        if extra:
+            raise UnknownIdentifier(sorted(extra)[0], context)
 
 
 def _witness(env: Mapping[str, Value], bad: np.ndarray) -> dict[str, float]:

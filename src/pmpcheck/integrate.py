@@ -3,11 +3,12 @@
 Everything downstream needs three capabilities, all provided here:
 
 * improper integrals over [0, inf) with an explicit truncation policy:
-  cell-wise 7-point Gauss-Legendre sums over a grid that packs
-  geometrically shrinking cells toward t = 0 (so integrable endpoint
-  singularities are never evaluated at the endpoint itself), a decade
-  ladder of partial integrals that makes divergence visible, and an
-  optional analytic tail bound that settles integrability outright;
+  cell-wise sums of the one 7-point Gauss-Legendre rule over a grid that
+  packs geometrically shrinking cells toward t = 0 (its nodes are
+  interior, so an integrable pole at t = 0 is never evaluated there), a
+  decade ladder of partial integrals that makes divergence visible, and
+  an optional analytic tail bound that settles integrability outright.
+  Every integral along a grid in the package goes through this one rule;
 
 * an explicit adaptive Dormand-Prince 5(4) one-step integrator that never
   steps across a grid knot (controls are allowed to jump there); state
@@ -35,7 +36,6 @@ __all__ = [
     "BlowUp",
     "InvalidGrid",
     "MissingTailBound",
-    "IntegralResult",
     "LadderRecord",
     "DecayRecord",
     "default_grid",
@@ -107,45 +107,33 @@ def default_grid(
     return np.concatenate(([0.0], geo, body))
 
 
-# 7-point Gauss-Legendre on [-1, 1]; nodes are interior so integrands are
-# never evaluated at cell endpoints.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
-# the same rule on [0, 1]
-_GAUSS_C, _GAUSS_B = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+# The package's one quadrature rule: 7-point Gauss-Legendre, moved onto
+# [0, 1].  Its nodes are interior, so no integrand is evaluated at a knot.
+_GAUSS_C, _GAUSS_B = np.polynomial.legendre.leggauss(7)
+_GAUSS_C, _GAUSS_B = 0.5 * (_GAUSS_C + 1.0), 0.5 * _GAUSS_B
 
 
-def _cellwise_gl7(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per-cell Gauss-Legendre integrals, one vectorized evaluation of f."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    return (vals @ _GL_WEIGHTS) * half
+def _cell_integrals(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> np.ndarray:
+    """Per-cell integrals of ``f`` over ``grid`` by the 7-point Gauss rule.
+
+    ``f`` gets all node times at once, shaped (cells, 7), and returns
+    values shaped (cells, 7, ...); the result is shaped (cells, ...).
+    """
+    h = np.diff(grid)
+    sums = np.einsum("kq...,q->k...", f(grid[:-1, None] + h[:, None] * _GAUSS_C), _GAUSS_B)
+    return h.reshape((-1,) + (1,) * (sums.ndim - 1)) * sums
 
 
-@dataclass(frozen=True)
-class IntegralResult:
-    """A truncated integral: ``partials[k]`` is the integral from 0 to
-    the ``k``-th grid knot and ``value`` is the last partial."""
+def improper_integral(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> np.ndarray:
+    """Partial integrals of ``f`` from 0 to each knot of ``grid``, cell by cell.
 
-    value: float
-    partials: np.ndarray
-
-
-def improper_integral(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> IntegralResult:
-    """Integrate ``f`` over [0, grid[-1]] by the 7-point rule on each half cell.
-
-    ``f`` must accept a 1-d array of times.
+    ``partials[0]`` is 0 and ``partials[-1]`` the integral over
+    [0, grid[-1]].  ``f`` is called once, on the (cells, 7) Gauss nodes.
     """
     grid = _check_grid(grid)
-    lo, hi = grid[:-1], grid[1:]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mid = 0.5 * (lo + hi)
-        left = _cellwise_gl7(f, lo, mid)
-        right = _cellwise_gl7(f, mid, hi)
-        fine = left + right
-    partials = np.concatenate(([0.0], np.cumsum(fine)))
-    return IntegralResult(float(partials[-1]), partials)
+        cells = _cell_integrals(f, grid)
+    return np.concatenate(([0.0], np.cumsum(cells)))
 
 
 @dataclass(frozen=True)
@@ -198,8 +186,7 @@ def improper_verdict(
         decades.append(nxt)
         t = nxt
     grid = np.concatenate(pieces)
-    result = improper_integral(f, grid=grid)
-    partials = result.partials
+    partials = improper_integral(f, grid=grid)
 
     decade_idx = np.searchsorted(grid, np.asarray(decades))
     decade_partials = partials[decade_idx]
@@ -221,7 +208,7 @@ def improper_verdict(
         # blocks scale like 10^{3(e+1)} per step toward 0; a ratio near or
         # above 1 means the local exponent is at or below -1
         b = np.abs(head_blocks)
-        if b[0] > 1e-13 * (1.0 + abs(result.value)) and b[0] >= 0.5 * b[1]:
+        if b[0] > 1e-13 * (1.0 + abs(partials[-1])) and b[0] >= 0.5 * b[1]:
             head_status = "unresolved"
             notes.append("behaviour at 0 unresolved (no declared pole exponent)")
         else:

@@ -40,10 +40,10 @@ import numpy as np
 
 from .expressions import DomainError
 from .integrate import (
-    _GAUSS_B,
     _GAUSS_C,
     BlowUp,
     InvalidGrid,
+    _cell_integrals,
     _linear_cell_maps,
     decays_to_zero,
     improper_verdict,
@@ -427,9 +427,9 @@ class ConditionRecord:
 def _adjoint_cell_integrals(prob, cand, adj, p_start=None):
     """Per-cell integrals of the adjoint right-hand side -H_x.
 
-    The integrals use a 7-point Gauss rule on a cubic Hermite
-    reconstruction of p inside each cell, so smooth closed-form triples
-    resolve to O(h^4) per unit length.  End slopes that are not finite
+    The integrals use the package's one 7-point Gauss rule on a cubic
+    Hermite reconstruction of p inside each cell, so smooth closed-form
+    triples resolve to O(h^4) per unit length.  End slopes that are not finite
     (weight poles) fall back to the cell secant.  ``p_start`` optionally
     replaces the values used at the left ends of cells: with measure atoms
     the stored samples are left limits, and a cell starting at an atom
@@ -452,10 +452,8 @@ def _adjoint_cell_integrals(prob, cand, adj, p_start=None):
     basis = np.array([2 * tau**3 - 3 * tau**2 + 1, tau**3 - 2 * tau**2 + tau,
                       3 * tau**2 - 2 * tau**3, tau**3 - tau**2])
     ph = np.einsum("jq,jkn->kqn", basis, np.array((a, h * d0, b, h * d1)))
-    flat_t = (grid[:-1, None] + h * tau).ravel()
-    xq, uq = cand.state(flat_t), cand.control(flat_t)
-    hx = pontryagin_H_x(prob, flat_t, xq, uq, ph.reshape(-1, adj.n), lam)
-    return -h * np.einsum("kqn,q->kn", hx.reshape(ph.shape), _GAUSS_B)
+    h_x = lambda ts: pontryagin_H_x(prob, ts, cand.state(ts), cand.control(ts), ph, lam)
+    return -_cell_integrals(h_x, grid)
 
 
 def _residual_record(name, adj, defect, where, tol, notes) -> ConditionRecord:

@@ -29,8 +29,9 @@ from typing import Callable
 import numpy as np
 
 from .expressions import (Call, DomainError, Expression, ExpressionSyntaxError, Neg,
-                          _Binary, _build, _emit, parse_expression)
-from .integrate import _GL_NODES, _GL_WEIGHTS, InvalidGrid, _sample_at
+                          UnknownIdentifier, _Binary, _build, _check_variables, _emit,
+                          parse_expression)
+from .integrate import InvalidGrid, _cell_integrals, _sample_at
 from .weights import (
     InvalidExponent,
     WeightSpec,
@@ -77,14 +78,6 @@ class ProblemSyntaxError(ValueError):
 
 class DimensionMismatch(ValueError):
     """Declared dimensions disagree with the supplied data."""
-
-
-class UnknownIdentifier(ValueError):
-    """An expression refers to a variable the problem does not declare."""
-
-    def __init__(self, name: str, context: str):
-        self.name = name
-        super().__init__(f"unknown identifier '{name}' in {context}")
 
 
 class InfeasibleState(ValueError):
@@ -148,12 +141,6 @@ class ControlBox:
                 f"({'(' if olo[k] else '['}{lo[k]:g}, {hi[k]:g}{')' if ohi[k] else ']'})"
             )
 
-    @classmethod
-    def unbounded(cls, m: int) -> "ControlBox":
-        inf = np.full(m, np.inf)
-        strict = np.ones(m, dtype=bool)
-        return cls(-inf, inf, strict, strict)
-
     @property
     def m(self) -> int:
         return self.lo.size
@@ -192,13 +179,6 @@ class ControlBox:
 
 # --------------------------------------------------------------------------
 # the problem record
-
-
-def _check_variables(exprs, allowed: set[str], context: str) -> None:
-    for e in exprs:
-        extra = e.variables() - allowed
-        if extra:
-            raise UnknownIdentifier(sorted(extra)[0], context)
 
 
 def _sign_depends(e: Expression, name: str) -> bool:
@@ -284,7 +264,7 @@ class ControlProblem:
     x0: np.ndarray
     omega: WeightSpec
     nu: WeightSpec
-    U: ControlBox | None = None
+    U: ControlBox
     p_exp: float = 2.0
     g: tuple = ()
     eta: WeightSpec | None = None
@@ -308,9 +288,8 @@ class ControlProblem:
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         if x0.shape != (self.n,):
             raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({self.n},)")
-        U = self.U if self.U is not None else ControlBox.unbounded(self.m)
-        if U.m != self.m:
-            raise DimensionMismatch(f"control box has {U.m} coordinates, m={self.m}")
+        if self.U.m != self.m:
+            raise DimensionMismatch(f"control box has {self.U.m} coordinates, m={self.m}")
         g = tuple(self.g)
 
         states = [f"x{i + 1}" for i in range(self.n)]
@@ -322,7 +301,6 @@ class ControlProblem:
 
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "U", U)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "f_x", tuple(self.f.diff(s) for s in states))
         object.__setattr__(self, "f_u", tuple(self.f.diff(c) for c in controls))
@@ -486,19 +464,13 @@ def candidate_from_functions(grid, x_fn: Callable, u_fn: Callable) -> CandidateP
 def dynamics_residual(prob: ControlProblem, cand: CandidateProcess) -> np.ndarray:
     """Per-cell norms of x(t_{k+1}) - x(t_k) - integral of the dynamics.
 
-    The integral uses the 7-point Gauss rule on each cell with the
-    candidate's own state/control evaluation, so closed-form candidates
-    are checked at full accuracy while sampled ones see interpolation
-    error as part of the residual.
+    The integral uses the package's one 7-point Gauss rule on each cell
+    with the candidate's own state/control evaluation, so closed-form
+    candidates are checked at full accuracy while sampled ones see
+    interpolation error as part of the residual.
     """
-    grid = cand.grid
-    lo, hi = grid[:-1], grid[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    ts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    vals = prob.phi_value(ts, cand.state(ts), cand.control(ts))
-    vals = vals.reshape(lo.size, _GL_NODES.size, prob.n)
-    cell = np.einsum("kqn,q->kn", vals, _GL_WEIGHTS) * half[:, None]
+    cell = _cell_integrals(
+        lambda ts: prob.phi_value(ts, cand.state(ts), cand.control(ts)), cand.grid)
     res = cand.x[1:] - cand.x[:-1] - cell
     return np.linalg.norm(res, axis=1)
 
@@ -580,7 +552,8 @@ class AssumptionReport:
     per-time majorant of the cost data over the tube, one value per
     audited knot ``cand.grid[:len(L_values)]``, and ``L_partials``
     the decade partials of its weighted integral, so a divergence is
-    visible rather than asserted.
+    visible rather than asserted.  They stay finite at a weight pole at
+    t = 0, and read ``(inf, inf, inf)`` only where the cost data left its domain.
     """
 
     mode: str
@@ -602,12 +575,13 @@ class AssumptionReport:
         return all(v in self._OK for v in self.verdicts.values())
 
 
-def _decade_partials(grid: np.ndarray, integrand: np.ndarray) -> tuple:
-    cells = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(grid)
+def _decade_partials(grid: np.ndarray, omega: WeightSpec, L_vals: np.ndarray) -> tuple:
+    """Integrals of |omega| times the linearly interpolated majorant up to
+    T/100, T/10 and T, by the Gauss rule: no knot, so no pole, is touched."""
+    cells = _cell_integrals(lambda ts: np.abs(omega(ts)) * np.interp(ts, grid, L_vals), grid)
     partial = np.concatenate([[0.0], np.cumsum(cells)])
-    t_max = grid[-1]
-    marks = np.searchsorted(grid, [t_max / 100.0, t_max / 10.0])
-    return (float(partial[marks[0]]), float(partial[marks[1]]), float(partial[-1]))
+    marks = np.searchsorted(grid, [grid[-1] / 100.0, grid[-1] / 10.0, grid[-1]])
+    return tuple(float(v) for v in partial[marks])
 
 
 def _tail_settles(grid, core_vals, tail_bound, budget: float) -> bool:
@@ -644,8 +618,7 @@ def _majorant_verdict(grid, omega, L_vals):
     if not np.all(np.isfinite(L_vals)):
         k = int(np.argmax(~np.isfinite(L_vals)))
         return "divergent", (np.inf, np.inf, np.inf), k
-    omega_vals = np.abs(np.asarray(omega(grid), dtype=float))
-    p1, p2, p3 = _decade_partials(grid, omega_vals * L_vals)
+    p1, p2, p3 = _decade_partials(grid, omega, L_vals)
     growing = (abs(p3) - abs(p2)) > _GROWTH_TOL * max(abs(p3), 1e-300)
     if growing and _tail_settles(grid, L_vals, omega.tail_bound,
                                  _GROWTH_TOL * max(abs(p3), 1e-300)):
@@ -1069,17 +1042,15 @@ def _parse_weight(text: str, line: int) -> WeightSpec:
     if len(named) < len(options) // 2:
         raise ProblemSyntaxError("a weight option is given twice", line)
     tail = pole = None
-    if "tail" in named:
-        tail_expr = _parse_expr(named["tail"], line)
-        extra = tail_expr.variables() - {"t"}
-        if extra:
-            raise ProblemSyntaxError(f"tail bound may only use t, found {sorted(extra)[0]}", line)
-        tail = lambda T, e=tail_expr: float(e.ev({"t": float(T)}))
     if "pole" in named:
         pole = _number(named["pole"], line, "pole exponent")
     try:
+        if "tail" in named:
+            tail_expr = _parse_expr(named["tail"], line)
+            _check_variables([tail_expr], {"t"}, "tail bound")
+            tail = lambda T, e=tail_expr: float(e.ev({"t": float(T)}))
         return from_expression(head[5:-1], tail_bound=tail, pole_exp=pole)
-    except (ExpressionSyntaxError, ValueError) as err:
+    except (ExpressionSyntaxError, UnknownIdentifier) as err:
         raise ProblemSyntaxError(f"bad weight expression: {err}", line) from None
 
 

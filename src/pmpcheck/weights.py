@@ -9,22 +9,25 @@ of ``_PROPERTY_POINTS`` points and return verdict reports with witnesses,
 relying on :mod:`pmpcheck.integrate` for every question that involves
 t -> infinity.
 
-Every weight, a built-in family or an expression in t, carries its
-analytic derivative and its log-value, and optionally a tail bound and a
+Every weight is an expression in t: the built-in families are thin
+wrappers that write theirs out and keep a family label.  Each carries its
+symbolic derivative and its log-value, and optionally a tail bound and a
 pole exponent.  The log-value matters: ratios such as ``omega^2 / nu`` in
 the Michel condition and the weighted envelope of the normality check are
 combined in log space, otherwise plain floating-point underflow of one
 factor silently zeroes (or blows up) a quantity that is perfectly finite.
+A declared pole (``pole_exp < 0``) is handled in one place, the point
+value of :class:`WeightSpec`, which reads +inf at t = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .expressions import Call, Div, Mul, Neg, Num, Pow, Sym, parse_expression
+from .expressions import Call, Div, Mul, Neg, Num, Pow, Sym, _check_variables, parse_expression
 from .integrate import MissingTailBound, decays_to_zero, improper_verdict
 
 __all__ = [
@@ -64,6 +67,11 @@ class WeightSpec:
     must dominate the mass beyond T whenever declared, and be
     nonincreasing in T.  ``pole_exp`` declares power behaviour at t = 0
     (``value ~ t^pole_exp``); ``None`` means unknown.
+
+    With ``pole_exp < 0`` a call reads +inf at t = 0 without evaluating
+    ``value`` there; that is the one place a pole's point value is decided.
+    Integrals see interior Gauss nodes only, and no check evaluates
+    ``deriv`` or ``log_value`` of a pole weight at t = 0.
     """
 
     label: str
@@ -74,72 +82,44 @@ class WeightSpec:
     pole_exp: float | None = 0.0
 
     def __call__(self, t):
-        return self.value(np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        pole = self.pole_exp is not None and self.pole_exp < 0 and t == 0.0
+        if not np.any(pole):
+            return self.value(t)
+        out = np.full(t.shape, np.inf)
+        out[~pole] = self.value(t[~pole])
+        return out if t.ndim else float(out)
 
 
 def exp_decay(a: float) -> WeightSpec:
-    """The family e^(-a t), a > 0.  Tail mass beyond T is e^(-aT)/a."""
+    """The expression weight ``exp(-a*t)``, a > 0; tail mass beyond T is e^(-aT)/a."""
     if not 0 < a < np.inf:
         raise InvalidExponent(f"exp_decay needs 0 < a < inf, got {a!r}")
-    return WeightSpec(
-        label=f"exp_decay {a:g}",
-        value=lambda t: np.exp(-a * t),
-        deriv=lambda t: -a * np.exp(-a * t),
-        tail_bound=lambda T: np.exp(-a * T) / a,
-        pole_exp=0.0,
-        log_value=lambda t: -a * np.asarray(t, dtype=float),
-    )
+    w = from_expression(f"exp(-{a!r}*t)", tail_bound=lambda T: np.exp(-a * T) / a, pole_exp=0.0)
+    return replace(w, label=f"exp_decay {a:g}")
 
 
 def power(a: float) -> WeightSpec:
-    """The family (1+t)^(-a), a > 0.  Integrable exactly when a > 1."""
+    """The expression weight ``(1 + t)^(-a)``, a > 0; integrable exactly when a > 1."""
     if not 0 < a < np.inf:
         raise InvalidExponent(f"power needs 0 < a < inf, got {a!r}")
     tail = (lambda T: (1.0 + T) ** (1.0 - a) / (a - 1.0)) if a > 1 else None
-    return WeightSpec(
-        label=f"power {a:g}",
-        value=lambda t: (1.0 + t) ** (-a),
-        deriv=lambda t: -a * (1.0 + t) ** (-a - 1.0),
-        tail_bound=tail,
-        pole_exp=0.0,
-        log_value=lambda t: -a * np.log1p(np.asarray(t, dtype=float)),
-    )
+    w = from_expression(f"(1 + t)^(-{a!r})", tail_bound=tail, pole_exp=0.0)
+    return replace(w, label=f"power {a:g}")
 
 
 def weibull(k: float) -> WeightSpec:
-    """The density t^(k-1) e^(-t^k), 0 < k <= 1.
+    """The expression density ``t^(k - 1)*exp(-t^k)``, 0 < k <= 1.
 
     Total mass is 1/k and the tail beyond T is exactly e^(-T^k)/k.  For
-    k < 1 the density is unbounded at 0 (pole exponent k-1) yet
-    integrable, which is precisely what the zero-refined quadrature grid
-    is for.
+    k < 1 it has an integrable pole at 0 with exponent k-1: it reads +inf
+    there, and integrals see only the interior nodes of zero-refined cells.
     """
     if not (0.0 < k <= 1.0):
         raise InvalidExponent(f"weibull needs 0 < k <= 1, got {k!r}")
-
-    def value(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            return t ** (k - 1.0) * np.exp(-(t**k))
-
-    def deriv(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.exp(-(t**k)) * t ** (k - 2.0) * ((k - 1.0) - k * t**k)
-
-    def log_value(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            return (k - 1.0) * np.log(t) - t**k
-
-    return WeightSpec(
-        label=f"weibull {k:g}",
-        value=value,
-        deriv=deriv,
-        tail_bound=lambda T: np.exp(-(T**k)) / k,
-        pole_exp=k - 1.0,
-        log_value=log_value,
-    )
+    w = from_expression(f"t^({k - 1.0!r})*exp(-t^{k!r})",
+                        tail_bound=lambda T: np.exp(-(T**k)) / k, pole_exp=k - 1.0)
+    return replace(w, label=f"weibull {k:g}")
 
 
 def _vectorize_in_t(expr):
@@ -208,16 +188,15 @@ def from_expression(
     pole_exp: float | None = None,
 ) -> WeightSpec:
     """Wrap an expression in t as a WeightSpec labelled by its text; the
-    derivative is symbolic.
+    derivative is symbolic.  Every weight, the families' too, is built here.
 
     ``pole_exp`` defaults to unknown (None): undeclared behaviour at 0 is
     a real limitation for user weights, and the checks degrade to
-    inconclusive rather than guess.
+    inconclusive rather than guess.  Any name other than ``t`` raises
+    :class:`~pmpcheck.expressions.UnknownIdentifier`.
     """
     expr = parse_expression(text)
-    extra = expr.variables() - {"t"}
-    if extra:
-        raise ValueError(f"weight expression may only use t, found {sorted(extra)}")
+    _check_variables([expr], {"t"}, "weight expression")
     return WeightSpec(
         label=text,
         value=_vectorize_in_t(expr),

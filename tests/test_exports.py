@@ -194,3 +194,13 @@ def test_every_dataclass_field_is_read():
     assert not unread, f"dataclass fields nothing reads: {unread}"
     stale = sorted(f for f in UNREAD_FIELDS if f not in fields or f.split(".")[1] in read)
     assert not stale, f"UNREAD_FIELDS lists fields that are gone or now read: {stale}"
+
+
+def test_one_gauss_rule_builds_every_quadrature():
+    """Only ``integrate`` lays out quadrature nodes, once; every integral
+    along a grid goes through its one Gauss rule."""
+    calls = sorted(path.name for path in Path(pmpcheck.__file__).parent.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", getattr(node.func, "id", None)) == "leggauss")
+    assert calls == ["integrate.py"], f"leggauss calls by module: {calls}"

@@ -1,7 +1,9 @@
 """Adjoint routes, the running-function conditions, and full certificates."""
 
+import dataclasses
 import re
 import tracemalloc
+from collections.abc import Mapping
 
 import mpmath
 import numpy as np
@@ -31,7 +33,8 @@ from pmpcheck.pmp import (
     pontryagin_H_x,
     verify_certificate,
 )
-from pmpcheck.problem import CandidateProcess, candidate_from_functions, parse_problem
+from pmpcheck.problem import (CandidateProcess, audit_assumptions, candidate_from_functions,
+                              parse_problem)
 from pmpcheck.sufficiency import hamiltonian_sup
 
 SQRT2 = np.sqrt(2.0)
@@ -218,6 +221,13 @@ def investment_pieces(grid):
         lambda t: np.full(np.shape(t), 0.5))
     adj = adjoint_from_function(grid, lambda t: 2.0 * np.exp(-np.asarray(t)))
     return prob, cand, adj
+
+
+def extraction_candidate(grid):
+    """EXTRACTION's optimal process from x0 = 1: u* = 1/4."""
+    return candidate_from_functions(
+        grid, lambda t: np.exp(0.5 * (1.0 - np.exp(-np.asarray(t)))),
+        lambda t: np.full(np.shape(t), 0.25))
 
 
 def undiscounted_pieces(grid):
@@ -1382,12 +1392,6 @@ def verdicts(cert):
 class TestObjectiveScaling:
     """Scaling f by c > 0 scales H and p by c and changes no verdict."""
 
-    @staticmethod
-    def extraction_candidate(g):
-        return candidate_from_functions(
-            g, lambda t: np.exp(0.5 * (1.0 - np.exp(-np.asarray(t)))),
-            lambda t: np.full(np.shape(t), 0.25))
-
     @pytest.mark.parametrize("c", [0.5, 4.0])
     @pytest.mark.parametrize("name", ["investment", "extraction"])
     def test_verdicts_hold_and_p_scales(self, grid, name, c):
@@ -1396,7 +1400,7 @@ class TestObjectiveScaling:
             cand = investment_pieces(g)[1]
         else:
             src, g = EXTRACTION, default_grid(50.0, cells=1024)
-            cand = self.extraction_candidate(g)
+            cand = extraction_candidate(g)
         base = verify_certificate(parse_problem(src), cand)
         scaled = verify_certificate(parse_problem(scaled_objective(src, c)), cand)
         assert verdicts(scaled) == verdicts(base)
@@ -1412,3 +1416,72 @@ class TestObjectiveScaling:
         for route, adj in base.adjoints.items():
             err = np.max(np.abs(scaled.adjoints[route].p - c * adj.p))
             assert err <= 1e-9 * c * adj.sup_norm, route
+
+
+def report_leaves(obj, path="report"):
+    """Every leaf of a report, comparable bit for bit: floats by their hex
+    form, arrays by shape and bytes.  Callables are skipped."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from report_leaves(getattr(obj, f.name), f"{path}.{f.name}")
+    elif isinstance(obj, Mapping):
+        for key, value in obj.items():
+            yield from report_leaves(value, f"{path}[{key!r}]")
+    elif isinstance(obj, (tuple, list)):
+        yield f"{path}#len", len(obj)
+        for i, value in enumerate(obj):
+            yield from report_leaves(value, f"{path}[{i}]")
+    elif isinstance(obj, np.ndarray):
+        yield path, (obj.shape, obj.dtype.str, obj.tobytes())
+    elif isinstance(obj, float):
+        yield path, float(obj).hex()
+    elif not callable(obj):
+        yield path, repr(obj)
+
+
+def assert_reports_equal(a, b):
+    la, lb = dict(report_leaves(a)), dict(report_leaves(b))
+    assert sorted(k for k in la.keys() | lb.keys() if la.get(k) != lb.get(k)) == []
+
+
+class TestWeightPole:
+    """EXTRACTION's density t^(-1/2) e^(-sqrt t) has a pole at t = 0."""
+
+    def test_declared_pole_expression_certifies_like_the_family(self):
+        g = default_grid(50.0, cells=1024)
+        cand = extraction_candidate(g)
+        family = verify_certificate(parse_problem(EXTRACTION), cand)
+        src = EXTRACTION.replace(
+            "omega = weibull 0.5",
+            "omega = expr(t^(-0.5)*exp(-t^0.5)) tail 2*exp(-t^0.5) pole -0.5")
+        written = verify_certificate(parse_problem(src), cand)
+        assert family.overall == "pass"
+        assert_reports_equal(written, family)
+
+    def test_majorant_partials_are_finite_and_increasing(self):
+        g = default_grid(50.0, cells=1024)
+        audit = audit_assumptions(parse_problem(EXTRACTION), extraction_candidate(g),
+                                  gamma=0.5)
+        p1, p2, p3 = audit.L_partials
+        assert np.all(np.isfinite(audit.L_partials))
+        assert 0.0 < p1 < p2 < p3
+        assert audit.verdicts["A2"] == "pass"
+
+
+class TestSenseMax:
+    """``sense = max`` is the min problem with f negated, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["extraction", "investment"])
+    def test_max_equals_the_negated_min_problem(self, name):
+        if name == "extraction":
+            src, g = EXTRACTION, default_grid(50.0, cells=256)
+            cand = extraction_candidate(g)
+        else:
+            src, g = INVESTMENT, default_grid(50.0, cells=512, refine_zero=False)
+            cand = investment_pieces(g)[1]
+        negated = re.sub(r"^f = (.*)$", r"f = -(\1)", src.replace("sense = max", "sense = min"),
+                         count=1, flags=re.M)
+        assert "sense = min" in negated and "f = -(" in negated
+        as_max = verify_certificate(parse_problem(src), cand)
+        as_min = verify_certificate(parse_problem(negated), cand)
+        assert_reports_equal(as_max, as_min)

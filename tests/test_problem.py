@@ -47,6 +47,9 @@ omega = exp_decay 1.0
 nu = exp_decay 1.0
 """
 
+# the box parse_problem builds for one control without a bounds entry
+UNBOUNDED = ControlBox(np.array([-np.inf]), np.array([np.inf]), np.array([True]), np.array([True]))
+
 # the candidate minimizer of the regulator: feedback u = -(1+sqrt2-1) x
 # integrates to x(t) = 2 exp((1-sqrt2) t)
 _RATE = 1.0 - np.sqrt(2.0)
@@ -657,7 +660,7 @@ u1 = [0, 1)
                 Call("sign", (sub(x1, Num(2.0)),)))
         prob = ControlProblem(
             n=1, m=1, f=f, phi=(u1,), x0=np.array([2.0]),
-            omega=exp_decay(1.0), nu=exp_decay(1.0),
+            omega=exp_decay(1.0), nu=exp_decay(1.0), U=UNBOUNDED,
         )
         rep = audit_assumptions(prob, regulator_candidate(), gamma=0.5)
         assert rep.verdicts["A1"] == "fail"
@@ -677,7 +680,7 @@ u1 = [0, 1)
         x1, t = Sym("x1"), Sym("t")
         f = add(Call("sign", (sub(x1, Num(2.0)),)), Call("ln", (sub(t, Num(10.0)),)))
         prob = ControlProblem(n=1, m=1, f=f, phi=(Sym("u1"),), x0=np.array([2.0]),
-                              omega=exp_decay(1.0), nu=exp_decay(1.0))
+                              omega=exp_decay(1.0), nu=exp_decay(1.0), U=UNBOUNDED)
         bump = lambda t: 2.0 + np.clip(t - 10.0, 0, None) * np.clip(20.0 - t, 0, None)
         cand = candidate_from_functions(np.linspace(0.0, 50.0, 1001), bump,
                                         lambda t: 0.0 * t)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pmpcheck import weights
+from pmpcheck.expressions import DomainError
 from pmpcheck.integrate import MissingTailBound
 from pmpcheck.weights import (
     InvalidExponent,
@@ -79,6 +80,36 @@ class TestFamilies:
 
     def test_expression_pole_defaults_to_unknown(self):
         assert from_expression("exp(-t)").pole_exp is None
+
+
+class TestPoleRule:
+    """A declared pole reads +inf at t = 0; the expression is evaluated elsewhere."""
+
+    def test_declared_pole_reads_inf_at_zero_and_the_expression_elsewhere(self):
+        w = from_expression("t^(-0.5)*exp(-t^0.5)", pole_exp=-0.5)
+        t = np.array([0.0, 1e-12, 0.3, 2.0, 50.0])
+        got = w(t)
+        assert got[0] == np.inf
+        np.testing.assert_array_equal(got[1:], t[1:] ** -0.5 * np.exp(-np.sqrt(t[1:])))
+        assert w(0.0) == np.inf and w(4.0) == 0.5 * np.exp(-2.0)
+        assert w(np.zeros((2, 3))).shape == (2, 3)
+
+    def test_weights_without_a_declared_pole_are_evaluated_at_zero(self):
+        with pytest.raises(DomainError):
+            from_expression("t^(-0.5)")(np.array([0.0, 1.0]))
+        assert from_expression("exp(-t)", pole_exp=0.0)(0.0) == 1.0
+
+    @pytest.mark.parametrize("family,text", [
+        (exp_decay(2.0), "exp(-2.0*t)"),
+        (power(2.5), "(1 + t)^(-2.5)"),
+        (weibull(0.5), "t^(-0.5)*exp(-t^0.5)"),
+    ])
+    def test_families_are_expression_weights_with_their_label(self, family, text):
+        w = from_expression(text)
+        t = np.geomspace(1e-9, 1e3, 50)
+        for part in ("value", "deriv", "log_value"):
+            np.testing.assert_array_equal(getattr(family, part)(t), getattr(w, part)(t))
+        assert family.label.split()[0] in ("exp_decay", "power", "weibull")
 
 
 class TestWeightProperties:
