@@ -11,13 +11,15 @@ Everything downstream needs three capabilities, all provided here:
   Every integral along a grid in the package goes through this one rule;
 
 * an explicit adaptive Dormand-Prince 5(4) one-step integrator that never
-  steps across a grid knot (controls are allowed to jump there); state
-  solves read the control once per step;
+  steps across a grid knot (controls are allowed to jump there), for
+  state equations that are nonlinear in x;
 
 * per-cell affine maps ``y(tb) = P y(ta) + q`` of linear systems
   ``y' = M(t) y + b(t)`` along a fixed candidate, by 7-stage Gauss
   collocation with all cells solved in one batch and every map checked
-  against its two half-cell maps (unresolved cells are bisected).
+  against its two half-cell maps (unresolved cells are bisected).  Both
+  adjoint routes and the state solves of dynamics affine in x run on
+  these maps.
 
 Decisions at infinity are made by documented finite criteria (decade
 ladders, three-window decay tests), never by a symbolic limit engine, and
@@ -417,22 +419,60 @@ def _sample_at(grid: np.ndarray, samples: np.ndarray, t) -> np.ndarray:
     return samples[np.minimum(np.searchsorted(grid, t, side="left"), grid.size - 1)]
 
 
-def _state_stages(prob, control, ta, tb):
-    """Stage slopes of ``x' = phi(t, x, u)`` on one cell, one control call per step.
+def _state_stages(prob, control, grid):
+    """Stage slopes of ``x' = phi(t, x, u)``: ``cell(k)`` gives cell k's ``stages``.
 
-    The control is read at the step's stage times clamped into the cell,
-    with the left knot moved to the next float above it, so a control
-    that jumps at a knot contributes its right limit: the cell's own value.
+    The control is read at stage times clamped into the cell, with the
+    left knot moved to the next float above it, so a control that jumps
+    at a knot contributes its right limit: the cell's own value.  One
+    call reads it for every cell at the stage times of a one-step cell,
+    the first step :func:`_integrate_cell` tries; a retried or shorter
+    step reads it again, once per step.
     """
+    ta, tb = grid[:-1, None], grid[1:, None]
     after_ta = np.nextafter(ta, tb)
+    clamp = lambda ts, k=slice(None): np.minimum(np.maximum(ts, after_ta[k]), tb[k])
+    one_step = np.asarray(control(clamp(ta + _DP_C * (tb - ta)).ravel()),
+                          dtype=float).reshape(ta.size, _DP_C.size, -1)
     phi = prob.phi_value
 
-    def stages(ts):
-        us = np.asarray(control(np.minimum(np.maximum(ts, after_ta), tb)), dtype=float)
-        us = us.reshape(ts.size, -1)
-        return lambda i, x: phi(ts[i], x, us[i])
+    def cell(k):
+        first = [one_step[k]]
 
-    return stages
+        def stages(ts):
+            us = first.pop() if first else (
+                np.asarray(control(clamp(ts, k)), dtype=float).reshape(ts.size, -1))
+            return lambda i, x: phi(ts[i], x, us[i])
+
+        return stages
+
+    return cell
+
+
+def _affine_state(prob, control, grid, x0, blowup):
+    """Knot states of dynamics affine in x, from the Gauss collocation cell maps.
+
+    Under a fixed control the state equation is ``x' = M(t) x + b(t)``
+    with ``M = phi_x(t, 0, u)`` and ``b = phi(t, 0, u)``, read at interior
+    Gauss nodes only.  The maps are composed knot by knot, and the first
+    knot whose norm exceeds ``blowup`` (or is NaN) raises :class:`BlowUp`,
+    before a later knot can overflow.
+    """
+
+    def coef(ts):
+        us = np.asarray(control(ts), dtype=float).reshape(ts.size, -1)
+        zero = np.zeros((ts.size, x0.size))
+        return prob.phi_jac_x(ts, zero, us), prob.phi_value(ts, zero, us)
+
+    P, q = _linear_cell_maps(coef, grid[:-1], grid[1:])
+    x = np.empty((grid.size, x0.size))
+    x[0] = y = x0
+    for k in range(grid.size - 1):
+        x[k + 1] = y = P[k] @ y + q[k]
+        norm = float(abs(y).max())
+        if not norm <= blowup:
+            raise BlowUp(grid[k + 1], norm, blowup)
+    return x
 
 
 def solve_state(prob, u, x0=None, grid=None,
@@ -442,17 +482,28 @@ def solve_state(prob, u, x0=None, grid=None,
     ``u`` is either a callable or an array of samples on the grid knots.
     A callable takes an array of times and returns one control row per
     time (a 1-d array when m = 1), as in
-    :func:`~pmpcheck.problem.candidate_from_functions`; it is called once
-    per DP45 step on that step's stage times.  Samples are treated as
-    constant on each half-open cell, the sample at the right knot owning
-    the cell, and are read through the same per-step lookup.  No step
-    crosses a knot, and at a cell's left knot the control is read as its
-    right limit, so a control that jumps at the knots, such as
+    :func:`~pmpcheck.problem.candidate_from_functions`.  Samples are
+    treated as constant on each half-open cell, the sample at the right
+    knot owning the cell, and are read through the same lookup.  Every
+    cell is integrated on its own and the control is read inside the cell
+    only, so a control that jumps at the knots, such as
     ``CandidateProcess.control`` of a sampled candidate, is seen with the
-    cell's own value.  Without ``grid`` the knots are a uniform 1024-cell
-    grid on [0, 50].  Returns a
-    :class:`~pmpcheck.problem.CandidateProcess`; a callable ``u`` becomes
-    its ``closed_u``.
+    cell's own value.  There are two engines, chosen by ``prob.x_affine``:
+
+    * dynamics affine in x go through the 7-stage Gauss collocation cell
+      maps of the linear equation the fixed control leaves (see
+      :func:`_affine_state`).  Their accuracy is the cell maps' defect
+      bound ``_MAP_TOL``, with bisection; ``rtol`` and ``atol`` do not
+      apply;
+    * other dynamics take adaptive DP45 steps within each cell, at
+      ``rtol``/``atol``.  The control is read in one call at the stage
+      times of a one-step cell, and again only for retried or shorter
+      steps.
+
+    A knot whose state norm exceeds ``blowup`` raises :class:`BlowUp`.
+    Without ``grid`` the knots are a uniform 1024-cell grid on [0, 50].
+    Returns a :class:`~pmpcheck.problem.CandidateProcess`; a callable
+    ``u`` becomes its ``closed_u``.
     """
     from .problem import CandidateProcess  # deferred: avoids an import cycle
 
@@ -476,13 +527,15 @@ def solve_state(prob, u, x0=None, grid=None,
             f"control samples ({u_samples.shape[0]}) do not match grid ({grid.size})"
         )
 
-    x = np.empty((grid.size, x0.size))
-    x[0] = x0
-    y = x0.copy()
-    for k in range(grid.size - 1):
-        stages = _state_stages(prob, control, grid[k], grid[k + 1])
-        y, _ = _integrate_cell(stages, grid[k], grid[k + 1], y, rtol, atol, blowup)
-        x[k + 1] = y
+    if prob.x_affine:
+        x = _affine_state(prob, control, grid, x0, blowup)
+    else:
+        x = np.empty((grid.size, x0.size))
+        x[0] = y = x0
+        cell = _state_stages(prob, control, grid)
+        for k in range(grid.size - 1):
+            y, _ = _integrate_cell(cell(k), grid[k], grid[k + 1], y, rtol, atol, blowup)
+            x[k + 1] = y
     return CandidateProcess(grid=grid, x=x, u=u_samples,
                             closed_u=u if callable(u) else None)
 

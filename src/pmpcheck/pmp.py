@@ -1155,7 +1155,7 @@ def check_michel(prob: ControlProblem, cand: CandidateProcess,
 
 
 _NORMALITY_WINDOW = 20.0  # the probe covers [0, min(T, this)]
-_NORMALITY_RTOL = 1e-9  # tolerances of the perturbed state solves
+_NORMALITY_RTOL = 1e-9  # DP45 tolerances of the perturbed solves (nonlinear dynamics)
 _NORMALITY_ATOL = 1e-11
 _NORMALITY_DELTA = 1e-3  # radius of the ball the perturbed starts lie on
 _NORMALITY_BLOWUP = 1e100  # perturbed state norm counted as escape
@@ -1173,6 +1173,11 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRe
     in log space through ``nu.log_value``.  A perturbed solution whose
     norm passes ``_NORMALITY_BLOWUP`` is an immediate fail: the flow is
     not stable enough to force normality.
+
+    Each start costs one :func:`~pmpcheck.integrate.solve_state`: one
+    batched set of Gauss collocation cell maps when the dynamics are
+    affine in x (``prob.x_affine``), adaptive DP45 steps in every cell
+    otherwise, which is where nonlinear dynamics spend their time.
     """
     grid = cand.grid
     sub = grid[grid <= min(float(grid[-1]), _NORMALITY_WINDOW) * (1 + 1e-12)]

@@ -252,6 +252,10 @@ class ControlProblem:
     quadratic in ``u_i``: ``f_uu[i][i]`` and ``phi_uu[:, i]`` are free of
     ``u_i``, and so is every ``sign`` node (the derivative of ``abs``,
     whose own derivative reads 0) in ``f_u[i]`` and ``phi_u[:, i]``.
+    ``x_affine`` holds when the dynamics are affine in the state: no
+    entry of ``phi_x`` names ``x1..xn``.  The test is symbolic and
+    conservative (``x1/x1`` does not count as affine);
+    :func:`~pmpcheck.integrate.solve_state` picks its engine by it.
 
     Maximization problems must be negated before construction; the parser
     does this and sets ``negated`` so reports can say so.
@@ -276,6 +280,7 @@ class ControlProblem:
     phi_u: tuple = field(init=False, repr=False)
     phi_uu: tuple = field(init=False, repr=False)
     u_quadratic: tuple = field(init=False, repr=False)
+    x_affine: bool = field(init=False, repr=False)
     g_x: tuple = field(init=False, repr=False)
     _evaluators: dict = field(init=False, repr=False)
 
@@ -322,6 +327,8 @@ class ControlProblem:
             all(c not in e.variables() for e in (fuu[i], *(row[i] for row in self.phi_uu)))
             and not any(_sign_depends(e, c) for e in (fu, *(row[i] for row in self.phi_u)))
             for i, (c, fu, fuu) in enumerate(zip(controls, self.f_u, self.f_uu))))
+        object.__setattr__(self, "x_affine", all(
+            e.variables().isdisjoint(states) for row in self.phi_x for e in row))
         object.__setattr__(
             self, "g_x", tuple(tuple(gj.diff(s) for s in states) for gj in g)
         )

@@ -294,14 +294,19 @@ def check_weight_properties(nu: WeightSpec, mode: str = "strong") -> PropertyRep
 
     Nonpositive or non-finite values on the grid raise
     :class:`NonPositiveWeight`; that is a malformed weight, not a verdict.
+    A declared pole is the exception: the weight is not finite at t = 0,
+    so the first property fails with witness (0, inf), and the derivative
+    is read on the grid's positive times only.
     """
     if mode not in ("strong", "weak"):
         raise ValueError(f"mode must be strong or weak, got {mode!r}")
     grid = _property_grid()
+    pole = nu.pole_exp is not None and nu.pole_exp < 0
 
     names = ("E1", "E2", "E3", "E4", "E5") if mode == "strong" else ("F1", "F2", "F3", "F4")
     vals = np.asarray(nu(grid), dtype=float)
     bad = (vals < 0) | ~np.isfinite(vals)
+    bad[0] &= not pole  # the pole's +inf at t = 0 is declared, not malformed
     if np.any(bad):
         k = int(np.argmax(bad))
         raise NonPositiveWeight(nu.label, grid[k], vals[k])
@@ -325,7 +330,10 @@ def check_weight_properties(nu: WeightSpec, mode: str = "strong") -> PropertyRep
         )
 
     # positivity held (hard-checked above); probe continuity
-    jump = _continuity_probe(nu, grid)
+    jump = (0.0, np.inf) if pole else _continuity_probe(nu, grid)
+    if pole:
+        notes.append(f"{names[0]}: declared pole t^{nu.pole_exp:g} at t = 0; "
+                     "the weight is not finite there")
     if jump is None:
         verdicts[names[0]] = "pass"
         notes.append(f"{names[0]}: no continuity counterexample on the grid")
@@ -347,8 +355,9 @@ def check_weight_properties(nu: WeightSpec, mode: str = "strong") -> PropertyRep
         lambda t: np.abs(nu(t)), pole_exp=nu.pole_exp, tail_bound=nu.tail_bound
     )
     if verdicts[names[1]] == "pass":
-        # monotone decrease: the derivative's mass telescopes to w(0) - lim w
-        deriv_status = "converged"
+        # monotone decrease: the derivative's mass telescopes to w(0) - lim w,
+        # which a pole makes infinite
+        deriv_status = "converged" if np.isfinite(vals[0]) else "diverged"
         notes.append(
             f"{names[2]}: |w'| mass = w(0) - w(t_max) = {vals[0] - vals[-1]:.6g} (monotone telescoping)"
         )
@@ -371,16 +380,17 @@ def check_weight_properties(nu: WeightSpec, mode: str = "strong") -> PropertyRep
     # derivative dominated by the weight itself.  Points where the weight
     # has underflowed (or gone subnormal, where the mantissa is mostly
     # quantization) carry no usable ratio and are skipped.
+    rgrid, rvals = (grid[1:], vals[1:]) if pole else (grid, vals)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.abs(np.asarray(nu.deriv(grid), dtype=float)) / vals
-    ratios = np.where(vals > 1e-290, ratios, np.nan)
+        ratios = np.abs(np.asarray(nu.deriv(rgrid), dtype=float)) / rvals
+    ratios = np.where(rvals > 1e-290, ratios, np.nan)
     # the ratios are nonnegative, so zeroing the unusable ones leaves every
     # window maximum as it is
-    K_estimate, growing = _window_growth(grid, np.where(np.isfinite(ratios), ratios, 0.0))
+    K_estimate, growing = _window_growth(rgrid, np.where(np.isfinite(ratios), ratios, 0.0))
     if np.any(np.isinf(ratios)) or growing:
         kk = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))
         verdicts[names[3]] = "fail"
-        witnesses[names[3]] = (float(grid[kk]), float(ratios[kk]))
+        witnesses[names[3]] = (float(rgrid[kk]), float(ratios[kk]))
         notes.append(f"{names[3]}: |w'|/w still grows in the last decade (max {K_estimate:.3g})")
     else:
         verdicts[names[3]] = "pass"

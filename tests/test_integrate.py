@@ -225,7 +225,8 @@ def test_dormand_prince_tableau_is_consistent():
     assert max(misses) > 1e-4
 
 
-# x' = -x + u under a control that flips sign at every knot
+# x' = -x + u under a control that flips sign at every knot; the dynamics
+# are affine in x, so solve_state takes the collocation cell maps
 _FLIPPING = """
 [problem]
 n = 1
@@ -244,19 +245,44 @@ omega = exp_decay 1.0
 nu = exp_decay 1.0
 """
 
+# the nonlinear twin, which keeps solve_state on DP45
+_FLIPPING_CUBIC = _FLIPPING.replace("phi1 = -x1 + u1", "phi1 = -x1^3 + u1")
+
+
+def _flipping(src):
+    prob = parse_problem(src)
+    grid = np.linspace(0.0, 8.0, 257)
+    u = np.where(np.arange(grid.size) % 2 == 0, 1.0, -1.0)
+    return prob, CandidateProcess(grid=grid, x=np.zeros(grid.size), u=u)
+
+
+def _recording(control):
+    calls = []
+
+    def recorded(ts):
+        calls.append(np.array(ts, dtype=float))
+        return control(ts)
+
+    return recorded, calls
+
 
 class TestSolveState:
     @pytest.fixture(scope="class")
     def flipping(self):
-        prob = parse_problem(_FLIPPING)
-        grid = np.linspace(0.0, 8.0, 257)
-        u = np.where(np.arange(grid.size) % 2 == 0, 1.0, -1.0)
-        return prob, CandidateProcess(grid=grid, x=np.zeros(grid.size), u=u)
+        prob, cand = _flipping(_FLIPPING)
+        assert prob.x_affine
+        return prob, cand
 
-    def test_callable_and_samples_agree_at_jumping_knots(self, flipping):
+    @pytest.fixture(scope="class")
+    def cubic(self):
+        prob, cand = _flipping(_FLIPPING_CUBIC)
+        assert not prob.x_affine
+        return prob, cand
+
+    def test_callable_and_samples_agree_at_jumping_knots(self, cubic):
         # CandidateProcess.control is left-continuous: at t_k it returns the
         # previous cell's sample, but the cell's first stage needs its own
-        prob, cand = flipping
+        prob, cand = cubic
         by_samples = solve_state(prob, cand.u, grid=cand.grid, rtol=1e-9)
         by_callable = solve_state(prob, cand.control, grid=cand.grid, rtol=1e-9)
         np.testing.assert_allclose(by_callable.x, by_samples.x, rtol=0, atol=1e-12)
@@ -270,22 +296,86 @@ class TestSolveState:
             exact.append(uk + (exact[-1] - uk) * d)
         np.testing.assert_allclose(x, exact, rtol=0, atol=1e-8)
 
-    def test_control_is_called_once_per_step_inside_one_cell(self, flipping):
+    def test_affine_path_agrees_for_callable_and_samples_reading_inside_cells(self, flipping):
         prob, cand = flipping
-        calls = []
-
-        def control(ts):
-            calls.append(np.array(ts, dtype=float))
-            return cand.control(ts)
-
-        out = solve_state(prob, control, grid=cand.grid, rtol=1e-9)
-        assert out.closed_u is control
+        control, calls = _recording(cand.control)
+        by_callable = solve_state(prob, control, grid=cand.grid)
+        by_samples = solve_state(prob, cand.u, grid=cand.grid)
+        np.testing.assert_allclose(by_callable.x, by_samples.x, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(calls[0], cand.grid)  # the knot samples
-        for ts in calls[1:]:
-            assert ts.shape == (7,)
-            k = np.searchsorted(cand.grid, ts[0], side="right") - 1
-            assert cand.grid[k] < ts.min() and ts.max() <= cand.grid[k + 1]
-        assert len(calls) - 1 >= cand.grid.size - 1
+        ts = np.concatenate(calls[1:])
+        k = np.searchsorted(cand.grid, ts, side="right") - 1
+        assert np.all(cand.grid[k] < ts) and np.all(ts < cand.grid[k + 1])
+
+    def test_control_is_called_once_per_step_inside_one_cell(self, cubic):
+        prob, cand = cubic
+        cells = cand.grid.size - 1
+        for rtol, retries in ((1e-9, False), (1e-11, True)):
+            control, calls = _recording(cand.control)
+            out = solve_state(prob, control, grid=cand.grid, rtol=rtol)
+            assert out.closed_u is control
+            np.testing.assert_array_equal(calls[0], cand.grid)  # the knot samples
+            # one read covers the stage times of every one-step cell
+            first = calls[1].reshape(cells, 7)
+            assert np.all(cand.grid[:-1, None] < first)
+            assert np.all(first <= cand.grid[1:, None])
+            # retried and shorter steps read once per step, inside their cell
+            assert (len(calls) > 2) == retries
+            for ts in calls[2:]:
+                assert ts.shape == (7,)
+                k = np.searchsorted(cand.grid, ts[0], side="right") - 1
+                assert cand.grid[k] < ts.min() and ts.max() <= cand.grid[k + 1]
+
+
+_TIME_VARYING = """
+[problem]
+n = 2
+m = 1
+x0 = 1.0, -2.0
+sense = min
+
+[dynamics]
+phi1 = -0.5*x1 + sin(t)*x2 + u1
+phi2 = -cos(2*t)*x1 - 0.2*t*x2
+
+[objective]
+f = x1^2
+omega = exp_decay 1.0
+
+[space]
+nu = exp_decay 1.0
+"""
+
+
+class TestAffineState:
+    """solve_state on dynamics affine in x, through the cell maps."""
+
+    def test_time_varying_system_matches_scipy(self):
+        prob = parse_problem(_TIME_VARYING)
+        assert prob.x_affine
+        u = lambda t: np.exp(-np.asarray(t))
+        grid = np.linspace(0.0, 6.0, 49)
+        out = solve_state(prob, u, grid=grid)
+
+        def rhs(t, y):
+            return [-0.5 * y[0] + np.sin(t) * y[1] + np.exp(-t),
+                    -np.cos(2 * t) * y[0] - 0.2 * t * y[1]]
+
+        ref = solve_ivp(rhs, (0.0, 6.0), [1.0, -2.0], method="DOP853",
+                        rtol=1e-12, atol=1e-14, t_eval=grid)
+        assert np.max(np.abs(out.x - ref.y.T)) < 1e-9
+
+    def test_blowup_is_raised_within_one_cell_of_the_crossing(self):
+        prob = parse_problem(_FLIPPING.replace("phi1 = -x1 + u1", "phi1 = 30*x1 + u1"))
+        assert prob.x_affine
+        grid = np.linspace(0.0, 30.0, 601)
+        # x = e^{30 t} passes 1e100 at t = 100 ln(10) / 30; past t = 23.7
+        # it would overflow, so the knots must be checked as they are made
+        crossing = 100.0 * np.log(10.0) / 30.0
+        with np.errstate(over="raise", invalid="raise"), pytest.raises(BlowUp) as err:
+            solve_state(prob, np.zeros(grid.size), grid=grid, blowup=1e100)
+        assert crossing <= err.value.t <= crossing + (grid[1] - grid[0])
+        assert err.value.norm > 1e100
 
 
 def _rotating_system(scale):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from pmpcheck import pmp
+from pmpcheck import integrate, pmp
 from pmpcheck.integrate import BlowUp, InvalidGrid, default_grid
 from pmpcheck.pmp import (
     AdjointSolution,
@@ -158,6 +158,26 @@ nu = exp_decay 1.0
 
 [controls]
 u1 = [0, inf)
+"""
+
+# One unstable and one stable state, uncoupled.
+TWO_STATE = """
+[problem]
+n = 2
+m = 1
+x0 = 1.0, 1.0
+sense = min
+
+[dynamics]
+phi1 = x1
+phi2 = -x2
+
+[objective]
+f = x2^2
+omega = exp_decay 3.0
+
+[space]
+nu = exp_decay 1.0
 """
 
 CONSTRAINED = REGULATOR.format(a=4.5) + """
@@ -418,25 +438,7 @@ nu = exp_decay 1.0
     def test_two_state_mixed_stability(self):
         # Y = diag(e^t, e^{-t}): the condition number crosses 1e12 around
         # t = 13.8, and p2(0) has the closed form -(2/5)(1 - e^{-250})
-        src = """
-[problem]
-n = 2
-m = 1
-x0 = 1.0, 1.0
-sense = min
-
-[dynamics]
-phi1 = x1
-phi2 = -x2
-
-[objective]
-f = x2^2
-omega = exp_decay 3.0
-
-[space]
-nu = exp_decay 1.0
-"""
-        prob = parse_problem(src)
+        prob = parse_problem(TWO_STATE)
         grid = default_grid(50.0, cells=1024, refine_zero=False)
         dec = lambda t: np.exp(-np.asarray(t))
         cand = candidate_from_functions(
@@ -964,6 +966,41 @@ class TestControlClassification:
         assert abs(got - kink) <= 1e-14 * (1.0 + abs(kink))
 
 
+class TestStateClassification:
+    """Which dynamics solve_state treats as affine in x."""
+
+    @pytest.mark.parametrize("src,affine", [
+        pytest.param(REGULATOR.format(a=4.5), True, id="regulator"),
+        pytest.param(TWO_STATE, True, id="two_state"),
+        pytest.param(INVESTMENT, True, id="investment"),
+        pytest.param(REGULATOR.format(a=4.5).replace("2*x1 + u1", "x1*exp(t) + u1"), True,
+                     id="time_varying"),
+        pytest.param(EXTRACTION, False, id="extraction"),
+        pytest.param(REGULATOR.format(a=4.5).replace("2*x1 + u1", "abs(x1)"), False,
+                     id="abs"),
+        pytest.param(REGULATOR.format(a=4.5).replace("2*x1 + u1", "-x1^3 + u1"), False,
+                     id="cubic"),
+        pytest.param(REGULATOR.format(a=4.5).replace("2*x1 + u1", "x1/x1"), False,
+                     id="cancelling_by_design"),
+    ])
+    def test_table(self, src, affine):
+        prob = parse_problem(src)
+        assert prob.x_affine is affine
+        # independent check: phi is affine in x exactly when it maps the
+        # midpoint of two states to the midpoint of their values
+        rng = np.random.default_rng(5)
+        k = 400
+        ts = rng.uniform(0.1, 10.0, k)
+        us = rng.uniform(0.0, 0.6, (k, prob.m))
+        xa, xb = rng.uniform(0.5 if "ln(x1)" in src else -3.0, 3.0, (2, k, prob.n))
+        mid = prob.phi_value(ts, 0.5 * (xa + xb), us)
+        chord = 0.5 * (prob.phi_value(ts, xa, us) + prob.phi_value(ts, xb, us))
+        gap = np.max(np.abs(mid - chord) / (1.0 + np.abs(chord)))
+        assert gap <= 1e-12 or gap > 1e-6
+        # x1/x1 is affine as a function, but the symbolic test does not see it
+        assert (gap <= 1e-12) == (affine or "x1/x1" in src)
+
+
 class TestNewtonSearch:
     """Safeguarded Newton refinement, with golden section where it fails."""
 
@@ -1234,6 +1271,26 @@ class TestNormality:
         # so the fitted envelope rate is -2
         assert any("rate c=-2" in note for note in rec.notes)
 
+    @pytest.mark.parametrize("name", ["regulator", "extraction"])
+    def test_linear_dynamics_take_no_dp45_steps(self, name, grid, monkeypatch):
+        # one cell-map build per perturbed start for dynamics affine in x,
+        # DP45 steps and no maps for the nonlinear Gompertz dynamics
+        if name == "regulator":
+            prob, cand = regulator(), regulator_candidate(grid)
+        else:
+            prob, cand = parse_problem(EXTRACTION), extraction_candidate(grid)
+        counts = {"_dp_step": 0, "_linear_cell_maps": 0}
+        for fn in counts:
+            def counted(*args, _fn=getattr(integrate, fn), _name=fn):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(integrate, fn, counted)
+        assert check_normality(prob, cand).passed
+        if name == "regulator":
+            assert counts == {"_dp_step": 0, "_linear_cell_maps": 2 * prob.n + 1}
+        else:
+            assert counts["_dp_step"] > 0 and counts["_linear_cell_maps"] == 0
+
     def test_density_below_the_threshold_fails(self, grid):
         # e^{4t} deviation growth is not square-integrable against e^{-3.9t}
         prob = regulator(a=3.9)
@@ -1457,6 +1514,16 @@ class TestWeightPole:
         written = verify_certificate(parse_problem(src), cand)
         assert family.overall == "pass"
         assert_reports_equal(written, family)
+
+    def test_a_space_weight_with_a_pole_is_a_violated_assumption_not_a_crash(self):
+        g = default_grid(50.0, cells=256)
+        src = EXTRACTION.replace("nu = exp_decay 1.0", "nu = weibull 0.5")
+        rep = verify_certificate(parse_problem(src), extraction_candidate(g))
+        nu_report = rep.audit.weight_reports["nu"]
+        assert nu_report.verdicts["E1"] == "fail"
+        assert nu_report.witnesses["E1"] == (0.0, np.inf)
+        assert rep.audit.verdicts["A0"] == "fail"
+        assert rep.overall == "assumptions-violated"
 
     def test_majorant_partials_are_finite_and_increasing(self):
         g = default_grid(50.0, cells=1024)

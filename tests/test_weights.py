@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,24 @@ class TestWeightProperties:
         with pytest.raises(NonPositiveWeight) as err:
             check_weight_properties(dead)
         assert err.value.t == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("nu", [
+        weibull(0.5),
+        from_expression("t^(-0.5)*exp(-t^0.5)", tail_bound=lambda T: 2 * np.exp(-T**0.5),
+                        pole_exp=-0.5),
+    ], ids=["family", "expression"])
+    def test_declared_pole_fails_continuity_at_zero(self, nu):
+        seen = []
+
+        def spy(fn):
+            return lambda t: seen.append(np.asarray(t, dtype=float)) or fn(t)
+
+        rep = check_weight_properties(
+            replace(nu, deriv=spy(nu.deriv), log_value=spy(nu.log_value)))
+        assert rep.verdicts["E1"] == "fail"
+        assert rep.witnesses["E1"] == (0.0, np.inf)
+        assert any("E1" in n and "pole" in n for n in rep.notes)
+        assert seen and not any(np.any(t == 0.0) for t in seen)
 
     def test_underflow_is_tolerated_with_note(self):
         rep = check_weight_properties(exp_decay(20.0))
