@@ -435,14 +435,20 @@ _NAMESPACE = {
 }
 
 
+# integer powers written as products: no power call and no domain check
+# (no base leaves their domain), and b * b is bitwise np.power(b, 2.0)
+_PRODUCT_POWERS = (2.0, 3.0, 4.0)
+
+
 def _emit(exprs: Sequence[Expression], names: list[str],
           stores: Sequence[str] | None = None) -> tuple[list[str], list[str]]:
     """Statements evaluating ``exprs`` in turn, and one operand per expression.
 
     Each operator node becomes one statement, in the order a walk of the
-    tree evaluates them.  A symbol ``s`` reads the local ``v_s`` and is
-    appended to ``names`` on first use, so binding the names in that order
-    meets an unbound one where the walk would.  A node's value is consumed
+    tree evaluates them; a power with exponent 2, 3 or 4 becomes a
+    product.  A symbol ``s`` reads the local ``v_s`` and is appended to
+    ``names`` on first use, so binding the names in that order meets an
+    unbound one where the walk would.  A node's value is consumed
     by its parent: the parent's result takes over the first consumed local
     and the others are deleted, so no intermediate array outlives its
     consumer.  With ``stores``, the statement ``stores[k].format(operand)``
@@ -468,6 +474,9 @@ def _emit(exprs: Sequence[Expression], names: list[str],
             return f"v_{e.name}"
         if isinstance(e, Neg):
             template, args = "-{}", [e.arg]
+        elif (isinstance(e, Pow) and isinstance(e.right, Num)
+              and e.right.value in _PRODUCT_POWERS):
+            template, args = " * ".join(["{0}"] * int(e.right.value)), [e.left]
         elif isinstance(e, (Div, Pow)):
             template, args = f"_{type(e).__name__.lower()}({{}}, {{}})", [e.left, e.right]
         elif isinstance(e, _Binary):

@@ -17,9 +17,9 @@ Everything downstream needs three capabilities, all provided here:
 * per-cell affine maps ``y(tb) = P y(ta) + q`` of linear systems
   ``y' = M(t) y + b(t)`` along a fixed candidate, by 7-stage Gauss
   collocation with all cells solved in one batch and every map checked
-  against its two half-cell maps (unresolved cells are bisected).  Both
-  adjoint routes and the state solves of dynamics affine in x run on
-  these maps.
+  against its two half-cell maps (unresolved cells are bisected), and
+  composed into every knot by one blocked prefix scan.  Both adjoint
+  routes and the state solves of dynamics affine in x run on these maps.
 
 Decisions at infinity are made by documented finite criteria (decade
 ladders, three-window decay tests), never by a symbolic limit engine, and
@@ -454,9 +454,9 @@ def _affine_state(prob, control, grid, x0, blowup):
 
     Under a fixed control the state equation is ``x' = M(t) x + b(t)``
     with ``M = phi_x(t, 0, u)`` and ``b = phi(t, 0, u)``, read at interior
-    Gauss nodes only.  The maps are composed knot by knot, and the first
-    knot whose norm exceeds ``blowup`` (or is NaN) raises :class:`BlowUp`,
-    before a later knot can overflow.
+    Gauss nodes only.  :func:`_affine_chain` composes the maps into every
+    knot at once; then the first knot whose norm exceeds ``blowup`` (or is
+    NaN) raises :class:`BlowUp`, whatever later knots read.
     """
 
     def coef(ts):
@@ -464,14 +464,12 @@ def _affine_state(prob, control, grid, x0, blowup):
         zero = np.zeros((ts.size, x0.size))
         return prob.phi_jac_x(ts, zero, us), prob.phi_value(ts, zero, us)
 
-    P, q = _linear_cell_maps(coef, grid[:-1], grid[1:])
-    x = np.empty((grid.size, x0.size))
-    x[0] = y = x0
-    for k in range(grid.size - 1):
-        x[k + 1] = y = P[k] @ y + q[k]
-        norm = float(abs(y).max())
-        if not norm <= blowup:
-            raise BlowUp(grid[k + 1], norm, blowup)
+    x = _affine_chain(*_linear_cell_maps(coef, grid[:-1], grid[1:]), x0)
+    norms = np.abs(x).max(axis=1)
+    bad = ~(norms[1:] <= blowup)
+    if bad.any():
+        k = int(np.argmax(bad)) + 1
+        raise BlowUp(grid[k], norms[k], blowup)
     return x
 
 
@@ -491,18 +489,18 @@ def solve_state(prob, u, x0=None, grid=None,
     cell's own value.  There are two engines, chosen by ``prob.x_affine``:
 
     * dynamics affine in x go through the 7-stage Gauss collocation cell
-      maps of the linear equation the fixed control leaves (see
-      :func:`_affine_state`).  Their accuracy is the cell maps' defect
-      bound ``_MAP_TOL``, with bisection; ``rtol`` and ``atol`` do not
-      apply;
+      maps of the linear equation the fixed control leaves, composed into
+      the knots by one blocked prefix scan (see :func:`_affine_state`).
+      Their accuracy is the cell maps' defect bound ``_MAP_TOL``, with
+      bisection; ``rtol`` and ``atol`` do not apply;
     * other dynamics take adaptive DP45 steps within each cell, at
       ``rtol``/``atol``.  The control is read in one call at the stage
       times of a one-step cell, and again only for retried or shorter
       steps.
 
-    A knot whose state norm exceeds ``blowup`` raises :class:`BlowUp`.
-    Without ``grid`` the knots are a uniform 1024-cell grid on [0, 50].
-    Returns a :class:`~pmpcheck.problem.CandidateProcess`; a callable
+    The first knot whose state norm exceeds ``blowup`` raises
+    :class:`BlowUp`.  Without ``grid`` the knots are a uniform 1024-cell
+    grid on [0, 50].  Returns a :class:`~pmpcheck.problem.CandidateProcess`; a callable
     ``u`` becomes its ``closed_u``.
     """
     from .problem import CandidateProcess  # deferred: avoids an import cycle
@@ -620,3 +618,42 @@ def _linear_cell_maps(coef, ta, tb) -> tuple[np.ndarray, np.ndarray]:
             fine[bad] = maps[1::2] @ maps[0::2]
         maps = fine
     return maps[:, :-1, :-1], maps[:, :-1, -1]
+
+
+# cells per doubling block of the chain.  A product over the whole grid can
+# overflow (30 units of growth over 50 time units is e^{1500}) and turn an
+# exact zero the loop would keep into inf * 0 = NaN; a product over one
+# block grows by at most the 64th power of one cell's map.
+_CHAIN_BLOCK = 64
+
+
+def _affine_chain(P: np.ndarray, q: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """Every knot of ``y_{k+1} = P_k y_k + q_k``, shaped ``(K+1,) + y0.shape``.
+
+    ``P`` is (K, d, d) and ``q`` (K, d); ``y0`` is a vector (d,) or a
+    matrix (d, r), and then ``q_k`` is added to each column.  The
+    augmented maps ``[[P_k, q_k], [0, 1]]`` are composed by a doubling
+    prefix scan (Hillis and Steele, CACM 29, 1986) inside blocks of
+    ``_CHAIN_BLOCK`` cells, and the block starts are chained in order.
+    Knots past an overflow read inf or NaN without a warning; callers find
+    the first knot past their limit on the result.
+    """
+    K, d = q.shape
+    y0 = np.asarray(y0, dtype=float)
+    cols = y0.reshape(d, -1)
+    blocks = -(-K // _CHAIN_BLOCK)
+    maps = np.zeros((blocks * _CHAIN_BLOCK, d + 1, d + 1))
+    maps[K:] = np.eye(d + 1)  # padding cells leave the knot as it is
+    maps[:K, :d, :d], maps[:K, :d, d], maps[:K, d, d] = P, q, 1.0
+    maps = maps.reshape(blocks, _CHAIN_BLOCK, d + 1, d + 1)
+    starts = np.empty((blocks + 1, d + 1, cols.shape[1]))
+    starts[0, :d], starts[0, d] = cols, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = 1
+        while step < _CHAIN_BLOCK:  # maps[:, j] becomes cell j's map times all before it
+            maps[:, step:] = maps[:, step:] @ maps[:, :-step]
+            step *= 2
+        for b in range(blocks):
+            starts[b + 1] = maps[b, -1] @ starts[b]
+        knots = (maps @ starts[:-1, None]).reshape(-1, d + 1, cols.shape[1])
+    return np.concatenate((cols[None], knots[:K, :d])).reshape((K + 1,) + y0.shape)

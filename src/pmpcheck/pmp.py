@@ -43,6 +43,7 @@ from .integrate import (
     _GAUSS_C,
     BlowUp,
     InvalidGrid,
+    _affine_chain,
     _cell_integrals,
     _linear_cell_maps,
     decays_to_zero,
@@ -296,12 +297,13 @@ def adjoint_backward(prob: ControlProblem, cand: CandidateProcess,
     P, q = _adjoint_cell_maps(prob, cand, grid[: k_main + 1])
 
     def run(k_term: int) -> np.ndarray:
-        p = np.zeros((k_term + 1, prob.n))
-        for k in range(k_term - 1, -1, -1):
-            p[k] = P[k] @ p[k + 1] + lambda0 * q[k]
-            norm = float(np.max(np.abs(p[k])))
-            if not norm <= _BLOWUP:
-                raise BlowUp(grid[k], norm, _BLOWUP)
+        # the chain runs in reverse time, from p(t_term) = 0 down to t = 0
+        p = _affine_chain(P[k_term - 1::-1], lambda0 * q[k_term - 1::-1],
+                          np.zeros(prob.n))[::-1]
+        norms = np.abs(p).max(axis=1)
+        bad = np.flatnonzero(~(norms <= _BLOWUP))
+        if bad.size:  # the escape the reverse sweep meets first
+            raise BlowUp(grid[bad[-1]], norms[bad[-1]], _BLOWUP)
         return p
 
     p_main = run(k_main)
@@ -323,9 +325,11 @@ def adjoint_representation(prob: ControlProblem,
 
     The backward cell maps ``p(t_k) = P_k p(t_{k+1}) + q_k`` of the adjoint
     equation carry the whole formula: the inverse fundamental system
-    Y = Z^{-1} composes as ``Y_{k+1} = Y_k P_k``, and a cell's share of the
-    integral is ``-Y_k q_k``.  The shares are summed right to left into the
-    remaining mass, so no accumulated value ever has to be differenced.
+    Y = Z^{-1} composes as ``Y_{k+1} = Y_k P_k``, which the chain of the
+    transposed maps ``P_k^T`` from the identity gives as ``Y^T``, and a
+    cell's share of the integral is ``-Y_k q_k``.  The shares are summed
+    right to left into the remaining mass, so no accumulated value ever
+    has to be differenced.
     The mass beyond the grid horizon is estimated geometrically from the
     last two octave windows; if those windows do not shrink the formula
     has no usable limit and :class:`DivergentTail` is raised.
@@ -337,13 +341,12 @@ def adjoint_representation(prob: ControlProblem,
         P, q = _adjoint_cell_maps(prob, cand, grid)
     except BlowUp as e:
         raise IllConditioned(f"{e}; {unusable}") from e
-    Y = np.empty((grid.size, n, n))
-    Y[0] = np.eye(n)
-    for k in range(grid.size - 1):
-        Y[k + 1] = Y[k] @ P[k]
-        if not np.max(np.abs(Y[k + 1])) <= _Y_LIMIT:
-            raise IllConditioned(
-                f"fundamental system overflows at t={grid[k + 1]:.6g}; {unusable}")
+    Yt = _affine_chain(np.swapaxes(P, 1, 2), np.zeros_like(q), np.eye(n))
+    Y = np.swapaxes(Yt, 1, 2)
+    bad = ~(np.abs(Y).max(axis=(1, 2)) <= _Y_LIMIT)
+    if bad.any():
+        raise IllConditioned(
+            f"fundamental system overflows at t={grid[np.argmax(bad)]:.6g}; {unusable}")
 
     shares = -np.einsum("kij,kj->ki", Y[:-1], q)
     rem = np.vstack((np.cumsum(shares[::-1], axis=0)[::-1], np.zeros((1, n))))
@@ -1164,8 +1167,10 @@ _NORMALITY_BLOWUP = 1e100  # perturbed state norm counted as escape
 def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRecord:
     """Probe the perturbed-start stability that forces a normal multiplier.
 
-    The state equation is re-solved under the candidate control from
-    ``2n+1`` starts on the ``_NORMALITY_DELTA``-ball around x0, over the
+    The state equation is re-solved under the candidate control from the
+    distinct starts ``x0 +- delta e_i`` and ``x0 + delta 1/sqrt(n)`` on the
+    ``_NORMALITY_DELTA``-ball around x0: ``2n+1`` of them, 2 for n = 1,
+    where the diagonal start is ``x0 + delta e_1`` again.  Each runs over the
     grid's first ``_NORMALITY_WINDOW`` time units at most.  The worst
     deviation per unit of initial offset is fitted against an exponential
     envelope ``C * exp(-c t)`` (c of either sign), and the verdict asks
@@ -1175,9 +1180,10 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRe
     not stable enough to force normality.
 
     Each start costs one :func:`~pmpcheck.integrate.solve_state`: one
-    batched set of Gauss collocation cell maps when the dynamics are
-    affine in x (``prob.x_affine``), adaptive DP45 steps in every cell
-    otherwise, which is where nonlinear dynamics spend their time.
+    batched set of Gauss collocation cell maps, composed by one blocked
+    scan, when the dynamics are affine in x (``prob.x_affine``), adaptive
+    DP45 steps in every cell otherwise, which is where nonlinear dynamics
+    spend their time.
     """
     grid = cand.grid
     sub = grid[grid <= min(float(grid[-1]), _NORMALITY_WINDOW) * (1 + 1e-12)]
@@ -1186,7 +1192,8 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRe
     x_base = cand.state(sub)
     starts = [prob.x0 + _NORMALITY_DELTA * e for e in np.eye(prob.n)]
     starts += [prob.x0 - _NORMALITY_DELTA * e for e in np.eye(prob.n)]
-    starts.append(prob.x0 + _NORMALITY_DELTA * np.ones(prob.n) / np.sqrt(prob.n))
+    if prob.n > 1:  # for n = 1 the diagonal start is x0 + delta e_1
+        starts.append(prob.x0 + _NORMALITY_DELTA * np.ones(prob.n) / np.sqrt(prob.n))
 
     ratios = np.zeros(sub.size)
     for zeta in starts:

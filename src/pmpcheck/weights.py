@@ -296,7 +296,9 @@ def check_weight_properties(nu: WeightSpec, mode: str = "strong") -> PropertyRep
     :class:`NonPositiveWeight`; that is a malformed weight, not a verdict.
     A declared pole is the exception: the weight is not finite at t = 0,
     so the first property fails with witness (0, inf), and the derivative
-    is read on the grid's positive times only.
+    is read on the grid's positive times only.  A pole also fails the
+    derivative's integrability and its bound by the weight; both witnesses
+    sit at the grid's first positive time.
     """
     if mode not in ("strong", "weak"):
         raise ValueError(f"mode must be strong or weak, got {mode!r}")
@@ -370,7 +372,13 @@ def check_weight_properties(nu: WeightSpec, mode: str = "strong") -> PropertyRep
     both = (ladder.verdict, deriv_status)
     if "diverged" in both:
         verdicts[names[2]] = "fail"
-        witnesses[names[2]] = (t_max, float(ladder.partials[-1]))
+        if ladder.verdict == "diverged":
+            witnesses[names[2]] = (t_max, float(ladder.partials[-1]))
+        elif verdicts[names[1]] == "pass":
+            # the pole: the derivative's mass over [t, t_max] is w(t) - w(t_max)
+            witnesses[names[2]] = (float(grid[1]), float(vals[1] - vals[-1]))
+        else:
+            witnesses[names[2]] = (float(dladder.decades[-1]), dladder.value)
     elif both == ("converged", "converged"):
         verdicts[names[2]] = "pass"
     else:
@@ -387,7 +395,12 @@ def check_weight_properties(nu: WeightSpec, mode: str = "strong") -> PropertyRep
     # the ratios are nonnegative, so zeroing the unusable ones leaves every
     # window maximum as it is
     K_estimate, growing = _window_growth(rgrid, np.where(np.isfinite(ratios), ratios, 0.0))
-    if np.any(np.isinf(ratios)) or growing:
+    if pole:  # w ~ t^e with e < 0 makes |w'|/w ~ |e|/t
+        verdicts[names[3]] = "fail"
+        witnesses[names[3]] = (float(rgrid[0]), float(ratios[0]))
+        notes.append(f"{names[3]}: declared pole t^{nu.pole_exp:g} at t = 0; "
+                     "|w'|/w is unbounded as t -> 0")
+    elif np.any(np.isinf(ratios)) or growing:
         kk = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))
         verdicts[names[3]] = "fail"
         witnesses[names[3]] = (float(rgrid[kk]), float(ratios[kk]))

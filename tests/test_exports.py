@@ -204,3 +204,13 @@ def test_one_gauss_rule_builds_every_quadrature():
                    if isinstance(node, ast.Call)
                    and getattr(node.func, "attr", getattr(node.func, "id", None)) == "leggauss")
     assert calls == ["integrate.py"], f"leggauss calls by module: {calls}"
+
+
+def test_one_chain_composes_every_cell_map():
+    """Cell maps are composed into knots only by ``integrate._affine_chain``;
+    a loop that applies ``P[k]`` knot by knot anywhere else fails here."""
+    hits = sorted(f"{path.name}:{number}"
+                  for path in Path(pmpcheck.__file__).parent.glob("*.py")
+                  for number, line in enumerate(path.read_text().splitlines(), 1)
+                  if "P[k] @" in line or "@ P[k]" in line)
+    assert not hits, f"cell maps composed outside _affine_chain: {hits}"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from pmpcheck.expressions import (
     DomainError,
     ExpressionSyntaxError,
+    _emit,
     parse_expression,
 )
 
@@ -114,8 +115,19 @@ class TestEvaluation:
             parse_expression("sqrt(t - 1)").ev({"t": 0.5})
 
     def test_zero_to_negative_power(self):
-        with pytest.raises(DomainError):
-            parse_expression("t ^ -1").ev({"t": np.array([1.0, 0.0])})
+        for text in ("t ^ -1", "t ^ -2"):
+            with pytest.raises(DomainError, match=r"^power with negative base or 0\^negative") as err:
+                parse_expression(text).ev({"t": np.array([1.0, 0.0])})
+            assert err.value.point == {"t": 0.0}
+
+    def test_small_integer_powers_are_products(self):
+        b = np.random.default_rng(0).standard_normal(1000) * 1e3
+        for k in (2, 3, 4):
+            e = parse_expression(f"x1 ^ {k}")
+            assert "_pow" not in "\n".join(_emit([e], [])[0])
+            np.testing.assert_allclose(e.ev({"x1": b}), np.power(b, float(k)), rtol=1e-15)
+        # one rounding, as in np.power
+        np.testing.assert_array_equal(parse_expression("x1 ^ 2").ev({"x1": b}), np.power(b, 2.0))
 
     def test_fractional_power_of_negative(self):
         with pytest.raises(DomainError):

@@ -8,6 +8,8 @@ from pmpcheck.integrate import (
     _DP_B5,
     _DP_C,
     _DP_ERR,
+    _CHAIN_BLOCK,
+    _affine_chain,
     _linear_cell_maps,
     BlowUp,
     InvalidGrid,
@@ -393,10 +395,11 @@ def _rotating_system(scale):
     return A, b
 
 
-def _propagate(P, q, y0):
+def _chain_loop(P, q, y0):
+    """The sequential reference: y_{k+1} = P_k y_k + q_k, q_k added to each column."""
     ys = [np.asarray(y0, dtype=float)]
     for Pk, qk in zip(P, q):
-        ys.append(Pk @ ys[-1] + qk)
+        ys.append(Pk @ ys[-1] + qk.reshape(qk.shape + (1,) * (ys[-1].ndim - 1)))
     return np.array(ys)
 
 
@@ -418,7 +421,7 @@ class TestLinearCellMaps:
         y0 = [1.0, -2.0]
         ref = solve_ivp(lambda t, y: A(t) @ y + b(t), (0.0, 4.0), y0,
                         method="Radau", rtol=1e-12, atol=1e-14, t_eval=grid)
-        assert np.max(np.abs(_propagate(P, q, y0) - ref.y.T)) < 1e-9
+        assert np.max(np.abs(_chain_loop(P, q, y0) - ref.y.T)) < 1e-9
         # one step and two half steps cost 21 nodes per cell; h |A| = 6
         # forces bisection, which evaluates more
         unsplit = 21 * cells
@@ -444,3 +447,37 @@ class TestLinearCellMaps:
         coef = lambda ts: (np.full((ts.size, 1, 1), np.nan), np.zeros((ts.size, 1)))
         with pytest.raises(BlowUp, match="cell map defect"):
             _linear_cell_maps(coef, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+
+
+class TestAffineChain:
+    """The blocked prefix scan against the plain loop it replaces."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("cells", [3 * _CHAIN_BLOCK, 3 * _CHAIN_BLOCK + 17, 5])
+    @pytest.mark.parametrize("growth", [-0.05, 0.05], ids=["stable", "unstable"])
+    @pytest.mark.parametrize("matrix_start", [False, True], ids=["vector", "matrix"])
+    def test_matches_the_sequential_loop(self, d, cells, growth, matrix_start):
+        rng = np.random.default_rng(17 * d + cells)
+        # random maps near e^{growth} I: every knot grows or decays with k
+        P = np.exp(growth) * np.eye(d) + 0.1 * rng.standard_normal((cells, d, d))
+        q = rng.standard_normal((cells, d))
+        y0 = rng.standard_normal((d, 2) if matrix_start else d)
+        got = _affine_chain(P, q, y0)
+        want = _chain_loop(P, q, y0)
+        assert got.shape == want.shape == (cells + 1,) + y0.shape
+        scale = np.max(np.abs(want).reshape(cells + 1, -1), axis=1)
+        err = np.max(np.abs(got - want).reshape(cells + 1, -1), axis=1)
+        assert np.all(err <= 1e-12 * scale)
+
+    def test_a_direction_without_forcing_stays_exactly_zero(self):
+        # the first coordinate grows e^{1.5} per cell and is never excited;
+        # a product over the whole grid would read inf there and turn the
+        # exact zero into inf * 0 = NaN
+        cells = 16 * _CHAIN_BLOCK
+        P = np.zeros((cells, 2, 2))
+        P[:, 0, 0], P[:, 1, 1] = np.exp(1.5), np.exp(-0.1)
+        q = np.zeros((cells, 2))
+        q[:, 1] = 1.0
+        got = _affine_chain(P, q, np.zeros(2))
+        assert np.all(got[:, 0] == 0.0)
+        np.testing.assert_allclose(got, _chain_loop(P, q, np.zeros(2)), rtol=1e-12)

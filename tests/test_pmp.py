@@ -268,6 +268,18 @@ def interior_bang_pieces(grid):
     return prob, cand, adj
 
 
+def first_escape(P, q, y0, limit):
+    """First knot of the plain loop y_{k+1} = P_k y_k + q_k whose largest
+    entry exceeds ``limit`` (or is NaN), and that entry."""
+    y = y0
+    for k, (Pk, qk) in enumerate(zip(P, q)):
+        y = Pk @ y + qk
+        norm = float(np.max(np.abs(y)))
+        if not norm <= limit:
+            return k + 1, norm
+    raise AssertionError("the loop never escapes")
+
+
 @pytest.fixture(scope="module")
 def grid():
     return default_grid(50.0, cells=2048, refine_zero=False)
@@ -1274,7 +1286,8 @@ class TestNormality:
     @pytest.mark.parametrize("name", ["regulator", "extraction"])
     def test_linear_dynamics_take_no_dp45_steps(self, name, grid, monkeypatch):
         # one cell-map build per perturbed start for dynamics affine in x,
-        # DP45 steps and no maps for the nonlinear Gompertz dynamics
+        # DP45 steps and no maps for the nonlinear Gompertz dynamics.  With
+        # n = 1 the distinct starts are x0 + delta and x0 - delta.
         if name == "regulator":
             prob, cand = regulator(), regulator_candidate(grid)
         else:
@@ -1285,9 +1298,17 @@ class TestNormality:
                 counts[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(integrate, fn, counted)
+        starts = []
+
+        def solve(*args, _fn=pmp.solve_state, **kwargs):
+            starts.append(tuple(kwargs["x0"]))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(pmp, "solve_state", solve)
         assert check_normality(prob, cand).passed
+        assert prob.n == 1 and len(starts) == len(set(starts)) == 2
         if name == "regulator":
-            assert counts == {"_dp_step": 0, "_linear_cell_maps": 2 * prob.n + 1}
+            assert counts == {"_dp_step": 0, "_linear_cell_maps": 2}
         else:
             assert counts["_dp_step"] > 0 and counts["_linear_cell_maps"] == 0
 
@@ -1421,11 +1442,57 @@ nu = exp_decay 1.0
             verify_certificate(prob, cand, include_sufficiency=False)
         assert err.value.bound == 1e12
         assert err.value.norm > err.value.bound
-        # reported in forward time: the adjoint escapes near t = 17.6
+        # reported in forward time: the adjoint escapes near t = 17.6, at
+        # the knot where the plain backward loop from p(20) = 0 escapes
         assert 17.0 < err.value.t < 20.0
+        k_main = int(np.searchsorted(g, 20.0, side="right")) - 1
+        P, q = pmp._adjoint_cell_maps(prob, cand, g[: k_main + 1])
+        j, norm = first_escape(P[::-1], q[::-1], np.zeros(1), 1e12)
+        assert err.value.t == g[k_main - j]
+        assert err.value.norm == pytest.approx(norm, rel=1e-12)
         assert isinstance(err.value.__cause__, IllConditioned)
         assert "backward route" in str(err.value)
         assert "fundamental system overflows" in str(err.value)
+
+    def test_unexcited_unstable_direction_keeps_its_exact_zero(self):
+        # p1' = -30 p1 has no forcing (f_x1 = 0), so the backward route keeps
+        # p1 = 0 exactly, while Z^{-1} grows like e^{30 t} and overflows.  A
+        # composed map over the whole grid reads e^{1200} = inf there, and
+        # inf * 0 = NaN would turn the finite backward adjoint into a BlowUp.
+        src = """
+[problem]
+n = 2
+m = 1
+x0 = 0.0, 1.0
+
+[dynamics]
+phi1 = 30*x1
+phi2 = -x2 + u1
+
+[objective]
+f = x2^2 + u1^2
+omega = exp_decay 1.0
+
+[space]
+nu = exp_decay 1.0
+"""
+        prob = parse_problem(src)
+        g = default_grid(50.0, cells=2048, refine_zero=False)
+        cand = candidate_from_functions(
+            g, lambda t: np.stack([np.zeros_like(t), np.exp(-t)], axis=-1),
+            lambda t: np.zeros(np.shape(t)))
+        bwd = adjoint_backward(prob, cand)
+        assert np.all(bwd.p[:, 0] == 0.0)
+        assert np.all(np.isfinite(bwd.p))
+        with pytest.raises(IllConditioned, match="overflows at t=22.2656;") as err:
+            adjoint_representation(prob, cand)
+        # the knot where the plain loop Y_{k+1} = Y_k P_k passes 1e290
+        P, q = pmp._adjoint_cell_maps(prob, cand, g)
+        k, _ = first_escape(np.swapaxes(P, 1, 2), np.zeros((q.shape[0], 2, 1)),
+                            np.eye(2), pmp._Y_LIMIT)
+        assert f"at t={g[k]:.6g};" in str(err.value)
+        cert = verify_certificate(prob, cand, include_sufficiency=False)
+        assert set(cert.adjoints) == {"backward-ode"}
 
     def test_mode_validation(self, reg_setup):
         prob, cand, _ = reg_setup

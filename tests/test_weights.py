@@ -176,6 +176,35 @@ class TestWeightProperties:
         assert any("E1" in n and "pole" in n for n in rep.notes)
         assert seen and not any(np.any(t == 0.0) for t in seen)
 
+    @pytest.mark.parametrize("nu", [
+        weibull(0.5),
+        from_expression("t^(-0.5)*exp(-t^0.5)", tail_bound=lambda T: 2 * np.exp(-T**0.5),
+                        pole_exp=-0.5),
+    ], ids=["family", "expression"])
+    def test_declared_pole_fails_the_derivative_bound_and_its_mass(self, nu):
+        # |w'|/w = 0.5/t + 0.5/sqrt(t) is unbounded as t -> 0, and the
+        # derivative's mass over [t, 50], w(t) - w(50), grows without bound
+        rep = check_weight_properties(nu)
+        t1 = 1e-6  # the first positive time of the property grid
+        assert rep.verdicts["E4"] == "fail"
+        t_w, ratio = rep.witnesses["E4"]
+        assert t_w == t1
+        assert ratio == pytest.approx(0.5 / t1 + 0.5 / np.sqrt(t1), rel=1e-9)
+        assert any("E4" in n and "pole" in n for n in rep.notes)
+        assert rep.verdicts["E3"] == "fail"
+        t_m, mass = rep.witnesses["E3"]
+        assert t_m == t1
+        assert mass == pytest.approx(nu(t1) - nu(50.0), rel=1e-12)
+
+    def test_divergent_derivative_mass_is_the_integrability_witness(self):
+        # w = (2 + sin t^2) / (1 + t)^2 has mass below 3, but |w'| carries
+        # 2t |cos t^2| / (1 + t)^2, whose mass grows like (4/pi) ln T
+        rep = check_weight_properties(from_expression("(2 + sin(t^2)) * (1 + t)^-2",
+                                                      pole_exp=0.0))
+        assert rep.verdicts["E3"] == "fail"
+        t_m, mass = rep.witnesses["E3"]
+        assert t_m == 1e4 and mass > 4 / np.pi * (np.log(1e4) - 2)
+
     def test_underflow_is_tolerated_with_note(self):
         rep = check_weight_properties(exp_decay(20.0))
         assert rep.all_pass
