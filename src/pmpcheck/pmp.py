@@ -471,18 +471,28 @@ def _residual_record(name, adj, defect, where, tol, notes) -> ConditionRecord:
         series_grid=where, series=series)
 
 
+_ROUNDOFF_CELL = 4.0  # cell defects within this many roundoffs of the cell's terms read 0
+
+
 def check_adjoint_residual(prob: ControlProblem, cand: CandidateProcess,
                            adj: AdjointSolution, tol: float = 1e-6) -> ConditionRecord:
     """Defect of p' = -phi_x^T p + l0*w*f_x, cell by cell.
 
     The residual is the worst cell value of ``|dp - integral of the
     right-hand side| / width``, divided by the largest adjoint norm so the
-    number is scale-free.  An identically zero multiplier produces a zero
-    residual; nontriviality is a separate invariant and only noted here.
+    number is scale-free.  A cell whose numerator is within
+    ``_ROUNDOFF_CELL`` roundoffs of its terms, ``eps (|p_k| + |p_{k+1}| +
+    |integral|)``, counts as exact: divided by a width of 1e-12 near a
+    weight pole, roundoff alone would read 1e-4.  An identically zero
+    multiplier produces a zero residual; nontriviality is a separate
+    invariant and only noted here.
     """
     cells = _adjoint_cell_integrals(prob, cand, adj)
     grid, p = adj.grid, adj.p
-    defect = np.linalg.norm(p[1:] - p[:-1] - cells, axis=1) / np.diff(grid)
+    norm = lambda a: np.linalg.norm(a, axis=1)
+    gap = norm(p[1:] - p[:-1] - cells)
+    roundoff = _ROUNDOFF_CELL * np.finfo(float).eps * (norm(p[:-1]) + norm(p[1:]) + norm(cells))
+    defect = np.where(gap <= roundoff, 0.0, gap) / np.diff(grid)
     notes = []
     if not adj.nontrivial:
         notes.append("multiplier is trivial (lambda0 = 0 and p = 0): the zero "
@@ -803,30 +813,31 @@ def _quadratic_max(prob, w, ts, xs, ps, lam, u, i, h_floor):
     return target, h
 
 
-def _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol):
+def _sup_over_u(prob, w, ts, xs, us, ps, lam, h_star, h_floor):
     """Maximize H over the control box, one coordinate search at a time.
 
-    ``us`` is a feasible starting guess and ``h_star`` its H value.  A
+    ``w`` is ``omega(ts)``, ``us`` a feasible starting guess and
+    ``h_star`` its H value; a climb toward an unbounded face escapes
+    (:class:`UnboundedAbove`) only once H there exceeds ``h_floor``.  A
     coordinate in ``prob.u_quadratic`` is solved by :func:`_quadratic_max`,
     every other one by :func:`_sampled_max`; two or more controls are
     swept twice.  Each block of knots has one control array, a view into
     ``best_u``: a search writes coordinate ``i`` into it, and the sweep
     then keeps the new column where H rises.  Returns the improved
-    controls and their H values.
+    controls and their H values, which overwrite ``h_star``: a tube-wide
+    search then holds one H array besides its floor.
     """
-    w = np.asarray(prob.omega(ts), dtype=float)
     best_u = us.copy()
-    h_best = h_star.copy()
+    h_best = h_star
     for lo in range(0, ts.size, _BLOCK):
         k = slice(lo, lo + _BLOCK)
         args = (prob, w[k], ts[k], xs[k], ps[k], lam)
         u, h = best_u[k], h_best[k]
-        h_floor = h_star[k] + tol * np.abs(h_star[k])
         for _ in range(min(prob.m, 2)):
             for i, quadratic in enumerate(prob.u_quadratic):
                 u_col = u[:, i].copy()
                 search = _quadratic_max if quadratic else _sampled_max
-                new_col, new_h = search(*args, u, i, h_floor)
+                new_col, new_h = search(*args, u, i, h_floor[k])
                 improve = new_h > h
                 u[:, i] = np.where(improve, new_col, u_col)
                 np.copyto(h, new_h, where=improve)
@@ -861,11 +872,12 @@ def check_maximum_condition(prob: ControlProblem, cand: CandidateProcess,
     notes = []
     if not np.all(finite):
         notes.append(f"{int(np.sum(~finite))} knot(s) skipped: weight pole")
-    ts, xs, us, ps = grid[finite], xs[finite], us[finite], ps[finite]
+    w, ts, xs, us, ps = w[finite], grid[finite], xs[finite], us[finite], ps[finite]
     if ts.size == 0:
         raise InvalidGrid("no knots with finite weight to check")
-    h_star = pontryagin_H(prob, ts, xs, us, ps, lam)
-    best_u, h_best = _sup_over_u(prob, ts, xs, us, ps, lam, h_star, tol)
+    h_star = _hamiltonian(prob, w, ts, xs, us, ps, lam)
+    best_u, h_best = _sup_over_u(prob, w, ts, xs, us, ps, lam, h_star.copy(),
+                                 h_star + tol * np.abs(h_star))
 
     gaps = h_best - h_star
     rel = gaps / (1.0 + np.abs(h_star))

@@ -256,6 +256,11 @@ class ControlProblem:
     entry of ``phi_x`` names ``x1..xn``.  The test is symbolic and
     conservative (``x1/x1`` does not count as affine);
     :func:`~pmpcheck.integrate.solve_state` picks its engine by it.
+    ``u_separable`` holds when no entry of ``f_u`` or ``phi_u`` names
+    ``x1..xn``, again symbolically and conservatively.  H then splits as
+    ``A(t, x, p) + B(t, u, p)``, so every state at one time shares its
+    maximizing control; :func:`~pmpcheck.sufficiency.check_arrow`
+    searches once per knot by it.
 
     Maximization problems must be negated before construction; the parser
     does this and sets ``negated`` so reports can say so.
@@ -281,6 +286,7 @@ class ControlProblem:
     phi_uu: tuple = field(init=False, repr=False)
     u_quadratic: tuple = field(init=False, repr=False)
     x_affine: bool = field(init=False, repr=False)
+    u_separable: bool = field(init=False, repr=False)
     g_x: tuple = field(init=False, repr=False)
     _evaluators: dict = field(init=False, repr=False)
 
@@ -329,6 +335,8 @@ class ControlProblem:
             for i, (c, fu, fuu) in enumerate(zip(controls, self.f_u, self.f_uu))))
         object.__setattr__(self, "x_affine", all(
             e.variables().isdisjoint(states) for row in self.phi_x for e in row))
+        object.__setattr__(self, "u_separable", all(
+            e.variables().isdisjoint(states) for row in (self.f_u, *self.phi_u) for e in row))
         object.__setattr__(
             self, "g_x", tuple(tuple(gj.diff(s) for s in states) for gj in g)
         )

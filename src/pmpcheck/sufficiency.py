@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pmp import AdjointSolution, _sup_over_u, pontryagin_H
+from .pmp import _BLOCK, AdjointSolution, _hamiltonian, _sup_over_u
 from .problem import CandidateProcess, ControlProblem, _ball, _tube
 
 __all__ = ["ConcavityReport", "check_arrow", "hamiltonian_sup"]
@@ -107,9 +107,53 @@ def hamiltonian_sup(prob: ControlProblem, t, x, p, lambda0: float = 1.0,
         if u0.ndim == 1:
             u0 = np.broadcast_to(u0, (ts.size, prob.m))
         u0 = np.ascontiguousarray(u0)
-    h0 = pontryagin_H(prob, ts, xs, u0, ps, lambda0)
-    _, h_best = _sup_over_u(prob, ts, xs, u0, ps, lambda0, h0, _SUP_TOL)
+    w = np.asarray(prob.omega(ts), dtype=float)
+    h0 = _hamiltonian(prob, w, ts, xs, u0, ps, lambda0)
+    _, h_best = _sup_over_u(prob, w, ts, xs, u0, ps, lambda0, h0,
+                            h0 + _SUP_TOL * np.abs(h0))
     return float(h_best[0]) if scalar else h_best
+
+
+def _knot_sup(prob: ControlProblem, w, ts, centers, u_star, ps, xs):
+    """:func:`hamiltonian_sup` at tube points, one control search per knot.
+
+    ``xs`` has shape (knots, points, n); row k of ``w``, ``ts``,
+    ``centers``, ``u_star`` and ``ps`` belongs to knot k.  Valid only when
+    ``prob.u_separable``, so that all points of a knot share their
+    maximizing control.  H at the candidate control is evaluated at every
+    point first, knot after knot, so a state outside the domain of H
+    names the point that the per-point search names.  The search then
+    runs once at each center, from the candidate control.  Its escape
+    floor takes the smallest ``|H|`` over the knot's points: the rise
+    toward a face is the same at every point, so the knot escapes when
+    the per-point search escapes at one of them.  Each point finally
+    takes H at the knot's control where that exceeds H at the candidate
+    control, the test the per-point search makes at that point; so the
+    center does not judge the first coordinate's result, which may tie
+    with the candidate there and yet rise at another point.
+    H is evaluated in blocks of whole knots, at most ``_BLOCK`` points
+    each unless one knot has more.
+    """
+    h = np.empty(xs.shape[:2])
+    step = max(1, _BLOCK // xs.shape[1])
+    blocks = [slice(lo, lo + step) for lo in range(0, ts.size, step)]
+
+    def at_points(u, k):
+        # H at the points of knots k, each knot's row broadcast over its points
+        x = xs[k]
+        row = lambda a: np.broadcast_to(a[k, None], x.shape[:2] + a.shape[1:])
+        return _hamiltonian(prob, row(w), row(ts), x, row(u), row(ps), 1.0)
+
+    for k in blocks:
+        h[k] = at_points(u_star, k)
+    h_center = _hamiltonian(prob, w, ts, centers, u_star, ps, 1.0)
+    u_knot, _ = _sup_over_u(prob, w, ts, centers, u_star, ps, 1.0,
+                            np.full(ts.size, -np.inf),
+                            h_center + _SUP_TOL * np.fmin.reduce(np.abs(h), axis=1))
+    for k in blocks:
+        h_new = at_points(u_knot, k)
+        np.copyto(h[k], h_new, where=h_new > h[k])
+    return h
 
 
 def check_arrow(prob: ControlProblem, cand: CandidateProcess,
@@ -130,6 +174,13 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     diameter sharpens the same test.  The multiplier must be normal; any
     positive lambda0 is rescaled onto lambda0 = 1, which changes no
     verdict.
+
+    When no entry of ``f_u`` or ``phi_u`` names the state
+    (``prob.u_separable``), H(t, x, u, p) splits as A(t, x, p) +
+    B(t, u, p), so sup_u H = A + sup_u B: every tube point at one time
+    shares its maximizing control (Arrow and Kurz 1970; Seierstad and
+    Sydsaeter 1977).  The control is then searched once per knot, at the
+    candidate, instead of once per tube point; see :func:`_knot_sup`.
 
     UnboundedAbove from the inner maximization propagates: a Hamiltonian
     unbounded in u anywhere on the tube has no maximized value to test.
@@ -210,14 +261,15 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     ])  # (3*_PAIRS + 9, n)
     distinct, slot = np.unique(blocks, axis=0, return_inverse=True)
     per = distinct.shape[0]
-    xs_flat = (centers[:, None, :] + rr[:, None, None] * distinct[None, :, :])
-    xs_flat = xs_flat.reshape(nt * per, n)
-    ts_flat = np.repeat(ts, per)
-    ps_flat = np.repeat(ps, per, axis=0)
-    u0_flat = np.repeat(u_star, per, axis=0)
-
-    h = hamiltonian_sup(prob, ts_flat, xs_flat, ps_flat, u_start=u0_flat)
-    h = h.reshape(nt, per)[:, slot.ravel()]
+    xs = centers[:, None, :] + rr[:, None, None] * distinct[None, :, :]
+    if prob.u_separable:
+        h = _knot_sup(prob, w[usable], ts, centers, u_star, ps, xs)
+    else:
+        h = hamiltonian_sup(prob, np.repeat(ts, per), xs.reshape(nt * per, n),
+                            np.repeat(ps, per, axis=0),
+                            u_start=np.repeat(u_star, per, axis=0)).reshape(nt, per)
+    scale = 1.0 + np.max(np.abs(h), axis=1)  # the scatter below repeats, never drops, a point
+    h = h[:, slot.ravel()]
     h1, h2 = h[:, :_PAIRS], h[:, _PAIRS:2 * _PAIRS]
     hm = h[:, 2 * _PAIRS:3 * _PAIRS]
     hs = h[:, 3 * _PAIRS:]
@@ -225,7 +277,6 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     defects = 0.5 * (h1 + h2) - hm                    # > 0 breaks concavity
     d2 = 0.5 * (hs[:, :-2] + hs[:, 2:]) - hs[:, 1:-1]  # same test, stencil triples
     all_defects = np.concatenate([defects, d2], axis=1)
-    scale = 1.0 + np.max(np.abs(h), axis=1)
     worst_usable = np.max(all_defects, axis=1)
     ok_usable = worst_usable <= _CONCAVITY_TOL * scale
 

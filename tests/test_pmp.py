@@ -35,7 +35,7 @@ from pmpcheck.pmp import (
 )
 from pmpcheck.problem import (CandidateProcess, audit_assumptions, candidate_from_functions,
                               parse_problem)
-from pmpcheck.sufficiency import hamiltonian_sup
+from pmpcheck.sufficiency import check_arrow, hamiltonian_sup
 
 SQRT2 = np.sqrt(2.0)
 
@@ -577,6 +577,23 @@ class TestAdjointResidual:
                 assert prev / rec.residual > 10.0
             prev = rec.residual
 
+    def test_micro_cells_read_roundoff_as_exact(self):
+        # phi1 = -x1, f = x1^2: x = e^{-t}, u = 0 and p = -(2/3) e^{-2t} solve
+        # the adjoint equation exactly.  Cells 1e-12 wide near t = 0 turn the
+        # roundoff of dp into 1e-4 once divided by the width
+        src = DISCOUNTED_LOG.replace("u1 - x1", "-x1").replace("ln(x1)", "x1^2")
+        prob = parse_problem(src)
+        body = np.linspace(2.56e-10, 50.0, 2049)
+        for g in (np.concatenate(([0.0], 1e-12 * 2.0 ** np.arange(8), body)),
+                  np.linspace(0.0, 50.0, 2049)):
+            cand = candidate_from_functions(g, lambda t: np.exp(-np.asarray(t)),
+                                            lambda t: np.zeros(np.shape(t)))
+            adj = adjoint_from_function(g, lambda t: -2.0 / 3.0 * np.exp(-2.0 * t))
+            rec = check_adjoint_residual(prob, cand, adj)
+            assert rec.passed and rec.residual < 1e-8
+            assert rec.witnesses[0][0] > 1e-3  # the body's truncation error
+            assert check_integral_adjoint(prob, cand, adj).residual < 1e-8
+
     def test_trivial_multiplier_is_noted(self, reg_setup):
         prob, cand, _ = reg_setup
         zero = AdjointSolution(grid=cand.grid,
@@ -864,6 +881,21 @@ class TestGoldenSection:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 26 * n * 8
+
+    def test_arrow_scan_holds_one_block_of_tube_points(self, reg_setup):
+        # the regulator's scan has 164 distinct tube points per knot.  Their
+        # states, H values and a few per-knot arrays fit in five floats per
+        # point; H of all points at once, or a search per point, would not
+        prob, cand, adj = reg_setup
+        points = 164 * cand.grid.size
+        check_arrow(prob, cand, adj)  # compile outside the trace
+        tracemalloc.start()
+        try:
+            check_arrow(prob, cand, adj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * points * 8
 
 
 def golden_only(monkeypatch):
