@@ -9,21 +9,22 @@ adjoint must satisfy ``p' = -phi_x^T p + l0 * w * f_x`` almost everywhere,
 which is ``p' = -H_x``; the checks below never assume more smoothness than
 continuity of ``p`` between measure atoms.
 
-Two routes produce an adjoint, both from the same backward cell maps
-``p(t_k) = P_k p(t_{k+1}) + q_k`` of the adjoint equation:
+Two routes produce an adjoint, both read off the backward cell maps
+``p(t_k) = P_k p(t_{k+1}) + q_k`` of the adjoint equation, which
+:func:`verify_certificate` builds once per certificate:
 
 * :func:`adjoint_backward` runs the maps backward from a zero terminal
-  condition, for any ``l0``;
+  condition at 80% of the grid, for any ``l0``;
 * :func:`adjoint_representation` evaluates the normal-case formula
   ``p(t) = -Z(t) * integral_t^inf w(s) Z(s)^{-1} f_x(s) ds`` through the
   fundamental system ``Z' = -phi_x^T Z``, ``Z(0) = I``, whose inverse is
   the running product of the ``P_k``.
 
-Since the routes share their discretisation, their agreement on the first
-half of the horizon measures the terminal truncation and the conditioning
-of ``Z``, not the integration error; :func:`verify_certificate` runs both
-and reports the deviation.  The residual checks below measure the
-integration error independently of the maps.
+Since the routes share their maps, their agreement on the first half of
+the backward route's horizon measures the terminal truncation and the
+conditioning of ``Z``, not the integration error; :func:`verify_certificate`
+reports the deviation.  The residual checks below measure the integration
+error independently of the maps.
 
 Each ``check_*`` function returns a :class:`ConditionRecord`.  A record
 whose premise fails is marked ``not-applicable``, never ``pass``: the
@@ -262,9 +263,10 @@ _Y_LIMIT = 1e290  # largest inverse fundamental system norm before IllConditione
 _COND_LIMIT = 1e12  # condition number from which representation values are flagged
 
 
-def _adjoint_cell_maps(prob: ControlProblem, cand: CandidateProcess,
-                       grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cell maps p(t_k) = P_k p(t_{k+1}) + q_k of p' = -phi_x^T p + w f_x."""
+def _adjoint_cell_maps(prob: ControlProblem,
+                       cand: CandidateProcess) -> tuple[np.ndarray, np.ndarray]:
+    """Cell maps p(t_k) = P_k p(t_{k+1}) + q_k of p' = -phi_x^T p + w f_x,
+    one per cell of ``cand.grid``."""
 
     def coef(ts):
         x, u = cand.state(ts), cand.control(ts)
@@ -272,34 +274,31 @@ def _adjoint_cell_maps(prob: ControlProblem, cand: CandidateProcess,
         w = np.asarray(prob.omega(ts), dtype=float)
         return -np.swapaxes(A, -1, -2), w[:, None] * prob.f_grad_x(ts, x, u)
 
-    return _linear_cell_maps(coef, grid[1:], grid[:-1])
+    return _linear_cell_maps(coef, cand.grid[1:], cand.grid[:-1])
 
 
-def adjoint_backward(prob: ControlProblem, cand: CandidateProcess,
-                     lambda0: float = 1.0,
-                     t_end: float | None = None) -> AdjointSolution:
-    """Integrate p' = -phi_x^T p + l0*w*f_x backward from p(T) = 0.
+def adjoint_backward(grid: np.ndarray, P: np.ndarray, q: np.ndarray,
+                     lambda0: float) -> AdjointSolution:
+    """Run the cell maps of p' = -phi_x^T p + l0*w*f_x backward from p(T) = 0.
 
-    ``t_end`` defaults to 80% of the candidate horizon; the truncation
-    error is estimated by re-running from a terminal point at 80% of
-    ``t_end`` and taking the largest deviation over the first half of the
+    ``P`` and ``q`` are the maps of the cells of ``grid``; the terminal
+    knot T is the last one at or before 80% of the grid's end, and a
+    caller that wants an earlier horizon passes a prefix of the maps.
+    The truncation error is estimated by re-running from the knot at 80%
+    of T and taking the largest deviation over the first half of the
     shorter run.  A :class:`~pmpcheck.integrate.BlowUp` here means the
     adjoint equation is unstable in reverse time; the representation
     route does not suffer from that and should be tried instead.
     """
-    grid = cand.grid
-    T = float(t_end) if t_end is not None else 0.8 * float(grid[-1])
-    if not grid[0] < T <= grid[-1]:
-        raise InvalidGrid(f"terminal time {T:g} outside the candidate grid")
+    T = 0.8 * float(grid[-1])
     k_main = int(np.searchsorted(grid, T, side="right")) - 1
     if k_main < 1:
         raise InvalidGrid(f"terminal time {T:g} leaves no room to integrate")
-    P, q = _adjoint_cell_maps(prob, cand, grid[: k_main + 1])
 
     def run(k_term: int) -> np.ndarray:
         # the chain runs in reverse time, from p(t_term) = 0 down to t = 0
         p = _affine_chain(P[k_term - 1::-1], lambda0 * q[k_term - 1::-1],
-                          np.zeros(prob.n))[::-1]
+                          np.zeros(q.shape[1]))[::-1]
         norms = np.abs(p).max(axis=1)
         bad = np.flatnonzero(~(norms <= _BLOWUP))
         if bad.size:  # the escape the reverse sweep meets first
@@ -319,28 +318,23 @@ def adjoint_backward(prob: ControlProblem, cand: CandidateProcess,
                            route="backward-ode", terminal_error=terminal_error)
 
 
-def adjoint_representation(prob: ControlProblem,
-                           cand: CandidateProcess) -> AdjointSolution:
+def adjoint_representation(grid: np.ndarray, P: np.ndarray,
+                           q: np.ndarray) -> AdjointSolution:
     """Evaluate p(t) = -Z(t) * integral_t^T w Z^{-1} f_x ds with a tail bound.
 
     The backward cell maps ``p(t_k) = P_k p(t_{k+1}) + q_k`` of the adjoint
-    equation carry the whole formula: the inverse fundamental system
-    Y = Z^{-1} composes as ``Y_{k+1} = Y_k P_k``, which the chain of the
-    transposed maps ``P_k^T`` from the identity gives as ``Y^T``, and a
-    cell's share of the integral is ``-Y_k q_k``.  The shares are summed
-    right to left into the remaining mass, so no accumulated value ever
-    has to be differenced.
+    equation, one per cell of ``grid``, carry the whole formula: the
+    inverse fundamental system Y = Z^{-1} composes as ``Y_{k+1} = Y_k P_k``,
+    which the chain of the transposed maps ``P_k^T`` from the identity
+    gives as ``Y^T``, and a cell's share of the integral is ``-Y_k q_k``.
+    The shares are summed right to left into the remaining mass, so no
+    accumulated value ever has to be differenced.
     The mass beyond the grid horizon is estimated geometrically from the
     last two octave windows; if those windows do not shrink the formula
     has no usable limit and :class:`DivergentTail` is raised.
     """
-    grid = cand.grid
-    n = prob.n
+    n = q.shape[1]
     unusable = "the representation formula is numerically unusable here"
-    try:
-        P, q = _adjoint_cell_maps(prob, cand, grid)
-    except BlowUp as e:
-        raise IllConditioned(f"{e}; {unusable}") from e
     Yt = _affine_chain(np.swapaxes(P, 1, 2), np.zeros_like(q), np.eye(n))
     Y = np.swapaxes(Yt, 1, 2)
     bad = ~(np.abs(Y).max(axis=(1, 2)) <= _Y_LIMIT)
@@ -1315,15 +1309,17 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
                        measures: Mapping[int, tuple] | None = None,
                        tol_adjoint: float = 1e-6, tol_gap: float = 1e-8,
                        tol_decay: float = 1e-3,
-                       include_sufficiency: bool = True,
-                       t_backward: float | None = None) -> CertificateReport:
+                       include_sufficiency: bool = True) -> CertificateReport:
     """Run both adjoint routes and every applicable condition check.
 
     The assumption audit is embedded (or run here when not supplied);
     its verdict gates the overall result but never suppresses the
     individual checks, so pathological candidates still get their
-    condition-level diagnosis.  ``measures`` attaches constraint atoms to
-    whichever adjoint ends up primary.
+    condition-level diagnosis.  The adjoint cell maps are built once, on
+    the candidate grid, and both routes are read off them; a cell the
+    build cannot resolve raises :class:`~pmpcheck.integrate.BlowUp`,
+    since neither route exists without the maps.  ``measures`` attaches
+    constraint atoms to whichever adjoint ends up primary.
     """
     if mode not in ("strong", "weak"):
         raise ValueError(f"mode must be 'strong' or 'weak', got {mode!r}")
@@ -1339,11 +1335,12 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
             notes.append("interior-point separation fails; measure "
                          "multipliers may be degenerate")
 
+    P, q = _adjoint_cell_maps(prob, cand)
     adjoints: dict[str, AdjointSolution] = {}
     rep_failure = None
     if lambda0 == 1.0:
         try:
-            adjoints["representation"] = adjoint_representation(prob, cand)
+            adjoints["representation"] = adjoint_representation(cand.grid, P, q)
         except (IllConditioned, DivergentTail) as e:
             rep_failure = e
             notes.append(f"representation route unavailable: {e}")
@@ -1351,8 +1348,7 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
         notes.append("representation route skipped: it encodes the normal "
                      "case lambda0 = 1")
     try:
-        adjoints["backward-ode"] = adjoint_backward(prob, cand, lambda0=lambda0,
-                                                    t_end=t_backward)
+        adjoints["backward-ode"] = adjoint_backward(cand.grid, P, q, lambda0)
     except BlowUp as e:
         if not adjoints:
             # no adjoint at all: surface the backward blow-up with its own
@@ -1366,14 +1362,11 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
 
     route_agreement = None
     if len(adjoints) == 2:
-        pb = adjoints["backward-ode"]
-        pr = adjoints["representation"]
-        t_half = 0.5 * float(pb.grid[-1])
-        k = int(np.searchsorted(pb.grid, t_half, side="right"))
-        shared = pb.grid[:k]
-        diff = pb.p[:k] - pr.value(shared)
-        scale = max(pr.sup_norm, _TINY)
-        route_agreement = float(np.max(np.linalg.norm(diff, axis=1))) / scale
+        # the backward grid is a prefix of the representation grid
+        pb, pr = adjoints["backward-ode"], adjoints["representation"]
+        k = int(np.searchsorted(pb.grid, 0.5 * pb.grid[-1], side="right"))
+        diff = np.linalg.norm(pb.p[:k] - pr.p[:k], axis=1)
+        route_agreement = float(np.max(diff)) / max(pr.sup_norm, _TINY)
 
     primary = adjoints.get("representation") or adjoints["backward-ode"]
     if measures:
@@ -1422,7 +1415,7 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
         from .sufficiency import check_arrow  # deferred: sufficiency imports pmp
         try:
             sufficiency = check_arrow(prob, cand, primary, gamma=gamma, mode=mode)
-        except UnboundedAbove as e:
+        except (UnboundedAbove, DomainError) as e:
             notes.append(f"concavity scan aborted: {e}")
 
     if not primary.nontrivial:

@@ -443,24 +443,29 @@ class CandidateProcess:
     def m(self) -> int:
         return self.u.shape[1]
 
-    def _shape_rows(self, out, t_arr, width: int) -> np.ndarray:
+    def _shape_rows(self, hook: str, out, t_arr, width: int) -> np.ndarray:
+        """A closed form's values shaped ``t.shape + (width,)``; for width 1
+        a bare ``t.shape`` is promoted, any other shape is refused."""
         out = np.asarray(out, dtype=float)
         if out.shape == t_arr.shape and width == 1:
             return out[..., None]
+        if out.shape != t_arr.shape + (width,):
+            raise DimensionMismatch(f"{hook} returned shape {out.shape} for times shaped "
+                                    f"{t_arr.shape}; expected {t_arr.shape + (width,)}")
         return out
 
     def state(self, t) -> np.ndarray:
         """State at arbitrary times; clamps beyond the grid ends."""
         t_arr = np.asarray(t, dtype=float)
         if self.closed_x is not None:
-            return self._shape_rows(self.closed_x(t_arr), t_arr, self.n)
+            return self._shape_rows("closed_x", self.closed_x(t_arr), t_arr, self.n)
         cols = [np.interp(t_arr, self.grid, self.x[:, i]) for i in range(self.n)]
         return np.stack(cols, axis=-1)
 
     def control(self, t) -> np.ndarray:
         t_arr = np.asarray(t, dtype=float)
         if self.closed_u is not None:
-            return self._shape_rows(self.closed_u(t_arr), t_arr, self.m)
+            return self._shape_rows("closed_u", self.closed_u(t_arr), t_arr, self.m)
         return _sample_at(self.grid, self.u, t_arr)
 
 

@@ -49,7 +49,6 @@ KEPT_DEFAULTS = {
     ("verify_certificate", "tol_adjoint"): _CONTRACT,
     ("verify_certificate", "tol_gap"): _CONTRACT,
     ("verify_certificate", "tol_decay"): _CONTRACT,
-    ("verify_certificate", "t_backward"): _CONTRACT,
     ("adjoint_from_function", "lambda0"): "the abnormal case of a user-supplied adjoint",
     ("adjoint_from_function", "measures"): "constraint atoms of a user-supplied adjoint",
     ("hamiltonian_sup", "lambda0"): "the abnormal case of the maximized Hamiltonian",
@@ -214,3 +213,20 @@ def test_one_chain_composes_every_cell_map():
                   for number, line in enumerate(path.read_text().splitlines(), 1)
                   if "P[k] @" in line or "@ P[k]" in line)
     assert not hits, f"cell maps composed outside _affine_chain: {hits}"
+
+
+def test_one_certificate_builds_the_adjoint_cell_maps():
+    """Both adjoint routes read the maps ``verify_certificate`` builds once;
+    a second call of ``_adjoint_cell_maps``, there or anywhere else in the
+    package, fails here."""
+    sites = []
+    for path in Path(pmpcheck.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # ast.walk is breadth first, so a nested function overwrites its parent
+        owner = {id(node): f"{path.name}:{func.name}" for func in ast.walk(tree)
+                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(func)}
+        sites += [owner.get(id(node), f"{path.name}:<module>") for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(
+                      node.func, "attr", getattr(node.func, "id", None)) == "_adjoint_cell_maps"]
+    assert sites == ["pmp.py:verify_certificate"], f"_adjoint_cell_maps calls: {sites}"

@@ -280,6 +280,23 @@ def first_escape(P, q, y0, limit):
     raise AssertionError("the loop never escapes")
 
 
+def representation(prob, cand):
+    """The representation route read off the candidate grid's cell maps."""
+    return adjoint_representation(cand.grid, *pmp._adjoint_cell_maps(prob, cand))
+
+
+def backward(prob, cand):
+    """The backward route read off the candidate grid's cell maps."""
+    return adjoint_backward(cand.grid, *pmp._adjoint_cell_maps(prob, cand), 1.0)
+
+
+def backward_to(prob, cand, knot):
+    """The backward route on the prefix of the maps that ends at ``knot``:
+    its terminal knot is the last one at or before 80% of that time."""
+    P, q = pmp._adjoint_cell_maps(prob, cand)
+    return adjoint_backward(cand.grid[: knot + 1], P[:knot], q[:knot], 1.0)
+
+
 @pytest.fixture(scope="module")
 def grid():
     return default_grid(50.0, cells=2048, refine_zero=False)
@@ -337,9 +354,10 @@ class TestPontryaginFunction:
 
 
 class TestAdjointBackward:
+    # knot 1536 of the 2048-cell grid is t = 37.5, and 80% of that is 30
     def test_regulator_truncated_at_thirty(self, reg_setup):
         prob, cand, _ = reg_setup
-        bwd = adjoint_backward(prob, cand, lambda0=1.0, t_end=30.0)
+        bwd = backward_to(prob, cand, 1536)
         # p(0) = -2(1+sqrt2); truncation at t=30 leaks back about 2e-5
         assert bwd.p[0, 0] == pytest.approx(regulator_p(0.0), rel=1e-5)
         assert bwd.route == "backward-ode"
@@ -347,37 +365,30 @@ class TestAdjointBackward:
 
     def test_terminal_error_estimate_is_conservative(self, reg_setup):
         prob, cand, _ = reg_setup
-        bwd = adjoint_backward(prob, cand, lambda0=1.0, t_end=30.0)
+        bwd = backward_to(prob, cand, 1536)
         actual = abs(bwd.p[0, 0] - regulator_p(0.0))
         assert bwd.terminal_error is not None
         assert bwd.terminal_error >= actual
 
     def test_default_horizon_is_tighter(self, reg_setup):
         prob, cand, _ = reg_setup
-        bwd = adjoint_backward(prob, cand)  # t_end = 0.8 * 50 = 40
+        bwd = backward(prob, cand)  # terminal knot at 0.8 * 50 = 40
         assert abs(bwd.p[0, 0] - regulator_p(0.0)) < 1e-6
 
     def test_investment_start_value(self, grid):
         prob, cand, _ = investment_pieces(grid)
-        bwd = adjoint_backward(prob, cand, t_end=30.0)
+        bwd = backward_to(prob, cand, 1536)
         # closed form p(t) = 2 e^{-t}
         assert bwd.p[0, 0] == pytest.approx(2.0, rel=1e-5)
         # the representation route reproduces it on the whole grid
-        rep = adjoint_representation(prob, cand)
+        rep = representation(prob, cand)
         assert np.max(np.abs(rep.p[:, 0] - 2.0 * np.exp(-rep.grid))) < 1e-9
-
-    def test_rejects_terminal_time_off_grid(self, reg_setup):
-        prob, cand, _ = reg_setup
-        with pytest.raises(InvalidGrid):
-            adjoint_backward(prob, cand, t_end=60.0)
-        with pytest.raises(InvalidGrid):
-            adjoint_backward(prob, cand, t_end=0.0)
 
 
 class TestAdjointRepresentation:
     def test_regulator_matches_closed_form(self, reg_setup):
         prob, cand, _ = reg_setup
-        rep = adjoint_representation(prob, cand)
+        rep = representation(prob, cand)
         exact = regulator_p(rep.grid)
         rel = np.max(np.abs(rep.p[:, 0] - exact)) / np.max(np.abs(exact))
         assert rel < 1e-8
@@ -390,7 +401,7 @@ class TestAdjointRepresentation:
         # the running integral converges in floats long before the horizon;
         # the sub-resolution cells must not read back as zero adjoint
         prob, cand = undiscounted_pieces(grid)
-        rep = adjoint_representation(prob, cand)
+        rep = representation(prob, cand)
         assert rep.p[0, 0] == pytest.approx(-1.0, abs=1e-10)
         p_mid = float(np.interp(25.0, rep.grid, rep.p[:, 0]))
         assert p_mid == pytest.approx(-1.0, abs=1e-8)
@@ -404,7 +415,7 @@ class TestAdjointRepresentation:
         cand = candidate_from_functions(
             grid, lambda t: np.exp(-np.asarray(t)),
             lambda t: np.zeros(np.shape(t)))
-        rep = adjoint_representation(prob, cand)
+        rep = representation(prob, cand)
         assert rep.p[0, 0] == pytest.approx(-1.0, abs=1e-10)
 
     def test_zero_gradient_gives_exact_zero(self):
@@ -413,9 +424,9 @@ class TestAdjointRepresentation:
         cand = candidate_from_functions(
             grid, lambda t: np.exp(0.5 * (1.0 - np.exp(-np.asarray(t)))),
             lambda t: np.full(np.shape(t), 0.25))
-        rep = adjoint_representation(prob, cand)
+        rep = representation(prob, cand)
         assert rep.sup_norm == 0.0
-        assert adjoint_backward(prob, cand).sup_norm == 0.0
+        assert backward(prob, cand).sup_norm == 0.0
 
     @pytest.mark.parametrize("c", [1.0, 1e4])
     def test_weight_pole_is_resolved_by_bisection(self, c):
@@ -444,7 +455,7 @@ nu = exp_decay 1.0
         # p(0) = -int_0^inf 2c e^{-2s} s^{-0.8} e^{-s^0.2} ds, with s = v^5
         exact = -c * float(mpmath.quad(lambda v: 10 * mpmath.exp(-2 * v**5 - v),
                                        [0, 1, mpmath.inf]))
-        for adj in (adjoint_representation(prob, cand), adjoint_backward(prob, cand)):
+        for adj in (representation(prob, cand), backward(prob, cand)):
             assert adj.p[0, 0] == pytest.approx(exact, rel=1e-6)
 
     def test_two_state_mixed_stability(self):
@@ -456,7 +467,7 @@ nu = exp_decay 1.0
         cand = candidate_from_functions(
             grid, lambda t: np.stack([dec(t), dec(t)], axis=-1),
             lambda t: np.zeros(np.shape(t) + (1,)))
-        rep = adjoint_representation(prob, cand)
+        rep = representation(prob, cand)
         assert rep.ill_conditioned
         assert any("condition number" in note for note in rep.notes)
         assert rep.p[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -486,7 +497,7 @@ nu = exp_decay 1.0
             grid, lambda t: np.exp(-np.asarray(t)),
             lambda t: np.zeros(np.shape(t)))
         with pytest.raises(DivergentTail):
-            adjoint_representation(prob, cand)
+            representation(prob, cand)
 
     def test_overflowing_fundamental_system_raises(self):
         src = """
@@ -512,7 +523,7 @@ nu = exp_decay 1.0
             grid, lambda t: np.exp(-np.asarray(t)),
             lambda t: np.zeros(np.shape(t)))
         with pytest.raises(IllConditioned):
-            adjoint_representation(prob, cand)
+            representation(prob, cand)
 
 
 class TestAdjointSolutionContainer:
@@ -1252,7 +1263,7 @@ class TestTransversality:
 
     def test_representation_route_sees_the_same_failure(self, grid):
         prob, cand = undiscounted_pieces(grid)
-        rep = adjoint_representation(prob, cand)
+        rep = representation(prob, cand)
         _, decay = check_transversality(prob, cand, rep, mode="weak")
         assert not decay.passed
         # sup |p| over the last window, under the truncation law
@@ -1478,8 +1489,8 @@ nu = exp_decay 1.0
         # the knot where the plain backward loop from p(20) = 0 escapes
         assert 17.0 < err.value.t < 20.0
         k_main = int(np.searchsorted(g, 20.0, side="right")) - 1
-        P, q = pmp._adjoint_cell_maps(prob, cand, g[: k_main + 1])
-        j, norm = first_escape(P[::-1], q[::-1], np.zeros(1), 1e12)
+        P, q = pmp._adjoint_cell_maps(prob, cand)
+        j, norm = first_escape(P[k_main - 1::-1], q[k_main - 1::-1], np.zeros(1), 1e12)
         assert err.value.t == g[k_main - j]
         assert err.value.norm == pytest.approx(norm, rel=1e-12)
         assert isinstance(err.value.__cause__, IllConditioned)
@@ -1513,13 +1524,13 @@ nu = exp_decay 1.0
         cand = candidate_from_functions(
             g, lambda t: np.stack([np.zeros_like(t), np.exp(-t)], axis=-1),
             lambda t: np.zeros(np.shape(t)))
-        bwd = adjoint_backward(prob, cand)
+        bwd = backward(prob, cand)
         assert np.all(bwd.p[:, 0] == 0.0)
         assert np.all(np.isfinite(bwd.p))
         with pytest.raises(IllConditioned, match="overflows at t=22.2656;") as err:
-            adjoint_representation(prob, cand)
+            representation(prob, cand)
         # the knot where the plain loop Y_{k+1} = Y_k P_k passes 1e290
-        P, q = pmp._adjoint_cell_maps(prob, cand, g)
+        P, q = pmp._adjoint_cell_maps(prob, cand)
         k, _ = first_escape(np.swapaxes(P, 1, 2), np.zeros((q.shape[0], 2, 1)),
                             np.eye(2), pmp._Y_LIMIT)
         assert f"at t={g[k]:.6g};" in str(err.value)
@@ -1530,6 +1541,39 @@ nu = exp_decay 1.0
         prob, cand, _ = reg_setup
         with pytest.raises(ValueError, match="mode"):
             verify_certificate(prob, cand, mode="medium")
+
+    @pytest.mark.parametrize("lambda0", [1.0, 0.0])
+    def test_the_adjoint_cell_maps_are_built_once(self, reg_setup, monkeypatch, lambda0):
+        prob, cand, _ = reg_setup
+        build, calls = pmp._adjoint_cell_maps, []
+        monkeypatch.setattr(pmp, "_adjoint_cell_maps",
+                            lambda *args: calls.append(args) or build(*args))
+        cert = verify_certificate(prob, cand, lambda0=lambda0, include_sufficiency=False)
+        assert len(calls) == 1
+        routes = {"representation", "backward-ode"} if lambda0 else {"backward-ode"}
+        assert set(cert.adjoints) == routes
+
+    def test_an_unresolvable_cell_map_leaves_no_route(self, grid):
+        # x turns NaN past t = 45, after the backward route's terminal knot
+        # at t = 40: no bisection resolves those cells, and neither route
+        # exists without the maps
+        exact = regulator_candidate(grid)
+        cand = candidate_from_functions(
+            grid, lambda t: np.where(np.asarray(t) > 45.0, np.nan, exact.closed_x(t)),
+            exact.closed_u)
+        with pytest.raises(BlowUp, match="cell map defect"):
+            verify_certificate(regulator(), cand, include_sufficiency=False)
+
+    def test_an_arrow_tube_leaving_the_domain_of_h_is_noted(self):
+        # the tube around x = e^{-t} dips below x1 = 0, where ln(x1) is undefined
+        prob = parse_problem(DISCOUNTED_LOG)
+        cand = candidate_from_functions(
+            default_grid(50.0, cells=512, refine_zero=False),
+            lambda t: np.exp(-np.asarray(t)), lambda t: np.zeros(np.shape(t)))
+        cert = verify_certificate(prob, cand)
+        assert cert.sufficiency is None
+        assert cert.notes[-1] == ("concavity scan aborted: ln of non-positive "
+                                  "argument at t=0.78125, u1=0, x1=-0.0421666")
 
 
 def scaled_objective(src: str, c: float) -> str:
@@ -1572,6 +1616,52 @@ class TestObjectiveScaling:
         for route, adj in base.adjoints.items():
             err = np.max(np.abs(scaled.adjoints[route].p - c * adj.p))
             assert err <= 1e-9 * c * adj.sup_norm, route
+
+
+def scaled_state(src: str, k: float) -> str:
+    """The problem text in the state y = k x: x0 times k, every xi read
+    as xi/k and every phi_i times k."""
+    src = re.sub(r"\bx([1-9]\d*)\b", lambda m: f"(x{m.group(1)}/{k!r})", src)
+    src = re.sub(r"^(phi\d+) = (.*)$", lambda m: f"{m.group(1)} = {k!r}*({m.group(2)})",
+                 src, flags=re.M)
+    return re.sub(r"^x0 = (.*)$", lambda m: "x0 = " + ", ".join(
+        repr(k * float(v)) for v in m.group(1).split(",")), src, count=1, flags=re.M)
+
+
+class TestStateScaling:
+    """Substituting x = y/k into a problem linear in x scales p by 1/k and
+    leaves H, every verdict and the scale-free residuals where they were."""
+
+    @pytest.mark.parametrize("name", ["regulator", "two_state"])
+    def test_verdicts_and_residuals_hold(self, grid, name):
+        if name == "regulator":
+            src, exact = REGULATOR.format(a=4.5), regulator_candidate(grid)
+        else:
+            dec = lambda t: np.exp(-np.asarray(t))
+            src, exact = TWO_STATE, candidate_from_functions(
+                grid, lambda t: np.stack([dec(t), dec(t)], axis=-1),
+                lambda t: np.zeros(np.shape(t) + (1,)))
+
+        def certify(k):
+            cand = candidate_from_functions(grid, lambda t: k * exact.closed_x(t),
+                                            exact.closed_u)
+            return verify_certificate(parse_problem(scaled_state(src, k)), cand)
+
+        base = certify(1.0)
+        for k in (1e-3, 1e3, 2.0 ** -10, 2.0 ** 10):
+            scaled = certify(k)
+            assert verdicts(scaled) == verdicts(base), k
+            # a power of two scales every operation exactly; a decimal k
+            # rounds the text's constants, which moves a residual by the
+            # roundoff of its numerator, eps / h per unit of sup |p|
+            floor = 0.0 if np.log2(k).is_integer() else 8 * np.finfo(float).eps / (
+                grid[1] - grid[0])
+            for cond in ("adjoint_residual", "maximum_condition"):
+                assert scaled.condition(cond).residual == pytest.approx(
+                    base.condition(cond).residual, rel=1e-9, abs=floor), (k, cond)
+            for route, adj in base.adjoints.items():
+                err = np.max(np.abs(k * scaled.adjoints[route].p - adj.p))
+                assert err <= 1e-9 * adj.sup_norm, (k, route)
 
 
 def report_leaves(obj, path="report"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import re
 import string
 import sys
 from pathlib import Path
@@ -439,6 +440,27 @@ class TestCandidate:
             CandidateProcess(grid=grid, x=np.zeros((4, 1)), u=np.zeros((5, 1)))
         with pytest.raises(InvalidGrid):
             CandidateProcess(grid=grid[::-1], x=np.zeros((5, 1)), u=np.zeros((5, 1)))
+
+    def test_misshaped_closed_forms_are_refused(self):
+        # the Gauss rule asks for the state at times shaped (K, 7); a hook
+        # answering (K, 1, 7) there broadcast without error and read
+        # adjoint_residual 1.9e-3 on the exact regulator instead of 3.3e-8
+        grid = test_pmp.default_grid(50.0, cells=2048, refine_zero=False)
+        exact = test_pmp.regulator_candidate(grid)
+        cand = dataclasses.replace(exact, closed_x=lambda t: (
+            exact.closed_x(t)[..., None, :] if np.ndim(t) == 2 else exact.closed_x(t)))
+        adj = test_pmp.adjoint_from_function(grid, test_pmp.regulator_p)
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                "closed_x returned shape (2048, 1, 7) for times shaped (2048, 7); "
+                "expected (2048, 7, 1)")):
+            test_pmp.check_adjoint_residual(test_pmp.regulator(), cand, adj)
+        cand = dataclasses.replace(exact, closed_u=lambda t: np.zeros(np.shape(t) + (2,)))
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                "closed_u returned shape (3, 2) for times shaped (3,); expected (3, 1)")):
+            cand.control(np.zeros(3))
+        # for one coordinate a bare t.shape is promoted
+        assert exact.state(np.zeros((3, 7))).shape == (3, 7, 1)
+        assert exact.state(0.5).shape == (1,)
 
     def test_solve_state_output_plugs_into_the_audit(self):
         prob = parse_problem(REGULATOR)
