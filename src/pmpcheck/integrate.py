@@ -262,7 +262,7 @@ class DecayRecord:
     ``sups`` are suprema of |g| over windows ending at t_max/100, t_max/10
     and t_max, each sampled at ``_DECAY_SAMPLES`` points over its last
     tenth.  The quantity qualifies when the sups are nonincreasing (slack
-    ``_DECAY_SLACK``) and the final one is below tol*(1 + first).
+    ``_DECAY_SLACK``) and the final one is below ``_DECAY_TOL * (1 + first)``.
     """
 
     passed: bool
@@ -273,12 +273,12 @@ class DecayRecord:
 
 _DECAY_SAMPLES = 33
 _DECAY_SLACK = 0.02
+_DECAY_TOL = 1e-3  # the final window sup may reach this times 1 + the first
 
 
 def decays_to_zero(
     g: Callable[[np.ndarray], np.ndarray],
     t_max: float = 50.0,
-    tol: float = 1e-3,
 ) -> DecayRecord:
     """Finite decay criterion for a limit-zero claim at infinity."""
     ends = (t_max / 100.0, t_max / 10.0, t_max)
@@ -302,7 +302,7 @@ def decays_to_zero(
         return DecayRecord(False, tuple(sups), (argmax_t[1], s2), "grows between first and second window")
     if s3 > s2 * (1 + _DECAY_SLACK) + floor:
         return DecayRecord(False, tuple(sups), (argmax_t[2], s3), "grows between second and third window")
-    if s3 > tol * (1.0 + s1):
+    if s3 > _DECAY_TOL * (1.0 + s1):
         return DecayRecord(False, tuple(sups), (argmax_t[2], s3), f"final window sup {s3:.3g} above tol*(1+first)")
     return DecayRecord(True, tuple(sups), None, "decays across windows")
 

@@ -28,7 +28,17 @@ error independently of the maps.
 
 Each ``check_*`` function returns a :class:`ConditionRecord`.  A record
 whose premise fails is marked ``not-applicable``, never ``pass``: the
-verdicts state exactly what was established, nothing more.
+verdicts state exactly what was established, nothing more.  The verdict
+thresholds are fixed, and each record reports its own in ``tolerance``:
+
+* ``_TOL_ADJOINT`` = 1e-6 for both adjoint residuals, relative to sup |p|;
+* ``_TOL_GAP`` = 1e-8 for the maximum condition and the weak inequality,
+  relative to 1 + |H| at the candidate, knot by knot;
+* ``integrate._DECAY_TOL`` = 1e-3 for transversality and Michel, on the
+  final window sup of :func:`~pmpcheck.integrate.decays_to_zero`,
+  relative to 1 + the first window's sup;
+* ``_TOL_FIT`` = ln 10 for normality, on the largest log-residual of the
+  envelope fit: the deviations stay within a decade of an exponential.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ import numpy as np
 
 from .expressions import DomainError
 from .integrate import (
+    _DECAY_TOL,
     _GAUSS_C,
     BlowUp,
     InvalidGrid,
@@ -57,7 +68,9 @@ from .problem import (
     ActiveSet,
     CandidateProcess,
     ControlProblem,
+    DimensionMismatch,
     SlaterReport,
+    _shape_rows,
     active_indices,
     audit_assumptions,
     slater_check,
@@ -160,6 +173,9 @@ class AdjointSolution:
         p = np.asarray(self.p, dtype=float)
         if p.ndim == 1:
             p = p[:, None]
+        if p.ndim != 2:
+            raise DimensionMismatch(f"adjoint samples have shape {p.shape}; expected "
+                                    f"({grid.size},) or ({grid.size}, n)")
         if p.shape[0] != grid.size:
             raise InvalidGrid(
                 f"adjoint has {p.shape[0]} samples on a grid of {grid.size} knots"
@@ -201,10 +217,7 @@ class AdjointSolution:
         """Adjoint at arbitrary times (closed form when attached)."""
         t_arr = np.asarray(t, dtype=float)
         if self.p_callable is not None:
-            out = np.asarray(self.p_callable(t_arr), dtype=float)
-            if out.shape == t_arr.shape and self.n == 1:
-                out = out[..., None]
-            return out
+            return _shape_rows("p_callable", self.p_callable(t_arr), t_arr, self.n)
         cols = [np.interp(t_arr, self.grid, self.p[:, i]) for i in range(self.n)]
         return np.stack(cols, axis=-1)
 
@@ -213,10 +226,7 @@ def adjoint_from_function(grid, p_fn: Callable, lambda0: float = 1.0,
                           measures: Mapping[int, tuple] | None = None) -> AdjointSolution:
     """Wrap a closed-form adjoint into an :class:`AdjointSolution`."""
     grid = np.asarray(grid, dtype=float)
-    p = np.asarray(p_fn(grid), dtype=float)
-    if p.ndim == 1:
-        p = p[:, None]
-    return AdjointSolution(grid=grid, p=p, lambda0=lambda0, route="user",
+    return AdjointSolution(grid=grid, p=p_fn(grid), lambda0=lambda0, route="user",
                            measures=measures, p_callable=p_fn)
 
 
@@ -248,7 +258,11 @@ def pontryagin_H_x(prob: ControlProblem, t, x, u, p, lambda0: float) -> np.ndarr
 
 def pontryagin_H_u(prob: ControlProblem, t, x, u, p, lambda0: float) -> np.ndarray:
     """Control gradient of H, used by the weak-route inequality."""
-    w = np.asarray(prob.omega(t), dtype=float)
+    return _hamiltonian_u(prob, np.asarray(prob.omega(t), dtype=float), t, x, u, p, lambda0)
+
+
+def _hamiltonian_u(prob: ControlProblem, w, t, x, u, p, lambda0: float) -> np.ndarray:
+    """:func:`pontryagin_H_u` with the weight ``w = omega(t)`` already evaluated."""
     fu = prob.f_grad_u(t, x, u)
     B = prob.phi_jac_u(t, x, u)
     pv = np.asarray(p, dtype=float)
@@ -421,6 +435,44 @@ class ConditionRecord:
         return self.verdict == "pass"
 
 
+# the verdict thresholds; the module docstring says what each is relative to
+_TOL_ADJOINT = 1e-6
+_TOL_GAP = 1e-8
+_TOL_FIT = float(np.log(10.0))
+
+
+def _residual_record(name, series, scale, where, tol, witness, notes,
+                     **fields) -> ConditionRecord:
+    """The record of a condition judged point by point.
+
+    The residual is the largest ``series / scale`` over the points
+    ``where``, judged against ``tol``; the witness is that point's time
+    and ``series`` value, followed by its row of ``witness`` when given.
+    ``fields`` set the premise of the record.
+    """
+    rel = series / scale
+    worst = int(np.argmax(rel))
+    residual = float(rel[worst])
+    evidence = (float(where[worst]), float(series[worst]))
+    if witness is not None:
+        evidence += (tuple(witness[worst]),)
+    return ConditionRecord(
+        name=name, verdict="pass" if residual <= tol else "fail",
+        residual=residual, tolerance=tol, witnesses=(evidence,),
+        notes=tuple(notes), series_grid=where, series=series, **fields)
+
+
+def _decay_record(name, rec, notes, **fields) -> ConditionRecord:
+    """The record of a limit-zero claim judged by
+    :func:`~pmpcheck.integrate.decays_to_zero`: ``rec``'s final window sup
+    is the residual, and its witness the record's."""
+    return ConditionRecord(
+        name=name, verdict="pass" if rec.passed else "fail",
+        residual=rec.sups[-1], tolerance=_DECAY_TOL,
+        witnesses=(rec.witness,) if rec.witness else (),
+        notes=tuple(notes), **fields)
+
+
 def _adjoint_cell_integrals(prob, cand, adj, p_start=None):
     """Per-cell integrals of the adjoint right-hand side -H_x.
 
@@ -453,23 +505,11 @@ def _adjoint_cell_integrals(prob, cand, adj, p_start=None):
     return -_cell_integrals(h_x, grid)
 
 
-def _residual_record(name, adj, defect, where, tol, notes) -> ConditionRecord:
-    """A residual record: ``defect`` per point of ``where``, over sup |p|."""
-    series = defect / max(adj.sup_norm, _TINY)
-    worst = int(np.argmax(series))
-    residual = float(series[worst])
-    return ConditionRecord(
-        name=name, verdict="pass" if residual <= tol else "fail",
-        residual=residual, tolerance=tol,
-        witnesses=((float(where[worst]), residual),), notes=tuple(notes),
-        series_grid=where, series=series)
-
-
 _ROUNDOFF_CELL = 4.0  # cell defects within this many roundoffs of the cell's terms read 0
 
 
 def check_adjoint_residual(prob: ControlProblem, cand: CandidateProcess,
-                           adj: AdjointSolution, tol: float = 1e-6) -> ConditionRecord:
+                           adj: AdjointSolution) -> ConditionRecord:
     """Defect of p' = -phi_x^T p + l0*w*f_x, cell by cell.
 
     The residual is the worst cell value of ``|dp - integral of the
@@ -491,12 +531,12 @@ def check_adjoint_residual(prob: ControlProblem, cand: CandidateProcess,
     if not adj.nontrivial:
         notes.append("multiplier is trivial (lambda0 = 0 and p = 0): the zero "
                      "residual is vacuous")
-    return _residual_record("adjoint_residual", adj, defect,
-                            0.5 * (grid[:-1] + grid[1:]), tol, notes)
+    return _residual_record("adjoint_residual", defect / max(adj.sup_norm, _TINY), 1.0,
+                            0.5 * (grid[:-1] + grid[1:]), _TOL_ADJOINT, None, notes)
 
 
 def check_integral_adjoint(prob: ControlProblem, cand: CandidateProcess,
-                           adj: AdjointSolution, tol: float = 1e-6) -> ConditionRecord:
+                           adj: AdjointSolution) -> ConditionRecord:
     """Residual of the integral form of the adjoint relation.
 
     At every knot the sample must equal the terminal sample plus the
@@ -544,8 +584,9 @@ def check_integral_adjoint(prob: ControlProblem, cand: CandidateProcess,
     if prob.l == 0:
         notes.append("no state constraints: this is the integrated form of "
                      "the adjoint equation")
-    return _residual_record("integral_adjoint_residual", adj,
-                            np.linalg.norm(p - model, axis=1), grid, tol, notes)
+    defect = np.linalg.norm(p - model, axis=1)
+    return _residual_record("integral_adjoint_residual", defect / max(adj.sup_norm, _TINY),
+                            1.0, grid, _TOL_ADJOINT, None, notes)
 
 
 # --------------------------------------------------------------------------
@@ -838,8 +879,22 @@ def _sup_over_u(prob, w, ts, xs, us, ps, lam, h_star, h_floor):
     return best_u, h_best
 
 
+def _finite_weight(prob: ControlProblem, grid):
+    """The knots of ``grid`` where the weight is finite, omega there, and
+    the note that names the knots skipped at a weight pole.
+
+    A pole (integrable, at 0) carries no pointwise information, so the
+    pointwise conditions skip its knots.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = np.asarray(prob.omega(grid), dtype=float)
+    finite = np.isfinite(w)
+    notes = [] if np.all(finite) else [f"{int(np.sum(~finite))} knot(s) skipped: weight pole"]
+    return finite, w[finite], notes
+
+
 def check_maximum_condition(prob: ControlProblem, cand: CandidateProcess,
-                            adj: AdjointSolution, tol: float = 1e-8) -> ConditionRecord:
+                            adj: AdjointSolution) -> ConditionRecord:
     """Gap between sup_u H and H at the candidate control, per knot.
 
     Each control coordinate along which H is at most quadratic is solved
@@ -852,49 +907,29 @@ def check_maximum_condition(prob: ControlProblem, cand: CandidateProcess,
     section takes over.  Two or more controls are swept twice; the notes
     name each coordinate's search.  A slice that climbs toward an
     unbounded face, with H at the outermost probe (u +- 2^16 (1 + |u|))
-    above H at the candidate by more than ``tol`` times its magnitude,
-    raises :class:`UnboundedAbove`.  Knots where the weight is not finite
-    (an integrable pole at 0) carry no pointwise information and are
-    skipped.
+    above H at the candidate by more than ``_TOL_GAP`` times its
+    magnitude, raises :class:`UnboundedAbove`.  Knots at a weight pole are
+    skipped.  The witness adds the maximizing control to the worst gap.
     """
     grid = adj.grid
     xs, us = cand.state(grid), cand.control(grid)
     ps, lam = adj.p, adj.lambda0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w = np.asarray(prob.omega(grid), dtype=float)
-    finite = np.isfinite(w)
-    notes = []
-    if not np.all(finite):
-        notes.append(f"{int(np.sum(~finite))} knot(s) skipped: weight pole")
-    w, ts, xs, us, ps = w[finite], grid[finite], xs[finite], us[finite], ps[finite]
+    finite, w, notes = _finite_weight(prob, grid)
+    ts, xs, us, ps = grid[finite], xs[finite], us[finite], ps[finite]
     if ts.size == 0:
         raise InvalidGrid("no knots with finite weight to check")
     h_star = _hamiltonian(prob, w, ts, xs, us, ps, lam)
     best_u, h_best = _sup_over_u(prob, w, ts, xs, us, ps, lam, h_star.copy(),
-                                 h_star + tol * np.abs(h_star))
-
-    gaps = h_best - h_star
-    rel = gaps / (1.0 + np.abs(h_star))
-    worst = int(np.argmax(rel))
-    residual = float(rel[worst])
+                                 h_star + _TOL_GAP * np.abs(h_star))
     notes.append("inner maximization: " + ", ".join(
         f"u{i + 1} {'closed form' if q else 'sampled'}"
         for i, q in enumerate(prob.u_quadratic)))
-    return ConditionRecord(
-        name="maximum_condition",
-        verdict="pass" if residual <= tol else "fail",
-        residual=residual,
-        tolerance=tol,
-        witnesses=((float(ts[worst]), float(gaps[worst]),
-                    tuple(best_u[worst])),),
-        notes=tuple(notes),
-        series_grid=ts,
-        series=gaps,
-    )
+    return _residual_record("maximum_condition", h_best - h_star, 1.0 + np.abs(h_star),
+                            ts, _TOL_GAP, best_u, notes)
 
 
 def check_weak_inequality(prob: ControlProblem, cand: CandidateProcess,
-                          adj: AdjointSolution, tol: float = 1e-8) -> ConditionRecord:
+                          adj: AdjointSolution) -> ConditionRecord:
     """sup over the box of <H_u(t), u - u*(t)>, which must stay nonpositive.
 
     The functional is linear in u, so on a box the supremum splits per
@@ -913,14 +948,9 @@ def check_weak_inequality(prob: ControlProblem, cand: CandidateProcess,
             notes=("the control box was declared non-convex",))
     grid = adj.grid
     xs, us = cand.state(grid), cand.control(grid)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w = np.asarray(prob.omega(grid), dtype=float)
-    finite = np.isfinite(w)
-    notes = []
-    if not np.all(finite):
-        notes.append(f"{int(np.sum(~finite))} knot(s) skipped: weight pole")
+    finite, w, notes = _finite_weight(prob, grid)
     ts, xs, us, ps = grid[finite], xs[finite], us[finite], adj.p[finite]
-    hu = pontryagin_H_u(prob, ts, xs, us, ps, adj.lambda0)
+    hu = _hamiltonian_u(prob, w, ts, xs, us, ps, adj.lambda0)
     unit = 1.0 + np.abs(us)
     d_up = np.where(np.isfinite(prob.U.hi)[None, :],
                     prob.U.hi[None, :] - us, unit)
@@ -932,21 +962,10 @@ def check_weak_inequality(prob: ControlProblem, cand: CandidateProcess,
     up = np.where(hu > 0, hu * d_up, 0.0)
     dn = np.where(hu < 0, hu * d_dn, 0.0)
     totals = np.sum(np.maximum(up, dn), axis=1)
-    rel = totals / (1.0 + np.abs(pontryagin_H(prob, ts, xs, us, ps, adj.lambda0)))
-    worst = int(np.argmax(rel))
-    residual = float(rel[worst])
-    return ConditionRecord(
-        name="weak_inequality",
-        verdict="pass" if residual <= tol else "fail",
-        residual=residual,
-        tolerance=tol,
-        premise="control set is a convex box",
-        premise_ok=True,
-        witnesses=((float(ts[worst]), float(totals[worst])),),
-        notes=tuple(notes),
-        series_grid=ts,
-        series=totals,
-    )
+    h = _hamiltonian(prob, w, ts, xs, us, ps, adj.lambda0)
+    return _residual_record("weak_inequality", totals, 1.0 + np.abs(h), ts, _TOL_GAP,
+                            None, notes, premise="control set is a convex box",
+                            premise_ok=True)
 
 
 # --------------------------------------------------------------------------
@@ -980,8 +999,8 @@ def _decay_flavor(prob: ControlProblem, mode: str) -> tuple[str, Callable]:
 
 
 def check_transversality(prob: ControlProblem, cand: CandidateProcess,
-                         adj: AdjointSolution, mode: str = "strong",
-                         tol: float = 1e-3) -> tuple[ConditionRecord, ConditionRecord]:
+                         adj: AdjointSolution,
+                         mode: str = "strong") -> tuple[ConditionRecord, ConditionRecord]:
     """Pairing and decay records for the behaviour of p at the horizon.
 
     The pairing record checks ``<p(t), x(t)> -> 0`` for a finite battery of
@@ -1017,8 +1036,7 @@ def check_transversality(prob: ControlProblem, cand: CandidateProcess,
     results = []
     for label, fn in battery:
         g = (lambda fn: lambda ts: np.sum(adj.value(ts) * fn(ts), axis=-1))(fn)
-        rec = decays_to_zero(g, t_max=t_max, tol=tol)
-        results.append((label, rec))
+        results.append((label, decays_to_zero(g, t_max=t_max)))
     failed = [(label, rec) for label, rec in results if not rec.passed]
     pair_witnesses = tuple(
         (label, "pass" if rec.passed else "fail", float(rec.sups[-1]))
@@ -1031,7 +1049,7 @@ def check_transversality(prob: ControlProblem, cand: CandidateProcess,
         name="transversality_pairing",
         verdict="pass" if not failed else "fail",
         residual=max((rec.sups[-1] for _, rec in results), default=None),
-        tolerance=tol,
+        tolerance=_DECAY_TOL,
         witnesses=pair_witnesses,
         notes=tuple(pair_notes),
         series_grid=grid,
@@ -1046,32 +1064,23 @@ def check_transversality(prob: ControlProblem, cand: CandidateProcess,
         nu = np.asarray(prob.nu(ts), dtype=float)
         return shape(pn, np.maximum(nu, _TINY))
 
-    rec = decays_to_zero(decay_g, t_max=t_max, tol=tol)
+    rec = decays_to_zero(decay_g, t_max=t_max)
     decay_notes = [f"decay quantity: {label}"]
     if mode == "weak" and prob.p_exp == 2.0:
         extra = decays_to_zero(
             lambda ts: np.linalg.norm(adj.value(ts), axis=-1) ** 2
             / np.maximum(np.asarray(prob.nu(ts), dtype=float), _TINY),
-            t_max=t_max, tol=tol)
+            t_max=t_max)
         decay_notes.append(
             "p=2 refinement |p|^2/nu -> 0: "
             + ("holds" if extra.passed else "fails") + " (informative)")
-    decay = ConditionRecord(
-        name="transversality_decay",
-        verdict="pass" if rec.passed else "fail",
-        residual=rec.sups[-1],
-        tolerance=tol,
-        witnesses=(rec.witness,) if rec.witness else (),
-        notes=tuple(decay_notes),
-        series_grid=grid,
-        series=np.asarray(decay_g(grid), dtype=float),
-    )
+    decay = _decay_record("transversality_decay", rec, decay_notes, series_grid=grid,
+                          series=np.asarray(decay_g(grid), dtype=float))
     return pairing, decay
 
 
 def check_michel(prob: ControlProblem, cand: CandidateProcess,
-                 adj: AdjointSolution, mode: str = "strong",
-                 tol: float = 1e-3) -> ConditionRecord:
+                 adj: AdjointSolution, mode: str = "strong") -> ConditionRecord:
     """H along the candidate must vanish at infinity, when the premise holds.
 
     The premise ties the objective weight to the density: without
@@ -1105,7 +1114,7 @@ def check_michel(prob: ControlProblem, cand: CandidateProcess,
     premise_text = " and ".join(lbl for lbl, _, _ in premises)
     failed_premises = []
     for lbl, g, tm in premises:
-        rec = decays_to_zero(g, t_max=tm, tol=tol)
+        rec = decays_to_zero(g, t_max=tm)
         if not rec.passed:
             failed_premises.append((lbl, rec))
 
@@ -1133,7 +1142,7 @@ def check_michel(prob: ControlProblem, cand: CandidateProcess,
         h, _ = h_terms(ts)
         return np.maximum(np.abs(h) - h_floor, 0.0)
 
-    h_rec = decays_to_zero(h_along, t_max=t_max, tol=tol)
+    h_rec = decays_to_zero(h_along, t_max=t_max)
     if failed_premises:
         lbl, rec = failed_premises[0]
         note = (f"premise {lbl} fails "
@@ -1146,17 +1155,10 @@ def check_michel(prob: ControlProblem, cand: CandidateProcess,
             premise=premise_text, premise_ok=False,
             witnesses=(rec.witness,) if rec.witness else (),
             notes=(note,))
-    return ConditionRecord(
-        name="michel",
-        verdict="pass" if h_rec.passed else "fail",
-        residual=h_rec.sups[-1],
-        tolerance=tol,
-        premise=premise_text,
-        premise_ok=True,
-        witnesses=(h_rec.witness,) if h_rec.witness else (),
-        notes=(f"window sups of |H|: {h_rec.sups[0]:.3g}, "
-               f"{h_rec.sups[1]:.3g}, {h_rec.sups[2]:.3g}",),
-    )
+    return _decay_record("michel", h_rec,
+                         (f"window sups of |H|: {h_rec.sups[0]:.3g}, "
+                          f"{h_rec.sups[1]:.3g}, {h_rec.sups[2]:.3g}",),
+                         premise=premise_text, premise_ok=True)
 
 
 # --------------------------------------------------------------------------
@@ -1246,7 +1248,7 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRe
         tail = lambda T: float(np.exp(-2.0 * rate * T)) * float(nu_tail(T))
     ladder = improper_verdict(weighted_sq, pole_exp=prob.nu.pole_exp,
                               tail_bound=tail)
-    fit_ok = fit_resid <= np.log(10.0)
+    fit_ok = fit_resid <= _TOL_FIT
     verdict = "pass" if (ladder.verdict == "converged" and fit_ok) else "fail"
     notes = [
         f"envelope fit: C={np.exp(log_c):.3g} (sup form {envelope_c:.3g}), "
@@ -1260,6 +1262,7 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRe
         name="normality_representation",
         verdict=verdict,
         residual=fit_resid,
+        tolerance=_TOL_FIT,
         premise="perturbed starts stay solvable",
         premise_ok=True,
         witnesses=((float(sub[-1]), float(ratios[-1])),),
@@ -1305,15 +1308,12 @@ class CertificateReport:
 
 def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
                        mode: str = "strong", lambda0: float = 1.0,
-                       gamma: float = 0.5, audit=None,
+                       gamma: float = 0.5,
                        measures: Mapping[int, tuple] | None = None,
-                       tol_adjoint: float = 1e-6, tol_gap: float = 1e-8,
-                       tol_decay: float = 1e-3,
                        include_sufficiency: bool = True) -> CertificateReport:
     """Run both adjoint routes and every applicable condition check.
 
-    The assumption audit is embedded (or run here when not supplied);
-    its verdict gates the overall result but never suppresses the
+    The assumption audit is embedded; its verdict gates the overall result but never suppresses the
     individual checks, so pathological candidates still get their
     condition-level diagnosis.  The adjoint cell maps are built once, on
     the candidate grid, and both routes are read off them; a cell the
@@ -1323,8 +1323,7 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
     """
     if mode not in ("strong", "weak"):
         raise ValueError(f"mode must be 'strong' or 'weak', got {mode!r}")
-    if audit is None:
-        audit = audit_assumptions(prob, cand, gamma=gamma, mode=mode)
+    audit = audit_assumptions(prob, cand, gamma=gamma, mode=mode)
     notes: list[str] = []
 
     active = slater = None
@@ -1373,23 +1372,21 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
         primary = dataclasses.replace(primary, measures=measures)
 
     conditions: list[ConditionRecord] = []
-    conditions.append(check_adjoint_residual(prob, cand, primary, tol=tol_adjoint))
+    conditions.append(check_adjoint_residual(prob, cand, primary))
     if mode == "weak" and prob.l > 0:
         conditions.append(ConditionRecord(
             name="integral_adjoint_residual", verdict="not-applicable",
             premise="state constraints are a strong-route feature",
             premise_ok=False))
     else:
-        conditions.append(check_integral_adjoint(prob, cand, primary,
-                                                 tol=tol_adjoint))
+        conditions.append(check_integral_adjoint(prob, cand, primary))
     if mode == "strong":
         try:
-            conditions.append(check_maximum_condition(prob, cand, primary,
-                                                      tol=tol_gap))
+            conditions.append(check_maximum_condition(prob, cand, primary))
         except UnboundedAbove as e:
             conditions.append(ConditionRecord(
                 name="maximum_condition", verdict="fail",
-                residual=float("inf"), tolerance=tol_gap,
+                residual=float("inf"), tolerance=_TOL_GAP,
                 witnesses=((e.t, e.coordinate + 1, e.direction),),
                 notes=(str(e),)))
     else:
@@ -1397,11 +1394,9 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
             name="maximum_condition", verdict="not-applicable",
             premise="pointwise maximality is asserted by the strong route only",
             premise_ok=False))
-    conditions.append(check_weak_inequality(prob, cand, primary, tol=tol_gap))
-    pairing, decay = check_transversality(prob, cand, primary, mode=mode,
-                                          tol=tol_decay)
-    conditions.extend((pairing, decay))
-    conditions.append(check_michel(prob, cand, primary, mode=mode, tol=tol_decay))
+    conditions.append(check_weak_inequality(prob, cand, primary))
+    conditions.extend(check_transversality(prob, cand, primary, mode=mode))
+    conditions.append(check_michel(prob, cand, primary, mode=mode))
 
     normality = check_normality(prob, cand)
     if route_agreement is not None:

@@ -399,6 +399,18 @@ class ControlProblem:
 # candidate processes
 
 
+def _shape_rows(hook: str, out, t_arr, width: int) -> np.ndarray:
+    """A closed form's values shaped ``t.shape + (width,)``; for width 1
+    a bare ``t.shape`` is promoted, any other shape is refused."""
+    out = np.asarray(out, dtype=float)
+    if out.shape == t_arr.shape and width == 1:
+        return out[..., None]
+    if out.shape != t_arr.shape + (width,):
+        raise DimensionMismatch(f"{hook} returned shape {out.shape} for times shaped "
+                                f"{t_arr.shape}; expected {t_arr.shape + (width,)}")
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class CandidateProcess:
     """A sampled trajectory/control pair on a fixed time grid.
@@ -443,29 +455,18 @@ class CandidateProcess:
     def m(self) -> int:
         return self.u.shape[1]
 
-    def _shape_rows(self, hook: str, out, t_arr, width: int) -> np.ndarray:
-        """A closed form's values shaped ``t.shape + (width,)``; for width 1
-        a bare ``t.shape`` is promoted, any other shape is refused."""
-        out = np.asarray(out, dtype=float)
-        if out.shape == t_arr.shape and width == 1:
-            return out[..., None]
-        if out.shape != t_arr.shape + (width,):
-            raise DimensionMismatch(f"{hook} returned shape {out.shape} for times shaped "
-                                    f"{t_arr.shape}; expected {t_arr.shape + (width,)}")
-        return out
-
     def state(self, t) -> np.ndarray:
         """State at arbitrary times; clamps beyond the grid ends."""
         t_arr = np.asarray(t, dtype=float)
         if self.closed_x is not None:
-            return self._shape_rows("closed_x", self.closed_x(t_arr), t_arr, self.n)
+            return _shape_rows("closed_x", self.closed_x(t_arr), t_arr, self.n)
         cols = [np.interp(t_arr, self.grid, self.x[:, i]) for i in range(self.n)]
         return np.stack(cols, axis=-1)
 
     def control(self, t) -> np.ndarray:
         t_arr = np.asarray(t, dtype=float)
         if self.closed_u is not None:
-            return self._shape_rows("closed_u", self.closed_u(t_arr), t_arr, self.m)
+            return _shape_rows("closed_u", self.closed_u(t_arr), t_arr, self.m)
         return _sample_at(self.grid, self.u, t_arr)
 
 
@@ -577,7 +578,6 @@ class AssumptionReport:
     """
 
     mode: str
-    gamma: float
     verdicts: dict
     witnesses: dict
     C0: float
@@ -926,7 +926,6 @@ def audit_assumptions(
 
     return AssumptionReport(
         mode=mode,
-        gamma=float(gamma),
         verdicts=verdicts,
         witnesses=witnesses,
         C0=float(C0),

@@ -82,9 +82,8 @@ def _as_points(t, x, p, n: int):
     return ts, np.ascontiguousarray(xs), np.ascontiguousarray(ps)
 
 
-def hamiltonian_sup(prob: ControlProblem, t, x, p, lambda0: float = 1.0,
-                    u_start=None):
-    """sup over the control box of H(t, x, u, p, lambda0), vectorized.
+def hamiltonian_sup(prob: ControlProblem, t, x, p, u_start=None):
+    """sup over the control box of H(t, x, u, p, 1), vectorized.
 
     ``t`` may be a scalar or a 1-d array; ``x`` and ``p`` follow with one
     row per time (a single row is broadcast).  The inner maximization
@@ -108,8 +107,8 @@ def hamiltonian_sup(prob: ControlProblem, t, x, p, lambda0: float = 1.0,
             u0 = np.broadcast_to(u0, (ts.size, prob.m))
         u0 = np.ascontiguousarray(u0)
     w = np.asarray(prob.omega(ts), dtype=float)
-    h0 = _hamiltonian(prob, w, ts, xs, u0, ps, lambda0)
-    _, h_best = _sup_over_u(prob, w, ts, xs, u0, ps, lambda0, h0,
+    h0 = _hamiltonian(prob, w, ts, xs, u0, ps, 1.0)
+    _, h_best = _sup_over_u(prob, w, ts, xs, u0, ps, 1.0, h0,
                             h0 + _SUP_TOL * np.abs(h0))
     return float(h_best[0]) if scalar else h_best
 

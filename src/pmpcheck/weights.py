@@ -282,9 +282,8 @@ def _window_growth(grid: np.ndarray, vals: np.ndarray):
 
 
 # polynomially decaying weights need a few decades beyond the sampling
-# grid to show that t * w(t) vanishes, down to _E5_TOL * (1 + first sup)
+# grid to show that t * w(t) vanishes
 _E5_HORIZON = 1.0e4
-_E5_TOL = 1e-3
 
 
 def check_weight_properties(nu: WeightSpec, mode: str = "strong") -> PropertyReport:
@@ -411,7 +410,7 @@ def check_weight_properties(nu: WeightSpec, mode: str = "strong") -> PropertyRep
     # strong mode only: t * w(t) vanishes at infinity
     if mode == "strong":
         t_limit = max(t_max, _E5_HORIZON)
-        rec = decays_to_zero(lambda t: t * np.asarray(nu(t), dtype=float), t_max=t_limit, tol=_E5_TOL)
+        rec = decays_to_zero(lambda t: t * np.asarray(nu(t), dtype=float), t_max=t_limit)
         if rec.passed:
             verdicts["E5"] = "pass"
         else:

@@ -27,6 +27,8 @@ ENTRY_POINTS = {
     "adjoint_from_function": "wraps a user-supplied adjoint for the condition checks",
     "dynamics_residual": "deferred: becomes the A0/B0 process premise once its tolerance is fixed",
     "solve_ode": "perfbench/spans.py wraps pmp.solve_ode by name",
+    "pontryagin_H": "reproduces a residual from a record's witness",
+    "pontryagin_H_u": "reproduces a weak-inequality witness",
 }
 
 # Public methods of exported classes that no package code calls, each for a
@@ -45,23 +47,15 @@ KEPT_DEFAULTS = {
     ("verify_certificate", "measures"): _CONTRACT + ": constraint atoms of the multiplier",
     ("verify_certificate", "include_sufficiency"): _CONTRACT + ": skip the Arrow scan",
     ("verify_certificate", "gamma"): _CONTRACT,
-    ("verify_certificate", "audit"): _CONTRACT + ": reuse an audit already run",
-    ("verify_certificate", "tol_adjoint"): _CONTRACT,
-    ("verify_certificate", "tol_gap"): _CONTRACT,
-    ("verify_certificate", "tol_decay"): _CONTRACT,
     ("adjoint_from_function", "lambda0"): "the abnormal case of a user-supplied adjoint",
     ("adjoint_from_function", "measures"): "constraint atoms of a user-supplied adjoint",
-    ("hamiltonian_sup", "lambda0"): "the abnormal case of the maximized Hamiltonian",
     ("solve_ode", "rtol"): _SOLVE_ODE,
     ("solve_ode", "atol"): _SOLVE_ODE,
     ("solve_ode", "blowup"): _SOLVE_ODE,
 }
 
 # Fields of exported dataclasses that no code reads, each for a stated reason.
-UNREAD_FIELDS = {
-    "AssumptionReport.gamma":
-        "the tube radius of an audit passed in through verify_certificate(audit=...)",
-}
+UNREAD_FIELDS = {}
 
 ROOT = Path(pmpcheck.__file__).resolve().parents[2]
 
@@ -203,6 +197,49 @@ def test_one_gauss_rule_builds_every_quadrature():
                    if isinstance(node, ast.Call)
                    and getattr(node.func, "attr", getattr(node.func, "id", None)) == "leggauss")
     assert calls == ["integrate.py"], f"leggauss calls by module: {calls}"
+
+
+def test_verdict_thresholds_are_module_constants():
+    """No check and no certificate takes a threshold, and every record
+    reports one the package fixes: a ``tolerance=`` keyword names a module
+    constant, or a parameter that every call site fills with one."""
+    settable = sorted(f"{name}({param})" for name, fn in _exported(inspect.isfunction).items()
+                      if name.startswith("check_") or name == "verify_certificate"
+                      for param in _parameters(fn) if param.startswith("tol"))
+    assert not settable, f"threshold parameters: {settable}"
+
+    constants, params, calls, keywords = set(), {}, {}, []
+    for path in Path(pmpcheck.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        constants |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                      for target in node.targets if isinstance(target, ast.Name)
+                      and target.id.lstrip("_").isupper()}
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            params[func.name] = [arg.arg for arg in func.args.args]
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(callee, []).append(node)
+                    keywords += [(f"{path.name}:{func.name}", func.name, k.value)
+                                 for k in node.keywords if k.arg == "tolerance"]
+
+    def fixed(value, owner) -> bool:
+        if not isinstance(value, ast.Name):
+            return False
+        if value.id in constants:
+            return True
+        if value.id not in params.get(owner, ()):
+            return False
+        index = params[owner].index(value.id)
+        passed = [call.args[index] if index < len(call.args) else
+                  next((k.value for k in call.keywords if k.arg == value.id), None)
+                  for call in calls.get(owner, [])]
+        return bool(passed) and all(fixed(arg, None) for arg in passed)
+
+    loose = sorted(site for site, owner, value in keywords if not fixed(value, owner))
+    assert not loose, f"tolerance= values that are not module constants: {loose}"
 
 
 def test_one_chain_composes_every_cell_map():

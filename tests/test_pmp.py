@@ -33,8 +33,8 @@ from pmpcheck.pmp import (
     pontryagin_H_x,
     verify_certificate,
 )
-from pmpcheck.problem import (CandidateProcess, audit_assumptions, candidate_from_functions,
-                              parse_problem)
+from pmpcheck.problem import (CandidateProcess, DimensionMismatch, audit_assumptions,
+                              candidate_from_functions, parse_problem)
 from pmpcheck.sufficiency import check_arrow, hamiltonian_sup
 
 SQRT2 = np.sqrt(2.0)
@@ -550,6 +550,23 @@ class TestAdjointSolutionContainer:
         with pytest.raises(AtomOffActiveSet, match="negative"):
             AdjointSolution(grid=g, p=np.zeros((5, 1)), lambda0=1.0,
                             route="user", measures={1: ((0.0, -0.1),)})
+
+    def test_misshaped_samples_are_rejected(self):
+        # samples shaped (K, 1, 1) used to be stored as they came: the
+        # transversality pairing then read broadcast values and passed, and
+        # the adjoint residual crashed on a numpy broadcast error
+        g = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                "adjoint samples have shape (5, 1, 1); expected (5,) or (5, n)")):
+            adjoint_from_function(g, lambda t: np.exp(-t)[:, None, None])
+
+    def test_misshaped_closed_form_is_rejected(self):
+        g = np.linspace(0.0, 1.0, 5)
+        adj = AdjointSolution(grid=g, p=np.ones(5), lambda0=1.0, route="user",
+                              p_callable=lambda t: np.ones(np.shape(t) + (1, 1)))
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                "p_callable returned shape (3, 1, 1) for times shaped (3,)")):
+            adj.value(np.array([0.1, 0.2, 0.3]))
 
     def test_nontriviality(self):
         g = np.linspace(0.0, 1.0, 5)
@@ -1203,21 +1220,6 @@ class TestWeakInequality:
         _, bang = undiscounted_pieces(grid)
         assert check_weak_inequality(prob, bang, adj).residual == 0.0
 
-    def test_residual_is_the_quantity_judged(self, grid):
-        # a feedback gain 1.8e-9 off the optimum: the raw sup of 5.1e-8 at
-        # t = 0 exceeds the tolerance, but relative to 1 + |H(0)| = 10.66 it
-        # does not, and the residual must report the relative one
-        prob = regulator()
-        x = lambda t: 2.0 * np.exp((1 - SQRT2) * np.asarray(t))
-        cand = candidate_from_functions(grid, x, lambda t: -(1 + SQRT2) * (1 + 1.8e-9) * x(t))
-        adj = adjoint_from_function(grid, regulator_p)
-        rec = check_weak_inequality(prob, cand, adj)
-        assert rec.passed == (rec.residual <= rec.tolerance)
-        t, total = rec.witnesses[0]
-        h = pontryagin_H(prob, t, cand.state(t), cand.control(t), adj.value(t), 1.0)
-        assert rec.residual == pytest.approx(total / (1.0 + abs(h)), rel=1e-12)
-        assert total == np.max(rec.series)
-
     def test_nonconvex_box_is_not_applicable(self, grid):
         src = REGULATOR.format(a=4.5) + "\n[controls]\nu1 = [-9, 9]\nconvex = false\n"
         prob = parse_problem(src)
@@ -1226,6 +1228,53 @@ class TestWeakInequality:
         rec = check_weak_inequality(prob, cand, adj)
         assert rec.verdict == "not-applicable"
         assert rec.premise_ok is False
+
+
+@pytest.fixture(scope="module")
+def off_optimum_certificate(grid):
+    # a feedback gain 1.8e-9 off the optimum: the weak inequality's raw sup
+    # of 7.9e-8 at t = 0 exceeds its threshold, but relative to 1 + |H(0)|
+    # it does not, and the residual must report the relative one
+    prob = regulator()
+    x = lambda t: 2.0 * np.exp((1 - SQRT2) * np.asarray(t))
+    cand = candidate_from_functions(grid, x, lambda t: -(1 + SQRT2) * (1 + 1.8e-9) * x(t))
+    return prob, cand, verify_certificate(prob, cand, include_sufficiency=False)
+
+
+class TestThresholds:
+    # the series-judged records: each one's threshold, and whether its
+    # series is judged relative to 1 + |H| at the candidate
+    SERIES_JUDGED = {
+        "adjoint_residual": (pmp._TOL_ADJOINT, False),
+        "integral_adjoint_residual": (pmp._TOL_ADJOINT, False),
+        "maximum_condition": (pmp._TOL_GAP, True),
+        "weak_inequality": (pmp._TOL_GAP, True),
+    }
+
+    @pytest.mark.parametrize("name", SERIES_JUDGED)
+    def test_residual_is_the_quantity_judged(self, off_optimum_certificate, name):
+        prob, cand, cert = off_optimum_certificate
+        threshold, relative_to_h = self.SERIES_JUDGED[name]
+        rec = cert.condition(name)
+        assert rec.tolerance == threshold
+        assert rec.passed == (rec.residual <= rec.tolerance)
+        # the witness holds the series value at the worst point, and the
+        # residual is that value over the record's scale
+        t, raw = rec.witnesses[0][:2]
+        assert raw == rec.series[np.flatnonzero(rec.series_grid == t)[0]]
+        scale = 1.0
+        if relative_to_h:
+            adj = cert.adjoints["representation"]
+            scale += abs(pontryagin_H(prob, t, cand.state(t), cand.control(t),
+                                      adj.value(t), 1.0))
+        assert rec.residual == pytest.approx(raw / scale, rel=1e-12)
+        if name == "weak_inequality":
+            assert rec.passed and raw > threshold
+
+    def test_normality_reports_its_threshold(self, off_optimum_certificate):
+        rec = off_optimum_certificate[2].condition("normality_representation")
+        assert rec.tolerance == pytest.approx(np.log(10.0), rel=1e-15)
+        assert rec.passed == (rec.residual <= rec.tolerance)
 
 
 class TestTransversality:
