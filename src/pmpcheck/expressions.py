@@ -16,6 +16,11 @@ module compiles whole vector fields and their Jacobians the same way.
 Differentiating ``abs`` introduces an internal ``sign`` node; it evaluates
 like ``numpy.sign`` and is printable, but the parser does not accept it in
 input text.
+
+An interval evaluator encloses the real value of an expression over a box
+of variables, with outward rounding, after folding its affine
+subexpressions; every node and function has one interval rule.  The Arrow
+scan proves concavity through it.
 """
 
 from __future__ import annotations
@@ -112,6 +117,10 @@ class Expression:
         fn = _build([f"def ev({params}):", *(f"    {s}" for s in body),
                      f"    return {result}"], "ev")
         return tuple(names), fn
+
+    @cached_property
+    def _folded(self) -> "Expression":
+        return _fold_affine(self)
 
     def ev(self, env: Mapping[str, Value]) -> Value:
         """Evaluate over the scalars or broadcastable arrays bound in ``env``."""
@@ -510,6 +519,317 @@ def _build(lines: Sequence[str], name: str) -> Callable:
     namespace = dict(_NAMESPACE)
     exec(compile("\n".join(lines), f"<generated {name}>", "exec"), namespace)
     return namespace[name]
+
+
+# --- interval enclosures -----------------------------------------------------
+#
+# An enclosure of an expression over a box bounds its real value at every
+# point of the box: each variable is bound to a pair (lo, hi) of arrays, or
+# of numbers, and every node maps the pairs of its children to its own.
+# Endpoints round outward with np.nextafter: one step after the correctly
+# rounded IEEE operations, two after the library functions, none where a
+# result is exact by construction (a factor 0 or +-inf, a term 0 or +-inf).
+# Endpoints may be infinite; the extended-real rule 0 * inf = 0 holds, and
+# a quotient is a product with the reciprocal, so inf / inf never arises.
+# NaN in an enclosure means "nothing proved" and propagates: so does an
+# argument that touches the boundary of its function's domain (ln, sqrt, /,
+# a negative or fractional power), even where the point evaluator accepts
+# the boundary itself, as sqrt(0) and 0^0.5.
+
+
+def _round(v, toward: float, steps: int, exact):
+    out = v
+    for _ in range(steps):
+        out = np.nextafter(out, toward)
+    return out if exact is False else np.where(exact, v, out)
+
+
+def _down(v, steps: int = 1, exact=False):
+    """``v`` moved ``steps`` floats down wherever it is not ``exact``."""
+    return _round(v, -np.inf, steps, exact)
+
+
+def _up(v, steps: int = 1, exact=False):
+    """``v`` moved ``steps`` floats up wherever it is not ``exact``."""
+    return _round(v, np.inf, steps, exact)
+
+
+def _settled(v):
+    """Where an operand leaves a sum or product exact: 0 and +-inf."""
+    return (v == 0) | np.isinf(v)
+
+
+def _iv_add(a, b):
+    (al, ah), (bl, bh) = a, b
+    with np.errstate(invalid="ignore", over="ignore"):
+        lo, hi = al + bl, ah + bh
+    return (_down(lo, exact=_settled(al) | _settled(bl)),
+            _up(hi, exact=_settled(ah) | _settled(bh)))
+
+
+def _iv_neg(a):
+    return -a[1], -a[0]
+
+
+def _iv_mul(a, b):
+    for (c, other) in ((a, b), (b, a)):
+        if c[0] is c[1] and np.all(np.isfinite(c[0])):  # numbers, not intervals
+            return _iv_scale(c[0], other)
+    los, his = [], []
+    for x in a:
+        x_zero, x_settled = x == 0, _settled(x)
+        for y in b:
+            with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+                prod = np.where(x_zero | (y == 0), 0.0, x * y)  # 0 * inf = 0
+            exact = x_settled | _settled(y)
+            los.append(_down(prod, exact=exact))
+            his.append(_up(prod, exact=exact))
+    lost = np.isnan(a[0]) | np.isnan(a[1]) | np.isnan(b[0]) | np.isnan(b[1])
+    return (np.where(lost, np.nan, np.minimum.reduce(los)),
+            np.where(lost, np.nan, np.maximum.reduce(his)))
+
+
+def _iv_scale(k, a):
+    """The product of finite numbers ``k``, one per point, with an enclosure."""
+    lo, hi = a
+    flip = k < 0
+    if np.any(flip):
+        lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        plo, phi = k * lo, k * hi
+    zero = k == 0
+    if np.any(zero):  # 0 * inf = 0, but 0 * NaN stays NaN
+        plo = np.where(zero & ~np.isnan(lo), 0.0, plo)
+        phi = np.where(zero & ~np.isnan(hi), 0.0, phi)
+    return _down(plo, exact=zero | _settled(lo)), _up(phi, exact=zero | _settled(hi))
+
+
+def _iv_reciprocal(a):
+    lo, hi = a
+    ok = (lo > 0) | (hi < 0)  # touching 0 proves nothing
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rlo, rhi = np.divide(1.0, hi), np.divide(1.0, lo)
+    return (np.where(ok, _down(rlo, exact=np.isinf(hi)), np.nan),
+            np.where(ok, _up(rhi, exact=np.isinf(lo)), np.nan))
+
+
+def _iv_div(a, b):
+    return _iv_mul(a, _iv_reciprocal(b))
+
+
+def _iv_monotone(fn, a, increasing: bool = True, floor: float = -np.inf):
+    """A monotone library function at both ends, rounded out by two steps
+    and clipped at the bottom of its range; an infinite end maps exactly."""
+    lo, hi = a if increasing else (a[1], a[0])
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        flo, fhi = fn(lo), fn(hi)
+    return np.maximum(_down(flo, 2, np.isinf(lo)), floor), _up(fhi, 2, np.isinf(hi))
+
+
+def _iv_positive(a):
+    """``a`` where its lower end is above 0, else NaN."""
+    ok = a[0] > 0
+    return np.where(ok, a[0], np.nan), np.where(ok, a[1], np.nan)
+
+
+def _iv_abs(a):
+    lo, hi = a
+    mag = np.maximum(np.abs(lo), np.abs(hi))
+    mig = np.where((lo <= 0) & (hi >= 0), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+    return mig, mag
+
+
+def _iv_periodic(fn, a, phase: float):
+    """``fn`` = cos(x - phase pi), which peaks where x / pi - phase is an
+    even integer and bottoms out where it is an odd one.  An extremum within
+    a relative 1e-9 of the interval counts as inside, which only widens."""
+    lo, hi = a
+    with np.errstate(invalid="ignore"):
+        flo, fhi = fn(lo), fn(hi)
+        s_lo, s_hi = lo / np.pi - phase, hi / np.pi - phase
+        slack = 1e-9 * (1.0 + np.maximum(np.abs(s_lo), np.abs(s_hi)))
+        first = np.ceil(s_lo - slack)
+        inside = [first + k <= s_hi + slack for k in (0, 1)]
+        even = np.mod(first, 2.0) == 0
+    ends_lo = np.maximum(_down(np.minimum(flo, fhi), 2), -1.0)
+    ends_hi = np.minimum(_up(np.maximum(flo, fhi), 2), 1.0)
+    peak = (inside[0] & even) | (inside[1] & ~even)
+    trough = (inside[0] & ~even) | (inside[1] & even)
+    wide = ~(slack < 1e6)  # the phase is unresolved, or an end is infinite
+    return (np.where(trough | wide, -1.0, ends_lo),
+            np.where(peak | wide, 1.0, ends_hi))
+
+
+def _iv_pow(a, b):
+    """``a ^ b``.  A constant exponent (a number, not an array) takes the
+    power rules: an even integer acts on ``|a|``, an odd one is monotone,
+    a negative integer needs ``a`` away from 0 and any other exponent a
+    base above 0.  Any other exponent goes through exp(b ln a)."""
+    if np.ndim(b[0]) or b[0] != b[1] or not np.isfinite(b[0]):
+        return _IV_FUNCTIONS["exp"](_iv_mul(b, _IV_FUNCTIONS["ln"](a)))
+    expo = float(b[0])
+    if expo == 0:
+        return 1.0, 1.0
+    power = lambda v: np.power(v, expo)
+    if expo != round(expo):
+        return _iv_monotone(power, _iv_positive(a), expo > 0, floor=0.0)
+    if expo < 0:
+        away = (a[0] > 0) | (a[1] < 0)
+        a = np.where(away, a[0], np.nan), np.where(away, a[1], np.nan)
+    if expo % 2 == 0:
+        return _iv_monotone(power, _iv_abs(a), expo > 0, floor=0.0)
+    return _iv_monotone(power, a, expo > 0)
+
+
+_IV_FUNCTIONS = {
+    "exp": lambda a: _iv_monotone(np.exp, a, floor=0.0),
+    "ln": lambda a: _iv_monotone(np.log, _iv_positive(a)),
+    "sqrt": lambda a: _iv_monotone(np.sqrt, _iv_positive(a), floor=0.0),
+    "sin": lambda a: _iv_periodic(np.sin, a, 0.5),
+    "cos": lambda a: _iv_periodic(np.cos, a, 0.0),
+    "abs": _iv_abs,
+    "sign": lambda a: (np.sign(a[0]), np.sign(a[1])),
+    "pow": _iv_pow,
+}
+
+# one rule per node class, called with the node, its children's enclosures
+# and the box
+_IV_NODES = {
+    Num: lambda e, kids, box: (e.value, e.value),
+    Sym: lambda e, kids, box: box[e.name],
+    Neg: lambda e, kids, box: _iv_neg(*kids),
+    Add: lambda e, kids, box: _iv_add(*kids),
+    Sub: lambda e, kids, box: _iv_add(kids[0], _iv_neg(kids[1])),
+    Mul: lambda e, kids, box: _iv_mul(*kids),
+    Div: lambda e, kids, box: _iv_div(*kids),
+    Pow: lambda e, kids, box: _iv_pow(*kids),
+    Call: lambda e, kids, box: _IV_FUNCTIONS[e.fn](*kids),
+}
+
+
+def _children(e: Expression) -> tuple:
+    if isinstance(e, _Binary):
+        return e.left, e.right
+    if isinstance(e, Neg):
+        return (e.arg,)
+    if isinstance(e, Call):
+        return e.args
+    return ()
+
+
+def _fold_affine(e: Expression, memo: dict | None = None) -> Expression:
+    """``e`` with every affine subexpression collected into ``c0 + sum c_k a_k``.
+
+    An affine subexpression is built from sums, differences, negations and
+    products with a literal; its atoms ``a_k`` are the other subtrees,
+    compared by structure, so ``(u1 + 0.25) - u1`` becomes ``0.25``.  The
+    coefficients are summed exactly, as fractions, and a subexpression is
+    folded only when every resulting coefficient is a float, so the folded
+    tree has the same real value as ``e`` everywhere.  Nodes are rebuilt as
+    they are, with no literal folding beyond that.
+    """
+    memo = {} if memo is None else memo
+    if id(e) in memo:
+        return memo[id(e)][1]
+    folded = tuple(_fold_affine(k, memo) for k in _children(e))
+    node = e
+    if isinstance(e, _Binary):
+        node = type(e)(*folded)
+    elif isinstance(e, Neg):
+        node = Neg(folded[0])
+    elif isinstance(e, Call):
+        node = Call(e.fn, folded)
+    if isinstance(node, (Add, Sub, Neg, Mul)):
+        atoms, const = _affine_terms(node)
+        if all(_is_float(c) for c in (*atoms.values(), const)):
+            node = _affine_tree(atoms, const)
+    memo[id(e)] = (e, node)
+    return node
+
+
+def _is_float(c) -> bool:
+    """Whether the fraction ``c`` is a float exactly."""
+    try:
+        return float(c).as_integer_ratio() == (c.numerator, c.denominator)
+    except OverflowError:
+        return False
+
+
+def _affine_terms(e: Expression) -> tuple:
+    """``({atom: c_k}, c0)`` of ``e``, with exact rational coefficients."""
+    from fractions import Fraction  # here, so importing the package does not pay for it
+
+    def scaled(terms, k):
+        atoms, const = terms
+        return {a: k * c for a, c in atoms.items()}, k * const
+
+    if isinstance(e, Num) and np.isfinite(e.value):
+        return {}, Fraction(e.value)
+    if isinstance(e, Neg):
+        return scaled(_affine_terms(e.arg), -1)
+    if isinstance(e, Mul):
+        for k, rest in ((e.left, e.right), (e.right, e.left)):
+            if isinstance(k, Num) and np.isfinite(k.value):
+                return scaled(_affine_terms(rest), Fraction(k.value))
+    if isinstance(e, (Add, Sub)):
+        atoms, const = _affine_terms(e.left)
+        more, more_const = scaled(_affine_terms(e.right), -1 if isinstance(e, Sub) else 1)
+        atoms = dict(atoms)
+        for a, c in more.items():
+            atoms[a] = atoms.get(a, 0) + c
+        return atoms, const + more_const
+    return {e: Fraction(1)}, Fraction(0)
+
+
+def _affine_tree(atoms: dict, const) -> Expression:
+    """The sum ``const + sum c_k a_k`` as a tree.  A variable with
+    coefficient 0 is dropped; any other atom stays as ``0 * a_k``, whose
+    enclosure still proves nothing where ``a_k`` may leave its domain."""
+    node = None
+    for atom, c in atoms.items():
+        if c == 0 and isinstance(atom, Sym):
+            continue
+        term = atom if c == 1 else Neg(atom) if c == -1 else Mul(Num(float(c)), atom)
+        node = term if node is None else Add(node, term)
+    if node is None:
+        return Num(float(const))
+    return node if const == 0 else Add(node, Num(float(const)))
+
+
+def _enclose(exprs: Sequence[Expression], box: Mapping[str, tuple]) -> list[tuple]:
+    """Outward-rounded enclosures ``(lo, hi)`` of ``exprs`` over ``box``.
+
+    ``box`` binds every variable to a pair of broadcastable arrays or
+    numbers, its lower and upper ends; infinite ends are allowed, and a
+    pair of one object twice, as ``(ts, ts)``, is a point.  Each
+    expression is folded by :func:`_fold_affine` first (once, and cached on
+    the expression), and a subtree that the folded trees share is enclosed
+    once.  An enclosure is NaN at the points where nothing is proved, and
+    broadcasts against the box.
+    """
+    memo: dict = {}
+    return [_enclose_node(e._folded, box, memo) for e in exprs]
+
+
+def _enclose_node(e: Expression, box: Mapping[str, tuple], memo: dict) -> tuple:
+    """One node of :func:`_enclose`; ``memo`` maps ``id(node)`` to
+    ``(node, enclosure)``.  A module function, not a closure: a recursive
+    closure is a reference cycle, which would hold every enclosure of the
+    call until the cyclic garbage collector runs."""
+    if id(e) in memo:
+        return memo[id(e)][1]
+    if isinstance(e, Sym) and e.name not in box:
+        raise KeyError(f"expression references '{e.name}' which the box "
+                       f"does not bind; bound names: {sorted(box)}")
+    kids = [_enclose_node(k, box, memo) for k in _children(e)]
+    out = _IV_NODES[type(e)](e, kids, box)
+    if kids:
+        lost = False
+        for lo, hi in kids:
+            lost = lost | np.isnan(lo) | np.isnan(hi)
+        out = tuple(np.where(lost, np.nan, v) for v in out)
+    memo[id(e)] = (e, out)
+    return out
 
 
 # --- tokenizer / parser ----------------------------------------------------

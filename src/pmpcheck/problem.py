@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .expressions import (Call, DomainError, Expression, ExpressionSyntaxError, Neg,
-                          UnknownIdentifier, _Binary, _build, _check_variables, _emit,
+                          UnknownIdentifier, _build, _check_variables, _children, _emit,
                           parse_expression)
 from .integrate import InvalidGrid, _cell_integrals, _sample_at
 from .weights import (
@@ -185,9 +186,16 @@ def _sign_depends(e: Expression, name: str) -> bool:
     """Whether a ``sign`` node of ``e`` has an argument that depends on ``name``."""
     if isinstance(e, Call) and e.fn == "sign" and name in e.variables():
         return True
-    kids = (e.args if isinstance(e, Call) else (e.arg,) if isinstance(e, Neg)
-            else (e.left, e.right) if isinstance(e, _Binary) else ())
-    return any(_sign_depends(k, name) for k in kids)
+    return any(_sign_depends(k, name) for k in _children(e))
+
+
+def _kinks(e: Expression, names: set[str]) -> list[Expression]:
+    """Arguments of the ``abs`` and ``sign`` nodes of ``e`` that name one of ``names``."""
+    found = [e.args[0]] if (isinstance(e, Call) and e.fn in ("abs", "sign")
+                            and not e.variables().isdisjoint(names)) else []
+    for k in _children(e):
+        found += _kinks(k, names)
+    return found
 
 
 def _evaluator(exprs, shape: tuple, n: int, m: int) -> Callable:
@@ -260,7 +268,9 @@ class ControlProblem:
     ``x1..xn``, again symbolically and conservatively.  H then splits as
     ``A(t, x, p) + B(t, u, p)``, so every state at one time shares its
     maximizing control; :func:`~pmpcheck.sufficiency.check_arrow`
-    searches once per knot by it.
+    searches once per knot by it.  The full second derivatives in (x, u)
+    that its concavity proof reads are built on first use, not here
+    (``_curvature``).
 
     Maximization problems must be negated before construction; the parser
     does this and sets ``negated`` so reports can say so.
@@ -361,6 +371,28 @@ class ControlProblem:
     @property
     def l(self) -> int:
         return len(self.g)
+
+    @cached_property
+    def _curvature(self) -> tuple:
+        """Second derivatives in z = (x1..xn, u1..um), and where they hold.
+
+        Returns ``(rows, kinks)``.  ``rows[0]`` is the upper triangle of the
+        Hessian of f in z, row by row, and ``rows[1 + i]`` that of phi_i.
+        ``kinks[0]`` and ``kinks[1 + i]`` are the arguments of the ``abs``
+        and ``sign`` nodes of f and phi_i that depend on z: abs
+        differentiates to sign and sign to 0, so the Hessian holds only
+        where no kink argument vanishes.  Built on first use and cached,
+        so parsing a problem does not pay for it.
+        """
+        names = ([f"x{i + 1}" for i in range(self.n)]
+                 + [f"u{i + 1}" for i in range(self.m)])
+        d = len(names)
+        gradients = [(self.f, (*self.f_x, *self.f_u))] + [
+            (phi, (*row_x, *row_u)) for phi, row_x, row_u in zip(self.phi, self.phi_x, self.phi_u)]
+        rows = tuple(tuple(grad[a].diff(names[b]) for a in range(d) for b in range(a, d))
+                     for _, grad in gradients)
+        kinks = tuple(tuple(_kinks(e, set(names))) for e, _ in gradients)
+        return rows, kinks
 
     def f_value(self, t, x, u):
         return self._evaluators["f_value"](t, x, u)

@@ -5,11 +5,17 @@ multiplier is locally optimal once the maximized Hamiltonian
 
     hamilton_sup(t, x) = sup over admissible u of H(t, x, u, p(t), 1)
 
-is concave in x on the tube around the trajectory.  Concavity of a
-supremum cannot be read off the integrand (an upper envelope of concave
-slices need not be concave), so it is probed directly: midpoint
-inequalities over sampled point pairs, plus a second-difference stencil
-in one dimension where the geometry allows it.
+is concave in x on the tube around the trajectory.  An upper envelope of
+concave slices need not be concave, so concavity of the supremum cannot
+be read off the integrand in general.  It can when H(t, ., ., p(t)) is
+jointly concave in (x, u) on the tube times a convex control set: a
+partial supremum of a jointly concave function is concave (Mangasarian,
+SIAM J. Control 4, 1966; Arrow and Kurz, 1970).  At a grid time t and p
+are numbers, so that is a question about one symbolic Hessian over a
+box, which interval arithmetic settles.  Every slice it does not settle
+is probed directly: midpoint inequalities over sampled point pairs, plus
+a second-difference stencil in one dimension where the geometry allows
+it.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pmp import _BLOCK, AdjointSolution, _hamiltonian, _sup_over_u
+from .expressions import _enclose, _iv_add, _iv_mul
+from .pmp import _BLOCK, AdjointSolution, _hamiltonian, _matching_adjoint, _sup_over_u
 from .problem import CandidateProcess, ControlProblem, _ball, _tube
 
 __all__ = ["ConcavityReport", "check_arrow", "hamiltonian_sup"]
@@ -34,8 +41,9 @@ class ConcavityReport:
 
     ``worst`` holds the largest midpoint defect found at each scanned
     time: ``(h(x1) + h(x2))/2 - h((x1+x2)/2)``, clipped at zero, so a
-    concave slice reads 0 up to roundoff.  ``pair_offsets`` are the
-    unit-ball offsets shared by all slices; ``pairs_at`` rebuilds the
+    concave slice reads 0 up to roundoff.  A slice proved concave through
+    its Hessian is not sampled and reads exactly 0.  ``pair_offsets`` are
+    the unit-ball offsets shared by all slices; ``pairs_at`` rebuilds the
     actual coordinates for one slice.  A failed premise (no normal
     multiplier to scan with) leaves the arrays empty.
     """
@@ -155,24 +163,120 @@ def _knot_sup(prob: ControlProblem, w, ts, centers, u_star, ps, xs):
     return h
 
 
+def _tube_box(ts, centers, radii, controls) -> dict:
+    """The interval box ``t`` x ``centers +- radii`` x ``controls``, a
+    ``(lo, hi)`` pair per control coordinate; the state part is rounded out
+    so that it encloses each tube ball."""
+    box = {"t": (ts, ts)}
+    for i in range(centers.shape[1]):
+        box[f"x{i + 1}"] = (np.nextafter(centers[:, i] - radii, -np.inf),
+                            np.nextafter(centers[:, i] + radii, np.inf))
+    for j, ends in enumerate(controls):
+        box[f"u{j + 1}"] = ends
+    return box
+
+
+def _least_magnitude(prob: ControlProblem, w, ts, centers, radii, ps, us) -> np.ndarray:
+    """A lower bound of |H(t_k, x, us[k], p_k)| over the tube box, per knot.
+
+    This is the enclosure's counterpart of the smallest sampled ``|H|``
+    that :func:`_knot_sup` takes for a knot's escape floor; it reads 0
+    where the enclosure contains 0 or proves nothing.
+    """
+    found = _enclose([prob.f, *prob.phi],
+                     _tube_box(ts, centers, radii, [(col, col) for col in us.T]))
+    h = _iv_mul((-w,) * 2, found[0])
+    for p, term in zip(ps.T, found[1:]):
+        h = _iv_add(h, _iv_mul((p, p), term))
+    lo, hi = h
+    return np.where(lo > 0, lo, np.where(hi < 0, -hi, 0.0))
+
+
+def _concave_slices(prob: ControlProblem, w, ts, centers, radii, ps) -> np.ndarray:
+    """Knots where H(t_k, ., ., p_k) is proved jointly concave in (x, u).
+
+    The box is ``centers[k] +- radii[k]`` in each state coordinate, which
+    encloses the tube ball, times the closed hull of the control box;
+    U itself must be convex.  With z = (x, u) the Hessian of H is
+    ``-w f_zz + sum_i p_i phi_i,zz``; its entries are enclosed over the
+    box (:func:`~pmpcheck.expressions._enclose`).  Where ``p_i(t_k) == 0``
+    the term is dropped exactly, not enclosed: a curvature of phi_i that
+    proves nothing (NaN) would otherwise spoil a knot it does not act on.
+    A knot is proved when every row passes Gershgorin's test with no
+    tolerance, ``hi(H_ii) + sum_{j != i} max |H_ij| <= 0``, rounded up, so
+    every symmetric matrix in the enclosure is negative semidefinite.  The Hessian holds only where H is twice differentiable,
+    so the argument of every ``abs`` or ``sign`` of a kept term must stay
+    off 0 on the box.  f and every phi_i, dropped or not, are enclosed over
+    the box as well: a knot where one of them may leave its domain (NaN
+    in the enclosure) is not proved and keeps the sampled scan, which
+    names the offending point.  Returns a boolean per knot.
+    """
+    proved = np.isfinite(w) & np.all(np.isfinite(ps), axis=1)
+    if not (prob.U.convex and np.any(proved)):
+        return np.zeros(ts.size, dtype=bool)
+    box = _tube_box(ts, centers, radii, zip(prob.U.lo, prob.U.hi))
+    rows, kinks = prob._curvature
+    entries = len(rows[0])
+    h_lo, h_hi = np.zeros((ts.size, entries)), np.zeros((ts.size, entries))
+    for e, row, kink, coef in zip((prob.f, *prob.phi), rows, kinks, (-w, *ps.T)):
+        (lo, hi), = _enclose([e], box)
+        proved &= ~(np.isnan(lo) | np.isnan(hi))
+        live = np.flatnonzero(proved & (coef != 0))
+        if live.size == 0:
+            continue
+        at = {name: tuple(np.broadcast_to(v, ts.shape)[live] for v in ends)
+              for name, ends in box.items()}
+        found = _enclose([*row, *kink], at)
+        for lo, hi in found[entries:]:
+            proved[live] &= (lo > 0) | (hi < 0)
+        c = coef[live]
+        for j, entry in enumerate(found[:entries]):
+            h_lo[live, j], h_hi[live, j] = _iv_add((h_lo[live, j], h_hi[live, j]),
+                                                   _iv_mul((c, c), entry))
+    d = prob.n + prob.m
+    upper = np.triu_indices(d)
+    lo_zz, hi_zz = np.empty((ts.size, d, d)), np.empty((ts.size, d, d))
+    for full, half in ((lo_zz, h_lo), (hi_zz, h_hi)):
+        full[:, upper[0], upper[1]] = half
+        full[:, upper[1], upper[0]] = half
+    bound = np.diagonal(hi_zz, axis1=1, axis2=2).copy()
+    spread = np.maximum(np.abs(lo_zz), np.abs(hi_zz))
+    for j in range(d):
+        off = np.where(np.arange(d) == j, 0.0, spread[:, :, j])
+        bound = _iv_add((bound, bound), (off, off))[1]
+    return proved & np.all(bound <= 0, axis=1)
+
+
 def check_arrow(prob: ControlProblem, cand: CandidateProcess,
                 adj: AdjointSolution, gamma: float = 0.5,
                 mode: str = "strong") -> ConcavityReport:
-    """Scan the maximized Hamiltonian for concavity in x on the tube.
+    """Prove or scan concavity in x of the maximized Hamiltonian on the tube.
 
-    Each resolvable grid time of the audit's tube (same radius and
-    resolution floor) gets 64 point pairs inside the closed ball of
-    radius gamma (strong mode) or gamma * eta(t) (weak mode) around the
-    candidate state.  The same unit-ball pairs serve every time: 32
-    symmetric about the center, the axis diameters first and then
-    mirrored low-discrepancy points, so the scan always crosses the
-    center; then 32 independent pairs, the first of them the center
-    itself.  The midpoint inequality is enforced up to
+    The tube is the audit's (same radius and resolution floor): the closed
+    ball of radius gamma (strong mode) or gamma * eta(t) (weak mode)
+    around the candidate state at each resolvable grid time.  The
+    multiplier must be normal; any positive lambda0 is rescaled onto
+    lambda0 = 1, which changes no verdict.
+
+    A slice is first tried by :func:`_concave_slices`: where H is proved
+    jointly concave in (x, u) on the tube times the control box, H⁰ is
+    concave there (Mangasarian 1966).  Such a slice is not sampled; its
+    ``worst`` reads 0 and a note counts these slices.  It still takes one
+    control search at its center, from the candidate control, so a
+    Hamiltonian unbounded in u there raises :class:`UnboundedAbove`.  The
+    search's escape floor takes a lower bound of ``|H|`` at the candidate
+    control over the tube (:func:`_least_magnitude`), as the per-knot
+    search below takes the smallest sampled one.  These searches run
+    before the scan of the other slices.
+
+    Every other slice gets 64 point pairs inside the ball.  The same
+    unit-ball pairs serve every time: 32 symmetric about the center, the
+    axis diameters first and then mirrored low-discrepancy points, so the
+    scan always crosses the center; then 32 independent pairs, the first
+    of them the center itself.  The midpoint inequality is enforced up to
     ``1e-9 * (1 + |h|)`` with ``|h|`` the largest sampled magnitude at
     that time.  In one state dimension a 9-point stencil across the tube
-    diameter sharpens the same test.  The multiplier must be normal; any
-    positive lambda0 is rescaled onto lambda0 = 1, which changes no
-    verdict.
+    diameter sharpens the same test.
 
     When no entry of ``f_u`` or ``phi_u`` names the state
     (``prob.u_separable``), H(t, x, u, p) splits as A(t, x, p) +
@@ -184,6 +288,7 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     UnboundedAbove from the inner maximization propagates: a Hamiltonian
     unbounded in u anywhere on the tube has no maximized value to test.
     """
+    _matching_adjoint(prob, adj)
     _, radii, resolvable, _ = _tube(prob, cand, gamma, mode)
     n = prob.n
     empty = lambda *shape: np.zeros(shape)
@@ -225,13 +330,6 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
             premise="a resolvable tube with finite weight", premise_ok=False,
             tolerance=_CONCAVITY_TOL, notes=tuple(notes))
 
-    ts = grid[usable]
-    centers = cand.x[usable]
-    u_star = cand.u[usable]
-    ps = p_grid[usable]
-    rr = radii[usable]
-    nt = ts.size
-
     # symmetric half: axis diameters first (they include the boundary),
     # then mirrored low-discrepancy offsets; fill half: independent pairs
     half = _PAIRS // 2
@@ -241,6 +339,42 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     offsets = np.stack([np.concatenate([sym, fill(7919)]),
                         np.concatenate([-sym, fill(15877)])], axis=1)  # (pairs, 2, n)
 
+    proved = np.zeros(grid.size, dtype=bool)
+    proved[usable] = _concave_slices(prob, w[usable], grid[usable], cand.x[usable],
+                                     radii[usable], p_grid[usable])
+    if np.any(proved):
+        at = (prob, w[proved], grid[proved], cand.x[proved])
+        u_c, p_c = cand.u[proved], p_grid[proved]
+        h0 = _hamiltonian(*at, u_c, p_c, 1.0)
+        low = _least_magnitude(*at, radii[proved], p_c, u_c)
+        _sup_over_u(*at, u_c, p_c, 1.0, h0, h0 + _SUP_TOL * low)
+        notes.append(f"{int(np.sum(proved))} slice(s) proved concave: H jointly "
+                     "concave in (x, u) on the tube times the control box")
+    scanned = usable & ~proved
+
+    worst = np.zeros(grid.size)
+    slice_ok = np.ones(grid.size, dtype=bool)
+    witness = None
+    if np.any(scanned):
+        worst[scanned], slice_ok[scanned], witness = _scan(
+            prob, w[scanned], grid[scanned], cand.x[scanned], cand.u[scanned],
+            p_grid[scanned], radii[scanned], offsets)
+
+    return ConcavityReport(
+        grid=grid, worst=worst, slice_ok=slice_ok, radii=radii,
+        centers=cand.x, pair_offsets=offsets, witness=witness,
+        premise="normal multiplier (lambda0 = 1)", premise_ok=True,
+        tolerance=_CONCAVITY_TOL, notes=tuple(notes))
+
+
+def _scan(prob: ControlProblem, w, ts, centers, u_star, ps, rr, offsets):
+    """The sampled midpoint scan of :func:`check_arrow` on the given slices.
+
+    Returns the clipped worst defect and the verdict per slice, and the
+    witness ``(t, x1, x2, defect)`` of the worst failing slice, or None.
+    """
+    n = prob.n
+    nt = ts.size
     # stencil block: 9 collinear points across the first-axis diameter;
     # in one dimension that is the whole tube
     stencil = np.linspace(-1.0, 1.0, 9)
@@ -262,7 +396,7 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     per = distinct.shape[0]
     xs = centers[:, None, :] + rr[:, None, None] * distinct[None, :, :]
     if prob.u_separable:
-        h = _knot_sup(prob, w[usable], ts, centers, u_star, ps, xs)
+        h = _knot_sup(prob, w, ts, centers, u_star, ps, xs)
     else:
         h = hamiltonian_sup(prob, np.repeat(ts, per), xs.reshape(nt * per, n),
                             np.repeat(ps, per, axis=0),
@@ -276,17 +410,12 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     defects = 0.5 * (h1 + h2) - hm                    # > 0 breaks concavity
     d2 = 0.5 * (hs[:, :-2] + hs[:, 2:]) - hs[:, 1:-1]  # same test, stencil triples
     all_defects = np.concatenate([defects, d2], axis=1)
-    worst_usable = np.max(all_defects, axis=1)
-    ok_usable = worst_usable <= _CONCAVITY_TOL * scale
-
-    worst = np.zeros(grid.size)
-    slice_ok = np.ones(grid.size, dtype=bool)
-    worst[usable] = np.maximum(worst_usable, 0.0)
-    slice_ok[usable] = ok_usable
+    worst = np.max(all_defects, axis=1)
+    ok = worst <= _CONCAVITY_TOL * scale
 
     witness = None
-    if not np.all(ok_usable):
-        k = int(np.argmax(np.where(ok_usable, -np.inf, worst_usable)))
+    if not np.all(ok):
+        k = int(np.argmax(np.where(ok, -np.inf, worst)))
         j = int(np.argmax(all_defects[k]))
         if j < _PAIRS:
             x1 = centers[k] + rr[k] * offsets[j, 0]
@@ -296,9 +425,4 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
             x1 = centers[k] + rr[k] * stl[i]
             x2 = centers[k] + rr[k] * stl[i + 2]
         witness = (float(ts[k]), x1, x2, float(all_defects[k, j]))
-
-    return ConcavityReport(
-        grid=grid, worst=worst, slice_ok=slice_ok, radii=radii,
-        centers=cand.x, pair_offsets=offsets, witness=witness,
-        premise="normal multiplier (lambda0 = 1)", premise_ok=True,
-        tolerance=_CONCAVITY_TOL, notes=tuple(notes))
+    return np.maximum(worst, 0.0), ok, witness

@@ -267,3 +267,22 @@ def test_one_certificate_builds_the_adjoint_cell_maps():
                   if isinstance(node, ast.Call) and getattr(
                       node.func, "attr", getattr(node.func, "id", None)) == "_adjoint_cell_maps"]
     assert sites == ["pmp.py:verify_certificate"], f"_adjoint_cell_maps calls: {sites}"
+
+
+def test_every_expression_node_has_an_interval_rule():
+    """The interval evaluator covers the whole grammar: every node class
+    and every function the parser or the derivatives can produce, so the
+    grammar cannot grow without an enclosure."""
+    from pmpcheck import expressions
+
+    def leaves(cls):
+        subs = cls.__subclasses__()
+        return {cls} if not subs else set().union(*(leaves(sub) for sub in subs))
+
+    nodes = {cls for cls in leaves(expressions.Expression)
+             if cls.__module__ == expressions.__name__}
+    missing = sorted(cls.__name__ for cls in nodes if cls not in expressions._IV_NODES)
+    functions = {*expressions._UNARY_FUNCTIONS, "pow"}
+    missing += sorted(fn for fn in functions if fn not in expressions._IV_FUNCTIONS)
+    assert not missing, f"no interval rule for: {missing}"
+    assert len(nodes) >= 9, sorted(cls.__name__ for cls in nodes)

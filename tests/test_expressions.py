@@ -1,12 +1,25 @@
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from pmpcheck.expressions import (
+    Add,
+    Call,
+    Div,
     DomainError,
     ExpressionSyntaxError,
+    Mul,
+    Neg,
+    Num,
+    Pow,
+    Sub,
+    Sym,
+    _children,
     _emit,
+    _enclose,
+    _fold_affine,
     parse_expression,
 )
 
@@ -235,3 +248,223 @@ def test_print_parse_roundtrip(text):
     b = again.ev(env)
     assert np.isfinite(a)
     np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
+
+
+# --- interval enclosures ------------------------------------------------------
+
+_FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos", "abs", "sign")
+_EXPONENTS = (2.0, 3.0, 4.0, -1.0, -2.0, 0.5, 1.5, -0.5, 0.0)
+
+_node = st.recursive(
+    st.one_of(
+        st.sampled_from([0.0, 0.25, 1.0, 2.0, -1.5]).map(Num),
+        st.floats(-4.0, 4.0, allow_nan=False).map(lambda v: Num(round(v, 3))),
+        st.sampled_from(["x1", "u1"]).map(Sym),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from([Add, Sub, Mul, Div]), inner, inner).map(
+            lambda c: c[0](c[1], c[2])),
+        st.tuples(inner, st.sampled_from(_EXPONENTS)).map(lambda c: Pow(c[0], Num(c[1]))),
+        st.tuples(inner, inner).map(lambda c: Pow(c[0], c[1])),
+        st.tuples(inner, inner).map(lambda c: Call("pow", c)),
+        st.tuples(st.sampled_from(_FUNCTIONS), inner).map(lambda c: Call(c[0], (c[1],))),
+        inner.map(Neg),
+    ),
+    max_leaves=6,
+)
+
+# interval ends: infinite, on a domain boundary (0), or finite
+_end = st.one_of(st.sampled_from([-np.inf, np.inf, 0.0, 1.0, -1.0]),
+                 st.floats(-5.0, 5.0, allow_nan=False))
+_interval = st.tuples(_end, _end).map(sorted).map(lambda ab: (min(ab[0], 5.0), max(ab[1], -5.0)))
+
+
+_HUGE = mpmath.mpf(10) ** 30  # beyond this, a point or an interval end is not compared
+
+
+def _mp_value(e, env):
+    """The real value of ``e`` at a point, to 200 bits; None off the domain,
+    and where a value on the way passes ``_HUGE``."""
+    v = _mp_point(e, env)
+    return None if v is None or abs(v) > _HUGE else v
+
+
+def _mp_point(e, env):
+    if isinstance(e, Num):
+        return mpmath.mpf(e.value)
+    if isinstance(e, Sym):
+        return mpmath.mpf(env[e.name])
+    args = [_mp_value(k, env) for k in _children(e)]
+    if any(a is None for a in args):
+        return None
+    if isinstance(e, Neg):
+        return -args[0]
+    if isinstance(e, Add):
+        return args[0] + args[1]
+    if isinstance(e, Sub):
+        return args[0] - args[1]
+    if isinstance(e, Mul):
+        return args[0] * args[1]
+    if isinstance(e, Div):
+        return None if args[1] == 0 else args[0] / args[1]
+    if isinstance(e, Pow) or e.fn == "pow":
+        a, b = args
+        if a < 0 and b != int(b) or a == 0 and b < 0:
+            return None
+        if b == 0:
+            return mpmath.mpf(1)
+        if a != 0 and abs(b * mpmath.log(abs(a))) > 100:
+            return None
+        return a ** b
+    a = args[0]
+    if e.fn == "ln" and a <= 0 or e.fn == "sqrt" and a < 0 or e.fn == "exp" and a > 100:
+        return None
+    return {"exp": mpmath.exp, "ln": mpmath.log, "sqrt": mpmath.sqrt, "sin": mpmath.sin,
+            "cos": mpmath.cos, "abs": abs, "sign": mpmath.sign}[e.fn](a)
+
+
+class _Huge(Exception):
+    """An interval end on the way passed ``_HUGE``; the case is not compared."""
+
+
+def _mp_enclosure(e, box):
+    """``mpmath.iv``'s enclosure of the same tree over the box; None for a
+    complex power on the way."""
+    out = _mp_interval(e, box)
+    if out is not None and any(mpmath.isfinite(v) and abs(v) > _HUGE for v in (out.a, out.b)):
+        raise _Huge
+    return out
+
+
+def _mp_interval(e, box):
+    iv = mpmath.iv
+    if isinstance(e, Num):
+        return iv.mpf(e.value)
+    if isinstance(e, Sym):
+        return iv.mpf(list(box[e.name]))
+    args = [_mp_enclosure(k, box) for k in _children(e)]
+    if not all(isinstance(a, mpmath.ctx_iv.ivmpf) for a in args):
+        return None
+    if isinstance(e, Neg):
+        return -args[0]
+    if isinstance(e, Add):
+        return args[0] + args[1]
+    if isinstance(e, Sub):
+        return args[0] - args[1]
+    if isinstance(e, Mul):
+        return args[0] * args[1]
+    if isinstance(e, Div):
+        return args[0] / args[1]
+    if isinstance(e, Pow) or e.fn == "pow":
+        if any(not mpmath.isfinite(v) or abs(v) > 100 for v in (args[1].a, args[1].b)):
+            raise _Huge
+        out = args[0] ** args[1]
+        return out if isinstance(out, mpmath.ctx_iv.ivmpf) else None
+    if e.fn == "exp" and args[0].b > 100:
+        raise _Huge
+    if e.fn == "sign":  # mpmath's iv.sign reads [-1, -1] on [-1, 2]
+        return iv.mpf([mpmath.sign(args[0].a), mpmath.sign(args[0].b)])
+    return {"exp": iv.exp, "ln": iv.log, "sqrt": iv.sqrt, "sin": iv.sin,
+            "cos": iv.cos, "abs": abs}[e.fn](args[0])
+
+
+def _inside(v, lo, hi) -> bool:
+    return mpmath.mpf(lo) <= v <= mpmath.mpf(hi)
+
+
+@given(e=_node, x=_interval, u=_interval, fraction=st.floats(0.0, 1.0))
+@settings(max_examples=400, deadline=None)
+def test_enclosure_holds_every_point_and_mpmath_enclosure(e, x, u, fraction):
+    mpmath.mp.prec = mpmath.iv.prec = 200
+    box = {"x1": x, "u1": u}
+    (lo, hi), = _enclose([e], box)
+    lo, hi = float(lo), float(hi)
+    if np.isnan(lo) or np.isnan(hi):
+        event("nothing proved")
+        return  # nothing proved, nothing to check
+    assert lo <= hi
+
+    def points(a, b):
+        a, b = max(a, -1e3), min(b, 1e3)  # an infinite end stands in by a far point
+        return {a, b, 0.5 * (a + b), a + fraction * (b - a)}
+
+    for px in points(*x):
+        for pu in points(*u):
+            v = _mp_value(e, {"x1": px, "u1": pu})
+            if v is not None and mpmath.isfinite(v):
+                assert _inside(v, lo, hi), (str(e), px, pu, v, lo, hi)
+
+    # the folded tree, so both sides face the same dependency
+    try:
+        ref = _mp_enclosure(e._folded, box)
+    except (_Huge, ValueError, ZeroDivisionError, ArithmeticError):
+        return
+    if ref is None:
+        return
+    event("compared with mpmath.iv")
+    a, b = mpmath.mpf(ref.a), mpmath.mpf(ref.b)
+    if mpmath.isfinite(a):
+        assert mpmath.mpf(lo) <= a + abs(a) * mpmath.mpf(2) ** -150, (str(e), lo, a)
+    if mpmath.isfinite(b):
+        assert mpmath.mpf(hi) >= b - abs(b) * mpmath.mpf(2) ** -150, (str(e), hi, b)
+
+
+class TestEnclosures:
+    def test_affine_fold_tames_extraction_control_curvature(self):
+        # f = -(u/(u + 1/4) - u) after sense = max; its f_uu holds
+        # (u1 + 0.25) - u1, which naive intervals blow up on u in [0, inf)
+        f = parse_expression("-(u1/(u1 + 0.25) - u1)")
+        f_uu = f.diff("u1").diff("u1")
+        assert "u1 + 0.25 - u1" in str(f_uu)
+        assert "u1 + 0.25 - u1" not in str(_fold_affine(f_uu))
+        box = {"u1": (0.0, np.inf)}
+        # f_uu = 1/(2 (u + 1/4)^3) > 0: the folded enclosure proves the sign
+        (lo, hi), = _enclose([f_uu], box)
+        assert lo >= 0.0 and hi >= 32.0
+        # without the fold the numerator's (u1 + 0.25) - u1 reads [-inf, inf]
+        cancel = Sub(Add(Sym("u1"), Num(0.25)), Sym("u1"))
+        assert _enclose([cancel], box) == [(0.25, 0.25)]
+        cancel.__dict__["_folded"] = cancel
+        assert _enclose([cancel], box) == [(-np.inf, np.inf)]
+
+    @pytest.mark.parametrize("text,folded", [
+        ("(u1 + 0.25) - u1", "0.25"),
+        ("2 * (x1 - 0.5) - 2 * x1 + 1", "0.0"),
+        ("-(x1 + u1) + x1", "-u1"),
+        # 0.1 + 0.2 rounds, so only the right-hand term is rebuilt
+        ("(u1 + 0.1) + (0.2 - u1)", "u1 + 0.1 + -u1 + 0.2"),
+        # 3 * 0.1 rounds too: the product stays, and x1 stays twice
+        ("3 * (0.1 * x1) - x1", "3.0 * 0.1 * x1 - x1"),
+    ])
+    def test_fold_only_where_exact(self, text, folded):
+        assert str(_fold_affine(parse_expression(text))) == folded
+
+    @pytest.mark.parametrize("text,box,want", [
+        ("x1 * u1", {"x1": (0.0, 0.0), "u1": (-np.inf, np.inf)}, (0.0, 0.0)),  # 0 * inf = 0
+        ("x1 / u1", {"x1": (1.0, np.inf), "u1": (1.0, np.inf)}, (0.0, np.inf)),  # no inf / inf
+        ("x1 ^ 2", {"x1": (-1.0, 2.0), "u1": (0.0, 0.0)}, (0.0, 4.0)),
+        ("sign(x1)", {"x1": (-1.0, 2.0), "u1": (0.0, 0.0)}, (-1.0, 1.0)),
+        ("pow(x1, u1)", {"x1": (-2.0, 1.0), "u1": (2.0, 2.0)}, (0.0, 4.0)),  # a constant 2
+    ])
+    def test_extended_real_rules(self, text, box, want):
+        e = (Call("sign", (Sym("x1"),)) if text == "sign(x1)"  # sign is not input text
+             else parse_expression(text))
+        (lo, hi), = _enclose([e], box)
+        assert lo <= want[0] and hi >= want[1]
+        assert lo == pytest.approx(want[0], abs=1e-300) and hi == pytest.approx(want[1])
+
+    @pytest.mark.parametrize("text", ["ln(x1)", "sqrt(x1)", "1 / x1", "x1 ^ 0.5",
+                                      "x1 ^ -1", "pow(x1, u1)"])
+    def test_touching_a_domain_boundary_proves_nothing(self, text):
+        (lo, hi), = _enclose([parse_expression(text)],
+                             {"x1": (np.array([0.0, 1e-300]), np.array([1.0, 1.0])),
+                              "u1": (2.0, 3.0)})
+        assert np.isnan(lo[0]) and np.isnan(hi[0])
+        assert np.isfinite(lo[1]) or text == "ln(x1)"
+        assert np.isfinite(hi[1])
+
+    def test_a_lost_child_loses_its_parent(self):
+        # built by hand: the parser folds 0 * ln(x1) to 0
+        e = Add(Mul(Num(0.0), Call("ln", (Sym("x1"),))), Call("exp", (Sym("u1"),)))
+        (lo, hi), = _enclose([e], {"x1": (-1.0, 1.0), "u1": (0.0, 1.0)})
+        assert np.isnan(lo) and np.isnan(hi)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from pmpcheck import integrate, pmp
+from pmpcheck import integrate, pmp, sufficiency
 from pmpcheck.integrate import BlowUp, InvalidGrid, default_grid
 from pmpcheck.pmp import (
     AdjointSolution,
@@ -568,6 +568,20 @@ class TestAdjointSolutionContainer:
                 "p_callable returned shape (3, 1, 1) for times shaped (3,)")):
             adj.value(np.array([0.1, 0.2, 0.3]))
 
+    @pytest.mark.parametrize("check", [
+        check_adjoint_residual, check_integral_adjoint, check_maximum_condition,
+        check_weak_inequality, check_transversality, check_michel, check_arrow])
+    def test_an_adjoint_of_the_wrong_width_is_rejected(self, check):
+        # regulator, n = 1, with an adjoint shaped (K, 2): three checks read
+        # false fails through broadcasting, transversality passed and the
+        # integral adjoint crashed on a numpy concatenation error
+        g = default_grid(50.0, cells=256, refine_zero=False)
+        wide = adjoint_from_function(g, lambda t: np.stack([regulator_p(t)] * 2, axis=-1))
+        assert wide.n == 2
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                "adjoint has 2 components, but the problem has n=1 states")):
+            check(regulator(), regulator_candidate(g), wide)
+
     def test_nontriviality(self):
         g = np.linspace(0.0, 1.0, 5)
         zero = AdjointSolution(grid=g, p=np.zeros((5, 1)), lambda0=0.0,
@@ -910,10 +924,13 @@ class TestGoldenSection:
             tracemalloc.stop()
         assert peak < 1.5 * 26 * n * 8
 
-    def test_arrow_scan_holds_one_block_of_tube_points(self, reg_setup):
+    def test_arrow_scan_holds_one_block_of_tube_points(self, monkeypatch, reg_setup):
         # the regulator's scan has 164 distinct tube points per knot.  Their
         # states, H values and a few per-knot arrays fit in five floats per
-        # point; H of all points at once, or a search per point, would not
+        # point; H of all points at once, or a search per point, would not.
+        # The concavity proof would skip the scan, so it is switched off
+        monkeypatch.setattr(sufficiency, "_concave_slices",
+                            lambda prob, w, ts, *args: np.zeros(ts.size, dtype=bool))
         prob, cand, adj = reg_setup
         points = 164 * cand.grid.size
         check_arrow(prob, cand, adj)  # compile outside the trace
@@ -1164,6 +1181,38 @@ class TestNewtonSearch:
         blocks = -(-ts.size // pmp._BLOCK)
         assert calls["H"] <= (1 + 2 * 2) * blocks
         assert calls["golden"] == 0
+
+    def test_a_face_maximum_takes_no_golden_section(self, monkeypatch):
+        # H = w (u/(u + 1/4) - u) + p phi is concave in u, with H_u = 3w - p x
+        # at the face u = 0: where p x >= 3w the maximizer is the face, and
+        # the search keeps the best probe there instead of creeping toward
+        # it by golden section (9,489 of these 20,000 knots before)
+        prob = parse_problem(EXTRACTION)
+        rng = np.random.default_rng(3)
+        k = 20_000
+        ts = rng.uniform(0.1, 10.0, k)
+        xs = rng.uniform(0.5, 3.0, (k, 1))
+        w = np.asarray(prob.omega(ts), dtype=float)
+        ps = (w * rng.uniform(-0.3, 6.0, k) / xs[:, 0])[:, None]
+        start = np.full((k, 1), 0.3)
+        golden = []
+        g_orig = pmp._golden_max
+
+        def g_counted(prob, w, ts, *args, **kwargs):
+            golden.append(ts.size)
+            return g_orig(prob, w, ts, *args, **kwargs)
+
+        monkeypatch.setattr(pmp, "_golden_max", g_counted)
+        h = hamiltonian_sup(prob, ts, xs, ps, u_start=start)
+        assert sum(golden) == 0
+        face = ps[:, 0] * xs[:, 0] >= 3.0 * w
+        assert np.sum(face) == 9489
+        h_face = pontryagin_H(prob, ts, xs, np.zeros((k, 1)), ps, 1.0)
+        np.testing.assert_array_equal(h[face], h_face[face])
+        # golden section alone finds no more, up to the roundoff of H
+        golden_only(monkeypatch)
+        h_golden = hamiltonian_sup(prob, ts, xs, ps, u_start=start)
+        assert np.all(h >= h_golden - 1e-15 * (1.0 + np.abs(h_golden)))
 
     def test_work_per_block_is_the_prescan_and_one_value(self, monkeypatch):
         # a silent return to golden section would add its 62 H values per

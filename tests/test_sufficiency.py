@@ -5,7 +5,7 @@ import pytest
 
 import test_pmp
 from pmpcheck import sufficiency
-from pmpcheck.expressions import DomainError
+from pmpcheck.expressions import DomainError, Num
 from pmpcheck.integrate import default_grid
 from pmpcheck.pmp import (
     UnboundedAbove,
@@ -252,7 +252,8 @@ class TestCheckArrow:
             rep = check_arrow(prob, cand, adj, gamma=0.5)
             assert bool(np.all(rep.slice_ok)) == (curvature < 0)
 
-    def test_state_free_cost_term_shifts_nothing(self, grid):
+    def test_state_free_cost_term_shifts_nothing(self, monkeypatch, grid):
+        no_proof(monkeypatch)  # the sampled defects, which the proof would skip
         shifted = REGULATOR.replace("f = 0.5*(x1^2 + u1^2)",
                                     "f = 0.5*(x1^2 + u1^2) + 3*exp(-t)")
         cand = regulator_candidate(grid)
@@ -413,13 +414,20 @@ def _bits(v):
     return np.asarray(v, dtype=float).tobytes()
 
 
+def no_proof(monkeypatch):
+    """Send every slice to the sampled scan."""
+    monkeypatch.setattr(sufficiency, "_concave_slices",
+                        lambda prob, w, ts, *args: np.zeros(ts.size, dtype=bool))
+
+
 class TestPerKnotSearch:
     """A separable H is searched once per knot, with the per-point result."""
 
     @pytest.mark.parametrize("name", list(_SEPARABLE))
-    def test_same_report_as_the_per_point_search(self, name):
+    def test_same_report_as_the_per_point_search(self, monkeypatch, name):
         prob, cand, adj = _pieces(name)
         assert prob.u_separable
+        no_proof(monkeypatch)  # both searches sample every slice
         knot = check_arrow(prob, cand, adj)
         point = check_arrow(_per_point(parse_problem(_SEPARABLE[name][0])), cand, adj)
         for f in ("grid", "slice_ok", "radii", "centers", "pair_offsets"):
@@ -450,6 +458,7 @@ class TestPerKnotSearch:
 
         sup_over_u = sufficiency._sup_over_u
         monkeypatch.setattr(sufficiency, "_sup_over_u", counted)
+        no_proof(monkeypatch)
         rep = check_arrow(prob, cand, adj)
         assert rep.passed and rep.notes == ()
         assert rows == [cert_grid.size]
@@ -515,3 +524,163 @@ u1 = [0, inf)
         assert str(errors[0]) == str(errors[1])
         assert errors[0].point == errors[1].point
         assert errors[0].point["u1"] == 0.1
+
+
+# every problem of the test suite with a closed-form candidate and adjoint:
+# (source, state, control, adjoint, mode, how many usable slices the proof takes)
+_CLOSED_FORMS = {
+    **{name: (*spec, "strong", "all") for name, spec in _SEPARABLE.items()
+       if name in ("regulator", "constrained", "two_state", "two_controls")},
+    **{name: (*spec, "strong", "none") for name, spec in _SEPARABLE.items()
+       if name in ("antiregulator", "two_peaks", "abs_kink")},
+    "regulator_weak": (REGULATOR + "eta = exp_decay 0.1\n", *_SEPARABLE["regulator"][1:],
+                       "weak", "all"),
+    "extraction": (test_pmp.EXTRACTION, [lambda t: np.exp(0.5 * (1.0 - np.exp(-t)))],
+                   [_const(0.25)], [lambda t: 0.0 * t], "strong", "all"),
+    "investment": (INVESTMENT, [lambda t: np.exp(0.5 * t)], [_const(0.5)],
+                   [lambda t: 2.0 * np.exp(-t)], "strong", "none"),
+    "undiscounted": (test_pmp.UNDISCOUNTED, [lambda t: np.exp(-t)], [_const(1.0)],
+                     [lambda t: -1.0 + 0.0 * t], "strong", "none"),
+    "interior_bang": (test_pmp.UNDISCOUNTED, [lambda t: np.exp(-0.5 * t)], [_const(0.5)],
+                      [lambda t: -1.0 + 0.0 * t], "strong", "none"),
+    "discounted_log": (test_pmp.DISCOUNTED_LOG, [lambda t: np.exp(-t)], [_const(0.0)],
+                       [lambda t: -1.0 + 0.0 * t], "weak", "none"),
+    "discounted_log_strong": (test_pmp.DISCOUNTED_LOG, [lambda t: np.exp(-t)], [_const(0.0)],
+                              [lambda t: -1.0 + 0.0 * t], "strong", "none"),
+}
+
+
+def _proved_slices(monkeypatch, check, *args, **kwargs):
+    """Run ``check``, recording the times the proof took; returns the
+    check's result or exception, and those times."""
+    prove = sufficiency._concave_slices
+    proved = []
+
+    def recorded(prob, w, ts, *rest):
+        mask = prove(prob, w, ts, *rest)
+        proved.append((ts, mask))
+        return mask
+
+    monkeypatch.setattr(sufficiency, "_concave_slices", recorded)
+    try:
+        out = check(*args, **kwargs)
+    except (UnboundedAbove, DomainError) as e:
+        out = e
+    monkeypatch.undo()
+    return out, proved
+
+
+class TestConcavityProof:
+    """Slices proved concave through the Hessian, against the sampled scan."""
+
+    @pytest.mark.parametrize("name", list(_CLOSED_FORMS))
+    def test_proved_slices_pass_the_sampled_scan(self, monkeypatch, name):
+        src, xf, uf, pf, mode, expect = _CLOSED_FORMS[name]
+        g = default_grid(50.0, cells=256, refine_zero=False)
+        prob = parse_problem(src)
+        cand = candidate_from_functions(g, _stack(*xf), _stack(*uf))
+        adj = adjoint_from_function(g, _stack(*pf))
+        proved_rep, calls = _proved_slices(monkeypatch, check_arrow, prob, cand, adj,
+                                           mode=mode)
+        (ts, mask), = calls
+        assert bool(np.all(mask)) if expect == "all" else not np.any(mask)
+        no_proof(monkeypatch)
+        try:
+            scanned = check_arrow(parse_problem(src), cand, adj, mode=mode)
+        except (UnboundedAbove, DomainError) as e:
+            # a scan that aborts had nothing proved to abort on instead
+            assert not np.any(mask) and type(e) is type(proved_rep)
+            assert str(e) == str(proved_rep)
+            return
+        assert not isinstance(proved_rep, Exception), proved_rep
+        k = np.searchsorted(g, ts[mask])
+        assert np.all(scanned.slice_ok[k]), g[k][~scanned.slice_ok[k]]
+        # the proof changes the sampled slices' verdicts nowhere else
+        assert proved_rep.overall == scanned.overall
+        assert _bits(proved_rep.slice_ok) == _bits(scanned.slice_ok)
+        assert proved_rep.worst[k].tobytes() == np.zeros(k.size).tobytes()
+        rest = np.setdiff1d(np.arange(g.size), k)
+        assert _bits(proved_rep.worst[rest]) == _bits(scanned.worst[rest])
+        assert (proved_rep.witness is None) == (scanned.witness is None)
+        if name in ("antiregulator", "discounted_log"):  # H0 is convex in x
+            assert scanned.overall == "fail"
+        if mask.any():
+            assert f"{int(mask.sum())} slice(s) proved concave" in " ".join(proved_rep.notes)
+
+    def test_the_hessians_are_built_on_first_use(self, reg_setup):
+        # parsing, which the benchmark times as set-up, does not pay for them
+        prob = parse_problem(REGULATOR)
+        assert "_curvature" not in vars(prob)
+        _, cand, adj = reg_setup
+        check_arrow(prob, cand, adj)
+        rows, _ = vars(prob)["_curvature"]
+        assert [str(e) for e in rows[0]] == ["1.0", "0.0", "1.0"]
+
+    def test_a_tube_leaving_the_domain_of_phi_is_scanned_where_p_vanishes(self, monkeypatch):
+        # EXTRACTION has p = 0, so phi drops out of the Hessian; but a tube of
+        # radius 2 around x ~ 1.6 reaches ln(x1) <= 0, and the scan names the
+        # point there as it does without the proof
+        src, xf, uf, pf, *_ = _CLOSED_FORMS["extraction"]
+        g = default_grid(50.0, cells=256, refine_zero=False)
+        cand = candidate_from_functions(g, _stack(*xf), _stack(*uf))
+        adj = adjoint_from_function(g, _stack(*pf))
+        err, calls = _proved_slices(monkeypatch, check_arrow, parse_problem(src), cand, adj,
+                                    gamma=2.0)
+        assert isinstance(err, DomainError)
+        (_, mask), = calls
+        assert not np.any(mask)
+        no_proof(monkeypatch)
+        with pytest.raises(DomainError) as scanned:
+            check_arrow(parse_problem(src), cand, adj, gamma=2.0)
+        assert str(scanned.value) == str(err)
+
+    def test_a_nonconvex_control_set_proves_nothing(self, monkeypatch):
+        src = REGULATOR + "\n[controls]\nu1 = [-9, 9]\nconvex = false\n"
+        g = default_grid(50.0, cells=256, refine_zero=False)
+        _, calls = _proved_slices(monkeypatch, check_arrow, parse_problem(src),
+                                  regulator_candidate(g), adjoint_from_function(g, regulator_p))
+        (_, mask), = calls
+        assert not np.any(mask)
+
+    def test_a_kink_inside_the_box_proves_nothing(self):
+        # H = +w |u - 0.3|: its symbolic Hessian reads 0, but it is convex in u
+        src = test_pmp.ABS_KINK.replace("abs(u1 - 0.3)", "-abs(u1 - 0.3)")
+        prob = parse_problem(src)
+        g = default_grid(50.0, cells=64, refine_zero=False)
+        ts, centers = g, np.exp(-g)[:, None]
+        w = np.asarray(prob.omega(ts), dtype=float)
+        rows, kinks = prob._curvature
+        assert all(e == Num(0.0) for row in rows for e in row)
+        assert [str(e) for e in kinks[0]] == ["u1 - 0.3"]
+        proved = sufficiency._concave_slices(prob, w, ts, centers, np.full(g.size, 0.5),
+                                             np.zeros((g.size, 1)))
+        assert not np.any(proved)
+        # with the kink outside the box the same Hessian proves the slice
+        away = parse_problem(src.replace("u1 = [0, 1]", "u1 = [0.5, 1]"))
+        assert np.all(sufficiency._concave_slices(away, w, ts, centers,
+                                                  np.full(g.size, 0.5),
+                                                  np.zeros((g.size, 1))))
+
+    @pytest.mark.parametrize("name", ["investment", "undiscounted", "discounted_log"])
+    def test_certificates_keep_their_arrow_outcome(self, monkeypatch, name):
+        # none of these slices is proved, except UNDISCOUNTED's terminal
+        # knot, where the routes end on p = 0 and H = -w x is linear
+        cells = {"investment": 2048, "undiscounted": 512, "discounted_log": 512}[name]
+        src, xf, uf, *_ = _CLOSED_FORMS[name]
+        g = default_grid(50.0, cells=cells, refine_zero=False)
+        cand = candidate_from_functions(g, _stack(*xf), _stack(*uf))
+        proved, _ = _proved_slices(monkeypatch, verify_certificate, parse_problem(src), cand)
+        no_proof(monkeypatch)
+        scanned = verify_certificate(parse_problem(src), cand)
+        aborted = lambda cert: [n for n in cert.notes if n.startswith("concavity scan aborted")]
+        assert aborted(proved) == aborted(scanned)
+        if name == "investment":
+            assert "toward -inf at t=50" in aborted(proved)[0]
+        if name == "discounted_log":
+            assert aborted(proved) == ["concavity scan aborted: ln of non-positive "
+                                       "argument at t=0.78125, u1=0, x1=-0.0421666"]
+        arrow = lambda cert: cert.sufficiency and (cert.sufficiency.overall,
+                                                   cert.sufficiency.witness is None,
+                                                   _bits(cert.sufficiency.slice_ok))
+        assert arrow(proved) == arrow(scanned)
+        assert (proved.sufficiency is None) == (name != "undiscounted")
