@@ -527,14 +527,22 @@ def _build(lines: Sequence[str], name: str) -> Callable:
 # point of the box: each variable is bound to a pair (lo, hi) of arrays, or
 # of numbers, and every node maps the pairs of its children to its own.
 # Endpoints round outward with np.nextafter: one step after the correctly
-# rounded IEEE operations, two after the library functions, none where a
-# result is exact by construction (a factor 0 or +-inf, a term 0 or +-inf).
+# rounded IEEE operations, _LIB_STEPS after the library functions, none
+# where a result is exact by construction (a factor 0 or +-inf, a term 0 or
+# +-inf).  NumPy documents no error bound for exp, log, sin, cos or power:
+# its own accuracy tests hold float64 exp, log, sin and cos to 1 ULP on
+# sampled inputs only, and vectorised (SIMD) float64 kernels such as it
+# may dispatch to are commonly specified to within 4 ULP.  Eight steps
+# cover twice that.
 # Endpoints may be infinite; the extended-real rule 0 * inf = 0 holds, and
 # a quotient is a product with the reciprocal, so inf / inf never arises.
 # NaN in an enclosure means "nothing proved" and propagates: so does an
 # argument that touches the boundary of its function's domain (ln, sqrt, /,
 # a negative or fractional power), even where the point evaluator accepts
 # the boundary itself, as sqrt(0) and 0^0.5.
+
+
+_LIB_STEPS = 8
 
 
 def _round(v, toward: float, steps: int, exact):
@@ -618,12 +626,14 @@ def _iv_div(a, b):
 
 
 def _iv_monotone(fn, a, increasing: bool = True, floor: float = -np.inf):
-    """A monotone library function at both ends, rounded out by two steps
-    and clipped at the bottom of its range; an infinite end maps exactly."""
+    """A monotone library function at both ends, rounded out by
+    ``_LIB_STEPS`` and clipped at the bottom of its range; an infinite end
+    maps exactly."""
     lo, hi = a if increasing else (a[1], a[0])
     with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
         flo, fhi = fn(lo), fn(hi)
-    return np.maximum(_down(flo, 2, np.isinf(lo)), floor), _up(fhi, 2, np.isinf(hi))
+    return (np.maximum(_down(flo, _LIB_STEPS, np.isinf(lo)), floor),
+            _up(fhi, _LIB_STEPS, np.isinf(hi)))
 
 
 def _iv_positive(a):
@@ -651,8 +661,8 @@ def _iv_periodic(fn, a, phase: float):
         first = np.ceil(s_lo - slack)
         inside = [first + k <= s_hi + slack for k in (0, 1)]
         even = np.mod(first, 2.0) == 0
-    ends_lo = np.maximum(_down(np.minimum(flo, fhi), 2), -1.0)
-    ends_hi = np.minimum(_up(np.maximum(flo, fhi), 2), 1.0)
+    ends_lo = np.maximum(_down(np.minimum(flo, fhi), _LIB_STEPS), -1.0)
+    ends_hi = np.minimum(_up(np.maximum(flo, fhi), _LIB_STEPS), 1.0)
     peak = (inside[0] & even) | (inside[1] & ~even)
     trough = (inside[0] & ~even) | (inside[1] & even)
     wide = ~(slack < 1e6)  # the phase is unresolved, or an end is infinite

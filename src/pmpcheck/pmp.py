@@ -672,13 +672,10 @@ def _newton_max(prob, w, ts, xs, ps, lam, u, i, a, b, u_pre):
     the step leaves the bracket (Press et al., *Numerical Recipes*
     §9.4, rtsafe); the bracket shrinks by the sign of H_u.  A knot stops
     on its own, once H_u == 0 or its step is below ``_NEWTON_STEP``
-    times 1 + |u|, and then no longer moves.  A best probe on a closed
-    face of the box where H_u points out of the box (H_u <= 0 at a lower
-    face, >= 0 at an upper one) is kept as it is: no probe is higher, and
-    H does not rise from the face into the bracket.  Where H_u does not
-    fall from >= 0 to <= 0 across the bracket, H_uu >= 0 at the last
-    Newton point, a value is not finite or golden's 60 steps do not
-    settle the knot, the knot goes to :func:`_golden_max` unchanged; a
+    times 1 + |u|, and then no longer moves.  Where H_u does not fall
+    from >= 0 to <= 0 across the bracket, H_uu >= 0 at the last Newton
+    point, a value is not finite or golden's 60 steps do not settle the
+    knot, the knot goes to :func:`_golden_max` unchanged; a
     :class:`DomainError` of the slope evaluator sends the whole block
     there.  Column ``i`` of ``u`` is overwritten.  Returns the
     maximizers and H there.
@@ -686,20 +683,13 @@ def _newton_max(prob, w, ts, xs, ps, lam, u, i, a, b, u_pre):
     args = (prob, w, ts, xs, ps, lam)
     lo, hi, x = a.copy(), b.copy(), u_pre.copy()
     done = np.zeros(ts.size, dtype=bool)
-    face = np.zeros(ts.size, dtype=bool)
     curv = np.full(ts.size, np.nan)  # H_uu at each knot's last Newton point
-    box = prob.U
     try:
         u[:, i] = lo
         g_lo, _ = _slopes(*args, u, i)
         u[:, i] = hi
         g_hi, _ = _slopes(*args, u, i)
-        # with no distinct probe beyond it, the best probe is the face itself
-        if np.isfinite(box.lo[i]) and not box.open_lo[i]:
-            face |= (a == u_pre) & (g_lo <= 0)
-        if np.isfinite(box.hi[i]) and not box.open_hi[i]:
-            face |= (b == u_pre) & (g_hi >= 0)
-        active = (g_lo >= 0) & (g_hi <= 0) & ~face  # False on NaN
+        active = (g_lo >= 0) & (g_hi <= 0)  # False on NaN
         for _ in range(60):
             idx = np.flatnonzero(active)
             if idx.size == 0:
@@ -721,8 +711,8 @@ def _newton_max(prob, w, ts, xs, ps, lam, u, i, a, b, u_pre):
             done[idx] = stop & finite
             active[idx] = ~stop & finite
     except DomainError:
-        done[:] = face[:] = False
-    ok = (done & (curv < 0)) | face
+        done[:] = False
+    ok = done & (curv < 0)
     x = np.where(ok, x, u_pre)
     h = _h_of_u(*args, u, i, x)
     ok &= np.isfinite(h)
@@ -925,12 +915,11 @@ def check_maximum_condition(prob: ControlProblem, cand: CandidateProcess,
     in closed form: the clipped stationary point of a concave slice, else
     the better box face.  Every other one goes through a prescan of 26-35
     probes and a safeguarded Newton iteration on H_u between the best
-    probe's nearest distinct neighbours.  A best probe on a closed face
-    with H_u pointing out of the box is kept.  Where the slice is not
-    concave (no sign change of H_u across the bracket, H_uu >= 0 at the
-    result, a non-finite value, or H_u undefined in the block), a 60-step
-    golden section takes over.  Two or more controls are swept twice; the
-    notes name each coordinate's search.  A slice that climbs toward an
+    probe's nearest distinct neighbours; where that slice is not concave
+    (no sign change of H_u across the bracket, H_uu >= 0 at the result, a
+    non-finite value, or H_u undefined in the block), a 60-step golden
+    section takes over.  Two or more controls are swept twice; the notes
+    name each coordinate's search.  A slice that climbs toward an
     unbounded face, with H at the outermost probe (u +- 2^16 (1 + |u|))
     above H at the candidate by more than ``_TOL_GAP`` times its
     magnitude, raises :class:`UnboundedAbove`.  Knots at a weight pole are

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import _enclose, _iv_add, _iv_mul
-from .pmp import _BLOCK, AdjointSolution, _hamiltonian, _matching_adjoint, _sup_over_u
+from .expressions import DomainError, _enclose, _iv_add, _iv_mul
+from .pmp import (_BLOCK, AdjointSolution, UnboundedAbove, _hamiltonian,
+                  _matching_adjoint, _sup_over_u)
 from .problem import CandidateProcess, ControlProblem, _ball, _tube
 
 __all__ = ["ConcavityReport", "check_arrow", "hamiltonian_sup"]
@@ -204,9 +205,10 @@ def _concave_slices(prob: ControlProblem, w, ts, centers, radii, ps) -> np.ndarr
     proves nothing (NaN) would otherwise spoil a knot it does not act on.
     A knot is proved when every row passes Gershgorin's test with no
     tolerance, ``hi(H_ii) + sum_{j != i} max |H_ij| <= 0``, rounded up, so
-    every symmetric matrix in the enclosure is negative semidefinite.  The Hessian holds only where H is twice differentiable,
-    so the argument of every ``abs`` or ``sign`` of a kept term must stay
-    off 0 on the box.  f and every phi_i, dropped or not, are enclosed over
+    every symmetric matrix in the enclosure is negative semidefinite.
+    The Hessian holds only where H is twice differentiable, so the
+    argument of every ``abs`` or ``sign`` of a kept term must stay off 0
+    on the box.  f and every phi_i, dropped or not, are enclosed over
     the box as well: a knot where one of them may leave its domain (NaN
     in the enclosure) is not proved and keeps the sampled scan, which
     names the offending point.  Returns a boolean per knot.
@@ -266,8 +268,7 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     Hamiltonian unbounded in u there raises :class:`UnboundedAbove`.  The
     search's escape floor takes a lower bound of ``|H|`` at the candidate
     control over the tube (:func:`_least_magnitude`), as the per-knot
-    search below takes the smallest sampled one.  These searches run
-    before the scan of the other slices.
+    search below takes the smallest sampled one.
 
     Every other slice gets 64 point pairs inside the ball.  The same
     unit-ball pairs serve every time: 32 symmetric about the center, the
@@ -287,6 +288,9 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
 
     UnboundedAbove from the inner maximization propagates: a Hamiltonian
     unbounded in u anywhere on the tube has no maximized value to test.
+    Where proved and sampled slices both abort, with UnboundedAbove or a
+    DomainError of the scan, the abort at the earlier time is raised, as
+    one scan of every slice in grid order would raise it.
     """
     _matching_adjoint(prob, adj)
     _, radii, resolvable, _ = _tube(prob, cand, gamma, mode)
@@ -342,12 +346,16 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     proved = np.zeros(grid.size, dtype=bool)
     proved[usable] = _concave_slices(prob, w[usable], grid[usable], cand.x[usable],
                                      radii[usable], p_grid[usable])
+    aborts = []
     if np.any(proved):
         at = (prob, w[proved], grid[proved], cand.x[proved])
         u_c, p_c = cand.u[proved], p_grid[proved]
         h0 = _hamiltonian(*at, u_c, p_c, 1.0)
         low = _least_magnitude(*at, radii[proved], p_c, u_c)
-        _sup_over_u(*at, u_c, p_c, 1.0, h0, h0 + _SUP_TOL * low)
+        try:
+            _sup_over_u(*at, u_c, p_c, 1.0, h0, h0 + _SUP_TOL * low)
+        except UnboundedAbove as e:
+            aborts.append(e)
         notes.append(f"{int(np.sum(proved))} slice(s) proved concave: H jointly "
                      "concave in (x, u) on the tube times the control box")
     scanned = usable & ~proved
@@ -356,15 +364,28 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     slice_ok = np.ones(grid.size, dtype=bool)
     witness = None
     if np.any(scanned):
-        worst[scanned], slice_ok[scanned], witness = _scan(
-            prob, w[scanned], grid[scanned], cand.x[scanned], cand.u[scanned],
-            p_grid[scanned], radii[scanned], offsets)
+        try:
+            worst[scanned], slice_ok[scanned], witness = _scan(
+                prob, w[scanned], grid[scanned], cand.x[scanned], cand.u[scanned],
+                p_grid[scanned], radii[scanned], offsets)
+        except (UnboundedAbove, DomainError) as e:
+            aborts.append(e)
+    if aborts:
+        raise min(aborts, key=_abort_time)
 
     return ConcavityReport(
         grid=grid, worst=worst, slice_ok=slice_ok, radii=radii,
         centers=cand.x, pair_offsets=offsets, witness=witness,
         premise="normal multiplier (lambda0 = 1)", premise_ok=True,
         tolerance=_CONCAVITY_TOL, notes=tuple(notes))
+
+
+def _abort_time(e: UnboundedAbove | DomainError) -> float:
+    """The time an abort of :func:`check_arrow` names; a DomainError
+    that names none counts as the earliest."""
+    if isinstance(e, UnboundedAbove):
+        return e.t
+    return e.point.get("t", -np.inf)
 
 
 def _scan(prob: ControlProblem, w, ts, centers, u_star, ps, rr, offsets):

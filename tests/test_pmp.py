@@ -1182,38 +1182,6 @@ class TestNewtonSearch:
         assert calls["H"] <= (1 + 2 * 2) * blocks
         assert calls["golden"] == 0
 
-    def test_a_face_maximum_takes_no_golden_section(self, monkeypatch):
-        # H = w (u/(u + 1/4) - u) + p phi is concave in u, with H_u = 3w - p x
-        # at the face u = 0: where p x >= 3w the maximizer is the face, and
-        # the search keeps the best probe there instead of creeping toward
-        # it by golden section (9,489 of these 20,000 knots before)
-        prob = parse_problem(EXTRACTION)
-        rng = np.random.default_rng(3)
-        k = 20_000
-        ts = rng.uniform(0.1, 10.0, k)
-        xs = rng.uniform(0.5, 3.0, (k, 1))
-        w = np.asarray(prob.omega(ts), dtype=float)
-        ps = (w * rng.uniform(-0.3, 6.0, k) / xs[:, 0])[:, None]
-        start = np.full((k, 1), 0.3)
-        golden = []
-        g_orig = pmp._golden_max
-
-        def g_counted(prob, w, ts, *args, **kwargs):
-            golden.append(ts.size)
-            return g_orig(prob, w, ts, *args, **kwargs)
-
-        monkeypatch.setattr(pmp, "_golden_max", g_counted)
-        h = hamiltonian_sup(prob, ts, xs, ps, u_start=start)
-        assert sum(golden) == 0
-        face = ps[:, 0] * xs[:, 0] >= 3.0 * w
-        assert np.sum(face) == 9489
-        h_face = pontryagin_H(prob, ts, xs, np.zeros((k, 1)), ps, 1.0)
-        np.testing.assert_array_equal(h[face], h_face[face])
-        # golden section alone finds no more, up to the roundoff of H
-        golden_only(monkeypatch)
-        h_golden = hamiltonian_sup(prob, ts, xs, ps, u_start=start)
-        assert np.all(h >= h_golden - 1e-15 * (1.0 + np.abs(h_golden)))
-
     def test_work_per_block_is_the_prescan_and_one_value(self, monkeypatch):
         # a silent return to golden section would add its 62 H values per
         # block: 1 + 26 + 62 evaluations of H for one block of 2^15 knots

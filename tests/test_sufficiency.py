@@ -661,6 +661,45 @@ class TestConcavityProof:
                                                   np.full(g.size, 0.5),
                                                   np.zeros((g.size, 1))))
 
+    @pytest.mark.parametrize("proved_first", [False, True])
+    def test_a_mixed_escape_names_the_earliest_knot(self, monkeypatch, proved_first):
+        # H = w u + p (x u - x) on u >= 0 climbs without bound at every knot.
+        # Where p = 0 it is linear and proved concave; where p != 0 the term
+        # p x u is bilinear and the slice is sampled.  Both sets escape, and
+        # the abort names the knot a scan of every slice names
+        src = """
+[problem]
+n = 1
+m = 1
+x0 = 1.0
+sense = max
+
+[dynamics]
+phi1 = x1*u1 - x1
+
+[objective]
+f = u1
+omega = exp_decay 1.0
+
+[space]
+nu = exp_decay 1.0
+
+[controls]
+u1 = [0, inf)
+"""
+        g = default_grid(50.0, cells=256, refine_zero=False)
+        cand = candidate_from_functions(g, _stack(np.exp), _stack(_const(0.5)))
+        on = (lambda t: t >= 25.0) if proved_first else (lambda t: t < 25.0)
+        adj = adjoint_from_function(g, _stack(lambda t: np.where(on(t), 1.0, 0.0)))
+        err, calls = _proved_slices(monkeypatch, check_arrow, parse_problem(src), cand, adj)
+        (ts, mask), = calls
+        assert np.any(mask) and not np.all(mask)
+        assert isinstance(err, UnboundedAbove) and err.t == 0.0
+        no_proof(monkeypatch)
+        with pytest.raises(UnboundedAbove) as scanned:
+            check_arrow(parse_problem(src), cand, adj)
+        assert str(scanned.value) == str(err)
+
     @pytest.mark.parametrize("name", ["investment", "undiscounted", "discounted_log"])
     def test_certificates_keep_their_arrow_outcome(self, monkeypatch, name):
         # none of these slices is proved, except UNDISCOUNTED's terminal
