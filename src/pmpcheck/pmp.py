@@ -1327,8 +1327,7 @@ class CertificateReport:
 def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
                        mode: str = "strong", lambda0: float = 1.0,
                        gamma: float = 0.5,
-                       measures: Mapping[int, tuple] | None = None,
-                       include_sufficiency: bool = True) -> CertificateReport:
+                       measures: Mapping[int, tuple] | None = None) -> CertificateReport:
     """Run both adjoint routes and every applicable condition check.
 
     The assumption audit is embedded; its verdict gates the overall result but never suppresses the
@@ -1337,7 +1336,9 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
     the candidate grid, and both routes are read off them; a cell the
     build cannot resolve raises :class:`~pmpcheck.integrate.BlowUp`,
     since neither route exists without the maps.  ``measures`` attaches
-    constraint atoms to whichever adjoint ends up primary.
+    constraint atoms to whichever adjoint ends up primary.  The concavity
+    check (:func:`~pmpcheck.sufficiency.check_arrow`) always runs; where
+    it aborts, ``sufficiency`` is None and a note names the cause.
     """
     if mode not in ("strong", "weak"):
         raise ValueError(f"mode must be 'strong' or 'weak', got {mode!r}")
@@ -1423,13 +1424,12 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
         normality = dataclasses.replace(normality, notes=normality.notes + (extra,))
     conditions.append(normality)
 
+    from .sufficiency import check_arrow  # deferred: sufficiency imports pmp
     sufficiency = None
-    if include_sufficiency:
-        from .sufficiency import check_arrow  # deferred: sufficiency imports pmp
-        try:
-            sufficiency = check_arrow(prob, cand, primary, gamma=gamma, mode=mode)
-        except (UnboundedAbove, DomainError) as e:
-            notes.append(f"concavity scan aborted: {e}")
+    try:
+        sufficiency = check_arrow(prob, cand, primary, gamma=gamma, mode=mode)
+    except (UnboundedAbove, DomainError) as e:
+        notes.append(f"concavity scan aborted: {e}")
 
     if not primary.nontrivial:
         notes.append("multiplier is trivial: (lambda0, p, measures) all vanish")

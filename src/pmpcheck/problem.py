@@ -264,13 +264,9 @@ class ControlProblem:
     entry of ``phi_x`` names ``x1..xn``.  The test is symbolic and
     conservative (``x1/x1`` does not count as affine);
     :func:`~pmpcheck.integrate.solve_state` picks its engine by it.
-    ``u_separable`` holds when no entry of ``f_u`` or ``phi_u`` names
-    ``x1..xn``, again symbolically and conservatively.  H then splits as
-    ``A(t, x, p) + B(t, u, p)``, so every state at one time shares its
-    maximizing control; :func:`~pmpcheck.sufficiency.check_arrow`
-    searches once per knot by it.  The full second derivatives in (x, u)
-    that its concavity proof reads are built on first use, not here
-    (``_curvature``).
+    The full second derivatives in (x, u) that the concavity proof of
+    :func:`~pmpcheck.sufficiency.check_arrow` reads are built on first
+    use, not here (``_curvature``).
 
     Maximization problems must be negated before construction; the parser
     does this and sets ``negated`` so reports can say so.
@@ -296,7 +292,6 @@ class ControlProblem:
     phi_uu: tuple = field(init=False, repr=False)
     u_quadratic: tuple = field(init=False, repr=False)
     x_affine: bool = field(init=False, repr=False)
-    u_separable: bool = field(init=False, repr=False)
     g_x: tuple = field(init=False, repr=False)
     _evaluators: dict = field(init=False, repr=False)
 
@@ -345,8 +340,6 @@ class ControlProblem:
             for i, (c, fu, fuu) in enumerate(zip(controls, self.f_u, self.f_uu))))
         object.__setattr__(self, "x_affine", all(
             e.variables().isdisjoint(states) for row in self.phi_x for e in row))
-        object.__setattr__(self, "u_separable", all(
-            e.variables().isdisjoint(states) for row in (self.f_u, *self.phi_u) for e in row))
         object.__setattr__(
             self, "g_x", tuple(tuple(gj.diff(s) for s in states) for gj in g)
         )
@@ -562,8 +555,8 @@ def _tube(prob: ControlProblem, cand: CandidateProcess, gamma: float, mode: str)
     ``k``, scaled by the radius.  The ball is in x alone in strong mode
     and in (x, u) in weak mode, with the control projected into the box.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    if not (gamma > 0 and np.isfinite(gamma)):
+        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
     if mode not in ("strong", "weak"):
         raise ValueError(f"mode must be strong or weak, got {mode!r}")
     weak = mode == "weak"

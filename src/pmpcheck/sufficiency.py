@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expressions import DomainError, _enclose, _iv_add, _iv_mul
-from .pmp import (_BLOCK, AdjointSolution, UnboundedAbove, _hamiltonian,
-                  _matching_adjoint, _sup_over_u)
-from .problem import CandidateProcess, ControlProblem, _ball, _tube
+from .pmp import (AdjointSolution, UnboundedAbove, _hamiltonian, _matching_adjoint,
+                  _sup_over_u)
+from .problem import CandidateProcess, ControlProblem, DimensionMismatch, _ball, _tube
 
 __all__ = ["ConcavityReport", "check_arrow", "hamiltonian_sup"]
 
@@ -72,7 +72,11 @@ class ConcavityReport:
         return self.overall == "pass"
 
     def pairs_at(self, k: int) -> np.ndarray:
-        """Sampled (x1, x2) pairs at grid index ``k``, shape (pairs, 2, n)."""
+        """The (x1, x2) pairs of grid index ``k``, shape (pairs, 2, n).
+
+        These are the pairs the scan samples at a slice it cannot prove;
+        a proved slice reads ``worst`` 0 and its pairs were never sampled.
+        """
         return self.centers[k] + self.radii[k] * self.pair_offsets
 
 
@@ -99,69 +103,27 @@ def hamiltonian_sup(prob: ControlProblem, t, x, p, u_start=None):
     uses the same search as the maximum-condition check: a closed form
     for each control coordinate along which H is at most quadratic, the
     prescan plus safeguarded Newton for every other one, with golden
-    section where a slice is not concave.  ``u_start`` overrides the
-    default feasible starting point (the projection of 0 into the box).
+    section where a slice is not concave.  ``u_start``, one row of m
+    controls or one per time, overrides the default start 0; the start is
+    projected into the box (:meth:`~pmpcheck.problem.ControlBox.project`),
+    so an infeasible one cannot raise the supremum, and a start of any
+    other shape raises :class:`~pmpcheck.problem.DimensionMismatch`.
 
     Raises UnboundedAbove when H climbs without bound toward an open
     face of the box.
     """
     scalar = np.ndim(t) == 0
     ts, xs, ps = _as_points(t, x, p, prob.n)
-    if u_start is None:
-        u0 = np.broadcast_to(prob.U.project(np.zeros(prob.m)),
-                             (ts.size, prob.m)).copy()
-    else:
-        u0 = np.asarray(u_start, dtype=float)
-        if u0.ndim == 1:
-            u0 = np.broadcast_to(u0, (ts.size, prob.m))
-        u0 = np.ascontiguousarray(u0)
+    u0 = np.zeros(prob.m) if u_start is None else np.asarray(u_start, dtype=float)
+    if u0.shape not in ((prob.m,), (ts.size, prob.m)):
+        raise DimensionMismatch(f"u_start has shape {u0.shape}, expected ({prob.m},) "
+                                f"or ({ts.size}, {prob.m})")
+    u0 = np.ascontiguousarray(np.broadcast_to(prob.U.project(u0), (ts.size, prob.m)))
     w = np.asarray(prob.omega(ts), dtype=float)
     h0 = _hamiltonian(prob, w, ts, xs, u0, ps, 1.0)
     _, h_best = _sup_over_u(prob, w, ts, xs, u0, ps, 1.0, h0,
                             h0 + _SUP_TOL * np.abs(h0))
     return float(h_best[0]) if scalar else h_best
-
-
-def _knot_sup(prob: ControlProblem, w, ts, centers, u_star, ps, xs):
-    """:func:`hamiltonian_sup` at tube points, one control search per knot.
-
-    ``xs`` has shape (knots, points, n); row k of ``w``, ``ts``,
-    ``centers``, ``u_star`` and ``ps`` belongs to knot k.  Valid only when
-    ``prob.u_separable``, so that all points of a knot share their
-    maximizing control.  H at the candidate control is evaluated at every
-    point first, knot after knot, so a state outside the domain of H
-    names the point that the per-point search names.  The search then
-    runs once at each center, from the candidate control.  Its escape
-    floor takes the smallest ``|H|`` over the knot's points: the rise
-    toward a face is the same at every point, so the knot escapes when
-    the per-point search escapes at one of them.  Each point finally
-    takes H at the knot's control where that exceeds H at the candidate
-    control, the test the per-point search makes at that point; so the
-    center does not judge the first coordinate's result, which may tie
-    with the candidate there and yet rise at another point.
-    H is evaluated in blocks of whole knots, at most ``_BLOCK`` points
-    each unless one knot has more.
-    """
-    h = np.empty(xs.shape[:2])
-    step = max(1, _BLOCK // xs.shape[1])
-    blocks = [slice(lo, lo + step) for lo in range(0, ts.size, step)]
-
-    def at_points(u, k):
-        # H at the points of knots k, each knot's row broadcast over its points
-        x = xs[k]
-        row = lambda a: np.broadcast_to(a[k, None], x.shape[:2] + a.shape[1:])
-        return _hamiltonian(prob, row(w), row(ts), x, row(u), row(ps), 1.0)
-
-    for k in blocks:
-        h[k] = at_points(u_star, k)
-    h_center = _hamiltonian(prob, w, ts, centers, u_star, ps, 1.0)
-    u_knot, _ = _sup_over_u(prob, w, ts, centers, u_star, ps, 1.0,
-                            np.full(ts.size, -np.inf),
-                            h_center + _SUP_TOL * np.fmin.reduce(np.abs(h), axis=1))
-    for k in blocks:
-        h_new = at_points(u_knot, k)
-        np.copyto(h[k], h_new, where=h_new > h[k])
-    return h
 
 
 def _tube_box(ts, centers, radii, controls) -> dict:
@@ -180,9 +142,11 @@ def _tube_box(ts, centers, radii, controls) -> dict:
 def _least_magnitude(prob: ControlProblem, w, ts, centers, radii, ps, us) -> np.ndarray:
     """A lower bound of |H(t_k, x, us[k], p_k)| over the tube box, per knot.
 
-    This is the enclosure's counterpart of the smallest sampled ``|H|``
-    that :func:`_knot_sup` takes for a knot's escape floor; it reads 0
-    where the enclosure contains 0 or proves nothing.
+    The per-point search of a sampled slice sets each point's escape
+    floor from ``|H|`` at that point and the candidate control.  A proved
+    slice searches at its center alone, on behalf of every point of its
+    tube, so its floor takes this bound, below the floor of any point.
+    It reads 0 where the enclosure contains 0 or proves nothing.
     """
     found = _enclose([prob.f, *prob.phi],
                      _tube_box(ts, centers, radii, [(col, col) for col in us.T]))
@@ -267,24 +231,19 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     control search at its center, from the candidate control, so a
     Hamiltonian unbounded in u there raises :class:`UnboundedAbove`.  The
     search's escape floor takes a lower bound of ``|H|`` at the candidate
-    control over the tube (:func:`_least_magnitude`), as the per-knot
-    search below takes the smallest sampled one.
+    control over the tube (:func:`_least_magnitude`), below the floor the
+    per-point search would set at any point of it.
 
     Every other slice gets 64 point pairs inside the ball.  The same
     unit-ball pairs serve every time: 32 symmetric about the center, the
     axis diameters first and then mirrored low-discrepancy points, so the
     scan always crosses the center; then 32 independent pairs, the first
-    of them the center itself.  The midpoint inequality is enforced up to
-    ``1e-9 * (1 + |h|)`` with ``|h|`` the largest sampled magnitude at
-    that time.  In one state dimension a 9-point stencil across the tube
-    diameter sharpens the same test.
-
-    When no entry of ``f_u`` or ``phi_u`` names the state
-    (``prob.u_separable``), H(t, x, u, p) splits as A(t, x, p) +
-    B(t, u, p), so sup_u H = A + sup_u B: every tube point at one time
-    shares its maximizing control (Arrow and Kurz 1970; Seierstad and
-    Sydsaeter 1977).  The control is then searched once per knot, at the
-    candidate, instead of once per tube point; see :func:`_knot_sup`.
+    of them the center itself.  Each distinct tube point takes its own
+    control search, from the candidate control (:func:`hamiltonian_sup`).
+    The midpoint inequality is enforced up to ``1e-9 * (1 + |h|)`` with
+    ``|h|`` the largest sampled magnitude at that time.  In one state
+    dimension a 9-point stencil across the tube diameter sharpens the
+    same test.
 
     UnboundedAbove from the inner maximization propagates: a Hamiltonian
     unbounded in u anywhere on the tube has no maximized value to test.
@@ -416,12 +375,9 @@ def _scan(prob: ControlProblem, w, ts, centers, u_star, ps, rr, offsets):
     distinct, slot = np.unique(blocks, axis=0, return_inverse=True)
     per = distinct.shape[0]
     xs = centers[:, None, :] + rr[:, None, None] * distinct[None, :, :]
-    if prob.u_separable:
-        h = _knot_sup(prob, w, ts, centers, u_star, ps, xs)
-    else:
-        h = hamiltonian_sup(prob, np.repeat(ts, per), xs.reshape(nt * per, n),
-                            np.repeat(ps, per, axis=0),
-                            u_start=np.repeat(u_star, per, axis=0)).reshape(nt, per)
+    h = hamiltonian_sup(prob, np.repeat(ts, per), xs.reshape(nt * per, n),
+                        np.repeat(ps, per, axis=0),
+                        u_start=np.repeat(u_star, per, axis=0)).reshape(nt, per)
     scale = 1.0 + np.max(np.abs(h), axis=1)  # the scatter below repeats, never drops, a point
     h = h[:, slot.ravel()]
     h1, h2 = h[:, :_PAIRS], h[:, _PAIRS:2 * _PAIRS]

@@ -45,7 +45,6 @@ KEPT_DEFAULTS = {
     ("verify_certificate", "mode"): _CONTRACT + ": the weak route",
     ("verify_certificate", "lambda0"): _CONTRACT + ": the abnormal case",
     ("verify_certificate", "measures"): _CONTRACT + ": constraint atoms of the multiplier",
-    ("verify_certificate", "include_sufficiency"): _CONTRACT + ": skip the Arrow scan",
     ("verify_certificate", "gamma"): _CONTRACT,
     ("adjoint_from_function", "lambda0"): "the abnormal case of a user-supplied adjoint",
     ("adjoint_from_function", "measures"): "constraint atoms of a user-supplied adjoint",
@@ -252,21 +251,39 @@ def test_one_chain_composes_every_cell_map():
     assert not hits, f"cell maps composed outside _affine_chain: {hits}"
 
 
+def _call_sites(path: Path, name: str) -> list:
+    """``file:function`` of each call of ``name`` in the module at ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    # ast.walk is breadth first, so a nested function overwrites its parent
+    owner = {id(node): f"{path.name}:{func.name}" for func in ast.walk(tree)
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func)}
+    return sorted(owner.get(id(node), f"{path.name}:<module>") for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == name)
+
+
 def test_one_certificate_builds_the_adjoint_cell_maps():
     """Both adjoint routes read the maps ``verify_certificate`` builds once;
     a second call of ``_adjoint_cell_maps``, there or anywhere else in the
     package, fails here."""
-    sites = []
-    for path in Path(pmpcheck.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        # ast.walk is breadth first, so a nested function overwrites its parent
-        owner = {id(node): f"{path.name}:{func.name}" for func in ast.walk(tree)
-                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-                 for node in ast.walk(func)}
-        sites += [owner.get(id(node), f"{path.name}:<module>") for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and getattr(
-                      node.func, "attr", getattr(node.func, "id", None)) == "_adjoint_cell_maps"]
+    sites = [site for path in Path(pmpcheck.__file__).parent.glob("*.py")
+             for site in _call_sites(path, "_adjoint_cell_maps")]
     assert sites == ["pmp.py:verify_certificate"], f"_adjoint_cell_maps calls: {sites}"
+
+
+def test_one_search_per_sampled_tube_point():
+    """The Arrow check searches the control in two places only: the sampled
+    scan (``_scan``) through ``hamiltonian_sup``, one search per distinct
+    tube point, and one search at the center of each proved slice
+    (``check_arrow``).  A second path, such as a search shared by the
+    points of a knot, fails here."""
+    path = Path(pmpcheck.__file__).parent / "sufficiency.py"
+    sites = {name: _call_sites(path, name) for name in ("hamiltonian_sup", "_sup_over_u")}
+    assert sites == {
+        "hamiltonian_sup": ["sufficiency.py:_scan"],
+        "_sup_over_u": ["sufficiency.py:check_arrow", "sufficiency.py:hamiltonian_sup"],
+    }, sites
 
 
 def test_every_expression_node_has_an_interval_rule():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from pmpcheck import integrate, pmp, sufficiency
+from pmpcheck import integrate, pmp
 from pmpcheck.integrate import BlowUp, InvalidGrid, default_grid
 from pmpcheck.pmp import (
     AdjointSolution,
@@ -924,23 +924,22 @@ class TestGoldenSection:
             tracemalloc.stop()
         assert peak < 1.5 * 26 * n * 8
 
-    def test_arrow_scan_holds_one_block_of_tube_points(self, monkeypatch, reg_setup):
-        # the regulator's scan has 164 distinct tube points per knot.  Their
-        # states, H values and a few per-knot arrays fit in five floats per
-        # point; H of all points at once, or a search per point, would not.
-        # The concavity proof would skip the scan, so it is switched off
-        monkeypatch.setattr(sufficiency, "_concave_slices",
-                            lambda prob, w, ts, *args: np.zeros(ts.size, dtype=bool))
+    def test_arrow_scan_holds_one_block_of_tube_points(self, reg_setup):
+        # the concavity proof takes every regulator slice, so the check holds
+        # the Hessian enclosures and one center search per knot, about 55
+        # floats; the sampled scan of 164 distinct tube points per knot
+        # would hold more than one float per point
         prob, cand, adj = reg_setup
         points = 164 * cand.grid.size
         check_arrow(prob, cand, adj)  # compile outside the trace
         tracemalloc.start()
         try:
-            check_arrow(prob, cand, adj)
+            rep = check_arrow(prob, cand, adj)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5 * points * 8
+        assert any(note.startswith(f"{cand.grid.size} slice(s) proved") for note in rep.notes)
+        assert peak < points * 8
 
 
 def golden_only(monkeypatch):
@@ -1255,7 +1254,7 @@ def off_optimum_certificate(grid):
     prob = regulator()
     x = lambda t: 2.0 * np.exp((1 - SQRT2) * np.asarray(t))
     cand = candidate_from_functions(grid, x, lambda t: -(1 + SQRT2) * (1 + 1.8e-9) * x(t))
-    return prob, cand, verify_certificate(prob, cand, include_sufficiency=False)
+    return prob, cand, verify_certificate(prob, cand)
 
 
 class TestThresholds:
@@ -1459,7 +1458,7 @@ nu = exp_decay 1.0
 class TestCertificate:
     def test_regulator_full_pass(self, reg_setup):
         prob, cand, _ = reg_setup
-        cert = verify_certificate(prob, cand, include_sufficiency=False)
+        cert = verify_certificate(prob, cand)
         assert cert.overall == "pass"
         assert cert.nontrivial
         assert cert.audit.all_ok
@@ -1476,8 +1475,7 @@ class TestCertificate:
         cand = candidate_from_functions(
             grid, lambda t: np.exp(-np.asarray(t)),
             lambda t: np.zeros(np.shape(t)))
-        cert = verify_certificate(prob, cand, mode="weak",
-                                  include_sufficiency=False)
+        cert = verify_certificate(prob, cand, mode="weak")
         assert cert.overall == "assumptions-violated"
         assert cert.audit.verdicts["B2"] == "fail"
         assert cert.condition("transversality_decay").verdict == "fail"
@@ -1489,7 +1487,7 @@ class TestCertificate:
         cand = candidate_from_functions(
             g, lambda t: np.exp(0.5 * (1.0 - np.exp(-np.asarray(t)))),
             lambda t: np.full(np.shape(t), 0.25))
-        cert = verify_certificate(prob, cand, include_sufficiency=False)
+        cert = verify_certificate(prob, cand)
         assert cert.overall == "pass"
         mc = cert.condition("maximum_condition")
         assert mc.passed
@@ -1499,8 +1497,7 @@ class TestCertificate:
 
     def test_trivial_multiplier_cannot_pass(self, reg_setup):
         prob, cand, _ = reg_setup
-        cert = verify_certificate(prob, cand, lambda0=0.0,
-                                  include_sufficiency=False)
+        cert = verify_certificate(prob, cand, lambda0=0.0)
         assert not cert.nontrivial
         assert cert.overall == "fail"
         assert any("trivial" in note for note in cert.notes)
@@ -1510,8 +1507,7 @@ class TestCertificate:
     def test_unsupported_atoms_fail_the_integral_form(self, grid):
         prob = parse_problem(CONSTRAINED)
         cand = regulator_candidate(grid)
-        cert = verify_certificate(prob, cand, measures={1: ((0.0, 0.3),)},
-                                  include_sufficiency=False)
+        cert = verify_certificate(prob, cand, measures={1: ((0.0, 0.3),)})
         # g1 = x1 - 2 vanishes at t = 0 only, where x* = 2 e^{(1-sqrt2)t} starts,
         # and is most slack at the horizon, where g1 = 2 e^{50(1-sqrt2)} - 2
         assert cert.active.I == (1,)
@@ -1548,7 +1544,7 @@ nu = exp_decay 1.0
             g, lambda t: np.exp(-np.asarray(t)),
             lambda t: -31.0 * np.exp(-np.asarray(t)))
         with pytest.raises(BlowUp) as err:
-            verify_certificate(prob, cand, include_sufficiency=False)
+            verify_certificate(prob, cand)
         assert err.value.bound == 1e12
         assert err.value.norm > err.value.bound
         # reported in forward time: the adjoint escapes near t = 17.6, at
@@ -1600,7 +1596,7 @@ nu = exp_decay 1.0
         k, _ = first_escape(np.swapaxes(P, 1, 2), np.zeros((q.shape[0], 2, 1)),
                             np.eye(2), pmp._Y_LIMIT)
         assert f"at t={g[k]:.6g};" in str(err.value)
-        cert = verify_certificate(prob, cand, include_sufficiency=False)
+        cert = verify_certificate(prob, cand)
         assert set(cert.adjoints) == {"backward-ode"}
 
     def test_mode_validation(self, reg_setup):
@@ -1614,7 +1610,7 @@ nu = exp_decay 1.0
         build, calls = pmp._adjoint_cell_maps, []
         monkeypatch.setattr(pmp, "_adjoint_cell_maps",
                             lambda *args: calls.append(args) or build(*args))
-        cert = verify_certificate(prob, cand, lambda0=lambda0, include_sufficiency=False)
+        cert = verify_certificate(prob, cand, lambda0=lambda0)
         assert len(calls) == 1
         routes = {"representation", "backward-ode"} if lambda0 else {"backward-ode"}
         assert set(cert.adjoints) == routes
@@ -1628,7 +1624,7 @@ nu = exp_decay 1.0
             grid, lambda t: np.where(np.asarray(t) > 45.0, np.nan, exact.closed_x(t)),
             exact.closed_u)
         with pytest.raises(BlowUp, match="cell map defect"):
-            verify_certificate(regulator(), cand, include_sufficiency=False)
+            verify_certificate(regulator(), cand)
 
     def test_an_arrow_tube_leaving_the_domain_of_h_is_noted(self):
         # the tube around x = e^{-t} dips below x1 = 0, where ln(x1) is undefined

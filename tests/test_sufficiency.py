@@ -13,7 +13,7 @@ from pmpcheck.pmp import (
     pontryagin_H,
     verify_certificate,
 )
-from pmpcheck.problem import candidate_from_functions, parse_problem
+from pmpcheck.problem import DimensionMismatch, candidate_from_functions, parse_problem
 from pmpcheck.sufficiency import check_arrow, hamiltonian_sup
 
 SQRT2 = np.sqrt(2.0)
@@ -204,6 +204,44 @@ nu = exp_decay 1.0
             hamiltonian_sup(prob, np.array([0.0, 1.0]),
                             np.zeros((3, 1)), np.zeros((2, 1)))
 
+    def test_an_infeasible_start_is_projected_into_the_box(self):
+        # H = -w (u1 - 2)^4 peaks at u1 = 2, outside U = [0, 1]; the sup over
+        # the box sits on the face u1 = 1, where H = -1 at t = 0
+        src = """
+[problem]
+n = 1
+m = 1
+x0 = 1.0
+sense = min
+
+[dynamics]
+phi1 = u1 - x1
+
+[objective]
+f = (u1 - 2)^4
+omega = exp_decay 1.0
+
+[space]
+nu = exp_decay 1.0
+
+[controls]
+u1 = [0, 1]
+"""
+        prob = parse_problem(src)
+        args = (prob, 0.0, np.array([1.0]), np.array([0.0]))
+        assert hamiltonian_sup(*args, u_start=np.array([2.0])) == hamiltonian_sup(*args)
+        assert hamiltonian_sup(*args) == pytest.approx(-1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (3,), (3, 2)],
+                             ids=["three_columns", "one_column", "three_wide_row", "three_rows"])
+    def test_a_misshaped_start_is_rejected(self, shape):
+        # TWO_CONTROLS has m = 2: a start is one row of 2 or one row per time
+        prob = parse_problem(test_pmp.TWO_CONTROLS)
+        ts = np.linspace(0.0, 1.0, 4)
+        with pytest.raises(DimensionMismatch, match="u_start"):
+            hamiltonian_sup(prob, ts, np.ones((4, 1)), np.zeros((4, 1)),
+                            u_start=np.full(shape, 0.5))
+
 
 class TestCheckArrow:
     def test_regulator_concave_everywhere(self, reg_setup):
@@ -343,6 +381,12 @@ u1 = [0, inf)
         with pytest.raises(ValueError):
             check_arrow(prob, cand, adj, gamma=0.5, mode="weak")
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_a_gamma_that_is_not_finite_is_rejected(self, reg_setup, gamma):
+        # NaN compares False with 0, so a sign test alone let it through
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            check_arrow(*reg_setup, gamma=gamma)
+
 
 class TestCertificateIntegration:
     def test_regulator_certificate_includes_concavity(self, cert_grid):
@@ -377,39 +421,6 @@ def _const(v):
     return lambda t: np.full(np.shape(t), v)
 
 
-# separable problems with a candidate and adjoint each; none of them needs
-# to be optimal, the scan only reads them
-_SEPARABLE = {
-    "regulator": (REGULATOR, [lambda t: 2.0 * np.exp((1 - SQRT2) * t)],
-                  [lambda t: -2.0 * (1 + SQRT2) * np.exp((1 - SQRT2) * t)], [regulator_p]),
-    "antiregulator": (ANTIREGULATOR, [lambda t: 2.0 * np.exp((1 - SQRT2) * t)],
-                      [lambda t: -2.0 * (1 + SQRT2) * np.exp((1 - SQRT2) * t)], [regulator_p]),
-    "constrained": (test_pmp.CONSTRAINED, [lambda t: 2.0 * np.exp(-0.4 * t)],
-                    [_const(-0.5)], [lambda t: -0.5 * np.exp(-2.0 * t)]),
-    "two_state": (test_pmp.TWO_STATE, [lambda t: 0.0 * t, lambda t: np.exp(-t)],
-                  [_const(0.0)], [lambda t: 0.0 * t, lambda t: -0.4 * np.exp(-4.0 * t)]),
-    "two_controls": (test_pmp.TWO_CONTROLS, [lambda t: np.exp(-t)],
-                     [_const(0.3), _const(0.8)], [lambda t: -0.2 * np.exp(-t)]),
-    "two_peaks": (test_pmp.TWO_PEAKS, [lambda t: np.exp(-t)], [_const(0.49)],
-                  [lambda t: 0.0 * t]),
-    "abs_kink": (test_pmp.ABS_KINK, [lambda t: np.exp(-t)], [_const(0.3)],
-                 [lambda t: 0.2 * np.exp(-t)]),
-}
-
-
-def _pieces(name, cells=512):
-    src, xf, uf, pf = _SEPARABLE[name]
-    g = default_grid(50.0, cells=cells, refine_zero=False)
-    return (parse_problem(src), candidate_from_functions(g, _stack(*xf), _stack(*uf)),
-            adjoint_from_function(g, _stack(*pf)))
-
-
-def _per_point(prob):
-    """The problem with the scan forced onto one control search per tube point."""
-    object.__setattr__(prob, "u_separable", False)
-    return prob
-
-
 def _bits(v):
     return np.asarray(v, dtype=float).tobytes()
 
@@ -421,51 +432,8 @@ def no_proof(monkeypatch):
 
 
 class TestPerKnotSearch:
-    """A separable H is searched once per knot, with the per-point result."""
-
-    @pytest.mark.parametrize("name", list(_SEPARABLE))
-    def test_same_report_as_the_per_point_search(self, monkeypatch, name):
-        prob, cand, adj = _pieces(name)
-        assert prob.u_separable
-        no_proof(monkeypatch)  # both searches sample every slice
-        knot = check_arrow(prob, cand, adj)
-        point = check_arrow(_per_point(parse_problem(_SEPARABLE[name][0])), cand, adj)
-        for f in ("grid", "slice_ok", "radii", "centers", "pair_offsets"):
-            assert _bits(getattr(knot, f)) == _bits(getattr(point, f)), f
-        assert (knot.premise, knot.premise_ok, knot.tolerance, knot.notes) == (
-            point.premise, point.premise_ok, point.tolerance, point.notes)
-        assert (knot.witness is None) == (point.witness is None)
-        if knot.witness is not None:
-            assert [_bits(v) for v in knot.witness] == [_bits(v) for v in point.witness]
-        if name == "two_peaks":
-            # two equal peaks: which one a search keeps is a matter of roundoff
-            h = pontryagin_H(prob, cand.grid, cand.x, cand.u, adj.p, 1.0)
-            assert np.all(np.abs(knot.worst - point.worst) <= 1e-15 * (1.0 + np.abs(h)))
-        else:
-            assert _bits(knot.worst) == _bits(point.worst)
-        if name == "antiregulator":
-            assert knot.overall == "fail"
-
-    def test_one_search_per_knot(self, monkeypatch, cert_grid):
-        prob = parse_problem(REGULATOR)
-        cand = regulator_candidate(cert_grid)
-        adj = adjoint_from_function(cert_grid, regulator_p)
-        rows = []
-
-        def counted(prob, w, ts, *args):
-            rows.append(ts.size)
-            return sup_over_u(prob, w, ts, *args)
-
-        sup_over_u = sufficiency._sup_over_u
-        monkeypatch.setattr(sufficiency, "_sup_over_u", counted)
-        no_proof(monkeypatch)
-        rep = check_arrow(prob, cand, adj)
-        assert rep.passed and rep.notes == ()
-        assert rows == [cert_grid.size]
-        # the per-point search takes all 164 distinct tube points of each knot
-        rows.clear()
-        check_arrow(_per_point(prob), cand, adj)
-        assert rows == [164 * cert_grid.size]
+    """A proved slice searches the control once per knot, at its center;
+    it must abort where the per-point search of the sampled scan aborts."""
 
     # H = w(u - x^2) + p(u - x) rises without bound in u once w + p > 0, that
     # is for t > 5, by a slope of only 1e-6 w (t/5 - 1).  At t = 5.07 the rise
@@ -493,37 +461,54 @@ u1 = [0, inf)
 """
 
     @pytest.mark.parametrize("b", ["u1", "sqrt(1 + u1^2)"], ids=["closed_form", "sampled"])
-    def test_escape_at_the_per_point_search_time(self, b):
+    def test_escape_at_the_per_point_search_time(self, monkeypatch, b):
         src = self.ESCAPING.format(b=b)
         g = default_grid(50.0, cells=512, refine_zero=False)
         cand = candidate_from_functions(g, lambda t: np.exp(-np.asarray(t)), _const(0.0))
         adj = adjoint_from_function(g, lambda t: -1e-6 * np.exp(-t) * (2.0 - t / 5.0))
         prob = parse_problem(src)
-        assert prob.u_separable
         assert prob.u_quadratic == (b == "u1",)
+        # with b = u1 every slice is proved and searched at its center; the
+        # sampled b is convex in u, so no slice is proved and both runs scan
         with pytest.raises(UnboundedAbove) as knot:
             check_arrow(prob, cand, adj)
+        no_proof(monkeypatch)
         with pytest.raises(UnboundedAbove) as point:
-            check_arrow(_per_point(parse_problem(src)), cand, adj)
+            check_arrow(parse_problem(src), cand, adj)
         assert (knot.value.t, knot.value.coordinate, knot.value.direction) == (
             point.value.t, point.value.coordinate, point.value.direction)
         assert knot.value.t == g[g > 5.0][0] and knot.value.direction == +1
 
     def test_domain_error_names_the_candidate_control(self):
         # the tube around x = e^{-t} reaches ln's pole; the knots' best
-        # control is u = 1 (p = 1), but the error names the candidate's 0.1
+        # control is u = 1 (p = 1), but the error names the candidate's 0.1,
+        # where the search starts
         g = default_grid(50.0, cells=512, refine_zero=False)
         cand = candidate_from_functions(g, lambda t: np.exp(-np.asarray(t)), _const(0.1))
         adj = adjoint_from_function(g, lambda t: np.ones(np.shape(t)))
-        errors = []
-        for prob in (parse_problem(test_pmp.DISCOUNTED_LOG),
-                     _per_point(parse_problem(test_pmp.DISCOUNTED_LOG))):
-            with pytest.raises(DomainError) as err:
-                check_arrow(prob, cand, adj)
-            errors.append(err.value)
-        assert str(errors[0]) == str(errors[1])
-        assert errors[0].point == errors[1].point
-        assert errors[0].point["u1"] == 0.1
+        with pytest.raises(DomainError) as err:
+            check_arrow(parse_problem(test_pmp.DISCOUNTED_LOG), cand, adj)
+        assert err.value.point["u1"] == 0.1
+
+
+# problems whose H separates in x and u, with a candidate and adjoint each;
+# none of them needs to be optimal, the check only reads them
+_SEPARABLE = {
+    "regulator": (REGULATOR, [lambda t: 2.0 * np.exp((1 - SQRT2) * t)],
+                  [lambda t: -2.0 * (1 + SQRT2) * np.exp((1 - SQRT2) * t)], [regulator_p]),
+    "antiregulator": (ANTIREGULATOR, [lambda t: 2.0 * np.exp((1 - SQRT2) * t)],
+                      [lambda t: -2.0 * (1 + SQRT2) * np.exp((1 - SQRT2) * t)], [regulator_p]),
+    "constrained": (test_pmp.CONSTRAINED, [lambda t: 2.0 * np.exp(-0.4 * t)],
+                    [_const(-0.5)], [lambda t: -0.5 * np.exp(-2.0 * t)]),
+    "two_state": (test_pmp.TWO_STATE, [lambda t: 0.0 * t, lambda t: np.exp(-t)],
+                  [_const(0.0)], [lambda t: 0.0 * t, lambda t: -0.4 * np.exp(-4.0 * t)]),
+    "two_controls": (test_pmp.TWO_CONTROLS, [lambda t: np.exp(-t)],
+                     [_const(0.3), _const(0.8)], [lambda t: -0.2 * np.exp(-t)]),
+    "two_peaks": (test_pmp.TWO_PEAKS, [lambda t: np.exp(-t)], [_const(0.49)],
+                  [lambda t: 0.0 * t]),
+    "abs_kink": (test_pmp.ABS_KINK, [lambda t: np.exp(-t)], [_const(0.3)],
+                 [lambda t: 0.2 * np.exp(-t)]),
+}
 
 
 # every problem of the test suite with a closed-form candidate and adjoint:
