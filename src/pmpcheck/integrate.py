@@ -72,12 +72,15 @@ class MissingTailBound(ValueError):
 _T_MIN = 1e-12
 
 
-def _check_grid(grid: np.ndarray) -> np.ndarray:
+def _check_grid(grid) -> np.ndarray:
+    """``grid`` as a float array, after the package's one grid rule: 1-d,
+    at least two knots, starting at 0 (every problem lives on [0, inf))
+    and strictly increasing.  Candidates, adjoints and solves all apply it."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise InvalidGrid("grid must be a 1-d array with at least two points")
     if grid[0] != 0.0:
-        raise InvalidGrid(f"grid must start at 0, got {grid[0]!r}")
+        raise InvalidGrid(f"grid must start at 0, got {grid[0]:g}")
     if not np.all(np.diff(grid) > 0):
         raise InvalidGrid("grid must be strictly increasing")
     return grid
@@ -400,9 +403,7 @@ def solve_ode(
     Integration restarts at each knot, so right-hand sides may jump there
     (piecewise controls).  Returns an array of shape ``(len(grid), n)``.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-        raise InvalidGrid("grid must be strictly increasing with at least two points")
+    grid = _check_grid(grid)
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     out = np.empty((grid.size, y.size))
     out[0] = y
@@ -507,7 +508,7 @@ def solve_state(prob, u, x0=None, grid=None,
 
     if grid is None:
         grid = default_grid(50.0, cells=1024, refine_zero=False)
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid)
     if x0 is None:
         x0 = prob.x0
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))

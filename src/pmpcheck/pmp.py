@@ -26,7 +26,8 @@ conditioning of ``Z``, not the integration error; :func:`verify_certificate`
 reports the deviation.  The residual checks below measure the integration
 error independently of the maps.
 
-Each ``check_*`` function returns a :class:`ConditionRecord`.  A record
+Each ``check_*`` function returns a :class:`ConditionRecord`, or a pair
+for the two forms of the adjoint relation and of transversality.  A record
 whose premise fails is marked ``not-applicable``, never ``pass``: the
 verdicts state exactly what was established, nothing more.  The verdict
 thresholds are fixed, and each record reports its own in ``tolerance``:
@@ -57,6 +58,7 @@ from .integrate import (
     InvalidGrid,
     _affine_chain,
     _cell_integrals,
+    _check_grid,
     _linear_cell_maps,
     decays_to_zero,
     improper_verdict,
@@ -70,6 +72,7 @@ from .problem import (
     ControlProblem,
     DimensionMismatch,
     SlaterReport,
+    _matching_widths,
     _shape_rows,
     active_indices,
     audit_assumptions,
@@ -87,8 +90,7 @@ __all__ = [
     "adjoint_backward",
     "adjoint_from_function",
     "adjoint_representation",
-    "check_adjoint_residual",
-    "check_integral_adjoint",
+    "check_adjoint",
     "check_maximum_condition",
     "check_michel",
     "check_normality",
@@ -167,9 +169,7 @@ class AdjointSolution:
     notes: tuple = ()
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-            raise InvalidGrid("adjoint grid must be strictly increasing")
+        grid = _check_grid(self.grid)
         p = np.asarray(self.p, dtype=float)
         if p.ndim == 1:
             p = p[:, None]
@@ -220,18 +220,6 @@ class AdjointSolution:
             return _shape_rows("p_callable", self.p_callable(t_arr), t_arr, self.n)
         cols = [np.interp(t_arr, self.grid, self.p[:, i]) for i in range(self.n)]
         return np.stack(cols, axis=-1)
-
-
-def _matching_adjoint(prob: ControlProblem, adj: AdjointSolution) -> None:
-    """Raise :class:`DimensionMismatch` unless ``adj`` has one column per state.
-
-    Every check that reads an adjoint, the Arrow scan included, calls this
-    first: a wider or narrower adjoint would broadcast against the
-    dynamics and read as a residual.
-    """
-    if adj.n != prob.n:
-        raise DimensionMismatch(
-            f"adjoint has {adj.n} components, but the problem has n={prob.n} states")
 
 
 def adjoint_from_function(grid, p_fn: Callable, lambda0: float = 1.0,
@@ -485,25 +473,22 @@ def _decay_record(name, rec, notes, **fields) -> ConditionRecord:
         notes=tuple(notes), **fields)
 
 
-def _adjoint_cell_integrals(prob, cand, adj, p_start=None):
+def _adjoint_cell_integrals(prob, cand, adj, jumps):
     """Per-cell integrals of the adjoint right-hand side -H_x.
 
     The integrals use the package's one 7-point Gauss rule on a cubic
     Hermite reconstruction of p inside each cell, so smooth closed-form
     triples resolve to O(h^4) per unit length.  End slopes that are not finite
-    (weight poles) fall back to the cell secant.  ``p_start`` optionally
-    replaces the values used at the left ends of cells: with measure atoms
-    the stored samples are left limits, and a cell starting at an atom
-    must open at the right limit.
+    (weight poles) fall back to the cell secant.  The stored samples are
+    left limits, so a cell opens at the right limit ``p + jumps`` of its
+    left knot, which differs from the sample at a measure atom only.
     """
     grid, p, lam = adj.grid, adj.p, adj.lambda0
     x, u = cand.state(grid), cand.control(grid)
+    p_start = p + jumps
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d_end = -pontryagin_H_x(prob, grid, x, u, p, lam)
-        if p_start is None:
-            p_start, d_start = p, d_end
-        else:
-            d_start = -pontryagin_H_x(prob, grid, x, u, p_start, lam)
+        d_start = -pontryagin_H_x(prob, grid, x, u, p_start, lam) if jumps.any() else d_end
     a, b, h = p_start[:-1], p[1:], np.diff(grid)[:, None]
     secant = (b - a) / h
     d0 = np.where(np.isfinite(d_start[:-1]), d_start[:-1], secant)
@@ -520,48 +505,34 @@ def _adjoint_cell_integrals(prob, cand, adj, p_start=None):
 _ROUNDOFF_CELL = 4.0  # cell defects within this many roundoffs of the cell's terms read 0
 
 
-def check_adjoint_residual(prob: ControlProblem, cand: CandidateProcess,
-                           adj: AdjointSolution) -> ConditionRecord:
-    """Defect of p' = -phi_x^T p + l0*w*f_x, cell by cell.
+def check_adjoint(prob: ControlProblem, cand: CandidateProcess,
+                  adj: AdjointSolution) -> tuple[ConditionRecord, ConditionRecord]:
+    """The adjoint relation p' = -phi_x^T p + l0*w*f_x, differential and integral.
 
-    The residual is the worst cell value of ``|dp - integral of the
-    right-hand side| / width``, divided by the largest adjoint norm so the
-    number is scale-free.  A cell whose numerator is within
-    ``_ROUNDOFF_CELL`` roundoffs of its terms, ``eps (|p_k| + |p_{k+1}| +
-    |integral|)``, counts as exact: divided by a width of 1e-12 near a
-    weight pole, roundoff alone would read 1e-4.  An identically zero
-    multiplier produces a zero residual; nontriviality is a separate
-    invariant and only noted here.
+    Both records read one set of cell integrals of the right-hand side and
+    the same measure atoms.  An atom of constraint j at t_a with mass m
+    makes p jump by ``m nu(t_a) g_jx(t_a)`` (the direct-adjoining form of
+    Hartl, Sethi and Vickson, SIAM Review 37, 1995).  It is snapped to the
+    nearest knot, with a note when it is off the grid, and must sit on the
+    active set of its constraint, at the activity tolerance of
+    :func:`~pmpcheck.problem.active_indices`; an atom at the last knot is
+    part of the terminal sample already.
+
+    * ``adjoint_residual`` is the worst cell value of ``|p_{k+1} - (p_k +
+      jump_k) - integral| / width``, divided by the largest adjoint norm
+      so the number is scale-free.  A cell whose numerator is within
+      ``_ROUNDOFF_CELL`` roundoffs of its terms, ``eps (|p_k + jump_k| +
+      |p_{k+1}| + |integral|)``, counts as exact: divided by a width of
+      1e-12 near a weight pole, roundoff alone would read 1e-4.  An
+      identically zero multiplier produces a zero residual; nontriviality
+      is a separate invariant and only noted here.
+    * ``integral_adjoint_residual`` asks at every knot that the sample
+      equal the terminal sample plus the remaining integral of H_x minus
+      the jumps of all atoms at or after that knot.  Without constraints
+      it is the integrated adjoint equation.
     """
-    _matching_adjoint(prob, adj)
-    cells = _adjoint_cell_integrals(prob, cand, adj)
+    _matching_widths(prob, cand, adj)
     grid, p = adj.grid, adj.p
-    norm = lambda a: np.linalg.norm(a, axis=1)
-    gap = norm(p[1:] - p[:-1] - cells)
-    roundoff = _ROUNDOFF_CELL * np.finfo(float).eps * (norm(p[:-1]) + norm(p[1:]) + norm(cells))
-    defect = np.where(gap <= roundoff, 0.0, gap) / np.diff(grid)
-    notes = []
-    if not adj.nontrivial:
-        notes.append("multiplier is trivial (lambda0 = 0 and p = 0): the zero "
-                     "residual is vacuous")
-    return _residual_record("adjoint_residual", defect / max(adj.sup_norm, _TINY), 1.0,
-                            0.5 * (grid[:-1] + grid[1:]), _TOL_ADJOINT, None, notes)
-
-
-def check_integral_adjoint(prob: ControlProblem, cand: CandidateProcess,
-                           adj: AdjointSolution) -> ConditionRecord:
-    """Residual of the integral form of the adjoint relation.
-
-    At every knot the sample must equal the terminal sample plus the
-    remaining integral of H_x minus the jump contributions of all measure
-    atoms at or after that knot, each worth ``nu(t_a) g_jx(t_a) * mass``.
-    Without constraints the check degenerates to the integrated adjoint
-    equation.  Atoms must sit on the active set of their constraint, the
-    same activity tolerance :func:`~pmpcheck.problem.active_indices` uses.
-    """
-    _matching_adjoint(prob, adj)
-    grid, p, lam = adj.grid, adj.p, adj.lambda0
-    atom_sum = np.zeros_like(p)
     jumps = np.zeros_like(p)
     T = grid[-1]
     notes = []
@@ -579,28 +550,38 @@ def check_integral_adjoint(prob: ControlProblem, cand: CandidateProcess,
                 if t_a >= T - 1e-12 * (1.0 + T):
                     continue  # folded into the terminal sample already
                 nu_g = float(prob.nu(t_a)) * prob.g_jac_x(t_a, cand.state(t_a))[j - 1]
-                # the atom acts as a step: snap it to the nearest knot so the
-                # cell reconstruction can open at the post-jump value
                 k_a = int(np.argmin(np.abs(grid - t_a)))
                 if abs(grid[k_a] - t_a) > 1e-9 * (1.0 + abs(t_a)):
                     notes.append(
                         f"atom at t={t_a:.6g} is off-grid; treated as sitting "
                         f"at the nearest knot t={grid[k_a]:.6g}")
-                atom_sum[: k_a + 1] += mass * nu_g
                 jumps[k_a] += mass * nu_g
 
-    cells = _adjoint_cell_integrals(prob, cand, adj, p_start=p + jumps)
-    # p' = -H_x between atoms, so the H_x cell masses are the negated cells;
-    # sum them into the remaining integral from each knot to the terminal knot
-    tail_int = np.vstack((np.cumsum(-cells[::-1], axis=0)[::-1],
-                          np.zeros((1, adj.n))))
-    model = p[-1][None, :] + tail_int - atom_sum
+    cells = _adjoint_cell_integrals(prob, cand, adj, jumps)
+    scale = max(adj.sup_norm, _TINY)
+    norm = lambda a: np.linalg.norm(a, axis=1)
+    opened = p[:-1] + jumps[:-1]
+    gap = norm(p[1:] - opened - cells)
+    roundoff = _ROUNDOFF_CELL * np.finfo(float).eps * (norm(opened) + norm(p[1:]) + norm(cells))
+    defect = np.where(gap <= roundoff, 0.0, gap) / np.diff(grid)
+    trivial = [] if adj.nontrivial else [
+        "multiplier is trivial (lambda0 = 0 and p = 0): the zero residual is vacuous"]
+    differential = _residual_record("adjoint_residual", defect / scale, 1.0,
+                                    0.5 * (grid[:-1] + grid[1:]), _TOL_ADJOINT, None,
+                                    trivial + notes)
+
+    # p' = -H_x between atoms, where p jumps: sum the H_x cell masses, the
+    # negated cells, less the jumps into the remaining change of p from each
+    # knot to the terminal knot
+    rest = np.vstack((np.cumsum(-(cells + jumps[:-1])[::-1], axis=0)[::-1],
+                      np.zeros((1, adj.n))))
+    model = p[-1][None, :] + rest
     if prob.l == 0:
         notes.append("no state constraints: this is the integrated form of "
                      "the adjoint equation")
-    defect = np.linalg.norm(p - model, axis=1)
-    return _residual_record("integral_adjoint_residual", defect / max(adj.sup_norm, _TINY),
-                            1.0, grid, _TOL_ADJOINT, None, notes)
+    integral = _residual_record("integral_adjoint_residual",
+                                norm(p - model) / scale, 1.0, grid, _TOL_ADJOINT, None, notes)
+    return differential, integral
 
 
 # --------------------------------------------------------------------------
@@ -925,7 +906,7 @@ def check_maximum_condition(prob: ControlProblem, cand: CandidateProcess,
     magnitude, raises :class:`UnboundedAbove`.  Knots at a weight pole are
     skipped.  The witness adds the maximizing control to the worst gap.
     """
-    _matching_adjoint(prob, adj)
+    _matching_widths(prob, cand, adj)
     grid = adj.grid
     xs, us = cand.state(grid), cand.control(grid)
     ps, lam = adj.p, adj.lambda0
@@ -956,7 +937,7 @@ def check_weak_inequality(prob: ControlProblem, cand: CandidateProcess,
     residual is the largest sup relative to ``1 + |H|``, as judged; the
     witness and ``series`` hold raw sups.
     """
-    _matching_adjoint(prob, adj)
+    _matching_widths(prob, cand, adj)
     if not prob.U.convex:
         return ConditionRecord(
             name="weak_inequality", verdict="not-applicable",
@@ -1028,7 +1009,7 @@ def check_transversality(prob: ControlProblem, cand: CandidateProcess,
     caused it.  The decay record checks the mode's own norm decay.  Both
     use the same three-window criterion as the weight audits.
     """
-    _matching_adjoint(prob, adj)
+    _matching_widths(prob, cand, adj)
     if mode not in ("strong", "weak"):
         raise ValueError(f"mode must be 'strong' or 'weak', got {mode!r}")
     n = adj.n
@@ -1113,7 +1094,7 @@ def check_michel(prob: ControlProblem, cand: CandidateProcess,
     feeding the raw roundoff to the window criterion would make the
     verdict depend on noise.
     """
-    _matching_adjoint(prob, adj)
+    _matching_widths(prob, cand, adj)
     if mode not in ("strong", "weak"):
         raise ValueError(f"mode must be 'strong' or 'weak', got {mode!r}")
     t_max = float(adj.grid[-1])
@@ -1211,6 +1192,7 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRe
     DP45 steps in every cell otherwise, which is where nonlinear dynamics
     spend their time.
     """
+    _matching_widths(prob, cand)
     grid = cand.grid
     sub = grid[grid <= min(float(grid[-1]), _NORMALITY_WINDOW) * (1 + 1e-12)]
     if sub.size < 8:
@@ -1390,15 +1372,13 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
     if measures:
         primary = dataclasses.replace(primary, measures=measures)
 
-    conditions: list[ConditionRecord] = []
-    conditions.append(check_adjoint_residual(prob, cand, primary))
+    differential, integral = check_adjoint(prob, cand, primary)
     if mode == "weak" and prob.l > 0:
-        conditions.append(ConditionRecord(
+        integral = ConditionRecord(
             name="integral_adjoint_residual", verdict="not-applicable",
             premise="state constraints are a strong-route feature",
-            premise_ok=False))
-    else:
-        conditions.append(check_integral_adjoint(prob, cand, primary))
+            premise_ok=False)
+    conditions: list[ConditionRecord] = [differential, integral]
     if mode == "strong":
         try:
             conditions.append(check_maximum_condition(prob, cand, primary))

@@ -32,7 +32,7 @@ import numpy as np
 from .expressions import (Call, DomainError, Expression, ExpressionSyntaxError, Neg,
                           UnknownIdentifier, _build, _check_variables, _children, _emit,
                           parse_expression)
-from .integrate import InvalidGrid, _cell_integrals, _sample_at
+from .integrate import _cell_integrals, _check_grid, _sample_at
 from .weights import (
     InvalidExponent,
     WeightSpec,
@@ -454,9 +454,7 @@ class CandidateProcess:
     closed_u: Callable | None = None
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-            raise InvalidGrid("candidate grid must be strictly increasing")
+        grid = _check_grid(self.grid)
         x = np.asarray(self.x, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
@@ -521,6 +519,25 @@ def dynamics_residual(prob: ControlProblem, cand: CandidateProcess) -> np.ndarra
     return np.linalg.norm(res, axis=1)
 
 
+def _matching_widths(prob: ControlProblem, cand: CandidateProcess, adj=None) -> None:
+    """Raise :class:`DimensionMismatch` unless the candidate has one column
+    per state and per control, and ``adj``, when given, one per state.
+
+    Every check that reads a candidate calls this first, the audit and the
+    Arrow scan through :func:`_tube`: a wider or narrower array would
+    broadcast against the problem's data and read as a residual, or stop
+    in a numpy error that names neither width.
+    """
+    widths = [("candidate", cand.n, "state columns", "n", prob.n, "states"),
+              ("candidate", cand.m, "control columns", "m", prob.m, "controls")]
+    if adj is not None:
+        widths.append(("adjoint", adj.n, "components", "n", prob.n, "states"))
+    for what, have, unit, dim, want, kind in widths:
+        if have != want:
+            raise DimensionMismatch(
+                f"{what} has {have} {unit}, but the problem has {dim}={want} {kind}")
+
+
 # --------------------------------------------------------------------------
 # tube sampling
 
@@ -544,7 +561,8 @@ def _ball(dim: int, idx: np.ndarray) -> np.ndarray:
 
 
 def _tube(prob: ControlProblem, cand: CandidateProcess, gamma: float, mode: str):
-    """Validate the tube arguments; return ``(weak, radii, resolvable, samples)``.
+    """Validate the widths and the tube arguments; return ``(weak, radii,
+    resolvable, samples)``.
 
     The radius is ``gamma`` (strong mode) or ``gamma * eta(t)`` (weak
     mode); a grid time is resolvable while it stays above
@@ -555,6 +573,7 @@ def _tube(prob: ControlProblem, cand: CandidateProcess, gamma: float, mode: str)
     ``k``, scaled by the radius.  The ball is in x alone in strong mode
     and in (x, u) in weak mode, with the control projected into the box.
     """
+    _matching_widths(prob, cand)
     if not (gamma > 0 and np.isfinite(gamma)):
         raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
     if mode not in ("strong", "weak"):

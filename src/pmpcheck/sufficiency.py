@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expressions import DomainError, _enclose, _iv_add, _iv_mul
-from .pmp import (AdjointSolution, UnboundedAbove, _hamiltonian, _matching_adjoint,
-                  _sup_over_u)
-from .problem import CandidateProcess, ControlProblem, DimensionMismatch, _ball, _tube
+from .pmp import AdjointSolution, UnboundedAbove, _hamiltonian, _sup_over_u
+from .problem import (CandidateProcess, ControlProblem, DimensionMismatch, _ball,
+                      _matching_widths, _tube)
 
 __all__ = ["ConcavityReport", "check_arrow", "hamiltonian_sup"]
 
@@ -251,7 +251,7 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     DomainError of the scan, the abort at the earlier time is raised, as
     one scan of every slice in grid order would raise it.
     """
-    _matching_adjoint(prob, adj)
+    _matching_widths(prob, cand, adj)
     _, radii, resolvable, _ = _tube(prob, cand, gamma, mode)
     n = prob.n
     empty = lambda *shape: np.zeros(shape)

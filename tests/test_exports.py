@@ -272,6 +272,16 @@ def test_one_certificate_builds_the_adjoint_cell_maps():
     assert sites == ["pmp.py:verify_certificate"], f"_adjoint_cell_maps calls: {sites}"
 
 
+def test_one_pass_checks_the_adjoint_relation():
+    """Both forms of the adjoint relation read the cell integrals
+    ``check_adjoint`` builds once; a second call of
+    ``_adjoint_cell_integrals``, there or anywhere else in the package,
+    fails here."""
+    sites = [site for path in Path(pmpcheck.__file__).parent.glob("*.py")
+             for site in _call_sites(path, "_adjoint_cell_integrals")]
+    assert sites == ["pmp.py:check_adjoint"], f"_adjoint_cell_integrals calls: {sites}"
+
+
 def test_one_search_per_sampled_tube_point():
     """The Arrow check searches the control in two places only: the sampled
     scan (``_scan``) through ``hamiltonian_sup``, one search per distinct

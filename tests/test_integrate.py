@@ -20,6 +20,7 @@ from pmpcheck.integrate import (
     solve_ode,
     solve_state,
 )
+from pmpcheck.pmp import AdjointSolution
 from pmpcheck.problem import CandidateProcess, parse_problem
 
 
@@ -150,6 +151,27 @@ class TestDecay:
     def test_vector_valued(self):
         g = lambda t: np.stack([np.exp(-t), np.exp(-2 * t)], axis=-1)
         assert decays_to_zero(g).passed
+
+
+class TestGridRule:
+    """Candidates, adjoints and solves take their grids through one rule."""
+
+    MAKERS = {
+        "candidate": lambda g: CandidateProcess(grid=g, x=np.zeros(3), u=np.zeros(3)),
+        "adjoint": lambda g: AdjointSolution(grid=g, p=np.zeros(3), lambda0=1.0, route="user"),
+        "solve_ode": lambda g: solve_ode(lambda t, y: -y, g, 1.0),
+    }
+
+    @pytest.mark.parametrize("maker", MAKERS)
+    @pytest.mark.parametrize("grid,message", [
+        (np.array([0.0]), "grid must be a 1-d array with at least two points"),
+        (np.zeros((3, 1)), "grid must be a 1-d array with at least two points"),
+        (np.array([1.0, 2.0, 3.0]), "grid must start at 0, got 1"),
+        (np.array([0.0, 2.0, 1.0]), "grid must be strictly increasing"),
+    ], ids=["one-knot", "2-d", "off-origin", "unsorted"])
+    def test_every_raise(self, maker, grid, message):
+        with pytest.raises(InvalidGrid, match=message):
+            self.MAKERS[maker](grid)
 
 
 class TestSolveOde:

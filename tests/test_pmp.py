@@ -21,8 +21,7 @@ from pmpcheck.pmp import (
     adjoint_backward,
     adjoint_from_function,
     adjoint_representation,
-    check_adjoint_residual,
-    check_integral_adjoint,
+    check_adjoint,
     check_maximum_condition,
     check_michel,
     check_normality,
@@ -569,18 +568,49 @@ class TestAdjointSolutionContainer:
             adj.value(np.array([0.1, 0.2, 0.3]))
 
     @pytest.mark.parametrize("check", [
-        check_adjoint_residual, check_integral_adjoint, check_maximum_condition,
-        check_weak_inequality, check_transversality, check_michel, check_arrow])
+        check_adjoint, check_maximum_condition, check_weak_inequality,
+        check_transversality, check_michel, check_arrow])
     def test_an_adjoint_of_the_wrong_width_is_rejected(self, check):
         # regulator, n = 1, with an adjoint shaped (K, 2): three checks read
         # false fails through broadcasting, transversality passed and the
-        # integral adjoint crashed on a numpy concatenation error
+        # integral form of the adjoint crashed on a numpy concatenation error
         g = default_grid(50.0, cells=256, refine_zero=False)
         wide = adjoint_from_function(g, lambda t: np.stack([regulator_p(t)] * 2, axis=-1))
         assert wide.n == 2
         with pytest.raises(DimensionMismatch, match=re.escape(
                 "adjoint has 2 components, but the problem has n=1 states")):
             check(regulator(), regulator_candidate(g), wide)
+
+    @pytest.mark.parametrize("column", ["x", "u"])
+    def test_a_candidate_of_the_wrong_width_is_rejected(self, column):
+        # regulator, n = m = 1, 256 cells: two state columns read
+        # assumptions-violated with A1 fail, and two control columns
+        # stopped in a numpy broadcasting error
+        g = default_grid(50.0, cells=256, refine_zero=False)
+        exact = regulator_candidate(g)
+        wide = {"x": exact.x, "u": exact.u}
+        wide[column] = np.hstack([wide[column]] * 2)
+        cand = CandidateProcess(grid=g, **wide)
+        adj = adjoint_from_function(g, regulator_p)
+        message = {
+            "x": "candidate has 2 state columns, but the problem has n=1 states",
+            "u": "candidate has 2 control columns, but the problem has m=1 controls",
+        }[column]
+        for run in (lambda: verify_certificate(regulator(), cand),
+                    lambda: check_normality(regulator(), cand),
+                    lambda: check_adjoint(regulator(), cand, adj)):
+            with pytest.raises(DimensionMismatch, match=re.escape(message)):
+                run()
+
+    def test_samples_must_match_the_grid(self):
+        g = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(InvalidGrid, match="adjoint has 4 samples on a grid of 5 knots"):
+            AdjointSolution(grid=g, p=np.ones(4), lambda0=1.0, route="user")
+
+    def test_negative_lambda0_is_refused(self):
+        g = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match=re.escape("lambda0 must be nonnegative, got -0.5")):
+            AdjointSolution(grid=g, p=np.ones(5), lambda0=-0.5, route="user")
 
     def test_nontriviality(self):
         g = np.linspace(0.0, 1.0, 5)
@@ -595,7 +625,7 @@ class TestAdjointSolutionContainer:
 class TestAdjointResidual:
     def test_closed_form_triple_passes(self, reg_setup):
         prob, cand, adj = reg_setup
-        rec = check_adjoint_residual(prob, cand, adj)
+        rec, _ = check_adjoint(prob, cand, adj)
         assert rec.passed
         assert rec.residual < 1e-7
 
@@ -603,7 +633,7 @@ class TestAdjointResidual:
         prob, cand, _ = reg_setup
         bad = adjoint_from_function(cand.grid,
                                     lambda t: regulator_p(t) + 0.01)
-        rec = check_adjoint_residual(prob, cand, bad)
+        rec, _ = check_adjoint(prob, cand, bad)
         assert not rec.passed
         # the offset feeds the residual through phi_x^T p: ~0.02/sup|p|
         assert 0.003 < rec.residual < 0.006
@@ -613,8 +643,8 @@ class TestAdjointResidual:
         prev = None
         for cells in (512, 1024, 2048):
             g = default_grid(50.0, cells=cells, refine_zero=False)
-            rec = check_adjoint_residual(prob, regulator_candidate(g),
-                                         adjoint_from_function(g, regulator_p))
+            rec, _ = check_adjoint(prob, regulator_candidate(g),
+                                   adjoint_from_function(g, regulator_p))
             if prev is not None:
                 assert prev / rec.residual > 10.0
             prev = rec.residual
@@ -631,17 +661,17 @@ class TestAdjointResidual:
             cand = candidate_from_functions(g, lambda t: np.exp(-np.asarray(t)),
                                             lambda t: np.zeros(np.shape(t)))
             adj = adjoint_from_function(g, lambda t: -2.0 / 3.0 * np.exp(-2.0 * t))
-            rec = check_adjoint_residual(prob, cand, adj)
+            rec, integ = check_adjoint(prob, cand, adj)
             assert rec.passed and rec.residual < 1e-8
             assert rec.witnesses[0][0] > 1e-3  # the body's truncation error
-            assert check_integral_adjoint(prob, cand, adj).residual < 1e-8
+            assert integ.residual < 1e-8
 
     def test_trivial_multiplier_is_noted(self, reg_setup):
         prob, cand, _ = reg_setup
         zero = AdjointSolution(grid=cand.grid,
                                p=np.zeros((cand.grid.size, 1)),
                                lambda0=0.0, route="user")
-        rec = check_adjoint_residual(prob, cand, zero)
+        rec, _ = check_adjoint(prob, cand, zero)
         assert rec.passed  # the zero pair does solve the equation
         assert any("trivial" in note for note in rec.notes)
 
@@ -653,8 +683,7 @@ class TestIntegralAdjoint:
         prob = regulator()
         cand = regulator_candidate(g)
         adj = adjoint_from_function(g, regulator_p)
-        diff = check_adjoint_residual(prob, cand, adj)
-        integ = check_integral_adjoint(prob, cand, adj)
+        diff, integ = check_adjoint(prob, cand, adj)
         assert integ.passed
         assert abs(diff.residual - integ.residual) < 5e-9
         assert any("integrated form" in note for note in integ.notes)
@@ -666,9 +695,13 @@ class TestIntegralAdjoint:
         adj = AdjointSolution(
             grid=grid, p=regulator_p(grid)[:, None] - mass * (grid <= 0.0)[:, None],
             lambda0=1.0, route="user", measures={1: ((0.0, mass),)})
-        rec = check_integral_adjoint(prob, cand, adj)
+        diff, rec = check_adjoint(prob, cand, adj)
         assert rec.passed
         assert rec.residual < 1e-6
+        # the differential form opens the first cell at the right limit
+        # p + mass too; opened at the stored left limit, it read the jump
+        # as a defect of 2.34
+        assert diff.passed and diff.residual < 1e-7
 
     def test_atom_with_wrong_mass_fails(self, grid):
         prob = parse_problem(CONSTRAINED)
@@ -676,9 +709,11 @@ class TestIntegralAdjoint:
         adj = AdjointSolution(
             grid=grid, p=regulator_p(grid)[:, None] - 0.3 * (grid <= 0.0)[:, None],
             lambda0=1.0, route="user", measures={1: ((0.0, 0.6),)})
-        rec = check_integral_adjoint(prob, cand, adj)
+        diff, rec = check_adjoint(prob, cand, adj)
         assert not rec.passed
         assert rec.residual > 1e-3
+        assert not diff.passed and diff.residual > 1.0
+        assert diff.witnesses[0][0] == pytest.approx(0.5 * grid[1])  # the first cell
 
     def test_atom_where_constraint_inactive_raises(self, grid):
         prob = parse_problem(CONSTRAINED)
@@ -687,7 +722,7 @@ class TestIntegralAdjoint:
                               lambda0=1.0, route="user",
                               measures={1: ((1.0, 0.1),)})
         with pytest.raises(AtomOffActiveSet):
-            check_integral_adjoint(prob, cand, adj)
+            check_adjoint(prob, cand, adj)
 
     def test_atom_with_unknown_constraint_index_raises(self, grid):
         prob = parse_problem(CONSTRAINED)
@@ -696,7 +731,7 @@ class TestIntegralAdjoint:
                               lambda0=1.0, route="user",
                               measures={3: ((0.0, 0.1),)})
         with pytest.raises(AtomOffActiveSet):
-            check_integral_adjoint(prob, cand, adj)
+            check_adjoint(prob, cand, adj)
 
     def test_off_grid_atom_is_snapped_with_note(self, grid):
         prob = parse_problem(CONSTRAINED)
@@ -708,8 +743,9 @@ class TestIntegralAdjoint:
         t_atom = float(grid[40]) + 0.3 * float(grid[41] - grid[40])
         adj = AdjointSolution(grid=grid, p=p, lambda0=0.0, route="user",
                               measures={1: ((t_atom, 0.0),)})
-        rec = check_integral_adjoint(prob, cand, adj)
+        diff, rec = check_adjoint(prob, cand, adj)
         assert any("off-grid" in note for note in rec.notes)
+        assert any("off-grid" in note for note in diff.notes)
 
 
 class TestMaximumCondition:
@@ -1340,8 +1376,16 @@ class TestTransversality:
         _, decay = check_transversality(prob, cand, adj, mode="weak")
         assert any("p=2 refinement" in note for note in decay.notes)
 
+    def test_an_unknown_mode_is_refused(self, reg_setup):
+        with pytest.raises(ValueError, match="mode must be 'strong' or 'weak', got 'medium'"):
+            check_transversality(*reg_setup, mode="medium")
+
 
 class TestMichel:
+    def test_an_unknown_mode_is_refused(self, reg_setup):
+        with pytest.raises(ValueError, match="mode must be 'strong' or 'weak', got 'medium'"):
+            check_michel(*reg_setup, mode="medium")
+
     def test_weight_ratio_premise_fails_gracefully(self, reg_setup):
         # w^2/nu = e^{-4t}/e^{-4.5t} grows, so the condition asserts nothing
         prob, cand, adj = reg_setup
@@ -1453,6 +1497,18 @@ nu = exp_decay 1.0
         assert not rec.passed
         # x' = x^2 from x0 = 1 + 1e-3 escapes at t = 1/(1 + 1e-3)
         assert rec.witnesses[0][0] == pytest.approx(1.0 / 1.001, abs=1e-3)
+
+    def test_a_perturbed_start_outside_the_domain_fails(self):
+        # phi1 = sqrt(x1) from x0 = 0: the start x0 - 1e-3 is outside the
+        # domain of sqrt, so the flow cannot be probed there
+        src = REGULATOR.format(a=4.5).replace("2*x1 + u1", "sqrt(x1) + u1")
+        prob = parse_problem(src.replace("x0 = 2.0", "x0 = 0.0"))
+        g = default_grid(50.0, cells=256, refine_zero=False)
+        zero = lambda t: np.zeros(np.shape(t))
+        rec = check_normality(prob, candidate_from_functions(g, zero, zero))
+        assert rec.verdict == "fail" and rec.premise_ok
+        assert rec.notes == ("perturbed solve left the expression domain: sqrt of "
+                             "negative argument at t=0, u1=0, x1=-0.001",)
 
 
 class TestCertificate:
@@ -1598,6 +1654,25 @@ nu = exp_decay 1.0
         assert f"at t={g[k]:.6g};" in str(err.value)
         cert = verify_certificate(prob, cand)
         assert set(cert.adjoints) == {"backward-ode"}
+
+    def test_a_backward_blow_up_alone_leaves_a_note(self, grid):
+        # the objective scaled by 1e13 scales p with it: sup |p| = 4.8e13
+        # exceeds the backward route's norm bound of 1e12, while the
+        # representation route, which bounds only the fundamental system,
+        # carries the certificate
+        src = REGULATOR.format(a=4.5).replace("0.5*(x1^2 + u1^2)", "5e12*(x1^2 + u1^2)")
+        cert = verify_certificate(parse_problem(src), regulator_candidate(grid))
+        assert set(cert.adjoints) == {"representation"}
+        assert cert.route_agreement is None
+        note, = (n for n in cert.notes if n.startswith("backward route blew up"))
+        assert note.endswith("the representation formula is the reliable route here")
+
+    def test_a_grid_off_the_origin_is_refused(self):
+        # sampled on [1, 50], the exact regulator read assumptions-violated
+        # (A0 fails on x(1) != x0) and failed transversality_decay; the
+        # problem lives on [0, inf), so a grid must start at 0
+        with pytest.raises(InvalidGrid, match="grid must start at 0, got 1"):
+            regulator_candidate(np.linspace(1.0, 50.0, 2049))
 
     def test_mode_validation(self, reg_setup):
         prob, cand, _ = reg_setup

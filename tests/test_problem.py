@@ -450,7 +450,7 @@ class TestCandidate:
         with pytest.raises(DimensionMismatch, match=re.escape(
                 "closed_x returned shape (2048, 1, 7) for times shaped (2048, 7); "
                 "expected (2048, 7, 1)")):
-            test_pmp.check_adjoint_residual(test_pmp.regulator(), cand, adj)
+            test_pmp.check_adjoint(test_pmp.regulator(), cand, adj)
         cand = dataclasses.replace(exact, closed_u=lambda t: np.zeros(np.shape(t) + (2,)))
         with pytest.raises(DimensionMismatch, match=re.escape(
                 "closed_u returned shape (3, 2) for times shaped (3,); expected (3, 1)")):
@@ -742,6 +742,25 @@ u1 = [0, 1)
         rep = audit_assumptions(prob, regulator_candidate(), gamma=0.5)
         assert rep.verdicts["A3"] == "pass"
         assert any("Lipschitz" in note for note in rep.notes)
+
+    def test_constraint_data_outside_its_domain_fails_A3(self):
+        # x* decays to 0, so the tube of radius 0.5 reaches x1 <= 0, where
+        # ln(x1) is undefined; the witness is a tube point there
+        prob = parse_problem(REGULATOR + "\n[constraints]\ng1 = ln(x1)\n")
+        rep = audit_assumptions(prob, regulator_candidate(), gamma=0.5)
+        assert rep.verdicts["A3"] == "fail"
+        t, (x,), u = rep.witnesses["A3"]
+        assert x <= 0.0 and u is None
+        assert abs(2.0 * np.exp(_RATE * t) - x) <= 0.5
+        assert "A3: constraint data left its domain inside the tube" in rep.notes
+
+    def test_constraint_constants_rising_at_the_horizon_fail_A3(self):
+        # |g| / (1 + |x|) grows like e^{t/10} to the end of the grid
+        prob = parse_problem(REGULATOR + "\n[constraints]\ng1 = x1 - exp(0.1*t)\n")
+        rep = audit_assumptions(prob, regulator_candidate(), gamma=0.5)
+        assert rep.verdicts["A3"] == "fail"
+        assert rep.witnesses["A3"][0] == 50.0
+        assert "A3: constraint constants still rising at the horizon" in rep.notes
 
 
 class TestJacobians:
