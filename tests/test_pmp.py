@@ -568,7 +568,13 @@ class TestAdjointSolutionContainer:
             adj.value(np.array([0.1, 0.2, 0.3]))
 
     @pytest.mark.parametrize("check", [
-        check_adjoint, check_maximum_condition, check_weak_inequality,
+        check_adjoint,
+        # the integral form reads the measure atoms; an atom on the regulator,
+        # which has no state constraints, must not be read before the width
+        pytest.param(lambda prob, cand, adj: check_adjoint(
+            prob, cand, dataclasses.replace(adj, measures={1: ((1.0, 0.1),)})),
+            id="check_integral_form_with_an_atom"),
+        check_maximum_condition, check_weak_inequality,
         check_transversality, check_michel, check_arrow])
     def test_an_adjoint_of_the_wrong_width_is_rejected(self, check):
         # regulator, n = 1, with an adjoint shaped (K, 2): three checks read
