@@ -16,8 +16,8 @@ Everything downstream needs three capabilities, all provided here:
 
 * per-cell affine maps ``y(tb) = P y(ta) + q`` of linear systems
   ``y' = M(t) y + b(t)`` along a fixed candidate, by 7-stage Gauss
-  collocation with all cells solved in one batch and every map checked
-  against its two half-cell maps (unresolved cells are bisected), and
+  collocation, its stage systems solved a fixed block of cells at a time,
+  with every map checked against its two half-cell maps (unresolved cells are bisected), and
   composed into every knot by one blocked prefix scan.  Both adjoint
   routes and the state solves of dynamics affine in x run on these maps.
 
@@ -555,36 +555,56 @@ _GAUSS_A = _GAUSS_C[:, None] * np.stack([
 _MAP_TOL = 1e-8  # accepted defect of a one-step cell map against its halves
 _MAP_HALVINGS = 256  # resolves a Weibull 0.1 pole on the default grid
 _MAP_PIECES = 2**15  # most cells one halving level may hold
+# floats of stage matrices solved at once: a block of cells holds at most
+# 256 KB of them (or one cell's, when a single 7d x 7d matrix is larger),
+# however many cells a level has
+_STAGE_FLOATS = 2**15
 
 
 def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    """One collocation step per cell, as augmented maps shaped (K, d+1, d+1)."""
+    """One collocation step per cell, as augmented maps shaped (K, d+1, d+1).
+
+    ``coef`` is called once, on the Gauss nodes of every cell.  The stage
+    systems are then built and solved one block of cells at a time, each
+    block's matrices filling at most ``_STAGE_FLOATS`` floats.  LAPACK
+    factors every cell's matrix on its own, so the maps are bitwise those
+    of one batch over all cells.
+    """
     h = tb - ta
     K, s = ta.size, _GAUSS_C.size
     M, b = coef((ta[:, None] + h[:, None] * _GAUSS_C).ravel())
     d = b.shape[-1]
     M, b = M.reshape(K, s, d, d), b.reshape(K, s, d)
-    # stage slopes k_i = M_i (y0 + h sum_j a_ij k_j) + b_i, for the d unit
-    # starts y0 = e_c and for the forcing alone, in one system per cell
-    lhs = h[:, None, None, None, None] * _GAUSS_A[:, None, :, None] * M[:, :, :, None, :]
-    lhs = np.eye(s * d) - lhs.reshape(K, s * d, s * d)
-    rhs = np.concatenate((M, b[..., None]), axis=-1).reshape(K, s * d, d + 1)
-    slopes = np.linalg.solve(lhs, rhs).reshape(K, s, d, d + 1)
+    eye = np.eye(s * d)
     G = np.zeros((K, d + 1, d + 1))
-    G[:, :d] = h[:, None, None] * np.einsum("i,kird->krd", _GAUSS_B, slopes)
-    return G + np.eye(d + 1)
+    cells = max(1, _STAGE_FLOATS // (s * d) ** 2)
+    for lo in range(0, K, cells):
+        k = slice(lo, lo + cells)
+        # stage slopes k_i = M_i (y0 + h sum_j a_ij k_j) + b_i, for the d unit
+        # starts y0 = e_c and for the forcing alone, in one system per cell
+        lhs = h[k, None, None, None, None] * _GAUSS_A[:, None, :, None] * M[k, :, :, None, :]
+        lhs = lhs.reshape(-1, s * d, s * d)
+        np.subtract(eye, lhs, out=lhs)  # I - h (A x M), in place
+        rhs = np.concatenate((M[k], b[k, ..., None]), axis=-1).reshape(-1, s * d, d + 1)
+        slopes = np.linalg.solve(lhs, rhs).reshape(-1, s, d, d + 1)
+        G[k, :d] = h[k, None, None] * np.einsum("i,kird->krd", _GAUSS_B, slopes)
+    G += np.eye(d + 1)
+    return G
 
 
 def _linear_cell_maps(coef, ta, tb) -> tuple[np.ndarray, np.ndarray]:
     """Maps ``y(tb) = P y(ta) + q`` of ``y' = M(t) y + b(t)``, one per cell.
 
     ``coef(ts)`` returns ``M`` (len(ts), d, d) and ``b`` (len(ts), d); it
-    sees interior Gauss nodes only, once per level.  Cells may run
-    backward.  A cell whose one-step map differs from the product of its
-    half-cell maps by more than ``_MAP_TOL`` (relative to ``max(1, |P|)``,
-    offsets in units of the summed offsets, so scaling ``b`` changes no
-    decision) is bisected; running out of halvings or pieces raises
-    :class:`BlowUp`.  Returns ``P`` (K, d, d) and ``q`` (K, d).
+    sees interior Gauss nodes only, once per level, while
+    :func:`_collocate` solves the level's stage systems a block of cells
+    at a time, so a cell's (7d)^2 stage floats are held for one block
+    only.  Cells may run backward.  A cell whose one-step map differs from
+    the product of its half-cell maps by more than ``_MAP_TOL`` (relative
+    to ``max(1, |P|)``, offsets in units of the summed offsets, so scaling
+    ``b`` changes no decision) is bisected; running out of halvings or
+    pieces raises :class:`BlowUp`.  Returns ``P`` (K, d, d) and ``q``
+    (K, d).
     """
     lo, hi = np.asarray(ta, dtype=float), np.asarray(tb, dtype=float)
     levels = []

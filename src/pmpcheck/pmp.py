@@ -852,17 +852,15 @@ def _sup_over_u(prob, w, ts, xs, us, ps, lam, h_star, h_floor):
     coordinate in ``prob.u_quadratic`` is solved by :func:`_quadratic_max`,
     every other one by :func:`_sampled_max`; two or more controls are
     swept twice.  Each block of knots has one control array, a view into
-    ``best_u``: a search writes coordinate ``i`` into it, and the sweep
-    then keeps the new column where H rises.  Returns the improved
-    controls and their H values, which overwrite ``h_star``: a tube-wide
-    search then holds one H array besides its floor.
+    ``us``: a search writes coordinate ``i`` into it, and the sweep then
+    keeps the new column where H rises.  Returns the improved controls and
+    their H values, which overwrite ``us`` and ``h_star``: a tube-wide
+    search holds no knot-sized array beyond its arguments.
     """
-    best_u = us.copy()
-    h_best = h_star
     for lo in range(0, ts.size, _BLOCK):
         k = slice(lo, lo + _BLOCK)
         args = (prob, w[k], ts[k], xs[k], ps[k], lam)
-        u, h = best_u[k], h_best[k]
+        u, h = us[k], h_star[k]
         for _ in range(min(prob.m, 2)):
             for i, quadratic in enumerate(prob.u_quadratic):
                 u_col = u[:, i].copy()
@@ -871,7 +869,7 @@ def _sup_over_u(prob, w, ts, xs, us, ps, lam, h_star, h_floor):
                 improve = new_h > h
                 u[:, i] = np.where(improve, new_col, u_col)
                 np.copyto(h, new_h, where=improve)
-    return best_u, h_best
+    return us, h_star
 
 
 def _finite_weight(prob: ControlProblem, grid):
@@ -1186,11 +1184,14 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRe
     norm passes ``_NORMALITY_BLOWUP`` is an immediate fail: the flow is
     not stable enough to force normality.
 
-    Each start costs one :func:`~pmpcheck.integrate.solve_state`: one
-    batched set of Gauss collocation cell maps, composed by one blocked
-    scan, when the dynamics are affine in x (``prob.x_affine``), adaptive
-    DP45 steps in every cell otherwise, which is where nonlinear dynamics
-    spend their time.
+    A perturbed solve that blows up or leaves the domain of the dynamics
+    is a fail with witness ``(t, max |x_i|)`` where it stopped.
+
+    Each start costs one :func:`~pmpcheck.integrate.solve_state`: one set
+    of Gauss collocation cell maps, their stage systems solved a block of
+    cells at a time, composed by one blocked scan, when the dynamics are
+    affine in x (``prob.x_affine``); adaptive DP45 steps in every cell
+    otherwise, which is where nonlinear dynamics spend their time.
     """
     _matching_widths(prob, cand)
     grid = cand.grid
@@ -1217,9 +1218,11 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRe
                 notes=(f"perturbed start {np.array2string(zeta, precision=6)} "
                        f"blows up at t={e.t:.6g}",))
         except DomainError as e:
+            x = [e.point[f"x{i + 1}"] for i in range(prob.n)]
             return ConditionRecord(
                 name="normality_representation", verdict="fail",
                 premise="perturbed starts stay solvable", premise_ok=True,
+                witnesses=((e.point["t"], float(np.max(np.abs(x)))),),
                 notes=(f"perturbed solve left the expression domain: {e}",))
         dev = np.linalg.norm(pert.x - x_base, axis=1)
         offset = float(np.linalg.norm(zeta - prob.x0))

@@ -158,8 +158,11 @@ class ControlBox:
         return np.all(above & below, axis=-1)
 
     def project(self, u) -> np.ndarray:
-        """Clip into the box, staying strictly inside open endpoints."""
-        u = np.atleast_1d(np.asarray(u, dtype=float)).copy()
+        """Clip into the box, staying strictly inside open endpoints.
+
+        Returns a new array; ``u`` itself is left as it is.
+        """
+        u = np.array(u, dtype=float, ndmin=1)
         width = self.hi - self.lo
         lo_eff = self.lo.copy()
         mask = self.open_lo & np.isfinite(self.lo)
@@ -175,7 +178,7 @@ class ControlBox:
                 1e-9 * np.maximum(1.0, np.abs(self.hi[mask])) + 1e-12, width[mask] / 4
             )
             hi_eff[mask] = self.hi[mask] - margin
-        return np.clip(u, lo_eff, hi_eff)
+        return np.clip(u, lo_eff, hi_eff, out=u)
 
 
 # --------------------------------------------------------------------------

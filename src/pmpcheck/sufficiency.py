@@ -118,7 +118,8 @@ def hamiltonian_sup(prob: ControlProblem, t, x, p, u_start=None):
     if u0.shape not in ((prob.m,), (ts.size, prob.m)):
         raise DimensionMismatch(f"u_start has shape {u0.shape}, expected ({prob.m},) "
                                 f"or ({ts.size}, {prob.m})")
-    u0 = np.ascontiguousarray(np.broadcast_to(prob.U.project(u0), (ts.size, prob.m)))
+    # the projection is the search's one working copy of the starts
+    u0 = prob.U.project(np.broadcast_to(u0, (ts.size, prob.m)))
     w = np.asarray(prob.omega(ts), dtype=float)
     h0 = _hamiltonian(prob, w, ts, xs, u0, ps, 1.0)
     _, h_best = _sup_over_u(prob, w, ts, xs, u0, ps, 1.0, h0,

@@ -40,7 +40,8 @@ UNCALLED_METHODS = {
 
 # Defaulted parameters that no call site sets, each for a stated reason.
 _CONTRACT = "the certificate's public contract"
-_SOLVE_ODE = "kept with solve_ode until ROADMAP item 3 deletes it together with perfbench/spans.py"
+_SOLVE_ODE = ("kept with solve_ode, which ROADMAP item 4 deletes once item 12 drops "
+              "its span from perfbench/spans.py")
 KEPT_DEFAULTS = {
     ("verify_certificate", "mode"): _CONTRACT + ": the weak route",
     ("verify_certificate", "lambda0"): _CONTRACT + ": the abnormal case",
@@ -270,6 +271,16 @@ def test_one_certificate_builds_the_adjoint_cell_maps():
     sites = [site for path in Path(pmpcheck.__file__).parent.glob("*.py")
              for site in _call_sites(path, "_adjoint_cell_maps")]
     assert sites == ["pmp.py:verify_certificate"], f"_adjoint_cell_maps calls: {sites}"
+
+
+def test_one_kernel_solves_the_stage_systems():
+    """Every Gauss collocation stage system is solved in ``_collocate``, a
+    block of cells at a time, and only ``_linear_cell_maps`` calls it; a
+    call anywhere else, which could bring a second, unblocked stage solve
+    with it, fails here."""
+    sites = {site for path in Path(pmpcheck.__file__).parent.glob("*.py")
+             for site in _call_sites(path, "_collocate")}
+    assert sites == {"integrate.py:_linear_cell_maps"}, f"_collocate calls: {sites}"
 
 
 def test_one_pass_checks_the_adjoint_relation():

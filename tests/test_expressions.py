@@ -1,7 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from pmpcheck.expressions import (
@@ -359,6 +359,12 @@ def _mp_interval(e, box):
         if any(not mpmath.isfinite(v) or abs(v) > 100 for v in (args[1].a, args[1].b)):
             raise _Huge
         out = args[0] ** args[1]
+        if args[0].a > 0:
+            # on a positive base exp(e ln b) encloses the power too, and each
+            # form is the looser one somewhere: [0.5, inf] ** [0, 1] reads
+            # [0, inf] as a power, [5, inf] ** 0 reads [0, inf] through ln
+            other = iv.exp(args[1] * iv.log(args[0]))
+            return iv.mpf([max(out.a, other.a), min(out.b, other.b)])
         return out if isinstance(out, mpmath.ctx_iv.ivmpf) else None
     if e.fn == "exp" and args[0].b > 100:
         raise _Huge
@@ -373,6 +379,7 @@ def _inside(v, lo, hi) -> bool:
 
 
 @given(e=_node, x=_interval, u=_interval, fraction=st.floats(0.0, 1.0))
+@example(e=Neg(Pow(Sym("x1"), Sym("u1"))), x=(0.5, np.inf), u=(0.0, 1.0), fraction=0.0)
 @settings(max_examples=400, deadline=None)
 def test_enclosure_holds_every_point_and_mpmath_enclosure(e, x, u, fraction):
     mpmath.mp.prec = mpmath.iv.prec = 200

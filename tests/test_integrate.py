@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from pmpcheck import integrate
 from pmpcheck.integrate import (
     _DP_A,
     _DP_B4,
@@ -9,6 +12,8 @@ from pmpcheck.integrate import (
     _DP_C,
     _DP_ERR,
     _CHAIN_BLOCK,
+    _GAUSS_C,
+    _STAGE_FLOATS,
     _affine_chain,
     _linear_cell_maps,
     BlowUp,
@@ -469,6 +474,79 @@ class TestLinearCellMaps:
         coef = lambda ts: (np.full((ts.size, 1, 1), np.nan), np.zeros((ts.size, 1)))
         with pytest.raises(BlowUp, match="cell map defect"):
             _linear_cell_maps(coef, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+
+
+def _time_varying_coef():
+    """``M`` and ``b`` of _TIME_VARYING under u = e^{-t}, as solve_state reads them."""
+    prob = parse_problem(_TIME_VARYING)
+
+    def coef(ts):
+        zero, us = np.zeros((ts.size, 2)), np.exp(-ts)[:, None]
+        return prob.phi_jac_x(ts, zero, us), prob.phi_value(ts, zero, us)
+
+    return coef
+
+
+def _rotating_coef(scale):
+    A, b = _rotating_system(scale)
+    return lambda ts: (A(ts), b(ts))
+
+
+class TestBlockedStageSolves:
+    """The stage systems are solved a block of cells at a time."""
+
+    # 300 cells on [0, 60]: more than one default block (167 cells for
+    # d = 2), and at scale 3 the late cells, where |A| grows with t, bisect
+    @pytest.mark.parametrize("system,bisects", [
+        pytest.param(_time_varying_coef, False, id="time-varying"),
+        pytest.param(lambda: _rotating_coef(1.0), False, id="rotating"),
+        pytest.param(lambda: _rotating_coef(3.0), True, id="rotating-bisected"),
+    ])
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_any_block_size_gives_the_same_bits(self, monkeypatch, system, bisects, backward):
+        coef = system()
+        levels = []
+
+        def counted(ts):
+            levels.append(ts.size)
+            return coef(ts)
+
+        grid = np.linspace(0.0, 60.0, 301)
+        ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
+        P, q = _linear_cell_maps(counted, ta, tb)
+        assert (len(levels) > 2) == bisects
+        for floats in (1, 2**40):  # one cell per block; every cell of a level in one
+            monkeypatch.setattr(integrate, "_STAGE_FLOATS", floats)
+            P_blk, q_blk = _linear_cell_maps(coef, ta, tb)
+            assert P_blk.tobytes() == P.tobytes() and q_blk.tobytes() == q.tobytes()
+
+    def test_a_build_holds_one_block_of_stage_matrices(self):
+        # d = 2 at 2048 cells that need no bisection: per cell, the 14
+        # half-cell Gauss nodes' M and b (6 floats each), twice over while
+        # coef builds them, and eight 3 x 3 augmented maps (whole, halves,
+        # their product and its defect); beside those, a few blocks of
+        # stage matrices.  Stage matrices for all cells of the halves at
+        # once are 2 x 196 floats per cell, three times over
+        A, b = _rotating_system(1.0)
+        calls = []
+
+        def coef(ts):
+            calls.append(ts.size)
+            return A(ts), b(ts)
+
+        cells = 2048
+        grid = np.linspace(0.0, 50.0, cells + 1)
+        _linear_cell_maps(coef, grid[:-1], grid[1:])  # warm up outside the trace
+        calls.clear()
+        tracemalloc.start()
+        try:
+            _linear_cell_maps(coef, grid[:-1], grid[1:])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nodes = 2 * _GAUSS_C.size
+        assert calls == [cells * _GAUSS_C.size, cells * nodes]  # one coef call per level
+        assert peak < 8 * (cells * (2 * nodes * 6 + 8 * 9) + 4 * _STAGE_FLOATS)
 
 
 class TestAffineChain:

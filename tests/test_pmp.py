@@ -983,6 +983,36 @@ class TestGoldenSection:
         assert any(note.startswith(f"{cand.grid.size} slice(s) proved") for note in rep.notes)
         assert peak < points * 8
 
+    def test_search_holds_one_copy_of_the_starts(self, monkeypatch):
+        # the sampled Arrow scan of TWO_PEAKS at 2048 cells, which the
+        # concavity proof does not take: 164 tube points per knot.  Beside
+        # the caller's arrays a search holds omega, H, its floor and one
+        # projected copy of the starts, the array it searches in: four
+        # floats per point.  The search of one block of knots adds the
+        # block's control column, while the last block's new column, H
+        # values and mask are still bound: under five floats per knot of
+        # a block
+        prob = parse_problem(TWO_PEAKS)
+        g = default_grid(50.0, cells=2048, refine_zero=False)
+        t = np.repeat(g, 164)
+        x = np.exp(-t)[:, None] * np.tile(np.linspace(0.9, 1.1, 164), g.size)[:, None]
+        p = np.zeros_like(x)
+        u = np.full_like(x, 0.49)
+        hamiltonian_sup(prob, t[:8], x[:8], p[:8], u_start=u[:8])  # compile outside the trace
+        search, live = pmp._sampled_max, []
+
+        def recorded(*args):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return search(*args)
+
+        monkeypatch.setattr(pmp, "_sampled_max", recorded)
+        tracemalloc.start()
+        try:
+            hamiltonian_sup(prob, t, x, p, u_start=u)
+        finally:
+            tracemalloc.stop()
+        assert len(live) > 1 and max(live) < 8 * (4 * t.size + 5 * pmp._BLOCK)
+
 
 def golden_only(monkeypatch):
     """Send every sampled search to golden section, the reference for Newton."""
@@ -1515,6 +1545,7 @@ nu = exp_decay 1.0
         assert rec.verdict == "fail" and rec.premise_ok
         assert rec.notes == ("perturbed solve left the expression domain: sqrt of "
                              "negative argument at t=0, u1=0, x1=-0.001",)
+        assert rec.witnesses == ((0.0, 0.001),)
 
 
 class TestCertificate:
