@@ -481,9 +481,11 @@ def solve_state(prob, u, x0=None, grid=None,
     ``u`` is either a callable or an array of samples on the grid knots.
     A callable takes an array of times and returns one control row per
     time (a 1-d array when m = 1), as in
-    :func:`~pmpcheck.problem.candidate_from_functions`.  Samples are
-    treated as constant on each half-open cell, the sample at the right
-    knot owning the cell, and are read through the same lookup.  Every
+    :func:`~pmpcheck.problem.candidate_from_functions`.  Samples, given or
+    read off the callable at the knots, follow the candidate's shape rule
+    (:func:`~pmpcheck.problem._check_samples`).  They are treated as
+    constant on each half-open cell, the sample at the right knot owning
+    the cell, and are read through the same lookup.  Every
     cell is integrated on its own and the control is read inside the cell
     only, so a control that jumps at the knots, such as
     ``CandidateProcess.control`` of a sampled candidate, is seen with the
@@ -504,7 +506,7 @@ def solve_state(prob, u, x0=None, grid=None,
     grid on [0, 50].  Returns a :class:`~pmpcheck.problem.CandidateProcess`; a callable
     ``u`` becomes its ``closed_u``.
     """
-    from .problem import CandidateProcess  # deferred: avoids an import cycle
+    from .problem import CandidateProcess, _check_samples  # deferred: avoids an import cycle
 
     if grid is None:
         grid = default_grid(50.0, cells=1024, refine_zero=False)
@@ -513,18 +515,8 @@ def solve_state(prob, u, x0=None, grid=None,
         x0 = prob.x0
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
-    if callable(u):
-        control = u
-        u_samples = np.asarray(u(grid), dtype=float)
-    else:
-        u_samples = np.asarray(u, dtype=float)
-        control = lambda ts: _sample_at(grid, u_samples, ts)
-    if u_samples.ndim == 1:
-        u_samples = u_samples[:, None]
-    if u_samples.shape[0] != grid.size:
-        raise InvalidGrid(
-            f"control samples ({u_samples.shape[0]}) do not match grid ({grid.size})"
-        )
+    u_samples = _check_samples("control", u(grid) if callable(u) else u, grid, "m")
+    control = u if callable(u) else (lambda ts: _sample_at(grid, u_samples, ts))
 
     if prob.x_affine:
         x = _affine_state(prob, control, grid, x0, blowup)

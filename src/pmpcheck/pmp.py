@@ -70,8 +70,8 @@ from .problem import (
     ActiveSet,
     CandidateProcess,
     ControlProblem,
-    DimensionMismatch,
     SlaterReport,
+    _check_samples,
     _matching_widths,
     _shape_rows,
     active_indices,
@@ -149,6 +149,9 @@ class IllConditioned(RuntimeError):
 class AdjointSolution:
     """A multiplier pair (lambda0, p) sampled on a grid.
 
+    ``p`` holds one row per knot, shaped (K, n); a 1-d array is one column
+    and any other shape raises
+    :class:`~pmpcheck.problem.DimensionMismatch`, as for a candidate.
     ``measures`` optionally attaches finite atom lists per state
     constraint, keyed by the 1-based constraint index; each atom is a
     ``(time, mass)`` pair with nonnegative mass.  Between atoms ``p`` is
@@ -170,16 +173,7 @@ class AdjointSolution:
 
     def __post_init__(self):
         grid = _check_grid(self.grid)
-        p = np.asarray(self.p, dtype=float)
-        if p.ndim == 1:
-            p = p[:, None]
-        if p.ndim != 2:
-            raise DimensionMismatch(f"adjoint samples have shape {p.shape}; expected "
-                                    f"({grid.size},) or ({grid.size}, n)")
-        if p.shape[0] != grid.size:
-            raise InvalidGrid(
-                f"adjoint has {p.shape[0]} samples on a grid of {grid.size} knots"
-            )
+        p = _check_samples("adjoint", self.p, grid, "n")
         if self.lambda0 < 0:
             raise ValueError(f"lambda0 must be nonnegative, got {self.lambda0!r}")
         if self.measures:
@@ -222,12 +216,12 @@ class AdjointSolution:
         return np.stack(cols, axis=-1)
 
 
-def adjoint_from_function(grid, p_fn: Callable, lambda0: float = 1.0,
-                          measures: Mapping[int, tuple] | None = None) -> AdjointSolution:
-    """Wrap a closed-form adjoint into an :class:`AdjointSolution`."""
+def adjoint_from_function(grid, p_fn: Callable, lambda0: float = 1.0) -> AdjointSolution:
+    """Wrap a closed-form adjoint into an :class:`AdjointSolution`; atoms
+    are attached through its ``measures`` field."""
     grid = np.asarray(grid, dtype=float)
     return AdjointSolution(grid=grid, p=p_fn(grid), lambda0=lambda0, route="user",
-                           measures=measures, p_callable=p_fn)
+                           p_callable=p_fn)
 
 
 # --------------------------------------------------------------------------
@@ -876,8 +870,10 @@ def _finite_weight(prob: ControlProblem, grid):
     """The knots of ``grid`` where the weight is finite, omega there, and
     the note that names the knots skipped at a weight pole.
 
-    A pole (integrable, at 0) carries no pointwise information, so the
-    pointwise conditions skip its knots.
+    A pole (integrable, at 0) carries no pointwise information, so every
+    pointwise judgement skips its knots through this one mask: the
+    maximum condition, the weak inequality and the Arrow scan
+    (:func:`~pmpcheck.sufficiency.check_arrow`).
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w = np.asarray(prob.omega(grid), dtype=float)
@@ -901,8 +897,11 @@ def check_maximum_condition(prob: ControlProblem, cand: CandidateProcess,
     name each coordinate's search.  A slice that climbs toward an
     unbounded face, with H at the outermost probe (u +- 2^16 (1 + |u|))
     above H at the candidate by more than ``_TOL_GAP`` times its
-    magnitude, raises :class:`UnboundedAbove`.  Knots at a weight pole are
-    skipped.  The witness adds the maximizing control to the worst gap.
+    magnitude, has no maximum to compare with: the record then fails with
+    an infinite residual, the witness ``(t, coordinate, direction)`` of
+    the first escape (1-based coordinate, direction +-1) and the escape
+    as its note.  Knots at a weight pole are skipped.  Otherwise the
+    witness adds the maximizing control to the worst gap.
     """
     _matching_widths(prob, cand, adj)
     grid = adj.grid
@@ -913,8 +912,14 @@ def check_maximum_condition(prob: ControlProblem, cand: CandidateProcess,
     if ts.size == 0:
         raise InvalidGrid("no knots with finite weight to check")
     h_star = _hamiltonian(prob, w, ts, xs, us, ps, lam)
-    best_u, h_best = _sup_over_u(prob, w, ts, xs, us, ps, lam, h_star.copy(),
-                                 h_star + _TOL_GAP * np.abs(h_star))
+    try:
+        best_u, h_best = _sup_over_u(prob, w, ts, xs, us, ps, lam, h_star.copy(),
+                                     h_star + _TOL_GAP * np.abs(h_star))
+    except UnboundedAbove as e:
+        return ConditionRecord(
+            name="maximum_condition", verdict="fail", residual=float("inf"),
+            tolerance=_TOL_GAP, witnesses=((e.t, e.coordinate + 1, e.direction),),
+            notes=(str(e),))
     notes.append("inner maximization: " + ", ".join(
         f"u{i + 1} {'closed form' if q else 'sampled'}"
         for i, q in enumerate(prob.u_quadratic)))
@@ -1383,14 +1388,7 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
             premise_ok=False)
     conditions: list[ConditionRecord] = [differential, integral]
     if mode == "strong":
-        try:
-            conditions.append(check_maximum_condition(prob, cand, primary))
-        except UnboundedAbove as e:
-            conditions.append(ConditionRecord(
-                name="maximum_condition", verdict="fail",
-                residual=float("inf"), tolerance=_TOL_GAP,
-                witnesses=((e.t, e.coordinate + 1, e.direction),),
-                notes=(str(e),)))
+        conditions.append(check_maximum_condition(prob, cand, primary))
     else:
         conditions.append(ConditionRecord(
             name="maximum_condition", verdict="not-applicable",

@@ -32,7 +32,7 @@ import numpy as np
 from .expressions import (Call, DomainError, Expression, ExpressionSyntaxError, Neg,
                           UnknownIdentifier, _build, _check_variables, _children, _emit,
                           parse_expression)
-from .integrate import _cell_integrals, _check_grid, _sample_at
+from .integrate import _cell_integrals, _check_grid, _sample_at, improper_integral
 from .weights import (
     InvalidExponent,
     WeightSpec,
@@ -251,8 +251,8 @@ class ControlProblem:
 
     ``f`` is the running cost without the weight factor; ``phi`` drives the
     state; ``g`` are pointwise state constraints (``g_j <= 0``).  All
-    first-order partials, and the control Hessian ``f_uu`` of the
-    integrand, are derived symbolically here; the former are exposed through
+    first-order partials, and the diagonal ``f_uu`` of the integrand's
+    control Hessian, are derived symbolically here; the former are exposed through
     the ``*_grad_*`` / ``*_jac_*`` evaluators, which accept scalars or
     arrays of times with matching state/control batches.  Each evaluator
     is one generated function that writes all its components into one
@@ -260,7 +260,7 @@ class ControlProblem:
     dynamics' control Hessians joins ``f_uu`` in :meth:`u_slopes`, which
     gives the control search the slope and curvature of H along one
     control coordinate.  ``u_quadratic[i]`` holds when H is at most
-    quadratic in ``u_i``: ``f_uu[i][i]`` and ``phi_uu[:, i]`` are free of
+    quadratic in ``u_i``: ``f_uu[i]`` and ``phi_uu[:, i]`` are free of
     ``u_i``, and so is every ``sign`` node (the derivative of ``abs``,
     whose own derivative reads 0) in ``f_u[i]`` and ``phi_u[:, i]``.
     ``x_affine`` holds when the dynamics are affine in the state: no
@@ -323,8 +323,8 @@ class ControlProblem:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "f_x", tuple(self.f.diff(s) for s in states))
         object.__setattr__(self, "f_u", tuple(self.f.diff(c) for c in controls))
-        object.__setattr__(
-            self, "f_uu", tuple(tuple(fu.diff(c) for c in controls) for fu in self.f_u)
+        object.__setattr__(  # diagonal only: f_uu[i] = d^2 f / du_i^2
+            self, "f_uu", tuple(fu.diff(c) for fu, c in zip(self.f_u, controls))
         )
         object.__setattr__(
             self, "phi_x", tuple(tuple(p.diff(s) for s in states) for p in phi)
@@ -338,7 +338,7 @@ class ControlProblem:
                   for row in self.phi_u)
         )
         object.__setattr__(self, "u_quadratic", tuple(
-            all(c not in e.variables() for e in (fuu[i], *(row[i] for row in self.phi_uu)))
+            all(c not in e.variables() for e in (fuu, *(row[i] for row in self.phi_uu)))
             and not any(_sign_depends(e, c) for e in (fu, *(row[i] for row in self.phi_u)))
             for i, (c, fu, fuu) in enumerate(zip(controls, self.f_u, self.f_uu))))
         object.__setattr__(self, "x_affine", all(
@@ -359,7 +359,7 @@ class ControlProblem:
             "g_jac_x": _evaluator(flat(self.g_x), (l, n), n, 0),
             "u_slopes": tuple(
                 _evaluator([self.f_u[i], *(row[i] for row in self.phi_u),
-                            self.f_uu[i][i], *(row[i] for row in self.phi_uu)],
+                            self.f_uu[i], *(row[i] for row in self.phi_uu)],
                            (2, 1 + n), n, m)
                 for i in range(m)),
         })
@@ -411,7 +411,7 @@ class ControlProblem:
     def u_slopes(self, i: int, t, x, u) -> np.ndarray:
         """First and second derivatives in control ``i``, shape ``(..., 2, 1 + n)``.
 
-        Row 0 holds ``f_u[i]`` and ``phi_u[:, i]``, row 1 ``f_uu[i][i]`` and
+        Row 0 holds ``f_u[i]`` and ``phi_u[:, i]``, row 1 ``f_uu[i]`` and
         the diagonal ``phi_uu[:, i]``.
         """
         return self._evaluators["u_slopes"][i](t, x, u)
@@ -439,6 +439,18 @@ def _shape_rows(hook: str, out, t_arr, width: int) -> np.ndarray:
     return out
 
 
+def _check_samples(name: str, samples, grid: np.ndarray, width: str) -> np.ndarray:
+    """``samples`` as a float array shaped (knots, columns), after the
+    package's one sample rule: one row per knot of ``grid``, a 1-d array
+    being one column.  Candidates, adjoints and the control samples of
+    :func:`~pmpcheck.integrate.solve_state` all apply it."""
+    out = np.asarray(samples, dtype=float)
+    if out.ndim not in (1, 2) or out.shape[0] != grid.size:
+        raise DimensionMismatch(f"{name} samples have shape {out.shape}; expected "
+                                f"({grid.size},) or ({grid.size}, {width})")
+    return out.reshape(grid.size, -1)
+
+
 @dataclass(frozen=True, eq=False)
 class CandidateProcess:
     """A sampled trajectory/control pair on a fixed time grid.
@@ -447,7 +459,9 @@ class CandidateProcess:
     constant and left-continuous (the sample at a cell's right knot owns
     the cell).  When closed forms are attached they take precedence in
     :meth:`state` / :meth:`control`, so oracle candidates are evaluated
-    exactly rather than through interpolation.
+    exactly rather than through interpolation.  ``x`` and ``u`` hold one
+    row per knot, shaped (K, n) and (K, m); a 1-d array is one column and
+    any other shape raises :class:`DimensionMismatch` (:func:`_check_samples`).
     """
 
     grid: np.ndarray
@@ -458,20 +472,9 @@ class CandidateProcess:
 
     def __post_init__(self):
         grid = _check_grid(self.grid)
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        u = np.asarray(self.u, dtype=float)
-        if u.ndim == 1:
-            u = u[:, None]
-        if x.shape[0] != grid.size or u.shape[0] != grid.size:
-            raise DimensionMismatch(
-                f"grid has {grid.size} knots but x has {x.shape[0]} rows "
-                f"and u has {u.shape[0]}"
-            )
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "x", _check_samples("x", self.x, grid, "n"))
+        object.__setattr__(self, "u", _check_samples("u", self.u, grid, "m"))
 
     @property
     def n(self) -> int:
@@ -635,7 +638,7 @@ class AssumptionReport:
     weight_reports: dict
     notes: tuple
 
-    _OK = ("pass", "no counterexample", "assumed", "vacuous")
+    _OK = ("pass", "no counterexample", "vacuous")
 
     @property
     def all_ok(self) -> bool:
@@ -645,8 +648,7 @@ class AssumptionReport:
 def _decade_partials(grid: np.ndarray, omega: WeightSpec, L_vals: np.ndarray) -> tuple:
     """Integrals of |omega| times the linearly interpolated majorant up to
     T/100, T/10 and T, by the Gauss rule: no knot, so no pole, is touched."""
-    cells = _cell_integrals(lambda ts: np.abs(omega(ts)) * np.interp(ts, grid, L_vals), grid)
-    partial = np.concatenate([[0.0], np.cumsum(cells)])
+    partial = improper_integral(lambda ts: np.abs(omega(ts)) * np.interp(ts, grid, L_vals), grid)
     marks = np.searchsorted(grid, [grid[-1] / 100.0, grid[-1] / 10.0, grid[-1]])
     return tuple(float(v) for v in partial[marks])
 

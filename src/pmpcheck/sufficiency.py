@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expressions import DomainError, _enclose, _iv_add, _iv_mul
-from .pmp import AdjointSolution, UnboundedAbove, _hamiltonian, _sup_over_u
+from .pmp import AdjointSolution, UnboundedAbove, _finite_weight, _hamiltonian, _sup_over_u
 from .problem import (CandidateProcess, ControlProblem, DimensionMismatch, _ball,
                       _matching_widths, _tube)
 
@@ -223,7 +223,11 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     ball of radius gamma (strong mode) or gamma * eta(t) (weak mode)
     around the candidate state at each resolvable grid time.  The
     multiplier must be normal; any positive lambda0 is rescaled onto
-    lambda0 = 1, which changes no verdict.
+    lambda0 = 1, which changes no verdict.  A slice is judged only at a
+    knot with finite weight (the pointwise conditions' mask,
+    :func:`~pmpcheck.pmp._finite_weight`) that the adjoint reaches: knots
+    past the adjoint's last knot have no p, so they are skipped, not
+    clamped, and a note counts them.
 
     A slice is first tried by :func:`_concave_slices`: where H is proved
     jointly concave in (x, u) on the tube times the control box, H⁰ is
@@ -268,19 +272,18 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
 
     notes = []
     lam = float(adj.lambda0)
-    p_grid = adj.value(cand.grid)
     if lam != 1.0:
-        p_grid = p_grid / lam
         notes.append(f"multiplier rescaled from lambda0 = {lam:g} onto the "
                      "normal case; verdicts are scale-invariant")
 
     grid = cand.grid
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w = np.asarray(prob.omega(grid), dtype=float)
-    usable = np.isfinite(w)
-    n_pole = int(np.sum(~usable))
-    if n_pole:
-        notes.append(f"{n_pole} slice(s) skipped: weight pole")
+    finite, w, pole = _finite_weight(prob, grid)
+    notes += pole
+    usable = finite & (grid <= adj.grid[-1])
+    past = int(np.sum(finite & ~usable))
+    if past:
+        notes.append(f"{past} knot(s) skipped: past the adjoint's last knot "
+                     f"t = {adj.grid[-1]:.6g}")
     collapsed = usable & ~resolvable
     if np.any(collapsed):
         notes.append(f"{int(np.sum(collapsed))} slice(s) skipped: tube radius "
@@ -303,31 +306,33 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     offsets = np.stack([np.concatenate([sym, fill(7919)]),
                         np.concatenate([-sym, fill(15877)])], axis=1)  # (pairs, 2, n)
 
-    proved = np.zeros(grid.size, dtype=bool)
-    proved[usable] = _concave_slices(prob, w[usable], grid[usable], cand.x[usable],
-                                     radii[usable], p_grid[usable])
+    # the usable knots, the only ones judged from here on
+    keep = np.flatnonzero(usable)
+    w, ts, xs, us, rr = w[usable[finite]], grid[keep], cand.x[keep], cand.u[keep], radii[keep]
+    ps = adj.value(ts) / lam
+    proved = _concave_slices(prob, w, ts, xs, rr, ps)
     aborts = []
     if np.any(proved):
-        at = (prob, w[proved], grid[proved], cand.x[proved])
-        u_c, p_c = cand.u[proved], p_grid[proved]
+        at = (prob, w[proved], ts[proved], xs[proved])
+        u_c, p_c = us[proved], ps[proved]
         h0 = _hamiltonian(*at, u_c, p_c, 1.0)
-        low = _least_magnitude(*at, radii[proved], p_c, u_c)
+        low = _least_magnitude(*at, rr[proved], p_c, u_c)
         try:
             _sup_over_u(*at, u_c, p_c, 1.0, h0, h0 + _SUP_TOL * low)
         except UnboundedAbove as e:
             aborts.append(e)
         notes.append(f"{int(np.sum(proved))} slice(s) proved concave: H jointly "
                      "concave in (x, u) on the tube times the control box")
-    scanned = usable & ~proved
+    scanned = ~proved
 
     worst = np.zeros(grid.size)
     slice_ok = np.ones(grid.size, dtype=bool)
     witness = None
     if np.any(scanned):
         try:
-            worst[scanned], slice_ok[scanned], witness = _scan(
-                prob, w[scanned], grid[scanned], cand.x[scanned], cand.u[scanned],
-                p_grid[scanned], radii[scanned], offsets)
+            worst[keep[scanned]], slice_ok[keep[scanned]], witness = _scan(
+                prob, w[scanned], ts[scanned], xs[scanned], us[scanned],
+                ps[scanned], rr[scanned], offsets)
         except (UnboundedAbove, DomainError) as e:
             aborts.append(e)
     if aborts:

@@ -48,7 +48,8 @@ KEPT_DEFAULTS = {
     ("verify_certificate", "measures"): _CONTRACT + ": constraint atoms of the multiplier",
     ("verify_certificate", "gamma"): _CONTRACT,
     ("adjoint_from_function", "lambda0"): "the abnormal case of a user-supplied adjoint",
-    ("adjoint_from_function", "measures"): "constraint atoms of a user-supplied adjoint",
+    ("AdjointSolution", "measures"): ("constraint atoms of the multiplier; verify_certificate "
+                                      "attaches them through dataclasses.replace"),
     ("solve_ode", "rtol"): _SOLVE_ODE,
     ("solve_ode", "atol"): _SOLVE_ODE,
     ("solve_ode", "blowup"): _SOLVE_ODE,
@@ -324,3 +325,51 @@ def test_every_expression_node_has_an_interval_rule():
     missing += sorted(fn for fn in functions if fn not in expressions._IV_FUNCTIONS)
     assert not missing, f"no interval rule for: {missing}"
     assert len(nodes) >= 9, sorted(cls.__name__ for cls in nodes)
+
+
+def _definition(path: Path, name: str):
+    """The class or function ``name`` defined in the module at ``path``."""
+    return next(node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name)
+
+
+def test_one_rule_shapes_every_sample_array():
+    """Candidates, adjoints and the control samples of ``solve_state`` are
+    shaped by ``problem._check_samples`` alone; a record that promotes or
+    checks its own samples (reads ``.ndim``) fails here."""
+    package = Path(pmpcheck.__file__).parent
+    sites = sorted(site for path in package.glob("*.py")
+                   for site in _call_sites(path, "_check_samples"))
+    assert sites == ["integrate.py:solve_state", "pmp.py:__post_init__",
+                     "problem.py:__post_init__", "problem.py:__post_init__"], sites
+    own = sorted(f"{module}:{name}" for module, name in (
+        ("problem.py", "CandidateProcess"), ("pmp.py", "AdjointSolution"),
+        ("integrate.py", "solve_state"))
+        for node in ast.walk(_definition(package / module, name))
+        if isinstance(node, ast.Attribute) and node.attr == "ndim")
+    assert not own, f"sample shapes read outside _check_samples: {own}"
+
+
+def test_arrow_scan_reads_the_pointwise_knots():
+    """``check_arrow`` skips weight poles through ``pmp._finite_weight``,
+    the mask of every pointwise condition; a scan that evaluates the
+    weight itself fails here."""
+    path = Path(pmpcheck.__file__).parent / "sufficiency.py"
+    assert _call_sites(path, "_finite_weight") == ["sufficiency.py:check_arrow"]
+    assert "sufficiency.py:check_arrow" not in _call_sites(path, "omega")
+
+
+def test_the_maximum_condition_reports_its_own_escape():
+    """``check_maximum_condition`` returns the failed record of an unbounded
+    H itself; ``verify_certificate`` catches UnboundedAbove only around
+    ``check_arrow``, which keeps raising.  A handler that rebuilds the
+    record around the maximum condition fails here."""
+    func = _definition(Path(pmpcheck.__file__).parent / "pmp.py", "verify_certificate")
+    guarded = {getattr(node.func, "id", getattr(node.func, "attr", None))
+               for block in ast.walk(func) if isinstance(block, ast.Try)
+               and any(isinstance(name, ast.Name) and name.id == "UnboundedAbove"
+                       for handler in block.handlers if handler.type is not None
+                       for name in ast.walk(handler.type))
+               for statement in block.body for node in ast.walk(statement)
+               if isinstance(node, ast.Call)}
+    assert guarded == {"check_arrow"}, f"calls guarded against UnboundedAbove: {guarded}"

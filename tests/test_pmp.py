@@ -610,7 +610,8 @@ class TestAdjointSolutionContainer:
 
     def test_samples_must_match_the_grid(self):
         g = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(InvalidGrid, match="adjoint has 4 samples on a grid of 5 knots"):
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                "adjoint samples have shape (4,); expected (5,) or (5, n)")):
             AdjointSolution(grid=g, p=np.ones(4), lambda0=1.0, route="user")
 
     def test_negative_lambda0_is_refused(self):
@@ -810,16 +811,20 @@ class TestMaximumCondition:
         assert rec.passed
         assert any("weight pole" in note for note in rec.notes)
 
-    def test_unbounded_direction_raises(self, reg_setup):
+    def test_unbounded_direction_fails_with_the_escape_record(self, reg_setup):
         prob, cand, _ = reg_setup
         # lambda0 = 0 strips the concave running cost; H = p(2x + u) is
-        # then linear in u on an unbounded box
+        # then linear in u on an unbounded box, so it has no maximum and
+        # the check reports the escape as the certificate does: a failed
+        # record whose witness is (t, coordinate, direction)
         adj = adjoint_from_function(cand.grid,
                                     lambda t: np.ones(np.shape(t)), lambda0=0.0)
-        with pytest.raises(UnboundedAbove) as err:
-            check_maximum_condition(prob, cand, adj)
-        assert err.value.coordinate == 0
-        assert err.value.direction > 0
+        rec = check_maximum_condition(prob, cand, adj)
+        assert rec.name == "maximum_condition"
+        assert rec.verdict == "fail"
+        assert rec.residual == np.inf and rec.tolerance == pmp._TOL_GAP
+        assert rec.witnesses == ((0.0, 1, +1),)
+        assert rec.notes == (str(UnboundedAbove(0.0, 0, +1)),)
 
     @pytest.mark.parametrize("problem,factor", [
         *(pytest.param("regulator", f, id=f"{f}") for f in (0.5, 3.0, 7.0)),
@@ -1596,6 +1601,22 @@ class TestCertificate:
         assert any("trivial" in note for note in cert.notes)
         assert any("representation route skipped" in n for n in cert.notes)
         assert cert.route_agreement is None
+
+    def test_failed_separation_is_noted(self, grid):
+        # g1 = 0 x1 is tight everywhere: no interior point separates it
+        prob = parse_problem(CONSTRAINED.replace("g1 = x1 - 2", "g1 = 0 * x1"))
+        cert = verify_certificate(prob, regulator_candidate(grid))
+        assert not cert.slater.passed
+        assert ("interior-point separation fails; measure multipliers may be "
+                "degenerate") in cert.notes
+
+    def test_weak_mode_drops_the_integral_form_under_constraints(self, grid):
+        src = CONSTRAINED.replace("nu = exp_decay 4.5", "nu = exp_decay 4.5\neta = exp_decay 1.0")
+        cert = verify_certificate(parse_problem(src), regulator_candidate(grid), mode="weak")
+        rec = cert.condition("integral_adjoint_residual")
+        assert rec.verdict == "not-applicable" and rec.premise_ok is False
+        assert rec.premise == "state constraints are a strong-route feature"
+        assert cert.active is None and cert.slater is None
 
     def test_unsupported_atoms_fail_the_integral_form(self, grid):
         prob = parse_problem(CONSTRAINED)

@@ -176,6 +176,23 @@ g1 = x1 - 2
         with pytest.raises(DimensionMismatch):
             parse_problem(src)
 
+    def test_control_index_out_of_range(self):
+        src = REGULATOR + "\n[controls]\nu2 = [0, 1]\n"
+        with pytest.raises(ProblemSyntaxError,
+                           match=re.escape("control index 'u2' out of range (m=1)")):
+            parse_problem(src)
+
+    @pytest.mark.parametrize("change,message", [
+        ({"n": 0}, "need n >= 1 states and m >= 1 controls"),
+        ({"phi": ()}, "dynamics has 0 components, n=1"),
+        ({"x0": np.zeros(2)}, "x0 has shape (2,), expected (1,)"),
+        ({"m": 2}, "control box has 1 coordinates, m=2"),
+    ], ids=["no-states", "dynamics", "x0", "control-box"])
+    def test_a_problem_refuses_mismatched_dimensions(self, change, message):
+        prob = parse_problem(REGULATOR)
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            dataclasses.replace(prob, **change)
+
     def test_control_variable_in_constraint(self):
         src = REGULATOR + "\n[constraints]\ng1 = x1 - u1\n"
         with pytest.raises(UnknownIdentifier, match="u1"):
@@ -437,6 +454,27 @@ class TestCandidate:
             CandidateProcess(grid=grid, x=np.zeros((4, 1)), u=np.zeros((5, 1)))
         with pytest.raises(InvalidGrid):
             CandidateProcess(grid=grid[::-1], x=np.zeros((5, 1)), u=np.zeros((5, 1)))
+
+    @pytest.mark.parametrize("name,shape", [
+        ("x", (5, 1, 1)), ("u", (5, 2, 3)), ("x", ()),
+    ], ids=["deep-state", "deep-control", "scalar-state"])
+    def test_misshaped_samples_are_refused(self, name, shape):
+        # these used to be accepted: a (5, 1, 1) state then failed in
+        # state() with numpy's "object too deep for desired array", a
+        # (5, 2, 3) control read as m = 2 with control(0.5) shaped (1, 2, 3),
+        # and a scalar state raised a bare IndexError
+        grid = np.linspace(0.0, 1.0, 5)
+        samples = {"x": np.zeros((5, 1)), "u": np.zeros((5, 1)), name: np.zeros(shape)}
+        width = "n" if name == "x" else "m"
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                f"{name} samples have shape {shape}; expected (5,) or (5, {width})")):
+            CandidateProcess(grid=grid, **samples)
+
+    def test_solve_state_refuses_misshaped_control_samples(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                "control samples have shape (5, 1, 1); expected (5,) or (5, m)")):
+            solve_state(parse_problem(REGULATOR), np.zeros((5, 1, 1)), grid=grid)
 
     def test_misshaped_closed_forms_are_refused(self):
         # the Gauss rule asks for the state at times shaped (K, 7); a hook

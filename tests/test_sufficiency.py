@@ -359,7 +359,52 @@ u1 = [0, inf)
         adj = adjoint_from_function(g, lambda t: np.zeros(np.shape(t)))
         rep = check_arrow(prob, cand, adj, gamma=0.25)
         assert rep.passed
-        assert any("weight pole" in note for note in rep.notes)
+        assert "1 knot(s) skipped: weight pole" in rep.notes
+
+    def test_knots_past_the_adjoint_are_skipped(self, reg_setup):
+        # p is known up to t = 25 only; the slices beyond used to be judged
+        # with p clamped at its last value
+        prob, cand, _ = reg_setup
+        adj = adjoint_from_function(cand.grid[:129], regulator_p)
+        rep = check_arrow(prob, cand, adj, gamma=0.5)
+        assert rep.passed
+        assert rep.notes == ("128 knot(s) skipped: past the adjoint's last knot t = 25",
+                             "129 slice(s) proved concave: H jointly concave in (x, u) "
+                             "on the tube times the control box")
+
+    def test_a_stencil_triple_can_be_the_witness(self):
+        # with p = 0, h(x) = w (max(0, x - 3/8) - x^2) on the tube [-1/2, 1/2]
+        # around x* = 0.  The kink sits on a stencil point, so the triple
+        # (1/4, 3/8, 1/2) reads the defect 1/16 - 1/64 = 3/64; a pair that
+        # straddles the kink as far on both sides spans at least as much
+        # of the concave part, and only (1/4, 1/2) itself reaches 3/64
+        src = """
+[problem]
+n = 1
+m = 1
+x0 = 0.0
+
+[dynamics]
+phi1 = u1
+
+[objective]
+f = x1^2 - 0.5*(x1 - 0.375 + abs(x1 - 0.375))
+omega = exp_decay 1.0
+
+[space]
+nu = exp_decay 1.0
+
+[controls]
+u1 = [0, 1]
+"""
+        g = default_grid(10.0, cells=16, refine_zero=False)
+        zero = lambda t: np.zeros(np.shape(t))
+        cand = candidate_from_functions(g, zero, zero)
+        rep = check_arrow(parse_problem(src), cand, adjoint_from_function(g, zero))
+        assert rep.overall == "fail"
+        t_w, x1, x2, defect = rep.witness
+        assert (t_w, defect) == (0.0, 3.0 / 64.0)
+        np.testing.assert_array_equal(np.stack([x1, x2]), [[0.25], [0.5]])
 
     def test_pairs_at_rebuilds_tube_points(self, reg_setup):
         prob, cand, adj = reg_setup
@@ -403,6 +448,19 @@ class TestCertificateIntegration:
         cert = verify_certificate(prob, cand)
         assert cert.sufficiency is not None
         assert cert.sufficiency.overall == "fail"
+
+    def test_abnormal_route_judges_no_slice_past_its_horizon(self, cert_grid):
+        # lambda0 = 0.5 leaves the backward route, which ends at t = 39.99
+        # (1639 knots); the scan used to read "2049 slice(s) proved concave",
+        # 410 of them with p clamped at the route's terminal value 0
+        prob = parse_problem(REGULATOR)
+        cert = verify_certificate(prob, regulator_candidate(cert_grid), lambda0=0.5)
+        assert cert.adjoints["backward-ode"].grid.size == 1639
+        assert cert.sufficiency.passed
+        assert cert.sufficiency.notes[1:] == (
+            "410 knot(s) skipped: past the adjoint's last knot t = 39.9902",
+            "1639 slice(s) proved concave: H jointly concave in (x, u) on the "
+            "tube times the control box")
 
     def test_degenerate_multiplier_skips_the_scan(self, cert_grid):
         prob = parse_problem(REGULATOR)
