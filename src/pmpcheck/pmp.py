@@ -1375,6 +1375,8 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
         k = int(np.searchsorted(pb.grid, 0.5 * pb.grid[-1], side="right"))
         diff = np.linalg.norm(pb.p[:k] - pr.p[:k], axis=1)
         route_agreement = float(np.max(diff)) / max(pr.sup_norm, _TINY)
+        notes.append(f"route agreement sup|backward - representation| / sup|p| = "
+                     f"{route_agreement:.3g} on the first half horizon")
 
     primary = adjoints.get("representation") or adjoints["backward-ode"]
     if measures:
@@ -1398,12 +1400,7 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
     conditions.extend(check_transversality(prob, cand, primary, mode=mode))
     conditions.append(check_michel(prob, cand, primary, mode=mode))
 
-    normality = check_normality(prob, cand)
-    if route_agreement is not None:
-        extra = (f"route agreement sup|backward - representation| / sup|p| = "
-                 f"{route_agreement:.3g} on the first half horizon")
-        normality = dataclasses.replace(normality, notes=normality.notes + (extra,))
-    conditions.append(normality)
+    conditions.append(check_normality(prob, cand))
 
     from .sufficiency import check_arrow  # deferred: sufficiency imports pmp
     sufficiency = None

@@ -9,7 +9,9 @@ report, with witnesses, whether the regularity and growth conditions that
 the certificate machinery relies on are credible there.  One helper lays
 the tube for the audit and the Arrow scan alike; the audit draws 32
 points per grid time from one low-discrepancy sequence and evaluates
-them, and 64 continuity probes of 8 points each, in batched calls.
+them in batched calls.  Continuity is read off the expression tree: the
+only jump an expression can hold is a ``sign`` node, and the audit
+evaluates its arguments on the same tube samples.
 
 Two audit modes exist.  The uniform mode uses a constant tube radius and
 carries the constraint conditions; the scaled mode shrinks the tube with a
@@ -185,19 +187,13 @@ class ControlBox:
 # the problem record
 
 
-def _sign_depends(e: Expression, name: str) -> bool:
-    """Whether a ``sign`` node of ``e`` has an argument that depends on ``name``."""
-    if isinstance(e, Call) and e.fn == "sign" and name in e.variables():
-        return True
-    return any(_sign_depends(k, name) for k in _children(e))
-
-
-def _kinks(e: Expression, names: set[str]) -> list[Expression]:
-    """Arguments of the ``abs`` and ``sign`` nodes of ``e`` that name one of ``names``."""
-    found = [e.args[0]] if (isinstance(e, Call) and e.fn in ("abs", "sign")
+def _kinks(e: Expression, names: set[str], fns: tuple) -> list[Expression]:
+    """Arguments of the nodes of ``e`` that call one of ``fns`` and name
+    one of ``names``; ``fns`` picks from ``abs`` and ``sign``."""
+    found = [e.args[0]] if (isinstance(e, Call) and e.fn in fns
                             and not e.variables().isdisjoint(names)) else []
     for k in _children(e):
-        found += _kinks(k, names)
+        found += _kinks(k, names, fns)
     return found
 
 
@@ -339,7 +335,7 @@ class ControlProblem:
         )
         object.__setattr__(self, "u_quadratic", tuple(
             all(c not in e.variables() for e in (fuu, *(row[i] for row in self.phi_uu)))
-            and not any(_sign_depends(e, c) for e in (fu, *(row[i] for row in self.phi_u)))
+            and not any(_kinks(e, {c}, ("sign",)) for e in (fu, *(row[i] for row in self.phi_u)))
             for i, (c, fu, fuu) in enumerate(zip(controls, self.f_u, self.f_uu))))
         object.__setattr__(self, "x_affine", all(
             e.variables().isdisjoint(states) for row in self.phi_x for e in row))
@@ -387,7 +383,7 @@ class ControlProblem:
             (phi, (*row_x, *row_u)) for phi, row_x, row_u in zip(self.phi, self.phi_x, self.phi_u)]
         rows = tuple(tuple(grad[a].diff(names[b]) for a in range(d) for b in range(a, d))
                      for _, grad in gradients)
-        kinks = tuple(tuple(_kinks(e, set(names))) for e, _ in gradients)
+        kinks = tuple(tuple(_kinks(e, set(names), ("abs", "sign"))) for e, _ in gradients)
         return rows, kinks
 
     def f_value(self, t, x, u):
@@ -719,6 +715,14 @@ def _eval_rows(fn, nt: int, ns: int):
     return out, witness
 
 
+def _point_witness(point: dict, n: int, m: int) -> tuple:
+    """The witness ``(t, x, u)`` of a domain failure's ``point``, with
+    ``x1..xn`` and ``u1..um`` read by index; ``u`` is None for ``m = 0``."""
+    return (point.get("t", float("nan")),
+            tuple(point[f"x{i + 1}"] for i in range(n)),
+            tuple(point[f"u{i + 1}"] for i in range(m)) or None)
+
+
 def audit_assumptions(
     prob: ControlProblem,
     cand: CandidateProcess,
@@ -731,10 +735,19 @@ def audit_assumptions(
     ``gamma * eta(t)`` (state and control alike) in weak mode.  Each grid
     time owns 32 tube samples, the candidate and 31 quasi-random ball
     points, which feed the empirical majorant, the growth-constant fits
-    and the constraint constants.  The continuity probe steps from the
-    candidate toward one quasi-random direction by 1/2, ..., 1/128 of
-    the radius, at up to 64 grid times spread evenly over the grid.
-    Every stage is one batched evaluation; the audit is deterministic.
+    and the constraint constants.  Every stage is one batched
+    evaluation; the audit is deterministic.
+
+    Continuity (A1/B1) is decided from the expression tree.  Every
+    function of the grammar is continuous where it is defined, so f and
+    phi can jump only across the zero of the argument of a ``sign``
+    node, which the parser refuses and only the derivative of ``abs``
+    builds.  The arguments that name a moved variable (x in strong mode,
+    x or u in weak mode) are evaluated on the tube samples, and the
+    verdict fails at the first knot where f and phi are defined and the
+    samples put an argument at 0 or on both sides of it.  A problem
+    without such a node evaluates nothing for it and reads "no
+    counterexample"; measurability in t stays assumed.
 
     Raises
     ------
@@ -858,11 +871,7 @@ def audit_assumptions(
             f"(partials {L_partials[0]:.4g}, {L_partials[1]:.4g}, {L_partials[2]:.4g})"
         )
         if cost_witness is not None:
-            witnesses[names["growth"]] = (
-                cost_witness.get("t", float("nan")),
-                tuple(v for k, v in sorted(cost_witness.items()) if k.startswith("x")),
-                tuple(v for k, v in sorted(cost_witness.items()) if k.startswith("u")) or None,
-            )
+            witnesses[names["growth"]] = _point_witness(cost_witness, prob.n, prob.m)
             notes.append(f"{names['growth']}: cost data left its domain inside the tube")
         elif bad_idx >= 0:
             k = bad_idx
@@ -878,46 +887,20 @@ def audit_assumptions(
             notes.append(f"{names['growth']}: dynamics left its domain inside the tube")
     verdicts[names["growth"]] = "pass" if growth_ok else "fail"
 
-    # ---- continuity probe in (x, u): secant deviations under shrinking steps.
-    # A jump keeps the deviation pinned at the gap size as the step shrinks
-    # (ratios near 1); anything continuous decays at the small-step end.
-    # Only the last two ratios are tested, and against 0.9 rather than 1,
-    # because a smooth integrand can put one sample near a cancellation root
-    # (|s^2 - 2sx| vanishes at s = 2x): one ratio can then spike, but a
-    # single quadratic root cannot hold two consecutive ratios above 0.9.
-    probe = np.unique(np.linspace(0, nt - 1, min(64, nt)).astype(int))
-    dirs = _ball(prob.n + prob.m if weak else prob.n, 7919 + probe)
-    # matmul takes each row's norm through the same dot product as
-    # np.linalg.norm of one vector; a sum of squares can differ in the last bit
-    dirs = dirs / np.maximum(np.sqrt(dirs[:, None, :] @ dirs[:, :, None])[:, 0], 1e-12)
-    # per probed time: the candidate, then 7 steps halving from half the radius
-    moves = (0.5 ** np.arange(1, 8) * radii[probe, None])[..., None] * dirs[:, None, :]
-    base_x, base_u = x_star[probe, None], u_star[probe, None]
-    Xp = np.concatenate([base_x, base_x + moves[..., :prob.n]], axis=1)
+    # ---- continuity in (x, u), read off the tree (see the docstring): the
+    # zeros of the sign arguments that name a moved variable, on the tube
+    moved = {f"x{i + 1}" for i in range(prob.n)}
     if weak:
-        Up = np.concatenate([base_u, prob.U.project(base_u + moves[..., prob.n:])], axis=1)
-    else:
-        Up = np.broadcast_to(base_u, (probe.size, 8, prob.m))
-    Tp = np.repeat(grid[probe], 8)
-    Xp, Up = Xp.reshape(-1, prob.n), Up.reshape(-1, prob.m)
-
-    def deviations(sl: slice) -> np.ndarray:
-        # per probed time: f at the candidate, then max(|df|, max|dphi|) per
-        # step, passing over a NaN dphi; a time whose data left the domain
-        # reads inf throughout and so never counts as a jump (domain holes
-        # are the majorant's business)
-        fv = prob.f_value(Tp[sl], Xp[sl], Up[sl]).reshape(-1, 8)
-        pv = prob.phi_value(Tp[sl], Xp[sl], Up[sl]).reshape(-1, 8, prob.n)
-        df = np.abs(fv[:, 1:] - fv[:, :1])
-        dp = np.max(np.abs(pv[:, 1:] - pv[:, :1]), axis=-1)
-        return np.concatenate([fv[:, :1], np.where(dp > df, dp, df)], axis=1).ravel()
-
-    dev, _ = _eval_rows(deviations, probe.size, 8)
-    f0, d = dev[:, 0], dev[:, 1:]
-    jumps = ((d[:, -1] > 1e-6 * (1.0 + np.abs(f0)))
-             & (d[:, -1] > 0.9 * d[:, -2]) & (d[:, -2] > 0.9 * d[:, -3]))
-    if np.any(jumps):
-        k = probe[np.argmax(jumps)]
+        moved |= {f"u{i + 1}" for i in range(prob.m)}
+    crossed = np.zeros(nt, dtype=bool)
+    for arg in (a for e in (prob.f, *prob.phi) for a in _kinks(e, moved, ("sign",))):
+        level = _evaluator([arg], (), prob.n, prob.m)
+        vals, _ = _eval_rows(lambda sl, level=level: level(T[sl], X[sl], Uarr[sl]),
+                             nt, _TUBE_SAMPLES)
+        crossed |= (np.min(vals, axis=1) <= 0) & (np.max(vals, axis=1) >= 0)
+    crossed &= np.isfinite(L_values) & np.isfinite(C_values)
+    if np.any(crossed):
+        k = int(np.argmax(crossed))
         verdicts[names["cont"]] = "fail"
         witnesses[names["cont"]] = (float(grid[k]), tuple(x_star[k]), tuple(u_star[k]))
     else:
@@ -935,11 +918,7 @@ def audit_assumptions(
                 gj = prob.g_jac_x(T, X)
             except DomainError as err:
                 a3_ok = False
-                witnesses["A3"] = (
-                    err.point.get("t", float("nan")),
-                    tuple(v for k, v in sorted(err.point.items()) if k.startswith("x")),
-                    None,
-                )
+                witnesses["A3"] = _point_witness(err.point, prob.n, 0)
                 notes.append("A3: constraint data left its domain inside the tube")
             if a3_ok:
                 scale = 1.0 + np.linalg.norm(X, axis=-1)

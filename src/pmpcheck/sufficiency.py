@@ -40,13 +40,17 @@ _CONCAVITY_TOL = 1e-9  # accepted midpoint defect relative to 1 + |h|
 class ConcavityReport:
     """Per-time concavity verdicts for the maximized Hamiltonian.
 
-    ``worst`` holds the largest midpoint defect found at each scanned
-    time: ``(h(x1) + h(x2))/2 - h((x1+x2)/2)``, clipped at zero, so a
-    concave slice reads 0 up to roundoff.  A slice proved concave through
-    its Hessian is not sampled and reads exactly 0.  ``pair_offsets`` are
-    the unit-ball offsets shared by all slices; ``pairs_at`` rebuilds the
-    actual coordinates for one slice.  A failed premise (no normal
-    multiplier to scan with) leaves the arrays empty.
+    ``grid``, ``worst``, ``slice_ok``, ``radii`` and ``centers`` hold the
+    judged knots only, in grid order; a skipped knot (weight pole,
+    collapsed tube, past the adjoint's last knot) has no entry, and the
+    notes count it.  ``worst`` holds the largest midpoint defect found at
+    each judged time: ``(h(x1) + h(x2))/2 - h((x1+x2)/2)``, clipped at
+    zero, so a concave slice reads 0 up to roundoff.  A slice proved
+    concave through its Hessian is not sampled and reads exactly 0.
+    ``pair_offsets`` are the unit-ball offsets shared by all slices;
+    ``pairs_at`` rebuilds the actual coordinates for one slice.  A failed
+    premise (no normal multiplier, or no knot to judge) leaves the arrays
+    empty.
     """
 
     grid: np.ndarray
@@ -72,7 +76,7 @@ class ConcavityReport:
         return self.overall == "pass"
 
     def pairs_at(self, k: int) -> np.ndarray:
-        """The (x1, x2) pairs of grid index ``k``, shape (pairs, 2, n).
+        """The (x1, x2) pairs of judged slice ``k``, shape (pairs, 2, n).
 
         These are the pairs the scan samples at a slice it cannot prove;
         a proved slice reads ``worst`` 0 and its pairs were never sampled.
@@ -227,7 +231,7 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     knot with finite weight (the pointwise conditions' mask,
     :func:`~pmpcheck.pmp._finite_weight`) that the adjoint reaches: knots
     past the adjoint's last knot have no p, so they are skipped, not
-    clamped, and a note counts them.
+    clamped, and a note counts them.  The report holds the judged knots.
 
     A slice is first tried by :func:`_concave_slices`: where H is proved
     jointly concave in (x, u) on the tube times the control box, H⁰ is
@@ -259,16 +263,15 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     _matching_widths(prob, cand, adj)
     _, radii, resolvable, _ = _tube(prob, cand, gamma, mode)
     n = prob.n
-    empty = lambda *shape: np.zeros(shape)
+    not_applicable = lambda premise, notes: ConcavityReport(
+        grid=np.zeros(0), worst=np.zeros(0), slice_ok=np.zeros(0, dtype=bool),
+        radii=np.zeros(0), centers=np.zeros((0, n)), pair_offsets=np.zeros((0, 2, n)),
+        witness=None, premise=premise, premise_ok=False,
+        tolerance=_CONCAVITY_TOL, notes=tuple(notes))
     if adj.lambda0 <= 0:
-        return ConcavityReport(
-            grid=empty(0), worst=empty(0), slice_ok=empty(0).astype(bool),
-            radii=empty(0), centers=empty(0, n),
-            pair_offsets=empty(0, 2, n), witness=None,
-            premise="normal multiplier (lambda0 = 1)", premise_ok=False,
-            tolerance=_CONCAVITY_TOL,
-            notes=("concavity asserts optimality only for the normal case; "
-                   f"got lambda0 = {adj.lambda0:g}",))
+        return not_applicable("normal multiplier (lambda0 = 1)",
+                              ["concavity asserts optimality only for the normal case; "
+                               f"got lambda0 = {adj.lambda0:g}"])
 
     notes = []
     lam = float(adj.lambda0)
@@ -290,12 +293,7 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
                      "below machine resolution around the candidate")
         usable &= resolvable
     if not np.any(usable):
-        return ConcavityReport(
-            grid=grid, worst=np.zeros(grid.size),
-            slice_ok=np.zeros(grid.size, dtype=bool), radii=radii,
-            centers=cand.x, pair_offsets=empty(0, 2, n), witness=None,
-            premise="a resolvable tube with finite weight", premise_ok=False,
-            tolerance=_CONCAVITY_TOL, notes=tuple(notes))
+        return not_applicable("a resolvable tube with finite weight", notes)
 
     # symmetric half: axis diameters first (they include the boundary),
     # then mirrored low-discrepancy offsets; fill half: independent pairs
@@ -306,9 +304,9 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
     offsets = np.stack([np.concatenate([sym, fill(7919)]),
                         np.concatenate([-sym, fill(15877)])], axis=1)  # (pairs, 2, n)
 
-    # the usable knots, the only ones judged from here on
-    keep = np.flatnonzero(usable)
-    w, ts, xs, us, rr = w[usable[finite]], grid[keep], cand.x[keep], cand.u[keep], radii[keep]
+    # the usable knots, the only ones judged and reported from here on
+    w, ts, xs, us, rr = (w[usable[finite]], grid[usable], cand.x[usable],
+                         cand.u[usable], radii[usable])
     ps = adj.value(ts) / lam
     proved = _concave_slices(prob, w, ts, xs, rr, ps)
     aborts = []
@@ -325,12 +323,12 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
                      "concave in (x, u) on the tube times the control box")
     scanned = ~proved
 
-    worst = np.zeros(grid.size)
-    slice_ok = np.ones(grid.size, dtype=bool)
+    worst = np.zeros(ts.size)
+    slice_ok = np.ones(ts.size, dtype=bool)
     witness = None
     if np.any(scanned):
         try:
-            worst[keep[scanned]], slice_ok[keep[scanned]], witness = _scan(
+            worst[scanned], slice_ok[scanned], witness = _scan(
                 prob, w[scanned], ts[scanned], xs[scanned], us[scanned],
                 ps[scanned], rr[scanned], offsets)
         except (UnboundedAbove, DomainError) as e:
@@ -339,8 +337,8 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
         raise min(aborts, key=_abort_time)
 
     return ConcavityReport(
-        grid=grid, worst=worst, slice_ok=slice_ok, radii=radii,
-        centers=cand.x, pair_offsets=offsets, witness=witness,
+        grid=ts, worst=worst, slice_ok=slice_ok, radii=rr,
+        centers=xs, pair_offsets=offsets, witness=witness,
         premise="normal multiplier (lambda0 = 1)", premise_ok=True,
         tolerance=_CONCAVITY_TOL, notes=tuple(notes))
 

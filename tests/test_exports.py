@@ -253,14 +253,19 @@ def test_one_chain_composes_every_cell_map():
     assert not hits, f"cell maps composed outside _affine_chain: {hits}"
 
 
+def _owners(tree) -> dict:
+    """The name of the innermost function around each node of ``tree``, by ``id``."""
+    # ast.walk is breadth first, so a nested function overwrites its parent
+    return {id(node): func.name for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)}
+
+
 def _call_sites(path: Path, name: str) -> list:
     """``file:function`` of each call of ``name`` in the module at ``path``."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    # ast.walk is breadth first, so a nested function overwrites its parent
-    owner = {id(node): f"{path.name}:{func.name}" for func in ast.walk(tree)
-             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-             for node in ast.walk(func)}
-    return sorted(owner.get(id(node), f"{path.name}:<module>") for node in ast.walk(tree)
+    owner = _owners(tree)
+    return sorted(f"{path.name}:{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
                   and getattr(node.func, "attr", getattr(node.func, "id", None)) == name)
 
@@ -373,3 +378,33 @@ def test_the_maximum_condition_reports_its_own_escape():
                for statement in block.body for node in ast.walk(statement)
                if isinstance(node, ast.Call)}
     assert guarded == {"check_arrow"}, f"calls guarded against UnboundedAbove: {guarded}"
+
+
+def test_the_audit_evaluates_f_and_phi_in_its_tube_stages_only():
+    """Continuity (A1/B1) is read off the expression tree, so
+    ``audit_assumptions`` evaluates f only in its cost stage and phi only
+    in its growth stage; a sampled continuity probe, which evaluates them
+    elsewhere, fails here."""
+    func = _definition(Path(pmpcheck.__file__).parent / "problem.py", "audit_assumptions")
+    owner = _owners(func)
+    sites = sorted(f"{owner[id(node)]}:{node.func.attr}" for node in ast.walk(func)
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", None) in ("f_value", "phi_value"))
+    assert sites == ["cost_norms:f_value", "growth_norms:phi_value"], sites
+
+
+def test_one_walker_finds_the_kinks():
+    """``problem._kinks`` is the one walker over ``abs`` and ``sign``
+    nodes: in ``problem.py`` and ``sufficiency.py`` no other function reads
+    a node's ``fn`` or compares anything with ``"sign"``."""
+    found = []
+    for module in ("problem.py", "sufficiency.py"):
+        path = Path(pmpcheck.__file__).parent / module
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = _owners(tree)
+        found += [f"{module}:{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute) and node.attr == "fn")
+                  or (isinstance(node, ast.Compare)
+                      and any(isinstance(c, ast.Constant) and c.value == "sign"
+                              for c in ast.walk(node)))]
+    assert set(found) == {"problem.py:_kinks"}, found

@@ -1561,6 +1561,12 @@ class TestCertificate:
         assert cert.nontrivial
         assert cert.audit.all_ok
         assert cert.route_agreement < 1e-6
+        # the route agreement is the certificate's note, not normality's
+        agreement = [n for n in cert.notes if n.startswith("route agreement")]
+        assert agreement == [f"route agreement sup|backward - representation| / sup|p| = "
+                             f"{cert.route_agreement:.3g} on the first half horizon"]
+        assert not any("route agreement" in n
+                       for n in cert.condition("normality_representation").notes)
         names = [c.name for c in cert.conditions]
         assert names == ["adjoint_residual", "integral_adjoint_residual",
                          "maximum_condition", "weak_inequality",

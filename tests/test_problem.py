@@ -569,6 +569,9 @@ class TestAudit:
         cand = candidate_from_functions(grid, lambda t: np.exp(-t), lambda t: 0.0 * t)
         rep = audit_assumptions(prob, cand, gamma=0.1)
         assert rep.verdicts["A2"] == "fail"
+        # ln is steep near its domain edge but continuous: the fault is the
+        # hole that A2 names, not a jump
+        assert rep.verdicts["A1"] == "no counterexample"
         assert not rep.all_ok
         # witness sits where exp(-t) - 0.1 crosses zero, near t = ln 10
         t_w, x_w, _ = rep.witnesses["A2"]
@@ -716,7 +719,7 @@ u1 = [0, 1)
     def test_sign_jump_at_a_probed_point_fails_continuity(self):
         # sign() only exists as an internal node, so the jumpy integrand is
         # assembled directly; its surface x = 2 passes through the
-        # candidate's start, which the probe always visits
+        # candidate's start, the first tube sample
         from pmpcheck.expressions import Call, Num, Sym, add, mul, powx, sub
         from pmpcheck.problem import ControlProblem
         from pmpcheck.weights import exp_decay
@@ -734,11 +737,13 @@ u1 = [0, 1)
         assert t_w == 0.0
         assert x_w[0] == pytest.approx(2.0)
 
-    def test_probe_skips_knots_outside_the_domain_and_names_the_first_jump(self):
+    def test_continuity_skips_knots_outside_the_domain_and_names_the_first_crossing(self):
         # ln(t - 10) leaves its domain up to t = 10, where the candidate sits
         # on the jump surface x = 2 of sign(x - 2); it leaves the surface
-        # on (10, 20) and returns to it from t = 20 on.  The first probed
-        # time from 20 on is grid index 412 (t = 20.6)
+        # on (10, 20), with the tube clear of it, and returns to it from
+        # t = 20 on.  The verdict reads every knot, so it names t = 20.0;
+        # a probe of 64 knots spread over the grid named 20.6, the first
+        # knot it visited from 20 on
         from pmpcheck.expressions import Call, Num, Sym, add, sub
         from pmpcheck.problem import ControlProblem
         from pmpcheck.weights import exp_decay
@@ -752,7 +757,69 @@ u1 = [0, 1)
                                         lambda t: 0.0 * t)
         rep = audit_assumptions(prob, cand, gamma=0.5)
         assert rep.verdicts["A1"] == "fail"
-        assert rep.witnesses["A1"] == (20.6, (2.0,), (0.0,))
+        assert rep.witnesses["A1"] == (20.0, (2.0,), (0.0,))
+
+    @pytest.mark.parametrize("route", ["node", "derivative"])
+    def test_sign_surface_anywhere_in_the_tube_fails_continuity(self, route):
+        # the surface x = 2.3 lies inside the tube of radius 0.5 at t = 0,
+        # but 0.3 from the candidate, beyond half the radius, where a probe
+        # stepping from the candidate never reached it.  The parser refuses
+        # sign, so the node is built directly or as the derivative of abs
+        from pmpcheck.expressions import Call, Num, Sym, add, parse_expression, sub
+
+        base = parse_problem(REGULATOR)
+        jump = (Call("sign", (sub(Sym("x1"), Num(2.3)),)) if route == "node"
+                else parse_expression("abs(x1 - 2.3)").diff("x1"))
+        assert str(jump) == "sign(x1 - 2.3)"
+        prob = dataclasses.replace(base, f=add(base.f, jump))
+        rep = audit_assumptions(prob, regulator_candidate(), gamma=0.5)
+        assert rep.verdicts["A1"] == "fail"
+        assert rep.witnesses["A1"] == (0.0, (2.0,), (2.0 * _RATE,))
+
+    def test_a_sign_of_the_control_counts_in_the_weak_mode_only(self):
+        # the surface u = u*(0) passes through the candidate's control at
+        # t = 0.  The weak tube moves u and fails there; the strong tube
+        # keeps u at u*, so a jump in u alone is a matter of measurability
+        # in t, which stays assumed
+        from pmpcheck.expressions import Call, Num, Sym, add, sub
+
+        src = REGULATOR.replace("nu = exp_decay 1.0", "nu = exp_decay 1.0\neta = exp_decay 0.1")
+        base = parse_problem(src)
+        prob = dataclasses.replace(
+            base, f=add(base.f, Call("sign", (sub(Sym("u1"), Num(float(2.0 * _RATE))),))))
+        weak = audit_assumptions(prob, regulator_candidate(), gamma=0.5, mode="weak")
+        assert weak.verdicts["B1"] == "fail"
+        assert weak.witnesses["B1"] == (0.0, (2.0,), (2.0 * _RATE,))
+        strong = audit_assumptions(prob, regulator_candidate(), gamma=0.5)
+        assert strong.verdicts["A1"] == "no counterexample"
+        assert "A1" not in strong.witnesses
+
+    def test_domain_witnesses_list_the_states_by_index(self):
+        # with n = 11 the keys x1, x10, x11, x2, ... sort as strings; the
+        # witnesses of A2 and A3 must read x1..x11 in order, so the
+        # offending x2 <= 0 sits second
+        n = 11
+        src = (f"[problem]\nn = {n}\nm = 1\nx0 = {', '.join(str(i) for i in range(1, n + 1))}\n"
+               "[dynamics]\n" + "".join(f"phi{i} = -x{i} + 0*u1\n" for i in range(1, n + 1))
+               + "[objective]\nf = ln(x2) + u1^2\nomega = exp_decay 1.0\n"
+               "[space]\nnu = exp_decay 1.0\n[constraints]\ng1 = ln(x2) - 10\n")
+        prob = parse_problem(src)
+        grid = np.linspace(0.0, 10.0, 65)
+        scale = np.arange(1.0, n + 1)
+        cand = candidate_from_functions(grid, lambda t: np.exp(-np.asarray(t))[..., None] * scale,
+                                        lambda t: 0.0 * t)
+        rep = audit_assumptions(prob, cand, gamma=5.0)
+        assert rep.verdicts["A2"] == "fail"
+        t_w, x_w, u_w = rep.witnesses["A2"]
+        assert len(x_w) == n and u_w == (0.0,)
+        assert x_w[1] <= 0.0
+        # the witness is a tube point: every coordinate within the radius of x*
+        x_star = scale * np.exp(-t_w)
+        assert np.all(np.abs(np.array(x_w) - x_star) <= 5.0 * (1 + 1e-12))
+        # the constraint's witness is read by the same rule, without a control
+        assert rep.verdicts["A3"] == "fail"
+        _, x_w, u_w = rep.witnesses["A3"]
+        assert len(x_w) == n and u_w is None and x_w[1] <= 0.0
 
     @pytest.mark.parametrize("mode", ["strong", "weak"])
     def test_evaluator_calls_do_not_grow_with_the_grid(self, mode, monkeypatch):
@@ -772,7 +839,7 @@ u1 = [0, 1)
             audit_assumptions(prob, regulator_candidate(points=cells + 1), gamma=0.5, mode=mode)
             counts.append(len(calls))
         assert counts[0] == counts[1]
-        assert counts[0] <= 8  # cost, growth and probe: one call per evaluator
+        assert counts[0] <= 6  # cost and growth: one call per evaluator
 
     def test_constraint_data_is_audited_in_the_uniform_mode(self):
         src = REGULATOR + "\n[constraints]\ng1 = x1 - 2\n"

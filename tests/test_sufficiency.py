@@ -319,6 +319,8 @@ class TestCheckArrow:
         assert rep.overall == "not-applicable"
         assert not rep.premise_ok
         assert not rep.passed
+        assert all(a.size == 0 for a in (rep.grid, rep.worst, rep.slice_ok,
+                                         rep.radii, rep.centers))
 
     def test_weak_mode_scales_tube_with_eta(self):
         src = REGULATOR + "eta = exp_decay 0.1\n"
@@ -360,6 +362,29 @@ u1 = [0, inf)
         rep = check_arrow(prob, cand, adj, gamma=0.25)
         assert rep.passed
         assert "1 knot(s) skipped: weight pole" in rep.notes
+        # with no knot left to judge the premise fails and the arrays are empty
+        short = adjoint_from_function(np.array([0.0, 0.5 * g[1]]),
+                                      lambda t: np.zeros(np.shape(t)))
+        none = check_arrow(prob, cand, short, gamma=0.25)
+        assert none.overall == "not-applicable"
+        assert all(a.size == 0 for a in (none.grid, none.worst, none.slice_ok,
+                                         none.radii, none.centers))
+
+    def test_the_report_holds_the_judged_knots_only(self):
+        # the extraction workload's grid: 2048 cells refined at t = 0, 2090
+        # knots.  The weight pole at t = 0 is skipped, so the arrays hold
+        # 2089 entries; skipped knots used to read worst 0 and slice_ok True
+        prob = parse_problem(test_pmp.EXTRACTION)
+        g = default_grid(50.0, cells=2048)
+        cand = candidate_from_functions(
+            g, lambda t: np.exp(0.5 * (1.0 - np.exp(-np.asarray(t)))),
+            lambda t: np.full(np.shape(t), 0.25))
+        rep = check_arrow(prob, cand, adjoint_from_function(g, lambda t: np.zeros(np.shape(t))))
+        assert rep.passed and g.size == 2090
+        np.testing.assert_array_equal(rep.grid, g[1:])
+        assert [a.shape[0] for a in (rep.worst, rep.slice_ok, rep.radii, rep.centers)] == [2089] * 4
+        np.testing.assert_array_equal(rep.centers, cand.x[1:])
+        np.testing.assert_array_equal(rep.pairs_at(0)[0, 0], cand.x[1] + rep.radii[0])
 
     def test_knots_past_the_adjoint_are_skipped(self, reg_setup):
         # p is known up to t = 25 only; the slices beyond used to be judged
@@ -457,6 +482,8 @@ class TestCertificateIntegration:
         cert = verify_certificate(prob, regulator_candidate(cert_grid), lambda0=0.5)
         assert cert.adjoints["backward-ode"].grid.size == 1639
         assert cert.sufficiency.passed
+        np.testing.assert_array_equal(cert.sufficiency.grid, cert.adjoints["backward-ode"].grid)
+        assert cert.sufficiency.slice_ok.size == cert.sufficiency.worst.size == 1639
         assert cert.sufficiency.notes[1:] == (
             "410 knot(s) skipped: past the adjoint's last knot t = 39.9902",
             "1639 slice(s) proved concave: H jointly concave in (x, u) on the "
@@ -636,13 +663,15 @@ class TestConcavityProof:
             assert str(e) == str(proved_rep)
             return
         assert not isinstance(proved_rep, Exception), proved_rep
-        k = np.searchsorted(g, ts[mask])
-        assert np.all(scanned.slice_ok[k]), g[k][~scanned.slice_ok[k]]
+        # the report's arrays hold the judged knots, which the proof saw
+        np.testing.assert_array_equal(scanned.grid, ts)
+        k = np.flatnonzero(mask)
+        assert np.all(scanned.slice_ok[k]), ts[k][~scanned.slice_ok[k]]
         # the proof changes the sampled slices' verdicts nowhere else
         assert proved_rep.overall == scanned.overall
         assert _bits(proved_rep.slice_ok) == _bits(scanned.slice_ok)
         assert proved_rep.worst[k].tobytes() == np.zeros(k.size).tobytes()
-        rest = np.setdiff1d(np.arange(g.size), k)
+        rest = np.flatnonzero(~mask)
         assert _bits(proved_rep.worst[rest]) == _bits(scanned.worst[rest])
         assert (proved_rep.witness is None) == (scanned.witness is None)
         if name in ("antiregulator", "discounted_log"):  # H0 is convex in x
