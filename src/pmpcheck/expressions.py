@@ -64,9 +64,20 @@ class DomainError(ValueError):
     def __init__(self, message: str, point: Mapping[str, float] | None = None):
         self.point = dict(point or {})
         if self.point:
-            at = ", ".join(f"{k}={v:.6g}" for k, v in sorted(self.point.items()))
+            at = ", ".join(f"{k}={self.point[k]:.6g}" for k in sorted(self.point, key=_point_order))
             message = f"{message} at {at}"
         super().__init__(message)
+
+
+def _point_order(name: str) -> tuple:
+    """Sort key of a point's variables: t, then x1..xn and u1..um by
+    index, then any other name."""
+    match = re.fullmatch(r"([xu])([0-9]+)", name)
+    if name == "t":
+        return (0, 0, "")
+    if match:
+        return (1 if match[1] == "x" else 2, int(match[2]), "")
+    return (3, 0, name)
 
 
 class UnknownIdentifier(ValueError):
@@ -149,6 +160,10 @@ class Expression:
 @dataclass(frozen=True)
 class Num(Expression):
     value: float
+
+    def __post_init__(self):
+        # a numpy scalar would print as np.float64(...) into generated code
+        object.__setattr__(self, "value", float(self.value))
 
     def diff(self, name):
         return Num(0.0)

@@ -10,16 +10,18 @@ Everything downstream needs three capabilities, all provided here:
   an optional analytic tail bound that settles integrability outright.
   Every integral along a grid in the package goes through this one rule;
 
-* an explicit adaptive Dormand-Prince 5(4) one-step integrator that never
-  steps across a grid knot (controls are allowed to jump there), for
-  state equations that are nonlinear in x;
-
 * per-cell affine maps ``y(tb) = P y(ta) + q`` of linear systems
   ``y' = M(t) y + b(t)`` along a fixed candidate, by 7-stage Gauss
   collocation, its stage systems solved a fixed block of cells at a time,
   with every map checked against its two half-cell maps (unresolved cells are bisected), and
   composed into every knot by one blocked prefix scan.  Both adjoint
-  routes and the state solves of dynamics affine in x run on these maps.
+  routes and every state solve run on these maps: dynamics affine in x
+  in one build, other dynamics in Newton sweeps, each sweep the linear
+  equation of ``phi`` linearized along the previous iterate;
+
+* an explicit adaptive Dormand-Prince 5(4) one-step integrator that never
+  steps across a grid knot (controls are allowed to jump there).  It
+  serves :func:`solve_ode` only.
 
 Decisions at infinity are made by documented finite criteria (decade
 ladders, three-window decay tests), never by a symbolic limit engine, and
@@ -33,6 +35,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .expressions import DomainError
 
 __all__ = [
     "BlowUp",
@@ -93,10 +97,13 @@ def default_grid(
 ) -> np.ndarray:
     """Build the standard grid on [0, t_max].
 
-    With ``refine_zero`` the grid starts with geometrically growing cells
-    from ``_T_MIN`` up to 1 (cell boundaries double), then spends ``cells``
-    uniform cells on the rest.  Quadrature rules with interior nodes can
-    then integrate functions with an integrable pole at 0.  Without
+    With ``refine_zero`` the grid spends ``cells`` uniform cells on
+    [knee, t_max], where the knee is ``min(1, t_max / 2)``.  Below the
+    knee, cells grow geometrically from ``_T_MIN`` (cell boundaries
+    double) until they would outgrow the body's cells; cells of at most
+    the body's width fill the rest of the head.  Quadrature rules with
+    interior nodes can then integrate functions with an integrable pole
+    at 0, and no head cell is coarser than the body.  Without
     ``refine_zero`` the grid is plain uniform, which is what ODE solves
     want (micro-cells near 0 force pointlessly small steps).
     """
@@ -105,11 +112,12 @@ def default_grid(
     if not refine_zero:
         return np.linspace(0.0, t_max, cells + 1)
     knee = min(1.0, t_max / 2.0)
-    n_geo = int(np.ceil(np.log2(knee / _T_MIN)))
-    geo = _T_MIN * 2.0 ** np.arange(n_geo + 1)
-    geo[-1] = knee
+    width = (t_max - knee) / cells
+    geo = _T_MIN * 2.0 ** np.arange(int(np.ceil(np.log2(knee / _T_MIN))) + 1)
+    geo = geo[(geo < knee) & (geo <= 2.0 * width)]  # a boundary closes a cell half its size
+    fill = np.linspace(geo[-1], knee, int(np.ceil((knee - geo[-1]) / width)) + 1)[1:]
     body = np.linspace(knee, t_max, cells + 1)[1:]
-    return np.concatenate(([0.0], geo, body))
+    return np.concatenate(([0.0], geo, fill, body))
 
 
 # The package's one quadrature rule: 7-point Gauss-Legendre, moved onto
@@ -420,34 +428,14 @@ def _sample_at(grid: np.ndarray, samples: np.ndarray, t) -> np.ndarray:
     return samples[np.minimum(np.searchsorted(grid, t, side="left"), grid.size - 1)]
 
 
-def _state_stages(prob, control, grid):
-    """Stage slopes of ``x' = phi(t, x, u)``: ``cell(k)`` gives cell k's ``stages``.
-
-    The control is read at stage times clamped into the cell, with the
-    left knot moved to the next float above it, so a control that jumps
-    at a knot contributes its right limit: the cell's own value.  One
-    call reads it for every cell at the stage times of a one-step cell,
-    the first step :func:`_integrate_cell` tries; a retried or shorter
-    step reads it again, once per step.
-    """
-    ta, tb = grid[:-1, None], grid[1:, None]
-    after_ta = np.nextafter(ta, tb)
-    clamp = lambda ts, k=slice(None): np.minimum(np.maximum(ts, after_ta[k]), tb[k])
-    one_step = np.asarray(control(clamp(ta + _DP_C * (tb - ta)).ravel()),
-                          dtype=float).reshape(ta.size, _DP_C.size, -1)
-    phi = prob.phi_value
-
-    def cell(k):
-        first = [one_step[k]]
-
-        def stages(ts):
-            us = first.pop() if first else (
-                np.asarray(control(clamp(ts, k)), dtype=float).reshape(ts.size, -1))
-            return lambda i, x: phi(ts[i], x, us[i])
-
-        return stages
-
-    return cell
+def _check_norms(ts: np.ndarray, x: np.ndarray, blowup: float) -> None:
+    """Raise :class:`BlowUp` at the first of ``ts`` whose state norm
+    exceeds ``blowup`` or is NaN."""
+    norms = np.abs(x).max(axis=1)
+    bad = ~(norms <= blowup)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise BlowUp(ts[k], norms[k], blowup)
 
 
 def _affine_state(prob, control, grid, x0, blowup):
@@ -466,16 +454,201 @@ def _affine_state(prob, control, grid, x0, blowup):
         return prob.phi_jac_x(ts, zero, us), prob.phi_value(ts, zero, us)
 
     x = _affine_chain(*_linear_cell_maps(coef, grid[:-1], grid[1:]), x0)
-    norms = np.abs(x).max(axis=1)
-    bad = ~(norms[1:] <= blowup)
-    if bad.any():
-        k = int(np.argmax(bad)) + 1
-        raise BlowUp(grid[k], norms[k], blowup)
+    _check_norms(grid[1:], x[1:], blowup)
     return x
 
 
-def solve_state(prob, u, x0=None, grid=None,
-                rtol: float = 1e-10, atol: float = 1e-12, blowup: float = 1e12):
+# Newton (quasilinearization) sweeps for dynamics that are not affine in x.
+# A window of cells has converged when a sweep moves no knot by more than
+# _NEWTON_TOL times max(1, |x|); it gets _NEWTON_SWEEPS sweeps before it is
+# halved.  A sweep's maps may hold _NEWTON_PIECES cells per window cell on
+# one halving level, so an iterate far off the flow fails fast and its
+# window is halved rather than bisected.  A kept cell whose iterate strays
+# from the flow by more than _NEWTON_CELL_TOL times max(1, |x|) at its
+# midpoint is split; no cell is split below _NEWTON_FLOOR times the horizon.
+_NEWTON_TOL = 1e-12
+_NEWTON_CELL_TOL = 1e-7
+_NEWTON_SWEEPS = 12
+_NEWTON_PIECES = 4
+_NEWTON_FLOOR = 1e-14
+
+
+def _cell_controls(control, tw: np.ndarray) -> np.ndarray:
+    """Each cell's own control at its left and right knot, shaped
+    (2 (K), m) with the left ends first: the left knot is moved to the
+    next float above it, so a control that jumps there gives its right
+    limit."""
+    ends = np.concatenate((np.nextafter(tw[:-1], tw[1:]), tw[1:]))
+    return np.asarray(control(ends), dtype=float).reshape(ends.size, -1)
+
+
+def _iterate(prob, tw, xw, u_ends):
+    """The iterate through the knot states ``xw``, as a function of time:
+    the cubic Hermite interpolant with the slopes ``phi`` gives at each
+    cell's knots, read with the cell's own control ``u_ends``, so the
+    iterate may bend at a knot where the control jumps."""
+    ends = np.concatenate((tw[:-1], tw[1:]))
+    left, right = prob.phi_value(ends, np.concatenate((xw[:-1], xw[1:])), u_ends).reshape(
+        2, tw.size - 1, xw.shape[1])
+
+    def at(ts):
+        k = np.clip(np.searchsorted(tw, ts, side="right") - 1, 0, tw.size - 2)
+        h = (tw[k + 1] - tw[k])[:, None]
+        s = (ts - tw[k])[:, None] / h
+        return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * xw[k] + s * (1.0 - s) ** 2 * h * left[k]
+                + s * s * (3.0 - 2.0 * s) * xw[k + 1] - s * s * (1.0 - s) * h * right[k])
+
+    return at
+
+
+def _newton_sweep(prob, control, tw, x0, iterate) -> np.ndarray:
+    """The knots of one Newton sweep over the knots ``tw`` from ``x0``.
+
+    Along ``iterate`` the sweep solves ``x' = M x + b`` with
+    ``M = phi_x(t, x_j, u)`` and ``b = phi(t, x_j, u) - M x_j``, through
+    the Gauss collocation cell maps and the blocked prefix scan.
+    """
+
+    def coef(ts):
+        xs = iterate(ts)
+        us = np.asarray(control(ts), dtype=float).reshape(ts.size, -1)
+        M = prob.phi_jac_x(ts, xs, us)
+        return M, prob.phi_value(ts, xs, us) - np.einsum("kij,kj->ki", M, xs)
+
+    maps = _linear_cell_maps(coef, tw[:-1], tw[1:], pieces=_NEWTON_PIECES * (tw.size - 1))
+    return _affine_chain(*maps, x0)
+
+
+def _coarse_cells(prob, control, tw, xw, iterate) -> np.ndarray:
+    """Which cells of the iterate between the knots ``tw`` to split.
+
+    At a cell's midpoint the flow along the iterate differs from it by
+    about the integral of ``phi(t, x_j, u) - x_j'`` over the cell's first
+    half, taken by the Gauss rule.  A cell is coarse when that exceeds
+    ``_NEWTON_CELL_TOL`` times ``max(1, |x|)``, and so is the first cell
+    where the iterate leaves the expression domain at those nodes.
+    """
+    h = 0.5 * np.diff(tw)
+    ts = (tw[:-1, None] + h[:, None] * _GAUSS_C).ravel()
+    us = np.asarray(control(ts), dtype=float).reshape(ts.size, -1)
+    try:
+        slopes = prob.phi_value(ts, iterate(ts), us).reshape(h.size, _GAUSS_C.size, -1)
+    except DomainError as err:
+        coarse = np.zeros(h.size, dtype=bool)
+        coarse[np.searchsorted(tw, err.point["t"]) - 1] = True  # nodes are interior
+        return coarse
+    gap = h[:, None] * np.einsum("kqn,q->kn", slopes, _GAUSS_B) - (iterate(tw[:-1] + h) - xw[:-1])
+    scale = np.maximum(1.0, np.maximum(np.abs(xw[:-1]), np.abs(xw[1:])))
+    return ~np.all(np.abs(gap) <= _NEWTON_CELL_TOL * scale, axis=1)
+
+
+def _newton_window(prob, control, tw, xw):
+    """Newton sweeps over the window knots ``tw`` from the knot states
+    ``xw``, whose first row is the converged start.
+
+    Returns ``(xw, kept, coarse, error)``.  ``xw`` holds the last
+    iterate's knots.  ``kept`` counts the leading knots the last sweep
+    left in place, ``tw.size`` once the window has converged: a knot that
+    moves is not kept, and neither is any knot after it, since a cell's
+    iterate reads both of its knots.  ``coarse`` marks the cells between
+    kept knots to split (:func:`_coarse_cells`, judged on the iterate the
+    last sweep read).  ``error`` is the
+    :class:`~pmpcheck.expressions.DomainError` or :class:`BlowUp` that
+    ended the sweeps, if one did: an iterate that leaves the expression
+    domain, or whose cell maps cannot be resolved.  Knots that turn
+    non-finite end them too.
+    """
+    u_ends = _cell_controls(control, tw)
+    kept, error = 1, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_SWEEPS):
+            try:
+                iterate = _iterate(prob, tw, xw, u_ends)
+                new = _newton_sweep(prob, control, tw, xw[0], iterate)
+            except (DomainError, BlowUp) as err:
+                error = err
+                break
+            still = np.all(np.abs(new - xw) <= _NEWTON_TOL * np.maximum(1.0, np.abs(new)), axis=1)
+            kept = tw.size if still.all() else int(np.argmin(still))
+            read, xw = (xw[:kept], iterate), new
+            if kept == tw.size or not np.isfinite(new).all():
+                break
+        coarse = _coarse_cells(prob, control, tw[:kept], *read) if kept > 1 else np.zeros(0, bool)
+    return xw, kept, coarse, error
+
+
+def _check_start(prob, control, ta, tb, xa) -> None:
+    """Evaluate ``phi`` at ``(ta, xa)`` under the control of the cell
+    [ta, tb]: a converged point outside the expression domain raises its
+    :class:`~pmpcheck.expressions.DomainError` here."""
+    prob.phi_value(ta, xa, _cell_controls(control, np.array([ta, tb]))[0])
+
+
+def _newton_state(prob, control, grid, x0, guess, blowup):
+    """Knot states of dynamics not affine in x, by Newton sweeps on windows
+    of cells (quasilinearization: Bellman and Kalaba, 1965).
+
+    The first iterate is ``guess`` (knot states, one row per knot), or
+    ``x0`` held constant; the first window covers the whole grid.  When a
+    window does not converge, the knots its last sweep left in place are
+    kept (they are converged: a cell's map reads only its own knots), the
+    iterate past them restarts from the last of them held constant, and
+    the window is halved (Newton over a sequence: Lim et al., "DEER",
+    ICLR 2024); a window of one cell is halved by splitting the cell.  A
+    converged window doubles the next.  Kept knots count only up to the
+    first coarse cell among them (:func:`_coarse_cells`): the coarse cells
+    are split, and the solve sweeps again from there.
+
+    The knots the solve works on are the grid's and the midpoints of split
+    cells.  The first of them whose norm exceeds ``blowup`` raises
+    :class:`BlowUp`.  A window that fails on a converged point outside the
+    domain raises that point's
+    :class:`~pmpcheck.expressions.DomainError`.  A cell that would have to
+    be split below the floor stops the solve at its left knot: with the
+    domain error that ended its last window, if one did, else with
+    :class:`BlowUp`.
+    """
+    floor = _NEWTON_FLOOR * grid[-1]
+    tw = grid
+    xw = np.tile(x0, (grid.size, 1)) if guess is None else (
+        np.array(guess, dtype=float).reshape(grid.size, x0.size))
+    xw[0] = x0
+    k, span = 0, grid.size - 1
+    while k < tw.size - 1:
+        hi = min(tw.size - 1, k + span)
+        x, kept, coarse, error = _newton_window(prob, control, tw[k:hi + 1], xw[k:hi + 1])
+        xw[k:k + kept] = x[:kept]
+        coarse &= np.diff(tw[k:k + kept]) >= 2.0 * floor
+        done = int(np.argmax(coarse)) + 1 if coarse.any() else kept  # knots that stand
+        _check_norms(tw[k + 1:k + done], xw[k + 1:k + done], blowup)
+        converged = kept > hi - k
+        if not converged:  # restart past the kept knots from the last of them
+            xw[k + kept:] = xw[k + kept - 1]
+            span = (hi - k) // 2
+        if coarse.any():  # sweep again from the first coarse cell, every one split
+            cells = k + np.flatnonzero(coarse)
+            if converged:
+                span = hi + cells.size - int(cells[0])
+            k = int(cells[0])
+        elif converged:
+            k, span = hi, 2 * span
+            continue
+        else:
+            k += kept - 1
+            _check_start(prob, control, tw[k], tw[k + 1], xw[k])
+            if span:
+                continue
+            if tw[k + 1] - tw[k] < 2.0 * floor:
+                if isinstance(error, DomainError):
+                    raise error
+                raise BlowUp(tw[k], float(np.max(np.abs(xw[k]))), blowup)
+            cells, span = np.array([k]), 1
+        tw = np.insert(tw, cells + 1, 0.5 * (tw[cells] + tw[cells + 1]))
+        xw = np.insert(xw, cells + 1, 0.5 * (xw[cells] + xw[cells + 1]), axis=0)
+    return xw[np.searchsorted(tw, grid)]
+
+
+def solve_state(prob, u, x0=None, grid=None, guess=None, blowup: float = 1e12):
     """Integrate the state equation under a given control.
 
     ``u`` is either a callable or an array of samples on the grid knots.
@@ -485,26 +658,37 @@ def solve_state(prob, u, x0=None, grid=None,
     read off the callable at the knots, follow the candidate's shape rule
     (:func:`~pmpcheck.problem._check_samples`).  They are treated as
     constant on each half-open cell, the sample at the right knot owning
-    the cell, and are read through the same lookup.  Every
-    cell is integrated on its own and the control is read inside the cell
-    only, so a control that jumps at the knots, such as
+    the cell, and are read through the same lookup.  The control is read
+    inside the cells only (a cell's left knot moved to the next float
+    above it), so a control that jumps at the knots, such as
     ``CandidateProcess.control`` of a sampled candidate, is seen with the
-    cell's own value.  There are two engines, chosen by ``prob.x_affine``:
+    cell's own value.
 
-    * dynamics affine in x go through the 7-stage Gauss collocation cell
-      maps of the linear equation the fixed control leaves, composed into
-      the knots by one blocked prefix scan (see :func:`_affine_state`).
-      Their accuracy is the cell maps' defect bound ``_MAP_TOL``, with
-      bisection; ``rtol`` and ``atol`` do not apply;
-    * other dynamics take adaptive DP45 steps within each cell, at
-      ``rtol``/``atol``.  The control is read in one call at the stage
-      times of a one-step cell, and again only for retried or shorter
-      steps.
+    Every dynamics runs on one engine: the 7-stage Gauss collocation cell
+    maps of a linear equation ``x' = M(t) x + b(t)``, checked against
+    their half-cell maps with bisection (``_MAP_TOL``) and composed into
+    the knots by one blocked prefix scan.
+
+    * Dynamics affine in x (``prob.x_affine``) are that equation under the
+      fixed control: one build (see :func:`_affine_state`).
+    * Other dynamics take Newton sweeps (see :func:`_newton_state`): each
+      linearizes ``phi`` along the current iterate and builds its maps,
+      until a sweep moves no knot by more than ``_NEWTON_TOL`` times
+      ``max(1, |x|)``.  The first iterate is ``guess``, knot states with
+      one row per knot, or ``x0`` held constant; a window that does not
+      converge is halved and marched, so progress does not depend on the
+      guess.
 
     The first knot whose state norm exceeds ``blowup`` raises
-    :class:`BlowUp`.  Without ``grid`` the knots are a uniform 1024-cell
-    grid on [0, 50].  Returns a :class:`~pmpcheck.problem.CandidateProcess`; a callable
-    ``u`` becomes its ``closed_u``.
+    :class:`BlowUp`.  Nonlinear dynamics raise it, or the
+    :class:`~pmpcheck.expressions.DomainError` of ``phi``, only from the
+    converged solution: at the first knot past ``blowup``, at the point
+    where the solution leaves the domain, or where no cell of
+    ``_NEWTON_FLOOR`` times the horizon passes.  ``guess`` is not read for
+    dynamics affine in x.  Without ``grid`` the knots
+    are a uniform 1024-cell grid on [0, 50].  Returns a
+    :class:`~pmpcheck.problem.CandidateProcess`; a callable ``u`` becomes
+    its ``closed_u``.
     """
     from .problem import CandidateProcess, _check_samples  # deferred: avoids an import cycle
 
@@ -521,12 +705,7 @@ def solve_state(prob, u, x0=None, grid=None,
     if prob.x_affine:
         x = _affine_state(prob, control, grid, x0, blowup)
     else:
-        x = np.empty((grid.size, x0.size))
-        x[0] = y = x0
-        cell = _state_stages(prob, control, grid)
-        for k in range(grid.size - 1):
-            y, _ = _integrate_cell(cell(k), grid[k], grid[k + 1], y, rtol, atol, blowup)
-            x[k + 1] = y
+        x = _newton_state(prob, control, grid, x0, guess, blowup)
     return CandidateProcess(grid=grid, x=x, u=u_samples,
                             closed_u=u if callable(u) else None)
 
@@ -546,7 +725,7 @@ _GAUSS_A = _GAUSS_C[:, None] * np.stack([
     for j in range(_GAUSS_C.size)], axis=1)
 _MAP_TOL = 1e-8  # accepted defect of a one-step cell map against its halves
 _MAP_HALVINGS = 256  # resolves a Weibull 0.1 pole on the default grid
-_MAP_PIECES = 2**15  # most cells one halving level may hold
+_MAP_PIECES = 2**15  # most cells one halving level may hold, unless a build sets fewer
 # floats of stage matrices solved at once: a block of cells holds at most
 # 256 KB of them (or one cell's, when a single 7d x 7d matrix is larger),
 # however many cells a level has
@@ -584,7 +763,7 @@ def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     return G
 
 
-def _linear_cell_maps(coef, ta, tb) -> tuple[np.ndarray, np.ndarray]:
+def _linear_cell_maps(coef, ta, tb, pieces: int = _MAP_PIECES) -> tuple[np.ndarray, np.ndarray]:
     """Maps ``y(tb) = P y(ta) + q`` of ``y' = M(t) y + b(t)``, one per cell.
 
     ``coef(ts)`` returns ``M`` (len(ts), d, d) and ``b`` (len(ts), d); it
@@ -594,8 +773,9 @@ def _linear_cell_maps(coef, ta, tb) -> tuple[np.ndarray, np.ndarray]:
     only.  Cells may run backward.  A cell whose one-step map differs from
     the product of its half-cell maps by more than ``_MAP_TOL`` (relative
     to ``max(1, |P|)``, offsets in units of the summed offsets, so scaling
-    ``b`` changes no decision) is bisected; running out of halvings or
-    pieces raises :class:`BlowUp`.  Returns ``P`` (K, d, d) and ``q``
+    ``b`` changes no decision) is bisected; running out of halvings, or a
+    level that would hold more than ``pieces`` cells, raises
+    :class:`BlowUp`.  Returns ``P`` (K, d, d) and ``q``
     (K, d).
     """
     lo, hi = np.asarray(ta, dtype=float), np.asarray(tb, dtype=float)
@@ -616,7 +796,7 @@ def _linear_cell_maps(coef, ta, tb) -> tuple[np.ndarray, np.ndarray]:
             levels.append((fine, bad))
             if not bad.any():
                 break
-            if halvings == _MAP_HALVINGS or 2 * np.count_nonzero(bad) > _MAP_PIECES:
+            if halvings == _MAP_HALVINGS or 2 * np.count_nonzero(bad) > pieces:
                 k = int(np.argmax(bad))
                 raise BlowUp(lo[k], err[k], _MAP_TOL, what="cell map defect")
             # the halves of an unresolved cell are the next level's cells

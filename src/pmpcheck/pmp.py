@@ -1168,8 +1168,6 @@ def check_michel(prob: ControlProblem, cand: CandidateProcess,
 
 
 _NORMALITY_WINDOW = 20.0  # the probe covers [0, min(T, this)]
-_NORMALITY_RTOL = 1e-9  # DP45 tolerances of the perturbed solves (nonlinear dynamics)
-_NORMALITY_ATOL = 1e-11
 _NORMALITY_DELTA = 1e-3  # radius of the ball the perturbed starts lie on
 _NORMALITY_BLOWUP = 1e100  # perturbed state norm counted as escape
 
@@ -1192,11 +1190,15 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRe
     A perturbed solve that blows up or leaves the domain of the dynamics
     is a fail with witness ``(t, max |x_i|)`` where it stopped.
 
-    Each start costs one :func:`~pmpcheck.integrate.solve_state`: one set
-    of Gauss collocation cell maps, their stage systems solved a block of
-    cells at a time, composed by one blocked scan, when the dynamics are
-    affine in x (``prob.x_affine``); adaptive DP45 steps in every cell
-    otherwise, which is where nonlinear dynamics spend their time.
+    Each start costs one :func:`~pmpcheck.integrate.solve_state`, on the
+    Gauss collocation cell maps of a linear equation.  Dynamics affine in
+    x (``prob.x_affine``) take one build of them.  Other dynamics take
+    Newton sweeps from the candidate's state as the first iterate.  The
+    first sweep solves the candidate's variational equation from the
+    perturbed start (the linear envelope); the later sweeps converge to
+    the perturbed solution itself, so the probe keeps its finite offset.
+    A perturbed solution far from the candidate costs more sweeps and
+    shorter windows, not accuracy.
     """
     _matching_widths(prob, cand)
     grid = cand.grid
@@ -1212,8 +1214,7 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRe
     ratios = np.zeros(sub.size)
     for zeta in starts:
         try:
-            pert = solve_state(prob, u=cand.control, x0=zeta, grid=sub,
-                               rtol=_NORMALITY_RTOL, atol=_NORMALITY_ATOL,
+            pert = solve_state(prob, u=cand.control, x0=zeta, grid=sub, guess=x_base,
                                blowup=_NORMALITY_BLOWUP)
         except BlowUp as e:
             return ConditionRecord(

@@ -270,6 +270,21 @@ def _call_sites(path: Path, name: str) -> list:
                   and getattr(node.func, "attr", getattr(node.func, "id", None)) == name)
 
 
+def test_dp45_serves_solve_ode_only():
+    """Every state solve runs on the Gauss collocation cell maps; the
+    Dormand-Prince stepper is reached from ``solve_ode`` alone, which
+    calls ``_integrate_cell``, which calls ``_dp_step``.  A call of either
+    anywhere else in the package, or a tolerance parameter of
+    ``solve_state``, fails here."""
+    package = Path(pmpcheck.__file__).parent
+    sites = {name: [site for path in package.glob("*.py") for site in _call_sites(path, name)]
+             for name in ("_dp_step", "_integrate_cell")}
+    assert sites == {"_dp_step": ["integrate.py:_integrate_cell"],
+                     "_integrate_cell": ["integrate.py:solve_ode"]}, sites
+    tolerances = [p for p in _parameters(pmpcheck.solve_state) if p.endswith("tol")]
+    assert not tolerances, f"solve_state takes tolerances: {tolerances}"
+
+
 def test_one_certificate_builds_the_adjoint_cell_maps():
     """Both adjoint routes read the maps ``verify_certificate`` builds once;
     a second call of ``_adjoint_cell_maps``, there or anywhere else in the

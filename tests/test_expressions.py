@@ -159,6 +159,21 @@ class TestEvaluation:
             e.ev({"t": np.array([-1.0, 2.0]), "x1": np.array([2.0, 0.5])})
         assert err.value.point == {"t": 2.0, "x1": 0.5}
 
+    def test_a_numpy_scalar_constant_evaluates(self):
+        # the value is written into generated code, whose namespace has no np
+        e = Add(Sym("x1"), Num(np.float64(-0.5)))
+        assert type(e.right.value) is float
+        assert e.ev({"x1": 2.0}) == 1.5
+        assert str(e) == "x1 + -0.5"
+
+    def test_the_message_lists_the_point_by_index(self):
+        # with n = 11 a sort by name would read x1, x10, x11, x2, ...
+        point = {"u2": 2.0, **{f"x{i}": float(i) for i in range(11, 0, -1)}, "u1": 1.0, "t": 0.5}
+        err = DomainError("sqrt of negative argument", point)
+        states = ", ".join(f"x{i}={i}" for i in range(1, 12))
+        assert str(err) == f"sqrt of negative argument at t=0.5, {states}, u1=1, u2=2"
+        assert err.point == point
+
 
 class TestDerivatives:
     CASES = [

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import test_pmp
 from pmpcheck import integrate
+from pmpcheck.expressions import DomainError
 from pmpcheck.integrate import (
     _DP_A,
     _DP_B4,
@@ -39,6 +41,18 @@ class TestDefaultGrid:
     def test_refined_head_reaches_picoscale(self):
         g = default_grid(50.0, cells=64)
         assert g[1] == pytest.approx(1e-12)
+
+    @pytest.mark.parametrize("t_max,cells", [(50.0, 2048), (50.0, 64), (2.0, 4), (200.0, 2048)])
+    def test_head_cells_are_no_wider_than_the_body(self, t_max, cells):
+        # doubling up to the knee left cells 0.27 and 0.45 wide on
+        # default_grid(50, 2048), whose body cells are 0.024 wide
+        g = default_grid(t_max, cells=cells)
+        knee = min(1.0, t_max / 2.0)
+        body = np.diff(g[g >= knee])
+        np.testing.assert_allclose(body, (t_max - knee) / cells, rtol=1e-9)
+        assert np.diff(g).max() <= body.max() * (1.0 + 1e-12)
+        # the head still starts at 1e-12 and doubles
+        np.testing.assert_allclose(g[1:6], 1e-12 * 2.0 ** np.arange(5), rtol=1e-15)
 
     def test_uniform_variant(self):
         g = default_grid(10.0, cells=10, refine_zero=False)
@@ -274,7 +288,7 @@ omega = exp_decay 1.0
 nu = exp_decay 1.0
 """
 
-# the nonlinear twin, which keeps solve_state on DP45
+# the nonlinear twin, which solve_state takes by Newton sweeps
 _FLIPPING_CUBIC = _FLIPPING.replace("phi1 = -x1 + u1", "phi1 = -x1^3 + u1")
 
 
@@ -310,15 +324,15 @@ class TestSolveState:
 
     def test_callable_and_samples_agree_at_jumping_knots(self, cubic):
         # CandidateProcess.control is left-continuous: at t_k it returns the
-        # previous cell's sample, but the cell's first stage needs its own
+        # previous cell's sample, but the cell's slope at t_k needs its own
         prob, cand = cubic
-        by_samples = solve_state(prob, cand.u, grid=cand.grid, rtol=1e-9)
-        by_callable = solve_state(prob, cand.control, grid=cand.grid, rtol=1e-9)
+        by_samples = solve_state(prob, cand.u, grid=cand.grid)
+        by_callable = solve_state(prob, cand.control, grid=cand.grid)
         np.testing.assert_allclose(by_callable.x, by_samples.x, rtol=0, atol=1e-12)
 
     def test_samples_path_matches_the_piecewise_closed_form(self, flipping):
         prob, cand = flipping
-        x = solve_state(prob, cand.u, grid=cand.grid, rtol=1e-9).x[:, 0]
+        x = solve_state(prob, cand.u, grid=cand.grid).x[:, 0]
         decay = np.exp(-np.diff(cand.grid))
         exact = [1.0]
         for d, uk in zip(decay, cand.u[1:, 0]):
@@ -336,24 +350,20 @@ class TestSolveState:
         k = np.searchsorted(cand.grid, ts, side="right") - 1
         assert np.all(cand.grid[k] < ts) and np.all(ts < cand.grid[k + 1])
 
-    def test_control_is_called_once_per_step_inside_one_cell(self, cubic):
+    def test_newton_path_reads_the_control_inside_cells(self, cubic, monkeypatch):
+        # the sweeps read the control at the Gauss nodes and at each cell's
+        # ends, the left end moved to the next float: inside (t_k, t_k+1]
         prob, cand = cubic
-        cells = cand.grid.size - 1
-        for rtol, retries in ((1e-9, False), (1e-11, True)):
-            control, calls = _recording(cand.control)
-            out = solve_state(prob, control, grid=cand.grid, rtol=rtol)
-            assert out.closed_u is control
-            np.testing.assert_array_equal(calls[0], cand.grid)  # the knot samples
-            # one read covers the stage times of every one-step cell
-            first = calls[1].reshape(cells, 7)
-            assert np.all(cand.grid[:-1, None] < first)
-            assert np.all(first <= cand.grid[1:, None])
-            # retried and shorter steps read once per step, inside their cell
-            assert (len(calls) > 2) == retries
-            for ts in calls[2:]:
-                assert ts.shape == (7,)
-                k = np.searchsorted(cand.grid, ts[0], side="right") - 1
-                assert cand.grid[k] < ts.min() and ts.max() <= cand.grid[k + 1]
+        monkeypatch.setattr(integrate, "_dp_step", None)  # DP45 serves solve_ode only
+        control, calls = _recording(cand.control)
+        out = solve_state(prob, control, grid=cand.grid)
+        assert out.closed_u is control
+        np.testing.assert_array_equal(calls[0], cand.grid)  # the knot samples
+        ts = np.concatenate(calls[1:])
+        k = np.searchsorted(cand.grid, ts, side="left") - 1
+        assert np.all(cand.grid[k] < ts) and np.all(ts <= cand.grid[k + 1])
+        assert np.any(ts == cand.grid[k + 1])  # right ends, read left-continuously
+        np.testing.assert_array_equal(out.x, solve_state(prob, cand.u, grid=cand.grid).x)
 
 
 _TIME_VARYING = """
@@ -405,6 +415,117 @@ class TestAffineState:
             solve_state(prob, np.zeros(grid.size), grid=grid, blowup=1e100)
         assert crossing <= err.value.t <= crossing + (grid[1] - grid[0])
         assert err.value.norm > 1e100
+
+
+def _gompertz(z, t):
+    """EXTRACTION's state under u = 1/4 from z: y = ln x solves y' = 1/2 - y."""
+    return np.exp(0.5 + (np.log(z) - 0.5) * np.exp(-np.asarray(t)))
+
+
+# a pendulum swinging out to 2.5 rad: nonlinear enough that Newton over the
+# whole horizon does not converge from the start held constant
+_PENDULUM = """
+[problem]
+n = 2
+m = 1
+x0 = 2.5, 0.0
+sense = min
+
+[dynamics]
+phi1 = x2
+phi2 = -sin(x1) + u1
+
+[objective]
+f = x1^2
+omega = exp_decay 1.0
+
+[space]
+nu = exp_decay 1.0
+"""
+
+
+def _recorded_windows(monkeypatch):
+    """Record ``(first knot, last knot, knots, converged)`` of each Newton window."""
+    windows = []
+
+    def window(prob, control, tw, xw, _fn=integrate._newton_window):
+        out = _fn(prob, control, tw, xw)
+        windows.append((tw[0], tw[-1], tw.size, out[1] == tw.size))
+        return out
+
+    monkeypatch.setattr(integrate, "_newton_window", window)
+    return windows
+
+
+class TestNewtonState:
+    """solve_state on dynamics not affine in x, by Newton sweeps on the cell maps."""
+
+    @pytest.mark.parametrize("s", [0.5, 1.3, 1.9])
+    def test_extraction_window_matches_the_closed_form_and_dop853(self, s):
+        # the normality probe's solves on the benchmark's grid: its first 20
+        # time units, from x0 +- 1e-3, the candidate's state the first iterate
+        prob = parse_problem(test_pmp.EXTRACTION.replace("x0 = 1.0", f"x0 = {s!r}"))
+        grid = default_grid(50.0, cells=2048)
+        grid = grid[grid <= 20.0]
+        quarter = lambda t: np.full(np.shape(t), 0.25)
+        for z in (s + 1e-3, s - 1e-3):
+            x = solve_state(prob, quarter, x0=z, grid=grid,
+                            guess=_gompertz(s, grid)[:, None]).x[:, 0]
+            ref = solve_ivp(lambda t, y: y * (0.5 - np.log(y)), (0.0, grid[-1]), [z],
+                            method="DOP853", rtol=1e-13, atol=1e-15, t_eval=grid).y[0]
+            np.testing.assert_allclose(x, _gompertz(z, grid), rtol=1e-14)
+            np.testing.assert_allclose(x, ref, rtol=2e-12)  # the reference's own error
+
+    def test_flipping_cubic_matches_dop853_cell_by_cell(self):
+        prob, cand = _flipping(_FLIPPING_CUBIC)
+        x = solve_state(prob, cand.u, grid=cand.grid).x[:, 0]
+        ref = [1.0]
+        for ta, tb, uk in zip(cand.grid[:-1], cand.grid[1:], cand.u[1:, 0]):
+            ref.append(solve_ivp(lambda t, y: -y**3 + uk, (ta, tb), [ref[-1]], method="DOP853",
+                                 rtol=1e-13, atol=1e-15).y[0, -1])
+        np.testing.assert_allclose(x, ref, rtol=1e-12)
+
+    def test_marching_reaches_the_reference_where_one_window_cannot(self, monkeypatch):
+        prob = parse_problem(_PENDULUM)
+        grid = np.linspace(0.0, 20.0, 401)
+        windows = _recorded_windows(monkeypatch)
+        x = solve_state(prob, np.zeros(grid.size), grid=grid).x
+        # the whole horizon fails; converged prefixes and halved windows reach its end
+        assert windows[0] == (0.0, 20.0, 401, False)
+        assert windows[-1][1:] == (20.0, windows[-1][2], True) and len(windows) > 2
+        ref = solve_ivp(lambda t, y: [y[1], -np.sin(y[0])], (0.0, 20.0), [2.5, 0.0],
+                        method="DOP853", rtol=1e-13, atol=1e-15, t_eval=grid).y.T
+        np.testing.assert_allclose(x, ref, rtol=0, atol=1e-10)
+
+    def test_blowup_is_raised_on_the_converged_solution(self):
+        # x' = x^2 from 1 is 1 / (1 - t): it first exceeds 1e6 just past
+        # 1 - 1e-6, inside the cell [0.95, 1], and the knot where the solve
+        # sees it puts the pole, t + 1/x, within 1e-9 of t = 1
+        prob = parse_problem(_FLIPPING.replace("phi1 = -x1 + u1", "phi1 = x1^2 + u1"))
+        grid = np.linspace(0.0, 4.0, 81)
+        with pytest.raises(BlowUp) as err:
+            solve_state(prob, np.zeros(grid.size), grid=grid, blowup=1e6)
+        assert 1.0 - 1e-6 < err.value.t < 1.0 and err.value.norm > 1e6
+        assert err.value.t + 1.0 / err.value.norm == pytest.approx(1.0, abs=1e-9)
+
+    def test_a_domain_error_names_where_the_solution_leaves(self):
+        # x' = -sqrt(x) - 1/2 from 1 reaches x = 0 at t = 2 - ln 3
+        prob = parse_problem(_FLIPPING.replace("phi1 = -x1 + u1", "phi1 = -sqrt(x1) - 0.5 + u1"))
+        grid = np.linspace(0.0, 4.0, 81)
+        with pytest.raises(DomainError, match="^sqrt of negative argument at t=0.901388, x1=") as err:
+            solve_state(prob, np.zeros(grid.size), grid=grid)
+        assert err.value.point["t"] == pytest.approx(2.0 - np.log(3.0), abs=1e-9)
+        assert -1e-9 < err.value.point["x1"] < 0.0
+
+    def test_coarse_cells_are_split_until_the_iterate_follows_the_flow(self, monkeypatch):
+        # on cells one time unit wide the cubic Hermite iterate strays from
+        # the flow, and knots that stop moving would still be off by 6.6e-7
+        prob = parse_problem(test_pmp.EXTRACTION.replace("x0 = 1.0", "x0 = 0.5"))
+        grid = np.linspace(0.0, 20.0, 21)
+        windows = _recorded_windows(monkeypatch)
+        x = solve_state(prob, lambda t: np.full(np.shape(t), 0.25), grid=grid).x[:, 0]
+        assert max(knots for _, _, knots, _ in windows) > grid.size
+        np.testing.assert_allclose(x, _gompertz(0.5, grid), rtol=1e-14)
 
 
 def _rotating_system(scale):

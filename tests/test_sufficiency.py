@@ -371,18 +371,18 @@ u1 = [0, inf)
                                          none.radii, none.centers))
 
     def test_the_report_holds_the_judged_knots_only(self):
-        # the extraction workload's grid: 2048 cells refined at t = 0, 2090
+        # the extraction workload's grid: 2048 cells refined at t = 0, 2126
         # knots.  The weight pole at t = 0 is skipped, so the arrays hold
-        # 2089 entries; skipped knots used to read worst 0 and slice_ok True
+        # 2125 entries; skipped knots used to read worst 0 and slice_ok True
         prob = parse_problem(test_pmp.EXTRACTION)
         g = default_grid(50.0, cells=2048)
         cand = candidate_from_functions(
             g, lambda t: np.exp(0.5 * (1.0 - np.exp(-np.asarray(t)))),
             lambda t: np.full(np.shape(t), 0.25))
         rep = check_arrow(prob, cand, adjoint_from_function(g, lambda t: np.zeros(np.shape(t))))
-        assert rep.passed and g.size == 2090
+        assert rep.passed and g.size == 2126
         np.testing.assert_array_equal(rep.grid, g[1:])
-        assert [a.shape[0] for a in (rep.worst, rep.slice_ok, rep.radii, rep.centers)] == [2089] * 4
+        assert [a.shape[0] for a in (rep.worst, rep.slice_ok, rep.radii, rep.centers)] == [2125] * 4
         np.testing.assert_array_equal(rep.centers, cand.x[1:])
         np.testing.assert_array_equal(rep.pairs_at(0)[0, 0], cand.x[1] + rep.radii[0])
 
@@ -789,7 +789,7 @@ u1 = [0, inf)
             assert "toward -inf at t=50" in aborted(proved)[0]
         if name == "discounted_log":
             assert aborted(proved) == ["concavity scan aborted: ln of non-positive "
-                                       "argument at t=0.78125, u1=0, x1=-0.0421666"]
+                                       "argument at t=0.78125, x1=-0.0421666, u1=0"]
         arrow = lambda cert: cert.sufficiency and (cert.sufficiency.overall,
                                                    cert.sufficiency.witness is None,
                                                    _bits(cert.sufficiency.slice_ok))
