@@ -12,8 +12,9 @@ Everything downstream needs three capabilities, all provided here:
 
 * per-cell affine maps ``y(tb) = P y(ta) + q`` of linear systems
   ``y' = M(t) y + b(t)`` along a fixed candidate, by 7-stage Gauss
-  collocation, its stage systems solved a fixed block of cells at a time,
-  with every map checked against its two half-cell maps (unresolved cells are bisected), and
+  collocation, one transposed stage system per cell solved for the map
+  alone, a fixed block of cells at a time, with every map checked
+  against its two half-cell maps (unresolved cells are bisected), and
   composed into every knot by one blocked prefix scan.  Both adjoint
   routes and every state solve run on these maps: dynamics affine in x
   in one build, other dynamics in Newton sweeps, each sweep the linear
@@ -716,6 +717,13 @@ def solve_state(prob, u, x0=None, grid=None, guess=None, blowup: float = 1e12):
 # one 7-stage Gauss collocation step (order 14) turns a cell into an affine
 # map y(tb) = P y(ta) + q, carried as the matrix [[P, q], [0, 1]] so that
 # maps compose by matrix products.
+#
+# The step's stage slopes solve L k = R, with L = I - h (A x M) and
+# R = [M | b] (one column per unit start and one for the forcing), but the
+# map needs only their weighted sum h (b x I)^T k.  That linear functional
+# comes from the transposed system: L^T W = b x I_d gives h W^T R (the
+# adjoint approach; Giles and Pierce, Flow Turb. Combust. 65, 2000).  So a
+# cell solves for d right-hand sides instead of d + 1, and no slope is kept.
 
 # a_ij integrates the j-th Lagrange polynomial on the nodes over [0, c_i];
 # the Gauss rule itself, moved onto [0, c_i], does so exactly
@@ -735,30 +743,39 @@ _STAGE_FLOATS = 2**15
 def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     """One collocation step per cell, as augmented maps shaped (K, d+1, d+1).
 
-    ``coef`` is called once, on the Gauss nodes of every cell.  The stage
-    systems are then built and solved one block of cells at a time, each
-    block's matrices filling at most ``_STAGE_FLOATS`` floats.  LAPACK
-    factors every cell's matrix on its own, so the maps are bitwise those
-    of one batch over all cells.
+    ``coef`` is called once, on the Gauss nodes of every cell.  The cells
+    are then taken one block at a time, each block's stage matrices filling
+    at most ``_STAGE_FLOATS`` floats of one buffer that every block reuses
+    (the last block a leading slice of it).  Per cell the transposed stage
+    matrix ``I - h (A x M)^T`` is solved once, for the weights ``W`` of the
+    d right-hand sides ``b x I_d``, and the map is ``I + h W^T [M | b]``.
+    LAPACK factors every cell's matrix on its own, so the maps are bitwise
+    those of one batch over all cells.
     """
     h = tb - ta
     K, s = ta.size, _GAUSS_C.size
     M, b = coef((ta[:, None] + h[:, None] * _GAUSS_C).ravel())
     d = b.shape[-1]
     M, b = M.reshape(K, s, d, d), b.reshape(K, s, d)
-    eye = np.eye(s * d)
+    sd = s * d
+    eye = np.eye(sd)
+    weights = np.kron(_GAUSS_B[:, None], np.eye(d))  # b x I_d, (sd, d)
+    cells = max(1, _STAGE_FLOATS // sd**2)
+    M_t = M.transpose(0, 3, 1, 2)  # M_t[k, c, i, r] = M[k, i, r, c]
     G = np.zeros((K, d + 1, d + 1))
-    cells = max(1, _STAGE_FLOATS // (s * d) ** 2)
+    # entry (j, c, i, r) of a cell's h (A x M)^T is h a_ij M_i[r, c]
+    lhs = np.empty((min(K, cells), s, d, s, d))
     for lo in range(0, K, cells):
         k = slice(lo, lo + cells)
-        # stage slopes k_i = M_i (y0 + h sum_j a_ij k_j) + b_i, for the d unit
-        # starts y0 = e_c and for the forcing alone, in one system per cell
-        lhs = h[k, None, None, None, None] * _GAUSS_A[:, None, :, None] * M[k, :, :, None, :]
-        lhs = lhs.reshape(-1, s * d, s * d)
-        np.subtract(eye, lhs, out=lhs)  # I - h (A x M), in place
-        rhs = np.concatenate((M[k], b[k, ..., None]), axis=-1).reshape(-1, s * d, d + 1)
-        slopes = np.linalg.solve(lhs, rhs).reshape(-1, s, d, d + 1)
-        G[k, :d] = h[k, None, None] * np.einsum("i,kird->krd", _GAUSS_B, slopes)
+        m = h[k].size
+        np.multiply(_GAUSS_A.T[:, None, :, None], h[k, None, None, None, None] * M_t[k, None],
+                    out=lhs[:m])
+        lhs_t = lhs[:m].reshape(m, sd, sd)
+        np.subtract(eye, lhs_t, out=lhs_t)  # I - h (A x M)^T, in place
+        # an explicit batch axis: numpy < 2 reads a 2-d b as a stack of vectors
+        W = np.linalg.solve(lhs_t, np.broadcast_to(weights, (m, sd, d)))
+        rhs = np.concatenate((M[k], b[k, ..., None]), axis=-1).reshape(m, sd, d + 1)
+        G[k, :d] = h[k, None, None] * (W.transpose(0, 2, 1) @ rhs)
     G += np.eye(d + 1)
     return G
 

@@ -1170,6 +1170,9 @@ def check_michel(prob: ControlProblem, cand: CandidateProcess,
 _NORMALITY_WINDOW = 20.0  # the probe covers [0, min(T, this)]
 _NORMALITY_DELTA = 1e-3  # radius of the ball the perturbed starts lie on
 _NORMALITY_BLOWUP = 1e100  # perturbed state norm counted as escape
+# the smallest deviation the envelope fit reads, per unit of max(1, |x*(t)|):
+# 2^20 ulps, so that one ulp of the state moves a log ratio by at most 1e-6
+_NORMALITY_FLOOR = 2.0**20 * np.finfo(float).eps
 
 
 def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRecord:
@@ -1183,9 +1186,12 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRe
     deviation per unit of initial offset is fitted against an exponential
     envelope ``C * exp(-c t)`` (c of either sign), and the verdict asks
     whether that envelope is square-integrable against the density, taken
-    in log space through ``nu.log_value``.  A perturbed solution whose
-    norm passes ``_NORMALITY_BLOWUP`` is an immediate fail: the flow is
-    not stable enough to force normality.
+    in log space through ``nu.log_value``.  The fit reads only deviations
+    above ``_NORMALITY_FLOOR * max(1, |x*(t)|)``, where rounding of the two
+    states no longer shows in their logs; a probe left with fewer than two
+    of them fails, since it cannot resolve the flow.  A perturbed solution
+    whose norm passes ``_NORMALITY_BLOWUP`` is an immediate fail: the flow
+    is not stable enough to force normality.
 
     A perturbed solve that blows up or leaves the domain of the dynamics
     is a fail with witness ``(t, max |x_i|)`` where it stopped.
@@ -1234,14 +1240,25 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRe
         offset = float(np.linalg.norm(zeta - prob.x0))
         ratios = np.maximum(ratios, dev / offset)
 
-    # log-linear fit of the envelope; t=0 contributes ratio 1 exactly
-    mask = ratios > 1e-14
+    # log-linear fit of the envelope on the deviations above rounding; t=0
+    # contributes ratio 1 exactly
+    scale = np.maximum(1.0, np.linalg.norm(x_base, axis=1))
+    mask = ratios * _NORMALITY_DELTA > _NORMALITY_FLOOR * scale
+    if np.count_nonzero(mask) < 2:
+        return ConditionRecord(
+            name="normality_representation", verdict="fail",
+            premise="perturbed starts stay solvable", premise_ok=True,
+            witnesses=((float(sub[-1]), float(ratios[-1])),),
+            notes=(f"no two deviations of the starts {_NORMALITY_DELTA:g} away clear "
+                   f"the rounding floor {_NORMALITY_FLOOR:.3g} max(1, |x*(t)|); "
+                   "the probe cannot resolve the flow",),
+            series_grid=sub, series=ratios)
     ts_fit = sub[mask]
     logs = np.log(ratios[mask])
     A = np.vstack((np.ones_like(ts_fit), -ts_fit)).T
     coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
     log_c, rate = float(coef[0]), float(coef[1])
-    fit_resid = float(np.max(np.abs(A @ coef - logs))) if ts_fit.size else 0.0
+    fit_resid = float(np.max(np.abs(A @ coef - logs)))
     envelope_c = float(np.max(ratios[mask] / np.exp(-rate * ts_fit)))
 
     # square of the envelope against the density; log space keeps a growing

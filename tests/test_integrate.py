@@ -14,6 +14,8 @@ from pmpcheck.integrate import (
     _DP_C,
     _DP_ERR,
     _CHAIN_BLOCK,
+    _GAUSS_A,
+    _GAUSS_B,
     _GAUSS_C,
     _STAGE_FLOATS,
     _affine_chain,
@@ -613,18 +615,83 @@ def _rotating_coef(scale):
     return lambda ts: (A(ts), b(ts))
 
 
+def _trig_coef(d, forced=True):
+    """``M`` and ``b`` of a d-dimensional system whose entries each mix a
+    constant, sin t and cos 2t with fixed random weights."""
+    rng = np.random.default_rng(d)
+    M_w, b_w = rng.uniform(-1.0, 1.0, (3, d, d)), rng.uniform(-1.0, 1.0, (3, d))
+
+    def coef(ts):
+        basis = np.stack([np.ones_like(ts), np.sin(ts), np.cos(2 * ts)], axis=-1)
+        b = basis @ b_w if forced else np.zeros((ts.size, d))
+        return np.einsum("kw,wrc->krc", basis, M_w), b
+
+    return coef
+
+
+def _stage_slope_maps(coef, ta, tb):
+    """The collocation maps by way of every stage slope: per cell, solve
+    ``(I - h A x M) k = [M | b]`` for the 7d slopes with d + 1 right-hand
+    sides, then take the map ``I + h sum_i b_i k_i``."""
+    s = _GAUSS_C.size
+    maps = []
+    for lo, hi in zip(ta, tb):
+        h = hi - lo
+        M, b = coef(lo + h * _GAUSS_C)
+        d = b.shape[-1]
+        stages = np.block([[_GAUSS_A[i, j] * M[i] for j in range(s)] for i in range(s)])
+        rhs = np.concatenate((M, b[..., None]), axis=-1).reshape(s * d, d + 1)
+        slopes = np.linalg.solve(np.eye(s * d) - h * stages, rhs).reshape(s, d, d + 1)
+        G = np.eye(d + 1)
+        G[:d] += h * np.tensordot(_GAUSS_B, slopes, axes=1)
+        maps.append(G)
+    return np.array(maps)
+
+
+class TestCollocate:
+    """The transposed weighted solve against the stage slopes it replaces."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("forced", [True, False], ids=["forced", "unforced"])
+    def test_matches_the_stage_slope_maps(self, monkeypatch, d, backward, forced):
+        coef = _trig_coef(d, forced)
+        grid = np.linspace(0.0, 4.0, 17)
+        ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
+        want = _stage_slope_maps(coef, ta, tb)
+        shapes = []
+
+        def solve(a, b, _solve=np.linalg.solve):
+            shapes.append((a.shape, b.shape))
+            return _solve(a, b)
+
+        monkeypatch.setattr(integrate.np.linalg, "solve", solve)
+        got = integrate._collocate(coef, ta, tb)
+        err = np.max(np.abs(got - want), axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.max(np.abs(want), axis=(1, 2)))
+        if not forced:
+            assert np.all(got[:, :d, d] == 0.0)
+        # one solve per block, for the d weight columns of every cell in it
+        sd = _GAUSS_C.size * d
+        assert shapes == [((ta.size, sd, sd), (ta.size, sd, d))]
+
+
 class TestBlockedStageSolves:
     """The stage systems are solved a block of cells at a time."""
 
-    # 300 cells on [0, 60]: more than one default block (167 cells for
-    # d = 2), and at scale 3 the late cells, where |A| grows with t, bisect
-    @pytest.mark.parametrize("system,bisects", [
-        pytest.param(_time_varying_coef, False, id="time-varying"),
-        pytest.param(lambda: _rotating_coef(1.0), False, id="rotating"),
-        pytest.param(lambda: _rotating_coef(3.0), True, id="rotating-bisected"),
+    # every system fills more than one default block (668 cells for d = 1,
+    # 167 for d = 2, 74 for d = 3) and leaves a partial last block at both
+    # levels; at scale 3 the late cells, where |A| grows with t, bisect
+    @pytest.mark.parametrize("system,cells,bisects", [
+        pytest.param(_time_varying_coef, 300, False, id="time-varying"),
+        pytest.param(lambda: _rotating_coef(1.0), 300, False, id="rotating"),
+        pytest.param(lambda: _rotating_coef(3.0), 300, True, id="rotating-bisected"),
+        pytest.param(lambda: _trig_coef(1), 1000, False, id="scalar"),
+        pytest.param(lambda: _trig_coef(3), 300, False, id="three-state"),
     ])
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
-    def test_any_block_size_gives_the_same_bits(self, monkeypatch, system, bisects, backward):
+    def test_any_block_size_gives_the_same_bits(self, monkeypatch, system, cells, bisects,
+                                                backward):
         coef = system()
         levels = []
 
@@ -632,10 +699,13 @@ class TestBlockedStageSolves:
             levels.append(ts.size)
             return coef(ts)
 
-        grid = np.linspace(0.0, 60.0, 301)
+        grid = np.linspace(0.0, 60.0, cells + 1)
         ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
         P, q = _linear_cell_maps(counted, ta, tb)
         assert (len(levels) > 2) == bisects
+        d = q.shape[1]
+        per_block = _STAGE_FLOATS // (_GAUSS_C.size * d) ** 2
+        assert cells > per_block and cells % per_block and 2 * cells % per_block
         for floats in (1, 2**40):  # one cell per block; every cell of a level in one
             monkeypatch.setattr(integrate, "_STAGE_FLOATS", floats)
             P_blk, q_blk = _linear_cell_maps(coef, ta, tb)

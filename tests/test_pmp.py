@@ -1554,6 +1554,43 @@ nu = exp_decay 1.0
                              "negative argument at t=0, x1=-0.001, u1=0",)
         assert rec.witnesses == ((0.0, 0.001),)
 
+    @pytest.mark.parametrize("s", [0.5, 1.3, 1.9])
+    def test_extraction_fit_matches_the_closed_form(self, s):
+        # y = ln x solves y' = 1/2 - y under u = 1/4, so the start z gives
+        # y(t) = 1/2 + (ln z - 1/2) e^{-t}; the deviations come without
+        # cancellation as x*(t) expm1((ln z - ln s) e^{-t}).  Fitted on the
+        # deviations above the rounding floor, the probe's residual is the
+        # closed form's; reading every ratio above 1e-14 it was off by up to
+        # 1.8e-4 relative at s = 1.9
+        prob = parse_problem(EXTRACTION.replace("x0 = 1.0", f"x0 = {s!r}"))
+        grid = default_grid(50.0, cells=2048, refine_zero=True)
+        x_star = lambda t: np.exp(0.5 + (np.log(s) - 0.5) * np.exp(-np.asarray(t)))
+        cand = candidate_from_functions(grid, x_star, lambda t: np.full(np.shape(t), 0.25))
+        rec = check_normality(prob, cand)
+
+        t = rec.series_grid
+        delta = pmp._NORMALITY_DELTA
+        ratios = np.max([np.abs(x_star(t) * np.expm1(np.log1p(sign * delta / s) * np.exp(-t)))
+                         for sign in (1.0, -1.0)], axis=0) / delta
+        mask = ratios * delta > pmp._NORMALITY_FLOOR * np.maximum(1.0, x_star(t))
+        A = np.stack((np.ones(mask.sum()), -t[mask]), axis=1)
+        logs = np.log(ratios[mask])
+        coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
+        assert rec.passed
+        assert rec.residual == pytest.approx(np.max(np.abs(A @ coef - logs)), rel=1e-5)
+
+    def test_deviations_below_the_rounding_floor_fail(self):
+        # x' = -x from 1e7: every deviation of the 1e-3 starts is 1e-10 of
+        # the state, below 2^20 ulps, so the probe resolves nothing
+        src = REGULATOR.format(a=4.5).replace("2*x1 + u1", "-x1 + u1")
+        prob = parse_problem(src.replace("x0 = 2.0", "x0 = 1e7"))
+        g = default_grid(50.0, cells=256, refine_zero=False)
+        cand = candidate_from_functions(g, lambda t: 1e7 * np.exp(-np.asarray(t)),
+                                        lambda t: np.zeros(np.shape(t)))
+        rec = check_normality(prob, cand)
+        assert rec.verdict == "fail" and rec.residual is None
+        assert "rounding floor" in rec.notes[0]
+
 
 class TestCertificate:
     def test_the_default_grid_passes_the_decay_triple(self):
