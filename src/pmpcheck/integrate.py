@@ -12,8 +12,10 @@ Everything downstream needs three capabilities, all provided here:
 
 * per-cell affine maps ``y(tb) = P y(ta) + q`` of linear systems
   ``y' = M(t) y + b(t)`` along a fixed candidate, by 7-stage Gauss
-  collocation, one transposed stage system per cell solved for the map
-  alone, a fixed block of cells at a time, with every map checked
+  collocation, one transposed stage system per distinct stage matrix
+  solved for the map alone (cells of one width share it where the
+  linearization is one matrix at every node, as for linear dynamics with
+  constant coefficients), a fixed block at a time, with every map checked
   against its two half-cell maps (unresolved cells are bisected), and
   composed into every knot by one blocked prefix scan.  Both adjoint
   routes and every state solve run on these maps: dynamics affine in x
@@ -724,6 +726,15 @@ def solve_state(prob, u, x0=None, grid=None, guess=None, blowup: float = 1e12):
 # comes from the transposed system: L^T W = b x I_d gives h W^T R (the
 # adjoint approach; Giles and Pierce, Flow Turb. Combust. 65, 2000).  So a
 # cell solves for d right-hand sides instead of d + 1, and no slope is kept.
+#
+# L depends on the cell only through h and M at its nodes.  Where M is one
+# matrix at every node (linear dynamics with constant coefficients, for
+# the adjoint's -phi_x^T and for the state's phi_x alike), cells of one
+# width have the same L, and one factorization serves them all, as
+# implicit Runge-Kutta codes reuse one LU across steps of equal h and
+# Jacobian (Hairer and Wanner, Solving ODEs II, IV.8).  Equal h and
+# value-equal M assemble bitwise-equal matrices and LAPACK is
+# deterministic, so sharing changes no bit of a map.
 
 # a_ij integrates the j-th Lagrange polynomial on the nodes over [0, c_i];
 # the Gauss rule itself, moved onto [0, c_i], does so exactly
@@ -743,14 +754,22 @@ _STAGE_FLOATS = 2**15
 def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     """One collocation step per cell, as augmented maps shaped (K, d+1, d+1).
 
-    ``coef`` is called once, on the Gauss nodes of every cell.  The cells
-    are then taken one block at a time, each block's stage matrices filling
-    at most ``_STAGE_FLOATS`` floats of one buffer that every block reuses
-    (the last block a leading slice of it).  Per cell the transposed stage
-    matrix ``I - h (A x M)^T`` is solved once, for the weights ``W`` of the
-    d right-hand sides ``b x I_d``, and the map is ``I + h W^T [M | b]``.
-    LAPACK factors every cell's matrix on its own, so the maps are bitwise
-    those of one batch over all cells.
+    ``coef`` is called once, on the Gauss nodes of every cell.  A cell's
+    transposed stage matrix ``I - h (A x M)^T`` depends on the cell only
+    through ``h`` and ``M`` at its nodes, so the cells fall into classes
+    that share one: when ``M`` is one matrix at every node of the call and
+    two cells share a width, the cells of one width (``np.unique`` of
+    ``h``), else each cell alone.  Per
+    class the matrix is solved once, for the weights ``W`` of the d
+    right-hand sides ``b x I_d``, and each cell's map is
+    ``I + h W^T [M | b]`` with its class's weights.  The classes are taken
+    one block at a time, each block's stage matrices filling at most
+    ``_STAGE_FLOATS`` floats of one buffer that every block reuses (the
+    last block a leading slice of it), and the cells of a block's classes
+    in grid order, at most that many at a time.  LAPACK factors every
+    matrix on its own, and equal ``h`` with value-equal ``M`` assemble the
+    same bits (``+0`` and ``-0`` entries subtract from the identity
+    alike), so the maps are bitwise those of one solve per cell.
     """
     h = tb - ta
     K, s = ta.size, _GAUSS_C.size
@@ -761,21 +780,39 @@ def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     eye = np.eye(sd)
     weights = np.kron(_GAUSS_B[:, None], np.eye(d))  # b x I_d, (sd, d)
     cells = max(1, _STAGE_FLOATS // sd**2)
-    M_t = M.transpose(0, 3, 1, 2)  # M_t[k, c, i, r] = M[k, i, r, c]
+    nodes = M.reshape(K * s, d * d)
+    # one M at every node: == is transitive, and a NaN node fails it
+    shared = (nodes[1:] == nodes[:-1]).all()
+    widths, cls = np.unique(h, return_inverse=True) if shared else (h, None)
+    if widths.size == K:  # no two cells share a stage matrix
+        widths, cls, M_cls = h, np.arange(K), M
+    else:
+        M_cls = np.broadcast_to(M[:1], (widths.size,) + M.shape[1:])
+    block_of = cls // cells  # the block that solves each cell's class
+    order = np.argsort(block_of, kind="stable")  # the cells block by block, in grid order
+    block_of = block_of[order]
+    M_t = M_cls.transpose(0, 3, 1, 2)  # M_t[k, c, i, r] = M_cls[k, i, r, c]
     G = np.zeros((K, d + 1, d + 1))
-    # entry (j, c, i, r) of a cell's h (A x M)^T is h a_ij M_i[r, c]
-    lhs = np.empty((min(K, cells), s, d, s, d))
-    for lo in range(0, K, cells):
-        k = slice(lo, lo + cells)
-        m = h[k].size
-        np.multiply(_GAUSS_A.T[:, None, :, None], h[k, None, None, None, None] * M_t[k, None],
+    # entry (j, c, i, r) of a class's h (A x M)^T is h a_ij M_i[r, c]
+    lhs = np.empty((min(widths.size, cells), s, d, s, d))
+    for lo in range(0, widths.size, cells):
+        block = slice(lo, lo + cells)
+        m = widths[block].size
+        np.multiply(_GAUSS_A.T[:, None, :, None],
+                    widths[block, None, None, None, None] * M_t[block, None],
                     out=lhs[:m])
         lhs_t = lhs[:m].reshape(m, sd, sd)
         np.subtract(eye, lhs_t, out=lhs_t)  # I - h (A x M)^T, in place
         # an explicit batch axis: numpy < 2 reads a 2-d b as a stack of vectors
         W = np.linalg.solve(lhs_t, np.broadcast_to(weights, (m, sd, d)))
-        rhs = np.concatenate((M[k], b[k, ..., None]), axis=-1).reshape(m, sd, d + 1)
-        G[k, :d] = h[k, None, None] * (W.transpose(0, 2, 1) @ rhs)
+        first, last = np.searchsorted(block_of, (lo // cells, lo // cells + 1))
+        for at in range(first, last, cells):  # the cells of these classes, a block at a time
+            k = order[at:min(at + cells, last)]
+            if k[-1] - k[0] == k.size - 1:  # a run of cells: views, not copies
+                k = slice(k[0], k[-1] + 1)
+            rhs = np.concatenate((M[k], b[k, ..., None]), axis=-1).reshape(-1, sd, d + 1)
+            W_k = W.take(cls[k] - lo, 0)  # each cell's class weights
+            G[k, :d] = h[k, None, None] * (W_k.transpose(0, 2, 1) @ rhs)
     G += np.eye(d + 1)
     return G
 

@@ -615,11 +615,16 @@ def _rotating_coef(scale):
     return lambda ts: (A(ts), b(ts))
 
 
-def _trig_coef(d, forced=True):
+def _trig_coef(d, forced=True, constant=False, scale=1.0):
     """``M`` and ``b`` of a d-dimensional system whose entries each mix a
-    constant, sin t and cos 2t with fixed random weights."""
+    constant, sin t and cos 2t with fixed random weights, ``M`` times
+    ``scale``.  With ``constant`` the sin and cos weights of ``M`` are
+    zero: one ``M`` at every node, while ``b`` still varies."""
     rng = np.random.default_rng(d)
     M_w, b_w = rng.uniform(-1.0, 1.0, (3, d, d)), rng.uniform(-1.0, 1.0, (3, d))
+    M_w = scale * M_w
+    if constant:
+        M_w[1:] = 0.0
 
     def coef(ts):
         basis = np.stack([np.ones_like(ts), np.sin(ts), np.cos(2 * ts)], axis=-1)
@@ -627,6 +632,17 @@ def _trig_coef(d, forced=True):
         return np.einsum("kw,wrc->krc", basis, M_w), b
 
     return coef
+
+
+def _nan_node(coef):
+    """``coef`` with ``M`` NaN at the first node past t = 10."""
+
+    def nan_coef(ts):
+        M, b = coef(ts)
+        M[np.argmax(ts > 10.0)] = np.nan
+        return M, b
+
+    return nan_coef
 
 
 def _stage_slope_maps(coef, ta, tb):
@@ -651,11 +667,16 @@ def _stage_slope_maps(coef, ta, tb):
 class TestCollocate:
     """The transposed weighted solve against the stage slopes it replaces."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d,constant", [
+        pytest.param(1, False, id="1"),
+        pytest.param(2, False, id="2"),
+        pytest.param(3, False, id="3"),
+        pytest.param(2, True, id="2-constant-M"),
+    ])
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize("forced", [True, False], ids=["forced", "unforced"])
-    def test_matches_the_stage_slope_maps(self, monkeypatch, d, backward, forced):
-        coef = _trig_coef(d, forced)
+    def test_matches_the_stage_slope_maps(self, monkeypatch, d, constant, backward, forced):
+        coef = _trig_coef(d, forced, constant)
         grid = np.linspace(0.0, 4.0, 17)
         ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
         want = _stage_slope_maps(coef, ta, tb)
@@ -673,7 +694,34 @@ class TestCollocate:
             assert np.all(got[:, :d, d] == 0.0)
         # one solve per block, for the d weight columns of every cell in it
         sd = _GAUSS_C.size * d
-        assert shapes == [((ta.size, sd, sd), (ta.size, sd, d))]
+        if constant:  # one width and one M: the cells share one stage matrix
+            assert shapes == [((1, sd, sd), (1, sd, d))]
+        else:
+            assert shapes == [((ta.size, sd, sd), (ta.size, sd, d))]
+
+    @pytest.mark.parametrize("grid", [
+        pytest.param(np.linspace(0.0, 50.0, 2049), id="power-of-two"),
+        pytest.param(default_grid(50.0, cells=2048), id="refine-zero"),
+        pytest.param(np.linspace(0.0, 50.0, 2001), id="linspace-2001"),
+    ])
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_shared_stage_solves_give_the_bits_of_one_cell_at_a_time(self, monkeypatch,
+                                                                       grid, backward):
+        coef = _trig_coef(2, constant=True)
+        ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
+        one_by_one = np.concatenate([integrate._collocate(coef, ta[k:k + 1], tb[k:k + 1])
+                                     for k in range(ta.size)])
+        solved = []
+
+        def solve(a, b, _solve=np.linalg.solve):
+            solved.append(a.shape[0])
+            return _solve(a, b)
+
+        monkeypatch.setattr(integrate.np.linalg, "solve", solve)
+        got = integrate._collocate(coef, ta, tb)
+        assert got.tobytes() == one_by_one.tobytes()
+        # one solve per distinct width, fewer than the cells on every grid
+        assert sum(solved) == np.unique(tb - ta).size < ta.size
 
 
 class TestBlockedStageSolves:
@@ -688,6 +736,10 @@ class TestBlockedStageSolves:
         pytest.param(lambda: _rotating_coef(3.0), 300, True, id="rotating-bisected"),
         pytest.param(lambda: _trig_coef(1), 1000, False, id="scalar"),
         pytest.param(lambda: _trig_coef(3), 300, False, id="three-state"),
+        # one M at every node: the cells of a width share one stage solve
+        pytest.param(lambda: _trig_coef(2, constant=True), 300, False, id="constant-M"),
+        pytest.param(lambda: _trig_coef(2, constant=True, scale=30.0), 300, True,
+                     id="constant-M-bisected"),
     ])
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     def test_any_block_size_gives_the_same_bits(self, monkeypatch, system, cells, bisects,
@@ -717,27 +769,58 @@ class TestBlockedStageSolves:
         # coef builds them, and eight 3 x 3 augmented maps (whole, halves,
         # their product and its defect); beside those, a few blocks of
         # stage matrices.  Stage matrices for all cells of the halves at
-        # once are 2 x 196 floats per cell, three times over
-        A, b = _rotating_system(1.0)
-        calls = []
+        # once are 2 x 196 floats per cell, three times over.  With one
+        # M at every node the cells share one stage matrix, and the weights
+        # each cell reads are gathered a block of cells at a time
+        for system in (_rotating_coef(1.0), _trig_coef(2, constant=True)):
+            calls = []
 
-        def coef(ts):
-            calls.append(ts.size)
-            return A(ts), b(ts)
+            def coef(ts):
+                calls.append(ts.size)
+                return system(ts)
 
-        cells = 2048
-        grid = np.linspace(0.0, 50.0, cells + 1)
-        _linear_cell_maps(coef, grid[:-1], grid[1:])  # warm up outside the trace
-        calls.clear()
-        tracemalloc.start()
+            cells = 2048
+            grid = np.linspace(0.0, 50.0, cells + 1)
+            _linear_cell_maps(coef, grid[:-1], grid[1:])  # warm up outside the trace
+            calls.clear()
+            tracemalloc.start()
+            try:
+                _linear_cell_maps(coef, grid[:-1], grid[1:])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            nodes = 2 * _GAUSS_C.size
+            assert calls == [cells * _GAUSS_C.size, cells * nodes]  # one coef call per level
+            assert peak < 8 * (cells * (2 * nodes * 6 + 8 * 9) + 4 * _STAGE_FLOATS)
+
+    @pytest.mark.parametrize("system,shared", [
+        pytest.param(lambda: _trig_coef(2, constant=True), True, id="constant-M"),
+        pytest.param(lambda: _rotating_coef(1.0), False, id="time-varying-M"),
+        pytest.param(lambda: _nan_node(_trig_coef(2, constant=True)), False,
+                     id="constant-M-with-a-NaN-node"),
+    ])
+    def test_one_stage_solve_per_distinct_stage_matrix(self, monkeypatch, system, shared):
+        coef = system()
+        solved, cells = [], []
+
+        def solve(a, b, _solve=np.linalg.solve):
+            solved[-1] += a.shape[0]
+            return _solve(a, b)
+
+        def collocate(coef, ta, tb, _collocate=integrate._collocate):
+            solved.append(0)
+            cells.append(ta.size)
+            return _collocate(coef, ta, tb)
+
+        monkeypatch.setattr(integrate.np.linalg, "solve", solve)
+        monkeypatch.setattr(integrate, "_collocate", collocate)
+        grid = np.linspace(0.0, 50.0, 2049)  # 2048 cells of one width
         try:
             _linear_cell_maps(coef, grid[:-1], grid[1:])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        nodes = 2 * _GAUSS_C.size
-        assert calls == [cells * _GAUSS_C.size, cells * nodes]  # one coef call per level
-        assert peak < 8 * (cells * (2 * nodes * 6 + 8 * 9) + 4 * _STAGE_FLOATS)
+        except BlowUp:  # every level of the NaN system holds its NaN node
+            assert len(cells) == integrate._MAP_HALVINGS + 2
+        assert cells[:2] == [2048, 4096]
+        assert solved == ([1] * len(cells) if shared else cells)
 
 
 class TestAffineChain:
