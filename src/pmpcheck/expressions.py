@@ -20,7 +20,9 @@ input text.
 An interval evaluator encloses the real value of an expression over a box
 of variables, with outward rounding, after folding its affine
 subexpressions; every node and function has one interval rule.  The Arrow
-scan proves concavity through it.
+scan proves concavity through it, and the assumption audit bounds the
+problem's data over the tube with it.  One bisection engine splits the
+boxes whose enclosure proves nothing, and confirms a failure at a point.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class DomainError(ValueError):
     """Evaluation left a function's domain (``ln``/``sqrt``/fractional power).
 
     ``point`` maps variable names to the offending scalar values so callers
-    can report exactly where a tube sample or a quadrature node failed.
+    can report exactly where a tube point or a quadrature node failed.
     """
 
     def __init__(self, message: str, point: Mapping[str, float] | None = None):
@@ -855,6 +857,132 @@ def _enclose_node(e: Expression, box: Mapping[str, tuple], memo: dict) -> tuple:
         out = tuple(np.where(lost, np.nan, v) for v in out)
     memo[id(e)] = (e, out)
     return out
+
+
+# --- bisection ---------------------------------------------------------------
+#
+# One enclosure per knot settles most boxes; the rest are bisected.  This is
+# the package's one bisection loop over boxes.
+
+_BOX_BUDGET = 2 ** 19  # sub-boxes one call of _bisect may enclose in all
+_BOX_ROUND = 2 ** 11  # sub-boxes split per round, earliest knots first
+
+
+def _as_box(names: list[str], lo: np.ndarray, hi: np.ndarray) -> dict:
+    """The box of :func:`_enclose` from ends stacked one column per name;
+    a column whose ends agree is bound as one array twice, a point."""
+    box = {}
+    for v, name in enumerate(names):
+        col = lo[:, v]
+        box[name] = (col, col) if np.array_equal(col, hi[:, v]) else (col, hi[:, v])
+    return box
+
+
+def _bisect(exprs: Sequence[Expression], box: Mapping[str, tuple],
+            judge: Callable, meets: Callable, probe: Callable) -> tuple:
+    """Settle a box per knot by enclosure, bisecting what one enclosure leaves open.
+
+    ``box`` binds every variable to a pair of arrays with one entry per
+    knot, as :func:`_enclose` takes it.  ``exprs`` are enclosed over each
+    box, and ``judge(found, box, knots)`` reads the enclosures ``found``
+    of boxes whose knot indices are ``knots``: it returns a mask of the
+    boxes it settles and one row of bounds per box.  An open box is split
+    in half across its widest coordinate; a half for which
+    ``meets(half, knots)`` is False misses the region and is dropped, and
+    the rest are enclosed and judged in turn.  The centre of every open
+    box that ``meets`` as a point goes to ``probe(points, knots)``, which
+    returns the index of the first point, in order, at which the data
+    fails, or -1.  A failed knot ends the search at every later knot.
+    Boxes are split in knot order, the newest first within a knot, at most
+    ``_BOX_ROUND`` a round and ``_BOX_BUDGET`` in all, so the budget buys
+    depth at the first open knot.
+
+    Returns ``(state, values, witness)``: per knot 1 (settled), -1
+    (failed) or 0 (open: the budget ran out, the search stopped at an
+    earlier failure, or a box could not be split further); per knot the
+    largest row of its settled boxes, inf unless settled; and the first
+    failing point as a dict of floats, or None.
+    """
+    names = list(box)
+    lo = np.column_stack([np.asarray(box[name][0], dtype=float) for name in names])
+    hi = np.column_stack([np.asarray(box[name][1], dtype=float) for name in names])
+    count = lo.shape[0]
+    knots = np.arange(count)
+    first, witness = count, None
+    unsettled = np.zeros(count, dtype=bool)
+    values = None
+    queue: list[tuple] = []  # blocks of open boxes in knot order, the newest first
+    budget = _BOX_BUDGET
+    part = box
+    while True:
+        settled, rows = judge(_enclose(exprs, part), part, knots)
+        if values is None:
+            values = np.full((count, rows.shape[1]), np.nan)
+        np.fmax.at(values, knots[settled], rows[settled])
+        mid = 0.5 * (lo + hi)
+        centres = ~settled & meets(_as_box(names, mid, mid), knots)
+        if np.any(centres):
+            i = probe({name: mid[centres, v] for v, name in enumerate(names)}, knots[centres])
+            if i >= 0 and knots[centres][i] < first:
+                first = knots[centres][i]
+                witness = {name: float(mid[centres][i, v]) for v, name in enumerate(names)}
+        if not np.all(settled):  # the parents' knots come first, so order holds
+            queue.insert(0, (lo[~settled], hi[~settled], knots[~settled]))
+        take = min(sum(block[2].size for block in queue), _BOX_ROUND, budget // 2)
+        if take == 0:
+            break
+        parts = []
+        while take:
+            block = queue.pop(0)
+            if block[2].size > take:
+                queue.insert(0, tuple(a[take:] for a in block))
+                block = tuple(a[:take] for a in block)
+            parts.append(block)
+            take -= block[2].size
+        lo, hi, knots = (np.concatenate(a) for a in zip(*parts))
+        rows = np.arange(knots.size)
+        j = np.argmax(hi - lo, axis=1)
+        cut = 0.5 * (lo[rows, j] + hi[rows, j])
+        # a box at or past a failed knot, or too narrow (or NaN) to split, stays open
+        apart = (lo[rows, j] < cut) & (cut < hi[rows, j]) & (knots < first)
+        unsettled[knots[~apart]] = True
+        lo, hi, knots, j, cut = (a[apart] for a in (lo, hi, knots, j, cut))
+        lo, hi, knots = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0), np.repeat(knots, 2)
+        rows = np.arange(knots.size)
+        hi[rows[0::2], j], lo[rows[1::2], j] = cut, cut
+        keep = meets(_as_box(names, lo, hi), knots)
+        lo, hi, knots = lo[keep], hi[keep], knots[keep]
+        budget -= knots.size
+        part = _as_box(names, lo, hi)
+    for block in queue:
+        unsettled[block[2]] = True
+    state = np.where(unsettled, 0, 1).astype(np.int8)
+    if first < count:
+        state[first] = -1
+    values[state != 1] = np.inf
+    return state, values, witness
+
+
+def _domain_probe(exprs: Sequence[Expression]) -> Callable:
+    """The probe of :func:`_bisect` that confirms a failure pointwise: the
+    index of the first point at which one of ``exprs`` raises
+    :class:`DomainError`, or -1.  Each retry keeps the points of the knots
+    before the last failure, until none fails."""
+
+    def probe(points, knots):
+        first, upto = -1, knots.size
+        while upto:
+            try:
+                for e in exprs:
+                    e.ev({name: v[:upto] for name, v in points.items()})
+                break
+            except DomainError as err:
+                hit = [points[name][:upto] == value for name, value in err.point.items()]
+                first = int(np.argmax(np.all(hit, axis=0)))
+                upto = int(np.searchsorted(knots[:upto], knots[first]))
+        return first
+
+    return probe
 
 
 # --- tokenizer / parser ----------------------------------------------------

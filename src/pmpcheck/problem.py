@@ -4,14 +4,17 @@ A :class:`ControlProblem` holds the integrand, the dynamics, optional state
 constraints, a control box, and the weight pair; all Jacobians are derived
 symbolically at construction.  A :class:`CandidateProcess` is a sampled
 trajectory/control pair (with optional closed forms for oracle work).  The
-audits never solve anything: they sample a tube around the candidate and
-report, with witnesses, whether the regularity and growth conditions that
-the certificate machinery relies on are credible there.  One helper lays
-the tube for the audit and the Arrow scan alike; the audit draws 32
-points per grid time from one low-discrepancy sequence and evaluates
-them in batched calls.  Continuity is read off the expression tree: the
-only jump an expression can hold is a ``sign`` node, and the audit
-evaluates its arguments on the same tube samples.
+audits never solve anything: they bound the data over a tube around the
+candidate and report, with witnesses, whether the regularity and growth
+conditions that the certificate machinery relies on hold there.  One
+helper lays the tube for the audit and the Arrow scan alike, and one
+interval box per grid time encloses it (:func:`_tube_box`).  The audit's
+bounds are interval enclosures over those boxes; a box whose enclosure
+proves nothing goes to the one bisection engine
+(:func:`~pmpcheck.expressions._bisect`), which splits it and confirms a
+failure at a tube point with the pointwise evaluator.  Continuity is read
+off the expression tree: the only jump an expression can hold is a
+``sign`` node, and the audit encloses its arguments over the same boxes.
 
 Two audit modes exist.  The uniform mode uses a constant tube radius and
 carries the constraint conditions; the scaled mode shrinks the tube with a
@@ -31,9 +34,9 @@ from typing import Callable
 
 import numpy as np
 
-from .expressions import (Call, DomainError, Expression, ExpressionSyntaxError, Neg,
-                          UnknownIdentifier, _build, _check_variables, _children, _emit,
-                          parse_expression)
+from .expressions import (Call, Expression, ExpressionSyntaxError, Neg, UnknownIdentifier,
+                          _bisect, _build, _check_variables, _children, _domain_probe, _emit,
+                          _enclose, _up, parse_expression)
 from .integrate import _cell_integrals, _check_grid, _sample_at, improper_integral
 from .weights import (
     InvalidExponent,
@@ -94,7 +97,7 @@ class InfeasibleState(ValueError):
 
 
 class EmptyTube(ValueError):
-    """The sampling tube around the candidate collapsed below resolution."""
+    """The tube around the candidate collapsed below machine resolution."""
 
     def __init__(self, t: float, radius: float):
         self.t = float(t)
@@ -541,39 +544,34 @@ def _matching_widths(prob: ControlProblem, cand: CandidateProcess, adj=None) -> 
 
 
 # --------------------------------------------------------------------------
-# tube sampling
+# the tube
 
 
-_TUBE_SAMPLES = 32  # audit points per grid time; the first is the candidate itself
-
-
-def _ball(dim: int, idx: np.ndarray) -> np.ndarray:
-    """Low-discrepancy points in the closed unit ball, one per sequence index.
-
-    An additive recurrence driven by the generalized golden ratio fills
-    the cube, which is pulled into the ball; a point depends on its index
-    alone, however the indices are batched.
-    """
-    x = 2.0
-    for _ in range(64):
-        x = (1.0 + x) ** (1.0 / (dim + 1))
-    alpha = (1.0 / x) ** np.arange(1, dim + 1)
-    pts = 2.0 * np.mod(0.5 + np.asarray(idx, dtype=float)[:, None] * alpha, 1.0) - 1.0
-    return pts / np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True))
+def _tube_box(ts, centers, radii, controls) -> dict:
+    """The interval box ``t`` x ``centers +- radii`` x ``controls``, a
+    ``(lo, hi)`` pair per control coordinate; the state part is rounded out
+    so that it encloses each tube ball."""
+    box = {"t": (ts, ts)}
+    for i in range(centers.shape[1]):
+        box[f"x{i + 1}"] = (np.nextafter(centers[:, i] - radii, -np.inf),
+                            np.nextafter(centers[:, i] + radii, np.inf))
+    for j, ends in enumerate(controls):
+        box[f"u{j + 1}"] = ends
+    return box
 
 
 def _tube(prob: ControlProblem, cand: CandidateProcess, gamma: float, mode: str):
     """Validate the widths and the tube arguments; return ``(weak, radii,
-    resolvable, samples)``.
+    resolvable, box)``.
 
-    The radius is ``gamma`` (strong mode) or ``gamma * eta(t)`` (weak
-    mode); a grid time is resolvable while it stays above
-    ``64 eps max(1, |x(t)|)``.  ``samples(knots)`` gives the rows
-    ``(t, x, u)`` of the first ``knots`` grid times, ``_TUBE_SAMPLES``
-    per time: the candidate, then the ball points of sequence indices
-    ``k * _TUBE_SAMPLES + j`` (``j < _TUBE_SAMPLES - 1``) at grid index
-    ``k``, scaled by the radius.  The ball is in x alone in strong mode
-    and in (x, u) in weak mode, with the control projected into the box.
+    The tube at grid time t_k is the closed ball of radius ``radii[k]``
+    (gamma, or gamma * eta(t_k) in weak mode) about the candidate's state,
+    or in weak mode its state and control, each point's control projected
+    into the box (:meth:`ControlBox.project`).  A grid time is resolvable
+    while its radius stays above ``64 eps max(1, |x(t)|)``.  ``box`` (by
+    :func:`_tube_box`) holds the control at the candidate's in strong mode
+    and takes ``u* +- r`` through the projection in weak mode, which holds
+    every projected point and reaches no open face.
     """
     _matching_widths(prob, cand)
     if not (gamma > 0 and np.isfinite(gamma)):
@@ -583,27 +581,16 @@ def _tube(prob: ControlProblem, cand: CandidateProcess, gamma: float, mode: str)
     weak = mode == "weak"
     if weak and prob.eta is None:
         raise ValueError("weak mode needs the problem to declare a tube radius eta")
-    n, m = prob.n, prob.m
     if weak:
         radii = gamma * np.asarray(prob.eta(cand.grid), dtype=float)
+        lo, hi = (prob.U.project(cand.u + side * radii[:, None]) for side in (-1.0, 1.0))
+        controls = zip(lo.T, hi.T)
     else:
         radii = np.full(cand.grid.size, float(gamma))
+        controls = [(col, col) for col in cand.u.T]
     floor = 64.0 * np.finfo(float).eps * np.maximum(1.0, np.linalg.norm(cand.x, axis=1))
     resolvable = ~(radii < floor)  # a NaN radius is eta's F6 failure, not a collapse
-
-    def samples(knots: int):
-        dim = n + m if weak else n
-        ball = _ball(dim, np.arange(knots * _TUBE_SAMPLES)).reshape(knots, _TUBE_SAMPLES, dim)
-        offsets = np.concatenate([np.zeros((knots, 1, dim)), ball[:, :-1]], axis=1)
-        scaled = radii[:knots, None, None] * offsets
-        x = (cand.x[:knots, None, :] + scaled[..., :n]).reshape(-1, n)
-        if weak:
-            u = prob.U.project((cand.u[:knots, None, :] + scaled[..., n:]).reshape(-1, m))
-        else:
-            u = np.repeat(cand.u[:knots], _TUBE_SAMPLES, axis=0)
-        return np.repeat(cand.grid[:knots], _TUBE_SAMPLES), x, u
-
-    return weak, radii, resolvable, samples
+    return weak, radii, resolvable, _tube_box(cand.grid, cand.x, radii, controls)
 
 
 # --------------------------------------------------------------------------
@@ -612,22 +599,22 @@ def _tube(prob: ControlProblem, cand: CandidateProcess, gamma: float, mode: str)
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Verdicts, constants, and the sampled majorant for one audit run.
+    """Verdicts, constants, and the per-knot upper bound of one audit run.
 
     Every ``fail`` verdict carries a witness ``(t, x, u)`` (``u`` is None
-    when the control played no role).  ``L_values`` is the empirical
-    per-time majorant of the cost data over the tube, one value per
-    audited knot ``cand.grid[:len(L_values)]``, and ``L_partials``
-    the decade partials of its weighted integral, so a divergence is
-    visible rather than asserted.  They stay finite at a weight pole at
-    t = 0, and read ``(inf, inf, inf)`` only where the cost data left its domain.
+    when the control played no role).  ``L_values`` is the per-knot upper
+    bound of the cost data over the tube, one value per audited knot
+    ``cand.grid[:len(L_values)]``, and ``L_partials`` the decade partials
+    of its weighted integral, so a divergence is visible rather than
+    asserted.  They stay finite at a weight pole at t = 0; a knot where
+    the cost data is not proved defined on the tube reads inf, and the
+    partials ``(inf, inf, inf)``.
     """
 
     mode: str
     verdicts: dict
     witnesses: dict
     C0: float
-    K_estimate: float | None
     L_values: np.ndarray
     L_partials: tuple
     L_verdict: str
@@ -671,14 +658,13 @@ _ACTIVE_TOL = 1e-8  # |g_j| within this of zero counts as active
 
 
 def _majorant_verdict(grid, omega, L_vals):
-    """Weighted-integral verdict for the sampled majorant.
+    """Weighted-integral verdict for the per-knot upper bound of the cost data.
 
     Divergence means the partial integral is still growing by more than
-    ``_GROWTH_TOL`` relatively over the last decade, or the majorant hit
-    a point where the data left its domain (inf samples).  Growth at the
-    horizon is forgiven when the distribution declares a tail bound and
-    the majorant itself has stopped rising: the remaining mass is then
-    provably inside the growth budget.
+    ``_GROWTH_TOL`` relatively over the last decade, or the bound is
+    infinite at a knot.  Growth at the horizon is forgiven when the
+    distribution declares a tail bound and the bound itself has stopped
+    rising: the remaining mass is then provably inside the growth budget.
     """
     if not np.all(np.isfinite(L_vals)):
         k = int(np.argmax(~np.isfinite(L_vals)))
@@ -693,28 +679,6 @@ def _majorant_verdict(grid, omega, L_vals):
     return "finite", (p1, p2, p3), -1
 
 
-def _eval_rows(fn, nt: int, ns: int):
-    """Run a bulk tube evaluation with a per-time fallback on domain errors.
-
-    ``fn(sl)`` evaluates a slice of flattened sample indices to per-sample
-    norms.  Returns the (nt, ns) value matrix (inf rows where the data
-    left its domain) and the first offending point, if any.
-    """
-    full = slice(0, nt * ns)
-    try:
-        return fn(full).reshape(nt, ns), None
-    except DomainError as err:
-        witness = err.point
-    out = np.empty((nt, ns))
-    for k in range(nt):
-        sl = slice(k * ns, (k + 1) * ns)
-        try:
-            out[k] = fn(sl)
-        except DomainError:
-            out[k] = np.inf
-    return out, witness
-
-
 def _point_witness(point: dict, n: int, m: int) -> tuple:
     """The witness ``(t, x, u)`` of a domain failure's ``point``, with
     ``x1..xn`` and ``u1..um`` read by index; ``u`` is None for ``m = 0``."""
@@ -723,51 +687,55 @@ def _point_witness(point: dict, n: int, m: int) -> tuple:
             tuple(point[f"u{i + 1}"] for i in range(m)) or None)
 
 
+def _norm_bound(found, count: int) -> np.ndarray:
+    """Per box, an upper bound of the Euclidean norm of the vector whose
+    entries are enclosed in ``found``; NaN where one proves nothing."""
+    total = 0.0
+    with np.errstate(over="ignore"):
+        for lo, hi in found:
+            mag = np.maximum(np.abs(lo), np.abs(hi))
+            total = _up(total + _up(mag * mag))
+    return np.broadcast_to(_up(np.sqrt(total)), (count,))
+
+
 def audit_assumptions(
     prob: ControlProblem,
     cand: CandidateProcess,
     gamma: float,
     mode: str = "strong",
 ) -> AssumptionReport:
-    """Probe the standing assumptions on a tube around the candidate.
+    """Check the standing assumptions on the tube around the candidate.
 
     ``gamma`` scales the tube: a constant radius in strong mode, a radius
-    ``gamma * eta(t)`` (state and control alike) in weak mode.  Each grid
-    time owns 32 tube samples, the candidate and 31 quasi-random ball
-    points, which feed the empirical majorant, the growth-constant fits
-    and the constraint constants.  Every stage is one batched
-    evaluation; the audit is deterministic.
+    ``gamma * eta(t)`` (state and control alike) in weak mode.  Every bound
+    is an interval enclosure over the tube box of each grid time
+    (:func:`_tube`): L(t_k) bounds ``sqrt(f^2 + |f_x|^2)`` (with f_u in weak
+    mode), C(t_k) the dynamics' growth in the mean value form, and A3 the
+    constraint data.  Where an enclosure proves nothing, the bisection
+    engine (:func:`~pmpcheck.expressions._bisect`) splits the box and
+    probes tube points pointwise: a :class:`DomainError` there is the
+    witness of a ``fail``, and a knot left open reads ``undetermined``.
 
-    Continuity (A1/B1) is decided from the expression tree.  Every
-    function of the grammar is continuous where it is defined, so f and
-    phi can jump only across the zero of the argument of a ``sign``
-    node, which the parser refuses and only the derivative of ``abs``
-    builds.  The arguments that name a moved variable (x in strong mode,
-    x or u in weak mode) are evaluated on the tube samples, and the
-    verdict fails at the first knot where f and phi are defined and the
-    samples put an argument at 0 or on both sides of it.  A problem
-    without such a node evaluates nothing for it and reads "no
-    counterexample"; measurability in t stays assumed.
+    Continuity (A1/B1) is read off the expression tree: every function of
+    the grammar is continuous where it is defined, so f and phi can jump
+    only across the zero of the argument of a ``sign`` node, which only
+    the derivative of ``abs`` builds.  The arguments that name a moved
+    variable (x, and u in weak mode) are enclosed over the tube where f and
+    phi are proved defined.  A knot fails where a tube point puts one at 0
+    or across its sign at the candidate, whose point is the witness; no
+    such node reads "no counterexample", and measurability in t is assumed.
 
     Raises
     ------
     EmptyTube
         when the tube radius falls below machine resolution relative to
         the candidate's scale before a quarter of the horizon, so not
-        even a meaningful prefix could be sampled.  A later collapse
+        even a meaningful prefix could be audited.  A later collapse
         truncates the audited range instead and leaves a note.
-
-    Notes
-    -----
-    The audit samples points; it cannot see between them.  Data whose
-    invalid region raises (logs, roots, genuine division by zero) is
-    caught reliably, but an integrable spike or a sign-flipping pole
-    strictly between sample points can escape notice.  Model domain
-    edges with forms that raise rather than overflow.
     """
-    weak, radii, resolvable, tube_samples = _tube(prob, cand, gamma, mode)
+    weak, radii, resolvable, box = _tube(prob, cand, gamma, mode)
     grid, x_star, u_star = cand.grid, cand.x, cand.u
-    nt = grid.size
+    n, m = prob.n, prob.m
     verdicts: dict[str, str] = {}
     witnesses: dict[str, tuple] = {}
     notes: list[str] = []
@@ -779,7 +747,7 @@ def audit_assumptions(
 
     if not np.all(resolvable):
         # a shrinking tube eventually drops below float resolution around
-        # the candidate; beyond that point sampling is meaningless, so the
+        # the candidate; beyond that point the tube is meaningless, so the
         # audit covers the resolvable prefix and says so.  A prefix shorter
         # than a quarter of the horizon cannot support the window fits,
         # and such a tube is treated as empty outright.
@@ -789,9 +757,9 @@ def audit_assumptions(
         notes.append(
             f"tube radius below machine resolution from t={grid[k]:.6g}; "
             f"assumptions audited on [{grid[0]:g}, {grid[k - 1]:.6g}]")
-        grid, x_star, u_star = grid[:k], x_star[:k], u_star[:k]
-        radii, nt = radii[:k], k
-    T, X, Uarr = tube_samples(nt)
+        grid, x_star, u_star, radii = grid[:k], x_star[:k], u_star[:k], radii[:k]
+        box = {name: (lo[:k],) * 2 if lo is hi else (lo[:k], hi[:k])
+               for name, (lo, hi) in box.items()}
 
     # ---- base verdict: weights qualify, candidate is basically admissible
     nu_report = check_weight_properties(prob.nu, mode=mode)
@@ -802,12 +770,10 @@ def audit_assumptions(
     pair_ok = 1.0 < prob.p_exp < np.inf
     if not pair_ok:
         notes.append(f"{names['base']}: space exponent p={prob.p_exp:g} has no conjugate in (1, inf)")
-    if weak:
-        eta_report = check_tube_scale(prob.eta)
-        base_ok = base_ok and eta_report.verdicts.get("F6") == "pass"
     reports = {"nu": nu_report, "omega": omega_report}
     if weak:
-        reports["eta"] = eta_report
+        reports["eta"] = check_tube_scale(prob.eta)
+        base_ok = base_ok and reports["eta"].verdicts.get("F6") == "pass"
 
     x0_gap = float(np.linalg.norm(x_star[0] - prob.x0))
     inside = prob.U.contains(u_star, tol=_ADMISSIBLE_TOL)
@@ -830,140 +796,168 @@ def audit_assumptions(
                         witnesses[names["base"]] = (float(t_w), None, None)
     verdicts[names["base"]] = "pass" if (base_ok and pair_ok) else "fail"
 
-    # ---- majorant over the tube and its weighted integral
-    def cost_norms(sl: slice) -> np.ndarray:
-        fv = prob.f_value(T[sl], X[sl], Uarr[sl])
-        gx = prob.f_grad_x(T[sl], X[sl], Uarr[sl])
-        total = fv**2 + np.sum(gx**2, axis=-1)
-        if weak:
-            gu = prob.f_grad_u(T[sl], X[sl], Uarr[sl])
-            total = total + np.sum(gu**2, axis=-1)
-        return np.sqrt(total)
+    # ---- bounds over the tube, per knot.  The ball is about (x*, u*); the
+    # mean value form expands about (x*, u*) with u* projected in weak mode
+    coords = [f"x{i + 1}" for i in range(n)] + [f"u{j + 1}" for j in range(m)]
+    moved = coords[:n + m if weak else n]
+    centre = np.column_stack([x_star, u_star])
+    expand = np.column_stack([x_star, prob.U.project(u_star) if weak else u_star])
+    faces = prob.U.project(np.stack([prob.U.lo, prob.U.hi]))
+    flat = lambda rows: [e for row in rows for e in row]
 
-    L_matrix, cost_witness = _eval_rows(cost_norms, nt, _TUBE_SAMPLES)
-    L_values = np.max(L_matrix, axis=1)
+    def meets(part, knots):
+        # whether each box meets its knot's ball.  A control range at an
+        # effective face of ControlBox.project reaches past it, since the
+        # face holds the projection of every point beyond.  A box, not a
+        # point (one array twice), gets 1e-12 on the squared radius
+        gap = 0.0
+        for v, name in enumerate(moved):
+            lo, hi = part[name]
+            if v >= n:
+                lo = np.where(lo <= faces[0, v - n], -np.inf, lo)
+                hi = np.where(hi >= faces[1, v - n], np.inf, hi)
+            c = centre[knots, v]
+            gap = gap + np.maximum(0.0, np.maximum(lo - c, c - hi)) ** 2
+        slack = 1.0 if part["x1"][0] is part["x1"][1] else 1.0 + 1e-12
+        return gap <= radii[knots] ** 2 * slack
+
+    at_candidate = lambda k: (float(grid[k]), tuple(x_star[k]), tuple(u_star[k]))
+
+    def cost_bound(found, part, knots):
+        bound = _norm_bound(found, knots.size)
+        return ~np.isnan(bound), bound[:, None]
+
+    def growth_bound(field):
+        """The judge of the map ``field``, enclosed first, then its Jacobian
+        in the moved coordinates; the norm of any further data is row 1."""
+        k = len(field) * (1 + len(moved))
+
+        def judge(found, part, knots):
+            point = dict(part)  # the point of each box nearest the expansion centre
+            for v, name in enumerate(moved):
+                c = np.clip(expand[knots, v], *part[name])
+                point[name] = (c, c)
+            size = np.sqrt(sum(point[name][0] ** 2 for name in moved))
+            lip = _norm_bound(found[len(field):k], knots.size)
+            # the mean value form about that point c: with rho = |z - c| <= r,
+            # |v(z)| <= |v(c)| + lip rho and |z| >= ||c| - rho|, whose quotient
+            # rises up to rho = |c| and tends monotonely to lip beyond.  Unlike
+            # sup |v| / (1 + inf |z|) it is no looser where the ball holds 0,
+            # so a growth test along t cannot read looseness as growth
+            rho = np.minimum(radii[knots], size)
+            with np.errstate(invalid="ignore", over="ignore"):
+                ratio = (_norm_bound(_enclose(field, point), knots.size) + lip * rho) / (
+                    1.0 + size - rho) * (1.0 + 1e-12)  # the rounding of the norms
+            growth = np.fmax(ratio, lip)
+            return (~np.isnan(_norm_bound(found, knots.size)),
+                    np.column_stack([growth, _norm_bound(found[k:], knots.size)]))
+
+        return judge
+
+    def settle(key, what, exprs, bound, probe_m):
+        """Bound ``exprs`` over the tube (inf rows where they are not proved
+        defined); a note, and the witness of a failure, go under ``key``."""
+        state, rows, point = _bisect(exprs, box, bound, meets, _domain_probe(exprs))
+        if point is not None:
+            witnesses.setdefault(key, _point_witness(point, n, probe_m))
+            notes.append(f"{key}: {what} left its domain inside the tube")
+        elif np.any(state == 0):
+            notes.append(f"{key}: {what} not proved defined on the tube at {np.sum(state == 0)} "
+                         f"knot(s), the first at t={grid[np.argmax(state == 0)]:.6g}")
+        return rows, state
+
+    key = names["growth"]
+    L_rows, cost = settle(key, "cost data", [prob.f, *prob.f_x, *(prob.f_u if weak else ())],
+                          cost_bound, m)
+    C_rows, growth = settle(key, "dynamics", [*prob.phi, *flat(prob.phi_x),
+                                              *(flat(prob.phi_u) if weak else ())],
+                            growth_bound(prob.phi), m)
+    L_values, C_values, defined = L_rows[:, 0], C_rows[:, 0], np.minimum(cost, growth)
     L_verdict, L_partials, bad_idx = _majorant_verdict(grid, prob.omega, L_values)
-
-    # ---- dynamics growth constants over the tube
-    def growth_norms(sl: slice) -> np.ndarray:
-        pv = prob.phi_value(T[sl], X[sl], Uarr[sl])
-        jx = prob.phi_jac_x(T[sl], X[sl], Uarr[sl])
-        scale = 1.0 + np.linalg.norm(X[sl], axis=-1)
-        jac_sq = np.sum(jx**2, axis=(-2, -1))
-        if weak:
-            scale = scale + np.linalg.norm(Uarr[sl], axis=-1)
-            ju = prob.phi_jac_u(T[sl], X[sl], Uarr[sl])
-            jac_sq = jac_sq + np.sum(ju**2, axis=(-2, -1))
-        ratio = np.linalg.norm(pv, axis=-1) / scale
-        return np.maximum(ratio, np.sqrt(jac_sq))
-
-    C_matrix, growth_witness = _eval_rows(growth_norms, nt, _TUBE_SAMPLES)
-    C_values = np.max(C_matrix, axis=1)
-    if np.all(np.isfinite(C_values)):
-        C0, c_growing = _window_growth(grid, C_values)
-    else:
-        C0, c_growing = float("inf"), True
-
-    growth_ok = L_verdict == "finite" and not c_growing
+    C0, c_growing = (_window_growth(grid, C_values) if np.all(np.isfinite(C_values))
+                     else (float("inf"), True))
     if L_verdict != "finite":
-        notes.append(
-            f"{names['growth']}: weighted majorant integral divergent "
-            f"(partials {L_partials[0]:.4g}, {L_partials[1]:.4g}, {L_partials[2]:.4g})"
-        )
-        if cost_witness is not None:
-            witnesses[names["growth"]] = _point_witness(cost_witness, prob.n, prob.m)
-            notes.append(f"{names['growth']}: cost data left its domain inside the tube")
-        elif bad_idx >= 0:
-            k = bad_idx
-            witnesses[names["growth"]] = (float(grid[k]), tuple(x_star[k]), tuple(u_star[k]))
-    if c_growing:
-        k = int(np.argmax(C_values if np.all(np.isfinite(C_values))
-                          else ~np.isfinite(C_values)))
-        witnesses.setdefault(
-            names["growth"], (float(grid[k]), tuple(x_star[k]), tuple(u_star[k]))
-        )
-        notes.append(f"{names['growth']}: dynamics growth constant still rising at the horizon")
-        if growth_witness is not None:
-            notes.append(f"{names['growth']}: dynamics left its domain inside the tube")
-    verdicts[names["growth"]] = "pass" if growth_ok else "fail"
+        notes.append(f"{key}: weighted majorant integral divergent (partials "
+                     f"{L_partials[0]:.4g}, {L_partials[1]:.4g}, {L_partials[2]:.4g})")
+    if np.any(defined == -1):
+        verdicts[key] = "fail"
+    elif np.any(defined == 0):
+        verdicts[key] = "undetermined"
+    else:
+        if bad_idx >= 0:
+            witnesses[key] = at_candidate(bad_idx)
+        if c_growing:
+            witnesses.setdefault(key, at_candidate(int(np.argmax(C_values))))
+            notes.append(f"{key}: dynamics growth constant still rising at the horizon")
+        verdicts[key] = "pass" if L_verdict == "finite" and not c_growing else "fail"
 
     # ---- continuity in (x, u), read off the tree (see the docstring): the
     # zeros of the sign arguments that name a moved variable, on the tube
-    moved = {f"x{i + 1}" for i in range(prob.n)}
-    if weak:
-        moved |= {f"u{i + 1}" for i in range(prob.m)}
-    crossed = np.zeros(nt, dtype=bool)
-    for arg in (a for e in (prob.f, *prob.phi) for a in _kinks(e, moved, ("sign",))):
-        level = _evaluator([arg], (), prob.n, prob.m)
-        vals, _ = _eval_rows(lambda sl, level=level: level(T[sl], X[sl], Uarr[sl]),
-                             nt, _TUBE_SAMPLES)
-        crossed |= (np.min(vals, axis=1) <= 0) & (np.max(vals, axis=1) >= 0)
-    crossed &= np.isfinite(L_values) & np.isfinite(C_values)
-    if np.any(crossed):
-        k = int(np.argmax(crossed))
-        verdicts[names["cont"]] = "fail"
-        witnesses[names["cont"]] = (float(grid[k]), tuple(x_star[k]), tuple(u_star[k]))
-    else:
-        verdicts[names["cont"]] = "no counterexample"
-    notes.append(f"{names['cont']}: measurability in t assumed (not checkable numerically)")
+    # where f and phi are proved defined
+    cont = names["cont"]
+    verdicts[cont] = "no counterexample"
+    args = [a for e in (prob.f, *prob.phi) for a in _kinks(e, set(moved), ("sign",))]
+    if args:
+        at = {"t": grid, **{name: expand[:, v] for v, name in enumerate(coords)}}
 
-    # ---- constraint data (uniform mode only; the weak track carries none)
-    if not weak:
-        if prob.l == 0:
-            verdicts["A3"] = "vacuous"
+        def off_zero(found, part, knots):
+            # cleared where no argument may vanish (NaN compares False), and
+            # where f or phi is not proved defined
+            clear = np.all([(lo > 0) | (hi < 0) for lo, hi in found], axis=0)
+            return clear | (defined[knots] != 1), np.zeros((knots.size, 0))
+
+        def crossing(points, knots):
+            # one evaluation: the points, then their knots' candidate points
+            env = {name: np.concatenate([points[name], at[name][knots]]) for name in at}
+            s = np.sign([np.broadcast_to(a.ev(env), env["t"].shape) for a in args])
+            bad = np.any((s[:, :knots.size] == 0) | (s[:, :knots.size] != s[:, knots.size:]),
+                         axis=0)
+            return int(np.argmax(bad)) if np.any(bad) else -1
+
+        state = _bisect(args, box, off_zero, meets, crossing)[0]
+        if np.any(state == -1):
+            verdicts[cont] = "fail"
+            witnesses[cont] = at_candidate(int(np.argmax(state == -1)))
+        elif np.any(state == 0):
+            verdicts[cont] = "undetermined"
+            notes.append(f"{cont}: sign arguments not cleared of 0 on the tube at "
+                         f"{np.sum(state == 0)} knot(s), the first at "
+                         f"t={grid[np.argmax(state == 0)]:.6g}")
+    notes.append(f"{cont}: measurability in t assumed (not checkable numerically)")
+
+    # ---- constraint data (uniform mode only; the weak track carries none):
+    # the constraint bound, and the Lipschitz bound of the constraint
+    # gradients (from g_xx) damped by the space weight
+    if not weak and prob.l == 0:
+        verdicts["A3"] = "vacuous"
+    elif not weak:
+        second = [d.diff(x) for d in flat(prob.g_x) for x in moved]
+        rows, state = settle("A3", "constraint data", [*prob.g, *flat(prob.g_x), *second],
+                             growth_bound(prob.g), 0)
+        if np.any(state == -1):
+            verdicts["A3"] = "fail"
+        elif np.any(state == 0):
+            verdicts["A3"] = "undetermined"
         else:
-            a3_ok = True
-            try:
-                gv = prob.g_value(T, X)
-                gj = prob.g_jac_x(T, X)
-            except DomainError as err:
-                a3_ok = False
-                witnesses["A3"] = _point_witness(err.point, prob.n, 0)
-                notes.append("A3: constraint data left its domain inside the tube")
-            if a3_ok:
-                scale = 1.0 + np.linalg.norm(X, axis=-1)
-                bound = np.maximum(
-                    np.max(np.abs(gv) / scale[:, None], axis=-1),
-                    np.max(np.linalg.norm(gj, axis=-1), axis=-1),
-                )
-                per_time = np.max(bound.reshape(nt, _TUBE_SAMPLES), axis=1)
-                cg, g_growing = _window_growth(grid, per_time)
-                # difference quotients of the constraint gradients, damped
-                # by the space weight
-                nu_vals = np.asarray(prob.nu(grid), dtype=float)
-                gj3 = gj.reshape(nt, _TUBE_SAMPLES, prob.l, prob.n)
-                X3 = X.reshape(nt, _TUBE_SAMPLES, prob.n)
-                dx = np.linalg.norm(X3[:, 1:] - X3[:, :-1], axis=-1)
-                dgj = np.linalg.norm(gj3[:, 1:] - gj3[:, :-1], axis=(-2, -1))
-                usable = dx > 1e-12 * radii[:, None]
-                ratio = np.where(usable, dgj / np.where(usable, dx, 1.0), 0.0)
-                lip_per_time = nu_vals * np.max(ratio, axis=1)
-                cl, l_growing = _window_growth(grid, lip_per_time)
-                if g_growing or l_growing or not np.isfinite(cg) or not np.isfinite(cl):
-                    a3_ok = False
-                    k = int(np.argmax(per_time if g_growing else lip_per_time))
-                    witnesses["A3"] = (float(grid[k]), tuple(x_star[k]), None)
-                    notes.append("A3: constraint constants still rising at the horizon")
-                else:
-                    notes.append(
-                        f"A3: constraint bound {cg:.4g}, weighted gradient Lipschitz {cl:.4g}"
-                    )
-            verdicts["A3"] = "pass" if a3_ok else "fail"
+            per_time = rows[:, 0]
+            lip_per_time = np.asarray(prob.nu(grid), dtype=float) * rows[:, 1]
+            cg, g_growing = _window_growth(grid, per_time)
+            cl, l_growing = _window_growth(grid, lip_per_time)
+            if g_growing or l_growing or not np.isfinite(cg) or not np.isfinite(cl):
+                k = int(np.argmax(per_time if g_growing else lip_per_time))
+                verdicts["A3"] = "fail"
+                witnesses["A3"] = (float(grid[k]), tuple(x_star[k]), None)
+                notes.append("A3: constraint constants still rising at the horizon")
+            else:
+                verdicts["A3"] = "pass"
+                notes.append(f"A3: constraint bound {cg:.4g}, "
+                             f"weighted gradient Lipschitz {cl:.4g}")
     elif prob.l > 0:
         notes.append("state constraints are outside the weak-mode audit and were ignored")
 
-    return AssumptionReport(
-        mode=mode,
-        verdicts=verdicts,
-        witnesses=witnesses,
-        C0=float(C0),
-        K_estimate=nu_report.K_estimate,
-        L_values=L_values,
-        L_partials=L_partials,
-        L_verdict=L_verdict,
-        weight_reports=reports,
-        notes=tuple(notes),
-    )
+    return AssumptionReport(mode=mode, verdicts=verdicts, witnesses=witnesses, C0=float(C0),
+                            L_values=L_values, L_partials=L_partials, L_verdict=L_verdict,
+                            weight_reports=reports, notes=tuple(notes))
 
 
 # --------------------------------------------------------------------------

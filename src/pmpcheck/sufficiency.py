@@ -26,8 +26,8 @@ import numpy as np
 
 from .expressions import DomainError, _enclose, _iv_add, _iv_mul
 from .pmp import AdjointSolution, UnboundedAbove, _finite_weight, _hamiltonian, _sup_over_u
-from .problem import (CandidateProcess, ControlProblem, DimensionMismatch, _ball,
-                      _matching_widths, _tube)
+from .problem import (CandidateProcess, ControlProblem, DimensionMismatch, _matching_widths,
+                      _tube, _tube_box)
 
 __all__ = ["ConcavityReport", "check_arrow", "hamiltonian_sup"]
 
@@ -131,17 +131,19 @@ def hamiltonian_sup(prob: ControlProblem, t, x, p, u_start=None):
     return float(h_best[0]) if scalar else h_best
 
 
-def _tube_box(ts, centers, radii, controls) -> dict:
-    """The interval box ``t`` x ``centers +- radii`` x ``controls``, a
-    ``(lo, hi)`` pair per control coordinate; the state part is rounded out
-    so that it encloses each tube ball."""
-    box = {"t": (ts, ts)}
-    for i in range(centers.shape[1]):
-        box[f"x{i + 1}"] = (np.nextafter(centers[:, i] - radii, -np.inf),
-                            np.nextafter(centers[:, i] + radii, np.inf))
-    for j, ends in enumerate(controls):
-        box[f"u{j + 1}"] = ends
-    return box
+def _ball(dim: int, idx: np.ndarray) -> np.ndarray:
+    """Low-discrepancy points in the closed unit ball, one per sequence index.
+
+    An additive recurrence driven by the generalized golden ratio fills
+    the cube, which is pulled into the ball; a point depends on its index
+    alone, however the indices are batched.
+    """
+    x = 2.0
+    for _ in range(64):
+        x = (1.0 + x) ** (1.0 / (dim + 1))
+    alpha = (1.0 / x) ** np.arange(1, dim + 1)
+    pts = 2.0 * np.mod(0.5 + np.asarray(idx, dtype=float)[:, None] * alpha, 1.0) - 1.0
+    return pts / np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True))
 
 
 def _least_magnitude(prob: ControlProblem, w, ts, centers, radii, ps, us) -> np.ndarray:
@@ -223,9 +225,11 @@ def check_arrow(prob: ControlProblem, cand: CandidateProcess,
                 mode: str = "strong") -> ConcavityReport:
     """Prove or scan concavity in x of the maximized Hamiltonian on the tube.
 
-    The tube is the audit's (same radius and resolution floor): the closed
-    ball of radius gamma (strong mode) or gamma * eta(t) (weak mode)
-    around the candidate state at each resolvable grid time.  The
+    The tube is the audit's (:func:`~pmpcheck.problem._tube`: same radius
+    and resolution floor): the closed ball of radius gamma (strong mode)
+    or gamma * eta(t) (weak mode) around the candidate state at each
+    resolvable grid time, whose state part the one tube box
+    (:func:`~pmpcheck.problem._tube_box`) encloses for both proofs.  The
     multiplier must be normal; any positive lambda0 is rescaled onto
     lambda0 = 1, which changes no verdict.  A slice is judged only at a
     knot with finite weight (the pointwise conditions' mask,

@@ -220,15 +220,12 @@ class PropertyReport:
     """Per-property verdicts for one weight in one mode.
 
     Verdicts are ``pass`` / ``fail`` / ``undetermined``; every ``fail``
-    carries a witness (t, value) in ``witnesses``.  ``K_estimate`` is the
-    largest observed |w'|/w, reported even when the boundedness property
-    passes, because downstream estimates reuse it.
+    carries a witness (t, value) in ``witnesses``.
     """
 
     mode: str
     verdicts: dict[str, str]
     witnesses: dict[str, tuple[float, float]]
-    K_estimate: float | None
     notes: tuple[str, ...] = ()
 
     @property
@@ -393,7 +390,7 @@ def check_weight_properties(nu: WeightSpec, mode: str = "strong") -> PropertyRep
     ratios = np.where(rvals > 1e-290, ratios, np.nan)
     # the ratios are nonnegative, so zeroing the unusable ones leaves every
     # window maximum as it is
-    K_estimate, growing = _window_growth(rgrid, np.where(np.isfinite(ratios), ratios, 0.0))
+    k_max, growing = _window_growth(rgrid, np.where(np.isfinite(ratios), ratios, 0.0))
     if pole:  # w ~ t^e with e < 0 makes |w'|/w ~ |e|/t
         verdicts[names[3]] = "fail"
         witnesses[names[3]] = (float(rgrid[0]), float(ratios[0]))
@@ -403,7 +400,7 @@ def check_weight_properties(nu: WeightSpec, mode: str = "strong") -> PropertyRep
         kk = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))
         verdicts[names[3]] = "fail"
         witnesses[names[3]] = (float(rgrid[kk]), float(ratios[kk]))
-        notes.append(f"{names[3]}: |w'|/w still grows in the last decade (max {K_estimate:.3g})")
+        notes.append(f"{names[3]}: |w'|/w still grows in the last decade (max {k_max:.3g})")
     else:
         verdicts[names[3]] = "pass"
 
@@ -422,7 +419,6 @@ def check_weight_properties(nu: WeightSpec, mode: str = "strong") -> PropertyRep
         mode=mode,
         verdicts=verdicts,
         witnesses=witnesses,
-        K_estimate=K_estimate,
         notes=tuple(notes),
     )
 
@@ -481,7 +477,6 @@ def check_distribution(omega: WeightSpec, mode: str = "strong") -> PropertyRepor
         mode=mode,
         verdicts=verdicts,
         witnesses=witnesses,
-        K_estimate=None,
         notes=tuple(notes),
     )
 
@@ -499,7 +494,7 @@ def check_tube_scale(eta: WeightSpec) -> PropertyReport:
             k = int(np.argmax(bad))
             verdicts["F6"] = "fail"
             witnesses["F6"] = (float(grid[k]), float(vals[k]))
-            return PropertyReport("weak", verdicts, witnesses, None, ())
+            return PropertyReport("weak", verdicts, witnesses, ())
         jump = _continuity_probe(eta, grid)
         rising = vals[1:] > vals[:-1] * (1 + 1e-10) + 1e-15
         if jump is not None:
@@ -517,4 +512,4 @@ def check_tube_scale(eta: WeightSpec) -> PropertyReport:
         verdicts["F6"] = "fail"
         witnesses["F6"] = (0.0, float("nan"))
         notes.append(f"evaluation failed: {exc}")
-    return PropertyReport("weak", verdicts, witnesses, None, tuple(notes))
+    return PropertyReport("weak", verdicts, witnesses, tuple(notes))

@@ -396,16 +396,64 @@ def test_the_maximum_condition_reports_its_own_escape():
 
 
 def test_the_audit_evaluates_f_and_phi_in_its_tube_stages_only():
-    """Continuity (A1/B1) is read off the expression tree, so
-    ``audit_assumptions`` evaluates f only in its cost stage and phi only
-    in its growth stage; a sampled continuity probe, which evaluates them
-    elsewhere, fails here."""
-    func = _definition(Path(pmpcheck.__file__).parent / "problem.py", "audit_assumptions")
-    owner = _owners(func)
-    sites = sorted(f"{owner[id(node)]}:{node.func.attr}" for node in ast.walk(func)
-                   if isinstance(node, ast.Call)
-                   and getattr(node.func, "attr", None) in ("f_value", "phi_value"))
-    assert sites == ["cost_norms:f_value", "growth_norms:phi_value"], sites
+    """The audit bounds f and phi over the tube by enclosure: it calls no
+    evaluator of the problem and generates none, and each of its stages
+    hands its data to the one bisection engine (``settle`` for cost,
+    growth and constraints, and continuity in the audit itself).  The
+    data is evaluated at points only to confirm a witness: by the
+    engine's ``_domain_probe`` for a domain failure, and by ``crossing``
+    for a sign change.  A sampled stage, or a sampled continuity probe,
+    fails here."""
+    path = Path(pmpcheck.__file__).parent / "problem.py"
+    func = _definition(path, "audit_assumptions")
+    evaluators = {"f_value", "f_grad_x", "f_grad_u", "phi_value", "phi_jac_x", "phi_jac_u",
+                  "g_value", "g_jac_x", "u_slopes"}
+    called = sorted(node.func.attr for node in ast.walk(func) if isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) in evaluators)
+    assert not called, f"problem evaluators the audit calls: {called}"
+    assert set(_call_sites(path, "_evaluator")) == {"problem.py:__post_init__"}
+    assert _call_sites(path, "ev") == ["problem.py:_parse_weight", "problem.py:crossing"]
+    assert _call_sites(path, "_bisect") == ["problem.py:audit_assumptions", "problem.py:settle"]
+    assert _call_sites(path, "_domain_probe") == ["problem.py:settle"]
+
+
+def test_one_engine_bisects_every_box():
+    """``expressions._bisect`` is the package's one bisection loop over
+    boxes.  Besides it, only ``_concave_slices`` encloses in a loop, one
+    Hessian term per expression with no box split, and ``_enclose`` has no
+    callers but the engine, the engine's judges and the Arrow scan's two
+    proofs.  A second bisection loop fails here."""
+    package = Path(pmpcheck.__file__).parent
+    loops, callers = set(), set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = _owners(tree)
+        for loop in ast.walk(tree):
+            called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                      for node in ast.walk(loop) if isinstance(node, ast.Call)}
+            if isinstance(loop, (ast.While, ast.For)) and called & {"_enclose", "_bisect"}:
+                loops.add(f"{path.name}:{owner.get(id(loop), '<module>')}")
+        callers |= set(_call_sites(path, "_enclose"))
+    assert loops == {"expressions.py:_bisect", "sufficiency.py:_concave_slices"}, loops
+    assert callers == {"expressions.py:_bisect", "problem.py:judge",
+                       "sufficiency.py:_concave_slices", "sufficiency.py:_least_magnitude"}, callers
+
+
+def test_one_tube_box_serves_the_audit_and_the_arrow_scan():
+    """``problem._tube_box`` is the one tube box: defined in ``problem.py``
+    alone, it builds the audit's box (through ``_tube``) and both boxes of
+    the Arrow scan's proofs.  The unit-ball sampler ``_ball`` serves the
+    Arrow scan's sampled midpoint pairs alone, in ``sufficiency.py``."""
+    package = Path(pmpcheck.__file__).parent
+    defined = {name: sorted(path.name for path in package.glob("*.py")
+                            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                            if isinstance(node, ast.FunctionDef) and node.name == name)
+               for name in ("_tube_box", "_ball")}
+    assert defined == {"_tube_box": ["problem.py"], "_ball": ["sufficiency.py"]}, defined
+    sites = sorted(site for path in package.glob("*.py")
+                   for site in _call_sites(path, "_tube_box"))
+    assert sites == ["problem.py:_tube", "sufficiency.py:_concave_slices",
+                     "sufficiency.py:_least_magnitude"], sites
 
 
 def test_one_walker_finds_the_kinks():

@@ -540,6 +540,24 @@ nu = power 2
 """
 
 
+# the cap case: f leaves its domain on the cap x1 > 0.1 - depth of the tube
+# of radius 0.1 around x = 0
+CAP = """
+[problem]
+n = 2
+m = 1
+x0 = 0, 0
+[dynamics]
+phi1 = -x1 + u1
+phi2 = -x2
+[objective]
+f = x1^2 + x2^2 + u1^2 + 0.001*sqrt(0.1 - {depth!r} - x1)
+omega = exp_decay 1.0
+[space]
+nu = exp_decay 1.0
+"""
+
+
 class TestAudit:
     def test_regulator_passes_in_the_uniform_mode(self):
         prob = parse_problem(REGULATOR)
@@ -549,7 +567,6 @@ class TestAudit:
         }
         assert rep.all_ok
         assert rep.L_verdict == "finite"
-        assert rep.K_estimate == pytest.approx(1.0, rel=1e-6)
         # phi = u: the growth ratio |u*| / (1 + |x|) is largest near t = 0
         assert 0.0 < rep.C0 < 1.0
         assert np.all(np.isfinite(rep.L_values))
@@ -738,12 +755,11 @@ u1 = [0, 1)
         assert x_w[0] == pytest.approx(2.0)
 
     def test_continuity_skips_knots_outside_the_domain_and_names_the_first_crossing(self):
-        # ln(t - 10) leaves its domain up to t = 10, where the candidate sits
-        # on the jump surface x = 2 of sign(x - 2); it leaves the surface
-        # on (10, 20), with the tube clear of it, and returns to it from
-        # t = 20 on.  The verdict reads every knot, so it names t = 20.0;
-        # a probe of 64 knots spread over the grid named 20.6, the first
-        # knot it visited from 20 on
+        # ln(t - 10) leaves its domain up to t = 10, so no knot up to there
+        # is judged.  At the next knot, t = 10.05, the candidate sits at
+        # 2.4975 and the tube [1.9975, 2.9975] already holds the jump
+        # surface x = 2 of sign(x - 2): that knot is the first crossing,
+        # though the candidate itself returns onto the surface only at t = 20
         from pmpcheck.expressions import Call, Num, Sym, add, sub
         from pmpcheck.problem import ControlProblem
         from pmpcheck.weights import exp_decay
@@ -757,7 +773,9 @@ u1 = [0, 1)
                                         lambda t: 0.0 * t)
         rep = audit_assumptions(prob, cand, gamma=0.5)
         assert rep.verdicts["A1"] == "fail"
-        assert rep.witnesses["A1"] == (20.0, (2.0,), (0.0,))
+        t_w, (x_w,), u_w = rep.witnesses["A1"]
+        assert (t_w, x_w, u_w) == (cand.grid[201], cand.x[201, 0], (0.0,))
+        assert t_w == pytest.approx(10.05) and x_w == pytest.approx(2.4975)
 
     @pytest.mark.parametrize("route", ["node", "derivative"])
     def test_sign_surface_anywhere_in_the_tube_fails_continuity(self, route):
@@ -823,23 +841,65 @@ u1 = [0, 1)
 
     @pytest.mark.parametrize("mode", ["strong", "weak"])
     def test_evaluator_calls_do_not_grow_with_the_grid(self, mode, monkeypatch):
-        from pmpcheck.problem import ControlProblem
+        # every stage encloses all knots in one call of the interval
+        # evaluator, and the growth and constraint bounds one more at the
+        # ball centres; a per-knot loop would scale with the knots
+        from pmpcheck import expressions, problem
 
-        calls = []
-        for name in ("f_value", "f_grad_x", "f_grad_u", "phi_value",
-                     "phi_jac_x", "phi_jac_u", "g_value", "g_jac_x"):
-            original = getattr(ControlProblem, name)
-            monkeypatch.setattr(ControlProblem, name,
-                                lambda self, *a, _f=original, _n=name: calls.append(_n) or _f(self, *a))
+        enclose, bisect, stages = expressions._enclose, expressions._bisect, []
+
+        def counted(*args):
+            stages[-1] += 1
+            return enclose(*args)
+
+        def stage(*args):
+            stages.append(0)
+            return bisect(*args)
+
+        monkeypatch.setattr(expressions, "_enclose", counted)
+        monkeypatch.setattr(problem, "_enclose", counted)
+        monkeypatch.setattr(problem, "_bisect", stage)
         prob = parse_problem(REGULATOR.replace("nu = exp_decay 1.0",
-                                               "nu = exp_decay 1.0\neta = exp_decay 0.1"))
+                                               "nu = exp_decay 1.0\neta = exp_decay 0.1")
+                             + "\n[constraints]\ng1 = x1 - 3\n")
         counts = []
         for cells in (257, 2049):
-            calls.clear()
+            stages.clear()
             audit_assumptions(prob, regulator_candidate(points=cells + 1), gamma=0.5, mode=mode)
-            counts.append(len(calls))
+            counts.append(list(stages))
         assert counts[0] == counts[1]
-        assert counts[0] <= 6  # cost and growth: one call per evaluator
+        # cost, growth, and in the uniform mode the constraints
+        assert counts[0] == ([1, 2, 2] if mode == "strong" else [1, 2])
+
+    @pytest.mark.parametrize("depth", [1e-2, 1e-4, 1e-6, 1e-9])
+    def test_a_cap_of_the_tube_outside_the_domain_fails_A2(self, depth):
+        # f is undefined on the cap x1 > 0.1 - depth of the tube of radius
+        # 0.1 around x = 0, however thin the cap; the witness lies in it
+        prob = parse_problem(CAP.format(depth=depth))
+        grid = np.linspace(0.0, 50.0, 2049)
+        cand = CandidateProcess(grid=grid, x=np.zeros((grid.size, 2)), u=np.zeros(grid.size))
+        rep = audit_assumptions(prob, cand, gamma=0.1)
+        assert rep.verdicts["A2"] == "fail"
+        t_w, x_w, u_w = rep.witnesses["A2"]
+        assert t_w == 0.0 and u_w == (0.0,)
+        assert np.linalg.norm(x_w) <= 0.1 * (1 + 1e-12) and x_w[0] > 0.1 - depth
+        assert "A2: cost data left its domain inside the tube" in rep.notes
+        assert np.all(np.isinf(rep.L_values))
+
+    def test_a_knot_the_budget_leaves_open_reads_undetermined(self, monkeypatch):
+        # with too few boxes to reach the cap of depth 1e-9, no knot is
+        # proved or failed: A2 is undetermined, which is not OK
+        from pmpcheck import expressions
+
+        monkeypatch.setattr(expressions, "_BOX_BUDGET", 2 ** 10)
+        prob = parse_problem(CAP.format(depth=1e-9))
+        grid = np.linspace(0.0, 50.0, 2049)
+        cand = CandidateProcess(grid=grid, x=np.zeros((grid.size, 2)), u=np.zeros(grid.size))
+        rep = audit_assumptions(prob, cand, gamma=0.1)
+        assert rep.verdicts["A2"] == "undetermined" and not rep.all_ok
+        assert "A2" not in rep.witnesses
+        assert ("A2: cost data not proved defined on the tube at 2049 knot(s), the first at t=0"
+                in rep.notes)
 
     def test_constraint_data_is_audited_in_the_uniform_mode(self):
         src = REGULATOR + "\n[constraints]\ng1 = x1 - 2\n"
@@ -1061,42 +1121,11 @@ class TestActiveSetAndSeparation:
         assert not rep.passed
 
 
-def _per_knot_ball_offsets(dim, count, offset):
-    """One grid time's tube offsets, built knot by knot as the reference the
-    batched tube must reproduce: row 0 is zero, then golden-ratio points
-    pulled into the ball."""
-    x = 2.0
-    for _ in range(64):
-        x = (1.0 + x) ** (1.0 / (dim + 1))
-    alpha = (1.0 / x) ** np.arange(1, dim + 1)
-    idx = np.arange(offset, offset + count - 1, dtype=float)
-    pts = 2.0 * np.mod(0.5 + idx[:, None] * alpha[None, :], 1.0) - 1.0
-    pts = pts / np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True))
-    return np.concatenate([np.zeros((1, dim)), pts], axis=0)
-
-
-def _per_knot_tube(prob, cand, radii, weak, samples=32):
-    nt = cand.grid.size
-    dim = prob.n + prob.m if weak else prob.n
-    X = np.empty((nt * samples, prob.n))
-    U = np.empty((nt * samples, prob.m))
-    for k in range(nt):
-        offs = _per_knot_ball_offsets(dim, samples, offset=k * samples)
-        rows = slice(k * samples, (k + 1) * samples)
-        X[rows] = cand.x[k] + radii[k] * offs[:, :prob.n]
-        if weak:
-            u_pts = cand.u[k] + radii[k] * offs[:, prob.n:]
-            U[rows] = np.stack([prob.U.project(up) for up in u_pts])
-        else:
-            U[rows] = cand.u[k]
-    return np.repeat(cand.grid, samples), X, U
-
-
 class TestTube:
     @pytest.mark.parametrize("mode", ["strong", "weak"])
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("m", [1, 2])
-    def test_samples_match_the_per_knot_construction_bitwise(self, mode, n, m):
+    def test_each_knot_box_holds_the_closed_ball(self, mode, n, m):
         from pmpcheck.problem import _tube
 
         # u1 in (0, inf): an open finite face and an infinite one; u2 in [-1, 1)
@@ -1113,13 +1142,121 @@ class TestTube:
         x = np.exp(-grid)[:, None] * np.arange(1.0, n + 1.0)
         u = np.column_stack([0.01 + 0.0 * grid, 0.9 + 0.0 * grid][:m])
         cand = CandidateProcess(grid=grid, x=x, u=u)
-        weak, radii, resolvable, samples = _tube(prob, cand, 0.5, mode)
+        weak, radii, resolvable, box = _tube(prob, cand, 0.5, mode)
 
         expected_radii = (0.5 * np.asarray(prob.eta(grid)) if mode == "weak"
                           else np.full(grid.size, 0.5))
         np.testing.assert_array_equal(radii, expected_radii)
         assert weak == (mode == "weak") and np.all(resolvable)
-        for got, want in zip(samples(grid.size), _per_knot_tube(prob, cand, radii, weak)):
-            np.testing.assert_array_equal(got, want)
-        if weak:  # the box is reached, so the projection mattered
-            assert np.min(samples(grid.size)[2][:, 0]) > 0.0
+        assert box["t"][0] is box["t"][1] and np.array_equal(box["t"][0], grid)
+        for i in range(n):  # rounded out: the closed ball's extreme points lie inside
+            lo, hi = box[f"x{i + 1}"]
+            assert np.all(lo < x[:, i] - radii) and np.all(hi > x[:, i] + radii)
+        controls = np.stack([np.column_stack(box[f"u{j + 1}"]) for j in range(m)], axis=-1)
+        if not weak:  # the control stays the candidate's, a point
+            assert all(box[f"u{j + 1}"][0] is box[f"u{j + 1}"][1] for j in range(m))
+            np.testing.assert_array_equal(controls[:, 0], u)
+            return
+        # weak: u* -+ r clipped as ControlBox.project clips, so no end
+        # touches an open face, and every projected ball point lies inside
+        np.testing.assert_array_equal(controls[:, 0], prob.U.project(u - radii[:, None]))
+        np.testing.assert_array_equal(controls[:, 1], prob.U.project(u + radii[:, None]))
+        assert np.all(controls[:, 0, 0] > 0.0) and (m == 1 or np.all(controls[:, 1, 1] < 1.0))
+        rng = np.random.default_rng(5)
+        ball = rng.normal(size=(grid.size, 64, n + m))
+        ball *= (rng.random((grid.size, 64, 1)) ** (1 / (n + m))
+                 / np.linalg.norm(ball, axis=-1, keepdims=True))
+        moved = u[:, None] + radii[:, None, None] * ball[..., n:]
+        projected = prob.U.project(moved.reshape(-1, m)).reshape(grid.size, 64, m)
+        assert np.all(controls[:, None, 0] <= projected)
+        assert np.all(projected <= controls[:, None, 1])
+
+
+# the half-open weak problem of
+# TestAudit::test_weak_mode_clips_control_samples_into_a_half_open_box
+HALF_OPEN = """
+[problem]
+n = 1
+m = 1
+x0 = 1.0
+[dynamics]
+phi1 = -x1 * u1
+[objective]
+f = x1 / (1 - u1)
+omega = exp_decay 1.0
+[space]
+nu = exp_decay 1.0
+eta = exp_decay 0.5
+[controls]
+u1 = [0, 1)
+"""
+
+
+def _bound_cases():
+    """(problem, candidate, gamma) per case, on 256 cells over [0, 50]; eta =
+    e^{-t/10} where none is declared."""
+    from pmpcheck.weights import exp_decay
+
+    grid = np.linspace(0.0, 50.0, 257)
+    two_state = parse_problem(test_pmp.TWO_STATE.replace("x0 = 1.0, 1.0", "x0 = 0.0, 1.0"))
+    cases = {
+        "regulator": (test_pmp.regulator(), test_pmp.regulator_candidate(grid), 0.5),
+        "extraction": (parse_problem(test_pmp.EXTRACTION),
+                       test_pmp.extraction_candidate(grid), 0.5),
+        "two-state": (two_state, CandidateProcess(
+            grid=grid, x=np.column_stack([0.0 * grid, np.exp(-grid)]), u=0.0 * grid), 0.5),
+        "half-open": (parse_problem(HALF_OPEN), candidate_from_functions(
+            grid, lambda t: np.exp(-0.5 * t), lambda t: 0.5 + 0.0 * t), 0.4),
+        # |phi| / (1 + |x|), not the Jacobian's norm, sets C0 here
+        "drift": (parse_problem(REGULATOR.replace("phi1 = u1", "phi1 = 3 + 0.5*x1 + u1")),
+                  regulator_candidate(points=257), 0.5),
+    }
+    return {name: (prob if prob.eta else dataclasses.replace(prob, eta=exp_decay(0.1)),
+                   cand, gamma) for name, (prob, cand, gamma) in cases.items()}
+
+
+_AUDITS = {}
+
+
+def _audited(case: str, mode: str):
+    if (case, mode) not in _AUDITS:
+        prob, cand, gamma = _bound_cases()[case]
+        _AUDITS[case, mode] = prob, cand, gamma, audit_assumptions(prob, cand, gamma, mode)
+    return _AUDITS[case, mode]
+
+
+class TestBoundsHold:
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.sampled_from(["regulator", "extraction", "two-state", "half-open", "drift"]),
+           mode=st.sampled_from(["strong", "weak"]),
+           knot=st.integers(0, 256),
+           direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           reach=st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]))
+    def test_no_point_of_the_closed_ball_exceeds_the_bounds(self, case, mode, knot,
+                                                            direction, reach):
+        # L_values bounds sqrt(f^2 + |f_x|^2 (+ |f_u|^2)) at each knot, and C0
+        # the growth ratio and the Jacobian's norm, at every point of the
+        # closed ball, the boundary included; weak mode moves u and projects it
+        prob, cand, gamma, rep = _audited(case, mode)
+        assert rep.verdicts["B2" if mode == "weak" else "A2"] == "pass"
+        weak = mode == "weak"
+        dim = prob.n + prob.m if weak else prob.n
+        step = np.array(direction[:dim])
+        if not np.any(step):
+            step[0] = 1.0
+        step /= np.max(np.abs(step))  # so that squaring cannot underflow
+        radius = gamma * (float(prob.eta(cand.grid[knot])) if weak else 1.0)
+        step *= reach * radius / np.linalg.norm(step)
+        t = cand.grid[knot]
+        x = cand.x[knot] + step[:prob.n]
+        u = prob.U.project(cand.u[knot] + step[prob.n:]) if weak else cand.u[knot]
+        cost = [np.atleast_1d(prob.f_value(t, x, u)), prob.f_grad_x(t, x, u)]
+        jac = [prob.phi_jac_x(t, x, u).ravel()]
+        scale = 1.0 + np.linalg.norm(x)
+        if weak:
+            cost.append(prob.f_grad_u(t, x, u))
+            jac.append(prob.phi_jac_u(t, x, u).ravel())
+            scale += np.linalg.norm(u)
+        assert np.linalg.norm(np.concatenate(cost)) <= rep.L_values[knot]
+        assert np.linalg.norm(prob.phi_value(t, x, u)) / scale <= rep.C0
+        assert np.linalg.norm(np.concatenate(jac)) <= rep.C0
