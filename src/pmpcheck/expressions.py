@@ -919,15 +919,16 @@ def _bisect(exprs: Sequence[Expression], box: Mapping[str, tuple],
         if values is None:
             values = np.full((count, rows.shape[1]), np.nan)
         np.fmax.at(values, knots[settled], rows[settled])
+        lo, hi, knots = lo[~settled], hi[~settled], knots[~settled]
         mid = 0.5 * (lo + hi)
-        centres = ~settled & meets(_as_box(names, mid, mid), knots)
-        if np.any(centres):
-            i = probe({name: mid[centres, v] for v, name in enumerate(names)}, knots[centres])
-            if i >= 0 and knots[centres][i] < first:
-                first = knots[centres][i]
-                witness = {name: float(mid[centres][i, v]) for v, name in enumerate(names)}
-        if not np.all(settled):  # the parents' knots come first, so order holds
-            queue.insert(0, (lo[~settled], hi[~settled], knots[~settled]))
+        inside = meets(_as_box(names, mid, mid), knots)
+        if np.any(inside):
+            mid, at = mid[inside], knots[inside]
+            i = probe({name: mid[:, v] for v, name in enumerate(names)}, at)
+            if i >= 0 and at[i] < first:
+                first, witness = at[i], {name: float(mid[i, v]) for v, name in enumerate(names)}
+        if knots.size:  # the parents' knots come first, so order holds
+            queue.insert(0, (lo, hi, knots))
         take = min(sum(block[2].size for block in queue), _BOX_ROUND, budget // 2)
         if take == 0:
             break
