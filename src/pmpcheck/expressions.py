@@ -543,7 +543,7 @@ def _build(lines: Sequence[str], name: str) -> Callable:
 # An enclosure of an expression over a box bounds its real value at every
 # point of the box: each variable is bound to a pair (lo, hi) of arrays, or
 # of numbers, and every node maps the pairs of its children to its own.
-# Endpoints round outward with np.nextafter: one step after the correctly
+# Endpoints round outward by whole floats: one after the correctly
 # rounded IEEE operations, _LIB_STEPS after the library functions, none
 # where a result is exact by construction (a factor 0 or +-inf, a term 0 or
 # +-inf).  NumPy documents no error bound for exp, log, sin, cos or power:
@@ -560,12 +560,22 @@ def _build(lines: Sequence[str], name: str) -> Callable:
 
 
 _LIB_STEPS = 8
+_INF_BITS, _SIGN_BIT = np.float64(np.inf).view(np.int64), np.int64(-2**63)
 
 
 def _round(v, toward: float, steps: int, exact):
-    out = v
-    for _ in range(steps):
-        out = np.nextafter(out, toward)
+    """``steps`` calls of ``np.nextafter(., toward)``, more than one taken at
+    once: on the floats ordered as integers, negative ones mirrored below
+    zero (-0 and +0 are one), stopping at the infinity."""
+    if steps == 1:
+        out = np.nextafter(v, toward)
+    else:
+        bits = np.asarray(v, dtype=float).view(np.int64)
+        sign = 1 if toward > 0 else -1
+        order = sign * np.where(bits < 0, -(bits & ~_SIGN_BIT), bits)
+        order = sign * (np.minimum(order, _INF_BITS - steps) + steps)
+        out = np.where(order < 0, -order ^ _SIGN_BIT, order).view(float)
+        out = np.where(np.isnan(v), v, out)[()]
     return out if exact is False else np.where(exact, v, out)
 
 

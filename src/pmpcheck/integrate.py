@@ -784,13 +784,13 @@ def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     # one M at every node: == is transitive, and a NaN node fails it
     shared = (nodes[1:] == nodes[:-1]).all()
     widths, cls = np.unique(h, return_inverse=True) if shared else (h, None)
-    if widths.size == K:  # no two cells share a stage matrix
-        widths, cls, M_cls = h, np.arange(K), M
+    if widths.size == K:  # no two cells share a stage matrix: class k is cell k
+        widths, cls, M_cls = h, None, M
     else:
         M_cls = np.broadcast_to(M[:1], (widths.size,) + M.shape[1:])
-    block_of = cls // cells  # the block that solves each cell's class
-    order = np.argsort(block_of, kind="stable")  # the cells block by block, in grid order
-    block_of = block_of[order]
+        block_of = cls // cells  # the block that solves each cell's class
+        order = np.argsort(block_of, kind="stable")  # the cells block by block, in grid order
+        block_of = block_of[order]
     M_t = M_cls.transpose(0, 3, 1, 2)  # M_t[k, c, i, r] = M_cls[k, i, r, c]
     G = np.zeros((K, d + 1, d + 1))
     # entry (j, c, i, r) of a class's h (A x M)^T is h a_ij M_i[r, c]
@@ -805,13 +805,17 @@ def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
         np.subtract(eye, lhs_t, out=lhs_t)  # I - h (A x M)^T, in place
         # an explicit batch axis: numpy < 2 reads a 2-d b as a stack of vectors
         W = np.linalg.solve(lhs_t, np.broadcast_to(weights, (m, sd, d)))
-        first, last = np.searchsorted(block_of, (lo // cells, lo // cells + 1))
+        first, last = ((lo, lo + m) if cls is None else
+                       np.searchsorted(block_of, (lo // cells, lo // cells + 1)))
         for at in range(first, last, cells):  # the cells of these classes, a block at a time
-            k = order[at:min(at + cells, last)]
-            if k[-1] - k[0] == k.size - 1:  # a run of cells: views, not copies
-                k = slice(k[0], k[-1] + 1)
+            if cls is None:  # the block's own cells, in grid order
+                k, W_k = slice(lo, lo + m), W
+            else:
+                k = order[at:min(at + cells, last)]
+                if k[-1] - k[0] == k.size - 1:  # a run of cells: views, not copies
+                    k = slice(k[0], k[-1] + 1)
+                W_k = W.take(cls[k] - lo, 0)  # each cell's class weights
             rhs = np.concatenate((M[k], b[k, ..., None]), axis=-1).reshape(-1, sd, d + 1)
-            W_k = W.take(cls[k] - lo, 0)  # each cell's class weights
             G[k, :d] = h[k, None, None] * (W_k.transpose(0, 2, 1) @ rhs)
     G += np.eye(d + 1)
     return G

@@ -70,6 +70,7 @@ from .problem import (
     ActiveSet,
     CandidateProcess,
     ControlProblem,
+    DimensionMismatch,
     SlaterReport,
     _check_samples,
     _matching_widths,
@@ -326,15 +327,16 @@ def adjoint_backward(grid: np.ndarray, P: np.ndarray, q: np.ndarray,
                            route="backward-ode", terminal_error=terminal_error)
 
 
-def adjoint_representation(grid: np.ndarray, P: np.ndarray,
+def adjoint_representation(grid: np.ndarray, flow: np.ndarray,
                            q: np.ndarray) -> AdjointSolution:
     """Evaluate p(t) = -Z(t) * integral_t^T w Z^{-1} f_x ds with a tail bound.
 
-    The backward cell maps ``p(t_k) = P_k p(t_{k+1}) + q_k`` of the adjoint
-    equation, one per cell of ``grid``, carry the whole formula: the
-    inverse fundamental system Y = Z^{-1} composes as ``Y_{k+1} = Y_k P_k``,
-    which the chain of the transposed maps ``P_k^T`` from the identity
-    gives as ``Y^T``, and a cell's share of the integral is ``-Y_k q_k``.
+    ``flow`` holds the fundamental matrix Phi(t_k, 0) of the variational
+    equation at each knot of ``grid``, the chain of the transposed backward
+    cell maps ``p(t_k) = P_k p(t_{k+1}) + q_k`` of the adjoint equation
+    (see :func:`verify_certificate`).  With the offsets ``q_k`` it carries
+    the whole formula: Y = Z^{-1} is Phi^T, and a cell's share of the
+    integral is ``-Y_k q_k``.
     The shares are summed right to left into the remaining mass, so no
     accumulated value ever has to be differenced.
     The mass beyond the grid horizon is estimated geometrically from the
@@ -343,8 +345,7 @@ def adjoint_representation(grid: np.ndarray, P: np.ndarray,
     """
     n = q.shape[1]
     unusable = "the representation formula is numerically unusable here"
-    Yt = _affine_chain(np.swapaxes(P, 1, 2), np.zeros_like(q), np.eye(n))
-    Y = np.swapaxes(Yt, 1, 2)
+    Y = np.swapaxes(flow, 1, 2)
     bad = ~(np.abs(Y).max(axis=(1, 2)) <= _Y_LIMIT)
     if bad.any():
         raise IllConditioned(
@@ -1175,7 +1176,8 @@ _NORMALITY_BLOWUP = 1e100  # perturbed state norm counted as escape
 _NORMALITY_FLOOR = 2.0**20 * np.finfo(float).eps
 
 
-def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRecord:
+def check_normality(prob: ControlProblem, cand: CandidateProcess,
+                    flow: np.ndarray) -> ConditionRecord:
     """Probe the perturbed-start stability that forces a normal multiplier.
 
     The state equation is re-solved under the candidate control from the
@@ -1196,18 +1198,24 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRe
     A perturbed solve that blows up or leaves the domain of the dynamics
     is a fail with witness ``(t, max |x_i|)`` where it stopped.
 
-    Each start costs one :func:`~pmpcheck.integrate.solve_state`, on the
-    Gauss collocation cell maps of a linear equation.  Dynamics affine in
-    x (``prob.x_affine``) take one build of them.  Other dynamics take
-    Newton sweeps from the candidate's state as the first iterate.  The
-    first sweep solves the candidate's variational equation from the
-    perturbed start (the linear envelope); the later sweeps converge to
-    the perturbed solution itself, so the probe keeps its finite offset.
-    A perturbed solution far from the candidate costs more sweeps and
-    shorter windows, not accuracy.
+    ``flow`` holds Phi(t_k, 0), the fundamental matrix of the variational
+    equation ``dx' = phi_x(t, x*, u*) dx``, at each knot of ``cand.grid``
+    (see :func:`verify_certificate`); another shape raises
+    :class:`~pmpcheck.problem.DimensionMismatch`.  Each start ``zeta``
+    costs one :func:`~pmpcheck.integrate.solve_state` on the Gauss
+    collocation cell maps of a linear equation: one build for dynamics
+    affine in x (``prob.x_affine``), else Newton sweeps from the linear
+    envelope ``x*(t) + Phi(t, 0) (zeta - x0)``, or ``x*(t)`` where that is
+    not finite.  Exact to first order, the envelope leaves the sweeps to
+    converge to the perturbed solution itself, at its finite offset, in
+    one sweep and a confirming one near the candidate; farther away they
+    take more sweeps and shorter windows, not less accuracy.
     """
     _matching_widths(prob, cand)
     grid = cand.grid
+    if np.shape(flow) != (grid.size, prob.n, prob.n):
+        raise DimensionMismatch(f"flow has shape {np.shape(flow)}, but the candidate "
+                                f"grid and the problem need {(grid.size, prob.n, prob.n)}")
     sub = grid[grid <= min(float(grid[-1]), _NORMALITY_WINDOW) * (1 + 1e-12)]
     if sub.size < 8:
         raise InvalidGrid("probe window leaves too few grid points")
@@ -1216,11 +1224,13 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess) -> ConditionRe
     starts += [prob.x0 - _NORMALITY_DELTA * e for e in np.eye(prob.n)]
     if prob.n > 1:  # for n = 1 the diagonal start is x0 + delta e_1
         starts.append(prob.x0 + _NORMALITY_DELTA * np.ones(prob.n) / np.sqrt(prob.n))
+    guesses = x_base + np.einsum("kij,sj->ski", flow[:sub.size], np.array(starts) - prob.x0)
+    guesses = np.where(np.isfinite(guesses).all(axis=2, keepdims=True), guesses, x_base)
 
     ratios = np.zeros(sub.size)
-    for zeta in starts:
+    for zeta, guess in zip(starts, guesses):
         try:
-            pert = solve_state(prob, u=cand.control, x0=zeta, grid=sub, guess=x_base,
+            pert = solve_state(prob, u=cand.control, x0=zeta, grid=sub, guess=guess,
                                blowup=_NORMALITY_BLOWUP)
         except BlowUp as e:
             return ConditionRecord(
@@ -1343,7 +1353,9 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
     condition-level diagnosis.  The adjoint cell maps are built once, on
     the candidate grid, and both routes are read off them; a cell the
     build cannot resolve raises :class:`~pmpcheck.integrate.BlowUp`,
-    since neither route exists without the maps.  ``measures`` attaches
+    since neither route exists without the maps.  So is the chain of their
+    transposes, the variational flow that the representation route and
+    :func:`check_normality` read.  ``measures`` attaches
     constraint atoms to whichever adjoint ends up primary.  The concavity
     check (:func:`~pmpcheck.sufficiency.check_arrow`) always runs; where
     it aborts, ``sufficiency`` is None and a note names the cause.
@@ -1362,11 +1374,12 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
                          "multipliers may be degenerate")
 
     P, q = _adjoint_cell_maps(prob, cand)
+    flow = _affine_chain(np.swapaxes(P, 1, 2), np.zeros_like(q), np.eye(prob.n))
     adjoints: dict[str, AdjointSolution] = {}
     rep_failure = None
     if lambda0 == 1.0:
         try:
-            adjoints["representation"] = adjoint_representation(cand.grid, P, q)
+            adjoints["representation"] = adjoint_representation(cand.grid, flow, q)
         except (IllConditioned, DivergentTail) as e:
             rep_failure = e
             notes.append(f"representation route unavailable: {e}")
@@ -1418,7 +1431,7 @@ def verify_certificate(prob: ControlProblem, cand: CandidateProcess,
     conditions.extend(check_transversality(prob, cand, primary, mode=mode))
     conditions.append(check_michel(prob, cand, primary, mode=mode))
 
-    conditions.append(check_normality(prob, cand))
+    conditions.append(check_normality(prob, cand, flow))
 
     from .sufficiency import check_arrow  # deferred: sufficiency imports pmp
     sufficiency = None

@@ -294,6 +294,34 @@ def test_one_certificate_builds_the_adjoint_cell_maps():
     assert sites == ["pmp.py:verify_certificate"], f"_adjoint_cell_maps calls: {sites}"
 
 
+def test_one_certificate_composes_the_fundamental_system():
+    """The fundamental matrix of the variational equation is the chain of
+    the transposed adjoint maps, which ``verify_certificate`` composes once
+    and hands to the representation route and the normality probe.  A
+    chain of transposed maps anywhere else, or any chain in either reader,
+    fails here."""
+    package = Path(pmpcheck.__file__).parent
+
+    def transposes(node) -> bool:
+        return any(getattr(sub.func, "attr", getattr(sub.func, "id", None))
+                   in ("swapaxes", "transpose") if isinstance(sub, ast.Call)
+                   else isinstance(sub, ast.Attribute) and sub.attr == "T"
+                   for sub in ast.walk(node))
+
+    transposed = []
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = _owners(tree)
+        transposed += [f"{path.name}:{owner.get(id(node), '<module>')}"
+                       for node in ast.walk(tree) if isinstance(node, ast.Call)
+                       and getattr(node.func, "attr", getattr(node.func, "id", None))
+                       == "_affine_chain" and node.args and transposes(node.args[0])]
+    assert transposed == ["pmp.py:verify_certificate"], f"chains of transposed maps: {transposed}"
+    readers = {"pmp.py:adjoint_representation", "pmp.py:check_normality"}
+    chains = readers.intersection(_call_sites(package / "pmp.py", "_affine_chain"))
+    assert not chains, f"readers of the fundamental system that compose it: {chains}"
+
+
 def test_one_kernel_solves_the_stage_systems():
     """Every Gauss collocation stage system is solved in ``_collocate``, a
     block of cells at a time, and only ``_linear_cell_maps`` calls it; a

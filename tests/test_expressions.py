@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from pmpcheck.expressions import (
+    _LIB_STEPS,
     Add,
     Call,
     Div,
@@ -20,6 +23,7 @@ from pmpcheck.expressions import (
     _emit,
     _enclose,
     _fold_affine,
+    _round,
     parse_expression,
 )
 
@@ -395,6 +399,8 @@ def _inside(v, lo, hi) -> bool:
 
 @given(e=_node, x=_interval, u=_interval, fraction=st.floats(0.0, 1.0))
 @example(e=Neg(Pow(Sym("x1"), Sym("u1"))), x=(0.5, np.inf), u=(0.0, 1.0), fraction=0.0)
+# a + 1.0 * (b - a) rounds to -1.3424833142904617 with a = -1e3, above b
+@example(e=Sym("x1"), x=(-np.inf, -1.3424833142904928), u=(-np.inf, -5.0), fraction=1.0)
 @settings(max_examples=400, deadline=None)
 def test_enclosure_holds_every_point_and_mpmath_enclosure(e, x, u, fraction):
     mpmath.mp.prec = mpmath.iv.prec = 200
@@ -408,7 +414,7 @@ def test_enclosure_holds_every_point_and_mpmath_enclosure(e, x, u, fraction):
 
     def points(a, b):
         a, b = max(a, -1e3), min(b, 1e3)  # an infinite end stands in by a far point
-        return {a, b, 0.5 * (a + b), a + fraction * (b - a)}
+        return {a, b, 0.5 * (a + b), min(max(a + fraction * (b - a), a), b)}
 
     for px in points(*x):
         for pu in points(*u):
@@ -490,3 +496,51 @@ class TestEnclosures:
         e = Add(Mul(Num(0.0), Call("ln", (Sym("x1"),))), Call("exp", (Sym("u1"),)))
         (lo, hi), = _enclose([e], {"x1": (-1.0, 1.0), "u1": (0.0, 1.0)})
         assert np.isnan(lo) and np.isnan(hi)
+
+
+def _nextafter_loop(v, toward, steps):
+    """The reference for ``_round``: ``steps`` calls of ``np.nextafter``."""
+    out = v
+    with np.errstate(over="ignore"):
+        for _ in range(steps):
+            out = np.nextafter(out, toward)
+    return out
+
+
+_TINY, _MAX = np.nextafter(0.0, 1.0), np.finfo(float).max
+# binade edges, +-0, subnormals and the largest floats, with their neighbours
+_ROUND_EDGES = np.array([
+    _nextafter_loop(v, toward, ulps)
+    for v in (0.0, _TINY, np.finfo(float).tiny, 0.5, 1.0, 2.0, 2.0**52, _MAX)
+    for ulps in (0, 1, 2, 7, 8, 9)
+    for toward in (np.inf, -np.inf)
+] + [-0.0, np.nan])
+_ROUND_EDGES = np.concatenate((_ROUND_EDGES, -_ROUND_EDGES))
+
+
+@pytest.mark.parametrize("steps", [1, _LIB_STEPS])
+@pytest.mark.parametrize("toward", [np.inf, -np.inf])
+def test_one_rounding_step_lands_where_the_nextafter_loop_does(toward, steps):
+    with np.errstate(over="ignore"):
+        got = _round(_ROUND_EDGES, toward, steps, False)
+    want = _nextafter_loop(_ROUND_EDGES, toward, steps)
+    np.testing.assert_array_equal(got, want)  # NaN where NaN, and -0 == +0
+    exact = np.arange(_ROUND_EDGES.size) % 3 == 0
+    with np.errstate(over="ignore"):
+        kept = _round(_ROUND_EDGES, toward, steps, exact)
+    np.testing.assert_array_equal(kept, np.where(exact, _ROUND_EDGES, want))
+    for v in (0.0, -0.0, 1.0, -1.0):  # a number stays a number, without warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _round(v, toward, steps, False)
+        assert np.isscalar(got) and got == _nextafter_loop(v, toward, steps)
+
+
+@given(v=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=16),
+       steps=st.sampled_from([1, 2, _LIB_STEPS]), up=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_one_rounding_step_matches_the_loop_on_random_floats(v, steps, up):
+    v, toward = np.array(v), (np.inf if up else -np.inf)
+    with np.errstate(over="ignore"):
+        got = _round(v, toward, steps, False)
+    np.testing.assert_array_equal(got, _nextafter_loop(v, toward, steps))

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
 from collections.abc import Mapping
 
 import mpmath
@@ -279,9 +280,22 @@ def first_escape(P, q, y0, limit):
     raise AssertionError("the loop never escapes")
 
 
+def flow_and_offsets(prob, cand):
+    """The fundamental matrix of the variational equation at every knot of
+    the candidate grid, and the offsets of the adjoint cell maps, composed
+    as ``verify_certificate`` composes them."""
+    P, q = pmp._adjoint_cell_maps(prob, cand)
+    return integrate._affine_chain(np.swapaxes(P, 1, 2), np.zeros_like(q), np.eye(prob.n)), q
+
+
 def representation(prob, cand):
     """The representation route read off the candidate grid's cell maps."""
-    return adjoint_representation(cand.grid, *pmp._adjoint_cell_maps(prob, cand))
+    return adjoint_representation(cand.grid, *flow_and_offsets(prob, cand))
+
+
+def normality(prob, cand):
+    """The normality probe, started from the candidate's variational flow."""
+    return check_normality(prob, cand, flow_and_offsets(prob, cand)[0])
 
 
 def backward(prob, cand):
@@ -603,7 +617,8 @@ class TestAdjointSolutionContainer:
             "u": "candidate has 2 control columns, but the problem has m=1 controls",
         }[column]
         for run in (lambda: verify_certificate(regulator(), cand),
-                    lambda: check_normality(regulator(), cand),
+                    lambda: check_normality(regulator(), cand, flow_and_offsets(
+                        regulator(), regulator_candidate(g))[0]),
                     lambda: check_adjoint(regulator(), cand, adj)):
             with pytest.raises(DimensionMismatch, match=re.escape(message)):
                 run()
@@ -1470,7 +1485,7 @@ class TestMichel:
 class TestNormality:
     def test_regulator_flow_is_stable_enough(self, reg_setup):
         prob, cand, _ = reg_setup
-        rec = check_normality(prob, cand)
+        rec = normality(prob, cand)
         assert rec.passed
         # open-loop deviations under the frozen control grow like e^{2t},
         # so the fitted envelope rate is -2
@@ -1480,12 +1495,13 @@ class TestNormality:
     def test_linear_dynamics_take_no_dp45_steps(self, name, grid, monkeypatch):
         # every solve runs on the cell maps of a linear equation: one build
         # per perturbed start for dynamics affine in x, one per Newton sweep
-        # for the Gompertz dynamics, whose first iterate is the candidate's
-        # state.  With n = 1 the distinct starts are x0 + delta and x0 - delta.
+        # for the Gompertz dynamics, whose first iterate is the linear
+        # envelope.  With n = 1 the distinct starts are x0 + delta and x0 - delta.
         if name == "regulator":
             prob, cand = regulator(), regulator_candidate(grid)
         else:
             prob, cand = parse_problem(EXTRACTION), extraction_candidate(grid)
+        flow = flow_and_offsets(prob, cand)[0]
         counts = {"_dp_step": 0, "_integrate_cell": 0, "_linear_cell_maps": 0}
         for fn in counts:
             def counted(*args, _fn=getattr(integrate, fn), _name=fn, **kwargs):
@@ -1499,7 +1515,7 @@ class TestNormality:
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(pmp, "solve_state", solve)
-        assert check_normality(prob, cand).passed
+        assert check_normality(prob, cand, flow).passed
         assert prob.n == 1 and len(starts) == len(set(starts)) == 2
         assert counts["_dp_step"] == counts["_integrate_cell"] == 0
         if name == "regulator":
@@ -1510,7 +1526,7 @@ class TestNormality:
     def test_density_below_the_threshold_fails(self, grid):
         # e^{4t} deviation growth is not square-integrable against e^{-3.9t}
         prob = regulator(a=3.9)
-        rec = check_normality(prob, regulator_candidate(grid))
+        rec = normality(prob, regulator_candidate(grid))
         assert not rec.passed
 
     def test_finite_escape_fails_with_witness(self):
@@ -1536,7 +1552,7 @@ nu = exp_decay 1.0
         cand = candidate_from_functions(
             g, lambda t: np.exp(-np.asarray(t)),
             lambda t: np.zeros(np.shape(t)))
-        rec = check_normality(prob, cand)
+        rec = normality(prob, cand)
         assert not rec.passed
         # x' = x^2 from x0 = 1 + 1e-3 escapes at t = 1/(1 + 1e-3)
         assert rec.witnesses[0][0] == pytest.approx(1.0 / 1.001, abs=1e-3)
@@ -1548,7 +1564,10 @@ nu = exp_decay 1.0
         prob = parse_problem(src.replace("x0 = 2.0", "x0 = 0.0"))
         g = default_grid(50.0, cells=256, refine_zero=False)
         zero = lambda t: np.zeros(np.shape(t))
-        rec = check_normality(prob, candidate_from_functions(g, zero, zero))
+        # phi_x = 1/(2 sqrt(x1)) is undefined at x1 = 0, so no adjoint cell
+        # map exists along the candidate; the identity stands in for its flow
+        flow = np.broadcast_to(np.eye(1), (g.size, 1, 1))
+        rec = check_normality(prob, candidate_from_functions(g, zero, zero), flow)
         assert rec.verdict == "fail" and rec.premise_ok
         assert rec.notes == ("perturbed solve left the expression domain: sqrt of "
                              "negative argument at t=0, x1=-0.001, u1=0",)
@@ -1566,7 +1585,7 @@ nu = exp_decay 1.0
         grid = default_grid(50.0, cells=2048, refine_zero=True)
         x_star = lambda t: np.exp(0.5 + (np.log(s) - 0.5) * np.exp(-np.asarray(t)))
         cand = candidate_from_functions(grid, x_star, lambda t: np.full(np.shape(t), 0.25))
-        rec = check_normality(prob, cand)
+        rec = normality(prob, cand)
 
         t = rec.series_grid
         delta = pmp._NORMALITY_DELTA
@@ -1587,9 +1606,104 @@ nu = exp_decay 1.0
         g = default_grid(50.0, cells=256, refine_zero=False)
         cand = candidate_from_functions(g, lambda t: 1e7 * np.exp(-np.asarray(t)),
                                         lambda t: np.zeros(np.shape(t)))
-        rec = check_normality(prob, cand)
+        rec = normality(prob, cand)
         assert rec.verdict == "fail" and rec.residual is None
         assert "rounding floor" in rec.notes[0]
+
+    @staticmethod
+    def extraction_at(s):
+        """EXTRACTION from x0 = s with its optimal process, u* = 1/4, on
+        the certificate's grid."""
+        prob = parse_problem(EXTRACTION.replace("x0 = 1.0", f"x0 = {s!r}"))
+        grid = default_grid(50.0, cells=2048, refine_zero=True)
+        x_star = lambda t: np.exp(0.5 + (np.log(s) - 0.5) * np.exp(-np.asarray(t)))
+        return prob, candidate_from_functions(grid, x_star,
+                                              lambda t: np.full(np.shape(t), 0.25))
+
+    @pytest.mark.parametrize("s", [0.6, 1.3, 1.9])
+    def test_each_start_takes_two_newton_sweeps(self, s, monkeypatch):
+        # the linear envelope is first-order exact, so one sweep from it
+        # lands within rounding of the perturbed solution and a second
+        # confirms it; from the candidate's state the first sweep only
+        # recomputed the envelope, and each start took three
+        prob, cand = self.extraction_at(s)
+        flow = flow_and_offsets(prob, cand)[0]
+        sweeps = []
+        monkeypatch.setattr(integrate, "_newton_sweep",
+                            lambda *args, _fn=integrate._newton_sweep:
+                            sweeps.append(args[3]) or _fn(*args))
+        assert check_normality(prob, cand, flow).passed
+        starts = sorted({tuple(x0) for x0 in sweeps})
+        assert starts == [(s - 1e-3,), (s + 1e-3,)]
+        assert len(sweeps) == 2 * len(starts)
+
+    def test_each_guess_is_the_flow_applied_to_the_offset(self, monkeypatch):
+        # n = 2, coupled and nonlinear: the envelope x*(t) + Phi(t, 0) dz
+        # misses the perturbed solution by O(delta^2), while Phi(t, 0)^T in
+        # its place misses it by about delta
+        src = """
+[problem]
+n = 2
+m = 1
+x0 = 1.0, 1.0
+sense = min
+
+[dynamics]
+phi1 = -x1 + 3*x2^2 + u1
+phi2 = -2*x2 + 0.5*x1
+
+[objective]
+f = x1^2 + u1^2
+omega = exp_decay 1.0
+
+[space]
+nu = exp_decay 1.0
+"""
+        prob = parse_problem(src)
+        zero = lambda t: np.zeros(np.shape(t))
+        cand = integrate.solve_state(prob, u=zero,
+                                     grid=default_grid(20.0, cells=512, refine_zero=False))
+        solves = []
+
+        def solve(*args, _fn=pmp.solve_state, **kwargs):
+            pert = _fn(*args, **kwargs)
+            solves.append((kwargs["guess"], pert.x))
+            return pert
+
+        monkeypatch.setattr(pmp, "solve_state", solve)
+        assert normality(prob, cand).passed
+        assert len(solves) == 2 * prob.n + 1
+        delta = pmp._NORMALITY_DELTA
+        for guess, x in solves:
+            assert np.max(np.abs(guess - x)) <= 10 * delta**2
+
+    def test_a_flow_past_overflow_starts_from_the_candidate_there(self):
+        # a knot whose envelope is not finite starts from x*(t): the sweeps
+        # converge to the same perturbed states, within their tolerance
+        prob, cand = self.extraction_at(1.3)
+        flow = flow_and_offsets(prob, cand)[0]
+        want = check_normality(prob, cand, flow)
+        broken = flow.copy()
+        broken[broken.shape[0] // 4:] = np.inf
+        broken[1:broken.shape[0] // 4:2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a non-finite envelope warns of nothing
+            got = check_normality(prob, cand, broken)
+        assert (got.verdict, got.notes) == (want.verdict, want.notes)
+        assert got.residual == pytest.approx(want.residual, rel=1e-6)
+        np.testing.assert_allclose(got.witnesses, want.witnesses, rtol=1e-9)
+        np.testing.assert_array_equal(got.series_grid, want.series_grid)
+        np.testing.assert_allclose(got.series, want.series, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("shape", ["short", "square", "wide"])
+    def test_a_misshaped_flow_is_refused(self, grid, shape):
+        prob, cand = regulator(), regulator_candidate(grid)
+        flow = {"short": np.ones((grid.size - 1, 1, 1)), "square": np.eye(1),
+                "wide": np.ones((grid.size, 2, 2))}[shape]
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                f"flow has shape {flow.shape}, but the candidate grid and the "
+                f"problem need {(grid.size, 1, 1)}")):
+            check_normality(prob, cand, flow)
 
 
 class TestCertificate:
