@@ -276,7 +276,8 @@ class DecayRecord:
     ``sups`` are suprema of |g| over windows ending at t_max/100, t_max/10
     and t_max, each sampled at ``_DECAY_SAMPLES`` points over its last
     tenth.  The quantity qualifies when the sups are nonincreasing (slack
-    ``_DECAY_SLACK``) and the final one is below ``_DECAY_TOL * (1 + first)``.
+    ``_DECAY_SLACK``) and the final one over 1 + the first (see
+    :func:`_decay_residual`) is at most ``_DECAY_TOL``.
     """
 
     passed: bool
@@ -288,6 +289,12 @@ class DecayRecord:
 _DECAY_SAMPLES = 33
 _DECAY_SLACK = 0.02
 _DECAY_TOL = 1e-3  # the final window sup may reach this times 1 + the first
+
+
+def _decay_residual(sups) -> float:
+    """The number judged against ``_DECAY_TOL``: the final window's sup over
+    1 + the first window's."""
+    return sups[-1] / (1.0 + sups[0])
 
 
 def decays_to_zero(
@@ -316,7 +323,7 @@ def decays_to_zero(
         return DecayRecord(False, tuple(sups), (argmax_t[1], s2), "grows between first and second window")
     if s3 > s2 * (1 + _DECAY_SLACK) + floor:
         return DecayRecord(False, tuple(sups), (argmax_t[2], s3), "grows between second and third window")
-    if s3 > _DECAY_TOL * (1.0 + s1):
+    if _decay_residual(sups) > _DECAY_TOL:
         return DecayRecord(False, tuple(sups), (argmax_t[2], s3), f"final window sup {s3:.3g} above tol*(1+first)")
     return DecayRecord(True, tuple(sups), None, "decays across windows")
 
@@ -730,11 +737,14 @@ def solve_state(prob, u, x0=None, grid=None, guess=None, blowup: float = 1e12):
 # L depends on the cell only through h and M at its nodes.  Where M is one
 # matrix at every node (linear dynamics with constant coefficients, for
 # the adjoint's -phi_x^T and for the state's phi_x alike), cells of one
-# width have the same L, and one factorization serves them all, as
-# implicit Runge-Kutta codes reuse one LU across steps of equal h and
-# Jacobian (Hairer and Wanner, Solving ODEs II, IV.8).  Equal h and
-# value-equal M assemble bitwise-equal matrices and LAPACK is
-# deterministic, so sharing changes no bit of a map.
+# width have the same L and the same homogeneous map I + h W^T M: one
+# factorization and one product serve them all, as implicit Runge-Kutta
+# codes reuse one LU across steps of equal h and Jacobian (Hairer and
+# Wanner, Solving ODEs II, IV.8).  Only the offsets h W^T b are per cell,
+# one product over the call; the weights are gathered per cell only when
+# the call holds several widths.  Equal h and value-equal M assemble
+# bitwise-equal matrices and LAPACK is deterministic, so sharing changes
+# no bit of a map.
 
 # a_ij integrates the j-th Lagrange polynomial on the nodes over [0, c_i];
 # the Gauss rule itself, moved onto [0, c_i], does so exactly
@@ -756,67 +766,58 @@ def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
 
     ``coef`` is called once, on the Gauss nodes of every cell.  A cell's
     transposed stage matrix ``I - h (A x M)^T`` depends on the cell only
-    through ``h`` and ``M`` at its nodes, so the cells fall into classes
-    that share one: when ``M`` is one matrix at every node of the call and
-    two cells share a width, the cells of one width (``np.unique`` of
-    ``h``), else each cell alone.  Per
-    class the matrix is solved once, for the weights ``W`` of the d
-    right-hand sides ``b x I_d``, and each cell's map is
-    ``I + h W^T [M | b]`` with its class's weights.  The classes are taken
-    one block at a time, each block's stage matrices filling at most
-    ``_STAGE_FLOATS`` floats of one buffer that every block reuses (the
-    last block a leading slice of it), and the cells of a block's classes
-    in grid order, at most that many at a time.  LAPACK factors every
-    matrix on its own, and equal ``h`` with value-equal ``M`` assemble the
-    same bits (``+0`` and ``-0`` entries subtract from the identity
-    alike), so the maps are bitwise those of one solve per cell.
+    through ``h`` and ``M`` at its nodes.  The matrices are solved for the
+    weights ``W`` of the d right-hand sides ``b x I_d`` a block at a time,
+    each block filling at most ``_STAGE_FLOATS`` floats of one buffer that
+    every block reuses (the last block a leading slice of it).  When ``M``
+    is one matrix at every node of the call, the cells of one width
+    (``np.unique`` of ``h``) share the matrix and its map ``I + h W^T M``,
+    formed once per width, and each cell's offset ``h W^T b`` comes from one
+    product over the call, with the widths' weights gathered per cell only
+    when the call holds several widths.  Otherwise each cell solves alone
+    and its map is ``I + h W^T [M | b]``, formed with its block.  LAPACK
+    factors every matrix on its own, and equal ``h`` with value-equal ``M``
+    assemble the same bits (``+0`` and ``-0`` entries subtract from the
+    identity alike), so the maps are bitwise those of one call per cell.
     """
     h = tb - ta
     K, s = ta.size, _GAUSS_C.size
     M, b = coef((ta[:, None] + h[:, None] * _GAUSS_C).ravel())
     d = b.shape[-1]
+    # one M at every node: == is transitive, and a NaN node fails it; read on
+    # the (K s, d, d) view, so an M in any layout is not copied
+    shared = (M[1:] == M[:-1]).all()
     M, b = M.reshape(K, s, d, d), b.reshape(K, s, d)
     sd = s * d
     eye = np.eye(sd)
     weights = np.kron(_GAUSS_B[:, None], np.eye(d))  # b x I_d, (sd, d)
     cells = max(1, _STAGE_FLOATS // sd**2)
-    nodes = M.reshape(K * s, d * d)
-    # one M at every node: == is transitive, and a NaN node fails it
-    shared = (nodes[1:] == nodes[:-1]).all()
     widths, cls = np.unique(h, return_inverse=True) if shared else (h, None)
-    if widths.size == K:  # no two cells share a stage matrix: class k is cell k
-        widths, cls, M_cls = h, None, M
-    else:
-        M_cls = np.broadcast_to(M[:1], (widths.size,) + M.shape[1:])
-        block_of = cls // cells  # the block that solves each cell's class
-        order = np.argsort(block_of, kind="stable")  # the cells block by block, in grid order
-        block_of = block_of[order]
-    M_t = M_cls.transpose(0, 3, 1, 2)  # M_t[k, c, i, r] = M_cls[k, i, r, c]
+    M_t = M.transpose(0, 3, 1, 2)  # M_t[k, c, i, r] = M[k, i, r, c]
+    W_all = np.empty((widths.size, sd, d)) if shared else None
     G = np.zeros((K, d + 1, d + 1))
-    # entry (j, c, i, r) of a class's h (A x M)^T is h a_ij M_i[r, c]
+    # entry (j, c, i, r) of h (A x M)^T is h a_ij M_i[r, c]
     lhs = np.empty((min(widths.size, cells), s, d, s, d))
     for lo in range(0, widths.size, cells):
-        block = slice(lo, lo + cells)
-        m = widths[block].size
+        k = slice(lo, lo + cells)
+        m = widths[k].size
         np.multiply(_GAUSS_A.T[:, None, :, None],
-                    widths[block, None, None, None, None] * M_t[block, None],
+                    widths[k, None, None, None, None] * M_t[0 if shared else k, None],
                     out=lhs[:m])
         lhs_t = lhs[:m].reshape(m, sd, sd)
         np.subtract(eye, lhs_t, out=lhs_t)  # I - h (A x M)^T, in place
         # an explicit batch axis: numpy < 2 reads a 2-d b as a stack of vectors
         W = np.linalg.solve(lhs_t, np.broadcast_to(weights, (m, sd, d)))
-        first, last = ((lo, lo + m) if cls is None else
-                       np.searchsorted(block_of, (lo // cells, lo // cells + 1)))
-        for at in range(first, last, cells):  # the cells of these classes, a block at a time
-            if cls is None:  # the block's own cells, in grid order
-                k, W_k = slice(lo, lo + m), W
-            else:
-                k = order[at:min(at + cells, last)]
-                if k[-1] - k[0] == k.size - 1:  # a run of cells: views, not copies
-                    k = slice(k[0], k[-1] + 1)
-                W_k = W.take(cls[k] - lo, 0)  # each cell's class weights
-            rhs = np.concatenate((M[k], b[k, ..., None]), axis=-1).reshape(-1, sd, d + 1)
-            G[k, :d] = h[k, None, None] * (W_k.transpose(0, 2, 1) @ rhs)
+        if shared:
+            W_all[k] = W
+        else:
+            rhs = np.concatenate((M[k], b[k, ..., None]), axis=-1).reshape(m, sd, d + 1)
+            G[k, :d] = h[k, None, None] * (W.transpose(0, 2, 1) @ rhs)
+    if shared:  # each cell reads its width's map and weights: gathered, or broadcast from one
+        at = cls if widths.size > 1 else slice(None)
+        W_t = W_all.transpose(0, 2, 1)
+        G[:, :d, :d] = (widths[:, None, None] * (W_t @ M[0].reshape(sd, d)))[at]
+        G[:, :d, d] = h[:, None] * (W_all[at].transpose(0, 2, 1) @ b.reshape(K, sd, 1))[..., 0]
     G += np.eye(d + 1)
     return G
 

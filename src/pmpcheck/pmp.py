@@ -59,6 +59,7 @@ from .integrate import (
     _affine_chain,
     _cell_integrals,
     _check_grid,
+    _decay_residual,
     _linear_cell_maps,
     decays_to_zero,
     improper_verdict,
@@ -327,6 +328,12 @@ def adjoint_backward(grid: np.ndarray, P: np.ndarray, q: np.ndarray,
                            route="backward-ode", terminal_error=terminal_error)
 
 
+def _cond(Y: np.ndarray) -> np.ndarray:
+    """``np.linalg.cond`` of a finite stack; 1 x 1 matrices by numpy's rule
+    for them, inf at zero and 1 elsewhere, without an SVD each."""
+    return np.where(Y[:, 0, 0] == 0.0, np.inf, 1.0) if Y.shape[1] == 1 else np.linalg.cond(Y)
+
+
 def adjoint_representation(grid: np.ndarray, flow: np.ndarray,
                            q: np.ndarray) -> AdjointSolution:
     """Evaluate p(t) = -Z(t) * integral_t^T w Z^{-1} f_x ds with a tail bound.
@@ -379,7 +386,7 @@ def adjoint_representation(grid: np.ndarray, flow: np.ndarray,
             "induced adjoint error starts at that size and scales with the "
             "fundamental system toward the horizon")
 
-    cond = np.linalg.cond(Y)
+    cond = _cond(Y)
     ill = bool(np.any(cond > _COND_LIMIT))
     if ill:
         k = int(np.argmax(cond > _COND_LIMIT))
@@ -459,11 +466,11 @@ def _residual_record(name, series, scale, where, tol, witness, notes,
 
 def _decay_record(name, rec, notes, **fields) -> ConditionRecord:
     """The record of a limit-zero claim judged by
-    :func:`~pmpcheck.integrate.decays_to_zero`: ``rec``'s final window sup
-    is the residual, and its witness the record's."""
+    :func:`~pmpcheck.integrate.decays_to_zero`: its residual is the
+    number that judges its final window, and its witness the record's."""
     return ConditionRecord(
         name=name, verdict="pass" if rec.passed else "fail",
-        residual=rec.sups[-1], tolerance=_DECAY_TOL,
+        residual=_decay_residual(rec.sups), tolerance=_DECAY_TOL,
         witnesses=(rec.witness,) if rec.witness else (),
         notes=tuple(notes), **fields)
 
@@ -1009,8 +1016,8 @@ def check_transversality(prob: ControlProblem, cand: CandidateProcess,
     because qualified densities are integrable), and two probes of the form
     ``nu^(-1/p) (1+t)^(-k)`` that sit near the boundary of the state space.
     The pairing witnesses list every battery entry with its verdict and
-    final window sup, so a failure can be traced to the trajectory that
-    caused it.  The decay record checks the mode's own norm decay.  Both
+    the number that judges its final window, so a failure can be traced to
+    the trajectory that caused it.  The decay record checks the mode's own norm decay.  Both
     use the same three-window criterion as the weight audits.
     """
     _matching_widths(prob, cand, adj)
@@ -1041,7 +1048,7 @@ def check_transversality(prob: ControlProblem, cand: CandidateProcess,
         results.append((label, decays_to_zero(g, t_max=t_max)))
     failed = [(label, rec) for label, rec in results if not rec.passed]
     pair_witnesses = tuple(
-        (label, "pass" if rec.passed else "fail", float(rec.sups[-1]))
+        (label, "pass" if rec.passed else "fail", _decay_residual(rec.sups))
         for label, rec in results)
     pair_notes = ["battery: " + ", ".join(label for label, _ in results),
                   "a finite battery only samples the dual-space claim"]
@@ -1050,7 +1057,7 @@ def check_transversality(prob: ControlProblem, cand: CandidateProcess,
     pairing = ConditionRecord(
         name="transversality_pairing",
         verdict="pass" if not failed else "fail",
-        residual=max((rec.sups[-1] for _, rec in results), default=None),
+        residual=max(witness[-1] for witness in pair_witnesses),
         tolerance=_DECAY_TOL,
         witnesses=pair_witnesses,
         notes=tuple(pair_notes),

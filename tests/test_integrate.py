@@ -723,6 +723,24 @@ class TestCollocate:
         # one solve per distinct width, fewer than the cells on every grid
         assert sum(solved) == np.unique(tb - ta).size < ta.size
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("constant", [True, False], ids=["constant-M", "varying-M"])
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_any_layout_of_M_gives_the_bits_of_its_contiguous_copy(self, d, constant,
+                                                                   backward):
+        # the adjoint's coef returns -phi_x^T, a transposed view
+        coef = _trig_coef(d, constant=constant)
+
+        def transposed(ts):
+            M, b = coef(ts)
+            return np.ascontiguousarray(np.swapaxes(M, 1, 2)).swapaxes(1, 2), b
+
+        grid = default_grid(50.0, cells=300)  # a head of distinct widths, a body of few
+        ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
+        assert not transposed(ta)[0].flags.c_contiguous
+        got = integrate._collocate(transposed, ta, tb)
+        assert got.tobytes() == integrate._collocate(coef, ta, tb).tobytes()
+
 
 class TestBlockedStageSolves:
     """The stage systems are solved a block of cells at a time."""
@@ -792,6 +810,36 @@ class TestBlockedStageSolves:
             nodes = 2 * _GAUSS_C.size
             assert calls == [cells * _GAUSS_C.size, cells * nodes]  # one coef call per level
             assert peak < 8 * (cells * (2 * nodes * 6 + 8 * 9) + 4 * _STAGE_FLOATS)
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_distinct_widths_give_the_bits_of_one_cell_at_a_time_in_one_block(self, backward):
+        # one M on a geometric grid: no two cells share a width, so every cell
+        # solves its own stage matrix and the build gathers each cell's weights
+        coef = _trig_coef(2, constant=True)
+        cells = 2048
+        grid = np.geomspace(1.0, 51.0, cells + 1) - 1.0
+        ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
+        assert np.unique(tb - ta).size == cells
+        one_by_one = np.concatenate([integrate._collocate(coef, ta[k:k + 1], tb[k:k + 1])
+                                     for k in range(cells)])
+        assert integrate._collocate(coef, ta, tb).tobytes() == one_by_one.tobytes()
+        calls = []
+
+        def counted(ts):
+            calls.append(ts.size)
+            return coef(ts)
+
+        _linear_cell_maps(coef, ta, tb)  # warm up outside the trace
+        tracemalloc.start()
+        try:
+            _linear_cell_maps(counted, ta, tb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nodes = 2 * _GAUSS_C.size
+        assert calls == [cells * _GAUSS_C.size, cells * nodes]  # no cell bisects
+        # the bound of test_a_build_holds_one_block_of_stage_matrices
+        assert peak < 8 * (cells * (2 * nodes * 6 + 8 * 9) + 4 * _STAGE_FLOATS)
 
     @pytest.mark.parametrize("system,shared", [
         pytest.param(lambda: _trig_coef(2, constant=True), True, id="constant-M"),

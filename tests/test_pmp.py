@@ -399,6 +399,15 @@ class TestAdjointBackward:
 
 
 class TestAdjointRepresentation:
+    def test_one_by_one_condition_numbers_follow_numpy(self, monkeypatch, reg_setup):
+        Y = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -3.0, 1e290]).reshape(-1, 1, 1)
+        assert pmp._cond(Y).tobytes() == np.linalg.cond(Y).tobytes()
+        Y2 = np.random.default_rng(2).standard_normal((5, 2, 2))
+        assert pmp._cond(Y2).tobytes() == np.linalg.cond(Y2).tobytes()
+        # a one-state certificate takes no SVD for its condition numbers
+        monkeypatch.setattr(pmp.np.linalg, "cond", None)
+        assert not representation(*reg_setup[:2]).ill_conditioned
+
     def test_regulator_matches_closed_form(self, reg_setup):
         prob, cand, _ = reg_setup
         rep = representation(prob, cand)
@@ -1410,7 +1419,8 @@ class TestTransversality:
         adj = adjoint_from_function(grid, lambda t: -np.ones(np.shape(t)))
         pairing, decay = check_transversality(prob, cand, adj, mode="weak")
         assert not decay.passed
-        assert decay.residual == pytest.approx(1.0, rel=1e-12)
+        # the final window's sup |p| = 1 over 1 + the first window's
+        assert decay.residual == pytest.approx(0.5, rel=1e-12)
         labels = {w[0]: w[1] for w in pairing.witnesses}
         # <p, x*> = -e^{-t} -> 0 even though |p| does not decay; the
         # constant trajectory is admissible here and exposes the failure
@@ -1423,8 +1433,9 @@ class TestTransversality:
         rep = representation(prob, cand)
         _, decay = check_transversality(prob, cand, rep, mode="weak")
         assert not decay.passed
-        # sup |p| over the last window, under the truncation law
-        assert decay.residual == pytest.approx(1.0 - np.exp(-5.0), rel=1e-3)
+        # sup |p| over the last window, under the truncation law, over 1 +
+        # the first window's, where |p| = 1 to rounding
+        assert decay.residual == pytest.approx((1.0 - np.exp(-5.0)) / 2.0, rel=1e-3)
 
     def test_weak_mode_reports_square_refinement(self, grid):
         prob, cand = undiscounted_pieces(grid)
@@ -2029,6 +2040,22 @@ class TestStateScaling:
             for route, adj in base.adjoints.items():
                 err = np.max(np.abs(k * scaled.adjoints[route].p - adj.p))
                 assert err <= 1e-9 * adj.sup_norm, (k, route)
+
+    def test_decay_records_state_the_number_they_are_judged_on(self, grid):
+        # in y = 1e-3 x the adjoint grows by 1e3 and |p|^2/nu by 1e6: the
+        # final window sup of its decay reads 6.8.  The window test judges it
+        # over 1 + the first window's sup, 3.4e-7, and the record states that
+        exact = regulator_candidate(grid)
+        cand = candidate_from_functions(grid, lambda t: 1e-3 * exact.closed_x(t),
+                                        exact.closed_u)
+        prob = parse_problem(scaled_state(REGULATOR.format(a=4.5), 1e-3))
+        cert = verify_certificate(prob, cand)
+        pairing, decay = (cert.condition(name) for name in
+                          ("transversality_pairing", "transversality_decay"))
+        assert pairing.verdict == decay.verdict == "pass"
+        assert decay.residual <= decay.tolerance and pairing.residual <= pairing.tolerance
+        assert pairing.residual == max(w[-1] for w in pairing.witnesses)
+        assert all(w[1] == "pass" and w[-1] <= pairing.tolerance for w in pairing.witnesses)
 
 
 def report_leaves(obj, path="report"):
