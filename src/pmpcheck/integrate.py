@@ -292,9 +292,9 @@ _DECAY_TOL = 1e-3  # the final window sup may reach this times 1 + the first
 
 
 def _decay_residual(sups) -> float:
-    """The number judged against ``_DECAY_TOL``: the final window's sup over
-    1 + the first window's."""
-    return sups[-1] / (1.0 + sups[0])
+    """The number the final-window test judges against ``_DECAY_TOL``: the
+    final sup over 1 + the first, inf when a sup is not finite."""
+    return sups[-1] / (1.0 + sups[0]) if np.all(np.isfinite(sups)) else np.inf
 
 
 def decays_to_zero(
@@ -741,10 +741,9 @@ def solve_state(prob, u, x0=None, grid=None, guess=None, blowup: float = 1e12):
 # factorization and one product serve them all, as implicit Runge-Kutta
 # codes reuse one LU across steps of equal h and Jacobian (Hairer and
 # Wanner, Solving ODEs II, IV.8).  Only the offsets h W^T b are per cell,
-# one product over the call; the weights are gathered per cell only when
-# the call holds several widths.  Equal h and value-equal M assemble
-# bitwise-equal matrices and LAPACK is deterministic, so sharing changes
-# no bit of a map.
+# one product over the call, for which each cell gathers its width's
+# weights.  Equal h and value-equal M assemble bitwise-equal matrices and
+# LAPACK is deterministic, so sharing changes no bit of a map.
 
 # a_ij integrates the j-th Lagrange polynomial on the nodes over [0, c_i];
 # the Gauss rule itself, moved onto [0, c_i], does so exactly
@@ -773,12 +772,15 @@ def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     is one matrix at every node of the call, the cells of one width
     (``np.unique`` of ``h``) share the matrix and its map ``I + h W^T M``,
     formed once per width, and each cell's offset ``h W^T b`` comes from one
-    product over the call, with the widths' weights gathered per cell only
-    when the call holds several widths.  Otherwise each cell solves alone
-    and its map is ``I + h W^T [M | b]``, formed with its block.  LAPACK
-    factors every matrix on its own, and equal ``h`` with value-equal ``M``
-    assemble the same bits (``+0`` and ``-0`` entries subtract from the
-    identity alike), so the maps are bitwise those of one call per cell.
+    product over the call with its width's weights gathered per cell.
+    Otherwise each cell solves alone and its map is ``I + h W^T [M | b]``,
+    formed with its block.  LAPACK factors every matrix on its own, and
+    equal ``h`` with value-equal ``M`` assemble the same bits (``+0`` and
+    ``-0`` entries subtract from the identity alike), so where ``M`` is one
+    matrix over the call, or varies within every cell, the maps are bitwise
+    those of one call per cell.  A cell with one ``M`` of its own in a call
+    whose ``M`` varies matches its one-cell call only to rounding: alone, it
+    forms ``h W^T M`` and ``h W^T b`` apart.
     """
     h = tb - ta
     K, s = ta.size, _GAUSS_C.size
@@ -813,11 +815,10 @@ def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
         else:
             rhs = np.concatenate((M[k], b[k, ..., None]), axis=-1).reshape(m, sd, d + 1)
             G[k, :d] = h[k, None, None] * (W.transpose(0, 2, 1) @ rhs)
-    if shared:  # each cell reads its width's map and weights: gathered, or broadcast from one
-        at = cls if widths.size > 1 else slice(None)
+    if shared:  # each cell gathers its width's map and weights; np.take copies faster than [cls]
         W_t = W_all.transpose(0, 2, 1)
-        G[:, :d, :d] = (widths[:, None, None] * (W_t @ M[0].reshape(sd, d)))[at]
-        G[:, :d, d] = h[:, None] * (W_all[at].transpose(0, 2, 1) @ b.reshape(K, sd, 1))[..., 0]
+        G[:, :d, :d] = (widths[:, None, None] * (W_t @ M[0].reshape(sd, d))).take(cls, axis=0)
+        G[:, :d, d] = h[:, None] * (W_all.take(cls, axis=0).transpose(0, 2, 1) @ b.reshape(K, sd, 1))[..., 0]
     G += np.eye(d + 1)
     return G
 

@@ -173,6 +173,13 @@ class TestDecay:
         g = lambda t: np.stack([np.exp(-t), np.exp(-2 * t)], axis=-1)
         assert decays_to_zero(g).passed
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_non_finite_first_window_reads_an_infinite_residual(self, bad):
+        # s3 / (1 + s1) would read 0 here, below the tolerance of a failure
+        rec = decays_to_zero(lambda t: np.where(t < 1.0, bad, 0.0))
+        assert not rec.passed and rec.detail == "non-finite samples"
+        assert rec.sups[2] == 0.0 and integrate._decay_residual(rec.sups) == np.inf
+
 
 class TestGridRule:
     """Candidates, adjoints and solves take their grids through one rule."""
@@ -722,6 +729,23 @@ class TestCollocate:
         assert got.tobytes() == one_by_one.tobytes()
         # one solve per distinct width, fewer than the cells on every grid
         assert sum(solved) == np.unique(tb - ta).size < ta.size
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_an_M_constant_per_cell_matches_one_cell_at_a_time_to_rounding(self, backward):
+        # as x' = u x under a control sampled per cell: one M within each cell
+        # but not over the call, which forms I + h W^T [M | b] per cell, while
+        # a call of one cell forms I + h W^T M and h W^T b apart
+        coef = _trig_coef(2)
+        grid = np.linspace(0.0, 4.0, 17)
+        ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
+
+        def sampled(ts):  # M at the left end of each node's cell
+            return coef(grid[np.searchsorted(grid, ts) - 1])[0], coef(ts)[1]
+
+        one_by_one = np.concatenate([integrate._collocate(sampled, ta[k:k + 1], tb[k:k + 1])
+                                     for k in range(ta.size)])
+        got = integrate._collocate(sampled, ta, tb)
+        assert np.all(np.abs(got - one_by_one) <= 1e-15 * np.abs(one_by_one))
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("constant", [True, False], ids=["constant-M", "varying-M"])
