@@ -740,10 +740,12 @@ def solve_state(prob, u, x0=None, grid=None, guess=None, blowup: float = 1e12):
 # width have the same L and the same homogeneous map I + h W^T M: one
 # factorization and one product serve them all, as implicit Runge-Kutta
 # codes reuse one LU across steps of equal h and Jacobian (Hairer and
-# Wanner, Solving ODEs II, IV.8).  Only the offsets h W^T b are per cell,
-# one product over the call, for which each cell gathers its width's
-# weights.  Equal h and value-equal M assemble bitwise-equal matrices and
-# LAPACK is deterministic, so sharing changes no bit of a map.
+# Wanner, Solving ODEs II, IV.8).  Only the offsets h W^T b are per cell:
+# each cell gathers its width's weights, a bounded block of cells at a
+# time.  A constant M arrives from the problem's evaluators as a stride-0
+# view of one matrix, and no step copies it to one matrix per node.  Equal
+# h and value-equal M assemble bitwise-equal matrices and LAPACK is
+# deterministic, so sharing changes no bit of a map.
 
 # a_ij integrates the j-th Lagrange polynomial on the nodes over [0, c_i];
 # the Gauss rule itself, moved onto [0, c_i], does so exactly
@@ -771,10 +773,13 @@ def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     every block reuses (the last block a leading slice of it).  When ``M``
     is one matrix at every node of the call, the cells of one width
     (``np.unique`` of ``h``) share the matrix and its map ``I + h W^T M``,
-    formed once per width, and each cell's offset ``h W^T b`` comes from one
-    product over the call with its width's weights gathered per cell.
-    Otherwise each cell solves alone and its map is ``I + h W^T [M | b]``,
-    formed with its block.  LAPACK factors every matrix on its own, and
+    formed once per width.  The cells of a block's widths then gather their
+    width's map and weights, at most ``_STAGE_FLOATS`` floats of weights at
+    a time, for their offsets ``h W^T b``; no weights are gathered for all
+    cells at once.  Such an ``M`` may arrive as a stride-0 view of one
+    matrix (a constant ``phi_x``), which is read as it is.  Otherwise each
+    cell solves alone and its map is ``I + h W^T [M | b]``, formed with its
+    block.  LAPACK factors every matrix on its own, and
     equal ``h`` with value-equal ``M`` assemble the same bits (``+0`` and
     ``-0`` entries subtract from the identity alike), so where ``M`` is one
     matrix over the call, or varies within every cell, the maps are bitwise
@@ -787,16 +792,21 @@ def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     M, b = coef((ta[:, None] + h[:, None] * _GAUSS_C).ravel())
     d = b.shape[-1]
     # one M at every node: == is transitive, and a NaN node fails it; read on
-    # the (K s, d, d) view, so an M in any layout is not copied
-    shared = (M[1:] == M[:-1]).all()
+    # the (K s, d, d) view, so an M in any layout is not copied.  A view with
+    # stride 0 along the nodes repeats its first node, so two nodes tell
+    nodes = M[:2] if M.strides[0] == 0 else M
+    shared = (nodes[1:] == nodes[:-1]).all()
     M, b = M.reshape(K, s, d, d), b.reshape(K, s, d)
     sd = s * d
     eye = np.eye(sd)
     weights = np.kron(_GAUSS_B[:, None], np.eye(d))  # b x I_d, (sd, d)
     cells = max(1, _STAGE_FLOATS // sd**2)
     widths, cls = np.unique(h, return_inverse=True) if shared else (h, None)
+    if shared:  # the cells in order of their width, and how many one gather holds
+        order = np.argsort(cls, kind="stable")
+        ranked, M_0, b_cols = cls[order], M[0].reshape(sd, d), b.reshape(K, sd, 1)
+        gather = max(1, _STAGE_FLOATS // (sd * d))
     M_t = M.transpose(0, 3, 1, 2)  # M_t[k, c, i, r] = M[k, i, r, c]
-    W_all = np.empty((widths.size, sd, d)) if shared else None
     G = np.zeros((K, d + 1, d + 1))
     # entry (j, c, i, r) of h (A x M)^T is h a_ij M_i[r, c]
     lhs = np.empty((min(widths.size, cells), s, d, s, d))
@@ -810,15 +820,18 @@ def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
         np.subtract(eye, lhs_t, out=lhs_t)  # I - h (A x M)^T, in place
         # an explicit batch axis: numpy < 2 reads a 2-d b as a stack of vectors
         W = np.linalg.solve(lhs_t, np.broadcast_to(weights, (m, sd, d)))
-        if shared:
-            W_all[k] = W
+        if shared:  # the cells of these widths gather their width's map and weights
+            homogeneous = widths[k, None, None] * (W.transpose(0, 2, 1) @ M_0)
+            run = order[slice(*np.searchsorted(ranked, (lo, lo + m)))]
+            for start in range(0, run.size, gather):
+                c = run[start:start + gather]
+                j = cls[c] - lo  # np.take copies faster than [j]
+                G[c, :d, :d] = homogeneous.take(j, axis=0)
+                offsets = W.take(j, axis=0).transpose(0, 2, 1) @ b_cols[c]
+                G[c, :d, d] = h[c, None] * offsets[..., 0]
         else:
             rhs = np.concatenate((M[k], b[k, ..., None]), axis=-1).reshape(m, sd, d + 1)
             G[k, :d] = h[k, None, None] * (W.transpose(0, 2, 1) @ rhs)
-    if shared:  # each cell gathers its width's map and weights; np.take copies faster than [cls]
-        W_t = W_all.transpose(0, 2, 1)
-        G[:, :d, :d] = (widths[:, None, None] * (W_t @ M[0].reshape(sd, d))).take(cls, axis=0)
-        G[:, :d, d] = h[:, None] * (W_all.take(cls, axis=0).transpose(0, 2, 1) @ b.reshape(K, sd, 1))[..., 0]
     G += np.eye(d + 1)
     return G
 

@@ -276,13 +276,16 @@ _COND_LIMIT = 1e12  # condition number from which representation values are flag
 def _adjoint_cell_maps(prob: ControlProblem,
                        cand: CandidateProcess) -> tuple[np.ndarray, np.ndarray]:
     """Cell maps p(t_k) = P_k p(t_{k+1}) + q_k of p' = -phi_x^T p + w f_x,
-    one per cell of ``cand.grid``."""
+    one per cell of ``cand.grid``.  A constant ``phi_x`` arrives as a
+    stride-0 view (:func:`~pmpcheck.problem._evaluator`); its one matrix is
+    negated and transposed, and leaves as a view again."""
 
     def coef(ts):
         x, u = cand.state(ts), cand.control(ts)
         A = prob.phi_jac_x(ts, x, u)
         w = np.asarray(prob.omega(ts), dtype=float)
-        return -np.swapaxes(A, -1, -2), w[:, None] * prob.f_grad_x(ts, x, u)
+        M = -np.swapaxes(A[:1] if A.strides[0] == 0 else A, -1, -2)
+        return np.broadcast_to(M, A.shape), w[:, None] * prob.f_grad_x(ts, x, u)
 
     return _linear_cell_maps(coef, cand.grid[1:], cand.grid[:-1])
 

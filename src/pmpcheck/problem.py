@@ -36,7 +36,7 @@ import numpy as np
 
 from .expressions import (Call, Expression, ExpressionSyntaxError, Neg, UnknownIdentifier,
                           _bisect, _build, _check_variables, _children, _domain_probe, _emit,
-                          _enclose, _up, parse_expression)
+                          _enclose, _is_num, _up, parse_expression)
 from .integrate import _cell_integrals, _check_grid, _sample_at, improper_integral
 from .weights import (
     InvalidExponent,
@@ -205,12 +205,17 @@ def _evaluator(exprs, shape: tuple, n: int, m: int) -> Callable:
 
     ``exprs`` fill an array of shape ``t.shape + shape`` in C order, so
     constant components broadcast over the times; with ``shape == ()`` the
-    single expression's value is returned, broadcast to ``t.shape``.  The
-    control argument exists only when ``m > 0``.  A domain failure raises
-    :class:`DomainError` whose witness reads ``t``, ``x1..xn`` and
-    ``u1..um`` at the first offending point.
+    single expression's value is returned, broadcast to ``t.shape``.  When
+    no component names a variable, the same stores fill an array of shape
+    ``shape`` alone, and the result is ``np.broadcast_to`` of it: a
+    read-only view of shape ``t.shape + shape`` whose time axes have
+    stride 0, so constant data costs nothing per time.  No caller writes
+    into a result.  The control argument exists only when ``m > 0``.  A
+    domain failure raises :class:`DomainError` whose witness reads ``t``,
+    ``x1..xn`` and ``u1..um`` at the first offending point.
     """
     names: list[str] = []
+    constant = all(not e.variables() for e in exprs)
     if shape == ():
         body, results = _emit(exprs, names)
     else:  # components that are exactly 0.0 keep the zeros they start with
@@ -228,17 +233,19 @@ def _evaluator(exprs, shape: tuple, n: int, m: int) -> Callable:
     # [()] turns a 0-d column into a numpy scalar, whose arithmetic is cheap
     lines += [f"    v_{name} = {columns[name]}[()]" for name in names]
     if shape != ():
-        lines.append(f"    out = _np.zeros(t.shape + {shape!r})")
+        lines.append(f"    out = _np.zeros({'' if constant else 't.shape + '}{shape!r})")
     if body:
         env = ", ".join(f"{name!r}: {column}" for name, column in columns.items())
         lines += ["    try:", *(f"        {s}" for s in body),
                   "    except _OutOfDomain as err:",
                   f"        raise err.at({{{env}}}) from None"]
     if shape == ():
-        lines += [f"    value = _np.asarray({results[0]}, dtype=float)",
-                  "    if value.shape == t.shape:",
-                  "        return value",
-                  "    return _np.broadcast_to(value, t.shape)"]
+        lines.append(f"    value = _np.asarray({results[0]}, dtype=float)")
+        if not constant:
+            lines += ["    if value.shape == t.shape:", "        return value"]
+        lines.append("    return _np.broadcast_to(value, t.shape)")
+    elif constant:
+        lines.append(f"    return _np.broadcast_to(out, t.shape + {shape!r})")
     else:
         lines.append("    return out")
     return _build(lines, "evaluator")
@@ -255,9 +262,12 @@ class ControlProblem:
     the ``*_grad_*`` / ``*_jac_*`` evaluators, which accept scalars or
     arrays of times with matching state/control batches.  Each evaluator
     is one generated function that writes all its components into one
-    array (see :func:`_evaluator`).  The diagonal ``phi_uu`` of the
-    dynamics' control Hessians joins ``f_uu`` in :meth:`u_slopes`, which
-    gives the control search the slope and curvature of H along one
+    array (see :func:`_evaluator`); one whose components are all constants,
+    as ``phi_jac_x`` of linear dynamics with constant coefficients, fills
+    one copy and returns it as a read-only view with stride 0 along the
+    times, so results are read, never written.  The diagonal ``phi_uu`` of
+    the dynamics' control Hessians joins ``f_uu`` in :meth:`u_slopes`,
+    which gives the control search the slope and curvature of H along one
     control coordinate.  ``u_quadratic[i]`` holds when H is at most
     quadratic in ``u_i``: ``f_uu[i]`` and ``phi_uu[:, i]`` are free of
     ``u_i``, and so is every ``sign`` node (the derivative of ``abs``,
@@ -371,10 +381,12 @@ class ControlProblem:
     def _curvature(self) -> tuple:
         """Second derivatives in z = (x1..xn, u1..um), and where they hold.
 
-        Returns ``(rows, kinks)``.  ``rows[0]`` is the upper triangle of the
-        Hessian of f in z, row by row, and ``rows[1 + i]`` that of phi_i.
-        ``kinks[0]`` and ``kinks[1 + i]`` are the arguments of the ``abs``
-        and ``sign`` nodes of f and phi_i that depend on z: abs
+        Returns ``(rows, kinks)``.  ``rows[0]`` maps the entries ``(a, b)``,
+        ``a <= b``, of the upper triangle of the Hessian of f in z to their
+        expressions, row by row, and ``rows[1 + i]`` does so for phi_i.  An
+        entry that is the constant 0 has no key, so linear dynamics map
+        nothing.  ``kinks[0]`` and ``kinks[1 + i]`` are the arguments of
+        the ``abs`` and ``sign`` nodes of f and phi_i that depend on z: abs
         differentiates to sign and sign to 0, so the Hessian holds only
         where no kink argument vanishes.  Built on first use and cached,
         so parsing a problem does not pay for it.
@@ -384,8 +396,11 @@ class ControlProblem:
         d = len(names)
         gradients = [(self.f, (*self.f_x, *self.f_u))] + [
             (phi, (*row_x, *row_u)) for phi, row_x, row_u in zip(self.phi, self.phi_x, self.phi_u)]
-        rows = tuple(tuple(grad[a].diff(names[b]) for a in range(d) for b in range(a, d))
-                     for _, grad in gradients)
+        rows = []
+        for _, grad in gradients:
+            hessian = {(a, b): grad[a].diff(names[b]) for a in range(d) for b in range(a, d)}
+            rows.append({ab: e for ab, e in hessian.items() if not _is_num(e, 0.0)})
+        rows = tuple(rows)
         kinks = tuple(tuple(_kinks(e, set(names), ("abs", "sign"))) for e, _ in gradients)
         return rows, kinks
 

@@ -170,13 +170,17 @@ def _concave_slices(prob: ControlProblem, w, ts, centers, radii, ps) -> np.ndarr
     The box is ``centers[k] +- radii[k]`` in each state coordinate, which
     encloses the tube ball, times the closed hull of the control box;
     U itself must be convex.  With z = (x, u) the Hessian of H is
-    ``-w f_zz + sum_i p_i phi_i,zz``; its entries are enclosed over the
-    box (:func:`~pmpcheck.expressions._enclose`).  Where ``p_i(t_k) == 0``
-    the term is dropped exactly, not enclosed: a curvature of phi_i that
-    proves nothing (NaN) would otherwise spoil a knot it does not act on.
-    A knot is proved when every row passes Gershgorin's test with no
-    tolerance, ``hi(H_ii) + sum_{j != i} max |H_ij| <= 0``, rounded up, so
-    every symmetric matrix in the enclosure is negative semidefinite.
+    ``-w f_zz + sum_i p_i phi_i,zz``; the entries of each term that are
+    not the constant 0 (``ControlProblem._curvature``) are enclosed over
+    the box (:func:`~pmpcheck.expressions._enclose`) and summed, and a
+    term with none, as linear dynamics, costs nothing.  Where
+    ``p_i(t_k) == 0`` the term is dropped exactly, not enclosed: a
+    curvature of phi_i that proves nothing (NaN) would otherwise spoil a
+    knot it does not act on.  A knot is proved when every row passes
+    Gershgorin's test with no tolerance, ``hi(H_ii) + sum_{j != i} max
+    |H_ij| <= 0``, rounded up, so every symmetric matrix in the enclosure
+    is negative semidefinite.  The sum runs over the entries that are not
+    the constant 0, in increasing j: a constant 0 would add an exact 0.
     The Hessian holds only where H is twice differentiable, so the
     argument of every ``abs`` or ``sign`` of a kept term must stay off 0
     on the box.  f and every phi_i, dropped or not, are enclosed over
@@ -189,34 +193,37 @@ def _concave_slices(prob: ControlProblem, w, ts, centers, radii, ps) -> np.ndarr
         return np.zeros(ts.size, dtype=bool)
     box = _tube_box(ts, centers, radii, zip(prob.U.lo, prob.U.hi))
     rows, kinks = prob._curvature
-    entries = len(rows[0])
-    h_lo, h_hi = np.zeros((ts.size, entries)), np.zeros((ts.size, entries))
+    column = {ab: j for j, ab in enumerate(sorted(set().union(*rows)))}  # the live entries
+    h_lo, h_hi = np.zeros((ts.size, len(column))), np.zeros((ts.size, len(column)))
     for e, row, kink, coef in zip((prob.f, *prob.phi), rows, kinks, (-w, *ps.T)):
         (lo, hi), = _enclose([e], box)
         proved &= ~(np.isnan(lo) | np.isnan(hi))
         live = np.flatnonzero(proved & (coef != 0))
-        if live.size == 0:
+        if live.size == 0 or not (row or kink):
             continue
         at = {name: tuple(np.broadcast_to(v, ts.shape)[live] for v in ends)
               for name, ends in box.items()}
-        found = _enclose([*row, *kink], at)
-        for lo, hi in found[entries:]:
+        found = _enclose([*row.values(), *kink], at)
+        for lo, hi in found[len(row):]:
             proved[live] &= (lo > 0) | (hi < 0)
         c = coef[live]
-        for j, entry in enumerate(found[:entries]):
+        for ab, entry in zip(row, found):
+            j = column[ab]
             h_lo[live, j], h_hi[live, j] = _iv_add((h_lo[live, j], h_hi[live, j]),
                                                    _iv_mul((c, c), entry))
-    d = prob.n + prob.m
-    upper = np.triu_indices(d)
-    lo_zz, hi_zz = np.empty((ts.size, d, d)), np.empty((ts.size, d, d))
-    for full, half in ((lo_zz, h_lo), (hi_zz, h_hi)):
-        full[:, upper[0], upper[1]] = half
-        full[:, upper[1], upper[0]] = half
-    bound = np.diagonal(hi_zz, axis1=1, axis2=2).copy()
-    spread = np.maximum(np.abs(lo_zz), np.abs(hi_zz))
-    for j in range(d):
-        off = np.where(np.arange(d) == j, 0.0, spread[:, :, j])
-        bound = _iv_add((bound, bound), (off, off))[1]
+    # Gershgorin: each row's diagonal, then its off-diagonal magnitudes in
+    # increasing column order, entry (a, b) serving row a in column b and
+    # row b in column a; an entry that is the constant 0 would add exactly 0
+    bound = np.zeros((ts.size, prob.n + prob.m))
+    for (a, b), j in column.items():
+        if a == b:
+            bound[:, a] = h_hi[:, j]
+    for col in range(bound.shape[1]):
+        hits = [(a + b - col, j) for (a, b), j in column.items() if a != b and col in (a, b)]
+        if hits:
+            at_rows, js = map(list, zip(*hits))
+            spread = np.maximum(np.abs(h_lo[:, js]), np.abs(h_hi[:, js]))
+            bound[:, at_rows] = _iv_add((bound[:, at_rows],) * 2, (spread, spread))[1]
     return proved & np.all(bound <= 0, axis=1)
 
 

@@ -652,6 +652,17 @@ def _nan_node(coef):
     return nan_coef
 
 
+def _constant_view(coef):
+    """``coef`` with its constant ``M`` as a read-only stride-0 view of its
+    first node, as the evaluator of a constant Jacobian returns it."""
+
+    def view_coef(ts):
+        M, b = coef(ts)
+        return np.broadcast_to(M[0], M.shape), b
+
+    return view_coef
+
+
 def _stage_slope_maps(coef, ta, tb):
     """The collocation maps by way of every stage slope: per cell, solve
     ``(I - h A x M) k = [M | b]`` for the 7d slopes with d + 1 right-hand
@@ -762,8 +773,10 @@ class TestCollocate:
         grid = default_grid(50.0, cells=300)  # a head of distinct widths, a body of few
         ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
         assert not transposed(ta)[0].flags.c_contiguous
-        got = integrate._collocate(transposed, ta, tb)
-        assert got.tobytes() == integrate._collocate(coef, ta, tb).tobytes()
+        want = integrate._collocate(coef, ta, tb).tobytes()
+        assert integrate._collocate(transposed, ta, tb).tobytes() == want
+        if constant:  # one matrix, stride 0 along the nodes
+            assert integrate._collocate(_constant_view(coef), ta, tb).tobytes() == want
 
 
 class TestBlockedStageSolves:
@@ -853,20 +866,31 @@ class TestBlockedStageSolves:
             calls.append(ts.size)
             return coef(ts)
 
-        _linear_cell_maps(coef, ta, tb)  # warm up outside the trace
-        tracemalloc.start()
-        try:
-            _linear_cell_maps(counted, ta, tb)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        def traced_peak(ta, tb):
+            _linear_cell_maps(coef, ta, tb)  # warm up outside the trace
+            tracemalloc.start()
+            try:
+                _linear_cell_maps(counted, ta, tb)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak = traced_peak(ta, tb)
         nodes = 2 * _GAUSS_C.size
         assert calls == [cells * _GAUSS_C.size, cells * nodes]  # no cell bisects
         # the bound of test_a_build_holds_one_block_of_stage_matrices
         assert peak < 8 * (cells * (2 * nodes * 6 + 8 * 9) + 4 * _STAGE_FLOATS)
+        # the weights are gathered a block of cells at a time, so a build of
+        # 2048 widths holds about what a build of one width holds; weights
+        # gathered for every cell of a level at once would hold 25% more
+        uniform = np.linspace(0.0, 50.0, cells + 1)
+        ua, ub = (uniform[1:], uniform[:-1]) if backward else (uniform[:-1], uniform[1:])
+        assert peak < 1.1 * traced_peak(ua, ub)
 
     @pytest.mark.parametrize("system,shared", [
         pytest.param(lambda: _trig_coef(2, constant=True), True, id="constant-M"),
+        pytest.param(lambda: _constant_view(_trig_coef(2, constant=True)), True,
+                     id="constant-M-view"),
         pytest.param(lambda: _rotating_coef(1.0), False, id="time-varying-M"),
         pytest.param(lambda: _nan_node(_trig_coef(2, constant=True)), False,
                      id="constant-M-with-a-NaN-node"),

@@ -33,8 +33,8 @@ from pmpcheck.pmp import (
     pontryagin_H_x,
     verify_certificate,
 )
-from pmpcheck.problem import (CandidateProcess, DimensionMismatch, audit_assumptions,
-                              candidate_from_functions, parse_problem)
+from pmpcheck.problem import (CandidateProcess, ControlProblem, DimensionMismatch,
+                              audit_assumptions, candidate_from_functions, parse_problem)
 from pmpcheck.sufficiency import check_arrow, hamiltonian_sup
 
 SQRT2 = np.sqrt(2.0)
@@ -2135,3 +2135,83 @@ class TestSenseMax:
         as_max = verify_certificate(parse_problem(src), cand)
         as_min = verify_certificate(parse_problem(negated), cand)
         assert_reports_equal(as_max, as_min)
+
+
+class TestCoupledRegulator:
+    """Four coupled regulators with one dense constant Jacobian.
+
+    ``A = Q diag(a) Q^T`` with Q the 4 x 4 Hadamard matrix over 2, ``B = I``
+    and ``f = |x|^2/2 + |u|^2/2``, discounted by omega = e^{-rho t}.  The
+    problem is invariant under x -> Q^T x, so each mode of Q^T x is the
+    scalar regulator with rate a_i: in current value its gain is
+    ``k_i = a_i - rho/2 + sqrt((a_i - rho/2)^2 + 1)``, the mode decays at
+    ``r_i = a_i - k_i``, and ``u = -K x``, ``p = -omega K x`` with
+    ``K = Q diag(k) Q^T``.  The eigenvalues lie within 1/4 of each other, so
+    the representation route stays well conditioned to T = 50; nu = e^{-5t}
+    square-integrates e^{2 a t} for the normality probe and outlasts
+    omega^2, so Michel applies.  Q and a are dyadic, so A is exact.
+    """
+
+    RHO, NU = 3.0, 5.0
+    A_EIG = np.array([2.125, 2.0, 1.875, 1.9375])
+    Q = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+    X0 = np.array([1.0, -1.0, 0.5, 0.25])
+
+    @classmethod
+    def pieces(cls):
+        A = cls.Q @ np.diag(cls.A_EIG) @ cls.Q.T
+        shift = cls.A_EIG - cls.RHO / 2.0
+        k = shift + np.sqrt(shift ** 2 + 1.0)
+        K = cls.Q @ np.diag(k) @ cls.Q.T
+        src = "\n".join([
+            "[problem]", "n = 4", "m = 4", f"x0 = {' '.join(map(repr, cls.X0.tolist()))}",
+            "[dynamics]",
+            *(f"phi{i + 1} = " + " + ".join(f"{float(A[i, j])!r}*x{j + 1}" for j in range(4))
+              + f" + u{i + 1}" for i in range(4)),
+            "[objective]",
+            "f = 0.5*(" + " + ".join(f"x{i}^2 + u{i}^2" for i in range(1, 5)) + ")",
+            f"omega = exp_decay {cls.RHO}", "[space]", f"nu = exp_decay {cls.NU}"])
+        modes = cls.Q.T @ cls.X0
+        x = lambda t: (np.exp(np.multiply.outer(np.asarray(t), cls.A_EIG - k)) * modes) @ cls.Q.T
+        u = lambda t: -x(t) @ K.T
+        grid = default_grid(50.0, cells=2048, refine_zero=False)
+        return parse_problem(src), candidate_from_functions(grid, x, u), A, K
+
+    def test_the_gain_is_the_riccati_solution(self):
+        from scipy.linalg import solve_continuous_are
+
+        _, _, A, K = self.pieces()
+        assert np.all(A != 0.0)  # every state drives every other
+        eye = np.eye(4)
+        riccati = solve_continuous_are(A - 0.5 * self.RHO * eye, eye, eye, eye)
+        np.testing.assert_allclose(K, riccati, rtol=1e-12, atol=1e-14)
+
+    def test_every_verdict_passes(self):
+        prob, cand, _, K = self.pieces()
+        cert = verify_certificate(prob, cand)
+        assert cert.overall == "pass"
+        assert cert.audit.all_ok
+        assert {c.name: c.verdict for c in cert.conditions} == {
+            c.name: "pass" for c in cert.conditions}
+        assert cert.sufficiency.overall == "pass"
+        assert not cert.adjoints["representation"].ill_conditioned
+        adj = cert.adjoints["representation"]
+        half = adj.grid <= 25.0
+        exact = -np.exp(-self.RHO * adj.grid[half])[:, None] * (cand.state(adj.grid[half]) @ K.T)
+        assert np.max(np.abs(adj.p[half] - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+    def test_the_constant_view_builds_the_bits_of_a_contiguous_copy(self, monkeypatch):
+        # phi_x is one dense matrix, returned as a read-only stride-0 view;
+        # the maps built from it are those built from a level-sized copy
+        prob, cand, A, _ = self.pieces()
+        ts = cand.grid[:5]
+        view = prob.phi_jac_x(ts, cand.state(ts), cand.control(ts))
+        assert view.strides[0] == 0 and not view.flags.writeable
+        assert np.array_equal(view, np.broadcast_to(A, (5, 4, 4)))
+        P, q = pmp._adjoint_cell_maps(prob, cand)
+        dense = ControlProblem.phi_jac_x
+        monkeypatch.setattr(ControlProblem, "phi_jac_x",
+                            lambda self, t, x, u: np.ascontiguousarray(dense(self, t, x, u)))
+        assert prob.phi_jac_x(ts, cand.state(ts), cand.control(ts)).strides[0] != 0
+        P_copy, q_copy = pmp._adjoint_cell_maps(prob, cand)
+        assert P.tobytes() == P_copy.tobytes() and q.tobytes() == q_copy.tobytes()

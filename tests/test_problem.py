@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_pmp
-from pmpcheck.expressions import DomainError
+from pmpcheck.expressions import DomainError, parse_expression
 from pmpcheck.integrate import InvalidGrid, solve_state
 from pmpcheck.problem import (
     ActiveSet,
@@ -21,6 +21,7 @@ from pmpcheck.problem import (
     InfeasibleState,
     ProblemSyntaxError,
     UnknownIdentifier,
+    _evaluator,
     active_indices,
     audit_assumptions,
     candidate_from_functions,
@@ -1062,6 +1063,39 @@ class TestGeneratedEvaluators:
         jac = prob.phi_jac_u(ts, np.ones((4, 1)), np.zeros((4, 1)))
         assert jac.shape == (4, 1, 1)
         np.testing.assert_array_equal(jac, 0.0)
+
+    @pytest.mark.parametrize("t", [0.7, np.linspace(0.0, 1.0, 5), np.full((2, 3), 0.5)],
+                             ids=["scalar", "vector", "matrix"])
+    def test_constant_evaluators_return_read_only_stride_0_views(self, t):
+        # phi = (x1, -x2), f = x2^2 and g = x1 + x2 - 9: phi_x, phi_u, f_u,
+        # g_x and the control slopes hold constants only, f_x and the values
+        # read the state.  The certificates of test_pmp read such views and
+        # would raise on a write into one
+        prob = parse_problem(test_pmp.TWO_STATE + "[constraints]\ng1 = x1 + x2 - 9\n")
+        t = np.asarray(t)
+        x = np.broadcast_to([0.5, 2.0], t.shape + (2,))
+        u = np.full(t.shape + (1,), 0.25)
+        constant = {
+            "phi_jac_x": ((t, x, u), [[1.0, 0.0], [0.0, -1.0]]),
+            "phi_jac_u": ((t, x, u), [[0.0], [0.0]]),
+            "f_grad_u": ((t, x, u), [0.0]),
+            "g_jac_x": ((t, x), [[1.0, 1.0]]),
+        }
+        for name, (args, want) in constant.items():
+            out = getattr(prob, name)(*args)
+            assert out.shape == t.shape + np.shape(want), name
+            assert not out.flags.writeable, name
+            assert out.strides[:t.ndim] == (0,) * t.ndim, name
+            np.testing.assert_array_equal(out, np.broadcast_to(want, out.shape), err_msg=name)
+        slopes = prob.u_slopes(0, t, x, u)
+        assert slopes.shape == t.shape + (2, 3) and not slopes.flags.writeable
+        np.testing.assert_array_equal(slopes, 0.0)
+        # the single-expression form: a constant broadcasts the same way
+        value = _evaluator([parse_expression("2 * 3")], (), 2, 1)(t, x, u)
+        assert value.shape == t.shape and not value.flags.writeable
+        assert value.strides == (0,) * t.ndim and np.all(value == 6.0)
+        for name in ("f_value", "f_grad_x", "phi_value"):
+            assert getattr(prob, name)(t, x, u).flags.writeable, name
 
     def test_domain_error_names_the_offending_row(self):
         prob = parse_problem(REGULATOR.replace("phi1 = u1", "phi1 = ln(x1) + u1"))

@@ -5,7 +5,7 @@ import pytest
 
 import test_pmp
 from pmpcheck import sufficiency
-from pmpcheck.expressions import DomainError, Num
+from pmpcheck.expressions import DomainError
 from pmpcheck.integrate import default_grid
 from pmpcheck.pmp import (
     UnboundedAbove,
@@ -686,7 +686,9 @@ class TestConcavityProof:
         _, cand, adj = reg_setup
         check_arrow(prob, cand, adj)
         rows, _ = vars(prob)["_curvature"]
-        assert [str(e) for e in rows[0]] == ["1.0", "0.0", "1.0"]
+        # f_xx = f_uu = 1; f_xu and phi's whole Hessian are the constant 0
+        assert [{ab: str(e) for ab, e in row.items()} for row in rows] == [
+            {(0, 0): "1.0", (1, 1): "1.0"}, {}]
 
     def test_a_tube_leaving_the_domain_of_phi_is_scanned_where_p_vanishes(self, monkeypatch):
         # EXTRACTION has p = 0, so phi drops out of the Hessian; but a tube of
@@ -714,6 +716,42 @@ class TestConcavityProof:
         (_, mask), = calls
         assert not np.any(mask)
 
+    def test_interval_products_grow_with_the_live_hessian_entries(self, monkeypatch):
+        # n decoupled regulators: f_xx = f_uu = I and no other curvature, so
+        # the proof multiplies 2n entries, not the (n + 1) d (d + 1) / 2 of
+        # the dense upper triangles (d = 2n), and a linear phi_i costs nothing
+        g = default_grid(50.0, cells=512, refine_zero=False)
+        counts = []
+        prove, multiply = sufficiency._concave_slices, sufficiency._iv_mul
+
+        def counted(*args):
+            counts[-1] += 1
+            return multiply(*args)
+
+        def counting(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(sufficiency, "_iv_mul", counted)
+                return prove(*args)
+
+        monkeypatch.setattr(sufficiency, "_concave_slices", counting)
+        for n in (4, 8, 16):
+            x0 = 1.0 + 0.25 * np.arange(n)
+            prob = parse_problem("\n".join([
+                "[problem]", f"n = {n}", f"m = {n}", f"x0 = {' '.join(map(repr, x0.tolist()))}",
+                "[dynamics]", *(f"phi{i} = 2*x{i} + u{i}" for i in range(1, n + 1)),
+                "[objective]",
+                "f = 0.5*(" + " + ".join(f"x{i}^2 + u{i}^2" for i in range(1, n + 1)) + ")",
+                "omega = exp_decay 2.0", "[space]", "nu = exp_decay 4.5"]))
+            x = lambda t: np.multiply.outer(np.exp((1 - SQRT2) * np.asarray(t)), x0)
+            cand = candidate_from_functions(g, x, lambda t: -(1 + SQRT2) * x(t))
+            adj = adjoint_from_function(
+                g, lambda t: -(1 + SQRT2) * np.exp(-2.0 * np.asarray(t))[:, None] * x(t))
+            counts.append(0)
+            rep = check_arrow(prob, cand, adj)
+            assert rep.passed
+            assert f"{rep.grid.size} slice(s) proved concave" in " ".join(rep.notes)
+        assert counts == [8, 16, 32]
+
     def test_a_kink_inside_the_box_proves_nothing(self):
         # H = +w |u - 0.3|: its symbolic Hessian reads 0, but it is convex in u
         src = test_pmp.ABS_KINK.replace("abs(u1 - 0.3)", "-abs(u1 - 0.3)")
@@ -722,7 +760,7 @@ class TestConcavityProof:
         ts, centers = g, np.exp(-g)[:, None]
         w = np.asarray(prob.omega(ts), dtype=float)
         rows, kinks = prob._curvature
-        assert all(e == Num(0.0) for row in rows for e in row)
+        assert rows == ({}, {})  # every entry is the constant 0
         assert [str(e) for e in kinks[0]] == ["u1 - 0.3"]
         proved = sufficiency._concave_slices(prob, w, ts, centers, np.full(g.size, 0.5),
                                              np.zeros((g.size, 1)))
