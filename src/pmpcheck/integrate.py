@@ -724,8 +724,8 @@ def solve_state(prob, u, x0=None, grid=None, guess=None, blowup: float = 1e12):
 #
 # Along a fixed candidate, y' = M(t) y + b(t) needs no adaptive stepping:
 # one 7-stage Gauss collocation step (order 14) turns a cell into an affine
-# map y(tb) = P y(ta) + q, carried as the matrix [[P, q], [0, 1]] so that
-# maps compose by matrix products.
+# map y(tb) = P y(ta) + q, carried as the pair (P, q): the map of one cell
+# after another is (P_r P_l, P_r q_l + q_r).
 #
 # The step's stage slopes solve L k = R, with L = I - h (A x M) and
 # R = [M | b] (one column per unit start and one for the forcing), but the
@@ -740,12 +740,16 @@ def solve_state(prob, u, x0=None, grid=None, guess=None, blowup: float = 1e12):
 # width have the same L and the same homogeneous map I + h W^T M: one
 # factorization and one product serve them all, as implicit Runge-Kutta
 # codes reuse one LU across steps of equal h and Jacobian (Hairer and
-# Wanner, Solving ODEs II, IV.8).  Only the offsets h W^T b are per cell:
-# each cell gathers its width's weights, a bounded block of cells at a
-# time.  A constant M arrives from the problem's evaluators as a stride-0
-# view of one matrix, and no step copies it to one matrix per node.  Equal
-# h and value-equal M assemble bitwise-equal matrices and LAPACK is
-# deterministic, so sharing changes no bit of a map.
+# Wanner, Solving ODEs II, IV.8).  Only the offsets h W^T b are per cell.
+# When the call holds one width, its map is shared the same way: P is a
+# read-only stride-0 view of the one matrix, the product of two such views
+# is formed once, and the offsets read a broadcast of the width's weights.
+# With several widths, each cell gathers its width's map and weights, a
+# bounded block of cells at a time.  A constant M arrives from the
+# problem's evaluators as a stride-0 view of one matrix, and no step copies
+# it to one matrix per node.  Equal h and value-equal M assemble
+# bitwise-equal matrices and LAPACK is deterministic, so sharing changes no
+# bit of a map.
 
 # a_ij integrates the j-th Lagrange polynomial on the nodes over [0, c_i];
 # the Gauss rule itself, moved onto [0, c_i], does so exactly
@@ -762,8 +766,9 @@ _MAP_PIECES = 2**15  # most cells one halving level may hold, unless a build set
 _STAGE_FLOATS = 2**15
 
 
-def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    """One collocation step per cell, as augmented maps shaped (K, d+1, d+1).
+def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One collocation step per cell, as the pair ``P`` (K, d, d), ``q`` (K, d)
+    of the maps ``y(tb) = P y(ta) + q``.
 
     ``coef`` is called once, on the Gauss nodes of every cell.  A cell's
     transposed stage matrix ``I - h (A x M)^T`` depends on the cell only
@@ -773,19 +778,22 @@ def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     every block reuses (the last block a leading slice of it).  When ``M``
     is one matrix at every node of the call, the cells of one width
     (``np.unique`` of ``h``) share the matrix and its map ``I + h W^T M``,
-    formed once per width.  The cells of a block's widths then gather their
-    width's map and weights, at most ``_STAGE_FLOATS`` floats of weights at
-    a time, for their offsets ``h W^T b``; no weights are gathered for all
-    cells at once.  Such an ``M`` may arrive as a stride-0 view of one
-    matrix (a constant ``phi_x``), which is read as it is.  Otherwise each
-    cell solves alone and its map is ``I + h W^T [M | b]``, formed with its
-    block.  LAPACK factors every matrix on its own, and
-    equal ``h`` with value-equal ``M`` assemble the same bits (``+0`` and
-    ``-0`` entries subtract from the identity alike), so where ``M`` is one
-    matrix over the call, or varies within every cell, the maps are bitwise
-    those of one call per cell.  A cell with one ``M`` of its own in a call
-    whose ``M`` varies matches its one-cell call only to rounding: alone, it
-    forms ``h W^T M`` and ``h W^T b`` apart.
+    formed once per width.  With one width, ``P`` is a read-only stride-0
+    view of that one matrix, and every cell's offset ``h W^T b`` comes from
+    one product with a broadcast of the width's weights.  With several, the
+    cells of a block's widths gather their width's map and weights, at most
+    ``_STAGE_FLOATS`` floats of weights at a time, for their rows of ``P``
+    and their offsets; no weights are gathered for all cells at once.  Such
+    an ``M`` may arrive as a stride-0 view of one matrix (a constant
+    ``phi_x``), which is read as it is.  Otherwise each cell solves alone
+    and its map is ``I + h W^T [M | b]``, formed with its block.  LAPACK
+    factors every matrix on its own, and equal ``h`` with value-equal ``M``
+    assemble the same bits (``+0`` and ``-0`` entries subtract from the
+    identity alike), so where ``M`` is one matrix over the call, or varies
+    within every cell, the maps are bitwise those of one call per cell.  A
+    cell with one ``M`` of its own in a call whose ``M`` varies matches its
+    one-cell call only to rounding: alone, it forms ``h W^T M`` and
+    ``h W^T b`` apart.
     """
     h = tb - ta
     K, s = ta.size, _GAUSS_C.size
@@ -801,13 +809,21 @@ def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     eye = np.eye(sd)
     weights = np.kron(_GAUSS_B[:, None], np.eye(d))  # b x I_d, (sd, d)
     cells = max(1, _STAGE_FLOATS // sd**2)
-    widths, cls = np.unique(h, return_inverse=True) if shared else (h, None)
-    if shared:  # the cells in order of their width, and how many one gather holds
+    if not shared:
+        widths, cls = h, None
+    elif (h == h[0]).all():  # one width, known without a sort
+        widths, cls = h[:1], None
+    else:
+        widths, cls = np.unique(h, return_inverse=True)
+    one = shared and cls is None
+    if shared:
+        M_0, b_cols = M[0].reshape(sd, d), b.reshape(K, sd, 1)
+    if shared and not one:  # the cells in order of their width, and how many one gather holds
         order = np.argsort(cls, kind="stable")
-        ranked, M_0, b_cols = cls[order], M[0].reshape(sd, d), b.reshape(K, sd, 1)
-        gather = max(1, _STAGE_FLOATS // (sd * d))
+        ranked, gather = cls[order], max(1, _STAGE_FLOATS // (sd * d))
     M_t = M.transpose(0, 3, 1, 2)  # M_t[k, c, i, r] = M[k, i, r, c]
-    G = np.zeros((K, d + 1, d + 1))
+    P = None if one else np.empty((K, d, d))
+    q = np.empty((K, d))
     # entry (j, c, i, r) of h (A x M)^T is h a_ij M_i[r, c]
     lhs = np.empty((min(widths.size, cells), s, d, s, d))
     for lo in range(0, widths.size, cells):
@@ -820,20 +836,43 @@ def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
         np.subtract(eye, lhs_t, out=lhs_t)  # I - h (A x M)^T, in place
         # an explicit batch axis: numpy < 2 reads a 2-d b as a stack of vectors
         W = np.linalg.solve(lhs_t, np.broadcast_to(weights, (m, sd, d)))
-        if shared:  # the cells of these widths gather their width's map and weights
-            homogeneous = widths[k, None, None] * (W.transpose(0, 2, 1) @ M_0)
+        if one:  # every cell reads the one map and a broadcast of the one width's weights
+            P = np.broadcast_to(widths[:, None, None] * (W.transpose(0, 2, 1) @ M_0)
+                                + np.eye(d), (K, d, d))
+            offsets = np.broadcast_to(W, (K, sd, d)).transpose(0, 2, 1) @ b_cols
+            np.multiply(h[:, None], offsets[..., 0], out=q)
+        elif shared:  # the cells of these widths gather their width's map and weights
+            homogeneous = widths[k, None, None] * (W.transpose(0, 2, 1) @ M_0) + np.eye(d)
             run = order[slice(*np.searchsorted(ranked, (lo, lo + m)))]
             for start in range(0, run.size, gather):
                 c = run[start:start + gather]
                 j = cls[c] - lo  # np.take copies faster than [j]
-                G[c, :d, :d] = homogeneous.take(j, axis=0)
+                P[c] = homogeneous.take(j, axis=0)
                 offsets = W.take(j, axis=0).transpose(0, 2, 1) @ b_cols[c]
-                G[c, :d, d] = h[c, None] * offsets[..., 0]
+                q[c] = h[c, None] * offsets[..., 0]
         else:
             rhs = np.concatenate((M[k], b[k, ..., None]), axis=-1).reshape(m, sd, d + 1)
-            G[k, :d] = h[k, None, None] * (W.transpose(0, 2, 1) @ rhs)
-    G += np.eye(d + 1)
-    return G
+            maps = h[k, None, None] * (W.transpose(0, 2, 1) @ rhs)
+            np.add(maps[..., :d], np.eye(d), out=P[k])
+            q[k] = maps[..., d]
+    q += 0.0  # a -0 offset (no forcing over a backward cell) reads +0
+    return P, q
+
+
+def _one_map(P: np.ndarray) -> np.ndarray:
+    """``P``'s one matrix, shaped (1, d, d), if ``P`` is a stride-0 view of
+    it, else ``P``: broadcast against the other cells, it stands for all."""
+    return P[:1] if P.strides[0] == 0 else P
+
+
+def _compose(right, left) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of ``right`` after ``left``: ``P_r P_l`` and ``P_r q_l + q_r``.
+    Two stride-0 views make one product, again a view."""
+    (P_r, q_r), (P_l, q_l) = right, left
+    P = _one_map(P_r) @ _one_map(P_l)
+    if P.shape[0] < q_l.shape[0]:
+        P = np.broadcast_to(P, P_l.shape)
+    return P, (P_r @ q_l[..., None])[..., 0] + q_r
 
 
 def _linear_cell_maps(coef, ta, tb, pieces: int = _MAP_PIECES) -> tuple[np.ndarray, np.ndarray]:
@@ -848,23 +887,32 @@ def _linear_cell_maps(coef, ta, tb, pieces: int = _MAP_PIECES) -> tuple[np.ndarr
     to ``max(1, |P|)``, offsets in units of the summed offsets, so scaling
     ``b`` changes no decision) is bisected; running out of halvings, or a
     level that would hold more than ``pieces`` cells, raises
-    :class:`BlowUp`.  Returns ``P`` (K, d, d) and ``q``
-    (K, d).
+    :class:`BlowUp`.  Returns ``P`` (K, d, d) and ``q`` (K, d).
+
+    The maps are carried as pairs.  Where :func:`_collocate` shares one
+    homogeneous map over a call, ``P`` is a read-only stride-0 view of it:
+    the product of the halves is then formed once and the defect of ``P``
+    is one number; only the offsets are per cell.  A level whose cells
+    bisect copies the rows it writes, so the returned ``P`` stays a view
+    only if no cell bisects.  Readers must not write into ``P``.
     """
     lo, hi = np.asarray(ta, dtype=float), np.asarray(tb, dtype=float)
     levels = []
     with np.errstate(over="ignore", invalid="ignore"):
         whole = _collocate(coef, lo, hi)
-        total = np.nansum(np.abs(whole[:, :-1, -1]))
-        units = np.ones(whole.shape[1:])
-        units[:-1, -1] = 1.0 / total if 0.0 < total < np.inf else 1.0
+        total = np.nansum(np.abs(whole[1]))
+        unit = 1.0 / total if 0.0 < total < np.inf else 1.0
         for halvings in range(_MAP_HALVINGS + 1):
             mid = 0.5 * (lo + hi)
-            halves = _collocate(coef, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
-            left, right = halves[: lo.size], halves[lo.size:]
-            fine = right @ left
-            scale = np.maximum(1.0, np.max(np.abs(fine * units), axis=(1, 2)))
-            err = np.max(np.abs((fine - whole) * units), axis=(1, 2)) / scale
+            P_h, q_h = _collocate(coef, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+            left, right = (P_h[: lo.size], q_h[: lo.size]), (P_h[lo.size:], q_h[lo.size:])
+            fine = _compose(right, left)
+            (P_f, q_f), (P_w, q_w) = fine, whole
+            # per cell; P's part is one number where P is a view of one matrix
+            size = np.maximum(np.max(np.abs(_one_map(P_f)), axis=(1, 2)),
+                              np.max(np.abs(q_f * unit), axis=1))
+            err = np.maximum(np.max(np.abs(_one_map(P_f) - _one_map(P_w)), axis=(1, 2)),
+                             np.max(np.abs((q_f - q_w) * unit), axis=1)) / np.maximum(1.0, size)
             bad = ~(err <= _MAP_TOL)  # NaN counts as bad
             levels.append((fine, bad))
             if not bad.any():
@@ -875,15 +923,19 @@ def _linear_cell_maps(coef, ta, tb, pieces: int = _MAP_PIECES) -> tuple[np.ndarr
             # the halves of an unresolved cell are the next level's cells
             lo = np.stack((lo[bad], mid[bad]), axis=1).ravel()
             hi = np.stack((mid[bad], hi[bad]), axis=1).ravel()
-            whole = np.stack((left[bad], right[bad]), axis=1).reshape(-1, *fine.shape[1:])
+            whole = tuple(np.stack((lh[bad], rh[bad]), axis=1).reshape(-1, *lh.shape[1:])
+                          for lh, rh in zip(left, right))
     # deepest level first: an unresolved cell is the product of its two
     # children, which sit side by side one level down
     maps = None
-    for fine, bad in reversed(levels):
+    for (P, q), bad in reversed(levels):
         if maps is not None:
-            fine[bad] = maps[1::2] @ maps[0::2]
-        maps = fine
-    return maps[:, :-1, :-1], maps[:, :-1, -1]
+            if not P.flags.writeable:  # a view of one matrix becomes rows it can write
+                P = np.array(P)
+            P[bad], q[bad] = _compose((maps[0][1::2], maps[1][1::2]),
+                                      (maps[0][0::2], maps[1][0::2]))
+        maps = P, q
+    return maps
 
 
 # cells per doubling block of the chain.  A product over the whole grid can
@@ -896,10 +948,11 @@ _CHAIN_BLOCK = 64
 def _affine_chain(P: np.ndarray, q: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """Every knot of ``y_{k+1} = P_k y_k + q_k``, shaped ``(K+1,) + y0.shape``.
 
-    ``P`` is (K, d, d) and ``q`` (K, d); ``y0`` is a vector (d,) or a
-    matrix (d, r), and then ``q_k`` is added to each column.  The
-    augmented maps ``[[P_k, q_k], [0, 1]]`` are composed by a doubling
-    prefix scan (Hillis and Steele, CACM 29, 1986) inside blocks of
+    ``P`` is (K, d, d), possibly a read-only stride-0 view of one matrix,
+    and ``q`` (K, d); ``y0`` is a vector (d,) or a matrix (d, r), and then
+    ``q_k`` is added to each column.  Both are copied into one buffer of
+    augmented maps ``[[P_k, q_k], [0, 1]]``, composed by a doubling prefix
+    scan (Hillis and Steele, CACM 29, 1986) inside blocks of
     ``_CHAIN_BLOCK`` cells, and the block starts are chained in order.
     Knots past an overflow read inf or NaN without a warning; callers find
     the first knot past their limit on the result.

@@ -332,9 +332,27 @@ def adjoint_backward(grid: np.ndarray, P: np.ndarray, q: np.ndarray,
 
 
 def _cond(Y: np.ndarray) -> np.ndarray:
-    """``np.linalg.cond`` of a finite stack; 1 x 1 matrices by numpy's rule
-    for them, inf at zero and 1 elsewhere, without an SVD each."""
-    return np.where(Y[:, 0, 0] == 0.0, np.inf, 1.0) if Y.shape[1] == 1 else np.linalg.cond(Y)
+    """``np.linalg.cond`` of a finite stack, without an SVD each for n <= 2.
+
+    1 x 1 matrices follow numpy's rule for them: inf at zero, 1 elsewhere.
+    A 2 x 2 matrix is first divided by its largest entry, so no square
+    overflows or underflows to zero, and then ``s = |Y|_F^2 = sv_1^2 + sv_2^2``
+    and ``D = |det Y| = sv_1 sv_2`` give ``sv_1 / sv_2 = sv_1^2 / D =
+    (s + sqrt((s - 2D)(s + 2D))) / (2D)``, inf at ``D = 0``.  Rounding in
+    ``D`` moves it from the SVD's value by a relative error of about ``cond``
+    times the unit roundoff.
+    """
+    n = Y.shape[1]
+    if n == 1:
+        return np.where(Y[:, 0, 0] == 0.0, np.inf, 1.0)
+    if n > 2:
+        return np.linalg.cond(Y)
+    big = np.abs(Y).max(axis=(1, 2))
+    Z = Y / np.where(big > 0.0, big, 1.0)[:, None, None]
+    s = np.einsum("kij,kij->k", Z, Z)
+    D = np.abs(Z[:, 0, 0] * Z[:, 1, 1] - Z[:, 0, 1] * Z[:, 1, 0])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(D > 0.0, (s + np.sqrt((s - 2.0 * D) * (s + 2.0 * D))) / (2.0 * D), np.inf)
 
 
 def adjoint_representation(grid: np.ndarray, flow: np.ndarray,

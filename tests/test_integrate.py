@@ -682,6 +682,19 @@ def _stage_slope_maps(coef, ta, tb):
     return np.array(maps)
 
 
+def _one_cell_at_a_time(coef, ta, tb):
+    """``_collocate`` called on each cell alone, its pairs stacked."""
+    pairs = [integrate._collocate(coef, ta[k:k + 1], tb[k:k + 1]) for k in range(ta.size)]
+    return np.concatenate([P for P, _ in pairs]), np.concatenate([q for _, q in pairs])
+
+
+def _same_bits(got, want):
+    """Whether two pairs ``(P, q)`` hold the same bytes; a stride-0 ``P``
+    reads as the rows it stands for."""
+    return all(np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+               for a, b in zip(got, want))
+
+
 class TestCollocate:
     """The transposed weighted solve against the stage slopes it replaces."""
 
@@ -705,11 +718,13 @@ class TestCollocate:
             return _solve(a, b)
 
         monkeypatch.setattr(integrate.np.linalg, "solve", solve)
-        got = integrate._collocate(coef, ta, tb)
-        err = np.max(np.abs(got - want), axis=(1, 2))
+        P, q = integrate._collocate(coef, ta, tb)
+        assert P.shape == (ta.size, d, d) and q.shape == (ta.size, d)
+        err = np.maximum(np.max(np.abs(P - want[:, :d, :d]), axis=(1, 2)),
+                         np.max(np.abs(q - want[:, :d, d]), axis=1))
         assert np.all(err <= 1e-14 * np.max(np.abs(want), axis=(1, 2)))
         if not forced:
-            assert np.all(got[:, :d, d] == 0.0)
+            assert np.all(q == 0.0)
         # one solve per block, for the d weight columns of every cell in it
         sd = _GAUSS_C.size * d
         if constant:  # one width and one M: the cells share one stage matrix
@@ -727,8 +742,7 @@ class TestCollocate:
                                                                        grid, backward):
         coef = _trig_coef(2, constant=True)
         ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
-        one_by_one = np.concatenate([integrate._collocate(coef, ta[k:k + 1], tb[k:k + 1])
-                                     for k in range(ta.size)])
+        one_by_one = _one_cell_at_a_time(coef, ta, tb)
         solved = []
 
         def solve(a, b, _solve=np.linalg.solve):
@@ -737,9 +751,25 @@ class TestCollocate:
 
         monkeypatch.setattr(integrate.np.linalg, "solve", solve)
         got = integrate._collocate(coef, ta, tb)
-        assert got.tobytes() == one_by_one.tobytes()
+        assert _same_bits(got, one_by_one)
         # one solve per distinct width, fewer than the cells on every grid
         assert sum(solved) == np.unique(tb - ta).size < ta.size
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_one_width_gives_the_bits_of_its_cells_beside_a_second_width(self, d, backward):
+        # alone, 256 cells of one width share one stage matrix and one map,
+        # and P is a read-only stride-0 view of it; with one cell of a second
+        # width in the call, the same cells gather their width's map
+        coef = _trig_coef(d, constant=True)
+        grid = np.linspace(0.0, 64.0, 257)
+        ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
+        one = integrate._collocate(coef, ta, tb)
+        assert one[0].strides[0] == 0 and not one[0].flags.writeable
+        ends = (64.5, 64.0) if backward else (64.0, 64.5)
+        P, q = integrate._collocate(coef, np.append(ta, ends[0]), np.append(tb, ends[1]))
+        assert P.strides[0] != 0 and P.flags.writeable
+        assert _same_bits(one, (P[:-1], q[:-1]))
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     def test_an_M_constant_per_cell_matches_one_cell_at_a_time_to_rounding(self, backward):
@@ -753,10 +783,10 @@ class TestCollocate:
         def sampled(ts):  # M at the left end of each node's cell
             return coef(grid[np.searchsorted(grid, ts) - 1])[0], coef(ts)[1]
 
-        one_by_one = np.concatenate([integrate._collocate(sampled, ta[k:k + 1], tb[k:k + 1])
-                                     for k in range(ta.size)])
+        one_by_one = _one_cell_at_a_time(sampled, ta, tb)
         got = integrate._collocate(sampled, ta, tb)
-        assert np.all(np.abs(got - one_by_one) <= 1e-15 * np.abs(one_by_one))
+        for part, want in zip(got, one_by_one):
+            assert np.all(np.abs(part - want) <= 1e-15 * np.abs(want))
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("constant", [True, False], ids=["constant-M", "varying-M"])
@@ -773,10 +803,10 @@ class TestCollocate:
         grid = default_grid(50.0, cells=300)  # a head of distinct widths, a body of few
         ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
         assert not transposed(ta)[0].flags.c_contiguous
-        want = integrate._collocate(coef, ta, tb).tobytes()
-        assert integrate._collocate(transposed, ta, tb).tobytes() == want
+        want = integrate._collocate(coef, ta, tb)
+        assert _same_bits(integrate._collocate(transposed, ta, tb), want)
         if constant:  # one matrix, stride 0 along the nodes
-            assert integrate._collocate(_constant_view(coef), ta, tb).tobytes() == want
+            assert _same_bits(integrate._collocate(_constant_view(coef), ta, tb), want)
 
 
 class TestBlockedStageSolves:
@@ -818,15 +848,37 @@ class TestBlockedStageSolves:
             P_blk, q_blk = _linear_cell_maps(coef, ta, tb)
             assert P_blk.tobytes() == P.tobytes() and q_blk.tobytes() == q.tobytes()
 
+    @pytest.mark.parametrize("scale,bisects", [(1.0, False), (30.0, True)],
+                             ids=["constant-M", "constant-M-bisected"])
+    def test_only_a_bisected_one_width_build_writes_its_homogeneous_maps(self, scale, bisects):
+        # 256 cells of one width and one M: a level whose cells bisect copies
+        # the rows of the one map it writes; a build with no bisection
+        # returns the read-only stride-0 view of the one map
+        coef = _trig_coef(2, constant=True, scale=scale)
+        levels = []
+
+        def counted(ts):
+            levels.append(ts.size)
+            return coef(ts)
+
+        grid = np.linspace(0.0, 64.0, 257)
+        P, q = _linear_cell_maps(counted, grid[:-1], grid[1:])
+        assert (len(levels) > 2) == bisects
+        assert (P.strides[0] != 0) == P.flags.writeable == bisects
+        assert q.flags.writeable and q.strides[0] != 0
+        if bisects:
+            P[0] = 0.0  # a writable array of its own rows
+
     def test_a_build_holds_one_block_of_stage_matrices(self):
         # d = 2 at 2048 cells that need no bisection: per cell, the 14
         # half-cell Gauss nodes' M and b (6 floats each), twice over while
-        # coef builds them, and eight 3 x 3 augmented maps (whole, halves,
-        # their product and its defect); beside those, a few blocks of
-        # stage matrices.  Stage matrices for all cells of the halves at
-        # once are 2 x 196 floats per cell, three times over.  With one
-        # M at every node the cells share one stage matrix, and the weights
-        # each cell reads are gathered a block of cells at a time
+        # coef builds them, and eight maps of at most 3 x 3 floats (whole,
+        # halves, their product and its defect); beside those, a few
+        # blocks of stage matrices.  Stage matrices for all cells of the
+        # halves at once are 2 x 196 floats per cell, three times over.
+        # With one M at every node the cells share one stage matrix and
+        # one map, and test_a_one_width_constant_M_build_holds_offsets_only
+        # bounds that build by its offsets alone
         for system in (_rotating_coef(1.0), _trig_coef(2, constant=True)):
             calls = []
 
@@ -848,6 +900,38 @@ class TestBlockedStageSolves:
             assert calls == [cells * _GAUSS_C.size, cells * nodes]  # one coef call per level
             assert peak < 8 * (cells * (2 * nodes * 6 + 8 * 9) + 4 * _STAGE_FLOATS)
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_a_one_width_constant_M_build_holds_offsets_only(self, d):
+        # M is a stride-0 view of one matrix and coef's arrays are built
+        # before the trace, so the build's own arrays remain.  Per cell: the
+        # halves' 14 node times and their product with the widths, and eight
+        # offsets of d floats (whole, halves, their product and its defect);
+        # beside those, one stage matrix, its factors and weights.  No
+        # homogeneous map per cell: d x d floats each, eight of them would
+        # pass this bound
+        rng = np.random.default_rng(d)
+        M_0, b_w = rng.uniform(-1.0, 1.0, (d, d)), rng.uniform(-1.0, 1.0, (3, d))
+        built = {}
+
+        def coef(ts):
+            if ts.size not in built:
+                basis = np.stack([np.ones_like(ts), np.sin(ts), np.cos(2 * ts)], axis=-1)
+                built[ts.size] = np.broadcast_to(M_0, (ts.size, d, d)), basis @ b_w
+            return built[ts.size]
+
+        cells = 2048
+        grid = np.linspace(0.0, 50.0, cells + 1)
+        _linear_cell_maps(coef, grid[:-1], grid[1:])  # builds coef's arrays outside the trace
+        tracemalloc.start()
+        try:
+            P, _ = _linear_cell_maps(coef, grid[:-1], grid[1:])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nodes = 2 * _GAUSS_C.size
+        assert peak < 8 * (cells * (2 * nodes + 8 * d) + 4 * (_GAUSS_C.size * d) ** 2)
+        assert P.strides[0] == 0  # no cell bisects
+
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     def test_distinct_widths_give_the_bits_of_one_cell_at_a_time_in_one_block(self, backward):
         # one M on a geometric grid: no two cells share a width, so every cell
@@ -857,9 +941,8 @@ class TestBlockedStageSolves:
         grid = np.geomspace(1.0, 51.0, cells + 1) - 1.0
         ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
         assert np.unique(tb - ta).size == cells
-        one_by_one = np.concatenate([integrate._collocate(coef, ta[k:k + 1], tb[k:k + 1])
-                                     for k in range(cells)])
-        assert integrate._collocate(coef, ta, tb).tobytes() == one_by_one.tobytes()
+        one_by_one = _one_cell_at_a_time(coef, ta, tb)
+        assert _same_bits(integrate._collocate(coef, ta, tb), one_by_one)
         calls = []
 
         def counted(ts):

@@ -250,6 +250,13 @@ def extraction_candidate(grid):
         lambda t: np.full(np.shape(t), 0.25))
 
 
+def two_state_candidate(grid):
+    """TWO_STATE's candidate x1 = x2 = e^{-t} under u = 0."""
+    dec = lambda t: np.exp(-np.asarray(t))
+    return candidate_from_functions(grid, lambda t: np.stack([dec(t), dec(t)], axis=-1),
+                                    lambda t: np.zeros(np.shape(t) + (1,)))
+
+
 def undiscounted_pieces(grid):
     prob = parse_problem(UNDISCOUNTED)
     cand = candidate_from_functions(
@@ -402,11 +409,46 @@ class TestAdjointRepresentation:
     def test_one_by_one_condition_numbers_follow_numpy(self, monkeypatch, reg_setup):
         Y = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -3.0, 1e290]).reshape(-1, 1, 1)
         assert pmp._cond(Y).tobytes() == np.linalg.cond(Y).tobytes()
-        Y2 = np.random.default_rng(2).standard_normal((5, 2, 2))
-        assert pmp._cond(Y2).tobytes() == np.linalg.cond(Y2).tobytes()
+        Y3 = np.random.default_rng(2).standard_normal((5, 3, 3))
+        assert pmp._cond(Y3).tobytes() == np.linalg.cond(Y3).tobytes()
         # a one-state certificate takes no SVD for its condition numbers
         monkeypatch.setattr(pmp.np.linalg, "cond", None)
         assert not representation(*reg_setup[:2]).ill_conditioned
+
+    def test_two_by_two_condition_numbers_follow_the_svd(self, monkeypatch):
+        # U diag(1, 1/c) V^T times 10^e: condition c up to 1e12, entries
+        # from 1e-292 to 1e280, whose squares would leave the float range
+        rng = np.random.default_rng(5)
+        conds, scales = np.logspace(0.0, 12.0, 49), 10.0 ** np.arange(-280.0, 281.0, 70.0)
+        c, e = (a.ravel() for a in np.meshgrid(conds, scales))
+
+        def orthogonal():
+            a = rng.uniform(0.0, 2.0 * np.pi, c.size)
+            flip = rng.choice([-1.0, 1.0], c.size)
+            return np.stack([np.cos(a), -flip * np.sin(a), np.sin(a), flip * np.cos(a)],
+                            axis=-1).reshape(-1, 2, 2)
+
+        Y = orthogonal() * np.stack([np.ones_like(c), 1.0 / c], axis=-1)[:, None] @ orthogonal()
+        Y *= e[:, None, None]
+        want = np.linalg.cond(Y)
+        np.testing.assert_allclose(want, c, rtol=1e-3)  # the stack holds what it claims
+        singular = np.array([[[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]],
+                             [[3e-300, 0.0], [0.0, 0.0]], [[0.0, 1e300], [0.0, -1e300]]])
+        monkeypatch.setattr(pmp.np.linalg, "cond", None)  # no SVD for n = 2
+        got = pmp._cond(Y)
+        assert np.all(np.abs(got - want) <= 1e-3 * want)
+        assert np.all(pmp._cond(singular) == np.inf)
+
+    @pytest.mark.parametrize("cells", [1024, 2048])
+    def test_two_state_flags_the_same_first_knot_as_the_svd(self, cells):
+        # Y = diag(e^t, e^{-t}) on uniform grids: the condition number
+        # crosses _COND_LIMIT near t = 13.8, at the knot the SVD names
+        grid = default_grid(50.0, cells=cells, refine_zero=False)
+        flow, _ = flow_and_offsets(parse_problem(TWO_STATE), two_state_candidate(grid))
+        Y = np.swapaxes(flow, 1, 2)
+        got, want = pmp._cond(Y) > pmp._COND_LIMIT, np.linalg.cond(Y) > pmp._COND_LIMIT
+        assert got.any() and np.argmax(got) == np.argmax(want)
+        assert 13.0 < grid[np.argmax(got)] < 14.5
 
     def test_regulator_matches_closed_form(self, reg_setup):
         prob, cand, _ = reg_setup
@@ -546,6 +588,45 @@ nu = exp_decay 1.0
             lambda t: np.zeros(np.shape(t)))
         with pytest.raises(IllConditioned):
             representation(prob, cand)
+
+
+class TestSharedCellMap:
+    """A constant phi_x on cells of one width builds one homogeneous adjoint
+    map, carried as a read-only stride-0 view through every reader."""
+
+    PROBLEMS = {
+        "regulator": lambda g: (regulator(), regulator_candidate(g)),
+        "two-state": lambda g: (parse_problem(TWO_STATE), two_state_candidate(g)),
+        "extraction": lambda g: (parse_problem(EXTRACTION), extraction_candidate(g)),
+    }
+
+    @pytest.mark.parametrize("name,shared", [("regulator", True), ("two-state", True),
+                                             ("extraction", False)])
+    def test_only_a_constant_jacobian_gives_a_stride_0_map(self, grid, name, shared):
+        # extraction's phi_x reads the state, so its maps are per cell
+        prob, cand = self.PROBLEMS[name](grid)
+        P, q = pmp._adjoint_cell_maps(prob, cand)
+        assert P.shape == (2048, prob.n, prob.n) and q.shape == (2048, prob.n)
+        assert (P.strides[0] == 0) == shared == (not P.flags.writeable)
+        assert q.strides[0] != 0
+
+    @pytest.mark.parametrize("name", ["regulator", "two-state"])
+    def test_a_stride_0_map_reads_as_its_contiguous_copy(self, grid, name):
+        prob, cand = self.PROBLEMS[name](grid)
+        P, q = pmp._adjoint_cell_maps(prob, cand)
+        assert P.strides[0] == 0 and not P.flags.writeable
+        dense = np.ascontiguousarray(P)
+        y0 = np.linspace(1.0, 2.0, prob.n)
+        chain = lambda maps: integrate._affine_chain(maps, q, y0)
+        assert chain(P).tobytes() == chain(dense).tobytes()
+        flow = lambda maps: integrate._affine_chain(np.swapaxes(maps, 1, 2), np.zeros_like(q),
+                                                    np.eye(prob.n))
+        assert flow(P).tobytes() == flow(dense).tobytes()
+        view, copy = (adjoint_backward(grid, maps, q, 1.0) for maps in (P, dense))
+        assert view.p.tobytes() == copy.p.tobytes()
+        assert view.terminal_error == copy.terminal_error
+        view, copy = (adjoint_representation(grid, flow(maps), q) for maps in (P, dense))
+        assert view.p.tobytes() == copy.p.tobytes()
 
 
 class TestAdjointSolutionContainer:
