@@ -859,10 +859,10 @@ def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, np.nda
     return P, q
 
 
-def _one_map(P: np.ndarray) -> np.ndarray:
-    """``P``'s one matrix, shaped (1, d, d), if ``P`` is a stride-0 view of
-    it, else ``P``: broadcast against the other cells, it stands for all."""
-    return P[:1] if P.strides[0] == 0 else P
+def _one_map(a: np.ndarray) -> np.ndarray:
+    """The one row ``a[:1]`` if ``a`` is a stride-0 view along its first
+    axis, else ``a``: broadcast against the other rows, it stands for all."""
+    return a[:1] if a.strides[0] == 0 else a
 
 
 def _compose(right, left) -> tuple[np.ndarray, np.ndarray]:

@@ -61,6 +61,7 @@ from .integrate import (
     _check_grid,
     _decay_residual,
     _linear_cell_maps,
+    _one_map,
     decays_to_zero,
     improper_verdict,
     solve_ode,  # unused here, but perfbench/spans.py wraps pmp.solve_ode by name
@@ -284,7 +285,7 @@ def _adjoint_cell_maps(prob: ControlProblem,
         x, u = cand.state(ts), cand.control(ts)
         A = prob.phi_jac_x(ts, x, u)
         w = np.asarray(prob.omega(ts), dtype=float)
-        M = -np.swapaxes(A[:1] if A.strides[0] == 0 else A, -1, -2)
+        M = -np.swapaxes(_one_map(A), -1, -2)
         return np.broadcast_to(M, A.shape), w[:, None] * prob.f_grad_x(ts, x, u)
 
     return _linear_cell_maps(coef, cand.grid[1:], cand.grid[:-1])

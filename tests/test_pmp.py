@@ -527,11 +527,7 @@ nu = exp_decay 1.0
         # t = 13.8, and p2(0) has the closed form -(2/5)(1 - e^{-250})
         prob = parse_problem(TWO_STATE)
         grid = default_grid(50.0, cells=1024, refine_zero=False)
-        dec = lambda t: np.exp(-np.asarray(t))
-        cand = candidate_from_functions(
-            grid, lambda t: np.stack([dec(t), dec(t)], axis=-1),
-            lambda t: np.zeros(np.shape(t) + (1,)))
-        rep = representation(prob, cand)
+        rep = representation(prob, two_state_candidate(grid))
         assert rep.ill_conditioned
         assert any("condition number" in note for note in rep.notes)
         assert rep.p[0, 0] == pytest.approx(0.0, abs=1e-12)
