@@ -865,14 +865,27 @@ def _one_map(a: np.ndarray) -> np.ndarray:
     return a[:1] if a.strides[0] == 0 else a
 
 
+def _cell_max(a: np.ndarray) -> np.ndarray:
+    """The largest entry of each cell of ``a`` (K, ...), NaN where one is
+    NaN.  Taken down the columns of a transposed copy: numpy reduces a few
+    entries per row far slower than a long column."""
+    return np.ascontiguousarray(a.reshape(a.shape[0], -1).T).max(axis=0)
+
+
 def _compose(right, left) -> tuple[np.ndarray, np.ndarray]:
     """The pair of ``right`` after ``left``: ``P_r P_l`` and ``P_r q_l + q_r``.
-    Two stride-0 views make one product, again a view."""
+    Two stride-0 views make one product, again a view.
+
+    ``q_l`` enters as two equal columns: numpy multiplies each cell's matrix
+    by two columns with gemm, which sums as the product of the augmented
+    maps ``[[P, q], [0, 1]]`` does (OpenBLAS 0.3, d up to 15), and by one
+    column with gemv, which rounds differently.
+    """
     (P_r, q_r), (P_l, q_l) = right, left
     P = _one_map(P_r) @ _one_map(P_l)
     if P.shape[0] < q_l.shape[0]:
         P = np.broadcast_to(P, P_l.shape)
-    return P, (P_r @ q_l[..., None])[..., 0] + q_r
+    return P, (P_r @ np.stack((q_l, q_l), axis=-1))[..., 0] + q_r
 
 
 def _linear_cell_maps(coef, ta, tb, pieces: int = _MAP_PIECES) -> tuple[np.ndarray, np.ndarray]:
@@ -909,10 +922,9 @@ def _linear_cell_maps(coef, ta, tb, pieces: int = _MAP_PIECES) -> tuple[np.ndarr
             fine = _compose(right, left)
             (P_f, q_f), (P_w, q_w) = fine, whole
             # per cell; P's part is one number where P is a view of one matrix
-            size = np.maximum(np.max(np.abs(_one_map(P_f)), axis=(1, 2)),
-                              np.max(np.abs(q_f * unit), axis=1))
-            err = np.maximum(np.max(np.abs(_one_map(P_f) - _one_map(P_w)), axis=(1, 2)),
-                             np.max(np.abs((q_f - q_w) * unit), axis=1)) / np.maximum(1.0, size)
+            size = np.maximum(_cell_max(np.abs(_one_map(P_f))), _cell_max(np.abs(q_f * unit)))
+            err = np.maximum(_cell_max(np.abs(_one_map(P_f) - _one_map(P_w))),
+                             _cell_max(np.abs((q_f - q_w) * unit))) / np.maximum(1.0, size)
             bad = ~(err <= _MAP_TOL)  # NaN counts as bad
             levels.append((fine, bad))
             if not bad.any():

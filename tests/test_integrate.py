@@ -809,6 +809,34 @@ class TestCollocate:
             assert _same_bits(integrate._collocate(_constant_view(coef), ta, tb), want)
 
 
+class TestComposePairs:
+    """The pair product against the augmented maps it replaces."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("views", [(False, False), (True, False), (False, True),
+                                       (True, True)], ids=["", "right-view", "left-view",
+                                                           "two-views"])
+    def test_gives_the_bits_of_the_augmented_product(self, d, views):
+        rng = np.random.default_rng(d)
+        cells = 300
+
+        def pair(view):
+            P = rng.standard_normal((1 if view else cells, d, d))
+            return np.broadcast_to(P, (cells, d, d)) if view else P, rng.standard_normal((cells, d))
+
+        def augmented(P, q):
+            G = np.zeros((cells, d + 1, d + 1))
+            G[:, :d, :d], G[:, :d, d], G[:, d, d] = P, q, 1.0
+            return G
+
+        right, left = pair(views[0]), pair(views[1])
+        P, q = integrate._compose(right, left)
+        want = augmented(*right) @ augmented(*left)
+        assert P.tobytes() == np.ascontiguousarray(want[:, :d, :d]).tobytes()
+        assert q.tobytes() == np.ascontiguousarray(want[:, :d, d]).tobytes()
+        assert (P.strides[0] == 0) == all(views)
+
+
 class TestBlockedStageSolves:
     """The stage systems are solved a block of cells at a time."""
 
