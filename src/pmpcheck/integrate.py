@@ -146,7 +146,11 @@ def improper_integral(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -
     ``partials[0]`` is 0 and ``partials[-1]`` the integral over
     [0, grid[-1]].  ``f`` is called once, on the (cells, 7) Gauss nodes.
     """
-    grid = _check_grid(grid)
+    return _partials(f, _check_grid(grid))
+
+
+def _partials(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> np.ndarray:
+    """:func:`improper_integral` on a grid that has passed the grid rule."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cells = _cell_integrals(f, grid)
     return np.concatenate(([0.0], np.cumsum(cells)))
@@ -178,18 +182,14 @@ _LADDER_CELLS = 256  # per decade
 _LADDER_TOL = 1e-8
 
 
-def improper_verdict(
-    f: Callable[[np.ndarray], np.ndarray],
-    pole_exp: float | None = 0.0,
-    tail_bound: Callable[[float], float] | None = None,
-) -> LadderRecord:
-    """Decide whether ``int_0^inf f`` converges, with the evidence attached.
+def _ladder() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ladder's grid, its decade rungs, their knot indices and the knot
+    indices of the head marks, each read-only.
 
-    ``pole_exp`` declares the power behaviour of ``f`` at 0 (``f ~ t^e``);
-    ``None`` means unknown.  ``tail_bound(T)``, when supplied, must bound
-    the remaining mass beyond T and settles tail convergence by itself.
+    The grid is a geometric head below 1, then log-spaced decades up to
+    the horizon; the head marks bound the blocks [1e-9, 1e-6], [1e-6,
+    1e-3] and [1e-3, 1].
     """
-    # grid: geometric head below 1, then log-spaced decades up to the horizon
     n_geo = int(np.ceil(np.log2(1.0 / _T_MIN)))
     head = _T_MIN * 2.0 ** np.arange(n_geo + 1)
     head[-1] = 1.0
@@ -202,15 +202,36 @@ def improper_verdict(
         decades.append(nxt)
         t = nxt
     grid = np.concatenate(pieces)
-    partials = improper_integral(f, grid=grid)
+    decades = np.asarray(decades)
+    built = (grid, decades, np.searchsorted(grid, decades),
+             np.searchsorted(grid, [1e-9, 1e-6, 1e-3, 1.0]))
+    for a in built:
+        a.flags.writeable = False
+    return built
 
-    decade_idx = np.searchsorted(grid, np.asarray(decades))
-    decade_partials = partials[decade_idx]
+
+# built once: every verdict integrates over the same ladder
+_LADDER_GRID, _LADDER_DECADES, _LADDER_RUNGS, _LADDER_MARKS = _ladder()
+
+
+def improper_verdict(
+    f: Callable[[np.ndarray], np.ndarray],
+    pole_exp: float | None = 0.0,
+    tail_bound: Callable[[float], float] | None = None,
+) -> LadderRecord:
+    """Decide whether ``int_0^inf f`` converges, with the evidence attached.
+
+    ``pole_exp`` declares the power behaviour of ``f`` at 0 (``f ~ t^e``);
+    ``None`` means unknown.  ``tail_bound(T)``, when supplied, must bound
+    the remaining mass beyond T and settles tail convergence by itself.
+    """
+    # the ladder's grid is built once and passes the grid rule by construction
+    partials = _partials(f, _LADDER_GRID)
+    decade_partials = partials[_LADDER_RUNGS]
     increments = np.diff(np.concatenate(([0.0], decade_partials)))
 
     # head blocks: mass over [1e-9,1e-6], [1e-6,1e-3], [1e-3,1]
-    marks = np.searchsorted(grid, [1e-9, 1e-6, 1e-3, 1.0])
-    head_blocks = np.diff(partials[marks])
+    head_blocks = np.diff(partials[_LADDER_MARKS])
 
     notes: list[str] = []
     # --- behaviour at 0 ---
@@ -236,7 +257,7 @@ def improper_verdict(
         tail_status = "diverged"
         notes.append("partial integrals overflow")
     elif tail_bound is not None:
-        tail_estimate = float(tail_bound(float(decades[-1])))
+        tail_estimate = float(tail_bound(float(_LADDER_DECADES[-1])))
         tail_status = "converged" if np.isfinite(tail_estimate) else "inconclusive"
     else:
         d = np.abs(increments)
@@ -262,7 +283,7 @@ def improper_verdict(
     return LadderRecord(
         verdict,
         float(decade_partials[-1]),
-        np.asarray(decades),
+        _LADDER_DECADES,
         decade_partials,
         tail_estimate,
         tuple(notes),
@@ -438,6 +459,52 @@ def _sample_at(grid: np.ndarray, samples: np.ndarray, t) -> np.ndarray:
     return samples[np.minimum(np.searchsorted(grid, t, side="left"), grid.size - 1)]
 
 
+# Reads at times whose cells are known.  A map build hands its coefficient
+# function the times ``ts`` together with ``cells``, a slice or an index
+# array naming the caller's cell of each working cell; ``ts`` holds one run
+# of nodes per working cell, in order, and may hold several runs over the
+# same cells (a build's halves hold two).  Per-cell data are gathered once
+# by ``cells`` and broadcast over a cell's nodes, so no time is searched.
+
+
+def _runs(ts, cells: int, nodes: int) -> np.ndarray:
+    """``ts`` shaped (runs, cells, nodes): each run holds ``nodes`` times
+    of every cell in turn."""
+    return np.reshape(ts, (-1, cells, nodes))
+
+
+def _cell_samples(samples: np.ndarray, ts, cells) -> np.ndarray:
+    """:func:`_sample_at` at Gauss nodes ``ts`` strictly inside the grid
+    cells ``cells``: each cell's right-knot sample, copied to its nodes.
+    Shaped ``ts.shape + samples.shape[1:]``."""
+    right = samples[1:][cells]
+    out = np.empty(np.shape(ts) + samples.shape[1:])
+    runs = _runs(ts, right.shape[0], _GAUSS_C.size)
+    out.reshape(runs.shape + samples.shape[1:])[...] = right[:, None]
+    return out
+
+
+def _cell_interp(grid: np.ndarray, values: np.ndarray, ts, cells) -> np.ndarray | None:
+    """The columns of ``values`` (one row per knot) interpolated linearly at
+    Gauss nodes ``ts`` inside the grid cells ``cells``, as ``np.interp`` computes
+    them: ``slope * (t - t_k) + x_k`` with ``slope = (x_{k+1} - x_k) /
+    (t_{k+1} - t_k)``, one column at a time into one output shaped
+    ``ts.shape + (columns,)`` (numpy broadcasts over a short last axis far
+    slower).  None where a slope is not finite: ``np.interp`` then retries
+    from the right knot, and the caller searches."""
+    t_k, x_k = grid[:-1][cells], values[:-1][cells]
+    slope = (values[1:][cells] - x_k) / (grid[1:][cells] - t_k)[:, None]
+    if not np.isfinite(slope).all():
+        return None
+    since = _runs(ts, t_k.size, _GAUSS_C.size) - t_k[:, None]
+    out = np.empty(np.shape(ts) + values.shape[1:])
+    view = out.reshape(since.shape + values.shape[1:])
+    for i in range(values.shape[1]):
+        np.multiply(since, slope[:, None, i], out=view[..., i])
+        np.add(view[..., i], x_k[:, None, i], out=view[..., i])
+    return out
+
+
 def _check_norms(ts: np.ndarray, x: np.ndarray, blowup: float) -> None:
     """Raise :class:`BlowUp` at the first of ``ts`` whose state norm
     exceeds ``blowup`` or is NaN."""
@@ -453,13 +520,15 @@ def _affine_state(prob, control, grid, x0, blowup):
 
     Under a fixed control the state equation is ``x' = M(t) x + b(t)``
     with ``M = phi_x(t, 0, u)`` and ``b = phi(t, 0, u)``, read at interior
-    Gauss nodes only.  :func:`_affine_chain` composes the maps into every
-    knot at once; then the first knot whose norm exceeds ``blowup`` (or is
-    NaN) raises :class:`BlowUp`, whatever later knots read.
+    Gauss nodes only.  ``control(ts, cells)`` gives u at the nodes ``ts``
+    of the grid cells ``cells`` (see :func:`_linear_cell_maps`).
+    :func:`_affine_chain` composes the maps into every knot at once; then
+    the first knot whose norm exceeds ``blowup`` (or is NaN) raises
+    :class:`BlowUp`, whatever later knots read.
     """
 
-    def coef(ts):
-        us = np.asarray(control(ts), dtype=float).reshape(ts.size, -1)
+    def coef(ts, cells):
+        us = np.asarray(control(ts, cells), dtype=float).reshape(ts.size, -1)
         zero = np.zeros((ts.size, x0.size))
         return prob.phi_jac_x(ts, zero, us), prob.phi_value(ts, zero, us)
 
@@ -496,17 +565,25 @@ def _iterate(prob, tw, xw, u_ends):
     """The iterate through the knot states ``xw``, as a function of time:
     the cubic Hermite interpolant with the slopes ``phi`` gives at each
     cell's knots, read with the cell's own control ``u_ends``, so the
-    iterate may bend at a knot where the control jumps."""
+    iterate may bend at a knot where the control jumps.
+
+    It is read as ``at(ts, cells, nodes)``: ``ts`` holds runs of ``nodes``
+    times inside the cells ``cells`` of ``tw`` (see :func:`_runs`), and
+    each cell's knots and slopes are gathered once for its nodes."""
     ends = np.concatenate((tw[:-1], tw[1:]))
     left, right = prob.phi_value(ends, np.concatenate((xw[:-1], xw[1:])), u_ends).reshape(
         2, tw.size - 1, xw.shape[1])
 
-    def at(ts):
-        k = np.clip(np.searchsorted(tw, ts, side="right") - 1, 0, tw.size - 2)
-        h = (tw[k + 1] - tw[k])[:, None]
-        s = (ts - tw[k])[:, None] / h
-        return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * xw[k] + s * (1.0 - s) ** 2 * h * left[k]
-                + s * s * (3.0 - 2.0 * s) * xw[k + 1] - s * s * (1.0 - s) * h * right[k])
+    def at(ts, cells, nodes=_GAUSS_C.size):
+        t_k = tw[:-1][cells]
+        h = tw[1:][cells] - t_k
+        s = ((_runs(ts, t_k.size, nodes) - t_k[:, None]) / h[:, None])[..., None]
+        h = h[:, None, None]
+        x_a, x_b = xw[:-1][cells, None], xw[1:][cells, None]
+        d_a, d_b = left[cells, None], right[cells, None]
+        x = ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * x_a + s * (1.0 - s) ** 2 * h * d_a
+             + s * s * (3.0 - 2.0 * s) * x_b - s * s * (1.0 - s) * h * d_b)
+        return x.reshape(np.shape(ts) + (xw.shape[1],))
 
     return at
 
@@ -519,8 +596,8 @@ def _newton_sweep(prob, control, tw, x0, iterate) -> np.ndarray:
     the Gauss collocation cell maps and the blocked prefix scan.
     """
 
-    def coef(ts):
-        xs = iterate(ts)
+    def coef(ts, cells):
+        xs = iterate(ts, cells)
         us = np.asarray(control(ts), dtype=float).reshape(ts.size, -1)
         M = prob.phi_jac_x(ts, xs, us)
         return M, prob.phi_value(ts, xs, us) - np.einsum("kij,kj->ki", M, xs)
@@ -539,15 +616,17 @@ def _coarse_cells(prob, control, tw, xw, iterate) -> np.ndarray:
     where the iterate leaves the expression domain at those nodes.
     """
     h = 0.5 * np.diff(tw)
+    cells = slice(0, h.size)
     ts = (tw[:-1, None] + h[:, None] * _GAUSS_C).ravel()
     us = np.asarray(control(ts), dtype=float).reshape(ts.size, -1)
     try:
-        slopes = prob.phi_value(ts, iterate(ts), us).reshape(h.size, _GAUSS_C.size, -1)
+        slopes = prob.phi_value(ts, iterate(ts, cells), us).reshape(h.size, _GAUSS_C.size, -1)
     except DomainError as err:
         coarse = np.zeros(h.size, dtype=bool)
         coarse[np.searchsorted(tw, err.point["t"]) - 1] = True  # nodes are interior
         return coarse
-    gap = h[:, None] * np.einsum("kqn,q->kn", slopes, _GAUSS_B) - (iterate(tw[:-1] + h) - xw[:-1])
+    mid = iterate(tw[:-1] + h, cells, nodes=1)
+    gap = h[:, None] * np.einsum("kqn,q->kn", slopes, _GAUSS_B) - (mid - xw[:-1])
     scale = np.maximum(1.0, np.maximum(np.abs(xw[:-1]), np.abs(xw[1:])))
     return ~np.all(np.abs(gap) <= _NEWTON_CELL_TOL * scale, axis=1)
 
@@ -668,11 +747,14 @@ def solve_state(prob, u, x0=None, grid=None, guess=None, blowup: float = 1e12):
     read off the callable at the knots, follow the candidate's shape rule
     (:func:`~pmpcheck.problem._check_samples`).  They are treated as
     constant on each half-open cell, the sample at the right knot owning
-    the cell, and are read through the same lookup.  The control is read
-    inside the cells only (a cell's left knot moved to the next float
-    above it), so a control that jumps at the knots, such as
-    ``CandidateProcess.control`` of a sampled candidate, is seen with the
-    cell's own value.
+    the cell, as ``CandidateProcess.control`` reads a sampled candidate's
+    control: a sampled candidate passes its samples ``cand.u``.  Dynamics
+    affine in x read each cell's sample once for all its Gauss nodes; the
+    Newton sweeps, whose working cells are not grid cells, look it up.
+    The control is read inside the cells only (a cell's left knot moved
+    to the next float above it), so a callable that jumps at the knots,
+    such as ``CandidateProcess.control`` of a sampled candidate, is seen
+    with the cell's own value.
 
     Every dynamics runs on one engine: the 7-stage Gauss collocation cell
     maps of a linear equation ``x' = M(t) x + b(t)``, checked against
@@ -710,11 +792,12 @@ def solve_state(prob, u, x0=None, grid=None, guess=None, blowup: float = 1e12):
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
     u_samples = _check_samples("control", u(grid) if callable(u) else u, grid, "m")
-    control = u if callable(u) else (lambda ts: _sample_at(grid, u_samples, ts))
-
     if prob.x_affine:
-        x = _affine_state(prob, control, grid, x0, blowup)
+        read = (lambda ts, cells: u(ts)) if callable(u) else (
+            lambda ts, cells: _cell_samples(u_samples, ts, cells))
+        x = _affine_state(prob, read, grid, x0, blowup)
     else:
+        control = u if callable(u) else (lambda ts: _sample_at(grid, u_samples, ts))
         x = _newton_state(prob, control, grid, x0, guess, blowup)
     return CandidateProcess(grid=grid, x=x, u=u_samples,
                             closed_u=u if callable(u) else None)
@@ -766,11 +849,15 @@ _MAP_PIECES = 2**15  # most cells one halving level may hold, unless a build set
 _STAGE_FLOATS = 2**15
 
 
-def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _collocate(coef, ta: np.ndarray, tb: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
     """One collocation step per cell, as the pair ``P`` (K, d, d), ``q`` (K, d)
     of the maps ``y(tb) = P y(ta) + q``.
 
-    ``coef`` is called once, on the Gauss nodes of every cell.  A cell's
+    ``coef(ts, cells)`` is called once, on the Gauss nodes of every cell:
+    ``ts`` holds the 7 nodes of each cell of ``ta`` in turn.  The cells of
+    ``ta`` may be several runs over the same cells, and ``cells`` names
+    the caller's cell of each cell of one run (see
+    :func:`_linear_cell_maps`).  A cell's
     transposed stage matrix ``I - h (A x M)^T`` depends on the cell only
     through ``h`` and ``M`` at its nodes.  The matrices are solved for the
     weights ``W`` of the d right-hand sides ``b x I_d`` a block at a time,
@@ -797,7 +884,7 @@ def _collocate(coef, ta: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     h = tb - ta
     K, s = ta.size, _GAUSS_C.size
-    M, b = coef((ta[:, None] + h[:, None] * _GAUSS_C).ravel())
+    M, b = coef((ta[:, None] + h[:, None] * _GAUSS_C).ravel(), cells)
     d = b.shape[-1]
     # one M at every node: == is transitive, and a NaN node fails it; read on
     # the (K s, d, d) view, so an M in any layout is not copied.  A view with
@@ -891,8 +978,8 @@ def _compose(right, left) -> tuple[np.ndarray, np.ndarray]:
 def _linear_cell_maps(coef, ta, tb, pieces: int = _MAP_PIECES) -> tuple[np.ndarray, np.ndarray]:
     """Maps ``y(tb) = P y(ta) + q`` of ``y' = M(t) y + b(t)``, one per cell.
 
-    ``coef(ts)`` returns ``M`` (len(ts), d, d) and ``b`` (len(ts), d); it
-    sees interior Gauss nodes only, once per level, while
+    ``coef(ts, cells)`` returns ``M`` (len(ts), d, d) and ``b`` (len(ts),
+    d); it sees interior Gauss nodes only, once per level, while
     :func:`_collocate` solves the level's stage systems a block of cells
     at a time, so a cell's (7d)^2 stage floats are held for one block
     only.  Cells may run backward.  A cell whose one-step map differs from
@@ -908,16 +995,28 @@ def _linear_cell_maps(coef, ta, tb, pieces: int = _MAP_PIECES) -> tuple[np.ndarr
     is one number; only the offsets are per cell.  A level whose cells
     bisect copies the rows it writes, so the returned ``P`` stays a view
     only if no cell bisects.  Readers must not write into ``P``.
+
+    ``cells`` tells ``coef`` which of the caller's cells, ``ta`` and ``tb``
+    in order, holds each cell of a call, so per-cell data are read without
+    searching the times.  ``ts`` holds one run of 7 Gauss nodes per cell
+    of the call, and the halves two runs, first the left halves of all
+    cells, then the right halves, both over the same ``cells``.  Halves
+    and bisected pieces inherit their parent's cell.  Until a cell
+    bisects, ``cells`` is the slice of all the caller's cells, so
+    ``knots[:-1][cells]`` is a view; a level of bisected pieces gets an
+    index array.
     """
     lo, hi = np.asarray(ta, dtype=float), np.asarray(tb, dtype=float)
+    cells = slice(0, lo.size)
     levels = []
     with np.errstate(over="ignore", invalid="ignore"):
-        whole = _collocate(coef, lo, hi)
+        whole = _collocate(coef, lo, hi, cells)
         total = np.nansum(np.abs(whole[1]))
         unit = 1.0 / total if 0.0 < total < np.inf else 1.0
         for halvings in range(_MAP_HALVINGS + 1):
             mid = 0.5 * (lo + hi)
-            P_h, q_h = _collocate(coef, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+            P_h, q_h = _collocate(coef, np.concatenate((lo, mid)), np.concatenate((mid, hi)),
+                                  cells)
             left, right = (P_h[: lo.size], q_h[: lo.size]), (P_h[lo.size:], q_h[lo.size:])
             fine = _compose(right, left)
             (P_f, q_f), (P_w, q_w) = fine, whole
@@ -933,6 +1032,8 @@ def _linear_cell_maps(coef, ta, tb, pieces: int = _MAP_PIECES) -> tuple[np.ndarr
                 k = int(np.argmax(bad))
                 raise BlowUp(lo[k], err[k], _MAP_TOL, what="cell map defect")
             # the halves of an unresolved cell are the next level's cells
+            parents = np.flatnonzero(bad) if isinstance(cells, slice) else cells[bad]
+            cells = np.stack((parents, parents), axis=1).ravel()
             lo = np.stack((lo[bad], mid[bad]), axis=1).ravel()
             hi = np.stack((mid[bad], hi[bad]), axis=1).ravel()
             whole = tuple(np.stack((lh[bad], rh[bad]), axis=1).reshape(-1, *lh.shape[1:])

@@ -277,16 +277,23 @@ _COND_LIMIT = 1e12  # condition number from which representation values are flag
 def _adjoint_cell_maps(prob: ControlProblem,
                        cand: CandidateProcess) -> tuple[np.ndarray, np.ndarray]:
     """Cell maps p(t_k) = P_k p(t_{k+1}) + q_k of p' = -phi_x^T p + w f_x,
-    one per cell of ``cand.grid``.  A constant ``phi_x`` arrives as a
-    stride-0 view (:func:`~pmpcheck.problem._evaluator`); its one matrix is
-    negated and transposed, and leaves as a view again."""
+    one per cell of ``cand.grid``.  The candidate is read at the Gauss
+    nodes of the cells the build names (:meth:`CandidateProcess.in_cells`).
+    A constant ``phi_x`` arrives as a stride-0 view
+    (:func:`~pmpcheck.problem._evaluator`); its one matrix is negated and
+    transposed, and leaves as a view again.  With x and u released, the
+    forcing ``w f_x`` is formed in the array ``f_grad_x`` returns, unless
+    that is a read-only view of a constant."""
 
-    def coef(ts):
-        x, u = cand.state(ts), cand.control(ts)
+    def coef(ts, cells):
+        x, u = cand.in_cells(ts, cells)
         A = prob.phi_jac_x(ts, x, u)
         w = np.asarray(prob.omega(ts), dtype=float)
+        f_x = prob.f_grad_x(ts, x, u)
+        del x, u
         M = -np.swapaxes(_one_map(A), -1, -2)
-        return np.broadcast_to(M, A.shape), w[:, None] * prob.f_grad_x(ts, x, u)
+        forcing = f_x if f_x.flags.writeable else None
+        return np.broadcast_to(M, A.shape), np.multiply(w[:, None], f_x, out=forcing)
 
     return _linear_cell_maps(coef, cand.grid[1:], cand.grid[:-1])
 
@@ -522,7 +529,13 @@ def _adjoint_cell_integrals(prob, cand, adj, jumps):
     basis = np.array([2 * tau**3 - 3 * tau**2 + 1, tau**3 - 2 * tau**2 + tau,
                       3 * tau**2 - 2 * tau**3, tau**3 - tau**2])
     ph = np.einsum("jq,jkn->kqn", basis, np.array((a, h * d0, b, h * d1)))
-    h_x = lambda ts: pontryagin_H_x(prob, ts, cand.state(ts), cand.control(ts), ph, lam)
+    # an adjoint on a prefix of the candidate's grid reads the candidate
+    # cell by cell; one on another grid searches it at every node
+    if grid.size <= cand.grid.size and np.array_equal(grid, cand.grid[:grid.size]):
+        read = lambda ts: cand.in_cells(ts, slice(0, grid.size - 1))
+    else:
+        read = lambda ts: (cand.state(ts), cand.control(ts))
+    h_x = lambda ts: pontryagin_H_x(prob, ts, *read(ts), ph, lam)
     return -_cell_integrals(h_x, grid)
 
 
@@ -1231,8 +1244,9 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess,
     equation ``dx' = phi_x(t, x*, u*) dx``, at each knot of ``cand.grid``
     (see :func:`verify_certificate`); another shape raises
     :class:`~pmpcheck.problem.DimensionMismatch`.  Each start ``zeta``
-    costs one :func:`~pmpcheck.integrate.solve_state` on the Gauss
-    collocation cell maps of a linear equation: one build for dynamics
+    costs one :func:`~pmpcheck.integrate.solve_state` under the candidate
+    control, its closed form or else its samples on the window, on the
+    Gauss collocation cell maps of a linear equation: one build for dynamics
     affine in x (``prob.x_affine``), else Newton sweeps from the linear
     envelope ``x*(t) + Phi(t, 0) (zeta - x0)``, or ``x*(t)`` where that is
     not finite.  Exact to first order, the envelope leaves the sweeps to
@@ -1256,10 +1270,13 @@ def check_normality(prob: ControlProblem, cand: CandidateProcess,
     guesses = x_base + np.einsum("kij,sj->ski", flow[:sub.size], np.array(starts) - prob.x0)
     guesses = np.where(np.isfinite(guesses).all(axis=2, keepdims=True), guesses, x_base)
 
+    # a sampled control goes as its samples, which solve_state reads by the
+    # candidate's own rule, each cell's right-knot sample
+    control = cand.control if cand.closed_u is not None else cand.u[:sub.size]
     ratios = np.zeros(sub.size)
     for zeta, guess in zip(starts, guesses):
         try:
-            pert = solve_state(prob, u=cand.control, x0=zeta, grid=sub, guess=guess,
+            pert = solve_state(prob, u=control, x0=zeta, grid=sub, guess=guess,
                                blowup=_NORMALITY_BLOWUP)
         except BlowUp as e:
             return ConditionRecord(

@@ -37,7 +37,8 @@ import numpy as np
 from .expressions import (Call, Expression, ExpressionSyntaxError, Neg, UnknownIdentifier,
                           _bisect, _build, _check_variables, _children, _domain_probe, _emit,
                           _enclose, _is_num, _up, parse_expression)
-from .integrate import _cell_integrals, _check_grid, _sample_at, improper_integral
+from .integrate import (_cell_integrals, _cell_interp, _cell_samples, _check_grid, _sample_at,
+                        improper_integral)
 from .weights import (
     InvalidExponent,
     WeightSpec,
@@ -209,10 +210,14 @@ def _evaluator(exprs, shape: tuple, n: int, m: int) -> Callable:
     no component names a variable, the same stores fill an array of shape
     ``shape`` alone, and the result is ``np.broadcast_to`` of it: a
     read-only view of shape ``t.shape + shape`` whose time axes have
-    stride 0, so constant data costs nothing per time.  No caller writes
-    into a result.  The control argument exists only when ``m > 0``.  A
-    domain failure raises :class:`DomainError` whose witness reads ``t``,
-    ``x1..xn`` and ``u1..um`` at the first offending point.
+    stride 0, so constant data costs nothing per time.  Any other result
+    of a ``shape != ()`` evaluator is a new array that the caller owns and
+    may write into (``pmp._adjoint_cell_maps`` forms the adjoint forcing
+    in the array ``f_grad_x`` returns).  A ``shape == ()`` value may be a
+    view of an argument, and no caller writes into it.  The control
+    argument exists only when ``m > 0``.  A domain failure raises
+    :class:`DomainError` whose witness reads ``t``, ``x1..xn`` and
+    ``u1..um`` at the first offending point.
     """
     names: list[str] = []
     constant = all(not e.variables() for e in exprs)
@@ -265,13 +270,14 @@ class ControlProblem:
     array (see :func:`_evaluator`); one whose components are all constants,
     as ``phi_jac_x`` of linear dynamics with constant coefficients, fills
     one copy and returns it as a read-only view with stride 0 along the
-    times, so results are read, never written.  The diagonal ``phi_uu`` of
-    the dynamics' control Hessians joins ``f_uu`` in :meth:`u_slopes`,
-    which gives the control search the slope and curvature of H along one
-    control coordinate.  ``u_quadratic[i]`` holds when H is at most
-    quadratic in ``u_i``: ``f_uu[i]`` and ``phi_uu[:, i]`` are free of
-    ``u_i``, and so is every ``sign`` node (the derivative of ``abs``,
-    whose own derivative reads 0) in ``f_u[i]`` and ``phi_u[:, i]``.
+    times; only a caller that checks ``flags.writeable`` writes into a
+    result.  The diagonal ``phi_uu`` of the dynamics' control Hessians
+    joins ``f_uu`` in :meth:`u_slopes`, which gives the control search the
+    slope and curvature of H along one control coordinate.
+    ``u_quadratic[i]`` holds when H is at most quadratic in ``u_i``:
+    ``f_uu[i]`` and ``phi_uu[:, i]`` are free of ``u_i``, and so is every
+    ``sign`` node (the derivative of ``abs``, whose own derivative reads 0)
+    in ``f_u[i]`` and ``phi_u[:, i]``.
     ``x_affine`` holds when the dynamics are affine in the state: no
     entry of ``phi_x`` names ``x1..xn``.  The test is symbolic and
     conservative (``x1/x1`` does not count as affine);
@@ -476,6 +482,11 @@ class CandidateProcess:
     exactly rather than through interpolation.  ``x`` and ``u`` hold one
     row per knot, shaped (K, n) and (K, m); a 1-d array is one column and
     any other shape raises :class:`DimensionMismatch` (:func:`_check_samples`).
+
+    :meth:`state` and :meth:`control` take arbitrary times and search the
+    grid for each.  A map build knows the cell of every Gauss node and
+    reads both through :meth:`in_cells`, which gathers each cell's samples
+    once.
     """
 
     grid: np.ndarray
@@ -511,6 +522,24 @@ class CandidateProcess:
         if self.closed_u is not None:
             return _shape_rows("closed_u", self.closed_u(t_arr), t_arr, self.m)
         return _sample_at(self.grid, self.u, t_arr)
+
+    def in_cells(self, ts, cells) -> tuple[np.ndarray, np.ndarray]:
+        """State and control at Gauss nodes ``ts`` inside the grid cells
+        ``cells``, a slice or an index array: ``ts`` holds one run of 7
+        nodes per named cell, in order, possibly several runs over the same
+        cells (see :func:`~pmpcheck.integrate._linear_cell_maps`).
+
+        Samples give the bits of :meth:`state` and :meth:`control` at
+        those times: x by ``np.interp``'s arithmetic from each cell's
+        knots, u as each cell's right-knot sample.  Closed forms are
+        evaluated as those methods evaluate them, on the shape of ``ts``.
+        """
+        x = None if self.closed_x is not None else _cell_interp(self.grid, self.x, ts, cells)
+        if x is None:  # a closed form, or a slope that is not finite
+            x = self.state(ts)
+        if self.closed_u is not None:
+            return x, self.control(ts)
+        return x, _cell_samples(self.u, ts, cells)
 
 
 def candidate_from_functions(grid, x_fn: Callable, u_fn: Callable) -> CandidateProcess:

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import test_pmp
@@ -30,7 +32,7 @@ from pmpcheck.integrate import (
     solve_state,
 )
 from pmpcheck.pmp import AdjointSolution
-from pmpcheck.problem import CandidateProcess, parse_problem
+from pmpcheck.problem import CandidateProcess, candidate_from_functions, parse_problem
 
 
 class TestDefaultGrid:
@@ -137,6 +139,28 @@ class TestImproperVerdict:
                                tail_bound=lambda T: np.exp(-T))
         assert rec.verdict == "diverged"
         assert not np.isfinite(rec.value)
+
+    def test_the_ladder_is_built_once_and_read_only(self):
+        # the construction improper_verdict repeated on every call
+        n_geo = int(np.ceil(np.log2(1.0 / integrate._T_MIN)))
+        head = integrate._T_MIN * 2.0 ** np.arange(n_geo + 1)
+        head[-1] = 1.0
+        pieces, decades, t = [np.array([0.0]), head], [1.0], 1.0
+        while t < integrate._LADDER_T_MAX * (1 - 1e-12):
+            nxt = min(t * 10.0, integrate._LADDER_T_MAX)
+            pieces.append(np.geomspace(t, nxt, integrate._LADDER_CELLS + 1)[1:])
+            decades.append(nxt)
+            t = nxt
+        grid = np.concatenate(pieces)
+        want = (grid, np.asarray(decades), np.searchsorted(grid, np.asarray(decades)),
+                np.searchsorted(grid, [1e-9, 1e-6, 1e-3, 1.0]))
+        got = (integrate._LADDER_GRID, integrate._LADDER_DECADES, integrate._LADDER_RUNGS,
+               integrate._LADDER_MARKS)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+        assert improper_verdict(lambda t: np.exp(-2 * t)).decades is integrate._LADDER_DECADES
 
 
 class TestDecay:
@@ -536,6 +560,51 @@ class TestNewtonState:
         assert max(knots for _, _, knots, _ in windows) > grid.size
         np.testing.assert_allclose(x, _gompertz(0.5, grid), rtol=1e-14)
 
+    @pytest.mark.parametrize("case", ["coarse-cells", "marching"])
+    def test_the_iterate_gives_the_bits_of_the_searched_hermite_formula(self, monkeypatch,
+                                                                        case):
+        # every read of every iterate: the sweeps' Gauss nodes, on bisected
+        # levels too, and the coarse-cell test's half-cell nodes and midpoints
+        if case == "coarse-cells":
+            prob = parse_problem(test_pmp.EXTRACTION.replace("x0 = 1.0", "x0 = 0.5"))
+            grid, u = np.linspace(0.0, 20.0, 21), lambda t: np.full(np.shape(t), 0.25)
+        else:
+            prob, grid = parse_problem(_PENDULUM), np.linspace(0.0, 20.0, 401)
+            u = np.zeros(grid.size)
+        reads = []
+
+        def iterate(prob, tw, xw, u_ends, _fn=integrate._iterate):
+            at = _fn(prob, tw, xw, u_ends)
+
+            def read(ts, cells, nodes=_GAUSS_C.size):
+                got = at(ts, cells, nodes)
+                want = _searched_hermite(prob, tw, xw, u_ends, ts)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                reads.append((nodes, isinstance(cells, slice)))
+                return got
+
+            return read
+
+        monkeypatch.setattr(integrate, "_iterate", iterate)
+        solve_state(prob, u, grid=grid)
+        assert {(_GAUSS_C.size, True), (1, True)} <= set(reads)
+        if case == "marching":  # a sweep far off the flow bisects its cells
+            assert (_GAUSS_C.size, False) in reads
+
+
+def _searched_hermite(prob, tw, xw, u_ends, ts):
+    """The Newton iterate at times ``ts`` by a search of the knots ``tw``:
+    cubic Hermite between the knot states ``xw`` with the slopes ``phi``
+    gives at each cell's knots under its own control ``u_ends``."""
+    ends = np.concatenate((tw[:-1], tw[1:]))
+    left, right = prob.phi_value(ends, np.concatenate((xw[:-1], xw[1:])), u_ends).reshape(
+        2, tw.size - 1, xw.shape[1])
+    k = np.clip(np.searchsorted(tw, ts, side="right") - 1, 0, tw.size - 2)
+    h = (tw[k + 1] - tw[k])[:, None]
+    s = (ts - tw[k])[:, None] / h
+    return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * xw[k] + s * (1.0 - s) ** 2 * h * left[k]
+            + s * s * (3.0 - 2.0 * s) * xw[k + 1] - s * s * (1.0 - s) * h * right[k])
+
 
 def _rotating_system(scale):
     """y' = A(t) y + b(t) with A(s) A(t) != A(t) A(s), and its coefficients."""
@@ -569,7 +638,7 @@ class TestLinearCellMaps:
         A, b = _rotating_system(scale)
         nodes = []
 
-        def coef(ts):
+        def coef(ts, cells):
             nodes.append(ts.size)
             return A(ts), b(ts)
 
@@ -586,7 +655,7 @@ class TestLinearCellMaps:
 
     def test_reversed_cells_give_the_inverse_map(self):
         A, b = _rotating_system(1.0)
-        coef = lambda ts: (A(ts), b(ts))
+        coef = lambda ts, cells: (A(ts), b(ts))
         grid = np.linspace(0.0, 4.0, 9)
         P_fwd, _ = _linear_cell_maps(coef, grid[:-1], grid[1:])
         P_rev, _ = _linear_cell_maps(coef, grid[1:], grid[:-1])
@@ -595,22 +664,113 @@ class TestLinearCellMaps:
 
     def test_unforced_system_has_exactly_zero_offset(self):
         A, _ = _rotating_system(1.0)
-        coef = lambda ts: (A(ts), np.zeros((ts.size, 2)))
+        coef = lambda ts, cells: (A(ts), np.zeros((ts.size, 2)))
         grid = np.linspace(0.0, 4.0, 9)
         _, q = _linear_cell_maps(coef, grid[:-1], grid[1:])
         assert np.all(q == 0.0)
 
     def test_unresolvable_cell_raises_blowup(self):
-        coef = lambda ts: (np.full((ts.size, 1, 1), np.nan), np.zeros((ts.size, 1)))
+        coef = lambda ts, cells: (np.full((ts.size, 1, 1), np.nan), np.zeros((ts.size, 1)))
         with pytest.raises(BlowUp, match="cell map defect"):
             _linear_cell_maps(coef, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_every_node_lies_in_the_cell_its_call_names(self, backward):
+        # h |A| = 6 bisects both cells: the whole cells and their halves
+        # name the caller's cells by a slice, the halves of the pieces at a
+        # bisected level (their whole maps are halves already) by an array
+        A, b = _rotating_system(3.0)
+        grid = np.linspace(0.0, 4.0, 3)
+        ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
+        named = []
+
+        def coef(ts, cells):
+            lo, hi = np.minimum(ta, tb)[cells], np.maximum(ta, tb)[cells]
+            runs = ts.reshape(-1, lo.size, _GAUSS_C.size)
+            assert np.all((lo[:, None] < runs) & (runs < hi[:, None]))
+            named.append((runs.shape[0], cells))
+            return A(ts), b(ts)
+
+        _linear_cell_maps(coef, ta, tb)
+        assert named[:2] == [(1, slice(0, 2)), (2, slice(0, 2))] and len(named) > 2
+        assert [runs for runs, _ in named] == [1] + [2] * (len(named) - 1)
+        assert all(isinstance(cells, np.ndarray) for _, cells in named[2:])
+
+
+def _build_calls(ta, tb, split):
+    """``(ts, cells)`` of each ``coef`` call of a build over the cells
+    ``ta``, ``tb`` in which the cells marked by ``split`` bisect: the whole
+    cells, their halves, and the halves of the pieces on two bisected
+    levels.  M is NaN at the nodes of the marked cells on the first level
+    only, so the maps of their halves, the next level's whole cells, are
+    NaN too."""
+    calls = []
+
+    def coef(ts, cells):
+        calls.append((ts, cells))
+        M = np.zeros((ts.size, 1, 1))
+        if len(calls) <= 2:
+            M[np.tile(np.repeat(split, _GAUSS_C.size), len(calls))] = np.nan
+        return M, np.zeros((ts.size, 1))
+
+    _linear_cell_maps(coef, ta, tb)
+    assert len(calls) == (4 if split.any() else 2)
+    return calls
+
+
+@st.composite
+def _sampled_candidates(draw):
+    """A sampled candidate with n = 1-3 and m = 1-2 on a uniform grid or a
+    zero-refined one, a few samples possibly not finite, and a mask of
+    cells to bisect."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    t_max, cells = draw(st.floats(0.5, 60.0)), draw(st.integers(1, 40))
+    grid = default_grid(t_max, cells=cells, refine_zero=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1e3, 1e3, (grid.size, n))
+    u = rng.uniform(-1e3, 1e3, (grid.size, m))
+    if draw(st.booleans()):  # np.interp's retry from the right knot
+        x.flat[rng.integers(x.size)] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    split = rng.random(grid.size - 1) < draw(st.floats(0.0, 1.0))
+    return CandidateProcess(grid=grid, x=x, u=u), split, draw(st.booleans())
+
+
+class TestCellReads:
+    """A sampled candidate read cell by cell against the search it replaces."""
+
+    @given(case=_sampled_candidates())
+    @settings(max_examples=200, deadline=None)
+    def test_a_cell_read_gives_the_bits_of_the_search(self, case):
+        cand, split, backward = case
+        grid = cand.grid
+        ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
+        # whole cells, their halves and the halves of two bisected levels
+        for ts, cells in _build_calls(ta, tb, split):
+            x, u = cand.in_cells(ts, cells)
+            want_x, want_u = cand.state(ts), cand.control(ts)
+            assert x.shape == want_x.shape and x.tobytes() == want_x.tobytes()
+            assert u.shape == want_u.shape and u.tobytes() == want_u.tobytes()
+
+    def test_closed_forms_are_evaluated_on_the_times_as_given(self):
+        grid = np.linspace(0.0, 4.0, 9)
+        shapes = []
+
+        def x_fn(t):
+            shapes.append(np.shape(t))
+            return np.exp(-np.asarray(t))
+
+        cand = candidate_from_functions(grid, x_fn, lambda t: np.zeros(np.shape(t)))
+        ts = (grid[:-1, None] + np.diff(grid)[:, None] * _GAUSS_C)
+        x, u = cand.in_cells(ts, slice(0, 8))
+        assert shapes[-1] == (8, 7) and x.shape == (8, 7, 1) and u.shape == (8, 7, 1)
+        assert x.tobytes() == cand.state(ts).tobytes()
 
 
 def _time_varying_coef():
     """``M`` and ``b`` of _TIME_VARYING under u = e^{-t}, as solve_state reads them."""
     prob = parse_problem(_TIME_VARYING)
 
-    def coef(ts):
+    def coef(ts, cells):
         zero, us = np.zeros((ts.size, 2)), np.exp(-ts)[:, None]
         return prob.phi_jac_x(ts, zero, us), prob.phi_value(ts, zero, us)
 
@@ -619,7 +779,7 @@ def _time_varying_coef():
 
 def _rotating_coef(scale):
     A, b = _rotating_system(scale)
-    return lambda ts: (A(ts), b(ts))
+    return lambda ts, cells: (A(ts), b(ts))
 
 
 def _trig_coef(d, forced=True, constant=False, scale=1.0):
@@ -633,7 +793,7 @@ def _trig_coef(d, forced=True, constant=False, scale=1.0):
     if constant:
         M_w[1:] = 0.0
 
-    def coef(ts):
+    def coef(ts, cells):
         basis = np.stack([np.ones_like(ts), np.sin(ts), np.cos(2 * ts)], axis=-1)
         b = basis @ b_w if forced else np.zeros((ts.size, d))
         return np.einsum("kw,wrc->krc", basis, M_w), b
@@ -644,8 +804,8 @@ def _trig_coef(d, forced=True, constant=False, scale=1.0):
 def _nan_node(coef):
     """``coef`` with ``M`` NaN at the first node past t = 10."""
 
-    def nan_coef(ts):
-        M, b = coef(ts)
+    def nan_coef(ts, cells):
+        M, b = coef(ts, cells)
         M[np.argmax(ts > 10.0)] = np.nan
         return M, b
 
@@ -656,8 +816,8 @@ def _constant_view(coef):
     """``coef`` with its constant ``M`` as a read-only stride-0 view of its
     first node, as the evaluator of a constant Jacobian returns it."""
 
-    def view_coef(ts):
-        M, b = coef(ts)
+    def view_coef(ts, cells):
+        M, b = coef(ts, cells)
         return np.broadcast_to(M[0], M.shape), b
 
     return view_coef
@@ -669,9 +829,9 @@ def _stage_slope_maps(coef, ta, tb):
     sides, then take the map ``I + h sum_i b_i k_i``."""
     s = _GAUSS_C.size
     maps = []
-    for lo, hi in zip(ta, tb):
+    for k, (lo, hi) in enumerate(zip(ta, tb)):
         h = hi - lo
-        M, b = coef(lo + h * _GAUSS_C)
+        M, b = coef(lo + h * _GAUSS_C, slice(k, k + 1))
         d = b.shape[-1]
         stages = np.block([[_GAUSS_A[i, j] * M[i] for j in range(s)] for i in range(s)])
         rhs = np.concatenate((M, b[..., None]), axis=-1).reshape(s * d, d + 1)
@@ -684,8 +844,14 @@ def _stage_slope_maps(coef, ta, tb):
 
 def _one_cell_at_a_time(coef, ta, tb):
     """``_collocate`` called on each cell alone, its pairs stacked."""
-    pairs = [integrate._collocate(coef, ta[k:k + 1], tb[k:k + 1]) for k in range(ta.size)]
+    pairs = [integrate._collocate(coef, ta[k:k + 1], tb[k:k + 1], slice(k, k + 1))
+             for k in range(ta.size)]
     return np.concatenate([P for P, _ in pairs]), np.concatenate([q for _, q in pairs])
+
+
+def _one_call(coef, ta, tb):
+    """``_collocate`` called once on all the cells ``ta``, ``tb``."""
+    return integrate._collocate(coef, ta, tb, slice(0, ta.size))
 
 
 def _same_bits(got, want):
@@ -718,7 +884,7 @@ class TestCollocate:
             return _solve(a, b)
 
         monkeypatch.setattr(integrate.np.linalg, "solve", solve)
-        P, q = integrate._collocate(coef, ta, tb)
+        P, q = _one_call(coef, ta, tb)
         assert P.shape == (ta.size, d, d) and q.shape == (ta.size, d)
         err = np.maximum(np.max(np.abs(P - want[:, :d, :d]), axis=(1, 2)),
                          np.max(np.abs(q - want[:, :d, d]), axis=1))
@@ -750,7 +916,7 @@ class TestCollocate:
             return _solve(a, b)
 
         monkeypatch.setattr(integrate.np.linalg, "solve", solve)
-        got = integrate._collocate(coef, ta, tb)
+        got = _one_call(coef, ta, tb)
         assert _same_bits(got, one_by_one)
         # one solve per distinct width, fewer than the cells on every grid
         assert sum(solved) == np.unique(tb - ta).size < ta.size
@@ -764,10 +930,10 @@ class TestCollocate:
         coef = _trig_coef(d, constant=True)
         grid = np.linspace(0.0, 64.0, 257)
         ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
-        one = integrate._collocate(coef, ta, tb)
+        one = _one_call(coef, ta, tb)
         assert one[0].strides[0] == 0 and not one[0].flags.writeable
         ends = (64.5, 64.0) if backward else (64.0, 64.5)
-        P, q = integrate._collocate(coef, np.append(ta, ends[0]), np.append(tb, ends[1]))
+        P, q = _one_call(coef, np.append(ta, ends[0]), np.append(tb, ends[1]))
         assert P.strides[0] != 0 and P.flags.writeable
         assert _same_bits(one, (P[:-1], q[:-1]))
 
@@ -780,11 +946,11 @@ class TestCollocate:
         grid = np.linspace(0.0, 4.0, 17)
         ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
 
-        def sampled(ts):  # M at the left end of each node's cell
-            return coef(grid[np.searchsorted(grid, ts) - 1])[0], coef(ts)[1]
+        def sampled(ts, cells):  # M at the left end of each node's cell
+            return coef(grid[np.searchsorted(grid, ts) - 1], cells)[0], coef(ts, cells)[1]
 
         one_by_one = _one_cell_at_a_time(sampled, ta, tb)
-        got = integrate._collocate(sampled, ta, tb)
+        got = _one_call(sampled, ta, tb)
         for part, want in zip(got, one_by_one):
             assert np.all(np.abs(part - want) <= 1e-15 * np.abs(want))
 
@@ -796,17 +962,17 @@ class TestCollocate:
         # the adjoint's coef returns -phi_x^T, a transposed view
         coef = _trig_coef(d, constant=constant)
 
-        def transposed(ts):
-            M, b = coef(ts)
+        def transposed(ts, cells):
+            M, b = coef(ts, cells)
             return np.ascontiguousarray(np.swapaxes(M, 1, 2)).swapaxes(1, 2), b
 
         grid = default_grid(50.0, cells=300)  # a head of distinct widths, a body of few
         ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
-        assert not transposed(ta)[0].flags.c_contiguous
-        want = integrate._collocate(coef, ta, tb)
-        assert _same_bits(integrate._collocate(transposed, ta, tb), want)
+        assert not transposed(ta, slice(0, ta.size))[0].flags.c_contiguous
+        want = _one_call(coef, ta, tb)
+        assert _same_bits(_one_call(transposed, ta, tb), want)
         if constant:  # one matrix, stride 0 along the nodes
-            assert _same_bits(integrate._collocate(_constant_view(coef), ta, tb), want)
+            assert _same_bits(_one_call(_constant_view(coef), ta, tb), want)
 
 
 class TestComposePairs:
@@ -860,9 +1026,9 @@ class TestBlockedStageSolves:
         coef = system()
         levels = []
 
-        def counted(ts):
+        def counted(ts, cells):
             levels.append(ts.size)
-            return coef(ts)
+            return coef(ts, cells)
 
         grid = np.linspace(0.0, 60.0, cells + 1)
         ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
@@ -885,9 +1051,9 @@ class TestBlockedStageSolves:
         coef = _trig_coef(2, constant=True, scale=scale)
         levels = []
 
-        def counted(ts):
+        def counted(ts, cells):
             levels.append(ts.size)
-            return coef(ts)
+            return coef(ts, cells)
 
         grid = np.linspace(0.0, 64.0, 257)
         P, q = _linear_cell_maps(counted, grid[:-1], grid[1:])
@@ -910,9 +1076,9 @@ class TestBlockedStageSolves:
         for system in (_rotating_coef(1.0), _trig_coef(2, constant=True)):
             calls = []
 
-            def coef(ts):
+            def coef(ts, cells):
                 calls.append(ts.size)
-                return system(ts)
+                return system(ts, cells)
 
             cells = 2048
             grid = np.linspace(0.0, 50.0, cells + 1)
@@ -941,7 +1107,7 @@ class TestBlockedStageSolves:
         M_0, b_w = rng.uniform(-1.0, 1.0, (d, d)), rng.uniform(-1.0, 1.0, (3, d))
         built = {}
 
-        def coef(ts):
+        def coef(ts, cells):
             if ts.size not in built:
                 basis = np.stack([np.ones_like(ts), np.sin(ts), np.cos(2 * ts)], axis=-1)
                 built[ts.size] = np.broadcast_to(M_0, (ts.size, d, d)), basis @ b_w
@@ -970,12 +1136,12 @@ class TestBlockedStageSolves:
         ta, tb = (grid[1:], grid[:-1]) if backward else (grid[:-1], grid[1:])
         assert np.unique(tb - ta).size == cells
         one_by_one = _one_cell_at_a_time(coef, ta, tb)
-        assert _same_bits(integrate._collocate(coef, ta, tb), one_by_one)
+        assert _same_bits(_one_call(coef, ta, tb), one_by_one)
         calls = []
 
-        def counted(ts):
+        def counted(ts, cells):
             calls.append(ts.size)
-            return coef(ts)
+            return coef(ts, cells)
 
         def traced_peak(ta, tb):
             _linear_cell_maps(coef, ta, tb)  # warm up outside the trace
@@ -1014,10 +1180,10 @@ class TestBlockedStageSolves:
             solved[-1] += a.shape[0]
             return _solve(a, b)
 
-        def collocate(coef, ta, tb, _collocate=integrate._collocate):
+        def collocate(coef, ta, tb, owners, _collocate=integrate._collocate):
             solved.append(0)
             cells.append(ta.size)
-            return _collocate(coef, ta, tb)
+            return _collocate(coef, ta, tb, owners)
 
         monkeypatch.setattr(integrate.np.linalg, "solve", solve)
         monkeypatch.setattr(integrate, "_collocate", collocate)

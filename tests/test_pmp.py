@@ -12,6 +12,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from pmpcheck import integrate, pmp
+from pmpcheck import problem as problem_module
 from pmpcheck.integrate import BlowUp, InvalidGrid, default_grid
 from pmpcheck.pmp import (
     AdjointSolution,
@@ -623,6 +624,98 @@ class TestSharedCellMap:
         assert view.terminal_error == copy.terminal_error
         view, copy = (adjoint_representation(grid, flow(maps), q) for maps in (P, dense))
         assert view.p.tobytes() == copy.p.tobytes()
+
+
+# u enters phi_x, so the adjoint's M follows the sampled control cell by cell
+COUPLED_SAMPLED = """
+[problem]
+n = 2
+m = 1
+x0 = 1.0, 0.0
+sense = min
+
+[dynamics]
+phi1 = x2
+phi2 = -u1*x1 - x2
+
+[objective]
+f = x1^2 + u1^2*x2
+omega = exp_decay 1.0
+
+[space]
+nu = exp_decay 1.0
+"""
+
+
+def searched_adjoint_maps(prob, cand, calls):
+    """The adjoint cell maps from a coef that searches the candidate at
+    every node and forms the forcing as a new product."""
+
+    def coef(ts, cells):
+        calls.append(cells)
+        x, u = cand.state(ts), cand.control(ts)
+        A = prob.phi_jac_x(ts, x, u)
+        w = np.asarray(prob.omega(ts), dtype=float)
+        return -np.swapaxes(A, -1, -2), w[:, None] * prob.f_grad_x(ts, x, u)
+
+    return integrate._linear_cell_maps(coef, cand.grid[1:], cand.grid[:-1])
+
+
+class TestSampledCellReads:
+    """Map builds read a sampled candidate cell by cell, with a search's bits."""
+
+    def test_a_bisecting_adjoint_build_gives_the_bits_of_a_searched_build(self):
+        prob = parse_problem(COUPLED_SAMPLED)
+        grid = np.linspace(0.0, 40.0, 17)  # h |u| up to 15: cells bisect
+        rng = np.random.default_rng(5)
+        cand = CandidateProcess(grid=grid, x=rng.uniform(-2.0, 2.0, (grid.size, 2)),
+                                u=rng.uniform(2.0, 6.0, grid.size))
+        calls = []
+        want = searched_adjoint_maps(prob, cand, calls)
+        assert len(calls) > 2 and isinstance(calls[-1], np.ndarray)
+        got = pmp._adjoint_cell_maps(prob, cand)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_the_adjoint_relation_reads_the_bits_of_a_search(self, monkeypatch):
+        # on the candidate's grid and on a prefix, and a grid of its own searches
+        prob = parse_problem(COUPLED_SAMPLED)
+        grid = np.linspace(0.0, 40.0, 161)
+        rng = np.random.default_rng(6)
+        cand = CandidateProcess(grid=grid, x=rng.uniform(-2.0, 2.0, (grid.size, 2)),
+                                u=rng.uniform(-1.0, 1.0, grid.size))
+        p = lambda t: np.stack([np.exp(-t), np.cos(t)], axis=-1)
+        adjoints = [adjoint_from_function(g, p)
+                    for g in (grid, grid[:81], np.linspace(0.0, 40.0, 97))]
+        cell_by_cell = [check_adjoint(prob, cand, adj) for adj in adjoints]
+        monkeypatch.setattr(CandidateProcess, "in_cells",
+                            lambda self, ts, cells: (self.state(ts), self.control(ts)))
+        for adj, records in zip(adjoints, cell_by_cell):
+            for got, want in zip(records, check_adjoint(prob, cand, adj)):
+                assert got.series.tobytes() == want.series.tobytes()
+
+    def test_two_state_samples_are_never_searched(self, monkeypatch):
+        # the adjoint maps, and an affine state solve under control samples
+        searches = {"_sample_at": 0, "interp": 0}
+
+        def counted(name, fn):
+            def search(*args, **kwargs):
+                searches[name] += 1
+                return fn(*args, **kwargs)
+            return search
+
+        for module in (integrate, problem_module):
+            monkeypatch.setattr(module, "_sample_at", counted("_sample_at", module._sample_at))
+        monkeypatch.setattr(np, "interp", counted("interp", np.interp))
+        grid = default_grid(50.0, cells=2048, refine_zero=False)
+        prob = parse_problem(TWO_STATE)
+        cand = CandidateProcess(grid=grid, u=np.zeros((grid.size, 1)),
+                                x=np.stack([np.zeros_like(grid), np.exp(-grid)], axis=-1))
+        pmp._adjoint_cell_maps(prob, cand)
+        integrate.solve_state(prob, cand.u, x0=cand.x[0], grid=grid)
+        assert searches == {"_sample_at": 0, "interp": 0}
+        cand.state(grid[1:] - 1e-3), cand.control(grid[1:] - 1e-3)  # the counters count
+        assert searches == {"_sample_at": 1, "interp": 2}
 
 
 class TestAdjointSolutionContainer:
