@@ -886,11 +886,7 @@ def _collocate(coef, ta: np.ndarray, tb: np.ndarray, cells) -> tuple[np.ndarray,
     K, s = ta.size, _GAUSS_C.size
     M, b = coef((ta[:, None] + h[:, None] * _GAUSS_C).ravel(), cells)
     d = b.shape[-1]
-    # one M at every node: == is transitive, and a NaN node fails it; read on
-    # the (K s, d, d) view, so an M in any layout is not copied.  A view with
-    # stride 0 along the nodes repeats its first node, so two nodes tell
-    nodes = M[:2] if M.strides[0] == 0 else M
-    shared = (nodes[1:] == nodes[:-1]).all()
+    shared = _repeats(M)  # read on the (K s, d, d) nodes, in any layout without a copy
     M, b = M.reshape(K, s, d, d), b.reshape(K, s, d)
     sd = s * d
     eye = np.eye(sd)
@@ -950,6 +946,14 @@ def _one_map(a: np.ndarray) -> np.ndarray:
     """The one row ``a[:1]`` if ``a`` is a stride-0 view along its first
     axis, else ``a``: broadcast against the other rows, it stands for all."""
     return a[:1] if a.strides[0] == 0 else a
+
+
+def _repeats(a: np.ndarray) -> bool:
+    """Whether every row of ``a`` along its first axis equals the first.
+    ``==`` is transitive, and a row holding NaN fails it.  A stride-0 view
+    repeats its first row, so two rows tell."""
+    rows = a[:2] if a.strides[0] == 0 else a
+    return bool((rows[1:] == rows[:-1]).all())
 
 
 def _cell_max(a: np.ndarray) -> np.ndarray:
@@ -1063,29 +1067,62 @@ def _affine_chain(P: np.ndarray, q: np.ndarray, y0: np.ndarray) -> np.ndarray:
 
     ``P`` is (K, d, d), possibly a read-only stride-0 view of one matrix,
     and ``q`` (K, d); ``y0`` is a vector (d,) or a matrix (d, r), and then
-    ``q_k`` is added to each column.  Both are copied into one buffer of
-    augmented maps ``[[P_k, q_k], [0, 1]]``, composed by a doubling prefix
-    scan (Hillis and Steele, CACM 29, 1986) inside blocks of
-    ``_CHAIN_BLOCK`` cells, and the block starts are chained in order.
-    Knots past an overflow read inf or NaN without a warning; callers find
-    the first knot past their limit on the result.
+    ``q_k`` is added to each column.  The cells are composed by a doubling
+    prefix scan (Hillis and Steele, CACM 29, 1986) inside blocks of
+    ``_CHAIN_BLOCK`` cells, and the block starts are chained in order, so
+    no product spans two blocks.  Maps that vary by cell are copied into
+    augmented maps ``[[P_k, q_k], [0, 1]]`` and scanned.  Where every
+    ``P_k`` is one matrix A (:func:`_repeats`), a view or a dense copy
+    alike, the scan forms the powers ``A^(j+1)`` of one block once, and
+    moves the offsets of all blocks by one product with ``A^s`` per
+    doubling step s; knot j of block b reads ``A^(j+1) y_b + o_{b,j}``.
+    Each product sums as the augmented maps' product does, so with gemm
+    (OpenBLAS 0.3) a start of two or more columns gets the same bits on
+    either path; one column is a gemv there, which rounds differently.
+    Knots past an overflow read inf or NaN without a warning;
+    callers find the first knot past their limit on the result.
     """
     K, d = q.shape
     y0 = np.asarray(y0, dtype=float)
     cols = y0.reshape(d, -1)
+    r = cols.shape[1]
     blocks = -(-K // _CHAIN_BLOCK)
-    maps = np.zeros((blocks * _CHAIN_BLOCK, d + 1, d + 1))
-    maps[K:] = np.eye(d + 1)  # padding cells leave the knot as it is
-    maps[:K, :d, :d], maps[:K, :d, d], maps[:K, d, d] = P, q, 1.0
-    maps = maps.reshape(blocks, _CHAIN_BLOCK, d + 1, d + 1)
-    starts = np.empty((blocks + 1, d + 1, cols.shape[1]))
-    starts[0, :d], starts[0, d] = cols, 1.0
     with np.errstate(over="ignore", invalid="ignore"):
+        if _repeats(P):
+            powers = np.array(np.broadcast_to(P[0], (_CHAIN_BLOCK, d, d)))
+            # offsets cell-major, row j blocks + b for cell j of block b, so
+            # one (N, d) @ (d, d) product moves every block's offsets
+            offsets = np.zeros((blocks * _CHAIN_BLOCK, d))
+            offsets[:K] = q
+            offsets = offsets.reshape(blocks, -1, d).swapaxes(0, 1).reshape(-1, d)
+            step = 1
+            while step < _CHAIN_BLOCK:  # cells j >= step take A^step and cell j - step
+                offsets[step * blocks:] += offsets[:-step * blocks] @ powers[step - 1].T
+                powers[step:] = powers[step:] @ powers[:-step]
+                step *= 2
+            offsets = offsets.reshape(_CHAIN_BLOCK, blocks, d, 1).swapaxes(0, 1)
+            starts = np.empty((blocks, d, r))
+            starts[0] = cols
+            for b in range(blocks - 1):
+                starts[b + 1] = powers[-1] @ starts[b] + offsets[b, -1]
+            # each block's knots by one product of the stacked powers, into the result
+            out = np.empty((blocks * _CHAIN_BLOCK + 1, d, r))
+            out[0] = cols
+            knots = out[1:].reshape(blocks, _CHAIN_BLOCK, d, r)
+            np.matmul(powers.reshape(-1, d), starts, out=knots.reshape(blocks, -1, r))
+            knots += offsets
+            return out[:K + 1].reshape((K + 1,) + y0.shape)
+        maps = np.zeros((blocks * _CHAIN_BLOCK, d + 1, d + 1))
+        maps[K:] = np.eye(d + 1)  # padding cells leave the knot as it is
+        maps[:K, :d, :d], maps[:K, :d, d], maps[:K, d, d] = P, q, 1.0
+        maps = maps.reshape(blocks, _CHAIN_BLOCK, d + 1, d + 1)
+        starts = np.empty((blocks + 1, d + 1, r))
+        starts[0, :d], starts[0, d] = cols, 1.0
         step = 1
         while step < _CHAIN_BLOCK:  # maps[:, j] becomes cell j's map times all before it
             maps[:, step:] = maps[:, step:] @ maps[:, :-step]
             step *= 2
         for b in range(blocks):
             starts[b + 1] = maps[b, -1] @ starts[b]
-        knots = (maps @ starts[:-1, None]).reshape(-1, d + 1, cols.shape[1])
-    return np.concatenate((cols[None], knots[:K, :d])).reshape((K + 1,) + y0.shape)
+        knots = (maps @ starts[:-1, None]).reshape(-1, d + 1, r)[:, :d]
+    return np.concatenate((cols[None], knots[:K])).reshape((K + 1,) + y0.shape)

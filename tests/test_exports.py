@@ -253,6 +253,22 @@ def test_one_chain_composes_every_cell_map():
     assert not hits, f"cell maps composed outside _affine_chain: {hits}"
 
 
+def test_one_rule_reads_a_stride_0_view():
+    """A stride-0 view of one row is told by ``integrate._one_map``, which
+    reads that row, and ``integrate._repeats``, which tells whether every
+    row is one matrix; a test of ``strides`` anywhere else in the package
+    fails here."""
+    sites = []
+    for path in Path(pmpcheck.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = _owners(tree)
+        sites += [f"{path.name}:{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare) and any(
+                      isinstance(sub, ast.Attribute) and sub.attr == "strides"
+                      for sub in ast.walk(node))]
+    assert sorted(sites) == ["integrate.py:_one_map", "integrate.py:_repeats"], sites
+
+
 def _owners(tree) -> dict:
     """The name of the innermost function around each node of ``tree``, by ``id``."""
     # ast.walk is breadth first, so a nested function overwrites its parent

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import test_pmp
-from pmpcheck import integrate
+from pmpcheck import integrate, pmp
 from pmpcheck.expressions import DomainError
 from pmpcheck.integrate import (
     _DP_A,
@@ -1197,7 +1198,8 @@ class TestBlockedStageSolves:
 
 
 class TestAffineChain:
-    """The blocked prefix scan against the plain loop it replaces."""
+    """The blocked prefix scan against the plain loop it replaces, on maps
+    that vary by cell and on one repeated map, composed by its powers."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("cells", [3 * _CHAIN_BLOCK, 3 * _CHAIN_BLOCK + 17, 5])
@@ -1228,3 +1230,85 @@ class TestAffineChain:
         got = _affine_chain(P, q, np.zeros(2))
         assert np.all(got[:, 0] == 0.0)
         np.testing.assert_allclose(got, _chain_loop(P, q, np.zeros(2)), rtol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    @pytest.mark.parametrize("cells", [1, 5, _CHAIN_BLOCK, 3 * _CHAIN_BLOCK + 17, 2048])
+    @pytest.mark.parametrize("growth", [-0.05, 0.05], ids=["stable", "unstable"])
+    @pytest.mark.parametrize("matrix_start", [False, True], ids=["vector", "matrix"])
+    def test_one_repeated_map_matches_the_sequential_loop(self, d, cells, growth, matrix_start):
+        rng = np.random.default_rng(17 * d + cells)
+        # e^{growth} times an orthogonal matrix: every power is as well
+        # conditioned as the knots, which grow or decay with k
+        A = np.exp(growth) * np.linalg.qr(rng.standard_normal((d, d)))[0]
+        view = np.broadcast_to(A, (cells, d, d))
+        q = rng.standard_normal((cells, d))
+        y0 = rng.standard_normal((d, 2) if matrix_start else d)
+        got = _affine_chain(view, q, y0)
+        assert got.tobytes() == _affine_chain(np.ascontiguousarray(view), q, y0).tobytes()
+        want = _chain_loop(view, q, y0)
+        assert got.shape == want.shape == (cells + 1,) + y0.shape
+        # a knot that cancels to near 0 is judged on the largest knot so far
+        scale = np.maximum.accumulate(np.max(np.abs(want).reshape(cells + 1, -1), axis=1))
+        err = np.max(np.abs(got - want).reshape(cells + 1, -1), axis=1)
+        assert np.all(err <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("layout", ["view", "per-cell"])
+    def test_the_exact_zero_holds_on_a_view_and_on_maps_per_cell(self, layout):
+        # as above; a view is composed by its powers, maps that vary by
+        # cell by the augmented scan
+        cells = 16 * _CHAIN_BLOCK
+        P = np.zeros((cells, 2, 2))
+        P[:, 0, 0], P[:, 1, 1] = np.exp(1.5), np.exp(-0.1)
+        if layout == "view":
+            P = np.broadcast_to(P[0], P.shape)
+        else:
+            P[:, 1, 1] *= np.linspace(1.0, 1.1, cells)
+        q = np.zeros((cells, 2))
+        q[:, 1] = 1.0
+        got = _affine_chain(P, q, np.zeros(2))
+        assert np.all(got[:, 0] == 0.0)
+        np.testing.assert_allclose(got, _chain_loop(P, q, np.zeros(2)), rtol=1e-12)
+
+    def test_a_growing_repeated_map_escapes_at_the_loops_knot(self):
+        # e^{0.5} per cell from 0 passes 1e12 at knot 54 and overflows past
+        # knot 1400: the knots before the escape, not the inf after it, say
+        # where it is, forward and in the backward route's reverse run
+        cells = 2048
+        P = np.broadcast_to(np.exp(0.5), (cells, 1, 1))
+        q = np.ones((cells, 1))
+        grid = np.linspace(0.0, 50.0, cells + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            y = _affine_chain(P, q, np.zeros(1))
+            with pytest.raises(BlowUp) as err:
+                pmp.adjoint_backward(grid, P, q, 1.0)
+        k, norm = test_pmp.first_escape(P, q, np.zeros(1), 1e12)
+        assert np.flatnonzero(~(np.abs(y[:, 0]) <= 1e12))[0] == k
+        assert y[k, 0] == pytest.approx(norm, rel=1e-12)
+        k_main = int(np.searchsorted(grid, 40.0, side="right")) - 1
+        j, norm = test_pmp.first_escape(P[k_main - 1::-1], q[k_main - 1::-1], np.zeros(1), 1e12)
+        assert err.value.t == grid[k_main - j]
+        assert err.value.norm == pytest.approx(norm, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["regulator", "two-state"])
+    def test_a_certificate_reads_as_with_the_plain_loop(self, monkeypatch, name):
+        # every chain of the certificate (the flow, both backward runs and
+        # the normality probe's state solves) by the loop instead
+        grid = default_grid(50.0, cells=512, refine_zero=False)
+        prob, cand = test_pmp.TestSharedCellMap.PROBLEMS[name](grid)
+        chain = pmp.verify_certificate(prob, cand)
+        monkeypatch.setattr(integrate, "_affine_chain", _chain_loop)
+        monkeypatch.setattr(pmp, "_affine_chain", _chain_loop)
+        loop = pmp.verify_certificate(prob, cand)
+        assert test_pmp.verdicts(chain) == test_pmp.verdicts(loop)
+        assert chain.adjoints.keys() == loop.adjoints.keys() == {"representation", "backward-ode"}
+        # a few roundoffs of sup |p|: the loop and the scan sum in other orders
+        for route, want in loop.adjoints.items():
+            got = chain.adjoints[route]
+            assert (got.ill_conditioned, got.notes) == (want.ill_conditioned, want.notes)
+            assert np.max(np.abs(got.p - want.p)) <= 4e-15 * np.max(np.abs(want.p)), route
+        assert abs(chain.route_agreement - loop.route_agreement) <= 4e-15
+        # the normality probe reads the flow and the state solves
+        got, want = (next(c for c in cert.conditions if c.name == "normality_representation")
+                     for cert in (chain, loop))
+        assert np.max(np.abs(got.series - want.series)) <= 1e-12 * np.max(np.abs(want.series))
